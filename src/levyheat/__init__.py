@@ -40,7 +40,6 @@ from .solver import (
     rfft_multiplier,
     solve_path,
     solve_path_values,
-    step,
     walsh_variance,
     weighted_norm,
 )

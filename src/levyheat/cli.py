@@ -42,6 +42,7 @@ from .mcstats import (
     DegenerateSamplesError,
     emit,
     kde,
+    make_row,
     run_ensemble,
     smoothness_report,
 )
@@ -161,9 +162,15 @@ def _float_list(raw, key):
         raise ConfigError(f"bad float list for {key!r}: {raw!r}") from err
 
 
+def _beta(cfg):
+    # the 0 sentinel is resolved here, never written back: cfg feeds run_id
+    beta = cfg["beta"]
+    return beta if beta > 0 else cfg["alpha"]
+
+
 def build_exponent(cfg):
     alpha = cfg["alpha"]
-    beta = cfg["beta"] if cfg["beta"] > 0 else alpha
+    beta = _beta(cfg)
     if cfg["scale"] <= 0:
         raise ConfigError("scale must be positive")
     try:
@@ -197,28 +204,17 @@ def build_run_config(cfg):
         run = RunConfig(grid=grid, exponent=exp_, sigma=sigma, u0=u0,
                         seed=cfg["seed"], replicas=cfg["replicas"],
                         observables=((t, cfg["probe_x"]),))
-        run.probe_indices()
     except ValueError as err:
         raise ConfigError(str(err)) from err
     return run
 
 
-def _row(run_id, cfg, quantity, value, stderr=0.0, tail=0.0,
-         t=0.0, x=0.0, count=0):
-    beta = cfg["beta"] if cfg["beta"] > 0 else cfg["alpha"]
-    return {
-        "run_id": run_id, "seed": cfg["seed"], "replica_count": count,
-        "alpha": cfg["alpha"], "beta": beta, "t": t, "x": x,
-        "quantity": quantity, "value": value, "stderr": stderr,
-        "tail_bound": tail,
-    }
-
-
 # ---------------------------------------------------------------------------
-# subcommands: each returns (rows, extra_metadata, summary line)
+# subcommands: each gets the (run_id, seed, alpha, beta) columns its rows
+# share as `head` and returns (rows, extra_metadata, summary line)
 
 
-def cmd_kernel(cfg, args, run_id):
+def cmd_kernel(cfg, args, head):
     exp_ = build_exponent(cfg)
     if not (0 < cfg["t_min"] < cfg["t_max"]):
         raise ConfigError("need 0 < t_min < t_max")
@@ -227,16 +223,14 @@ def cmd_kernel(cfg, args, run_id):
     t_grid = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     report = verify_kernel_bounds(exp_, t_grid, beta_param=cfg["picard_beta"],
                                   tol=cfg["tol"])
-    beta = cfg["beta"] if cfg["beta"] > 0 else cfg["alpha"]
-    rows = report.to_rows(run_id=run_id, seed=cfg["seed"], alpha=cfg["alpha"],
-                          beta=beta)
+    rows = report.to_rows(*head)
     summary = (f"kernel: norm slope {report.slope_norm:.6g} "
                f"(r2 {report.r2_norm:.6g}), weighted integral bounded by "
                f"laplace mass: {report.sup_bounded_by_laplace}")
     return rows, {}, summary
 
 
-def cmd_simulate(cfg, args, run_id):
+def cmd_simulate(cfg, args, head):
     run = build_run_config(cfg)
     sets = run_ensemble(run, workers=args.workers)
     rows = []
@@ -250,11 +244,11 @@ def cmd_simulate(cfg, args, run_id):
         var = ss.variance()
         m4 = float(np.mean((ss.values - ss.mean()) ** 4))
         se_var = math.sqrt(max(m4 - var ** 2, 0.0) / n)
-        rows.append(_row(run_id, cfg, "u_mean", ss.mean(), ss.stderr(),
-                         t=t, x=x, count=n))
-        rows.append(_row(run_id, cfg, "u_var", var, se_var, t=t, x=x, count=n))
-        rows.append(_row(run_id, cfg, "u_blowups",
-                         float(len(ss.metadata["blowups"])), t=t, x=x, count=n))
+        where = dict(t=t, x=x, replica_count=n)
+        rows.append(make_row(*head, "u_mean", ss.mean(), ss.stderr(), **where))
+        rows.append(make_row(*head, "u_var", var, se_var, **where))
+        rows.append(make_row(*head, "u_blowups",
+                             float(len(ss.metadata["blowups"])), **where))
         extra["blowups"] = ss.metadata["blowups"]
     ss = sets[0]
     summary = (f"simulate: {ss.count} replicas, mean {ss.mean():.6g} "
@@ -262,21 +256,19 @@ def cmd_simulate(cfg, args, run_id):
     return rows, extra, summary
 
 
-def cmd_picard(cfg, args, run_id):
+def cmd_picard(cfg, args, head):
     run = build_run_config(cfg)
     if cfg["picard_n"] < 1:
         raise ConfigError("need picard_n >= 1")
     report = picard_sequence(run, cfg["picard_n"], cfg["picard_beta"],
                              p=cfg["moment_p"], workers=args.workers)
-    beta = cfg["beta"] if cfg["beta"] > 0 else cfg["alpha"]
-    rows = report.to_rows(run_id=run_id, seed=cfg["seed"], alpha=cfg["alpha"],
-                          beta=beta)
+    rows = report.to_rows(*head)
     summary = (f"picard: ratios {np.array2string(report.ratios, precision=3)} "
                f"contracting={report.contracting}")
     return rows, {"contracting": report.contracting}, summary
 
 
-def cmd_malliavin(cfg, args, run_id):
+def cmd_malliavin(cfg, args, head):
     run = build_run_config(cfg)
     deltas = _float_list(cfg["deltas"], "deltas")
     samples, tails = hnorm_samples(
@@ -286,20 +278,18 @@ def cmd_malliavin(cfg, args, run_id):
     n = len(samples)
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    where = dict(t=t, x=x, replica_count=n)
     rows = [
-        _row(run_id, cfg, "hnorm_mean", mean, se, t=t, x=x, count=n),
-        _row(run_id, cfg, "hnorm_sd", float(samples.std(ddof=1)),
-             t=t, x=x, count=n),
+        make_row(*head, "hnorm_mean", mean, se, **where),
+        make_row(*head, "hnorm_sd", float(samples.std(ddof=1)), **where),
     ]
     for d in deltas:
-        rows.append(_row(run_id, cfg, f"hnorm_tail_mean/delta={d:.6e}",
-                         float(tails[float(d)].mean()), t=t, x=x, count=n))
+        rows.append(make_row(*head, f"hnorm_tail_mean/delta={d:.6e}",
+                             float(tails[float(d)].mean()), **where))
     if run.sigma.kappa > 0:
         nm = negative_moment_estimate(run, p=cfg["moment_p"],
                                       floor=cfg["floor"], samples=samples)
-        rows += nm.to_rows(run_id=run_id, seed=cfg["seed"], alpha=cfg["alpha"],
-                           beta=cfg["beta"] if cfg["beta"] > 0 else cfg["alpha"],
-                           probe=(t, x))
+        rows += nm.to_rows(*head, probe=(t, x))
         summary = (f"malliavin: hnorm mean {mean:.6g} +- {se:.2g}, "
                    f"negative moment {nm.estimate:.6g} "
                    f"(reliable={nm.reliable})")
@@ -308,7 +298,7 @@ def cmd_malliavin(cfg, args, run_id):
     return rows, {}, summary
 
 
-def cmd_smallball(cfg, args, run_id):
+def cmd_smallball(cfg, args, head):
     run = build_run_config(cfg)
     levels = _float_list(cfg["levels"], "levels")
     if not levels:
@@ -319,20 +309,17 @@ def cmd_smallball(cfg, args, run_id):
             stride_k=cfg["stride_k"], stride_i=cfg["stride_i"])
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    beta = cfg["beta"] if cfg["beta"] > 0 else cfg["alpha"]
-    rows = report.to_rows(run_id=run_id, seed=cfg["seed"],
-                          alpha=cfg["alpha"], beta=beta)
+    rows = report.to_rows(*head)
     nm = negative_moment_estimate(run, p=cfg["moment_p"], floor=cfg["floor"],
                                   samples=report.samples)
-    rows += nm.to_rows(run_id=run_id, seed=cfg["seed"], alpha=cfg["alpha"],
-                       beta=beta, probe=report.probe)
+    rows += nm.to_rows(*head, probe=report.probe)
     summary = (f"smallball: {len(report.eps)} eps levels, freq "
                f"{report.freq.min():.3g}..{report.freq.max():.3g}, "
                f"c_fit {report.c_fit:.6g}")
     return rows, {"c_fit": report.c_fit}, summary
 
 
-def cmd_density(cfg, args, run_id):
+def cmd_density(cfg, args, head):
     run = build_run_config(cfg)
     sets = run_ensemble(run, workers=args.workers)
     ss = sets[0]
@@ -340,38 +327,33 @@ def cmd_density(cfg, args, run_id):
     if ss.count < 2:
         raise NumericalError(f"only {ss.count} usable replicas")
     bandwidth = cfg["bandwidth"] if cfg["bandwidth"] > 0 else None
+    where = dict(t=t, x=x, replica_count=ss.count)
     try:
         est = kde(ss.values, bandwidth=bandwidth)
     except DegenerateSamplesError as err:
-        rows = [_row(run_id, cfg, "density_point_mass", err.value,
-                     t=t, x=x, count=ss.count)]
+        rows = [make_row(*head, "density_point_mass", err.value, **where)]
         return rows, {"degenerate": True}, \
             f"density: point mass at {err.value:.6g}, no estimate"
     rep = smoothness_report(est)
     rows = [
-        _row(run_id, cfg, "density_bandwidth", est.bandwidth, t=t, x=x,
-             count=ss.count),
-        _row(run_id, cfg, "density_integral", est.integral(), t=t, x=x,
-             count=ss.count),
+        make_row(*head, "density_bandwidth", est.bandwidth, **where),
+        make_row(*head, "density_integral", est.integral(), **where),
     ]
-    rows += rep.to_rows(run_id=run_id, seed=cfg["seed"], alpha=cfg["alpha"],
-                        beta=cfg["beta"] if cfg["beta"] > 0 else cfg["alpha"],
-                        probe=(t, x), replicas=ss.count)
+    rows += rep.to_rows(*head, probe=(t, x), replicas=ss.count)
     summary = (f"density: bandwidth {est.bandwidth:.6g}, max |d1| "
                f"{rep.max_d1:.6g}, max |d2| {rep.max_d2:.6g}, "
                f"under_smoothed={rep.under_smoothed}")
     return rows, {"bandwidth_rule": est.metadata["bandwidth_rule"]}, summary
 
 
-def cmd_check_exponent(cfg, args, run_id):
-    beta = cfg["beta"] if cfg["beta"] > 0 else cfg["alpha"]
+def cmd_check_exponent(cfg, args, head):
     try:
-        chk = check_exponent_condition(cfg["alpha"], beta)
+        chk = check_exponent_condition(cfg["alpha"], _beta(cfg))
     except ValueError as err:
         raise ConfigError(str(err)) from err
     rows = [
-        _row(run_id, cfg, "theta", chk.theta),
-        _row(run_id, cfg, "admissible", float(chk.admissible)),
+        make_row(*head, "theta", chk.theta),
+        make_row(*head, "admissible", float(chk.admissible)),
     ]
     summary = (f"theta={chk.theta:.12g} "
                f"admissible={'true' if chk.admissible else 'false'}")
@@ -502,7 +484,8 @@ def parse_and_dispatch(argv):
         cfg, seed_source = effective_config(args)
         run_id = _run_identifier(args.subcommand, cfg, seed_source)
         command = COMMANDS[args.subcommand][0]
-        rows, extra, summary = command(cfg, args, run_id)
+        head = (run_id, cfg["seed"], cfg["alpha"], _beta(cfg))
+        rows, extra, summary = command(cfg, args, head)
         _check_finite(rows)
         if extra.get("blowups"):
             print(f"levyheat:warning: {len(extra['blowups'])} replicas blew up "
@@ -514,9 +497,7 @@ def parse_and_dispatch(argv):
         return 0
     except (ConfigError, BlowUpError, GeneratorDomainError, NumericalError,
             OSError, ValueError) as exc:
-        if isinstance(exc, (BlowUpError, NumericalError)):
-            kind, code = "numerical", 2
-        elif isinstance(exc, GeneratorDomainError):
+        if isinstance(exc, (BlowUpError, NumericalError, GeneratorDomainError)):
             kind, code = "numerical", 2
         elif isinstance(exc, OSError):
             kind, code = "io", 3

@@ -10,10 +10,13 @@ unit-mass convention for the torus measure, under which
 
     ||q_t||^2 = (1/4pi^2) sum_n exp(-2 t Re phi(n)).
 
-Mode convention used throughout the package: a field f is synthesized as
-f(x) = sum_n c(n) exp(+i n x) (the numpy FFT convention), and the semigroup
-multiplies mode n by exp(-t phi(n)).  Hermitian symmetry phi(-n) = conj(phi(n))
-keeps real fields real.
+Mode convention used throughout the package: a real field on the m-point
+grid x_i = 2pi i / m is f(x) = sum_n c(n) exp(+i n x) (the numpy FFT
+convention), stored as its rfft coefficients c(n) = rfft(f)[n] / m for
+n = 0..m//2; c(-n) = conj(c(n)) is implied.  The semigroup multiplies mode n
+by exp(-t phi(n)), and Hermitian symmetry phi(-n) = conj(phi(n)) keeps real
+fields real.  For even m the Nyquist mode n = m/2 is its own conjugate on the
+grid, so a multiplier acts there through its real part (`rfft_symbol`).
 
 Series are truncated with certified tail bounds derived from the growth
 envelope c_lower |n|^alpha <= Re phi(n) <= c_upper |n|^beta; pass
@@ -125,19 +128,29 @@ def _one_sided_exp_tail(lam, alpha, n):
     return math.exp(arg) / (lam * alpha * n ** (alpha - 1.0))
 
 
-def _exp_series_cutoff(lam, alpha, tol):
-    """Smallest power-of-two-ish N with certified two-sided tail below tol."""
-    if lam <= 0.0:
-        raise ValueError("need a positive decay rate")
-    n = 4
-    while 2.0 * _one_sided_exp_tail(lam, alpha, n) > tol:
+def _doubling_cutoff(tail, tol, n):
+    """First cutoff n * 2^j whose certified tail(n * 2^j) is at most tol."""
+    while tail(n) > tol:
         n *= 2
         if n > _MAX_CUTOFF:
             raise RuntimeError("series tolerance unattainable at sane cutoffs")
+    return n
+
+
+def _exp_series_cutoff(lam, alpha, tol):
+    """Smallest N >= 4 with certified two-sided tail below tol: doubling, then
+    bisection inside the last doubling step."""
+    if lam <= 0.0:
+        raise ValueError("need a positive decay rate")
+
+    def tail(n):
+        return 2.0 * _one_sided_exp_tail(lam, alpha, n)
+
+    n = _doubling_cutoff(tail, tol, 4)
     lo, hi = max(4, n // 2), n
     while lo < hi:
         mid = (lo + hi) // 2
-        if 2.0 * _one_sided_exp_tail(lam, alpha, mid) <= tol:
+        if tail(mid) <= tol:
             hi = mid
         else:
             lo = mid + 1
@@ -241,6 +254,31 @@ def wrapped_gaussian_kernel(t, z, terms=64):
 # time integrals of the squared kernel norm
 
 
+def _bracketed_mode_sum(exp_, term, lower_tail, head, tol, full_output):
+    """(head + 2 sum_{n>=1} term(Re phi(n))) / 4pi^2 for a positive term below
+    1/(2 Re phi), certified to tol.
+
+    The modes past the cutoff are replaced by the midpoint of an envelope
+    bracket: above by int_n^inf dx / (2 c_lower x^alpha), below by the
+    caller's lower_tail(n); the bracket's width is the certified error bound.
+    """
+    a, c1 = exp_.alpha, exp_.c_lower
+
+    def upper_tail(n):
+        return n ** (1.0 - a) / (2.0 * c1 * (a - 1.0))
+
+    def width(n):
+        return 2.0 * (upper_tail(n) - lower_tail(n)) / FOUR_PI_SQ
+
+    n = _doubling_cutoff(width, tol, 256)
+    body = np.sum(term(exp_.re_phi(np.arange(1, n + 1))))
+    tail_mid = 0.5 * (upper_tail(n) + lower_tail(n))
+    value = (head + 2.0 * (body + tail_mid)) / FOUR_PI_SQ
+    if full_output:
+        return value, width(n)
+    return value
+
+
 def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL, full_output=False):
     """int_0^delta ||q_s||^2 ds, summed per mode in closed form.
 
@@ -250,32 +288,16 @@ def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL, full_output=Fal
     """
     if delta <= 0.0:
         raise ValueError(f"need delta > 0, got {delta}")
-    a, b = exp_.alpha, exp_.beta
-    c1, c2 = exp_.c_lower, exp_.c_upper
-
-    def upper_tail(n):
-        # sum_{m>n} (1 - e^{-2 d Re phi})/(2 Re phi) <= int_n^inf dx/(2 c1 x^a)
-        return n ** (1.0 - a) / (2.0 * c1 * (a - 1.0))
+    b, c2 = exp_.beta, exp_.c_upper
 
     def lower_tail(n):
         arg = -2.0 * delta * c2 * (n + 1.0) ** b
         damp = 1.0 - (math.exp(arg) if arg > _EXP_FLOOR else 0.0)
         return damp * (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0))
 
-    n = 256
-    while 2.0 * (upper_tail(n) - lower_tail(n)) / FOUR_PI_SQ > tol:
-        n *= 2
-        if n > _MAX_CUTOFF:
-            raise RuntimeError("series tolerance unattainable at sane cutoffs")
-    modes = np.arange(1, n + 1)
-    re = exp_.re_phi(modes)
-    body = np.sum(-np.expm1(-2.0 * delta * re) / (2.0 * re))
-    tail_mid = 0.5 * (upper_tail(n) + lower_tail(n))
-    value = (delta + 2.0 * (body + tail_mid)) / FOUR_PI_SQ
-    tail = 2.0 * (upper_tail(n) - lower_tail(n)) / FOUR_PI_SQ
-    if full_output:
-        return value, tail
-    return value
+    return _bracketed_mode_sum(
+        exp_, lambda re: -np.expm1(-2.0 * delta * re) / (2.0 * re), lower_tail,
+        delta, tol, full_output)
 
 
 def kernel_l2_laplace(exp_, beta_param, tol=DEFAULT_SERIES_TOL, full_output=False):
@@ -286,31 +308,16 @@ def kernel_l2_laplace(exp_, beta_param, tol=DEFAULT_SERIES_TOL, full_output=Fals
     """
     if beta_param <= 0.0:
         raise ValueError(f"need beta_param > 0, got {beta_param}")
-    a, b = exp_.alpha, exp_.beta
-    c1, c2 = exp_.c_lower, exp_.c_upper
-
-    def upper_tail(n):
-        return n ** (1.0 - a) / (2.0 * c1 * (a - 1.0))
+    b, c2 = exp_.beta, exp_.c_upper
 
     def lower_tail(n):
         # 1/(beta + 2 c2 x^b) >= (1/(2 c2 x^b)) / (1 + beta/(2 c2 (n+1)^b)) on x >= n+1
         slack = 1.0 + beta_param / (2.0 * c2 * (n + 1.0) ** b)
         return (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0) * slack)
 
-    n = 256
-    while 2.0 * (upper_tail(n) - lower_tail(n)) / FOUR_PI_SQ > tol:
-        n *= 2
-        if n > _MAX_CUTOFF:
-            raise RuntimeError("series tolerance unattainable at sane cutoffs")
-    modes = np.arange(1, n + 1)
-    re = exp_.re_phi(modes)
-    body = np.sum(1.0 / (beta_param + 2.0 * re))
-    tail_mid = 0.5 * (upper_tail(n) + lower_tail(n))
-    value = (1.0 / beta_param + 2.0 * (body + tail_mid)) / FOUR_PI_SQ
-    tail = 2.0 * (upper_tail(n) - lower_tail(n)) / FOUR_PI_SQ
-    if full_output:
-        return value, tail
-    return value
+    return _bracketed_mode_sum(
+        exp_, lambda re: 1.0 / (beta_param + 2.0 * re), lower_tail,
+        1.0 / beta_param, tol, full_output)
 
 
 def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL, full_output=False):
@@ -323,16 +330,15 @@ def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL, full_output=False):
     if lam <= 0.0:
         raise ValueError(f"need lam > 0, got {lam}")
     scale = lam ** (1.0 / alpha)
-    n = 4
-    while scale * _one_sided_exp_tail(lam, alpha, n) > tol:
-        n *= 2
-        if n > _MAX_CUTOFF:
-            raise RuntimeError("series tolerance unattainable at sane cutoffs")
+
+    def tail(n):
+        return scale * _one_sided_exp_tail(lam, alpha, n)
+
+    n = _doubling_cutoff(tail, tol, 4)
     modes = np.arange(1, n + 1, dtype=float)
     value = scale * np.sum(np.exp(-lam * modes ** alpha))
-    tail = scale * _one_sided_exp_tail(lam, alpha, n)
     if full_output:
-        return value, tail
+        return value, tail(n)
     return value
 
 
@@ -344,9 +350,9 @@ def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL, full_output=False):
 class SpectralField:
     """Real field on the uniform grid x_i = 2pi i / m, stored with its modes.
 
-    modes[j] is the coefficient of exp(+i n x) at n = j - n_max.  For even m
-    the Nyquist pair +-m/2 carries half the rfft coefficient each, which keeps
-    synthesis exact and the mode array Hermitian.
+    modes[n] = rfft(values)[n] / m is the coefficient of exp(+i n x) for
+    n = 0..m//2; mode -n is the conjugate of mode n and is not stored.  The
+    DC mode and, for even m, the Nyquist mode m/2 are real.
     """
 
     values: np.ndarray
@@ -360,60 +366,56 @@ class SpectralField:
     def m_space(self):
         return len(self.values)
 
-    @property
-    def n_max(self):
-        return (len(self.modes) - 1) // 2
-
-    @property
-    def mode_numbers(self):
-        return np.arange(-self.n_max, self.n_max + 1)
-
     @staticmethod
     def from_values(values):
         values = np.asarray(values, dtype=float)
         m = len(values)
         if m < 4:
             raise ValueError("need at least 4 grid points")
-        r = np.fft.rfft(values)
-        n_max = m // 2 if m % 2 == 0 else (m - 1) // 2
-        modes = np.zeros(2 * n_max + 1, dtype=complex)
-        modes[n_max] = r[0] / m
-        if m % 2 == 0:
-            modes[n_max + 1:2 * n_max] = r[1:n_max] / m
-            modes[2 * n_max] = r[n_max].real / (2 * m)  # Nyquist split over +-m/2
-        else:
-            modes[n_max + 1:] = r[1:] / m
-        modes[:n_max] = np.conj(modes[n_max + 1:][::-1])
-        return SpectralField(values=values, modes=modes)
+        return SpectralField(values=values, modes=np.fft.rfft(values) / m)
 
     @staticmethod
     def from_modes(modes, m_space=None):
+        """Field with the given rfft modes on m_space points; m_space
+        defaults to the even grid 2 * (len(modes) - 1)."""
         modes = np.asarray(modes, dtype=complex)
-        if len(modes) % 2 == 0:
-            raise ValueError("modes must be a centered array of odd length")
-        n_max = (len(modes) - 1) // 2
-        if not np.allclose(modes[::-1], np.conj(modes), rtol=1e-10, atol=1e-12):
-            raise ValueError("modes must be Hermitian for a real field")
-        if m_space is None:
-            m_space = max(4, 2 * n_max)
-        values = _synthesize(modes, m_space)
-        return SpectralField(values=values, modes=modes)
+        m = 2 * (len(modes) - 1) if m_space is None else m_space
+        if m < 4 or len(modes) != m // 2 + 1:
+            raise ValueError(
+                f"need m_space >= 4 and m_space // 2 + 1 modes, got "
+                f"{len(modes)} modes for m_space={m}")
+        real = modes[[0, -1]] if m % 2 == 0 else modes[:1]
+        if np.any(np.abs(real.imag) > 1e-12):
+            raise ValueError("DC and Nyquist modes of a real field must be real")
+        return _with_modes(modes, m)
 
 
-def _synthesize(modes, m):
-    """Evaluate sum_n modes(n) exp(i n x) on the m-point grid via irfft."""
-    n_max = (len(modes) - 1) // 2
-    if 2 * n_max > m:
-        raise ValueError("grid too coarse for the requested modes")
-    r = np.zeros(m // 2 + 1, dtype=complex)
-    top = min(n_max, m // 2)
-    r[0] = modes[n_max] * m
-    if top >= 1:
-        r[1:top + 1] = modes[n_max + 1:n_max + top + 1] * m
-    if m % 2 == 0 and n_max == m // 2:
-        # split Nyquist pair: both halves land on the same grid harmonic
-        r[m // 2] = 2.0 * m * modes[2 * n_max].real
-    return np.fft.irfft(r, n=m)
+def _with_modes(modes, m):
+    return SpectralField(values=np.fft.irfft(modes * m, n=m), modes=modes)
+
+
+def rfft_symbol(exp_, m, fn):
+    """fn(phi(n)) on the rfft modes n = 0..m//2 of an m-point grid.
+
+    fn acts elementwise, e.g. lambda p: np.exp(-t * p) for the semigroup or
+    np.negative for the generator.  For even m the modes +-m/2 are one and
+    the same harmonic on the grid, so the symbol acts there through its real
+    part; that keeps real fields real.
+    """
+    sym = fn(np.asarray(exp_.phi(np.arange(m // 2 + 1)), dtype=complex))
+    if m % 2 == 0:
+        sym[-1] = sym[-1].real
+    return sym
+
+
+def rfft_weights(m):
+    """Number of modes +-n each rfft mode stands for, so that
+    sum_n w(n) |c(n)|^2 is the grid mean square of the field (Parseval)."""
+    w = np.full(m // 2 + 1, 2.0)
+    w[0] = 1.0
+    if m % 2 == 0:
+        w[-1] = 1.0
+    return w
 
 
 def field_from_function(f, m_space):
@@ -425,10 +427,9 @@ def apply_semigroup(exp_, t, field):
     """Evolve a field by the semigroup: mode n -> exp(-t phi(n)) * mode n."""
     if t < 0.0:
         raise ValueError("semigroup time must be nonnegative")
-    n = field.mode_numbers
-    mult = np.exp(-t * np.asarray(exp_.phi(n), dtype=complex))
-    new_modes = field.modes * mult
-    return SpectralField(values=_synthesize(new_modes, field.m_space), modes=new_modes)
+    m = field.m_space
+    mult = rfft_symbol(exp_, m, lambda p: np.exp(-t * p))
+    return _with_modes(field.modes * mult, m)
 
 
 def apply_generator(exp_, field, domain_bound=1e12):
@@ -441,18 +442,17 @@ def apply_generator(exp_, field, domain_bound=1e12):
         raise GeneratorDomainError(
             f"generator-domain mass exceeds {domain_bound:g} at the field's cutoff"
         )
-    n = field.mode_numbers
-    new_modes = -np.asarray(exp_.phi(n), dtype=complex) * field.modes
-    return SpectralField(values=_synthesize(new_modes, field.m_space), modes=new_modes)
+    m = field.m_space
+    return _with_modes(rfft_symbol(exp_, m, np.negative) * field.modes, m)
 
 
 def in_generator_domain(exp_, field, bound):
-    """True when sum_n |phi(n)|^2 |c(n)|^2 <= bound at the field's cutoff."""
+    """True when sum_n |phi(n)|^2 |c(n)|^2 <= bound over the grid's modes."""
     if bound <= 0.0:
         raise ValueError("domain bound must be positive")
-    n = field.mode_numbers
-    phi_n = np.asarray(exp_.phi(n), dtype=complex)
-    mass = float(np.sum(np.abs(phi_n) ** 2 * np.abs(field.modes) ** 2))
+    m = field.m_space
+    image = rfft_symbol(exp_, m, np.negative) * field.modes
+    mass = float(np.sum(rfft_weights(m) * np.abs(image) ** 2))
     return mass <= bound
 
 
@@ -460,13 +460,30 @@ def in_generator_domain(exp_, field, bound):
 # bound verification report
 
 
-def _log_log_fit(x, y):
-    lx, ly = np.log(np.asarray(x, float)), np.log(np.asarray(y, float))
+class SlopeFit(NamedTuple):
+    """(slope, intercept, r2) of least squares on (log x, log y)."""
+
+    slope: float
+    intercept: float
+    r2: float
+
+
+def fit_slope(xs, ys):
+    """Power-law fit: least squares of log y against log x."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if len(xs) < 3 or len(xs) != len(ys):
+        raise ValueError("need at least 3 (x, y) pairs")
+    if len(np.unique(xs)) != len(xs):
+        raise ValueError("x values must be distinct")
+    if np.any(xs <= 0) or np.any(ys <= 0):
+        raise ValueError("log-log fit needs positive data")
+    lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
-    ss_tot = np.sum((ly - ly.mean()) ** 2)
-    r2 = 1.0 - np.sum(resid ** 2) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), float(r2)
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
+    return SlopeFit(float(slope), float(intercept), float(r2))
 
 
 @dataclass
@@ -489,15 +506,13 @@ class KernelBoundReport:
     sup_bounded_by_laplace: bool
 
     def to_rows(self, run_id="kernel", seed=0, alpha=None, beta=None):
+        from .mcstats import make_row  # mcstats imports this module
+
         rows = []
 
         def row(t, quantity, value, tail=0.0):
-            rows.append({
-                "run_id": run_id, "seed": seed, "replica_count": 0,
-                "alpha": alpha, "beta": beta, "t": t, "x": 0.0,
-                "quantity": quantity, "value": float(value),
-                "stderr": 0.0, "tail_bound": float(tail),
-            })
+            rows.append(make_row(run_id, seed, alpha, beta, quantity,
+                                 float(value), tail_bound=float(tail), t=t))
 
         for i, t in enumerate(self.t_grid):
             row(float(t), "kernel_l2_norm_sq", self.norm_sq[i], self.norm_tails[i])
@@ -524,12 +539,14 @@ def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if len(t_grid) < 3 or t_grid[0] <= 0.0:
         raise ValueError("need at least 3 positive times")
+    if np.any(np.diff(t_grid) == 0.0):
+        raise ValueError("kernel times must be distinct")
     pairs = [kernel_l2_norm_sq(exp_, t, tol, full_output=True) for t in t_grid]
     norm_sq = np.array([p[0] for p in pairs])
     tails = np.array([p[1] for p in pairs])
     cumulative = np.array([kernel_l2_time_integral(exp_, t, tol) for t in t_grid])
-    slope_n, _, r2_n = _log_log_fit(t_grid, norm_sq)
-    slope_c, _, r2_c = _log_log_fit(t_grid, cumulative)
+    slope_n, _, r2_n = fit_slope(t_grid, norm_sq)
+    slope_c, _, r2_c = fit_slope(t_grid, cumulative)
     laplace = kernel_l2_laplace(exp_, beta_param, tol)
     weighted = np.exp(-beta_param * t_grid) * cumulative
     sup_weighted = float(np.max(weighted))

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import TWO_PI, kernel_l2_time_integral
+from .mcstats import make_row
 from .noise import sample_noise
 from .solver import (
     _evolve_batch,
@@ -202,11 +203,7 @@ def noise_gradient_oracle(config, replica, source, probe, h=0.5, rel_tol=0.05):
     k_s, i_s = source
     if not (0 <= k_s < grid.k_time) or not (0 <= i_s < grid.m_space):
         raise IndexError(f"source cell {source} outside the grid")
-    t, x = probe
-    k_p = int(round(t / grid.dt))
-    i_p = int(round(x / grid.dx)) % grid.m_space
-    if abs(t / grid.dt - k_p) > 1e-9 or abs(x / grid.dx - round(x / grid.dx)) > 1e-9:
-        raise ValueError(f"probe ({t}, {x}) is not a grid point")
+    k_p, i_p = grid.index_of(*probe)
     base = sample_noise(grid, config.seed, replica).xi
     variants = np.stack([base, base, base, base])
     variants[0, k_s, i_s] += h
@@ -233,20 +230,13 @@ def noise_gradient_oracle(config, replica, source, probe, h=0.5, rel_tol=0.05):
 # sampling drivers
 
 
-def _probe_indices(config, probe):
-    grid = config.grid
+def _probe(config, probe):
+    """The probe (t, x), defaulting to the first observable or (horizon, 0),
+    and its grid cell (k, i)."""
     if probe is None:
-        if config.observables:
-            t, x = config.observables[0]
-        else:
-            t, x = grid.horizon, 0.0
-    else:
-        t, x = probe
-    k_p = int(round(t / grid.dt))
-    i_p = int(round(x / grid.dx)) % grid.m_space
-    if abs(t / grid.dt - k_p) > 1e-9:
-        raise ValueError(f"probe time {t} is not on the grid")
-    return k_p, i_p, t, x
+        probe = (config.observables[0] if config.observables
+                 else (config.grid.horizon, 0.0))
+    return tuple(probe), config.grid.index_of(*probe)
 
 
 def hnorm_samples(config, probe=None, replicas=None, workers=1,
@@ -258,7 +248,7 @@ def hnorm_samples(config, probe=None, replicas=None, workers=1,
     of worker count.
     """
     grid = config.grid
-    k_p, i_p, _, _ = _probe_indices(config, probe)
+    _, (k_p, i_p) = _probe(config, probe)
     r_total = config.replicas if replicas is None else replicas
 
     def one_chunk(lo, hi):
@@ -331,12 +321,9 @@ class SmallBallReport:
                 (f"smallball_lower_mass_minus_eps/eps={e:.6e}",
                  self.lower_mass_minus_eps[j], 0.0),
             ):
-                rows.append({
-                    "run_id": run_id, "seed": seed, "replica_count": self.replicas,
-                    "alpha": alpha, "beta": beta, "t": t, "x": x,
-                    "quantity": quantity, "value": float(val),
-                    "stderr": float(se), "tail_bound": 0.0,
-                })
+                rows.append(make_row(run_id, seed, alpha, beta, quantity,
+                                     float(val), float(se), t=t, x=x,
+                                     replica_count=self.replicas))
         return rows
 
 
@@ -350,7 +337,7 @@ def smallball_probability(config, eps_list=None, replicas=None, probe=None,
     """
     if config.sigma.kappa <= 0:
         raise ValueError("small-ball analysis needs sigma bounded below: kappa > 0")
-    k_p, i_p, t, x = _probe_indices(config, probe)
+    (t, x), _ = _probe(config, probe)
     samples, _ = hnorm_samples(config, probe=(t, x), replicas=replicas,
                                workers=workers, stride_k=stride_k,
                                stride_i=stride_i)
@@ -399,19 +386,15 @@ class NegativeMomentReport:
 
     def to_rows(self, run_id="negmoment", seed=0, alpha=None, beta=None,
                 probe=(0.0, 0.0)):
-        rows = [{
-            "run_id": run_id, "seed": seed, "replica_count": self.replicas,
-            "alpha": alpha, "beta": beta, "t": probe[0], "x": probe[1],
-            "quantity": f"negative_moment/p={self.p:g}/floor={self.floor:.3e}",
-            "value": self.estimate, "stderr": self.stderr, "tail_bound": 0.0,
-        }]
+        head = (run_id, seed, alpha, beta)
+        where = dict(t=probe[0], x=probe[1], replica_count=self.replicas)
+        rows = [make_row(
+            *head, f"negative_moment/p={self.p:g}/floor={self.floor:.3e}",
+            self.estimate, self.stderr, **where)]
         for fl, est in sorted(self.sensitivity.items(), reverse=True):
-            rows.append({
-                "run_id": run_id, "seed": seed, "replica_count": self.replicas,
-                "alpha": alpha, "beta": beta, "t": probe[0], "x": probe[1],
-                "quantity": f"negative_moment_floor_sweep/floor={fl:.3e}",
-                "value": est, "stderr": 0.0, "tail_bound": 0.0,
-            })
+            rows.append(make_row(
+                *head, f"negative_moment_floor_sweep/floor={fl:.3e}", est,
+                **where))
         return rows
 
 
@@ -431,7 +414,7 @@ def negative_moment_estimate(config, p=2, replicas=None, floor=1e-8,
         raise ValueError("need p >= 2")
     if floor <= 0:
         raise ValueError("need floor > 0")
-    k_p, i_p, t, x = _probe_indices(config, probe)
+    (t, x), _ = _probe(config, probe)
     if samples is None:
         samples, _ = hnorm_samples(config, probe=(t, x), replicas=replicas,
                                    workers=workers, stride_k=stride_k,

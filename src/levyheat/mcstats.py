@@ -1,4 +1,4 @@
-"""Ensemble driving, kernel density estimation, slope fits, and file output.
+"""Ensemble driving, kernel density estimation, output rows and file output.
 
 Everything here is deterministic in (config, seed): replica r always draws
 noise stream (seed, r), chunk boundaries are fixed regardless of worker
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import SlopeFit, fit_slope  # re-exported
 from .solver import _evolve_batch, _noise_block
 from ._parallel import map_chunks
 
@@ -24,6 +25,13 @@ CSV_COLUMNS = ("run_id", "seed", "replica_count", "alpha", "beta",
                "t", "x", "quantity", "value", "stderr", "tail_bound")
 _INT_COLUMNS = {"seed", "replica_count"}
 _STR_COLUMNS = {"run_id", "quantity"}
+
+
+def make_row(run_id, seed, alpha, beta, quantity, value, stderr=0.0,
+             tail_bound=0.0, t=0.0, x=0.0, replica_count=0):
+    """One output row: a dict keyed by CSV_COLUMNS."""
+    return dict(zip(CSV_COLUMNS, (run_id, seed, replica_count, alpha, beta,
+                                  t, x, quantity, value, stderr, tail_bound)))
 
 
 class DegenerateSamplesError(ValueError):
@@ -193,20 +201,16 @@ class SmoothnessReport:
 
     def to_rows(self, run_id="density", seed=0, alpha=None, beta=None,
                 probe=(0.0, 0.0), replicas=0):
-        rows = []
-        for quantity, value in (
-            ("density_max_d1", self.max_d1),
-            ("density_max_d2", self.max_d2),
-            ("density_d2_sign_changes", float(self.d2_sign_changes)),
-            ("density_under_smoothed", float(self.under_smoothed)),
-        ):
-            rows.append({
-                "run_id": run_id, "seed": seed, "replica_count": replicas,
-                "alpha": alpha, "beta": beta, "t": probe[0], "x": probe[1],
-                "quantity": quantity, "value": value, "stderr": 0.0,
-                "tail_bound": 0.0,
-            })
-        return rows
+        return [
+            make_row(run_id, seed, alpha, beta, quantity, value, t=probe[0],
+                     x=probe[1], replica_count=replicas)
+            for quantity, value in (
+                ("density_max_d1", self.max_d1),
+                ("density_max_d2", self.max_d2),
+                ("density_d2_sign_changes", float(self.d2_sign_changes)),
+                ("density_under_smoothed", float(self.under_smoothed)),
+            )
+        ]
 
 
 def smoothness_report(estimate):
@@ -237,45 +241,6 @@ def smoothness_report(estimate):
         d2_sign_changes=changes,
         under_smoothed=bool(changes > 2),
     )
-
-
-class SlopeFit(tuple):
-    """(slope, intercept, r2) of least squares on (log x, log y)."""
-
-    __slots__ = ()
-
-    def __new__(cls, slope, intercept, r2):
-        return super().__new__(cls, (slope, intercept, r2))
-
-    @property
-    def slope(self):
-        return self[0]
-
-    @property
-    def intercept(self):
-        return self[1]
-
-    @property
-    def r2(self):
-        return self[2]
-
-
-def fit_slope(xs, ys):
-    """Power-law fit: least squares of log y against log x."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) < 3 or len(xs) != len(ys):
-        raise ValueError("need at least 3 (x, y) pairs")
-    if len(np.unique(xs)) != len(xs):
-        raise ValueError("x values must be distinct")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("log-log fit needs positive data")
-    lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return SlopeFit(float(slope), float(intercept), float(r2))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-TWO_PI = 2.0 * math.pi
+from .kernels import TWO_PI
 
 # recorded in run metadata; bump if the variate derivation ever changes
 RNG_SCHEME = "philox4x64/word-indexed/ndtri/v1"
@@ -53,6 +53,20 @@ class GridSpec:
     def t_points(self):
         return self.dt * np.arange(self.k_time + 1)
 
+    def index_of(self, t, x):
+        """Grid cell (k, i) of the point (t, x), with x wrapped onto the torus.
+
+        The point must lie on the grid to within 1e-9 of a cell in each
+        coordinate, with 0 <= t <= horizon.
+        """
+        k = t / self.dt
+        i = x / self.dx
+        if not (0.0 <= t <= self.horizon * (1 + 1e-12)):
+            raise ValueError(f"probe time {t} outside [0, {self.horizon}]")
+        if abs(k - round(k)) > 1e-9 or abs(i - round(i)) > 1e-9:
+            raise ValueError(f"probe ({t}, {x}) is not a grid point")
+        return int(round(k)), int(round(i)) % self.m_space
+
 
 def _key(seed, replica):
     if replica < 0:
@@ -85,17 +99,6 @@ class NoiseField:
     seed: int
     replica: int
     grid: GridSpec
-
-    def increment(self, k, i):
-        """White-noise increment of cell (k, i): xi(k, i) * sqrt(dt * dx)."""
-        if not (0 <= k < self.grid.k_time):
-            raise IndexError(f"time index {k} outside [0, {self.grid.k_time})")
-        if not (0 <= i < self.grid.m_space):
-            raise IndexError(f"space index {i} outside [0, {self.grid.m_space})")
-        return self.xi[k, i] * math.sqrt(self.grid.dt * self.grid.dx)
-
-    def row(self, k):
-        return self.xi[k]
 
 
 def sample_noise(grid, seed, replica=0):

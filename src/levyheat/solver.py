@@ -25,8 +25,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import TWO_PI, FOUR_PI_SQ, SpectralField, kernel_l2_norm_sq
-from .noise import GridSpec, NoiseField, sample_noise
+from .kernels import (
+    FOUR_PI_SQ,
+    TWO_PI,
+    SpectralField,
+    kernel_l2_norm_sq,
+    rfft_symbol,
+    rfft_weights,
+)
+from .noise import GridSpec, sample_noise
+from ._parallel import map_chunks
 
 BLOWUP_THRESHOLD = 1e12
 
@@ -99,32 +107,15 @@ class FieldState:
     k: int
     values: np.ndarray
 
-    @property
-    def field(self):
-        return SpectralField.from_values(self.values)
-
-    @property
-    def modes(self):
-        return self.field.modes
-
 
 def noise_density_scale(grid):
     """Factor turning sigma(u) * xi into the density the spectral step convolves."""
     return math.sqrt(grid.dt * grid.dx) / (grid.dx * math.sqrt(TWO_PI))
 
 
-def rfft_multiplier(exp_, grid, dt=None):
-    """Per-step semigroup multiplier on the rfft modes 0..m/2.
-
-    For even m the Nyquist harmonic is its own conjugate pair; the real part
-    of the multiplier is its correct action there.
-    """
-    m = grid.m_space
-    n = np.arange(m // 2 + 1)
-    mult = np.exp(-(grid.dt if dt is None else dt) * np.asarray(exp_.phi(n), dtype=complex))
-    if m % 2 == 0:
-        mult[-1] = mult[-1].real
-    return mult
+def rfft_multiplier(exp_, grid):
+    """Per-step semigroup multiplier exp(-dt phi(n)) on the rfft modes 0..m/2."""
+    return rfft_symbol(exp_, grid.m_space, lambda p: np.exp(-grid.dt * p))
 
 
 def _smooth(fields, mult, m):
@@ -157,33 +148,7 @@ class RunConfig:
 
     def probe_indices(self):
         """Map (t, x) observables to exact (k, i) grid indices."""
-        out = []
-        for t, x in self.observables:
-            k = t / self.grid.dt
-            i = x / self.grid.dx
-            if not (0.0 <= t <= self.grid.horizon * (1 + 1e-12)):
-                raise ValueError(f"probe time {t} outside [0, {self.grid.horizon}]")
-            if abs(k - round(k)) > 1e-9 or abs(i - round(i)) > 1e-9:
-                raise ValueError(f"probe ({t}, {x}) is not a grid point")
-            i_int = int(round(i)) % self.grid.m_space
-            out.append((int(round(k)), i_int))
-        return out
-
-
-def step(state, noise, exp_, sigma, grid):
-    """One exponential-Euler step from state.k using the noise row at state.k."""
-    if not (0 <= state.k < grid.k_time):
-        raise ValueError(f"step index {state.k} outside [0, {grid.k_time})")
-    u = np.asarray(state.values, dtype=float)
-    if u.shape != (grid.m_space,):
-        raise ValueError("state values do not match the grid")
-    xi_row = noise.row(state.k) if isinstance(noise, NoiseField) else np.asarray(noise)
-    g = sigma.sigma(u) * xi_row * noise_density_scale(grid)
-    new = _smooth(u + g, rfft_multiplier(exp_, grid), grid.m_space)
-    max_abs = float(np.max(np.abs(new)))
-    if not math.isfinite(max_abs) or max_abs > BLOWUP_THRESHOLD:
-        raise BlowUpError(state.k + 1, max_abs)
-    return FieldState(k=state.k + 1, values=new)
+        return [self.grid.index_of(t, x) for t, x in self.observables]
 
 
 def _evolve_batch(u0_values, xi, exp_, sigma, grid, record_ks=(), keep_path=False):
@@ -244,13 +209,7 @@ def solve_path(config, replica=0, noise=None, times=None, keep_path=False):
     if times is None:
         ks = sorted({k for k, _ in config.probe_indices()} | {grid.k_time})
     else:
-        ks = []
-        for t in times:
-            k = t / grid.dt
-            if abs(k - round(k)) > 1e-9 or not 0 <= t <= grid.horizon * (1 + 1e-12):
-                raise ValueError(f"requested time {t} is not on the grid")
-            ks.append(int(round(k)))
-        ks = sorted(set(ks))
+        ks = sorted({grid.index_of(t, 0.0)[0] for t in times})
     records, path, blowups = _evolve_batch(
         config.u0.values, noise.xi[None], config.exponent, config.sigma, grid,
         record_ks=set(ks), keep_path=keep_path,
@@ -293,12 +252,8 @@ def additive_variance_exact(exp_, grid):
 
     Geometric sum per band-limited mode; isolates Monte Carlo error in tests.
     """
-    mult = rfft_multiplier(exp_, grid)
-    rho_sq = np.abs(mult) ** 2
-    weights = np.full(len(mult), 2.0)
-    weights[0] = 1.0
-    if grid.m_space % 2 == 0:
-        weights[-1] = 1.0
+    rho_sq = np.abs(rfft_multiplier(exp_, grid)) ** 2
+    weights = rfft_weights(grid.m_space)
     k = grid.k_time
     total = 0.0
     for w, r in zip(weights, rho_sq):
@@ -350,21 +305,15 @@ class PicardReport:
     contracting: bool
 
     def to_rows(self, run_id="picard", seed=0, alpha=None, beta=None):
-        rows = []
-        for n, (v, se) in enumerate(zip(self.norms, self.stderrs)):
-            rows.append({
-                "run_id": run_id, "seed": seed, "replica_count": self.replicas,
-                "alpha": alpha, "beta": beta, "t": 0.0, "x": 0.0,
-                "quantity": f"picard_diff/n={n}", "value": float(v),
-                "stderr": float(se), "tail_bound": 0.0,
-            })
-        for n, r in enumerate(self.ratios, start=1):
-            rows.append({
-                "run_id": run_id, "seed": seed, "replica_count": self.replicas,
-                "alpha": alpha, "beta": beta, "t": 0.0, "x": 0.0,
-                "quantity": f"picard_ratio/n={n}", "value": float(r),
-                "stderr": 0.0, "tail_bound": 0.0,
-            })
+        from .mcstats import make_row  # mcstats imports this module
+
+        head = (run_id, seed, alpha, beta)
+        rows = [make_row(*head, f"picard_diff/n={n}", float(v), float(se),
+                         replica_count=self.replicas)
+                for n, (v, se) in enumerate(zip(self.norms, self.stderrs))]
+        rows += [make_row(*head, f"picard_ratio/n={n}", float(r),
+                          replica_count=self.replicas)
+                 for n, r in enumerate(self.ratios, start=1)]
         return rows
 
 
@@ -380,8 +329,6 @@ def picard_sequence(config, n_max, beta_param, p=2, replicas=None, workers=1):
     differences, their Monte Carlo standard errors (delta method at the
     argmax probe), and the contraction ratios.
     """
-    from ._parallel import map_chunks
-
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     grid = config.grid

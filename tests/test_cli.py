@@ -237,14 +237,17 @@ def test_rerun_byte_identical(tmp_path):
         (out_b / "smallball.meta.json").read_bytes()
 
 
-def test_worker_count_never_changes_bytes(tmp_path):
-    args = ["smallball"] + SMALL + ["--set", "levels=0.25,0.5,0.75"]
-    _, out_a = run_cli(args + ["--workers", "1"], tmp_path, "w1")
-    _, out_b = run_cli(args + ["--workers", "8"], tmp_path, "w8")
-    assert (out_a / "smallball.csv").read_bytes() == \
-        (out_b / "smallball.csv").read_bytes()
-    assert (out_a / "smallball.meta.json").read_bytes() == \
-        (out_b / "smallball.meta.json").read_bytes()
+@pytest.mark.parametrize("subcommand", ["kernel", "simulate", "picard",
+                                        "malliavin", "smallball", "density",
+                                        "check-exponent"])
+def test_worker_count_never_changes_bytes(tmp_path, subcommand):
+    args = [subcommand] + SMALL + ["--set", "levels=0.25,0.5,0.75"]
+    code_a, out_a = run_cli(args + ["--workers", "1"], tmp_path, "w1")
+    code_b, out_b = run_cli(args + ["--workers", "8"], tmp_path, "w8")
+    assert code_a == code_b == 0
+    stem = subcommand.replace("-", "_")
+    for name in (f"{stem}.csv", f"{stem}.meta.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_run_id_tracks_config(tmp_path):

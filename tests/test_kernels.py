@@ -30,7 +30,7 @@ from levyheat import (
     verify_kernel_bounds,
     wrapped_gaussian_kernel,
 )
-from levyheat.kernels import FOUR_PI_SQ, TWO_PI
+from levyheat.kernels import FOUR_PI_SQ, TWO_PI, rfft_weights
 
 GAMMA_3_2 = math.gamma(1.5)  # = sqrt(pi)/2, the alpha=2 limit constant
 
@@ -358,12 +358,20 @@ def test_semigroup_cosine_decay():
 
 
 def test_semigroup_composition():
+    # exact on every mode below Nyquist.  The even-m Nyquist mode takes the
+    # real part of its multiplier, which drift keeps from composing: two
+    # steps apply the product of their real parts, as the solver's steps do
     exp_ = make_power_exponent(0.8, 1.5, drift=0.2)
     rng = np.random.default_rng(5)
     f = SpectralField.from_values(rng.standard_normal(32))
     one = apply_semigroup(exp_, 0.25, f)
     two = apply_semigroup(exp_, 0.15, apply_semigroup(exp_, 0.10, f))
-    assert two.values == pytest.approx(one.values, rel=1e-12, abs=1e-13)
+    assert two.modes[:-1] == pytest.approx(one.modes[:-1], rel=1e-12, abs=1e-13)
+    phi_nyq = exp_.phi(np.array([16]))[0]
+    step_re = [math.exp(-t * phi_nyq.real) * math.cos(t * phi_nyq.imag)
+               for t in (0.10, 0.15)]
+    assert two.modes[-1] == pytest.approx(
+        step_re[0] * step_re[1] * f.modes[-1], rel=1e-12)
 
 
 def test_semigroup_drift_translates():
@@ -407,11 +415,9 @@ def test_generator_is_semigroup_derivative():
 def test_generator_domain_flag():
     exp_ = make_power_exponent(1.0, 2.0)
     n_max = 128
-    modes = np.zeros(2 * n_max + 1, dtype=complex)
+    modes = np.zeros(n_max + 1, dtype=complex)
     # slow decay 1/|n|: sum |phi(n)|^2 |c(n)|^2 = sum n^2 grows past the bound
-    for n in range(1, n_max + 1):
-        modes[n_max + n] = 1.0 / n
-        modes[n_max - n] = 1.0 / n
+    modes[1:] = 1.0 / np.arange(1, n_max + 1)
     f = SpectralField.from_modes(modes)
     assert not in_generator_domain(exp_, f, bound=1e3)
     with pytest.raises(GeneratorDomainError):
@@ -465,28 +471,34 @@ def test_field_roundtrip_even_and_odd():
 
 
 def test_field_parseval():
+    # each stored mode n > 0 stands for the pair +-n, except the even-m
+    # Nyquist mode, which is a single grid harmonic
     rng = np.random.default_rng(12)
-    vals_odd = rng.standard_normal(65)
-    f_odd = SpectralField.from_values(vals_odd)
-    assert np.mean(vals_odd ** 2) == pytest.approx(
-        float(np.sum(np.abs(f_odd.modes) ** 2)), rel=1e-12)
-    # even m: the +-m/2 pair aliases onto one grid harmonic, so the grid mean
-    # carries an extra 2 nyq^2 cross term on top of the mode-energy sum
-    vals = rng.standard_normal(64)
-    f = SpectralField.from_values(vals)
-    nyq = f.modes[-1].real
-    assert np.mean(vals ** 2) == pytest.approx(
-        float(np.sum(np.abs(f.modes) ** 2)) + 2.0 * nyq ** 2, rel=1e-12)
+    for m in (65, 64):
+        vals = rng.standard_normal(m)
+        f = SpectralField.from_values(vals)
+        assert np.mean(vals ** 2) == pytest.approx(
+            float(np.sum(rfft_weights(m) * np.abs(f.modes) ** 2)), rel=1e-12)
 
 
 def test_field_hermitian_modes():
+    # the stored modes are the half n = 0..m/2 of a Hermitian spectrum
     f = field_from_function(lambda x: np.sin(x) + np.cos(3 * x), 32)
-    modes = f.modes
-    mid = len(modes) // 2
-    n_max = f.n_max
-    for n in range(1, n_max + 1):
-        assert modes[mid - n] == pytest.approx(np.conj(modes[mid + n]),
-                                               abs=1e-15)
+    assert len(f.modes) == 17
+    assert f.modes[1] == pytest.approx(-0.5j, abs=1e-15)
+    assert f.modes[3] == pytest.approx(0.5, abs=1e-15)
+    full = np.fft.fft(f.values) / 32
+    for n in range(1, 17):
+        assert full[-n] == pytest.approx(np.conj(f.modes[n]), abs=1e-15)
+    assert f.modes[0].imag == 0.0 and f.modes[16].imag == 0.0
+    # DC and Nyquist of a real field are real; outside input must agree
+    for j in (0, 16):
+        bad = f.modes.copy()
+        bad[j] += 1e-3j
+        with pytest.raises(ValueError):
+            SpectralField.from_modes(bad, m_space=32)
+    with pytest.raises(ValueError):
+        SpectralField.from_modes(f.modes, m_space=64)
 
 
 # ---------------------------------------------------------------------------
@@ -507,3 +519,5 @@ def test_verify_kernel_bounds_fractional():
     rows = report.to_rows(run_id="x", seed=0, alpha=1.5, beta=1.5)
     names = {r["quantity"] for r in rows}
     assert "kernel_norm_slope" in names and "kernel_l2_laplace" in names
+    with pytest.raises(ValueError, match="kernel times must be distinct"):
+        verify_kernel_bounds(exp_, [1e-5, 1e-4, 1e-4, 1e-3])

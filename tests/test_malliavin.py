@@ -176,6 +176,22 @@ def test_oracle_probe_validation():
         noise_gradient_oracle(cfg, 0, (9, 0), (0.2, 0.0))
 
 
+@pytest.mark.parametrize("probe", [(0.2, 0.1), (-0.025, 0.0), (0.225, 0.0)],
+                         ids=["off_grid_x", "t_negative", "t_past_horizon"])
+@pytest.mark.parametrize("call", [
+    lambda cfg, probe: hnorm_samples(cfg, probe=probe, replicas=2),
+    lambda cfg, probe: negative_moment_estimate(cfg, probe=probe, replicas=2),
+    lambda cfg, probe: smallball_probability(cfg, probe=probe, replicas=2),
+    lambda cfg, probe: noise_gradient_oracle(cfg, 0, (1, 1), probe),
+], ids=["hnorm_samples", "negative_moment_estimate", "smallball_probability",
+        "noise_gradient_oracle"])
+def test_probe_off_grid_rejected(call, probe):
+    # every probe maps to a cell through GridSpec.index_of: no silent
+    # snapping of x, no zero masses before t = 0, no bare IndexError past T
+    with pytest.raises(ValueError):
+        call(make_config(16, 8, 0.2, "one"), probe)
+
+
 # ---------------------------------------------------------------------------
 # H-norm quadrature
 

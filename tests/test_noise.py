@@ -9,7 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from levyheat import RNG_SCHEME, GridSpec, noise_row, sample_noise
+from levyheat import (
+    RNG_SCHEME,
+    GridSpec,
+    noise_density_scale,
+    noise_row,
+    sample_noise,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,7 +59,6 @@ def test_row_matches_full_field():
     full = sample_noise(g, seed=5, replica=1)
     for k in (0, 3, 8):
         assert np.array_equal(noise_row(g, 5, 1, k), full.xi[k])
-        assert np.array_equal(full.row(k), full.xi[k])
 
 
 def test_frozen_variates():
@@ -115,18 +120,16 @@ def test_disjoint_cells_uncorrelated():
 
 
 def test_increment_scaling_and_bounds():
+    # the increment of cell (k, i) is xi[k, i] * sqrt(dt * dx); the solver's
+    # density scale spreads exactly that over a cell of unit-mass measure
     g = GridSpec(m_space=16, k_time=8, horizon=0.4)
-    f = sample_noise(g, seed=3, replica=0)
     root = math.sqrt(g.dt * g.dx)
-    assert f.increment(2, 5) == f.xi[2, 5] * root
-    with pytest.raises(IndexError):
-        f.increment(8, 0)
-    with pytest.raises(IndexError):
-        f.increment(-1, 0)
-    with pytest.raises(IndexError):
-        f.increment(0, 16)
+    assert noise_density_scale(g) * g.dx * math.sqrt(TWO_PI) == pytest.approx(
+        root, rel=1e-15)
     with pytest.raises(IndexError):
         noise_row(g, 3, 0, 8)
+    with pytest.raises(IndexError):
+        noise_row(g, 3, 0, -1)
 
 
 def test_increment_quadratic_variation():

@@ -12,10 +12,10 @@ import pytest
 
 from levyheat import (
     BlowUpError,
-    FieldState,
     GridSpec,
     RunConfig,
     SigmaSpec,
+    SpectralField,
     additive_variance_exact,
     apply_semigroup,
     field_from_function,
@@ -28,10 +28,10 @@ from levyheat import (
     sample_noise,
     solve_path,
     solve_path_values,
-    step,
     walsh_variance,
     weighted_norm,
 )
+from levyheat.kernels import rfft_weights
 from levyheat.solver import _evolve_batch, _noise_block
 
 TWO_PI = 2.0 * math.pi
@@ -71,10 +71,12 @@ def test_step_matches_direct_convolution_oracle():
     u0 = rng.standard_normal(8)
     noise = sample_noise(grid, seed=8, replica=0)
     sigma = get_sigma("shifted_sine")
-    out = step(FieldState(k=0, values=u0), noise, EXP2, sigma, grid)
+    records, _, _ = _evolve_batch(u0, noise.xi[None], EXP2, sigma, grid,
+                                  record_ks={1})
+    out = records[1][0]
 
     g = sigma.sigma(u0) + 0.0
-    w = u0 + g * noise.row(0) * noise_density_scale(grid)
+    w = u0 + g * noise.xi[0] * noise_density_scale(grid)
     x = grid.x_points()
     dt = grid.dt
     oracle = np.zeros(8)
@@ -87,18 +89,7 @@ def test_step_matches_direct_convolution_oracle():
         c4 = np.mean(w * np.cos(4 * x))
         acc += np.exp(-dt * EXP2.phi(np.array([4]))[0]).real * c4 * np.cos(4 * x[i])
         oracle[i] = acc
-    assert out.values == pytest.approx(oracle, abs=1e-12)
-    assert out.k == 1
-
-
-def test_step_index_and_shape_validation():
-    grid = GridSpec(m_space=8, k_time=4, horizon=0.2)
-    noise = sample_noise(grid, seed=1, replica=0)
-    sigma = get_sigma("one")
-    with pytest.raises(ValueError):
-        step(FieldState(k=4, values=np.zeros(8)), noise, EXP2, sigma, grid)
-    with pytest.raises(ValueError):
-        step(FieldState(k=0, values=np.zeros(9)), noise, EXP2, sigma, grid)
+    assert out == pytest.approx(oracle, abs=1e-12)
 
 
 def test_rfft_multiplier_nyquist_real():
@@ -154,10 +145,13 @@ def test_torus_periodicity():
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
                     u0=field_from_function(np.cos, 16), seed=11, replicas=2)
     st = solve_path(cfg, times=[0.2])[0]
-    f = st.field
-    n = f.mode_numbers
-    at_zero = np.sum(f.modes * np.exp(1j * n * 0.0)).real
-    at_two_pi = np.sum(f.modes * np.exp(1j * n * TWO_PI)).real
+    modes = SpectralField.from_values(st.values).modes
+    n = np.arange(len(modes))
+
+    def synth(x):
+        return float(np.sum(rfft_weights(16) * (modes * np.exp(1j * n * x)).real))
+
+    at_zero, at_two_pi = synth(0.0), synth(TWO_PI)
     assert at_zero == pytest.approx(at_two_pi, rel=1e-12, abs=1e-14)
     assert at_zero == pytest.approx(st.values[0], rel=1e-10, abs=1e-12)
 
