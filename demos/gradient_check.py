@@ -24,31 +24,33 @@ for src in ((2, 3), (5, 0), (9, 11)):
     for probe in ((0.25, 0.0), (0.1875, math.pi)):
         k_p = int(round(probe[0] / grid.dt))
         i_p = int(round(probe[1] / grid.dx))
-        st = lh.propagate_derivative(path, noise, exp2, cfg.sigma, grid, src,
-                                     until_k=k_p)
+        d = lh.propagate_derivative(path, noise, exp2, cfg.sigma, grid, src,
+                                    until_k=k_p)
         orc = lh.noise_gradient_oracle(cfg, 1, src, probe)
-        rel = abs(st.values[i_p] - orc.value) / abs(orc.value)
+        rel = abs(d[i_p] - orc.value) / abs(orc.value)
         print(f"  {src!s:>7} ({probe[0]:.4f},{probe[1]:4.2f})"
-              f" {st.values[i_p]:14.6e} {orc.value:14.6e} {rel:9.2e}")
+              f" {d[i_p]:14.6e} {orc.value:14.6e} {rel:9.2e}")
 
 print()
 print("adaptedness: a source acting after the probe time contributes nothing")
 early = lh.propagate_derivative(path, noise, exp2, cfg.sigma, grid, (9, 11),
                                 until_k=8)
 orc = lh.noise_gradient_oracle(cfg, 1, (9, 11), (0.125, 0.0))
-print(f"  propagated max |D| = {np.max(np.abs(early.values)):.1f}"
+print(f"  propagated max |D| = {np.max(np.abs(early)):.1f}"
       f"   bumped-run difference = {orc.value:.1f}")
 
 print()
 print("derivative mass at the probe vs the constant-sigma closed form")
-field = lh.propagate_all(path, noise, exp2, cfg.sigma, grid)
-rep = lh.hnorm_sq(field, 0)
 cfg1 = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("one"),
                     u0=cfg.u0, seed=12, replicas=4)
-noise1 = lh.sample_noise(grid, cfg1.seed, 1)
-path1 = lh.solve_path_values(cfg1, 1, noise=noise1)
-field1 = lh.propagate_all(path1, noise1, exp2, cfg1.sigma, grid)
-rep1 = lh.hnorm_sq(field1, 0)
-print(f"  nonlinear sigma: {rep.hnorm_sq:.6f}")
-print(f"  sigma == 1:      {rep1.hnorm_sq:.6f}"
+path1 = lh.solve_path_values(cfg1, 1, noise=noise)
+# one reverse sweep gives the gradient of u(t, x) in every noise cell
+rows = lh.adjoint_gradient(path[None], noise.xi[None], exp2, cfg.sigma, grid,
+                           grid.k_time, 0)
+rows1 = lh.adjoint_gradient(path1[None], noise.xi[None], exp2, cfg1.sigma,
+                            grid, grid.k_time, 0)
+mass, _ = lh.hnorm_sq(rows, grid)
+mass1, _ = lh.hnorm_sq(rows1, grid)
+print(f"  nonlinear sigma: {mass[0]:.6f}")
+print(f"  sigma == 1:      {mass1[0]:.6f}"
       f"  (geometric sum {lh.additive_variance_exact(exp2, grid):.6f})")

@@ -44,17 +44,14 @@ from .solver import (
     weighted_norm,
 )
 from .malliavin import (
-    HNormReport,
-    MalliavinField,
-    MalliavinState,
     NegativeMomentReport,
     OracleResult,
     SmallBallReport,
+    adjoint_gradient,
     hnorm_samples,
     hnorm_sq,
     negative_moment_estimate,
     noise_gradient_oracle,
-    propagate_all,
     propagate_derivative,
     smallball_lower_mass,
     smallball_probability,

@@ -81,8 +81,6 @@ SCHEMA = {
     "picard_n": (int, 6, "picard: number of successive differences"),
     "picard_beta": (float, 64.0, "exponential weight of the iteration norm"),
     "moment_p": (float, 2.0, "moment order for picard and negative moments"),
-    "stride_k": (int, 1, "derivative source subsampling in time"),
-    "stride_i": (int, 1, "derivative source subsampling in space"),
     "levels": (str, "0.02,0.05,0.1,0.2,0.3,0.4,0.5",
                "small-ball quantile levels, comma separated"),
     "deltas": (str, "", "derivative tail windows, comma separated"),
@@ -271,13 +269,14 @@ def cmd_picard(cfg, args, head):
 def cmd_malliavin(cfg, args, head):
     run = build_run_config(cfg)
     deltas = _float_list(cfg["deltas"], "deltas")
-    samples, tails = hnorm_samples(
-        run, workers=args.workers, stride_k=cfg["stride_k"],
-        stride_i=cfg["stride_i"], deltas=deltas)
+    samples, tails, blowups = hnorm_samples(run, workers=args.workers,
+                                            deltas=deltas)
     t, x = run.observables[0]
     n = len(samples)
+    if n < 2:
+        raise NumericalError(f"only {n} usable replicas")
     mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    se = float(samples.std(ddof=1) / math.sqrt(n))
     where = dict(t=t, x=x, replica_count=n)
     rows = [
         make_row(*head, "hnorm_mean", mean, se, **where),
@@ -295,7 +294,7 @@ def cmd_malliavin(cfg, args, head):
                    f"(reliable={nm.reliable})")
     else:
         summary = f"malliavin: hnorm mean {mean:.6g} +- {se:.2g}"
-    return rows, {}, summary
+    return rows, {"blowups": blowups}, summary
 
 
 def cmd_smallball(cfg, args, head):
@@ -304,9 +303,8 @@ def cmd_smallball(cfg, args, head):
     if not levels:
         raise ConfigError("levels must name at least one quantile")
     try:
-        report = smallball_probability(
-            run, levels=levels, workers=args.workers,
-            stride_k=cfg["stride_k"], stride_i=cfg["stride_i"])
+        report = smallball_probability(run, levels=levels,
+                                       workers=args.workers)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     rows = report.to_rows(*head)
@@ -316,7 +314,7 @@ def cmd_smallball(cfg, args, head):
     summary = (f"smallball: {len(report.eps)} eps levels, freq "
                f"{report.freq.min():.3g}..{report.freq.max():.3g}, "
                f"c_fit {report.c_fit:.6g}")
-    return rows, {"c_fit": report.c_fit}, summary
+    return rows, {"c_fit": report.c_fit, "blowups": report.blowups}, summary
 
 
 def cmd_density(cfg, args, head):

@@ -1,26 +1,31 @@
-"""Pathwise differentiation of the scheme with respect to single noise cells.
+"""Pathwise derivative of the scheme in its noise variates.
 
-The derivative of u(t, x) in the noise variate of cell (k_s, i_s), normalized
-by sqrt(dt*dx), obeys the exact linearization of the exponential-Euler step:
-it starts one step after the source as the smoothed point density
+The exponential-Euler step u_{k+1} = S (u_k + sigma(u_k) xi_k * scale) is
+differentiated exactly.  Normalized by sqrt(dt*dx), the derivative of
+u(t_{k_p}, x_{i_p}) in the variate of cell (k, j) is
 
-    D_{k_s+1} = S_dt [ sigma(u_{k_s}(y)) * delta_y / (dx sqrt(2pi)) ],
+    e_{i_p}^T S F_{k_p-1} S ... F_{k+1} S e_j sigma(u_k(x_j)) / (dx sqrt(2pi)),
 
-and then propagates through the same smoothing with the multiplicative factor
-1 + sigma'(u_k) xi_k * scale picked up at every later step.  In the additive
-case D equals the transition kernel divided by sqrt(2pi) (the same measure
-normalization the solver's noise density uses), so the squared quadrature
-sum_{cells} |D|^2 dt dx reproduces int_0^t ||q_s||^2 ds in the kernel's
-unit-mass convention.
+with F_k = 1 + sigma'(u_k) xi_k * scale acting pointwise.  `adjoint_gradient`
+reads the whole gradient off one reverse sweep: starting from
+lambda = e_{i_p}, each step back forms mu = S^T lambda (the conjugate rfft
+multiplier, since S^T != S under drift), emits the row
+sigma(u_k) mu / (dx sqrt(2pi)) of the cells at step k, and moves on with
+lambda = F_k mu.  That is O(k_p m log m) per replica, batched over replicas.
+In the additive case the rows are the transition kernel divided by sqrt(2pi)
+(the measure normalization of the solver's noise density), so the squared
+quadrature sum_{cells} |D|^2 dt dx that `hnorm_sq` forms reproduces
+int_0^t ||q_s||^2 ds in the kernel's unit-mass convention.
 
-`noise_gradient_oracle` is the independent check: a central finite difference
-of two full re-solves with one variate shifted, Richardson-tested against the
-half-step quotient.
+Two independent oracles check the sweep: `propagate_derivative` pushes the
+derivative of a single source cell forward through the linearized scheme,
+and `noise_gradient_oracle` takes a central finite difference of two full
+re-solves with one variate shifted, Richardson-tested against the half-step
+quotient.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,39 +33,16 @@ from .kernels import TWO_PI, kernel_l2_time_integral
 from .mcstats import make_row
 from .noise import sample_noise
 from .solver import (
+    BlowUpError,
     _evolve_batch,
+    _noise_block,
     _smooth,
     noise_density_scale,
     rfft_multiplier,
-    solve_path_values,
 )
 from ._parallel import map_chunks
 
 HNORM_CHUNK = 64
-
-
-@dataclass(frozen=True)
-class MalliavinState:
-    """Derivative field of one source cell, at time index k."""
-
-    source: tuple
-    k: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class MalliavinField:
-    """Derivative fields of a whole (possibly strided) lattice of source cells.
-
-    data[r] is the derivative field of source cell sources[r]; weight is the
-    quadrature mass dt*stride_k * dx*stride_i each cell represents.
-    """
-
-    data: np.ndarray
-    sources: np.ndarray
-    k: int
-    grid: object
-    weight: float
 
 
 def _point_scale(grid):
@@ -83,7 +65,7 @@ def propagate_derivative(path, noise, exp_, sigma, grid, source, until_k=None):
         raise ValueError(f"until_k={until_k} outside [0, {grid.k_time}]")
     m = grid.m_space
     if k_s >= until_k:
-        return MalliavinState(source=(k_s, i_s), k=until_k, values=np.zeros(m))
+        return np.zeros(m)
     xi = noise.xi if hasattr(noise, "xi") else np.asarray(noise)
     mult = rfft_multiplier(exp_, grid)
     scale = noise_density_scale(grid)
@@ -92,91 +74,53 @@ def propagate_derivative(path, noise, exp_, sigma, grid, source, until_k=None):
     d = _smooth(d, mult, m)
     for k in range(k_s + 1, until_k):
         d = _smooth(d * (1.0 + sigma.sigma_prime(path[k]) * xi[k] * scale), mult, m)
-    return MalliavinState(source=(k_s, i_s), k=until_k, values=d)
+    return d
 
 
-def propagate_all(path, noise, exp_, sigma, grid, until_k=None,
-                  stride_k=1, stride_i=1):
-    """Derivative fields of every (strided) source cell before until_k.
+def adjoint_gradient(path, xi, exp_, sigma, grid, k_p, i_p):
+    """Gradient of u(t_{k_p}, x_{i_p}) in every noise cell before step k_p.
 
-    All rows share the per-step factor, so the whole lattice advances with one
-    batched FFT per step; rows are injected as their source step is reached.
+    path (B, >= k_p, m_space) and xi (B, >= k_p, m_space) are solved
+    trajectories and their variates, one replica per leading index.  Returns
+    rows of shape (B, k_p, m_space): rows[b, k, j] is the derivative in the
+    variate of cell (k, j), normalized as in propagate_derivative.
     """
-    until_k = grid.k_time if until_k is None else until_k
-    if stride_k < 1 or stride_i < 1:
-        raise ValueError("strides must be >= 1")
+    if not (0 <= k_p <= grid.k_time) or not (0 <= i_p < grid.m_space):
+        raise IndexError(f"probe cell {(k_p, i_p)} outside the grid")
     m = grid.m_space
-    xi = noise.xi if hasattr(noise, "xi") else np.asarray(noise)
-    mult = rfft_multiplier(exp_, grid)
+    # S is a real circulant, so S^T has the conjugate symbol; S^T != S under
+    # drift
+    mult_t = np.conj(rfft_multiplier(exp_, grid))
     scale = noise_density_scale(grid)
     pscale = _point_scale(grid)
-    ks_list = list(range(0, until_k, stride_k))
-    is_list = list(range(0, m, stride_i))
-    n_i = len(is_list)
-    sources = np.array([(ks, i) for ks in ks_list for i in is_list],
-                       dtype=int).reshape(-1, 2)
-    data = np.zeros((len(ks_list) * n_i, m))
-    block_of = {ks: j * n_i for j, ks in enumerate(ks_list)}
-    n_active = 0
-    for k in range(until_k):
-        if n_active:
-            factor = 1.0 + sigma.sigma_prime(path[k]) * xi[k] * scale
-            data[:n_active] *= factor
-        if k in block_of:
-            b = block_of[k]
-            amp = sigma.sigma(path[k, is_list]) * pscale
-            data[b + np.arange(n_i), is_list] = amp
-            n_active = b + n_i
-        data[:n_active] = _smooth(data[:n_active], mult, m)
-    weight = grid.dt * stride_k * grid.dx * stride_i
-    return MalliavinField(data=data, sources=sources, k=until_k, grid=grid,
-                          weight=weight)
+    rows = np.empty((len(path), k_p, m))
+    lam = np.zeros((len(path), m))
+    lam[:, i_p] = 1.0
+    for k in range(k_p - 1, -1, -1):
+        mu = _smooth(lam, mult_t, m)
+        rows[:, k] = sigma.sigma(path[:, k]) * pscale * mu
+        lam = (1.0 + sigma.sigma_prime(path[:, k]) * xi[:, k] * scale) * mu
+    return rows
 
 
-@dataclass(frozen=True)
-class HNormReport:
-    """Quadrature of |D u(t, x)|^2 over source cells, with trailing-window tails."""
+def hnorm_sq(rows, grid, deltas=()):
+    """Per-replica quadrature sum_{cells} |D u(t, x)|^2 dt dx of gradient rows.
 
-    t: float
-    x: float
-    hnorm_sq: float
-    tail: dict
-    replica: Optional[int] = None
-
-
-def hnorm_sq(field, x_index, deltas=(), replica=None, grid=None):
-    """Sum_{source cells} |D(t, x)|^2 * quadrature weight, plus window tails.
-
-    tail[delta] restricts the sum to sources in (t - delta, t], the windowed
-    mass that drives the small-ball bounds.  field is a MalliavinField, or a
-    list of unit-stride MalliavinStates sharing a probe time (pass grid too).
+    rows is the (B, k_p, m_space) output of adjoint_gradient.  Returns
+    (mass, tails): mass has shape (B,), and tails[delta] restricts the sum to
+    sources in the window (t - delta, t], the windowed mass that drives the
+    small-ball bounds.
     """
-    if not isinstance(field, MalliavinField):
-        states = list(field)
-        if not states:
-            raise ValueError("need at least one source state")
-        if len({s.k for s in states}) > 1:
-            raise ValueError("all source states must share the probe time")
-        if grid is None:
-            raise ValueError("a list of states needs the grid argument")
-        field = MalliavinField(
-            data=np.stack([s.values for s in states]),
-            sources=np.array([s.source for s in states], dtype=int),
-            k=states[0].k, grid=grid, weight=grid.dt * grid.dx,
-        )
-    grid = field.grid
-    col = field.data[:, x_index] ** 2
-    total = float(col.sum() * field.weight)
-    t = field.k * grid.dt
-    tail = {}
+    if any(delta <= 0 for delta in deltas):
+        raise ValueError("tail windows must be positive")
+    weight = grid.dt * grid.dx
+    per_step = np.sum(rows ** 2, axis=-1)
+    k_p = rows.shape[1]
+    tails = {}
     for delta in deltas:
-        if delta <= 0:
-            raise ValueError("tail windows must be positive")
-        k_lo = field.k - int(round(delta / grid.dt))
-        mask = field.sources[:, 0] >= k_lo
-        tail[float(delta)] = float(col[mask].sum() * field.weight)
-    return HNormReport(t=t, x=x_index * grid.dx, hnorm_sq=total, tail=tail,
-                       replica=replica)
+        k_lo = max(k_p - int(round(delta / grid.dt)), 0)
+        tails[float(delta)] = per_step[:, k_lo:].sum(axis=1) * weight
+    return per_step.sum(axis=1) * weight, tails
 
 
 @dataclass(frozen=True)
@@ -239,37 +183,48 @@ def _probe(config, probe):
     return tuple(probe), config.grid.index_of(*probe)
 
 
-def hnorm_samples(config, probe=None, replicas=None, workers=1,
-                  stride_k=1, stride_i=1, deltas=()):
+def hnorm_samples(config, probe=None, replicas=None, workers=1, deltas=()):
     """Replica samples of the derivative mass |D u(t, x)|^2_H.
 
-    Returns (samples, tails) where tails maps each window delta to its
-    per-replica array.  Deterministic in (config, probe, strides) regardless
-    of worker count.
+    Returns (samples, tails, blowups): tails maps each window delta to its
+    per-replica array, and blowups lists (replica, step, magnitude) for the
+    replicas that blew up, which are excluded from samples and tails exactly
+    as run_ensemble excludes them.  Deterministic in (config, probe)
+    regardless of worker count.
     """
     grid = config.grid
     _, (k_p, i_p) = _probe(config, probe)
     r_total = config.replicas if replicas is None else replicas
 
     def one_chunk(lo, hi):
-        vals = np.empty(hi - lo)
-        tails = {float(d): np.empty(hi - lo) for d in deltas}
-        for j, r in enumerate(range(lo, hi)):
-            nf = sample_noise(grid, config.seed, r)
-            path = solve_path_values(config, r, nf)
-            mf = propagate_all(path, nf, config.exponent, config.sigma, grid,
-                               until_k=k_p, stride_k=stride_k, stride_i=stride_i)
-            rep = hnorm_sq(mf, i_p, deltas=deltas, replica=r)
-            vals[j] = rep.hnorm_sq
-            for d in deltas:
-                tails[float(d)][j] = rep.tail[float(d)]
-        return vals, tails
+        xi = _noise_block(grid, config.seed, range(lo, hi))
+        _, path, blowups = _evolve_batch(config.u0.values, xi, config.exponent,
+                                         config.sigma, grid, keep_path=True)
+        if blowups:
+            keep = np.ones(hi - lo, dtype=bool)
+            keep[[r for r, _, _ in blowups]] = False
+            path, xi = path[keep], xi[keep]
+        rows = adjoint_gradient(path, xi, config.exponent, config.sigma, grid,
+                                k_p, i_p)
+        mass, tails = hnorm_sq(rows, grid, deltas)
+        return mass, tails, [(lo + r, k, mag) for r, k, mag in blowups]
 
     parts = map_chunks(one_chunk, r_total, HNORM_CHUNK, workers)
     samples = np.concatenate([p[0] for p in parts])
     tails = {float(d): np.concatenate([p[1][float(d)] for p in parts])
              for d in deltas}
-    return samples, tails
+    return samples, tails, [b for p in parts for b in p[2]]
+
+
+def _usable_samples(config, probe, replicas, workers):
+    """hnorm_samples without tails; BlowUpError for the first blow-up when
+    blow-ups leave fewer than 2 usable replicas."""
+    samples, _, blowups = hnorm_samples(config, probe=probe, replicas=replicas,
+                                        workers=workers)
+    if blowups and len(samples) < 2:
+        r, k, mag = blowups[0]
+        raise BlowUpError(k, mag, r)
+    return samples, blowups
 
 
 def smallball_lower_mass(exp_, kappa, delta, tol=1e-10):
@@ -295,7 +250,8 @@ class SmallBallReport:
     For each eps: the frequency P(mass < eps) with a Wilson interval, the
     window delta = (4 eps / c_fit)^(beta/(beta-1)) suggested by the lower-mass
     scaling, and lower_mass(delta) - eps, which must stay positive for the
-    window argument to have any force.
+    window argument to have any force.  Replicas that blew up are excluded
+    and listed in blowups as (replica, step, magnitude).
     """
 
     probe: tuple
@@ -309,6 +265,7 @@ class SmallBallReport:
     lower_mass_minus_eps: np.ndarray
     c_fit: float
     samples: np.ndarray
+    blowups: list
 
     def to_rows(self, run_id="smallball", seed=0, alpha=None, beta=None):
         rows = []
@@ -328,19 +285,18 @@ class SmallBallReport:
 
 
 def smallball_probability(config, eps_list=None, replicas=None, probe=None,
-                          levels=None, workers=1, stride_k=1, stride_i=1):
+                          levels=None, workers=1):
     """Monte Carlo small-ball frequencies of the derivative mass at a probe.
 
     eps defaults to empirical quantiles over the resolvable range (levels
     2%..50%), where frequencies are neither all-zero nor saturated.  Zero-hit
-    eps still get a positive Wilson upper bound.
+    eps still get a positive Wilson upper bound.  Blow-ups that leave fewer
+    than 2 usable replicas raise BlowUpError for the first of them.
     """
     if config.sigma.kappa <= 0:
         raise ValueError("small-ball analysis needs sigma bounded below: kappa > 0")
     (t, x), _ = _probe(config, probe)
-    samples, _ = hnorm_samples(config, probe=(t, x), replicas=replicas,
-                               workers=workers, stride_k=stride_k,
-                               stride_i=stride_i)
+    samples, blowups = _usable_samples(config, (t, x), replicas, workers)
     n = len(samples)
     if eps_list is None:
         if levels is None:
@@ -368,6 +324,7 @@ def smallball_probability(config, eps_list=None, replicas=None, probe=None,
         probe=(t, x), replicas=n, eps=eps, freq=freq,
         ci_lo=ci[:, 0], ci_hi=ci[:, 1], delta=delta, lower_mass=lower,
         lower_mass_minus_eps=lower - eps, c_fit=c_fit, samples=samples,
+        blowups=blowups,
     )
 
 
@@ -399,14 +356,14 @@ class NegativeMomentReport:
 
 
 def negative_moment_estimate(config, p=2, replicas=None, floor=1e-8,
-                             probe=None, workers=1, stride_k=1, stride_i=1,
-                             samples=None):
+                             probe=None, workers=1, samples=None):
     """Replica average of max(|D u|^2_H, floor)^(-p/2).
 
     More than 1% of replicas hitting the floor marks the estimate unreliable;
     the sweep re-evaluates at floor/sqrt(10) and floor/10 so floor sensitivity
     is visible across one decade.  Pass samples to reuse mass samples already
-    drawn for the same config and probe.
+    drawn for the same config and probe; drawn here, they exclude blow-ups
+    as in smallball_probability.
     """
     if config.sigma.kappa <= 0:
         raise ValueError("negative moments need sigma bounded below: kappa > 0")
@@ -416,9 +373,7 @@ def negative_moment_estimate(config, p=2, replicas=None, floor=1e-8,
         raise ValueError("need floor > 0")
     (t, x), _ = _probe(config, probe)
     if samples is None:
-        samples, _ = hnorm_samples(config, probe=(t, x), replicas=replicas,
-                                   workers=workers, stride_k=stride_k,
-                                   stride_i=stride_i)
+        samples, _ = _usable_samples(config, (t, x), replicas, workers)
     else:
         samples = np.asarray(samples, dtype=float)
     n = len(samples)

@@ -117,6 +117,32 @@ def test_blowup_is_numerical_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("levyheat:error:numerical:")
 
 
+@pytest.mark.parametrize("subcommand", ["malliavin", "smallball"])
+def test_derivative_blowups_are_numerical_error(tmp_path, capsys, subcommand):
+    # every replica blows up, so fewer than 2 usable ones remain
+    code, out = run_cli([subcommand] + SMALL + ["--set", "u0=sin",
+                                                "--set", "u0_amp=1e13"],
+                        tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("levyheat:error:numerical:")
+    assert not (out / f"{subcommand}.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["malliavin", "smallball"])
+def test_derivative_blowups_reported_and_excluded(tmp_path, capsys,
+                                                  subcommand):
+    # u0 = A sin x with A exp(-dt) a hair below the 1e12 blow-up threshold:
+    # after the first step the noise pushes some replicas over it, not all
+    code, out = run_cli([subcommand] + SMALL + [
+        "--set", "u0=sin", "--set", "u0_amp=1025315120524.2238"], tmp_path)
+    assert code == 0
+    assert "replicas blew up and were excluded" in capsys.readouterr().err
+    meta = json.loads((out / f"{subcommand}.meta.json").read_text())
+    assert 0 < len(meta["blowups"]) < 8
+    rows = load_rows(str(out / f"{subcommand}.csv"))
+    assert {r["replica_count"] for r in rows} == {8 - len(meta["blowups"])}
+
+
 def test_unwritable_output_is_io_error(capsys):
     code = parse_and_dispatch(
         ["check-exponent", "--alpha", "2", "--out", "/dev/null/nested"])
@@ -285,6 +311,8 @@ def test_malliavin_subcommand(tmp_path):
     assert got["hnorm_mean"]["value"] > 0.0
     assert "hnorm_tail_mean/delta=5.000000e-02" in got
     assert any(q.startswith("negative_moment/p=2") for q in got)
+    meta = json.loads((out / "malliavin.meta.json").read_text())
+    assert meta["blowups"] == []
 
 
 def test_smallball_subcommand_rows(tmp_path):
@@ -298,6 +326,7 @@ def test_smallball_subcommand_rows(tmp_path):
     assert any(q.startswith("negative_moment/") for q in got)
     meta = json.loads((out / "smallball.meta.json").read_text())
     assert meta["c_fit"] > 0
+    assert meta["blowups"] == []
 
 
 def test_smallball_needs_nondegenerate_sigma(tmp_path, capsys):

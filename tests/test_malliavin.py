@@ -1,20 +1,26 @@
-"""Derivative-propagation tests: kernel agreement, gradient oracle, H-norm
-quadrature, small-ball frequencies, negative moments.
+"""Derivative tests: kernel agreement, adjoint sweep against forward
+propagation, gradient oracle, H-norm quadrature, blow-up policy, memory,
+small-ball frequencies, negative moments.
 
 The additive case (constant sigma) makes every quantity deterministic and
 closed-form, so most checks here are exact; the nonlinear checks lean on the
 finite-difference oracle.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from levyheat import (
+    BlowUpError,
     GridSpec,
     RunConfig,
+    SigmaSpec,
     additive_variance_exact,
+    adjoint_gradient,
     field_from_function,
     get_sigma,
     hnorm_samples,
@@ -24,8 +30,8 @@ from levyheat import (
     make_power_exponent,
     negative_moment_estimate,
     noise_gradient_oracle,
-    propagate_all,
     propagate_derivative,
+    run_ensemble,
     sample_noise,
     smallball_lower_mass,
     smallball_probability,
@@ -52,6 +58,15 @@ def solved(config, replica=0):
     return path, noise
 
 
+def mass_of(config, path, noise, i_p, deltas=()):
+    """Derivative mass at (horizon, x_{i_p}) of one solved replica."""
+    grid = config.grid
+    rows = adjoint_gradient(path[None], noise.xi[None], config.exponent,
+                            config.sigma, grid, grid.k_time, i_p)
+    mass, tails = hnorm_sq(rows, grid, deltas)
+    return float(mass[0]), {d: float(v[0]) for d, v in tails.items()}
+
+
 # ---------------------------------------------------------------------------
 # propagation against the kernel (additive case)
 
@@ -63,23 +78,23 @@ def test_additive_derivative_is_the_kernel():
     path, noise = solved(cfg)
     grid = cfg.grid
     k_s, i_s = 4, 7
-    st = propagate_derivative(path, noise, EXP2, cfg.sigma, grid, (k_s, i_s))
+    d = propagate_derivative(path, noise, EXP2, cfg.sigma, grid, (k_s, i_s))
     kc = kernel_coefficients(EXP2, (grid.k_time - k_s) * grid.dt, tol=1e-14)
     xs = grid.x_points()
     target = kc.evaluate(xs - xs[i_s]) / math.sqrt(TWO_PI)
-    rel = np.max(np.abs(st.values - target)) / np.max(np.abs(target))
+    rel = np.max(np.abs(d - target)) / np.max(np.abs(target))
     assert rel < 1e-8
 
 
 def test_adaptedness_is_exact():
     cfg = make_config(16, 8, 0.2, "shifted_sine")
     path, noise = solved(cfg)
-    st = propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid, (5, 3),
-                              until_k=4)
-    assert np.all(st.values == 0.0)
+    d = propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid, (5, 3),
+                             until_k=4)
+    assert np.all(d == 0.0)
     same = propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid, (4, 3),
                                 until_k=4)
-    assert np.all(same.values == 0.0)
+    assert np.all(same == 0.0)
     orc = noise_gradient_oracle(cfg, 0, (5, 3), (0.1, 0.0))
     assert orc.value == 0.0 and orc.value_half == 0.0
 
@@ -94,20 +109,29 @@ def test_source_validation():
     with pytest.raises(ValueError):
         propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid, (0, 0),
                              until_k=9)
-    with pytest.raises(ValueError):
-        propagate_all(path, noise, EXP2, cfg.sigma, cfg.grid, stride_k=0)
 
 
-def test_batched_matches_single_propagation():
-    cfg = make_config(16, 8, 0.2, "shifted_sine", u0=np.sin)
+@pytest.mark.parametrize("m, k, drift, probe", [
+    (16, 8, 0.0, (8, 5)),
+    (16, 8, 3.0, (6, 11)),
+    (15, 12, 2.5, (12, 4)),
+], ids=["shifted_sine_16x8", "drift", "odd_m"])
+def test_adjoint_matches_propagation(m, k, drift, probe):
+    # the reverse sweep is an exact transpose of the forward linearization:
+    # every source row equals the forward derivative read at the probe; with
+    # drift the multiplier is complex and S^T != S
+    exp_ = make_power_exponent(1.0, 2.0, drift=drift)
+    cfg = make_config(m, k, 0.2, "shifted_sine", exponent=exp_, u0=np.sin)
     path, noise = solved(cfg, replica=3)
-    field = propagate_all(path, noise, EXP2, cfg.sigma, cfg.grid)
-    assert field.data.shape == (8 * 16, 16)
-    for row, (k_s, i_s) in ((0, (0, 0)), (37, (2, 5)), (127, (7, 15))):
-        assert tuple(field.sources[row]) == (k_s, i_s)
-        single = propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid,
-                                      (k_s, i_s))
-        assert np.array_equal(field.data[row], single.values)
+    k_p, i_p = probe
+    rows = adjoint_gradient(path[None], noise.xi[None], exp_, cfg.sigma,
+                            cfg.grid, k_p, i_p)[0]
+    assert rows.shape == (k_p, m)
+    ref = np.array([[propagate_derivative(path, noise, exp_, cfg.sigma,
+                                          cfg.grid, (k_s, j), until_k=k_p)[i_p]
+                     for j in range(m)] for k_s in range(k_p)])
+    np.testing.assert_allclose(rows, ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_additive_linearity_in_sigma():
@@ -117,7 +141,7 @@ def test_additive_linearity_in_sigma():
     path2, _ = solved(cfg2)
     a = propagate_derivative(path1, noise, EXP2, cfg1.sigma, cfg1.grid, (2, 5))
     b = propagate_derivative(path2, noise, EXP2, cfg2.sigma, cfg2.grid, (2, 5))
-    assert np.array_equal(b.values, 2.0 * a.values)
+    assert np.array_equal(b, 2.0 * a)
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +156,11 @@ def test_oracle_matches_propagation_nonlinear():
         for probe in ((0.25, 0.0), (0.1875, math.pi)):
             k_p = int(round(probe[0] / grid.dt))
             i_p = int(round(probe[1] / grid.dx))
-            st = propagate_derivative(path, noise, EXP2, cfg.sigma, grid, src,
-                                      until_k=k_p)
+            d = propagate_derivative(path, noise, EXP2, cfg.sigma, grid, src,
+                                     until_k=k_p)
             orc = noise_gradient_oracle(cfg, 1, src, probe)
             assert orc.reliable
-            assert st.values[i_p] == pytest.approx(orc.value, rel=1e-2)
+            assert d[i_p] == pytest.approx(orc.value, rel=1e-2)
 
 
 def test_oracle_zero_sigma():
@@ -154,8 +178,8 @@ def test_oracle_additive_is_path_independent():
     b = noise_gradient_oracle(cfg, 5, (3, 4), (0.2, 0.0))
     assert a.value == pytest.approx(b.value, rel=1e-9)
     path, noise = solved(cfg)
-    st = propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid, (3, 4))
-    assert a.value == pytest.approx(st.values[0], rel=1e-9)
+    d = propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid, (3, 4))
+    assert a.value == pytest.approx(d[0], rel=1e-9)
 
 
 def test_oracle_additive_matches_continuum_kernel():
@@ -199,9 +223,8 @@ def test_probe_off_grid_rejected(call, probe):
 def test_additive_hnorm_equals_geometric_sum():
     cfg = make_config(32, 16, 0.2, "one", exponent=EXP15)
     path, noise = solved(cfg)
-    field = propagate_all(path, noise, EXP15, cfg.sigma, cfg.grid)
-    rep = hnorm_sq(field, 0)
-    assert rep.hnorm_sq == pytest.approx(
+    mass, _ = mass_of(cfg, path, noise, 0)
+    assert mass == pytest.approx(
         additive_variance_exact(EXP15, cfg.grid), rel=1e-12)
 
 
@@ -229,57 +252,25 @@ def test_tail_window_identity_and_monotonicity():
     cfg = make_config(32, 32, 0.2, "one", exponent=EXP15)
     path, noise = solved(cfg)
     grid = cfg.grid
-    field = propagate_all(path, noise, EXP15, cfg.sigma, grid)
     deltas = tuple(j * grid.dt for j in (4, 8, 16, 32))
-    rep = hnorm_sq(field, 3, deltas=deltas)
+    mass, tail = mass_of(cfg, path, noise, 3, deltas=deltas)
     for j, d in zip((4, 8, 16, 32), deltas):
         ref = additive_variance_exact(EXP15, GridSpec(32, j, j * grid.dt))
-        assert rep.tail[float(d)] == pytest.approx(ref, rel=1e-12)
-    tails = [rep.tail[float(d)] for d in deltas]
+        assert tail[float(d)] == pytest.approx(ref, rel=1e-12)
+    tails = [tail[float(d)] for d in deltas]
     assert all(a < b for a, b in zip(tails, tails[1:]))
-    assert tails[-1] == rep.hnorm_sq
-    assert all(0.0 <= v <= rep.hnorm_sq for v in tails)
+    assert tails[-1] == mass
+    assert all(0.0 <= v <= mass for v in tails)
 
 
 def test_tail_bounded_nonlinear():
     cfg = make_config(16, 16, 0.25, "shifted_sine", seed=3)
     path, noise = solved(cfg, replica=2)
-    field = propagate_all(path, noise, EXP2, cfg.sigma, cfg.grid)
-    rep = hnorm_sq(field, 5, deltas=(4 * cfg.grid.dt, 0.25))
-    assert 0.0 < rep.tail[float(4 * cfg.grid.dt)] <= rep.hnorm_sq
-    assert rep.tail[0.25] == rep.hnorm_sq
+    mass, tail = mass_of(cfg, path, noise, 5, deltas=(4 * cfg.grid.dt, 0.25))
+    assert 0.0 < tail[float(4 * cfg.grid.dt)] <= mass
+    assert tail[0.25] == mass
     with pytest.raises(ValueError):
-        hnorm_sq(field, 5, deltas=(-0.1,))
-
-
-def test_hnorm_from_state_list():
-    cfg = make_config(16, 4, 0.1, "shifted_sine")
-    path, noise = solved(cfg)
-    grid = cfg.grid
-    states = [propagate_derivative(path, noise, EXP2, cfg.sigma, grid, (k, i))
-              for k in range(4) for i in range(16)]
-    via_list = hnorm_sq(states, 2, grid=grid)
-    via_field = hnorm_sq(propagate_all(path, noise, EXP2, cfg.sigma, grid), 2)
-    assert via_list.hnorm_sq == pytest.approx(via_field.hnorm_sq, rel=1e-13)
-    with pytest.raises(ValueError):
-        hnorm_sq(states, 2)
-    with pytest.raises(ValueError):
-        hnorm_sq([], 2, grid=grid)
-
-
-def test_strided_quadrature_consistency():
-    cfg = make_config(16, 16, 0.25, "shifted_sine", seed=5)
-    path, noise = solved(cfg)
-    grid = cfg.grid
-    full_field = propagate_all(path, noise, EXP2, cfg.sigma, grid)
-    strided = propagate_all(path, noise, EXP2, cfg.sigma, grid,
-                            stride_k=2, stride_i=2)
-    assert full_field.data.shape[0] == 16 * 16
-    assert strided.data.shape[0] == 8 * 8
-    assert strided.weight == pytest.approx(4.0 * full_field.weight)
-    full = hnorm_sq(full_field, 0).hnorm_sq
-    sub = hnorm_sq(strided, 0).hnorm_sq
-    assert 0.7 * full < sub < 1.35 * full
+        mass_of(cfg, path, noise, 5, deltas=(-0.1,))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +279,11 @@ def test_strided_quadrature_consistency():
 
 def test_hnorm_samples_deterministic_across_workers():
     cfg = make_config(16, 8, 0.2, "shifted_sine", seed=8)
-    a, tails_a = hnorm_samples(cfg, replicas=6, workers=1, deltas=(0.1,))
-    b, tails_b = hnorm_samples(cfg, replicas=6, workers=4, deltas=(0.1,))
+    a, tails_a, blowups_a = hnorm_samples(cfg, replicas=6, workers=1,
+                                          deltas=(0.1,))
+    b, tails_b, blowups_b = hnorm_samples(cfg, replicas=6, workers=4,
+                                          deltas=(0.1,))
+    assert blowups_a == blowups_b == []
     assert np.array_equal(a, b)
     assert np.array_equal(tails_a[0.1], tails_b[0.1])
     assert a.shape == (6,)
@@ -299,10 +293,56 @@ def test_hnorm_samples_deterministic_across_workers():
 def test_hnorm_samples_additive_degenerate():
     # constant sigma makes the mass a deterministic functional
     cfg = make_config(16, 8, 0.2, "one")
-    samples, _ = hnorm_samples(cfg, replicas=5)
+    samples, _, _ = hnorm_samples(cfg, replicas=5)
     assert float(np.ptp(samples)) == 0.0
     assert samples[0] == pytest.approx(additive_variance_exact(EXP2, cfg.grid),
                                        rel=1e-12)
+
+
+def test_hnorm_samples_blowups_reported_not_silently_dropped():
+    cfg = make_config(16, 8, 0.2, "shifted_sine", seed=0,
+                      u0=lambda x: 1e13 * np.sin(x))
+    samples, tails, blowups = hnorm_samples(cfg, replicas=3, deltas=(0.1,))
+    assert len(samples) == 0 and len(tails[0.1]) == 0
+    assert len(blowups) == 3
+    for r, step, mag in blowups:
+        assert step == 1 and mag > 1e12
+    with pytest.raises(BlowUpError):
+        smallball_probability(cfg, replicas=3)
+    with pytest.raises(BlowUpError):
+        negative_moment_estimate(cfg, replicas=3)
+
+
+def test_hnorm_samples_excludes_exactly_the_ensemble_blowups():
+    # a huge constant sigma crosses the blow-up threshold on some noise
+    # paths only; the survivors keep the additive mass c^2 * v, and the
+    # excluded replicas are the ones run_ensemble excludes
+    c = 3e12
+    huge = SigmaSpec("huge", lambda u: np.full_like(u, c), np.zeros_like,
+                     lip=0.0, kappa=c)
+    cfg = dataclasses.replace(make_config(16, 8, 0.2, "one", seed=0),
+                              sigma=huge, observables=[(0.2, 0.0)])
+    samples, tails, blowups = hnorm_samples(cfg, replicas=8, deltas=(0.1,))
+    ensemble = run_ensemble(cfg, replicas=8)[0]
+    assert blowups == ensemble.metadata["blowups"]
+    assert 0 < len(blowups) < 8
+    assert len(samples) == len(tails[0.1]) == 8 - len(blowups)
+    v = additive_variance_exact(EXP2, cfg.grid)
+    np.testing.assert_allclose(samples, c * c * v, rtol=1e-12)
+
+
+def test_hnorm_memory_is_linear_in_the_grid():
+    # the adjoint sweep holds O(k_time * m_space) per replica, about 0.5 MiB
+    # here; any O(k_time * m_space^2) derivative lattice needs 16 MiB of
+    # rows alone at 128 x 128
+    cfg = make_config(128, 128, 0.2, "shifted_sine")
+    tracemalloc.start()
+    try:
+        hnorm_samples(cfg, replicas=1, deltas=(0.1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
