@@ -18,9 +18,8 @@ def ensemble_variance(m, k, horizon, replicas, seed=11):
     grid = lh.GridSpec(m_space=m, k_time=k, horizon=horizon)
     u0 = lh.field_from_function(lambda x: 0.0 * x, m)
     cfg = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("one"),
-                       u0=u0, seed=seed, replicas=replicas,
-                       observables=[(horizon, 0.0)])
-    sset = lh.run_ensemble(cfg)[0]
+                       u0=u0, seed=seed, replicas=replicas)
+    sset = lh.run_ensemble(cfg)
     return sset, lh.walsh_variance(exp2, grid)
 
 

@@ -16,7 +16,7 @@ grid = lh.GridSpec(m_space=16, k_time=16, horizon=0.25)
 cfg = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("shifted_sine"),
                    u0=lh.field_from_function(np.sin, 16), seed=12, replicas=4)
 noise = lh.sample_noise(grid, cfg.seed, 1)
-path = lh.solve_path_values(cfg, 1, noise=noise)
+path = lh.solve_path(cfg, 1, noise=noise)
 
 print("derivative wrt noise cell (k,i), probed at (t,x); sigma(u)=2+sin(u)")
 print(f"{'source':>8} {'probe':>16} {'propagated':>14} {'bumped':>14} {'rel':>9}")
@@ -24,8 +24,8 @@ for src in ((2, 3), (5, 0), (9, 11)):
     for probe in ((0.25, 0.0), (0.1875, math.pi)):
         k_p = int(round(probe[0] / grid.dt))
         i_p = int(round(probe[1] / grid.dx))
-        d = lh.propagate_derivative(path, noise, exp2, cfg.sigma, grid, src,
-                                    until_k=k_p)
+        d = lh.propagate_derivative(path, noise.xi, exp2, cfg.sigma, grid,
+                                    src, until_k=k_p)
         orc = lh.noise_gradient_oracle(cfg, 1, src, probe)
         rel = abs(d[i_p] - orc.value) / abs(orc.value)
         print(f"  {src!s:>7} ({probe[0]:.4f},{probe[1]:4.2f})"
@@ -33,8 +33,8 @@ for src in ((2, 3), (5, 0), (9, 11)):
 
 print()
 print("adaptedness: a source acting after the probe time contributes nothing")
-early = lh.propagate_derivative(path, noise, exp2, cfg.sigma, grid, (9, 11),
-                                until_k=8)
+early = lh.propagate_derivative(path, noise.xi, exp2, cfg.sigma, grid,
+                                (9, 11), until_k=8)
 orc = lh.noise_gradient_oracle(cfg, 1, (9, 11), (0.125, 0.0))
 print(f"  propagated max |D| = {np.max(np.abs(early)):.1f}"
       f"   bumped-run difference = {orc.value:.1f}")
@@ -43,7 +43,7 @@ print()
 print("derivative mass at the probe vs the constant-sigma closed form")
 cfg1 = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("one"),
                     u0=cfg.u0, seed=12, replicas=4)
-path1 = lh.solve_path_values(cfg1, 1, noise=noise)
+path1 = lh.solve_path(cfg1, 1, noise=noise)
 # one reverse sweep gives the gradient of u(t, x) in every noise cell
 rows = lh.adjoint_gradient(path[None], noise.xi[None], exp2, cfg.sigma, grid,
                            grid.k_time, 0)

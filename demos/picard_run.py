@@ -13,10 +13,10 @@ exp2 = lh.make_power_exponent(1.0, 2.0)
 grid = lh.GridSpec(m_space=16, k_time=16, horizon=0.5)
 cfg = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("shifted_sine"),
                    u0=lh.field_from_function(lambda x: 0.0 * x, 16),
-                   seed=3, replicas=4)
+                   seed=3, replicas=256)
 
 for beta_param in (4.0, 16.0, 64.0):
-    rep = lh.picard_sequence(cfg, n_max=5, beta_param=beta_param, replicas=256)
+    rep = lh.picard_sequence(cfg, n_max=5, beta_param=beta_param)
     print(f"weight beta={beta_param:5.1f}  contracting={rep.contracting}")
     for n, (d, r) in enumerate(zip(rep.norms, rep.ratios)):
         print(f"  n={n}  |v{n + 1} - v{n}| = {d:.3e}   ratio to next: {r:.4f}")
@@ -27,6 +27,6 @@ for beta_param in (4.0, 16.0, 64.0):
 print("with k time steps the iteration settles exactly after k sweeps:")
 small = lh.RunConfig(grid=lh.GridSpec(m_space=16, k_time=4, horizon=0.2),
                      exponent=exp2, sigma=lh.get_sigma("shifted_sine"),
-                     u0=cfg.u0, seed=3, replicas=4)
-rep = lh.picard_sequence(small, n_max=6, beta_param=8.0, replicas=64)
+                     u0=cfg.u0, seed=3, replicas=64)
+rep = lh.picard_sequence(small, n_max=6, beta_param=8.0)
 print("  diffs:", np.array2string(rep.norms, formatter={"float": "{:.2e}".format}))

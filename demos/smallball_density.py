@@ -5,6 +5,8 @@ quantified way; the solution density at a fixed point comes out smooth.
 Run as: python demos/smallball_density.py
 """
 
+import dataclasses
+
 import numpy as np
 
 import levyheat as lh
@@ -30,17 +32,13 @@ print(f"  log-log trend: slope {fit.slope:+.2f}, r2 {fit.r2:.4f}")
 
 print()
 print("negative moment of the mass (floor-regularized)")
-neg = lh.negative_moment_estimate(cfg, p=2, replicas=256,
-                                  samples=rep.samples[:256])
+neg = lh.negative_moment_estimate(rep.samples, p=2)
 print(f"  E[|Du|^-2] ~ {neg.estimate:.3f} +- {neg.stderr:.3f}"
       f"   floor hits {neg.floor_fraction:.1%}  reliable={neg.reliable}")
 
 print()
 print("density of u(T, 0) over the ensemble")
-sset = lh.run_ensemble(lh.RunConfig(grid=grid, exponent=exp2,
-                                    sigma=lh.get_sigma("shifted_sine"),
-                                    u0=u0, seed=7, replicas=2000,
-                                    observables=[(0.25, 0.0)]))[0]
+sset = lh.run_ensemble(dataclasses.replace(cfg, replicas=2000))
 for mult in (1.0, 2.0):
     bw = mult * lh.silverman_bandwidth(sset.values)
     dens = lh.kde(sset.values, bandwidth=bw)

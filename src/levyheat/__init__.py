@@ -15,6 +15,7 @@ from .kernels import (
     apply_semigroup,
     check_exponent_condition,
     field_from_function,
+    fit_slope,
     in_generator_domain,
     kernel_coefficients,
     kernel_l2_laplace,
@@ -28,7 +29,6 @@ from .kernels import (
 from .noise import RNG_SCHEME, GridSpec, NoiseField, noise_row, sample_noise
 from .solver import (
     BlowUpError,
-    FieldState,
     PicardReport,
     RunConfig,
     SIGMA_REGISTRY,
@@ -39,7 +39,6 @@ from .solver import (
     picard_sequence,
     rfft_multiplier,
     solve_path,
-    solve_path_values,
     walsh_variance,
     weighted_norm,
 )
@@ -62,7 +61,6 @@ from .mcstats import (
     SampleSet,
     SmoothnessReport,
     emit,
-    fit_slope,
     kde,
     load_rows,
     run_ensemble,

@@ -201,7 +201,7 @@ def build_run_config(cfg):
     try:
         run = RunConfig(grid=grid, exponent=exp_, sigma=sigma, u0=u0,
                         seed=cfg["seed"], replicas=cfg["replicas"],
-                        observables=((t, cfg["probe_x"]),))
+                        probe=(t, cfg["probe_x"]))
     except ValueError as err:
         raise ConfigError(str(err)) from err
     return run
@@ -229,29 +229,23 @@ def cmd_kernel(cfg, args, head):
 
 
 def cmd_simulate(cfg, args, head):
-    run = build_run_config(cfg)
-    sets = run_ensemble(run, workers=args.workers)
-    rows = []
-    extra = {}
-    for ss in sets:
-        t, x = ss.probe
-        if ss.count < 2:
-            raise NumericalError(
-                f"only {ss.count} usable replicas at probe ({t}, {x})")
-        n = ss.count
-        var = ss.variance()
-        m4 = float(np.mean((ss.values - ss.mean()) ** 4))
-        se_var = math.sqrt(max(m4 - var ** 2, 0.0) / n)
-        where = dict(t=t, x=x, replica_count=n)
-        rows.append(make_row(*head, "u_mean", ss.mean(), ss.stderr(), **where))
-        rows.append(make_row(*head, "u_var", var, se_var, **where))
-        rows.append(make_row(*head, "u_blowups",
-                             float(len(ss.metadata["blowups"])), **where))
-        extra["blowups"] = ss.metadata["blowups"]
-    ss = sets[0]
-    summary = (f"simulate: {ss.count} replicas, mean {ss.mean():.6g} "
-               f"+- {ss.stderr():.2g}, var {ss.variance():.6g}")
-    return rows, extra, summary
+    ss = run_ensemble(build_run_config(cfg), workers=args.workers)
+    t, x = ss.probe
+    n = ss.count
+    if n < 2:
+        raise NumericalError(f"only {n} usable replicas at probe ({t}, {x})")
+    var = ss.variance()
+    m4 = float(np.mean((ss.values - ss.mean()) ** 4))
+    se_var = math.sqrt(max(m4 - var ** 2, 0.0) / n)
+    where = dict(t=t, x=x, replica_count=n)
+    rows = [
+        make_row(*head, "u_mean", ss.mean(), ss.stderr(), **where),
+        make_row(*head, "u_var", var, se_var, **where),
+        make_row(*head, "u_blowups", float(len(ss.blowups)), **where),
+    ]
+    summary = (f"simulate: {n} replicas, mean {ss.mean():.6g} "
+               f"+- {ss.stderr():.2g}, var {var:.6g}")
+    return rows, {"blowups": ss.blowups}, summary
 
 
 def cmd_picard(cfg, args, head):
@@ -271,7 +265,7 @@ def cmd_malliavin(cfg, args, head):
     deltas = _float_list(cfg["deltas"], "deltas")
     samples, tails, blowups = hnorm_samples(run, workers=args.workers,
                                             deltas=deltas)
-    t, x = run.observables[0]
+    t, x = run.probe
     n = len(samples)
     if n < 2:
         raise NumericalError(f"only {n} usable replicas")
@@ -286,8 +280,8 @@ def cmd_malliavin(cfg, args, head):
         rows.append(make_row(*head, f"hnorm_tail_mean/delta={d:.6e}",
                              float(tails[float(d)].mean()), **where))
     if run.sigma.kappa > 0:
-        nm = negative_moment_estimate(run, p=cfg["moment_p"],
-                                      floor=cfg["floor"], samples=samples)
+        nm = negative_moment_estimate(samples, p=cfg["moment_p"],
+                                      floor=cfg["floor"])
         rows += nm.to_rows(*head, probe=(t, x))
         summary = (f"malliavin: hnorm mean {mean:.6g} +- {se:.2g}, "
                    f"negative moment {nm.estimate:.6g} "
@@ -308,8 +302,8 @@ def cmd_smallball(cfg, args, head):
     except ValueError as err:
         raise ConfigError(str(err)) from err
     rows = report.to_rows(*head)
-    nm = negative_moment_estimate(run, p=cfg["moment_p"], floor=cfg["floor"],
-                                  samples=report.samples)
+    nm = negative_moment_estimate(report.samples, p=cfg["moment_p"],
+                                  floor=cfg["floor"])
     rows += nm.to_rows(*head, probe=report.probe)
     summary = (f"smallball: {len(report.eps)} eps levels, freq "
                f"{report.freq.min():.3g}..{report.freq.max():.3g}, "
@@ -318,9 +312,7 @@ def cmd_smallball(cfg, args, head):
 
 
 def cmd_density(cfg, args, head):
-    run = build_run_config(cfg)
-    sets = run_ensemble(run, workers=args.workers)
-    ss = sets[0]
+    ss = run_ensemble(build_run_config(cfg), workers=args.workers)
     t, x = ss.probe
     if ss.count < 2:
         raise NumericalError(f"only {ss.count} usable replicas")

@@ -34,6 +34,7 @@ from .mcstats import make_row
 from .noise import sample_noise
 from .solver import (
     BlowUpError,
+    _drop_blowups,
     _evolve_batch,
     _noise_block,
     _smooth,
@@ -50,12 +51,13 @@ def _point_scale(grid):
     return 1.0 / (grid.dx * math.sqrt(TWO_PI))
 
 
-def propagate_derivative(path, noise, exp_, sigma, grid, source, until_k=None):
+def propagate_derivative(path, xi, exp_, sigma, grid, source, until_k=None):
     """Derivative field of one source cell at time index until_k.
 
-    path is the (k_time+1, m_space) solved trajectory and noise its variates;
-    both must come from the same replica.  Sources at or after until_k return
-    the zero field (the solution is adapted: it cannot see future noise).
+    path is the (k_time+1, m_space) solved trajectory and xi its
+    (k_time, m_space) variates; both must come from the same replica.
+    Sources at or after until_k return the zero field (the solution is
+    adapted: it cannot see future noise).
     """
     k_s, i_s = source
     if not (0 <= k_s < grid.k_time) or not (0 <= i_s < grid.m_space):
@@ -66,7 +68,6 @@ def propagate_derivative(path, noise, exp_, sigma, grid, source, until_k=None):
     m = grid.m_space
     if k_s >= until_k:
         return np.zeros(m)
-    xi = noise.xi if hasattr(noise, "xi") else np.asarray(noise)
     mult = rfft_multiplier(exp_, grid)
     scale = noise_density_scale(grid)
     d = np.zeros(m)
@@ -174,57 +175,33 @@ def noise_gradient_oracle(config, replica, source, probe, h=0.5, rel_tol=0.05):
 # sampling drivers
 
 
-def _probe(config, probe):
-    """The probe (t, x), defaulting to the first observable or (horizon, 0),
-    and its grid cell (k, i)."""
-    if probe is None:
-        probe = (config.observables[0] if config.observables
-                 else (config.grid.horizon, 0.0))
-    return tuple(probe), config.grid.index_of(*probe)
-
-
-def hnorm_samples(config, probe=None, replicas=None, workers=1, deltas=()):
-    """Replica samples of the derivative mass |D u(t, x)|^2_H.
+def hnorm_samples(config, workers=1, deltas=()):
+    """Replica samples of the derivative mass |D u(t, x)|^2_H at the probe.
 
     Returns (samples, tails, blowups): tails maps each window delta to its
     per-replica array, and blowups lists (replica, step, magnitude) for the
     replicas that blew up, which are excluded from samples and tails exactly
-    as run_ensemble excludes them.  Deterministic in (config, probe)
-    regardless of worker count.
+    as run_ensemble excludes them.  Deterministic in config regardless of
+    worker count.
     """
     grid = config.grid
-    _, (k_p, i_p) = _probe(config, probe)
-    r_total = config.replicas if replicas is None else replicas
+    k_p, i_p = config.probe_cell
 
     def one_chunk(lo, hi):
         xi = _noise_block(grid, config.seed, range(lo, hi))
         _, path, blowups = _evolve_batch(config.u0.values, xi, config.exponent,
                                          config.sigma, grid, keep_path=True)
-        if blowups:
-            keep = np.ones(hi - lo, dtype=bool)
-            keep[[r for r, _, _ in blowups]] = False
-            path, xi = path[keep], xi[keep]
+        (path, xi), blowups = _drop_blowups(lo, blowups, path, xi)
         rows = adjoint_gradient(path, xi, config.exponent, config.sigma, grid,
                                 k_p, i_p)
         mass, tails = hnorm_sq(rows, grid, deltas)
-        return mass, tails, [(lo + r, k, mag) for r, k, mag in blowups]
+        return mass, tails, blowups
 
-    parts = map_chunks(one_chunk, r_total, HNORM_CHUNK, workers)
+    parts = map_chunks(one_chunk, config.replicas, HNORM_CHUNK, workers)
     samples = np.concatenate([p[0] for p in parts])
     tails = {float(d): np.concatenate([p[1][float(d)] for p in parts])
              for d in deltas}
     return samples, tails, [b for p in parts for b in p[2]]
-
-
-def _usable_samples(config, probe, replicas, workers):
-    """hnorm_samples without tails; BlowUpError for the first blow-up when
-    blow-ups leave fewer than 2 usable replicas."""
-    samples, _, blowups = hnorm_samples(config, probe=probe, replicas=replicas,
-                                        workers=workers)
-    if blowups and len(samples) < 2:
-        r, k, mag = blowups[0]
-        raise BlowUpError(k, mag, r)
-    return samples, blowups
 
 
 def smallball_lower_mass(exp_, kappa, delta, tol=1e-10):
@@ -284,9 +261,8 @@ class SmallBallReport:
         return rows
 
 
-def smallball_probability(config, eps_list=None, replicas=None, probe=None,
-                          levels=None, workers=1):
-    """Monte Carlo small-ball frequencies of the derivative mass at a probe.
+def smallball_probability(config, eps_list=None, levels=None, workers=1):
+    """Monte Carlo small-ball frequencies of the derivative mass at the probe.
 
     eps defaults to empirical quantiles over the resolvable range (levels
     2%..50%), where frequencies are neither all-zero nor saturated.  Zero-hit
@@ -295,9 +271,12 @@ def smallball_probability(config, eps_list=None, replicas=None, probe=None,
     """
     if config.sigma.kappa <= 0:
         raise ValueError("small-ball analysis needs sigma bounded below: kappa > 0")
-    (t, x), _ = _probe(config, probe)
-    samples, blowups = _usable_samples(config, (t, x), replicas, workers)
+    t, x = config.probe
+    samples, _, blowups = hnorm_samples(config, workers=workers)
     n = len(samples)
+    if n < 2:
+        r, k, mag = blowups[0]
+        raise BlowUpError(k, mag, r)
     if eps_list is None:
         if levels is None:
             levels = [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
@@ -355,32 +334,25 @@ class NegativeMomentReport:
         return rows
 
 
-def negative_moment_estimate(config, p=2, replicas=None, floor=1e-8,
-                             probe=None, workers=1, samples=None):
-    """Replica average of max(|D u|^2_H, floor)^(-p/2).
+def negative_moment_estimate(samples, p=2, floor=1e-8):
+    """Replica average of max(|D u|^2_H, floor)^(-p/2) over mass samples.
 
-    More than 1% of replicas hitting the floor marks the estimate unreliable;
+    More than 1% of samples hitting the floor marks the estimate unreliable;
     the sweep re-evaluates at floor/sqrt(10) and floor/10 so floor sensitivity
-    is visible across one decade.  Pass samples to reuse mass samples already
-    drawn for the same config and probe; drawn here, they exclude blow-ups
-    as in smallball_probability.
+    is visible across one decade.
     """
-    if config.sigma.kappa <= 0:
-        raise ValueError("negative moments need sigma bounded below: kappa > 0")
     if p < 2:
         raise ValueError("need p >= 2")
     if floor <= 0:
         raise ValueError("need floor > 0")
-    (t, x), _ = _probe(config, probe)
-    if samples is None:
-        samples, _ = _usable_samples(config, (t, x), replicas, workers)
-    else:
-        samples = np.asarray(samples, dtype=float)
+    samples = np.asarray(samples, dtype=float)
     n = len(samples)
+    if n < 2:
+        raise ValueError("need at least 2 samples")
 
     def est_at(fl):
         vals = np.maximum(samples, fl) ** (-p / 2.0)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
 
     estimate, stderr = est_at(floor)
     frac = float((samples <= floor).mean())

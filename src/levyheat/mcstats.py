@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import SlopeFit, fit_slope  # re-exported
-from .solver import _evolve_batch, _noise_block
+from .solver import _drop_blowups, _evolve_batch, _noise_block
 from ._parallel import map_chunks
 
 ENSEMBLE_CHUNK = 256
@@ -48,11 +47,14 @@ class DegenerateSamplesError(ValueError):
 
 @dataclass
 class SampleSet:
-    """Replica values of u(t, x) at one probe, blow-up rows excluded."""
+    """Replica values of u(t, x) at one probe, blow-up rows excluded.
+
+    blowups lists the excluded replicas as (replica, step, magnitude).
+    """
 
     probe: tuple
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    blowups: list = field(default_factory=list)
 
     @property
     def count(self):
@@ -71,50 +73,29 @@ class SampleSet:
         return math.sqrt(self.variance() / self.count)
 
 
-def run_ensemble(config, replicas=None, workers=1):
-    """One SampleSet per configured probe, from independent replica paths.
+def run_ensemble(config, workers=1):
+    """Samples of u at the configured probe, from independent replica paths.
 
     Replica r uses noise stream (config.seed, r).  Blown-up replicas are
-    dropped from the values but reported in metadata['blowups'] as
-    (replica, step, magnitude) triples; dropping them silently is not an
-    option since they bias every statistic.
+    dropped from the values but reported in blowups; dropping them silently
+    is not an option since they bias every statistic.
     """
-    r_total = config.replicas if replicas is None else replicas
-    if r_total < 2:
-        raise ValueError("need at least 2 replicas")
-    probes = config.probe_indices()
-    record_ks = {k for k, _ in probes}
     grid = config.grid
+    k_p, i_p = config.probe_cell
 
     def one_chunk(lo, hi):
         xi = _noise_block(grid, config.seed, range(lo, hi))
         records, _, blowups = _evolve_batch(
             config.u0.values, xi, config.exponent, config.sigma, grid,
-            record_ks=record_ks,
+            record_ks={k_p},
         )
-        return records, [(lo + r, k, mag) for r, k, mag in blowups]
+        (values,), blowups = _drop_blowups(lo, blowups, records[k_p][:, i_p])
+        return values, blowups
 
-    parts = map_chunks(one_chunk, r_total, ENSEMBLE_CHUNK, workers)
-    blowups = [b for _, chunk_blows in parts for b in chunk_blows]
-    blown_rows = np.array(sorted(b[0] for b in blowups), dtype=int)
-    out = []
-    for (k, i), (t, x) in zip(probes, config.observables):
-        vals = np.concatenate([records[k][:, i] for records, _ in parts])
-        keep = np.ones(r_total, dtype=bool)
-        keep[blown_rows] = False
-        meta = {
-            "seed": config.seed,
-            "sigma": config.sigma.name,
-            "alpha": config.exponent.alpha,
-            "beta": config.exponent.beta,
-            "m_space": grid.m_space,
-            "k_time": grid.k_time,
-            "horizon": grid.horizon,
-            "replicas_requested": r_total,
-            "blowups": [(int(r), int(k_), float(m)) for r, k_, m in blowups],
-        }
-        out.append(SampleSet(probe=(t, x), values=vals[keep], metadata=meta))
-    return out
+    parts = map_chunks(one_chunk, config.replicas, ENSEMBLE_CHUNK, workers)
+    return SampleSet(probe=config.probe,
+                     values=np.concatenate([p[0] for p in parts]),
+                     blowups=[b for p in parts for b in p[1]])
 
 
 @dataclass

@@ -20,8 +20,8 @@ apart.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -100,14 +100,6 @@ def get_sigma(name):
         ) from None
 
 
-@dataclass
-class FieldState:
-    """Solution snapshot at time index k."""
-
-    k: int
-    values: np.ndarray
-
-
 def noise_density_scale(grid):
     """Factor turning sigma(u) * xi into the density the spectral step convolves."""
     return math.sqrt(grid.dt * grid.dx) / (grid.dx * math.sqrt(TWO_PI))
@@ -126,7 +118,10 @@ def _smooth(fields, mult, m):
 class RunConfig:
     """Everything a deterministic run needs.
 
-    observables are (t, x) probe points that must sit exactly on the grid.
+    probe is the (t, x) point whose law the run samples; it must sit exactly
+    on the grid and defaults to (horizon, 0), resolved when the config is
+    built (dataclasses.replace with a new grid keeps the old probe).  Moment
+    estimates need at least 2 replicas.
     """
 
     grid: GridSpec
@@ -135,20 +130,23 @@ class RunConfig:
     u0: SpectralField
     seed: int = 0
     replicas: int = 10000
-    observables: Sequence = field(default_factory=list)
+    probe: Optional[tuple] = None
 
     def __post_init__(self):
         if self.u0.m_space != self.grid.m_space:
             raise ValueError(
                 f"u0 lives on {self.u0.m_space} points, grid has {self.grid.m_space}"
             )
-        if self.replicas < 1:
-            raise ValueError("need at least one replica")
-        self.probe_indices()
+        if self.replicas < 2:
+            raise ValueError("need at least 2 replicas")
+        if self.probe is None:
+            object.__setattr__(self, "probe", (self.grid.horizon, 0.0))
+        self.grid.index_of(*self.probe)  # an off-grid probe raises here
 
-    def probe_indices(self):
-        """Map (t, x) observables to exact (k, i) grid indices."""
-        return [self.grid.index_of(t, x) for t, x in self.observables]
+    @property
+    def probe_cell(self):
+        """Grid cell (k, i) of the probe."""
+        return self.grid.index_of(*self.probe)
 
 
 def _evolve_batch(u0_values, xi, exp_, sigma, grid, record_ks=(), keep_path=False):
@@ -197,37 +195,37 @@ def _noise_block(grid, seed, replicas):
     return np.stack([sample_noise(grid, seed, r).xi for r in replicas])
 
 
-def solve_path(config, replica=0, noise=None, times=None, keep_path=False):
-    """Solve one replica; returns FieldStates at the requested times.
+def _drop_blowups(lo, blowups, *arrays):
+    """Drop the blown-up rows of a chunk's arrays.
 
-    times defaults to the probe times plus the horizon.  A blow-up raises
-    BlowUpError.  Pass keep_path=True to get (states, full path array).
+    blowups are _evolve_batch's (batch_row, step, magnitude) triples for the
+    chunk whose first replica is lo.  Returns the filtered arrays and the
+    blow-ups as (replica, step, magnitude) in replica order, so the report
+    does not depend on the chunk size.
     """
-    grid = config.grid
+    if blowups:
+        keep = np.ones(len(arrays[0]), dtype=bool)
+        keep[[r for r, _, _ in blowups]] = False
+        arrays = tuple(a[keep] for a in arrays)
+    return arrays, sorted((lo + r, k, mag) for r, k, mag in blowups)
+
+
+def solve_path(config, replica=0, noise=None):
+    """Full (k_time+1, m_space) trajectory of one replica.
+
+    noise defaults to the replica's stream (config.seed, replica).  A blow-up
+    raises BlowUpError.
+    """
     if noise is None:
-        noise = sample_noise(grid, config.seed, replica)
-    if times is None:
-        ks = sorted({k for k, _ in config.probe_indices()} | {grid.k_time})
-    else:
-        ks = sorted({grid.index_of(t, 0.0)[0] for t in times})
-    records, path, blowups = _evolve_batch(
-        config.u0.values, noise.xi[None], config.exponent, config.sigma, grid,
-        record_ks=set(ks), keep_path=keep_path,
+        noise = sample_noise(config.grid, config.seed, replica)
+    _, path, blowups = _evolve_batch(
+        config.u0.values, noise.xi[None], config.exponent, config.sigma,
+        config.grid, keep_path=True,
     )
     if blowups:
         _, k_bad, max_abs = blowups[0]
         raise BlowUpError(k_bad, max_abs, replica)
-    states = [FieldState(k=k, values=records[k][0]) for k in ks]
-    if keep_path:
-        return states, path[0]
-    return states
-
-
-def solve_path_values(config, replica=0, noise=None):
-    """Full (k_time+1, m_space) trajectory of one replica."""
-    _, path = solve_path(config, replica, noise, times=[config.grid.horizon],
-                         keep_path=True)
-    return path
+    return path[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +318,7 @@ class PicardReport:
 PICARD_CHUNK = 128
 
 
-def picard_sequence(config, n_max, beta_param, p=2, replicas=None, workers=1):
+def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     """Successive Picard iterates against frozen noise paths.
 
     v_0 is the deterministic flow of u0; v_{n+1} re-runs the stochastic
@@ -332,9 +330,7 @@ def picard_sequence(config, n_max, beta_param, p=2, replicas=None, workers=1):
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     grid = config.grid
-    r_total = config.replicas if replicas is None else replicas
-    if r_total < 2:
-        raise ValueError("need at least 2 replicas for moment estimates")
+    r_total = config.replicas
     m, k_time = grid.m_space, grid.k_time
     mult = rfft_multiplier(config.exponent, grid)
     scale = noise_density_scale(grid)

@@ -65,9 +65,8 @@ def test_additive_noise_law():
     # the time-quadrature of the squared kernel norm
     grid = lh.GridSpec(m_space=256, k_time=128, horizon=0.1)
     cfg = lh.RunConfig(grid=grid, exponent=EXP2, sigma=lh.get_sigma("one"),
-                       u0=zero_field(256), seed=2026, replicas=10000,
-                       observables=[(0.1, 0.0)])
-    sset = lh.run_ensemble(cfg)[0]
+                       u0=zero_field(256), seed=2026, replicas=10000)
+    sset = lh.run_ensemble(cfg)
     samples = sset.values
     n = len(samples)
     var = sset.variance()
@@ -93,7 +92,7 @@ def test_gradient_oracle_agreement():
                        u0=lh.field_from_function(np.sin, 16), seed=12,
                        replicas=4)
     noise = lh.sample_noise(grid, cfg.seed, 1)
-    path = lh.solve_path_values(cfg, 1, noise=noise)
+    path = lh.solve_path(cfg, 1, noise=noise)
 
     agree = True
     for src in ((2, 3), (5, 0), (9, 11)):
@@ -101,13 +100,13 @@ def test_gradient_oracle_agreement():
                       (0.234375, 0.5 * math.pi)):
             k_p = int(round(probe[0] / grid.dt))
             i_p = int(round(probe[1] / grid.dx))
-            d = lh.propagate_derivative(path, noise, EXP2, cfg.sigma, grid,
-                                        src, until_k=k_p)
+            d = lh.propagate_derivative(path, noise.xi, EXP2, cfg.sigma,
+                                        grid, src, until_k=k_p)
             orc = lh.noise_gradient_oracle(cfg, 1, src, probe)
             agree = agree and orc.reliable and \
                 abs(d[i_p] - orc.value) <= 1e-2 * abs(orc.value)
 
-    early = lh.propagate_derivative(path, noise, EXP2, cfg.sigma, grid,
+    early = lh.propagate_derivative(path, noise.xi, EXP2, cfg.sigma, grid,
                                     (9, 11), until_k=8)
     orc = lh.noise_gradient_oracle(cfg, 1, (9, 11), (0.125, 0.0))
     adapted = bool(np.all(early == 0.0)) and orc.value == 0.0
@@ -123,7 +122,7 @@ def test_derivative_mass_scaling():
                        exponent=EXP15, sigma=lh.get_sigma("one"),
                        u0=zero_field(32), seed=9, replicas=4)
     noise = lh.sample_noise(cfg.grid, cfg.seed, 0)
-    path = lh.solve_path_values(cfg, 0, noise=noise)
+    path = lh.solve_path(cfg, 0, noise=noise)
     rows = lh.adjoint_gradient(path[None], noise.xi[None], EXP15, cfg.sigma,
                                cfg.grid, cfg.grid.k_time, 0)
     mass, _ = lh.hnorm_sq(rows, cfg.grid)
@@ -142,8 +141,8 @@ def test_picard_contraction():
     # exponential weight is heavy enough
     cfg = lh.RunConfig(grid=lh.GridSpec(m_space=16, k_time=16, horizon=0.5),
                        exponent=EXP2, sigma=lh.get_sigma("shifted_sine"),
-                       u0=zero_field(16), seed=3, replicas=4)
-    rep = lh.picard_sequence(cfg, n_max=6, beta_param=64.0, replicas=256)
+                       u0=zero_field(16), seed=3, replicas=256)
+    rep = lh.picard_sequence(cfg, n_max=6, beta_param=64.0)
     ok = (len(rep.ratios) == 5
           and bool(np.all(rep.ratios < 1.0))
           and rep.contracting)

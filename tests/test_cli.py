@@ -373,3 +373,15 @@ def test_probe_must_be_on_grid(tmp_path, capsys):
                       tmp_path)
     assert code == 1
     assert capsys.readouterr().err.startswith("levyheat:error:config:")
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "picard", "malliavin",
+                                        "smallball", "density"])
+def test_one_replica_is_config_error(tmp_path, capsys, subcommand):
+    # moment estimates need 2 replicas; the run config refuses fewer before
+    # any driver runs, the same way for every subcommand that builds one
+    code, out = run_cli([subcommand] + SMALL + ["--set", "replicas=1"],
+                        tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("levyheat:error:config:")
+    assert not out.exists()

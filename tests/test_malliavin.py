@@ -35,7 +35,7 @@ from levyheat import (
     sample_noise,
     smallball_lower_mass,
     smallball_probability,
-    solve_path_values,
+    solve_path,
 )
 from levyheat.malliavin import _wilson
 
@@ -45,23 +45,24 @@ EXP2 = make_power_exponent(1.0, 2.0)
 EXP15 = make_power_exponent(1.0, 1.5)
 
 
-def make_config(m, k, horizon, sigma_name, seed=9, exponent=EXP2, u0=None):
+def make_config(m, k, horizon, sigma_name, seed=9, exponent=EXP2, u0=None,
+                replicas=4, probe=None):
     grid = GridSpec(m_space=m, k_time=k, horizon=horizon)
     u0_field = field_from_function(u0 or (lambda x: 0.0 * x), m)
     return RunConfig(grid=grid, exponent=exponent, sigma=get_sigma(sigma_name),
-                     u0=u0_field, seed=seed, replicas=4)
+                     u0=u0_field, seed=seed, replicas=replicas, probe=probe)
 
 
 def solved(config, replica=0):
+    """Path and variates of one replica."""
     noise = sample_noise(config.grid, config.seed, replica)
-    path = solve_path_values(config, replica, noise=noise)
-    return path, noise
+    return solve_path(config, replica, noise=noise), noise.xi
 
 
-def mass_of(config, path, noise, i_p, deltas=()):
+def mass_of(config, path, xi, i_p, deltas=()):
     """Derivative mass at (horizon, x_{i_p}) of one solved replica."""
     grid = config.grid
-    rows = adjoint_gradient(path[None], noise.xi[None], config.exponent,
+    rows = adjoint_gradient(path[None], xi[None], config.exponent,
                             config.sigma, grid, grid.k_time, i_p)
     mass, tails = hnorm_sq(rows, grid, deltas)
     return float(mass[0]), {d: float(v[0]) for d, v in tails.items()}
@@ -75,10 +76,10 @@ def test_additive_derivative_is_the_kernel():
     # sigma' = 0 kills the convolution term, so D is the transition kernel
     # from the source cell, in the unit-mass normalization
     cfg = make_config(32, 32, 0.5, "one")
-    path, noise = solved(cfg)
+    path, xi = solved(cfg)
     grid = cfg.grid
     k_s, i_s = 4, 7
-    d = propagate_derivative(path, noise, EXP2, cfg.sigma, grid, (k_s, i_s))
+    d = propagate_derivative(path, xi, EXP2, cfg.sigma, grid, (k_s, i_s))
     kc = kernel_coefficients(EXP2, (grid.k_time - k_s) * grid.dt, tol=1e-14)
     xs = grid.x_points()
     target = kc.evaluate(xs - xs[i_s]) / math.sqrt(TWO_PI)
@@ -88,11 +89,11 @@ def test_additive_derivative_is_the_kernel():
 
 def test_adaptedness_is_exact():
     cfg = make_config(16, 8, 0.2, "shifted_sine")
-    path, noise = solved(cfg)
-    d = propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid, (5, 3),
+    path, xi = solved(cfg)
+    d = propagate_derivative(path, xi, EXP2, cfg.sigma, cfg.grid, (5, 3),
                              until_k=4)
     assert np.all(d == 0.0)
-    same = propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid, (4, 3),
+    same = propagate_derivative(path, xi, EXP2, cfg.sigma, cfg.grid, (4, 3),
                                 until_k=4)
     assert np.all(same == 0.0)
     orc = noise_gradient_oracle(cfg, 0, (5, 3), (0.1, 0.0))
@@ -101,13 +102,13 @@ def test_adaptedness_is_exact():
 
 def test_source_validation():
     cfg = make_config(16, 8, 0.2, "one")
-    path, noise = solved(cfg)
+    path, xi = solved(cfg)
     with pytest.raises(IndexError):
-        propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid, (8, 0))
+        propagate_derivative(path, xi, EXP2, cfg.sigma, cfg.grid, (8, 0))
     with pytest.raises(IndexError):
-        propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid, (0, 16))
+        propagate_derivative(path, xi, EXP2, cfg.sigma, cfg.grid, (0, 16))
     with pytest.raises(ValueError):
-        propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid, (0, 0),
+        propagate_derivative(path, xi, EXP2, cfg.sigma, cfg.grid, (0, 0),
                              until_k=9)
 
 
@@ -122,12 +123,12 @@ def test_adjoint_matches_propagation(m, k, drift, probe):
     # drift the multiplier is complex and S^T != S
     exp_ = make_power_exponent(1.0, 2.0, drift=drift)
     cfg = make_config(m, k, 0.2, "shifted_sine", exponent=exp_, u0=np.sin)
-    path, noise = solved(cfg, replica=3)
+    path, xi = solved(cfg, replica=3)
     k_p, i_p = probe
-    rows = adjoint_gradient(path[None], noise.xi[None], exp_, cfg.sigma,
+    rows = adjoint_gradient(path[None], xi[None], exp_, cfg.sigma,
                             cfg.grid, k_p, i_p)[0]
     assert rows.shape == (k_p, m)
-    ref = np.array([[propagate_derivative(path, noise, exp_, cfg.sigma,
+    ref = np.array([[propagate_derivative(path, xi, exp_, cfg.sigma,
                                           cfg.grid, (k_s, j), until_k=k_p)[i_p]
                      for j in range(m)] for k_s in range(k_p)])
     np.testing.assert_allclose(rows, ref, rtol=1e-12,
@@ -137,10 +138,10 @@ def test_adjoint_matches_propagation(m, k, drift, probe):
 def test_additive_linearity_in_sigma():
     cfg1 = make_config(16, 8, 0.2, "one", seed=4)
     cfg2 = make_config(16, 8, 0.2, "two", seed=4)
-    path1, noise = solved(cfg1)
+    path1, xi = solved(cfg1)
     path2, _ = solved(cfg2)
-    a = propagate_derivative(path1, noise, EXP2, cfg1.sigma, cfg1.grid, (2, 5))
-    b = propagate_derivative(path2, noise, EXP2, cfg2.sigma, cfg2.grid, (2, 5))
+    a = propagate_derivative(path1, xi, EXP2, cfg1.sigma, cfg1.grid, (2, 5))
+    b = propagate_derivative(path2, xi, EXP2, cfg2.sigma, cfg2.grid, (2, 5))
     assert np.array_equal(b, 2.0 * a)
 
 
@@ -150,13 +151,13 @@ def test_additive_linearity_in_sigma():
 
 def test_oracle_matches_propagation_nonlinear():
     cfg = make_config(16, 16, 0.25, "shifted_sine", seed=12, u0=np.sin)
-    path, noise = solved(cfg, replica=1)
+    path, xi = solved(cfg, replica=1)
     grid = cfg.grid
     for src in ((2, 3), (5, 0), (9, 11)):
         for probe in ((0.25, 0.0), (0.1875, math.pi)):
             k_p = int(round(probe[0] / grid.dt))
             i_p = int(round(probe[1] / grid.dx))
-            d = propagate_derivative(path, noise, EXP2, cfg.sigma, grid, src,
+            d = propagate_derivative(path, xi, EXP2, cfg.sigma, grid, src,
                                      until_k=k_p)
             orc = noise_gradient_oracle(cfg, 1, src, probe)
             assert orc.reliable
@@ -177,8 +178,8 @@ def test_oracle_additive_is_path_independent():
     a = noise_gradient_oracle(cfg, 0, (3, 4), (0.2, 0.0))
     b = noise_gradient_oracle(cfg, 5, (3, 4), (0.2, 0.0))
     assert a.value == pytest.approx(b.value, rel=1e-9)
-    path, noise = solved(cfg)
-    d = propagate_derivative(path, noise, EXP2, cfg.sigma, cfg.grid, (3, 4))
+    path, xi = solved(cfg)
+    d = propagate_derivative(path, xi, EXP2, cfg.sigma, cfg.grid, (3, 4))
     assert a.value == pytest.approx(d[0], rel=1e-9)
 
 
@@ -200,20 +201,25 @@ def test_oracle_probe_validation():
         noise_gradient_oracle(cfg, 0, (9, 0), (0.2, 0.0))
 
 
+def _probed(probe):
+    return make_config(16, 8, 0.2, "one", replicas=2, probe=probe)
+
+
 @pytest.mark.parametrize("probe", [(0.2, 0.1), (-0.025, 0.0), (0.225, 0.0)],
                          ids=["off_grid_x", "t_negative", "t_past_horizon"])
 @pytest.mark.parametrize("call", [
-    lambda cfg, probe: hnorm_samples(cfg, probe=probe, replicas=2),
-    lambda cfg, probe: negative_moment_estimate(cfg, probe=probe, replicas=2),
-    lambda cfg, probe: smallball_probability(cfg, probe=probe, replicas=2),
-    lambda cfg, probe: noise_gradient_oracle(cfg, 0, (1, 1), probe),
+    lambda probe: hnorm_samples(_probed(probe)),
+    lambda probe: negative_moment_estimate(hnorm_samples(_probed(probe))[0]),
+    lambda probe: smallball_probability(_probed(probe)),
+    lambda probe: noise_gradient_oracle(_probed(None), 0, (1, 1), probe),
 ], ids=["hnorm_samples", "negative_moment_estimate", "smallball_probability",
         "noise_gradient_oracle"])
 def test_probe_off_grid_rejected(call, probe):
-    # every probe maps to a cell through GridSpec.index_of: no silent
+    # every probe maps to a cell through GridSpec.index_of, once, when the
+    # RunConfig is built (the oracle takes its own probe): no silent
     # snapping of x, no zero masses before t = 0, no bare IndexError past T
     with pytest.raises(ValueError):
-        call(make_config(16, 8, 0.2, "one"), probe)
+        call(probe)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +228,8 @@ def test_probe_off_grid_rejected(call, probe):
 
 def test_additive_hnorm_equals_geometric_sum():
     cfg = make_config(32, 16, 0.2, "one", exponent=EXP15)
-    path, noise = solved(cfg)
-    mass, _ = mass_of(cfg, path, noise, 0)
+    path, xi = solved(cfg)
+    mass, _ = mass_of(cfg, path, xi, 0)
     assert mass == pytest.approx(
         additive_variance_exact(EXP15, cfg.grid), rel=1e-12)
 
@@ -250,10 +256,10 @@ def test_tail_window_identity_and_monotonicity():
     # the window (t - delta, t] sees kernels up to age delta, so the additive
     # tail equals the full mass of a delta-horizon grid with the same step
     cfg = make_config(32, 32, 0.2, "one", exponent=EXP15)
-    path, noise = solved(cfg)
+    path, xi = solved(cfg)
     grid = cfg.grid
     deltas = tuple(j * grid.dt for j in (4, 8, 16, 32))
-    mass, tail = mass_of(cfg, path, noise, 3, deltas=deltas)
+    mass, tail = mass_of(cfg, path, xi, 3, deltas=deltas)
     for j, d in zip((4, 8, 16, 32), deltas):
         ref = additive_variance_exact(EXP15, GridSpec(32, j, j * grid.dt))
         assert tail[float(d)] == pytest.approx(ref, rel=1e-12)
@@ -265,12 +271,12 @@ def test_tail_window_identity_and_monotonicity():
 
 def test_tail_bounded_nonlinear():
     cfg = make_config(16, 16, 0.25, "shifted_sine", seed=3)
-    path, noise = solved(cfg, replica=2)
-    mass, tail = mass_of(cfg, path, noise, 5, deltas=(4 * cfg.grid.dt, 0.25))
+    path, xi = solved(cfg, replica=2)
+    mass, tail = mass_of(cfg, path, xi, 5, deltas=(4 * cfg.grid.dt, 0.25))
     assert 0.0 < tail[float(4 * cfg.grid.dt)] <= mass
     assert tail[0.25] == mass
     with pytest.raises(ValueError):
-        mass_of(cfg, path, noise, 5, deltas=(-0.1,))
+        mass_of(cfg, path, xi, 5, deltas=(-0.1,))
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +284,9 @@ def test_tail_bounded_nonlinear():
 
 
 def test_hnorm_samples_deterministic_across_workers():
-    cfg = make_config(16, 8, 0.2, "shifted_sine", seed=8)
-    a, tails_a, blowups_a = hnorm_samples(cfg, replicas=6, workers=1,
-                                          deltas=(0.1,))
-    b, tails_b, blowups_b = hnorm_samples(cfg, replicas=6, workers=4,
-                                          deltas=(0.1,))
+    cfg = make_config(16, 8, 0.2, "shifted_sine", seed=8, replicas=6)
+    a, tails_a, blowups_a = hnorm_samples(cfg, workers=1, deltas=(0.1,))
+    b, tails_b, blowups_b = hnorm_samples(cfg, workers=4, deltas=(0.1,))
     assert blowups_a == blowups_b == []
     assert np.array_equal(a, b)
     assert np.array_equal(tails_a[0.1], tails_b[0.1])
@@ -292,8 +296,8 @@ def test_hnorm_samples_deterministic_across_workers():
 
 def test_hnorm_samples_additive_degenerate():
     # constant sigma makes the mass a deterministic functional
-    cfg = make_config(16, 8, 0.2, "one")
-    samples, _, _ = hnorm_samples(cfg, replicas=5)
+    cfg = make_config(16, 8, 0.2, "one", replicas=5)
+    samples, _, _ = hnorm_samples(cfg)
     assert float(np.ptp(samples)) == 0.0
     assert samples[0] == pytest.approx(additive_variance_exact(EXP2, cfg.grid),
                                        rel=1e-12)
@@ -301,44 +305,46 @@ def test_hnorm_samples_additive_degenerate():
 
 def test_hnorm_samples_blowups_reported_not_silently_dropped():
     cfg = make_config(16, 8, 0.2, "shifted_sine", seed=0,
-                      u0=lambda x: 1e13 * np.sin(x))
-    samples, tails, blowups = hnorm_samples(cfg, replicas=3, deltas=(0.1,))
+                      u0=lambda x: 1e13 * np.sin(x), replicas=3)
+    samples, tails, blowups = hnorm_samples(cfg, deltas=(0.1,))
     assert len(samples) == 0 and len(tails[0.1]) == 0
     assert len(blowups) == 3
     for r, step, mag in blowups:
         assert step == 1 and mag > 1e12
     with pytest.raises(BlowUpError):
-        smallball_probability(cfg, replicas=3)
-    with pytest.raises(BlowUpError):
-        negative_moment_estimate(cfg, replicas=3)
+        smallball_probability(cfg)
+    with pytest.raises(ValueError):
+        negative_moment_estimate(samples)
 
 
 def test_hnorm_samples_excludes_exactly_the_ensemble_blowups():
     # a huge constant sigma crosses the blow-up threshold on some noise
     # paths only; the survivors keep the additive mass c^2 * v, and the
-    # excluded replicas are the ones run_ensemble excludes
+    # excluded replicas are the ones run_ensemble excludes.  300 replicas
+    # span several chunks of both drivers, so the chunk offset of the
+    # replica index is exercised
     c = 3e12
     huge = SigmaSpec("huge", lambda u: np.full_like(u, c), np.zeros_like,
                      lip=0.0, kappa=c)
-    cfg = dataclasses.replace(make_config(16, 8, 0.2, "one", seed=0),
-                              sigma=huge, observables=[(0.2, 0.0)])
-    samples, tails, blowups = hnorm_samples(cfg, replicas=8, deltas=(0.1,))
-    ensemble = run_ensemble(cfg, replicas=8)[0]
-    assert blowups == ensemble.metadata["blowups"]
-    assert 0 < len(blowups) < 8
-    assert len(samples) == len(tails[0.1]) == 8 - len(blowups)
+    cfg = dataclasses.replace(
+        make_config(16, 8, 0.2, "one", seed=0, replicas=300), sigma=huge)
+    samples, tails, blowups = hnorm_samples(cfg, deltas=(0.1,))
+    assert blowups == run_ensemble(cfg).blowups
+    assert 0 < len(blowups) < 300
+    assert max(r for r, _, _ in blowups) >= 256
+    assert len(samples) == len(tails[0.1]) == 300 - len(blowups)
     v = additive_variance_exact(EXP2, cfg.grid)
     np.testing.assert_allclose(samples, c * c * v, rtol=1e-12)
 
 
 def test_hnorm_memory_is_linear_in_the_grid():
     # the adjoint sweep holds O(k_time * m_space) per replica, about 0.5 MiB
-    # here; any O(k_time * m_space^2) derivative lattice needs 16 MiB of
-    # rows alone at 128 x 128
-    cfg = make_config(128, 128, 0.2, "shifted_sine")
+    # each here; any O(k_time * m_space^2) derivative lattice needs 16 MiB of
+    # rows per replica alone at 128 x 128
+    cfg = make_config(128, 128, 0.2, "shifted_sine", replicas=2)
     tracemalloc.start()
     try:
-        hnorm_samples(cfg, replicas=1, deltas=(0.1,))
+        hnorm_samples(cfg, deltas=(0.1,))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -384,9 +390,9 @@ def test_wilson_interval_values():
 def test_smallball_additive_step_function():
     # deterministic mass: frequencies jump 0 -> 1 across the value, and the
     # zero-hit side still reports a positive upper confidence bound
-    cfg = make_config(16, 8, 0.2, "one")
+    cfg = make_config(16, 8, 0.2, "one", replicas=8)
     v = additive_variance_exact(EXP2, cfg.grid)
-    rep = smallball_probability(cfg, eps_list=[0.5 * v, 2.0 * v], replicas=8)
+    rep = smallball_probability(cfg, eps_list=[0.5 * v, 2.0 * v])
     assert float(np.ptp(rep.samples)) == 0.0
     assert rep.freq[0] == 0.0 and rep.freq[1] == 1.0
     assert rep.ci_hi[0] > 0.0
@@ -395,9 +401,8 @@ def test_smallball_additive_step_function():
 
 
 def test_smallball_monotone_and_rows():
-    cfg = make_config(16, 16, 0.25, "shifted_sine", seed=14)
-    rep = smallball_probability(cfg, replicas=48,
-                                levels=[0.1, 0.25, 0.5, 0.75])
+    cfg = make_config(16, 16, 0.25, "shifted_sine", seed=14, replicas=48)
+    rep = smallball_probability(cfg, levels=[0.1, 0.25, 0.5, 0.75])
     assert np.all(np.diff(rep.eps) > 0)
     assert np.all(np.diff(rep.freq) >= 0)
     assert np.all((rep.ci_lo <= rep.freq) & (rep.freq <= rep.ci_hi))
@@ -413,10 +418,10 @@ def test_smallball_monotone_and_rows():
 def test_smallball_validation():
     cfg = make_config(16, 8, 0.2, "zero")
     with pytest.raises(ValueError):
-        smallball_probability(cfg, replicas=4)
+        smallball_probability(cfg)
     cfg2 = make_config(16, 8, 0.2, "one")
     with pytest.raises(ValueError):
-        smallball_probability(cfg2, eps_list=[-1.0, 0.5], replicas=4)
+        smallball_probability(cfg2, eps_list=[-1.0, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -426,30 +431,28 @@ def test_smallball_validation():
 def test_negative_moment_additive_exact():
     cfg = make_config(16, 8, 0.2, "one")
     v = additive_variance_exact(EXP2, cfg.grid)
-    rep = negative_moment_estimate(cfg, p=2, replicas=4)
+    samples, _, _ = hnorm_samples(cfg)
+    rep = negative_moment_estimate(samples, p=2)
     assert rep.estimate == pytest.approx(v ** -1.0, rel=1e-12)
     assert rep.stderr == 0.0
     assert rep.reliable and rep.floor_fraction == 0.0
     # floor never binds, so the decade sweep is flat
     sweep = list(rep.sensitivity.values())
     assert all(s == pytest.approx(rep.estimate, rel=1e-12) for s in sweep)
-    rep4 = negative_moment_estimate(cfg, p=4, replicas=4)
+    rep4 = negative_moment_estimate(samples, p=4)
     assert rep4.estimate == pytest.approx(v ** -2.0, rel=1e-12)
 
 
 def test_negative_moment_decreasing_in_time():
-    early = negative_moment_estimate(make_config(16, 8, 0.1, "one"),
-                                     p=2, replicas=4)
-    late = negative_moment_estimate(make_config(16, 8, 0.4, "one"),
-                                    p=2, replicas=4)
-    assert late.estimate < early.estimate
+    early, _, _ = hnorm_samples(make_config(16, 8, 0.1, "one"))
+    late, _, _ = hnorm_samples(make_config(16, 8, 0.4, "one"))
+    assert (negative_moment_estimate(late, p=2).estimate
+            < negative_moment_estimate(early, p=2).estimate)
 
 
 def test_negative_moment_floor_flag():
-    cfg = make_config(16, 8, 0.2, "one")
     fake = np.array([1e-12, 1.0, 1.0, 1.0])
-    rep = negative_moment_estimate(cfg, p=2, replicas=4, floor=1e-8,
-                                   samples=fake)
+    rep = negative_moment_estimate(fake, p=2, floor=1e-8)
     assert rep.floor_fraction == pytest.approx(0.25)
     assert not rep.reliable
     rows = rep.to_rows(run_id="r", seed=0, alpha=2.0, beta=2.0, probe=(0.2, 0.0))
@@ -459,11 +462,11 @@ def test_negative_moment_floor_flag():
 
 
 def test_negative_moment_validation():
-    cfg = make_config(16, 8, 0.2, "one")
+    samples = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        negative_moment_estimate(cfg, p=1, replicas=4)
+        negative_moment_estimate(samples, p=1)
     with pytest.raises(ValueError):
-        negative_moment_estimate(cfg, p=2, replicas=4, floor=0.0)
+        negative_moment_estimate(samples, p=2, floor=0.0)
+    # one sample has no standard error
     with pytest.raises(ValueError):
-        negative_moment_estimate(make_config(16, 8, 0.2, "zero"), p=2,
-                                 replicas=4)
+        negative_moment_estimate(samples[:1], p=2)

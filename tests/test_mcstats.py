@@ -18,7 +18,6 @@ from levyheat import (
     additive_variance_exact,
     emit,
     field_from_function,
-    fit_slope,
     get_sigma,
     kde,
     kernel_l2_norm_sq,
@@ -29,6 +28,7 @@ from levyheat import (
     smoothness_report,
     solve_path,
 )
+from levyheat.kernels import fit_slope
 
 EXP2 = make_power_exponent(1.0, 2.0)
 
@@ -37,7 +37,7 @@ def additive_config(replicas=4000, m=64, k=64, horizon=0.5, seed=21):
     grid = GridSpec(m_space=m, k_time=k, horizon=horizon)
     return RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("one"),
                      u0=field_from_function(lambda x: 0.0 * x, m), seed=seed,
-                     replicas=replicas, observables=[(horizon, 0.0)])
+                     replicas=replicas)
 
 
 def sample_row(quantity="q", t=0.0, x=0.0, value=1.0, alpha=2.0):
@@ -52,34 +52,33 @@ def sample_row(quantity="q", t=0.0, x=0.0, value=1.0, alpha=2.0):
 
 def test_ensemble_is_union_of_single_runs():
     cfg = additive_config(replicas=2, m=16, k=8, horizon=0.2)
-    ss = run_ensemble(cfg)[0]
-    singles = [solve_path(cfg, replica=r, times=[0.2])[0].values[0]
-               for r in (0, 1)]
+    ss = run_ensemble(cfg)
+    singles = [solve_path(cfg, replica=r)[-1, 0] for r in (0, 1)]
     assert np.array_equal(ss.values, np.array(singles))
 
 
 def test_ensemble_additive_statistics():
     cfg = additive_config()
-    ss = run_ensemble(cfg)[0]
+    ss = run_ensemble(cfg)
     assert ss.count == 4000
     assert abs(ss.mean()) < 3.0 * ss.stderr()
     var = additive_variance_exact(EXP2, cfg.grid)
     assert ss.variance() == pytest.approx(var, rel=0.1)
-    assert ss.metadata["sigma"] == "one"
-    assert ss.metadata["blowups"] == []
+    assert ss.probe == (0.5, 0.0)
+    assert ss.blowups == []
 
 
 def test_ensemble_stderr_clt_scaling():
-    big = run_ensemble(additive_config(replicas=4000))[0]
-    small = run_ensemble(additive_config(replicas=2000))[0]
+    big = run_ensemble(additive_config(replicas=4000))
+    small = run_ensemble(additive_config(replicas=2000))
     assert small.stderr() / big.stderr() == pytest.approx(math.sqrt(2.0),
                                                           rel=0.10)
 
 
 def test_ensemble_deterministic_across_workers():
     cfg = additive_config(replicas=600, m=16, k=8, horizon=0.2)
-    a = run_ensemble(cfg, workers=1)[0]
-    b = run_ensemble(cfg, workers=4)[0]
+    a = run_ensemble(cfg, workers=1)
+    b = run_ensemble(cfg, workers=4)
     assert np.array_equal(a.values, b.values)
     assert a.mean() == b.mean()
 
@@ -88,17 +87,19 @@ def test_ensemble_blowups_reported_not_silently_dropped():
     grid = GridSpec(m_space=16, k_time=8, horizon=0.2)
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
                     u0=field_from_function(lambda x: 1e13 * np.sin(x), 16),
-                    seed=0, replicas=3, observables=[(0.2, 0.0)])
-    ss = run_ensemble(cfg)[0]
+                    seed=0, replicas=3)
+    ss = run_ensemble(cfg)
     assert ss.count == 0
-    assert len(ss.metadata["blowups"]) == 3
-    for r, step, mag in ss.metadata["blowups"]:
+    assert len(ss.blowups) == 3
+    for r, step, mag in ss.blowups:
         assert step == 1 and mag > 1e12
 
 
 def test_ensemble_validation():
+    # a one-replica run has no variance: the config refuses it before any
+    # driver runs
     with pytest.raises(ValueError):
-        run_ensemble(additive_config(m=16, k=8, horizon=0.2), replicas=1)
+        additive_config(replicas=1, m=16, k=8, horizon=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,7 @@ def test_ensemble_validation():
 
 def test_kde_matches_additive_gaussian_law():
     cfg = additive_config()
-    ss = run_ensemble(cfg)[0]
+    ss = run_ensemble(cfg)
     est = kde(ss.values)
     sd = math.sqrt(additive_variance_exact(EXP2, cfg.grid))
     ks = float(np.max(np.abs(est.cdf() - ndtr(est.points / sd))))

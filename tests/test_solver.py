@@ -27,7 +27,6 @@ from levyheat import (
     rfft_multiplier,
     sample_noise,
     solve_path,
-    solve_path_values,
     walsh_variance,
     weighted_norm,
 )
@@ -109,11 +108,11 @@ def test_zero_sigma_matches_semigroup():
     grid = GridSpec(m_space=32, k_time=10, horizon=0.3)
     u0 = field_from_function(lambda x: np.sin(x) + 0.4 * np.cos(3 * x), 32)
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("zero"), u0=u0,
-                    seed=0, replicas=2, observables=[(0.3, 0.0)])
-    states = solve_path(cfg, times=[0.0, 0.15, 0.3])
-    for st in states:
-        target = apply_semigroup(EXP2, st.k * grid.dt, u0)
-        assert st.values == pytest.approx(target.values, abs=1e-12)
+                    seed=0, replicas=2)
+    path = solve_path(cfg)
+    for k in (0, 5, 10):
+        target = apply_semigroup(EXP2, k * grid.dt, u0)
+        assert path[k] == pytest.approx(target.values, abs=1e-12)
 
 
 def test_constant_initial_state_is_preserved():
@@ -122,8 +121,8 @@ def test_constant_initial_state_is_preserved():
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("zero"),
                     u0=field_from_function(lambda x: 0.0 * x + 1.7, 16),
                     seed=0, replicas=2)
-    states = solve_path(cfg, times=[0.4])
-    assert states[0].values == pytest.approx(np.full(16, 1.7), abs=1e-13)
+    path = solve_path(cfg)
+    assert path[-1] == pytest.approx(np.full(16, 1.7), abs=1e-13)
 
 
 def test_additive_superposition():
@@ -132,9 +131,9 @@ def test_additive_superposition():
     grid = GridSpec(m_space=32, k_time=20, horizon=0.25)
     u0 = field_from_function(np.sin, 32)
     base = dict(grid=grid, exponent=EXP2, sigma=get_sigma("one"), seed=4,
-                replicas=2, observables=[(0.25, 0.0)])
-    path_sin = solve_path_values(RunConfig(u0=u0, **base))
-    path_zero = solve_path_values(RunConfig(u0=zero_field(32), **base))
+                replicas=2)
+    path_sin = solve_path(RunConfig(u0=u0, **base))
+    path_zero = solve_path(RunConfig(u0=zero_field(32), **base))
     for k in (5, 20):
         target = apply_semigroup(EXP2, k * grid.dt, u0)
         assert path_sin[k] - path_zero[k] == pytest.approx(target.values, abs=1e-12)
@@ -144,8 +143,8 @@ def test_torus_periodicity():
     grid = GridSpec(m_space=16, k_time=8, horizon=0.2)
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
                     u0=field_from_function(np.cos, 16), seed=11, replicas=2)
-    st = solve_path(cfg, times=[0.2])[0]
-    modes = SpectralField.from_values(st.values).modes
+    values = solve_path(cfg)[-1]
+    modes = SpectralField.from_values(values).modes
     n = np.arange(len(modes))
 
     def synth(x):
@@ -153,29 +152,32 @@ def test_torus_periodicity():
 
     at_zero, at_two_pi = synth(0.0), synth(TWO_PI)
     assert at_zero == pytest.approx(at_two_pi, rel=1e-12, abs=1e-14)
-    assert at_zero == pytest.approx(st.values[0], rel=1e-10, abs=1e-12)
+    assert at_zero == pytest.approx(values[0], rel=1e-10, abs=1e-12)
 
 
 def test_solve_path_time_validation():
+    # the probe time is the only time a run takes; it must be a grid time
+    # within [0, horizon]
     grid = GridSpec(m_space=16, k_time=8, horizon=0.2)
-    cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("one"),
-                    u0=zero_field(16), seed=0, replicas=2)
+    base = dict(grid=grid, exponent=EXP2, sigma=get_sigma("one"),
+                u0=zero_field(16), seed=0, replicas=2)
+    assert solve_path(RunConfig(**base)).shape == (9, 16)
     with pytest.raises(ValueError):
-        solve_path(cfg, times=[0.013])
+        RunConfig(probe=(0.013, 0.0), **base)
     with pytest.raises(ValueError):
-        solve_path(cfg, times=[0.4])
+        RunConfig(probe=(0.4, 0.0), **base)
 
 
 def test_probe_indices_mapping():
     grid = GridSpec(m_space=16, k_time=8, horizon=0.2)
-    cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("one"),
-                    u0=zero_field(16), seed=0, replicas=2,
-                    observables=[(0.1, math.pi)])
-    assert cfg.probe_indices() == [(4, 8)]
+    base = dict(grid=grid, exponent=EXP2, sigma=get_sigma("one"),
+                u0=zero_field(16), seed=0, replicas=2)
+    cfg = RunConfig(probe=(0.1, math.pi), **base)
+    assert cfg.probe_cell == (4, 8)
+    default = RunConfig(**base)
+    assert default.probe == (0.2, 0.0) and default.probe_cell == (8, 0)
     with pytest.raises(ValueError):
-        RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("one"),
-                  u0=zero_field(16), seed=0, replicas=2,
-                  observables=[(0.1, 1.0)])
+        RunConfig(probe=(0.1, 1.0), **base)
 
 
 def test_config_validation():
@@ -183,9 +185,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("one"),
                   u0=zero_field(32), seed=0, replicas=2)
-    with pytest.raises(ValueError):
-        RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("one"),
-                  u0=zero_field(16), seed=0, replicas=0)
+    for replicas in (0, 1):
+        with pytest.raises(ValueError):
+            RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("one"),
+                      u0=zero_field(16), seed=0, replicas=replicas)
 
 
 def test_blow_up_reported():
@@ -194,7 +197,7 @@ def test_blow_up_reported():
                     u0=field_from_function(lambda x: 1e13 * np.sin(x), 16),
                     seed=0, replicas=2)
     with pytest.raises(BlowUpError) as err:
-        solve_path(cfg, times=[0.2])
+        solve_path(cfg)
     assert err.value.step_index == 1
     assert err.value.max_abs > 1e12
 
@@ -256,10 +259,10 @@ def test_trajectory_deterministic():
     grid = GridSpec(m_space=32, k_time=16, horizon=0.3)
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
                     u0=field_from_function(np.sin, 32), seed=13, replicas=2)
-    a = solve_path_values(cfg, replica=5)
-    b = solve_path_values(cfg, replica=5)
+    a = solve_path(cfg, replica=5)
+    b = solve_path(cfg, replica=5)
     assert np.array_equal(a, b)
-    c = solve_path_values(cfg, replica=6)
+    c = solve_path(cfg, replica=6)
     assert not np.array_equal(a, c)
 
 
@@ -302,22 +305,21 @@ def test_weighted_norm_validation():
 # Picard iteration
 
 
-def picard_config(m, k, horizon, sigma_name, seed=3):
+def picard_config(m, k, horizon, sigma_name, seed=3, replicas=64):
     grid = GridSpec(m_space=m, k_time=k, horizon=horizon)
     return RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma(sigma_name),
-                     u0=zero_field(m), seed=seed, replicas=64,
-                     observables=[(horizon, 0.0)])
+                     u0=zero_field(m), seed=seed, replicas=replicas)
 
 
 def test_picard_zero_sigma_is_fixed_point():
-    rep = picard_sequence(picard_config(16, 8, 0.2, "zero"), n_max=3,
-                          beta_param=8.0, replicas=16)
+    rep = picard_sequence(picard_config(16, 8, 0.2, "zero", replicas=16),
+                          n_max=3, beta_param=8.0)
     assert np.all(rep.norms == 0.0)
 
 
 def test_picard_additive_settles_after_one_iterate():
-    rep = picard_sequence(picard_config(16, 8, 0.2, "one"), n_max=4,
-                          beta_param=8.0, replicas=16)
+    rep = picard_sequence(picard_config(16, 8, 0.2, "one", replicas=16),
+                          n_max=4, beta_param=8.0)
     assert rep.norms[0] > 0.0
     assert np.all(rep.norms[1:] == 0.0)
 
@@ -325,15 +327,15 @@ def test_picard_additive_settles_after_one_iterate():
 def test_picard_exact_after_k_time_iterates():
     # each sweep settles one more time level, so with k_time = 4 the iterates
     # coincide with the discrete solution from n = 4 on
-    rep = picard_sequence(picard_config(16, 4, 0.2, "shifted_sine"), n_max=6,
-                          beta_param=8.0, replicas=64)
+    rep = picard_sequence(picard_config(16, 4, 0.2, "shifted_sine"),
+                          n_max=6, beta_param=8.0)
     assert np.all(rep.norms[:4] > 0.0)
     assert rep.norms[4] == 0.0 and rep.norms[5] == 0.0
 
 
 def test_picard_contraction_large_beta():
-    rep = picard_sequence(picard_config(16, 16, 0.5, "shifted_sine"), n_max=6,
-                          beta_param=64.0, replicas=256)
+    cfg = picard_config(16, 16, 0.5, "shifted_sine", replicas=256)
+    rep = picard_sequence(cfg, n_max=6, beta_param=64.0)
     live = rep.ratios[rep.norms[:-1] > 0]
     assert np.all(live < 1.0)
     assert rep.contracting
@@ -341,24 +343,25 @@ def test_picard_contraction_large_beta():
 
 
 def test_picard_worker_count_invariance():
-    cfg = picard_config(16, 8, 0.2, "shifted_sine")
-    a = picard_sequence(cfg, n_max=3, beta_param=16.0, replicas=300, workers=1)
-    b = picard_sequence(cfg, n_max=3, beta_param=16.0, replicas=300, workers=4)
+    cfg = picard_config(16, 8, 0.2, "shifted_sine", replicas=300)
+    a = picard_sequence(cfg, n_max=3, beta_param=16.0, workers=1)
+    b = picard_sequence(cfg, n_max=3, beta_param=16.0, workers=4)
     assert np.array_equal(a.norms, b.norms)
     assert np.array_equal(a.stderrs, b.stderrs)
 
 
 def test_picard_rows_schema():
-    rep = picard_sequence(picard_config(16, 4, 0.2, "one"), n_max=2,
-                          beta_param=8.0, replicas=16)
+    rep = picard_sequence(picard_config(16, 4, 0.2, "one", replicas=16),
+                          n_max=2, beta_param=8.0)
     rows = rep.to_rows(run_id="r", seed=3, alpha=2.0, beta=2.0)
     names = [r["quantity"] for r in rows]
     assert "picard_diff/n=0" in names and "picard_ratio/n=1" in names
 
 
 def test_picard_validation():
-    cfg = picard_config(16, 4, 0.2, "one")
+    cfg = picard_config(16, 4, 0.2, "one", replicas=16)
     with pytest.raises(ValueError):
-        picard_sequence(cfg, n_max=0, beta_param=8.0, replicas=16)
+        picard_sequence(cfg, n_max=0, beta_param=8.0)
+    # one replica gives no moment estimate; the config refuses it
     with pytest.raises(ValueError):
-        picard_sequence(cfg, n_max=2, beta_param=8.0, replicas=1)
+        picard_config(16, 4, 0.2, "one", replicas=1)
