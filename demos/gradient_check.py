@@ -15,8 +15,8 @@ exp2 = lh.make_power_exponent(1.0, 2.0)
 grid = lh.GridSpec(m_space=16, k_time=16, horizon=0.25)
 cfg = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("shifted_sine"),
                    u0=lh.field_from_function(np.sin, 16), seed=12, replicas=4)
-noise = lh.sample_noise(grid, cfg.seed, 1)
-path = lh.solve_path(cfg, 1, noise=noise)
+xi = lh.sample_noise(grid, cfg.seed, 1)
+path = lh.solve_path(cfg, 1, noise=xi)
 
 print("derivative wrt noise cell (k,i), probed at (t,x); sigma(u)=2+sin(u)")
 print(f"{'source':>8} {'probe':>16} {'propagated':>14} {'bumped':>14} {'rel':>9}")
@@ -24,7 +24,7 @@ for src in ((2, 3), (5, 0), (9, 11)):
     for probe in ((0.25, 0.0), (0.1875, math.pi)):
         k_p = int(round(probe[0] / grid.dt))
         i_p = int(round(probe[1] / grid.dx))
-        d = lh.propagate_derivative(path, noise.xi, exp2, cfg.sigma, grid,
+        d = lh.propagate_derivative(path, xi, exp2, cfg.sigma, grid,
                                     src, until_k=k_p)
         orc = lh.noise_gradient_oracle(cfg, 1, src, probe)
         rel = abs(d[i_p] - orc.value) / abs(orc.value)
@@ -33,7 +33,7 @@ for src in ((2, 3), (5, 0), (9, 11)):
 
 print()
 print("adaptedness: a source acting after the probe time contributes nothing")
-early = lh.propagate_derivative(path, noise.xi, exp2, cfg.sigma, grid,
+early = lh.propagate_derivative(path, xi, exp2, cfg.sigma, grid,
                                 (9, 11), until_k=8)
 orc = lh.noise_gradient_oracle(cfg, 1, (9, 11), (0.125, 0.0))
 print(f"  propagated max |D| = {np.max(np.abs(early)):.1f}"
@@ -43,11 +43,11 @@ print()
 print("derivative mass at the probe vs the constant-sigma closed form")
 cfg1 = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("one"),
                     u0=cfg.u0, seed=12, replicas=4)
-path1 = lh.solve_path(cfg1, 1, noise=noise)
+path1 = lh.solve_path(cfg1, 1, noise=xi)
 # one reverse sweep gives the gradient of u(t, x) in every noise cell
-rows = lh.adjoint_gradient(path[None], noise.xi[None], exp2, cfg.sigma, grid,
+rows = lh.adjoint_gradient(path[None], xi[None], exp2, cfg.sigma, grid,
                            grid.k_time, 0)
-rows1 = lh.adjoint_gradient(path1[None], noise.xi[None], exp2, cfg1.sigma,
+rows1 = lh.adjoint_gradient(path1[None], xi[None], exp2, cfg1.sigma,
                             grid, grid.k_time, 0)
 mass, _ = lh.hnorm_sq(rows, grid)
 mass1, _ = lh.hnorm_sq(rows1, grid)

@@ -19,7 +19,7 @@ cfg = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("shifted_sine"),
 
 print("small-ball frequencies of |Du|^2 at the final-time probe")
 rep = lh.smallball_probability(cfg)
-print(f"  replicas {rep.replicas}, sample range "
+print(f"  replicas {len(rep.samples)}, sample range "
       f"[{rep.samples.min():.4f}, {rep.samples.max():.4f}]")
 print(f"  {'eps':>10} {'freq':>8} {'wilson 95% ci':>22} {'certified floor':>16}")
 for e, f, lo, hi, lm in zip(rep.eps, rep.freq, rep.ci_lo, rep.ci_hi,

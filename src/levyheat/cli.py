@@ -4,7 +4,9 @@ One executable, one subcommand per experiment.  Every run writes a data file
 (CSV or JSON, fixed schema) plus a metadata record with the complete
 effective configuration, so any output can be reproduced from its metadata
 alone.  Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 I/O error.
+3 I/O error.  The rows each subcommand writes (quantity names and the
+columns they fill) are decided here alone; library results carry only what
+they compute.
 
 Configuration comes from a flat key=value file; --set overrides single keys,
 --seed overrides the seed key, and the LEVYHEAT_SEED environment variable
@@ -24,8 +26,6 @@ import numpy as np
 
 from . import __version__
 from .kernels import (
-    GeneratorDomainError,
-    LevyExponent,
     check_exponent_condition,
     field_from_function,
     make_power_exponent,
@@ -59,10 +59,11 @@ class NumericalError(RuntimeError):
 
 
 # every key the config file and --set accept, with type, default, and help;
-# a 0 sentinel on beta / probe_t / bandwidth means "derive the default"
+# exactly 0 on one of the SENTINELS means "derive the default"
 SCHEMA = {
     "alpha": (float, 2.0, "lower power of the exponent envelope"),
-    "beta": (float, 0.0, "upper power of the envelope; 0 means alpha"),
+    "beta": (float, 0.0,
+             "upper power of the envelope; 0 means alpha, negative is refused"),
     "scale": (float, 1.0, "coefficient of re phi(n) = scale |n|^alpha"),
     "drift": (float, 0.0, "imaginary drift: phi(n) += i drift n"),
     "m_space": (int, 64, "spatial grid points"),
@@ -73,7 +74,7 @@ SCHEMA = {
     "u0_amp": (float, 1.0, "initial field amplitude"),
     "seed": (int, 0, "base RNG seed; replica r uses stream (seed, r)"),
     "replicas": (int, 256, "Monte Carlo replicas"),
-    "probe_t": (float, 0.0, "probe time; 0 means horizon"),
+    "probe_t": (float, 0.0, "probe time; 0 means horizon, negative is refused"),
     "probe_x": (float, 0.0, "probe point in [0, 2pi)"),
     "t_min": (float, 1e-5, "kernel: smallest time on the scaling grid"),
     "t_max": (float, 1e-3, "kernel: largest time on the scaling grid"),
@@ -84,10 +85,12 @@ SCHEMA = {
     "levels": (str, "0.02,0.05,0.1,0.2,0.3,0.4,0.5",
                "small-ball quantile levels, comma separated"),
     "deltas": (str, "", "derivative tail windows, comma separated"),
-    "bandwidth": (float, 0.0, "density bandwidth; 0 means Silverman rule"),
+    "bandwidth": (float, 0.0,
+                  "density bandwidth; 0 means Silverman rule, negative is refused"),
     "floor": (float, 1e-8, "negative-moment regularization floor"),
     "tol": (float, 1e-10, "series tail tolerance"),
 }
+SENTINELS = ("beta", "probe_t", "bandwidth")
 
 
 def _parse_value(key, raw):
@@ -148,6 +151,10 @@ def effective_config(args):
         except ValueError as err:
             raise ConfigError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from err
         seed_source = "env"
+    for key in SENTINELS:
+        if not cfg[key] >= 0:  # NaN is refused too
+            raise ConfigError(f"{key} must be >= 0 (0 derives the default), "
+                              f"got {cfg[key]!r}")
     return cfg, seed_source
 
 
@@ -163,7 +170,7 @@ def _float_list(raw, key):
 def _beta(cfg):
     # the 0 sentinel is resolved here, never written back: cfg feeds run_id
     beta = cfg["beta"]
-    return beta if beta > 0 else cfg["alpha"]
+    return beta if beta != 0 else cfg["alpha"]
 
 
 def build_exponent(cfg):
@@ -197,7 +204,7 @@ def build_run_config(cfg):
     if cfg["u0"] not in shapes:
         raise ConfigError(f"unknown u0 shape {cfg['u0']!r}")
     u0 = field_from_function(shapes[cfg["u0"]], grid.m_space)
-    t = cfg["probe_t"] if cfg["probe_t"] > 0 else grid.horizon
+    t = cfg["probe_t"] if cfg["probe_t"] != 0 else grid.horizon
     try:
         run = RunConfig(grid=grid, exponent=exp_, sigma=sigma, u0=u0,
                         seed=cfg["seed"], replicas=cfg["replicas"],
@@ -221,7 +228,25 @@ def cmd_kernel(cfg, args, head):
     t_grid = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     report = verify_kernel_bounds(exp_, t_grid, beta_param=cfg["picard_beta"],
                                   tol=cfg["tol"])
-    rows = report.to_rows(*head)
+    rows = []
+    for i, t in enumerate(report.t_grid):
+        rows += [
+            make_row(*head, "kernel_l2_norm_sq", report.norm_sq[i],
+                     tail_bound=report.norm_tails[i], t=t),
+            make_row(*head, "kernel_l2_norm_sq_scaled_alpha",
+                     report.scaled_alpha[i], t=t),
+            make_row(*head, "kernel_l2_norm_sq_scaled_beta",
+                     report.scaled_beta[i], t=t),
+            make_row(*head, "kernel_l2_time_integral", report.cumulative[i], t=t),
+        ]
+    rows += [make_row(*head, quantity, value) for quantity, value in (
+        ("kernel_norm_slope", report.slope_norm),
+        ("kernel_norm_slope_r2", report.r2_norm),
+        ("kernel_integral_slope", report.slope_cumulative),
+        ("kernel_integral_slope_r2", report.r2_cumulative),
+        ("kernel_l2_laplace", report.laplace_mass),
+        ("sup_weighted_cumulative", report.sup_weighted_cumulative),
+    )]
     summary = (f"kernel: norm slope {report.slope_norm:.6g} "
                f"(r2 {report.r2_norm:.6g}), weighted integral bounded by "
                f"laplace mass: {report.sup_bounded_by_laplace}")
@@ -229,8 +254,9 @@ def cmd_kernel(cfg, args, head):
 
 
 def cmd_simulate(cfg, args, head):
-    ss = run_ensemble(build_run_config(cfg), workers=args.workers)
-    t, x = ss.probe
+    run = build_run_config(cfg)
+    ss = run_ensemble(run, workers=args.workers)
+    t, x = run.probe
     n = ss.count
     if n < 2:
         raise NumericalError(f"only {n} usable replicas at probe ({t}, {x})")
@@ -254,10 +280,26 @@ def cmd_picard(cfg, args, head):
         raise ConfigError("need picard_n >= 1")
     report = picard_sequence(run, cfg["picard_n"], cfg["picard_beta"],
                              p=cfg["moment_p"], workers=args.workers)
-    rows = report.to_rows(*head)
+    where = dict(replica_count=run.replicas)
+    rows = [make_row(*head, f"picard_diff/n={n}", v, se, **where)
+            for n, (v, se) in enumerate(zip(report.norms, report.stderrs))]
+    rows += [make_row(*head, f"picard_ratio/n={n}", r, **where)
+             for n, r in enumerate(report.ratios, start=1)]
     summary = (f"picard: ratios {np.array2string(report.ratios, precision=3)} "
                f"contracting={report.contracting}")
     return rows, {"contracting": report.contracting}, summary
+
+
+def _negative_moment_rows(samples, cfg, head, where):
+    """The negative moment of the mass samples, and its rows."""
+    nm = negative_moment_estimate(samples, p=cfg["moment_p"], floor=cfg["floor"])
+    rows = [make_row(
+        *head, f"negative_moment/p={cfg['moment_p']:g}/floor={cfg['floor']:.3e}",
+        nm.estimate, nm.stderr, **where)]
+    rows += [make_row(*head, f"negative_moment_floor_sweep/floor={fl:.3e}", est,
+                      **where)
+             for fl, est in sorted(nm.sensitivity.items(), reverse=True)]
+    return nm, rows
 
 
 def cmd_malliavin(cfg, args, head):
@@ -280,9 +322,8 @@ def cmd_malliavin(cfg, args, head):
         rows.append(make_row(*head, f"hnorm_tail_mean/delta={d:.6e}",
                              float(tails[float(d)].mean()), **where))
     if run.sigma.kappa > 0:
-        nm = negative_moment_estimate(samples, p=cfg["moment_p"],
-                                      floor=cfg["floor"])
-        rows += nm.to_rows(*head, probe=(t, x))
+        nm, nm_rows = _negative_moment_rows(samples, cfg, head, where)
+        rows += nm_rows
         summary = (f"malliavin: hnorm mean {mean:.6g} +- {se:.2g}, "
                    f"negative moment {nm.estimate:.6g} "
                    f"(reliable={nm.reliable})")
@@ -301,10 +342,19 @@ def cmd_smallball(cfg, args, head):
                                        workers=args.workers)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    rows = report.to_rows(*head)
-    nm = negative_moment_estimate(report.samples, p=cfg["moment_p"],
-                                  floor=cfg["floor"])
-    rows += nm.to_rows(*head, probe=report.probe)
+    t, x = run.probe
+    where = dict(t=t, x=x, replica_count=len(report.samples))
+    rows = []
+    for j, e in enumerate(report.eps):
+        rows += [
+            make_row(*head, f"smallball_freq/eps={e:.6e}", report.freq[j],
+                     0.5 * (report.ci_hi[j] - report.ci_lo[j]), **where),
+            make_row(*head, f"smallball_window/eps={e:.6e}", report.delta[j],
+                     **where),
+            make_row(*head, f"smallball_lower_mass_minus_eps/eps={e:.6e}",
+                     report.lower_mass_minus_eps[j], **where),
+        ]
+    rows += _negative_moment_rows(report.samples, cfg, head, where)[1]
     summary = (f"smallball: {len(report.eps)} eps levels, freq "
                f"{report.freq.min():.3g}..{report.freq.max():.3g}, "
                f"c_fit {report.c_fit:.6g}")
@@ -312,11 +362,12 @@ def cmd_smallball(cfg, args, head):
 
 
 def cmd_density(cfg, args, head):
-    ss = run_ensemble(build_run_config(cfg), workers=args.workers)
-    t, x = ss.probe
+    run = build_run_config(cfg)
+    ss = run_ensemble(run, workers=args.workers)
+    t, x = run.probe
     if ss.count < 2:
         raise NumericalError(f"only {ss.count} usable replicas")
-    bandwidth = cfg["bandwidth"] if cfg["bandwidth"] > 0 else None
+    bandwidth = cfg["bandwidth"] if cfg["bandwidth"] != 0 else None
     where = dict(t=t, x=x, replica_count=ss.count)
     try:
         est = kde(ss.values, bandwidth=bandwidth)
@@ -325,11 +376,14 @@ def cmd_density(cfg, args, head):
         return rows, {"degenerate": True}, \
             f"density: point mass at {err.value:.6g}, no estimate"
     rep = smoothness_report(est)
-    rows = [
-        make_row(*head, "density_bandwidth", est.bandwidth, **where),
-        make_row(*head, "density_integral", est.integral(), **where),
-    ]
-    rows += rep.to_rows(*head, probe=(t, x), replicas=ss.count)
+    rows = [make_row(*head, quantity, value, **where) for quantity, value in (
+        ("density_bandwidth", est.bandwidth),
+        ("density_integral", est.integral()),
+        ("density_max_d1", rep.max_d1),
+        ("density_max_d2", rep.max_d2),
+        ("density_d2_sign_changes", float(rep.d2_sign_changes)),
+        ("density_under_smoothed", float(rep.under_smoothed)),
+    )]
     summary = (f"density: bandwidth {est.bandwidth:.6g}, max |d1| "
                f"{rep.max_d1:.6g}, max |d2| {rep.max_d2:.6g}, "
                f"under_smoothed={rep.under_smoothed}")
@@ -485,9 +539,9 @@ def parse_and_dispatch(argv):
         print(summary)
         print(f"wrote {data_path} and {meta_path}")
         return 0
-    except (ConfigError, BlowUpError, GeneratorDomainError, NumericalError,
-            OSError, ValueError) as exc:
-        if isinstance(exc, (BlowUpError, NumericalError, GeneratorDomainError)):
+    except (ConfigError, BlowUpError, NumericalError, OSError,
+            ValueError) as exc:
+        if isinstance(exc, (BlowUpError, NumericalError)):
             kind, code = "numerical", 2
         elif isinstance(exc, OSError):
             kind, code = "io", 3

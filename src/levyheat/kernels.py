@@ -500,32 +500,9 @@ class KernelBoundReport:
     r2_norm: float
     slope_cumulative: float
     r2_cumulative: float
-    beta_param: float
     laplace_mass: float           # int_0^inf e^{-beta s}||q_s||^2 ds
     sup_weighted_cumulative: float
     sup_bounded_by_laplace: bool
-
-    def to_rows(self, run_id="kernel", seed=0, alpha=None, beta=None):
-        from .mcstats import make_row  # mcstats imports this module
-
-        rows = []
-
-        def row(t, quantity, value, tail=0.0):
-            rows.append(make_row(run_id, seed, alpha, beta, quantity,
-                                 float(value), tail_bound=float(tail), t=t))
-
-        for i, t in enumerate(self.t_grid):
-            row(float(t), "kernel_l2_norm_sq", self.norm_sq[i], self.norm_tails[i])
-            row(float(t), "kernel_l2_norm_sq_scaled_alpha", self.scaled_alpha[i])
-            row(float(t), "kernel_l2_norm_sq_scaled_beta", self.scaled_beta[i])
-            row(float(t), "kernel_l2_time_integral", self.cumulative[i])
-        row(0.0, "kernel_norm_slope", self.slope_norm)
-        row(0.0, "kernel_norm_slope_r2", self.r2_norm)
-        row(0.0, "kernel_integral_slope", self.slope_cumulative)
-        row(0.0, "kernel_integral_slope_r2", self.r2_cumulative)
-        row(0.0, "kernel_l2_laplace", self.laplace_mass)
-        row(0.0, "sup_weighted_cumulative", self.sup_weighted_cumulative)
-        return rows
 
 
 def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
@@ -561,7 +538,6 @@ def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
         r2_norm=r2_n,
         slope_cumulative=slope_c,
         r2_cumulative=r2_c,
-        beta_param=float(beta_param),
         laplace_mass=laplace,
         sup_weighted_cumulative=sup_weighted,
         sup_bounded_by_laplace=bool(sup_weighted <= laplace * (1.0 + 1e-9)),

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import TWO_PI, kernel_l2_time_integral
-from .mcstats import make_row
 from .noise import sample_noise
 from .solver import (
     BlowUpError,
@@ -132,7 +131,6 @@ class OracleResult:
     value_half: float
     richardson_err: float
     reliable: bool
-    h: float
 
 
 def noise_gradient_oracle(config, replica, source, probe, h=0.5, rel_tol=0.05):
@@ -149,7 +147,7 @@ def noise_gradient_oracle(config, replica, source, probe, h=0.5, rel_tol=0.05):
     if not (0 <= k_s < grid.k_time) or not (0 <= i_s < grid.m_space):
         raise IndexError(f"source cell {source} outside the grid")
     k_p, i_p = grid.index_of(*probe)
-    base = sample_noise(grid, config.seed, replica).xi
+    base = sample_noise(grid, config.seed, replica)
     variants = np.stack([base, base, base, base])
     variants[0, k_s, i_s] += h
     variants[1, k_s, i_s] -= h
@@ -168,7 +166,7 @@ def noise_gradient_oracle(config, replica, source, probe, h=0.5, rel_tol=0.05):
     err = abs(v_half - v_h) / 3.0
     reliable = err <= max(rel_tol * abs(v_half), 1e-12)
     return OracleResult(value=float(v_h), value_half=float(v_half),
-                        richardson_err=float(err), reliable=bool(reliable), h=h)
+                        richardson_err=float(err), reliable=bool(reliable))
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +225,11 @@ class SmallBallReport:
     For each eps: the frequency P(mass < eps) with a Wilson interval, the
     window delta = (4 eps / c_fit)^(beta/(beta-1)) suggested by the lower-mass
     scaling, and lower_mass(delta) - eps, which must stay positive for the
-    window argument to have any force.  Replicas that blew up are excluded
-    and listed in blowups as (replica, step, magnitude).
+    window argument to have any force.  samples holds the mass of every
+    usable replica; replicas that blew up are excluded and listed in blowups
+    as (replica, step, magnitude).
     """
 
-    probe: tuple
-    replicas: int
     eps: np.ndarray
     freq: np.ndarray
     ci_lo: np.ndarray
@@ -243,22 +240,6 @@ class SmallBallReport:
     c_fit: float
     samples: np.ndarray
     blowups: list
-
-    def to_rows(self, run_id="smallball", seed=0, alpha=None, beta=None):
-        rows = []
-        t, x = self.probe
-        for j, e in enumerate(self.eps):
-            for quantity, val, se in (
-                (f"smallball_freq/eps={e:.6e}", self.freq[j],
-                 0.5 * (self.ci_hi[j] - self.ci_lo[j])),
-                (f"smallball_window/eps={e:.6e}", self.delta[j], 0.0),
-                (f"smallball_lower_mass_minus_eps/eps={e:.6e}",
-                 self.lower_mass_minus_eps[j], 0.0),
-            ):
-                rows.append(make_row(run_id, seed, alpha, beta, quantity,
-                                     float(val), float(se), t=t, x=x,
-                                     replica_count=self.replicas))
-        return rows
 
 
 def smallball_probability(config, eps_list=None, levels=None, workers=1):
@@ -271,7 +252,7 @@ def smallball_probability(config, eps_list=None, levels=None, workers=1):
     """
     if config.sigma.kappa <= 0:
         raise ValueError("small-ball analysis needs sigma bounded below: kappa > 0")
-    t, x = config.probe
+    t = config.probe[0]
     samples, _, blowups = hnorm_samples(config, workers=workers)
     n = len(samples)
     if n < 2:
@@ -300,7 +281,7 @@ def smallball_probability(config, eps_list=None, levels=None, workers=1):
     lower = np.array([smallball_lower_mass(exp_, config.sigma.kappa, d)
                       for d in delta])
     return SmallBallReport(
-        probe=(t, x), replicas=n, eps=eps, freq=freq,
+        eps=eps, freq=freq,
         ci_lo=ci[:, 0], ci_hi=ci[:, 1], delta=delta, lower_mass=lower,
         lower_mass_minus_eps=lower - eps, c_fit=c_fit, samples=samples,
         blowups=blowups,
@@ -313,25 +294,9 @@ class NegativeMomentReport:
 
     estimate: float
     stderr: float
-    p: float
-    floor: float
     floor_fraction: float
     reliable: bool
     sensitivity: dict
-    replicas: int
-
-    def to_rows(self, run_id="negmoment", seed=0, alpha=None, beta=None,
-                probe=(0.0, 0.0)):
-        head = (run_id, seed, alpha, beta)
-        where = dict(t=probe[0], x=probe[1], replica_count=self.replicas)
-        rows = [make_row(
-            *head, f"negative_moment/p={self.p:g}/floor={self.floor:.3e}",
-            self.estimate, self.stderr, **where)]
-        for fl, est in sorted(self.sensitivity.items(), reverse=True):
-            rows.append(make_row(
-                *head, f"negative_moment_floor_sweep/floor={fl:.3e}", est,
-                **where))
-        return rows
 
 
 def negative_moment_estimate(samples, p=2, floor=1e-8):
@@ -359,7 +324,6 @@ def negative_moment_estimate(samples, p=2, floor=1e-8):
     sweep = {float(floor * 10 ** (-j / 2)): est_at(floor * 10 ** (-j / 2))[0]
              for j in range(3)}
     return NegativeMomentReport(
-        estimate=estimate, stderr=stderr, p=float(p), floor=float(floor),
-        floor_fraction=frac, reliable=bool(frac <= 0.01), sensitivity=sweep,
-        replicas=n,
+        estimate=estimate, stderr=stderr, floor_fraction=frac,
+        reliable=bool(frac <= 0.01), sensitivity=sweep,
     )

@@ -47,12 +47,11 @@ class DegenerateSamplesError(ValueError):
 
 @dataclass
 class SampleSet:
-    """Replica values of u(t, x) at one probe, blow-up rows excluded.
+    """Replica values of u(t, x) at the run's probe, blow-up rows excluded.
 
     blowups lists the excluded replicas as (replica, step, magnitude).
     """
 
-    probe: tuple
     values: np.ndarray
     blowups: list = field(default_factory=list)
 
@@ -93,8 +92,7 @@ def run_ensemble(config, workers=1):
         return values, blowups
 
     parts = map_chunks(one_chunk, config.replicas, ENSEMBLE_CHUNK, workers)
-    return SampleSet(probe=config.probe,
-                     values=np.concatenate([p[0] for p in parts]),
+    return SampleSet(values=np.concatenate([p[0] for p in parts]),
                      blowups=[b for p in parts for b in p[1]])
 
 
@@ -179,19 +177,6 @@ class SmoothnessReport:
     max_d2: float
     d2_sign_changes: int
     under_smoothed: bool
-
-    def to_rows(self, run_id="density", seed=0, alpha=None, beta=None,
-                probe=(0.0, 0.0), replicas=0):
-        return [
-            make_row(run_id, seed, alpha, beta, quantity, value, t=probe[0],
-                     x=probe[1], replica_count=replicas)
-            for quantity, value in (
-                ("density_max_d1", self.max_d1),
-                ("density_max_d2", self.max_d2),
-                ("density_d2_sign_changes", float(self.d2_sign_changes)),
-                ("density_under_smoothed", float(self.under_smoothed)),
-            )
-        ]
 
 
 def smoothness_report(estimate):

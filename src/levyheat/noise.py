@@ -87,29 +87,18 @@ def _words_as_normals(seed, replica, first_word, count):
     return ndtri(u + _HALF_ULP)
 
 
-@dataclass(frozen=True)
-class NoiseField:
-    """Materialized variates xi of one replica, tagged with its key.
+def sample_noise(grid, seed, replica=0):
+    """All variates xi of one replica as a (k_time, m_space) array.
 
     Only (seed, replica) identify the noise; the array itself is never
     serialized.
     """
-
-    xi: np.ndarray
-    seed: int
-    replica: int
-    grid: GridSpec
-
-
-def sample_noise(grid, seed, replica=0):
-    """All variates of one replica as a (k_time, m_space) array."""
     m, k = grid.m_space, grid.k_time
-    xi = _words_as_normals(seed, replica, 0, k * m).reshape(k, m)
-    return NoiseField(xi=xi, seed=seed, replica=replica, grid=grid)
+    return _words_as_normals(seed, replica, 0, k * m).reshape(k, m)
 
 
 def noise_row(grid, seed, replica, k):
-    """Row k alone; bit-identical to sample_noise(...).xi[k]."""
+    """Row k alone; bit-identical to sample_noise(...)[k]."""
     if not (0 <= k < grid.k_time):
         raise IndexError(f"time index {k} outside [0, {grid.k_time})")
     m = grid.m_space

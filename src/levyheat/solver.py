@@ -57,9 +57,8 @@ class SigmaSpec:
     """Noise coefficient sigma with its derivative and regularity data.
 
     kappa is a lower bound on |sigma| (0 for degenerate choices; the
-    small-ball and negative-moment estimators insist on kappa > 0), lip a
-    Lipschitz bound, sup_abs / sup_abs_prime optional uniform bounds used only
-    for reporting.
+    small-ball and negative-moment estimators insist on kappa > 0) and lip a
+    Lipschitz bound.
     """
 
     name: str
@@ -67,8 +66,6 @@ class SigmaSpec:
     sigma_prime: Callable
     lip: float
     kappa: float
-    sup_abs: Optional[float] = None
-    sup_abs_prime: Optional[float] = None
 
     def __post_init__(self):
         if self.kappa < 0.0 or self.lip < 0.0:
@@ -80,14 +77,11 @@ def _const(value):
 
 
 SIGMA_REGISTRY = {
-    "zero": SigmaSpec("zero", _const(0.0), _const(0.0), lip=0.0, kappa=0.0,
-                      sup_abs=0.0, sup_abs_prime=0.0),
-    "one": SigmaSpec("one", _const(1.0), _const(0.0), lip=0.0, kappa=1.0,
-                     sup_abs=1.0, sup_abs_prime=0.0),
-    "two": SigmaSpec("two", _const(2.0), _const(0.0), lip=0.0, kappa=2.0,
-                     sup_abs=2.0, sup_abs_prime=0.0),
+    "zero": SigmaSpec("zero", _const(0.0), _const(0.0), lip=0.0, kappa=0.0),
+    "one": SigmaSpec("one", _const(1.0), _const(0.0), lip=0.0, kappa=1.0),
+    "two": SigmaSpec("two", _const(2.0), _const(0.0), lip=0.0, kappa=2.0),
     "shifted_sine": SigmaSpec("shifted_sine", lambda u: 2.0 + np.sin(u), np.cos,
-                              lip=1.0, kappa=1.0, sup_abs=3.0, sup_abs_prime=1.0),
+                              lip=1.0, kappa=1.0),
 }
 
 
@@ -192,7 +186,7 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, record_ks=(), keep_path=Fals
 
 def _noise_block(grid, seed, replicas):
     """Stacked xi arrays for a list of replica indices."""
-    return np.stack([sample_noise(grid, seed, r).xi for r in replicas])
+    return np.stack([sample_noise(grid, seed, r) for r in replicas])
 
 
 def _drop_blowups(lo, blowups, *arrays):
@@ -213,13 +207,13 @@ def _drop_blowups(lo, blowups, *arrays):
 def solve_path(config, replica=0, noise=None):
     """Full (k_time+1, m_space) trajectory of one replica.
 
-    noise defaults to the replica's stream (config.seed, replica).  A blow-up
-    raises BlowUpError.
+    noise is the (k_time, m_space) variate array and defaults to the
+    replica's stream (config.seed, replica).  A blow-up raises BlowUpError.
     """
     if noise is None:
         noise = sample_noise(config.grid, config.seed, replica)
     _, path, blowups = _evolve_batch(
-        config.u0.values, noise.xi[None], config.exponent, config.sigma,
+        config.u0.values, noise[None], config.exponent, config.sigma,
         config.grid, keep_path=True,
     )
     if blowups:
@@ -294,25 +288,10 @@ class PicardReport:
     failed flag usually means beta_param is too small for the coefficient).
     """
 
-    beta_param: float
-    p: float
-    replicas: int
     norms: np.ndarray
     stderrs: np.ndarray
     ratios: np.ndarray
     contracting: bool
-
-    def to_rows(self, run_id="picard", seed=0, alpha=None, beta=None):
-        from .mcstats import make_row  # mcstats imports this module
-
-        head = (run_id, seed, alpha, beta)
-        rows = [make_row(*head, f"picard_diff/n={n}", float(v), float(se),
-                         replica_count=self.replicas)
-                for n, (v, se) in enumerate(zip(self.norms, self.stderrs))]
-        rows += [make_row(*head, f"picard_ratio/n={n}", float(r),
-                          replica_count=self.replicas)
-                 for n, r in enumerate(self.ratios, start=1)]
-        return rows
 
 
 PICARD_CHUNK = 128
@@ -380,7 +359,6 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(norms[:-1] > 0, norms[1:] / norms[:-1], 0.0)
     return PicardReport(
-        beta_param=float(beta_param), p=float(p), replicas=r_total,
         norms=norms, stderrs=stderrs, ratios=ratios,
         contracting=bool(np.all(ratios < 1.0)),
     )

@@ -91,8 +91,8 @@ def test_gradient_oracle_agreement():
                        sigma=lh.get_sigma("shifted_sine"),
                        u0=lh.field_from_function(np.sin, 16), seed=12,
                        replicas=4)
-    noise = lh.sample_noise(grid, cfg.seed, 1)
-    path = lh.solve_path(cfg, 1, noise=noise)
+    xi = lh.sample_noise(grid, cfg.seed, 1)
+    path = lh.solve_path(cfg, 1, noise=xi)
 
     agree = True
     for src in ((2, 3), (5, 0), (9, 11)):
@@ -100,13 +100,13 @@ def test_gradient_oracle_agreement():
                       (0.234375, 0.5 * math.pi)):
             k_p = int(round(probe[0] / grid.dt))
             i_p = int(round(probe[1] / grid.dx))
-            d = lh.propagate_derivative(path, noise.xi, EXP2, cfg.sigma,
+            d = lh.propagate_derivative(path, xi, EXP2, cfg.sigma,
                                         grid, src, until_k=k_p)
             orc = lh.noise_gradient_oracle(cfg, 1, src, probe)
             agree = agree and orc.reliable and \
                 abs(d[i_p] - orc.value) <= 1e-2 * abs(orc.value)
 
-    early = lh.propagate_derivative(path, noise.xi, EXP2, cfg.sigma, grid,
+    early = lh.propagate_derivative(path, xi, EXP2, cfg.sigma, grid,
                                     (9, 11), until_k=8)
     orc = lh.noise_gradient_oracle(cfg, 1, (9, 11), (0.125, 0.0))
     adapted = bool(np.all(early == 0.0)) and orc.value == 0.0
@@ -121,9 +121,9 @@ def test_derivative_mass_scaling():
     cfg = lh.RunConfig(grid=lh.GridSpec(m_space=32, k_time=16, horizon=0.2),
                        exponent=EXP15, sigma=lh.get_sigma("one"),
                        u0=zero_field(32), seed=9, replicas=4)
-    noise = lh.sample_noise(cfg.grid, cfg.seed, 0)
-    path = lh.solve_path(cfg, 0, noise=noise)
-    rows = lh.adjoint_gradient(path[None], noise.xi[None], EXP15, cfg.sigma,
+    xi = lh.sample_noise(cfg.grid, cfg.seed, 0)
+    path = lh.solve_path(cfg, 0, noise=xi)
+    rows = lh.adjoint_gradient(path[None], xi[None], EXP15, cfg.sigma,
                                cfg.grid, cfg.grid.k_time, 0)
     mass, _ = lh.hnorm_sq(rows, cfg.grid)
     anchored = mass[0] == pytest.approx(

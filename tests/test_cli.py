@@ -4,6 +4,7 @@ parse_and_dispatch, so stdout/stderr and the filesystem are observable."""
 
 import json
 import math
+import re
 
 import pytest
 
@@ -274,6 +275,67 @@ def test_worker_count_never_changes_bytes(tmp_path, subcommand):
     stem = subcommand.replace("-", "_")
     for name in (f"{stem}.csv", f"{stem}.meta.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# (quantity, t, x, replica_count) of every row each subcommand writes at
+# SMALL with three levels and two deltas; the number after eps= is Monte Carlo
+KERNEL_T = (1e-05, 1.778279410038923e-05, 3.1622776601683795e-05,
+            5.623413251903491e-05, 0.0001, 0.00017782794100389227,
+            0.00031622776601683794, 0.0005623413251903491, 0.001)
+NEGATIVE_MOMENT = ["negative_moment/p=2/floor=1.000e-08",
+                   "negative_moment_floor_sweep/floor=1.000e-08",
+                   "negative_moment_floor_sweep/floor=1.000e-09",
+                   "negative_moment_floor_sweep/floor=3.162e-09"]
+ROW_KEYS = {
+    "kernel": [(q, t, 0.0, 0) for q in (
+        "kernel_l2_norm_sq", "kernel_l2_norm_sq_scaled_alpha",
+        "kernel_l2_norm_sq_scaled_beta", "kernel_l2_time_integral")
+        for t in KERNEL_T] + [(q, 0.0, 0.0, 0) for q in (
+            "kernel_integral_slope", "kernel_integral_slope_r2",
+            "kernel_l2_laplace", "kernel_norm_slope", "kernel_norm_slope_r2",
+            "sup_weighted_cumulative")],
+    "simulate": [(q, 0.2, 0.0, 8) for q in ("u_blowups", "u_mean", "u_var")],
+    "picard": [(f"picard_diff/n={n}", 0.0, 0.0, 8) for n in range(6)]
+    + [(f"picard_ratio/n={n}", 0.0, 0.0, 8) for n in range(1, 6)],
+    "malliavin": [(q, 0.2, 0.0, 8) for q in (
+        "hnorm_mean", "hnorm_sd", "hnorm_tail_mean/delta=1.000000e-01",
+        "hnorm_tail_mean/delta=5.000000e-02", *NEGATIVE_MOMENT)],
+    "smallball": [(q, 0.2, 0.0, 8) for q in NEGATIVE_MOMENT + 3 * [
+        "smallball_freq/eps=*", "smallball_lower_mass_minus_eps/eps=*",
+        "smallball_window/eps=*"]],
+    "density": [(q, 0.2, 0.0, 8) for q in (
+        "density_bandwidth", "density_d2_sign_changes", "density_integral",
+        "density_max_d1", "density_max_d2", "density_under_smoothed")],
+    "check-exponent": [("admissible", 0.0, 0.0, 0), ("theta", 0.0, 0.0, 0)],
+}
+
+
+@pytest.mark.parametrize("subcommand", list(ROW_KEYS))
+def test_row_keys_pinned(tmp_path, subcommand):
+    code, out = run_cli([subcommand] + SMALL
+                        + ["--set", "levels=0.25,0.5,0.75",
+                           "--set", "deltas=0.05,0.1"], tmp_path)
+    assert code == 0
+    rows = load_rows(str(out / f"{subcommand.replace('-', '_')}.csv"))
+    got = sorted((re.sub(r"/eps=.*$", "/eps=*", r["quantity"]), r["t"], r["x"],
+                  r["replica_count"]) for r in rows)
+    want = sorted(ROW_KEYS[subcommand])
+    assert [(q, x, n) for q, _, x, n in got] == [(q, x, n) for q, _, x, n in want]
+    assert [t for _, t, _, _ in got] == pytest.approx(
+        [t for _, t, _, _ in want], rel=1e-12)
+
+
+@pytest.mark.parametrize("subcommand, key", [("check-exponent", "beta"),
+                                             ("simulate", "probe_t"),
+                                             ("density", "bandwidth")])
+def test_negative_sentinel_is_config_error(tmp_path, capsys, subcommand, key):
+    # only exactly 0 derives the default; a negative value is a typo, not "0"
+    code, out = run_cli([subcommand] + SMALL + ["--set", f"{key}=-0.25"],
+                        tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("levyheat:error:config:") and key in err
+    assert not out.exists()
 
 
 def test_run_id_tracks_config(tmp_path):

@@ -51,14 +51,14 @@ def test_same_key_bit_identical():
     g = GridSpec(m_space=32, k_time=16, horizon=0.5)
     a = sample_noise(g, seed=42, replica=3)
     b = sample_noise(g, seed=42, replica=3)
-    assert np.array_equal(a.xi, b.xi)
+    assert np.array_equal(a, b)
 
 
 def test_row_matches_full_field():
     g = GridSpec(m_space=17, k_time=9, horizon=0.3)
     full = sample_noise(g, seed=5, replica=1)
     for k in (0, 3, 8):
-        assert np.array_equal(noise_row(g, 5, 1, k), full.xi[k])
+        assert np.array_equal(noise_row(g, 5, 1, k), full[k])
 
 
 def test_frozen_variates():
@@ -66,9 +66,9 @@ def test_frozen_variates():
     # scheme changed and RNG_SCHEME must be bumped
     g = GridSpec(m_space=8, k_time=4, horizon=0.5)
     f = sample_noise(g, seed=7, replica=2)
-    assert f.xi[0, 0] == -0.34100879470827106
-    assert f.xi[1, 3] == -0.5786249913716273
-    assert f.xi[3, 7] == 0.39172087098784547
+    assert f[0, 0] == -0.34100879470827106
+    assert f[1, 3] == -0.5786249913716273
+    assert f[3, 7] == 0.39172087098784547
 
 
 def test_rng_scheme_string_frozen():
@@ -84,7 +84,7 @@ def test_replica_must_be_nonnegative():
 def test_all_variates_finite():
     g = GridSpec(m_space=512, k_time=200, horizon=1.0)
     f = sample_noise(g, seed=2024, replica=0)
-    assert np.all(np.isfinite(f.xi))
+    assert np.all(np.isfinite(f))
 
 
 # ---------------------------------------------------------------------------
@@ -94,23 +94,23 @@ def test_all_variates_finite():
 def test_cell_statistics_million_cells():
     g = GridSpec(m_space=1000, k_time=1000, horizon=1.0)
     f = sample_noise(g, seed=123, replica=0)
-    n = f.xi.size
+    n = f.size
     assert n == 1_000_000
-    assert abs(float(np.mean(f.xi))) < 4.0 / math.sqrt(n)
-    assert float(np.var(f.xi)) == pytest.approx(1.0, rel=0.01)
+    assert abs(float(np.mean(f))) < 4.0 / math.sqrt(n)
+    assert float(np.var(f)) == pytest.approx(1.0, rel=0.01)
 
 
 def test_replicas_uncorrelated():
     g = GridSpec(m_space=1000, k_time=100, horizon=1.0)
-    a = sample_noise(g, seed=55, replica=0).xi.ravel()
-    b = sample_noise(g, seed=55, replica=1).xi.ravel()
+    a = sample_noise(g, seed=55, replica=0).ravel()
+    b = sample_noise(g, seed=55, replica=1).ravel()
     assert a.size == 100_000
     assert abs(float(np.corrcoef(a, b)[0, 1])) < 0.01
 
 
 def test_disjoint_cells_uncorrelated():
     g = GridSpec(m_space=500, k_time=200, horizon=1.0)
-    xi = sample_noise(g, seed=31, replica=0).xi
+    xi = sample_noise(g, seed=31, replica=0)
     # neighboring columns are disjoint cells of the same replica
     assert abs(float(np.corrcoef(xi[:, ::2].ravel(), xi[:, 1::2].ravel())[0, 1])) < 0.01
 
@@ -136,7 +136,7 @@ def test_increment_quadratic_variation():
     # sum of squared increments over all cells estimates T * 2pi
     g = GridSpec(m_space=256, k_time=256, horizon=0.3)
     f = sample_noise(g, seed=9, replica=0)
-    total = float(np.sum((f.xi * math.sqrt(g.dt * g.dx)) ** 2))
+    total = float(np.sum((f * math.sqrt(g.dt * g.dx)) ** 2))
     assert total / (g.horizon * TWO_PI) == pytest.approx(1.0, rel=0.05)
 
 
@@ -148,7 +148,7 @@ def test_refinement_variance_additivity():
     root = math.sqrt(fine.dt * fine.dx)
     sums = []
     for rep in range(40):
-        xi = sample_noise(fine, seed=77, replica=rep).xi * root
+        xi = sample_noise(fine, seed=77, replica=rep) * root
         sums.append(xi.reshape(32, 2, 32, 2).sum(axis=(1, 3)).ravel())
     agg = np.concatenate(sums)
     assert float(np.var(agg)) == pytest.approx(coarse.dt * coarse.dx, rel=0.03)
