@@ -7,16 +7,13 @@ __version__ = "0.1.0"
 from .kernels import (
     ExponentCheck,
     ExponentRangeError,
-    GeneratorDomainError,
     KernelCoefficients,
     LevyExponent,
     SpectralField,
-    apply_generator,
     apply_semigroup,
     check_exponent_condition,
     field_from_function,
     fit_slope,
-    in_generator_domain,
     kernel_coefficients,
     kernel_l2_laplace,
     kernel_l2_norm_sq,
@@ -40,7 +37,6 @@ from .solver import (
     rfft_multiplier,
     solve_path,
     walsh_variance,
-    weighted_norm,
 )
 from .malliavin import (
     NegativeMomentReport,
@@ -67,5 +63,3 @@ from .mcstats import (
     silverman_bandwidth,
     smoothness_report,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

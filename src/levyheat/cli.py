@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .kernels import (
+    DEFAULT_SERIES_TOL,
     check_exponent_condition,
     field_from_function,
     make_power_exponent,
@@ -34,6 +35,7 @@ from .kernels import (
 from .noise import RNG_SCHEME, GridSpec
 from .solver import BlowUpError, RunConfig, get_sigma, picard_sequence
 from .malliavin import (
+    SMALLBALL_LEVELS,
     hnorm_samples,
     negative_moment_estimate,
     smallball_probability,
@@ -82,13 +84,13 @@ SCHEMA = {
     "picard_n": (int, 6, "picard: number of successive differences"),
     "picard_beta": (float, 64.0, "exponential weight of the iteration norm"),
     "moment_p": (float, 2.0, "moment order for picard and negative moments"),
-    "levels": (str, "0.02,0.05,0.1,0.2,0.3,0.4,0.5",
+    "levels": (str, ",".join(map(str, SMALLBALL_LEVELS)),
                "small-ball quantile levels, comma separated"),
     "deltas": (str, "", "derivative tail windows, comma separated"),
     "bandwidth": (float, 0.0,
                   "density bandwidth; 0 means Silverman rule, negative is refused"),
     "floor": (float, 1e-8, "negative-moment regularization floor"),
-    "tol": (float, 1e-10, "series tail tolerance"),
+    "tol": (float, DEFAULT_SERIES_TOL, "series tail tolerance"),
 }
 SENTINELS = ("beta", "probe_t", "bandwidth")
 

@@ -42,10 +42,6 @@ class ExponentRangeError(ValueError):
     """Raised when (alpha, beta) leave the admissible (1, 2] window."""
 
 
-class GeneratorDomainError(ValueError):
-    """Raised when a field fails the generator-domain test."""
-
-
 def _validate_orders(alpha, beta):
     if not (1.0 < alpha <= 2.0):
         raise ExponentRangeError(f"alpha must lie in (1, 2], got {alpha}")
@@ -343,7 +339,7 @@ def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL, full_output=False):
 
 
 # ---------------------------------------------------------------------------
-# spectral fields, semigroup, generator
+# spectral fields and semigroup
 
 
 @dataclass(frozen=True)
@@ -397,10 +393,9 @@ def _with_modes(modes, m):
 def rfft_symbol(exp_, m, fn):
     """fn(phi(n)) on the rfft modes n = 0..m//2 of an m-point grid.
 
-    fn acts elementwise, e.g. lambda p: np.exp(-t * p) for the semigroup or
-    np.negative for the generator.  For even m the modes +-m/2 are one and
-    the same harmonic on the grid, so the symbol acts there through its real
-    part; that keeps real fields real.
+    fn acts elementwise, e.g. lambda p: np.exp(-t * p) for the semigroup.
+    For even m the modes +-m/2 are one and the same harmonic on the grid, so
+    the symbol acts there through its real part; that keeps real fields real.
     """
     sym = fn(np.asarray(exp_.phi(np.arange(m // 2 + 1)), dtype=complex))
     if m % 2 == 0:
@@ -430,30 +425,6 @@ def apply_semigroup(exp_, t, field):
     m = field.m_space
     mult = rfft_symbol(exp_, m, lambda p: np.exp(-t * p))
     return _with_modes(field.modes * mult, m)
-
-
-def apply_generator(exp_, field, domain_bound=1e12):
-    """Apply the generator: mode n -> -phi(n) * mode n.
-
-    The field must pass the generator-domain mass test below domain_bound;
-    failures raise GeneratorDomainError rather than being truncated away.
-    """
-    if not in_generator_domain(exp_, field, domain_bound):
-        raise GeneratorDomainError(
-            f"generator-domain mass exceeds {domain_bound:g} at the field's cutoff"
-        )
-    m = field.m_space
-    return _with_modes(rfft_symbol(exp_, m, np.negative) * field.modes, m)
-
-
-def in_generator_domain(exp_, field, bound):
-    """True when sum_n |phi(n)|^2 |c(n)|^2 <= bound over the grid's modes."""
-    if bound <= 0.0:
-        raise ValueError("domain bound must be positive")
-    m = field.m_space
-    image = rfft_symbol(exp_, m, np.negative) * field.modes
-    mass = float(np.sum(rfft_weights(m) * np.abs(image) ** 2))
-    return mass <= bound
 
 
 # ---------------------------------------------------------------------------

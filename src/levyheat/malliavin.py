@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TWO_PI, kernel_l2_time_integral
+from .kernels import DEFAULT_SERIES_TOL, TWO_PI, kernel_l2_time_integral
 from .noise import sample_noise
 from .solver import (
     BlowUpError,
@@ -43,6 +43,9 @@ from .solver import (
 from ._parallel import map_chunks
 
 HNORM_CHUNK = 64
+# quantile levels of the default small-ball eps: the resolvable range, where
+# frequencies are neither all-zero nor saturated
+SMALLBALL_LEVELS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 def _point_scale(grid):
@@ -158,7 +161,8 @@ def noise_gradient_oracle(config, replica, source, probe, h=0.5, rel_tol=0.05):
         record_ks={k_p},
     )
     if blowups:
-        raise RuntimeError(f"oracle re-solve blew up: {blowups}")
+        _, k_bad, max_abs = blowups[0]
+        raise BlowUpError(k_bad, max_abs, replica)
     u = records[k_p][:, i_p]
     cell = math.sqrt(grid.dt * grid.dx)
     v_h = (u[0] - u[1]) / (2.0 * h * cell)
@@ -202,7 +206,7 @@ def hnorm_samples(config, workers=1, deltas=()):
     return samples, tails, [b for p in parts for b in p[2]]
 
 
-def smallball_lower_mass(exp_, kappa, delta, tol=1e-10):
+def smallball_lower_mass(exp_, kappa, delta, tol=DEFAULT_SERIES_TOL):
     """(kappa^2 / 2) * int_0^delta ||q_s||^2 ds, the guaranteed derivative mass
     contributed by the window (t - delta, t] when |sigma| >= kappa."""
     if kappa <= 0:
@@ -242,11 +246,11 @@ class SmallBallReport:
     blowups: list
 
 
-def smallball_probability(config, eps_list=None, levels=None, workers=1):
+def smallball_probability(config, eps_list=None, levels=SMALLBALL_LEVELS,
+                          workers=1):
     """Monte Carlo small-ball frequencies of the derivative mass at the probe.
 
-    eps defaults to empirical quantiles over the resolvable range (levels
-    2%..50%), where frequencies are neither all-zero nor saturated.  Zero-hit
+    eps defaults to the empirical quantiles of the samples at levels.  Zero-hit
     eps still get a positive Wilson upper bound.  Blow-ups that leave fewer
     than 2 usable replicas raise BlowUpError for the first of them.
     """
@@ -259,8 +263,6 @@ def smallball_probability(config, eps_list=None, levels=None, workers=1):
         r, k, mag = blowups[0]
         raise BlowUpError(k, mag, r)
     if eps_list is None:
-        if levels is None:
-            levels = [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
         eps = np.quantile(samples, levels)
         eps = np.unique(eps[eps > 0])
     else:

@@ -128,10 +128,11 @@ def silverman_bandwidth(samples):
     return 0.9 * spread * n ** (-0.2)
 
 
-def kde(samples, bandwidth=None, eval_points=None):
+def kde(samples, bandwidth=None):
     """Gaussian kernel density estimate with derivative tables.
 
-    bandwidth defaults to the Silverman rule (recorded in metadata either
+    The grid is 512 points spanning the samples and 4 bandwidths beyond them
+    on each side.  bandwidth defaults to the Silverman rule (recorded in metadata either
     way).  Zero-variance samples have no density; they raise
     DegenerateSamplesError carrying the point-mass location.
     """
@@ -149,20 +150,15 @@ def kde(samples, bandwidth=None, eval_points=None):
         rule = "explicit"
     if bandwidth <= 0:
         raise ValueError("need bandwidth > 0")
-    if eval_points is None:
-        lo = samples.min() - 4.0 * bandwidth
-        hi = samples.max() + 4.0 * bandwidth
-        eval_points = np.linspace(lo, hi, 512)
-    else:
-        eval_points = np.asarray(eval_points, dtype=float)
-        if len(eval_points) < 8:
-            raise ValueError("need at least 8 evaluation points")
-    z = (eval_points[:, None] - samples[None, :]) / bandwidth
+    lo = samples.min() - 4.0 * bandwidth
+    hi = samples.max() + 4.0 * bandwidth
+    points = np.linspace(lo, hi, 512)
+    z = (points[:, None] - samples[None, :]) / bandwidth
     dens = np.exp(-0.5 * z * z).mean(axis=1) / (bandwidth * math.sqrt(2 * math.pi))
-    d1 = np.gradient(dens, eval_points)
-    d2 = np.gradient(d1, eval_points)
+    d1 = np.gradient(dens, points)
+    d2 = np.gradient(d1, points)
     return DensityEstimate(
-        points=eval_points, density=dens, bandwidth=float(bandwidth),
+        points=points, density=dens, bandwidth=float(bandwidth),
         d1=d1, d2=d2,
         metadata={"bandwidth_rule": rule, "samples": len(samples)},
     )

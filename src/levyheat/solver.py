@@ -26,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import (
+    DEFAULT_SERIES_TOL,
     FOUR_PI_SQ,
     TWO_PI,
     SpectralField,
@@ -54,22 +55,20 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """Noise coefficient sigma with its derivative and regularity data.
+    """Noise coefficient sigma with its derivative and a lower bound on |sigma|.
 
-    kappa is a lower bound on |sigma| (0 for degenerate choices; the
-    small-ball and negative-moment estimators insist on kappa > 0) and lip a
-    Lipschitz bound.
+    kappa is that lower bound: 0 for degenerate choices, and the small-ball
+    and negative-moment estimators insist on kappa > 0.
     """
 
     name: str
     sigma: Callable
     sigma_prime: Callable
-    lip: float
     kappa: float
 
     def __post_init__(self):
-        if self.kappa < 0.0 or self.lip < 0.0:
-            raise ValueError("kappa and lip must be nonnegative")
+        if self.kappa < 0.0:
+            raise ValueError("kappa must be nonnegative")
 
 
 def _const(value):
@@ -77,11 +76,11 @@ def _const(value):
 
 
 SIGMA_REGISTRY = {
-    "zero": SigmaSpec("zero", _const(0.0), _const(0.0), lip=0.0, kappa=0.0),
-    "one": SigmaSpec("one", _const(1.0), _const(0.0), lip=0.0, kappa=1.0),
-    "two": SigmaSpec("two", _const(2.0), _const(0.0), lip=0.0, kappa=2.0),
+    "zero": SigmaSpec("zero", _const(0.0), _const(0.0), kappa=0.0),
+    "one": SigmaSpec("one", _const(1.0), _const(0.0), kappa=1.0),
+    "two": SigmaSpec("two", _const(2.0), _const(0.0), kappa=2.0),
     "shifted_sine": SigmaSpec("shifted_sine", lambda u: 2.0 + np.sin(u), np.cos,
-                              lip=1.0, kappa=1.0),
+                              kappa=1.0),
 }
 
 
@@ -226,7 +225,7 @@ def solve_path(config, replica=0, noise=None):
 # additive-case variance targets
 
 
-def walsh_variance(exp_, grid, tol=1e-10):
+def walsh_variance(exp_, grid, tol=DEFAULT_SERIES_TOL):
     """Isometry variance int_0^T ||q_s||^2 ds on the scheme's time grid.
 
     Right-endpoint sum: the increment injected at step k is smoothed for the
@@ -257,26 +256,7 @@ def additive_variance_exact(exp_, grid):
 
 
 # ---------------------------------------------------------------------------
-# weighted norms and Picard iteration
-
-
-def weighted_norm(times, pth_moments, beta_param, p):
-    """sup over probes of (e^{-beta t} * E|f|^p)^(1/p).
-
-    times and pth_moments are aligned arrays; beta_param = 0 gives the plain
-    sup-L^p norm.
-    """
-    times = np.asarray(times, dtype=float)
-    moments = np.asarray(pth_moments, dtype=float)
-    if times.shape != moments.shape or times.size == 0:
-        raise ValueError("times and moments must be aligned and nonempty")
-    if p < 2:
-        raise ValueError("need p >= 2")
-    if beta_param < 0:
-        raise ValueError("need beta_param >= 0")
-    if np.any(moments < 0):
-        raise ValueError("moments must be nonnegative")
-    return float(np.max(np.exp(-beta_param * times) * moments) ** (1.0 / p))
+# Picard iteration
 
 
 @dataclass
@@ -304,10 +284,16 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     convolution with integrand sigma(v_n) on the same noise.  Expectations are
     replica averages; the report carries the weighted norms of the successive
     differences, their Monte Carlo standard errors (delta method at the
-    argmax probe), and the contraction ratios.
+    argmax probe), and the contraction ratios.  The weighted norm is
+    sup_{t, x} (e^{-beta_param t} E|f(t, x)|^p)^(1/p): p >= 2 and
+    beta_param >= 0, and beta_param = 0 gives the plain sup-L^p norm.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    if p < 2:
+        raise ValueError("need p >= 2")
+    if beta_param < 0:
+        raise ValueError("need beta_param >= 0")
     grid = config.grid
     r_total = config.replicas
     m, k_time = grid.m_space, grid.k_time

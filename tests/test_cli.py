@@ -365,6 +365,15 @@ def test_picard_subcommand(tmp_path):
     assert "contracting" in meta
 
 
+@pytest.mark.parametrize("setting", ["moment_p=1", "picard_beta=-5"])
+def test_picard_norm_parameters_are_config_errors(tmp_path, capsys, setting):
+    # the weighted sup-L^p norm needs p >= 2 and a nonnegative weight
+    code, out = run_cli(["picard"] + SMALL + ["--set", setting], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("levyheat:error:config:")
+    assert not out.exists()
+
+
 def test_malliavin_subcommand(tmp_path):
     code, out = run_cli(["malliavin"] + SMALL + ["--set", "deltas=0.05,0.1"],
                         tmp_path)

@@ -13,14 +13,11 @@ from scipy.integrate import quad, trapezoid
 
 from levyheat import (
     ExponentRangeError,
-    GeneratorDomainError,
     LevyExponent,
     SpectralField,
-    apply_generator,
     apply_semigroup,
     check_exponent_condition,
     field_from_function,
-    in_generator_domain,
     kernel_coefficients,
     kernel_l2_laplace,
     kernel_l2_norm_sq,
@@ -30,7 +27,7 @@ from levyheat import (
     verify_kernel_bounds,
     wrapped_gaussian_kernel,
 )
-from levyheat.kernels import FOUR_PI_SQ, TWO_PI, rfft_weights
+from levyheat.kernels import FOUR_PI_SQ, TWO_PI, rfft_symbol, rfft_weights
 
 GAMMA_3_2 = math.gamma(1.5)  # = sqrt(pi)/2, the alpha=2 limit constant
 
@@ -389,20 +386,12 @@ def test_semigroup_drift_translates():
                                          abs=1e-12)
 
 
-def test_generator_constant_and_cosine():
-    exp_ = make_power_exponent(1.0, 2.0)
-    const = field_from_function(lambda x: 2.0 + 0.0 * x, 32)
-    assert apply_generator(exp_, const).values == pytest.approx(
-        np.zeros(32), abs=1e-12)
-    f = field_from_function(np.cos, 64)
-    out = apply_generator(exp_, f)
-    assert out.values == pytest.approx(-f.values, rel=1e-12)
-
-
 def test_generator_is_semigroup_derivative():
     exp_ = make_power_exponent(1.0, 1.5, drift=0.3)
     f = field_from_function(lambda x: np.sin(2 * x) + np.cos(x), 64)
-    target = apply_generator(exp_, f).values
+    # the generator acts on mode n as -phi(n)
+    target = SpectralField.from_modes(
+        rfft_symbol(exp_, 64, np.negative) * f.modes, 64).values
     errs = []
     for h in (1e-3, 5e-4, 2.5e-4):
         diff = (apply_semigroup(exp_, h, f).values - f.values) / h
@@ -410,22 +399,6 @@ def test_generator_is_semigroup_derivative():
     # first-order convergence: error roughly halves with h
     assert errs[2] < errs[0]
     assert errs[2] / errs[1] == pytest.approx(0.5, abs=0.15)
-
-
-def test_generator_domain_flag():
-    exp_ = make_power_exponent(1.0, 2.0)
-    n_max = 128
-    modes = np.zeros(n_max + 1, dtype=complex)
-    # slow decay 1/|n|: sum |phi(n)|^2 |c(n)|^2 = sum n^2 grows past the bound
-    modes[1:] = 1.0 / np.arange(1, n_max + 1)
-    f = SpectralField.from_modes(modes)
-    assert not in_generator_domain(exp_, f, bound=1e3)
-    with pytest.raises(GeneratorDomainError):
-        apply_generator(exp_, f, domain_bound=1e3)
-    band = field_from_function(lambda x: np.sin(3 * x), 64)
-    assert in_generator_domain(exp_, band, bound=1e3)
-    zero = field_from_function(lambda x: 0.0 * x, 16)
-    assert in_generator_domain(exp_, zero, bound=1e-30)
 
 
 # ---------------------------------------------------------------------------

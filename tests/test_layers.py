@@ -1,4 +1,5 @@
-"""Layering: the numerical modules never reach up into the output layer.
+"""Layering: the numerical modules never reach up into the output layer, and
+the public API has no name that only the tests use.
 
 mcstats (ensembles, density, row serialization) and cli (the row format)
 sit above kernels, noise, solver, malliavin and _parallel.  An import the
@@ -7,6 +8,7 @@ format, so this test parses each lower module and rejects any such import.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 import levyheat
 
 PACKAGE = Path(levyheat.__file__).parent
+DEMOS = PACKAGE.parents[1] / "demos"
 LOWER = ("kernels", "noise", "solver", "malliavin", "_parallel")
 UPPER = {"mcstats", "cli"}
 
@@ -38,3 +41,37 @@ def test_lower_layers_never_import_output_layers(module):
     bad = sorted({name.split(".")[0] for name in imported_modules(tree)}
                  & UPPER)
     assert not bad, f"{module} imports {bad}"
+
+
+# public names whose only callers are tests, kept on purpose as references
+TEST_ONLY_API = {
+    "apply_semigroup",  # reference for the sigma = 0 solver
+    "noise_row",  # pins the word-indexed RNG_SCHEME of sample_noise
+    "load_rows",  # round-trip reference for emit
+}
+
+
+def used_names(path):
+    """Names a file reads: loaded names, attributes, and (for the demos,
+    which use the API from outside) imported names.  Definitions, assignment
+    targets and the package's own imports do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and path.parent == DEMOS:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += sorted(DEMOS.glob("*.py"))
+    used = set().union(*(used_names(p) for p in files))
+    public = {name for name in dir(levyheat) if not name.startswith("_")
+              and not inspect.ismodule(getattr(levyheat, name))}
+    assert TEST_ONLY_API <= public
+    unused = sorted(public - used - TEST_ONLY_API)
+    assert not unused, f"public names only the tests use: {unused}"

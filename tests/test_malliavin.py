@@ -193,6 +193,20 @@ def test_oracle_additive_matches_continuum_kernel():
     assert orc.value == pytest.approx(target / math.sqrt(TWO_PI), rel=1e-6)
 
 
+def test_oracle_blowup_is_blowup_error():
+    # the oracle reports a blow-up the way solve_path does: the first one,
+    # with its step, magnitude and replica
+    cfg = make_config(16, 8, 0.2, "shifted_sine", seed=0,
+                      u0=lambda x: 1e13 * np.sin(x))
+    with pytest.raises(BlowUpError) as orc_err:
+        noise_gradient_oracle(cfg, 2, (3, 4), (0.2, 0.0))
+    with pytest.raises(BlowUpError) as path_err:
+        solve_path(cfg, replica=2)
+    assert orc_err.value.step_index == path_err.value.step_index == 1
+    assert orc_err.value.max_abs == path_err.value.max_abs > 1e12
+    assert orc_err.value.replica == 2
+
+
 def test_oracle_probe_validation():
     cfg = make_config(16, 8, 0.2, "one")
     with pytest.raises(ValueError):
@@ -325,7 +339,7 @@ def test_hnorm_samples_excludes_exactly_the_ensemble_blowups():
     # replica index is exercised
     c = 3e12
     huge = SigmaSpec("huge", lambda u: np.full_like(u, c), np.zeros_like,
-                     lip=0.0, kappa=c)
+                     kappa=c)
     cfg = dataclasses.replace(
         make_config(16, 8, 0.2, "one", seed=0, replicas=300), sigma=huge)
     samples, tails, blowups = hnorm_samples(cfg, deltas=(0.1,))

@@ -28,7 +28,6 @@ from levyheat import (
     sample_noise,
     solve_path,
     walsh_variance,
-    weighted_norm,
 )
 from levyheat.kernels import rfft_weights
 from levyheat.solver import _evolve_batch, _noise_block
@@ -50,12 +49,12 @@ def test_sigma_registry():
     s = get_sigma("shifted_sine")
     assert s.sigma(np.array([0.0]))[0] == pytest.approx(2.0)
     assert s.sigma_prime(np.array([0.0]))[0] == pytest.approx(1.0)
-    assert s.kappa == 1.0 and s.lip == 1.0
+    assert s.kappa == 1.0
     assert get_sigma("zero").kappa == 0.0
     with pytest.raises(ValueError):
         get_sigma("cubic")
     with pytest.raises(ValueError):
-        SigmaSpec("bad", lambda u: u, lambda u: u, lip=1.0, kappa=-0.5)
+        SigmaSpec("bad", lambda u: u, lambda u: u, kappa=-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -267,41 +266,6 @@ def test_trajectory_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# weighted norm
-
-
-def test_weighted_norm_values():
-    times = np.array([0.0, 0.5, 1.0])
-    zero = np.zeros(3)
-    assert weighted_norm(times, zero, 4.0, 2) == 0.0
-    moments = np.array([1.0, 4.0, 9.0])
-    assert weighted_norm(times, moments, 0.0, 2) == pytest.approx(3.0)
-    # beta = 2: weighted moments 1, 4/e, 9/e^2; the middle probe wins
-    assert weighted_norm(times, moments, 2.0, 2) == pytest.approx(
-        math.sqrt(4.0 * math.exp(-1.0)))
-
-
-def test_weighted_norm_monotone_in_beta():
-    rng = np.random.default_rng(2)
-    times = np.linspace(0.0, 1.0, 20)
-    moments = rng.uniform(0.5, 2.0, 20)
-    values = [weighted_norm(times, moments, b, 2) for b in (0.0, 1.0, 4.0, 16.0)]
-    assert all(values[j + 1] <= values[j] + 1e-15 for j in range(3))
-
-
-def test_weighted_norm_validation():
-    times = np.array([0.0, 1.0])
-    with pytest.raises(ValueError):
-        weighted_norm(times, np.array([1.0]), 1.0, 2)
-    with pytest.raises(ValueError):
-        weighted_norm(times, np.array([1.0, 2.0]), 1.0, 1)
-    with pytest.raises(ValueError):
-        weighted_norm(times, np.array([1.0, 2.0]), -1.0, 2)
-    with pytest.raises(ValueError):
-        weighted_norm(times, np.array([1.0, -2.0]), 1.0, 2)
-
-
-# ---------------------------------------------------------------------------
 # Picard iteration
 
 
@@ -357,10 +321,23 @@ def test_picard_rows_schema():
     assert len(rep.ratios) == 1
 
 
+def test_picard_norms_monotone_in_beta():
+    # a heavier weight e^{-beta t} can only lower the weighted sup
+    cfg = picard_config(16, 8, 0.2, "shifted_sine", replicas=32)
+    norms = [picard_sequence(cfg, n_max=3, beta_param=b).norms
+             for b in (0.0, 1.0, 4.0, 16.0)]
+    assert all(np.all(norms[j + 1] <= norms[j] + 1e-15) for j in range(3))
+
+
 def test_picard_validation():
     cfg = picard_config(16, 4, 0.2, "one", replicas=16)
     with pytest.raises(ValueError):
         picard_sequence(cfg, n_max=0, beta_param=8.0)
+    # the weighted sup-L^p norm needs p >= 2 and a nonnegative weight
+    with pytest.raises(ValueError):
+        picard_sequence(cfg, n_max=2, beta_param=8.0, p=1)
+    with pytest.raises(ValueError):
+        picard_sequence(cfg, n_max=2, beta_param=-5.0)
     # one replica gives no moment estimate; the config refuses it
     with pytest.raises(ValueError):
         picard_config(16, 4, 0.2, "one", replicas=1)
