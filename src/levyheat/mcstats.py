@@ -18,6 +18,7 @@ from .solver import _drop_blowups, _evolve_batch, _noise_block
 from ._parallel import map_chunks
 
 ENSEMBLE_CHUNK = 256
+KDE_BLOCK = 8  # grid points per block of the kde sum
 
 CSV_SCHEMA = "levyheat csv schema v1"
 CSV_COLUMNS = ("run_id", "seed", "replica_count", "alpha", "beta",
@@ -153,8 +154,21 @@ def kde(samples, bandwidth=None):
     lo = samples.min() - 4.0 * bandwidth
     hi = samples.max() + 4.0 * bandwidth
     points = np.linspace(lo, hi, 512)
-    z = (points[:, None] - samples[None, :]) / bandwidth
-    dens = np.exp(-0.5 * z * z).mean(axis=1) / (bandwidth * math.sqrt(2 * math.pi))
+    # the direct sum over blocks of grid points, on two reused buffers;
+    # each element and each row mean is the one of the whole (512, n) matrix
+    dens = np.empty(len(points))
+    z = np.empty((KDE_BLOCK, len(samples)))
+    e = np.empty_like(z)
+    for start in range(0, len(points), KDE_BLOCK):
+        block = points[start:start + KDE_BLOCK, None]
+        zb, eb = z[:len(block)], e[:len(block)]
+        np.subtract(block, samples, out=zb)
+        zb /= bandwidth
+        np.multiply(zb, -0.5, out=eb)
+        eb *= zb
+        np.exp(eb, out=eb)
+        eb.mean(axis=1, out=dens[start:start + KDE_BLOCK])
+    dens /= bandwidth * math.sqrt(2 * math.pi)
     d1 = np.gradient(dens, points)
     d2 = np.gradient(d1, points)
     return DensityEstimate(

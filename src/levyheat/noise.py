@@ -7,9 +7,18 @@ cell (k, i) owns the 64-bit Philox word at position k*m_space + i of the
 stream keyed by (seed, replica), mapped through the Gaussian inverse CDF.
 One word per cell, no rejection sampling, so any access order, slicing, or
 thread layout reproduces identical values bit for bit.
+
+Every variate comes from one block filler.  Each thread keeps a single Philox
+bit generator; for each replica of a block it resets the generator's counter
+and key to the stream position, which for a counter-based generator is the
+same as building a fresh one (Salmon et al., SC'11), and writes the words,
+mapped to uniforms exactly as Generator.random maps them, straight into the
+preallocated (replicas, count) block.  One ndtri call then maps the whole
+block.  This is an evaluation order only: RNG_SCHEME is unchanged.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,20 +80,35 @@ class GridSpec:
 def _key(seed, replica):
     if replica < 0:
         raise ValueError("replica index must be nonnegative")
-    return np.array([seed % (1 << 64), replica % (1 << 64)], dtype=np.uint64)
+    return (seed % (1 << 64), replica % (1 << 64))
 
 
-def _words_as_normals(seed, replica, first_word, count):
-    """Standard normals for stream words [first_word, first_word + count)."""
-    block = first_word // 4
+_per_thread = threading.local()
+
+
+def _normal_block(seed, replicas, first_word, count):
+    """Standard normals for words [first_word, first_word + count) of the
+    streams (seed, r), one row per replica r, as a (len(replicas), count)
+    array."""
     skip = first_word % 4
-    gen = np.random.Generator(
-        np.random.Philox(counter=[block, 0, 0, 0], key=_key(seed, replica))
-    )
-    u = gen.random(skip + count)[skip:]
-    # Generator.random is (word >> 11) * 2^-53; recenter each dyadic cell so the
-    # inverse CDF never sees 0.0 or 1.0
-    return ndtri(u + _HALF_ULP)
+    bitgen = getattr(_per_thread, "philox", None)
+    if bitgen is None:
+        bitgen = _per_thread.philox = np.random.Philox()
+    # a freshly constructed Philox(counter=, key=) has an empty buffer
+    state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    counter = (first_word // 4, 0, 0, 0)
+    out = np.empty((len(replicas), count))
+    for row, r in zip(out, replicas):
+        state["state"] = {"counter": counter, "key": _key(seed, r)}
+        bitgen.state = state
+        words = bitgen.random_raw(skip + count)[skip:]
+        words >>= 11
+        # (word >> 11) * 2^-53, exactly Generator.random
+        np.multiply(words, 2.0 ** -53, out=row)
+    # recenter each dyadic cell so the inverse CDF never sees 0.0 or 1.0
+    out += _HALF_ULP
+    return ndtri(out, out=out)
 
 
 def sample_noise(grid, seed, replica=0):
@@ -94,7 +118,7 @@ def sample_noise(grid, seed, replica=0):
     serialized.
     """
     m, k = grid.m_space, grid.k_time
-    return _words_as_normals(seed, replica, 0, k * m).reshape(k, m)
+    return _normal_block(seed, (replica,), 0, k * m).reshape(k, m)
 
 
 def noise_row(grid, seed, replica, k):
@@ -102,4 +126,4 @@ def noise_row(grid, seed, replica, k):
     if not (0 <= k < grid.k_time):
         raise IndexError(f"time index {k} outside [0, {grid.k_time})")
     m = grid.m_space
-    return _words_as_normals(seed, replica, k * m, m)
+    return _normal_block(seed, (replica,), k * m, m)[0]

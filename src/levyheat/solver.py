@@ -34,7 +34,7 @@ from .kernels import (
     rfft_symbol,
     rfft_weights,
 )
-from .noise import GridSpec, sample_noise
+from .noise import GridSpec, _normal_block, sample_noise
 from ._parallel import map_chunks
 
 BLOWUP_THRESHOLD = 1e12
@@ -184,8 +184,9 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, record_ks=(), keep_path=Fals
 
 
 def _noise_block(grid, seed, replicas):
-    """Stacked xi arrays for a list of replica indices."""
-    return np.stack([sample_noise(grid, seed, r) for r in replicas])
+    """(len(replicas), k_time, m_space) variates for a range of replicas."""
+    m, k = grid.m_space, grid.k_time
+    return _normal_block(seed, replicas, 0, k * m).reshape(-1, k, m)
 
 
 def _drop_blowups(lo, blowups, *arrays):

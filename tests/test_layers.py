@@ -1,5 +1,6 @@
-"""Layering: the numerical modules never reach up into the output layer, and
-the public API has no name that only the tests use.
+"""Layering: the numerical modules never reach up into the output layer, the
+noise module alone draws random numbers, and the public API has no name that
+only the tests use.
 
 mcstats (ensembles, density, row serialization) and cli (the row format)
 sit above kernels, noise, solver, malliavin and _parallel.  An import the
@@ -41,6 +42,34 @@ def test_lower_layers_never_import_output_layers(module):
     bad = sorted({name.split(".")[0] for name in imported_modules(tree)}
                  & UPPER)
     assert not bad, f"{module} imports {bad}"
+
+
+def random_sources(tree):
+    """numpy.random references and scipy imports of a parsed file."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and getattr(node.value, "id", None) in ("np", "numpy")):
+            names = ["numpy.random"]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.split(".")[0] == "scipy"
+                    or name.startswith("numpy.random"))
+
+
+def test_only_noise_draws_random_numbers():
+    # the frozen variate derivation (RNG_SCHEME) has one home
+    found = {path.name: sorted(set(random_sources(
+        ast.parse(path.read_text(encoding="utf-8")))))
+        for path in sorted(PACKAGE.glob("*.py"))}
+    assert found["noise.py"], "noise.py no longer draws through numpy/scipy"
+    others = {name: refs for name, refs in found.items()
+              if refs and name != "noise.py"}
+    assert not others, f"random sources outside noise.py: {others}"
 
 
 # public names whose only callers are tests, kept on purpose as references

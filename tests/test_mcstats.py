@@ -6,6 +6,7 @@ byte-level.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,41 @@ def test_kde_explicit_bandwidth_and_points():
     assert est.bandwidth == 0.4
     assert est.metadata["bandwidth_rule"] == "explicit"
     assert est.integral() == pytest.approx(1.0, abs=5e-3)
+
+
+def direct_kde(samples, bandwidth):
+    """The whole (512, n) kernel matrix at once: the reference for kde."""
+    lo = samples.min() - 4.0 * bandwidth
+    hi = samples.max() + 4.0 * bandwidth
+    points = np.linspace(lo, hi, 512)
+    z = (points[:, None] - samples[None, :]) / bandwidth
+    dens = np.exp(-0.5 * z * z).mean(axis=1) / (bandwidth * math.sqrt(2 * math.pi))
+    return points, dens
+
+
+@pytest.mark.parametrize("n", [2, 1001, 32768])
+def test_kde_blocks_match_the_direct_sum(n):
+    s = np.random.default_rng(n).standard_normal(n)
+    for bandwidth in (None, 0.3, 0.017):
+        est = kde(s, bandwidth)
+        h = silverman_bandwidth(s) if bandwidth is None else bandwidth
+        points, dens = direct_kde(s, h)
+        assert est.bandwidth == h
+        assert np.array_equal(est.points, points)
+        assert np.array_equal(est.density, dens)
+        assert np.array_equal(est.d1, np.gradient(dens, points))
+
+
+def test_kde_memory_at_perfbench_size():
+    # the (512, n) matrix and its temporaries need 384 MiB at n = 32768
+    s = np.random.default_rng(4).standard_normal(32768)
+    tracemalloc.start()
+    try:
+        kde(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_kde_degenerate_point_mass():

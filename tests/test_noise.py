@@ -5,9 +5,13 @@ so they are deterministic despite being empirical.
 """
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from levyheat import (
     RNG_SCHEME,
@@ -16,6 +20,8 @@ from levyheat import (
     noise_row,
     sample_noise,
 )
+from levyheat.noise import _HALF_ULP, _normal_block
+from levyheat.solver import _noise_block
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,6 +85,101 @@ def test_replica_must_be_nonnegative():
     g = GridSpec(m_space=8, k_time=4, horizon=0.5)
     with pytest.raises(ValueError):
         sample_noise(g, seed=1, replica=-1)
+
+
+def constructed_stream(seed, replica, first_word, count):
+    """The variate derivation of RNG_SCHEME, one freshly built Generator per
+    stream: the reference the reused per-thread Philox must match."""
+    key = np.array([seed % 2 ** 64, replica % 2 ** 64], dtype=np.uint64)
+    gen = np.random.Generator(
+        np.random.Philox(counter=[first_word // 4, 0, 0, 0], key=key))
+    skip = first_word % 4
+    return ndtri(gen.random(skip + count)[skip:] + _HALF_ULP)
+
+
+def random_cases(n, rng):
+    seeds = [0, 7, 2 ** 63, 2 ** 64 - 1, 2 ** 63 + 12345, -1, -2 ** 40, 99]
+    for _ in range(n):
+        yield (seeds[rng.integers(len(seeds))], int(rng.integers(0, 3)),
+               int(rng.integers(0, 1000)), int(rng.integers(1, 40)))
+
+
+def test_block_filler_matches_constructed_generators():
+    rng = np.random.default_rng(2)
+    for seed, lo, first_word, count in random_cases(60, rng):
+        replicas = range(lo, lo + int(rng.integers(1, 4)))
+        block = _normal_block(seed, replicas, first_word, count)
+        assert block.shape == (len(replicas), count)
+        for row, r in zip(block, replicas):
+            ref = constructed_stream(seed, r, first_word, count)
+            assert np.array_equal(row, ref)
+    # count = 1 at every offset within a 4-word Philox block
+    for first_word in range(8):
+        assert np.array_equal(_normal_block(2 ** 63, (5,), first_word, 1)[0],
+                              constructed_stream(2 ** 63, 5, first_word, 1))
+
+
+def test_odd_rows_and_blocks_match_constructed_generators():
+    # with m_space odd, row k starts at word k * m_space, mostly mid-block
+    g = GridSpec(m_space=13, k_time=7, horizon=0.2)
+    for k in range(g.k_time):
+        assert np.array_equal(noise_row(g, -3, 4, k),
+                              constructed_stream(-3, 4, k * 13, 13))
+    xi = _noise_block(g, 2 ** 64 - 2, range(3, 6))
+    for b, r in enumerate(range(3, 6)):
+        ref = constructed_stream(2 ** 64 - 2, r, 0, 13 * 7).reshape(7, 13)
+        assert np.array_equal(xi[b], ref)
+        assert np.array_equal(sample_noise(g, 2 ** 64 - 2, r), ref)
+
+
+def test_block_filler_is_thread_safe():
+    # a tiny switch interval interleaves the two threads between resetting a
+    # generator's state and drawing from it
+    cases = list(random_cases(400, np.random.default_rng(9)))
+    results = {}
+    start = threading.Barrier(2)
+
+    def fill(name):
+        start.wait()
+        results[name] = [_normal_block(seed, range(lo, lo + 3), fw, count)
+                         for seed, lo, fw, count in cases]
+
+    threads = [threading.Thread(target=fill, args=(n,)) for n in "ab"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for (seed, lo, fw, count), a, b in zip(cases, results["a"], results["b"]):
+        for row_a, row_b, r in zip(a, b, range(lo, lo + 3)):
+            ref = constructed_stream(seed, r, fw, count)
+            assert np.array_equal(row_a, ref) and np.array_equal(row_b, ref)
+
+
+def test_negative_replica_in_a_block_raises():
+    g = GridSpec(m_space=8, k_time=4, horizon=0.5)
+    with pytest.raises(ValueError):
+        _normal_block(1, (0, -1), 0, 4)
+    with pytest.raises(ValueError):
+        _noise_block(g, 1, (2, -2))
+
+
+def test_noise_block_memory_is_the_block():
+    # 256 replicas at 64 x 64 are an 8 MiB block; building rows in a list and
+    # stacking them holds the block twice
+    g = GridSpec(m_space=64, k_time=64, horizon=0.5)
+    tracemalloc.start()
+    try:
+        xi = _noise_block(g, 3, range(256))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert xi.nbytes == 8 * 2 ** 20
+    assert peak <= 1.25 * xi.nbytes
 
 
 def test_all_variates_finite():
