@@ -1,6 +1,8 @@
 """Fixed-point iteration diagnostics: successive iterates of the mild-form
 map, measured in the exponentially weighted norm.  Heavier weights make the
-map a contraction; the ratios show the contraction factor directly.
+map a contraction; the ratios show the contraction factor directly.  The
+Laplace mass int_0^inf e^(-beta s) ||q_s||^2 ds, which controls that factor
+together with the Lipschitz constant of sigma, shrinks as the weight grows.
 
 Run as: python demos/picard_run.py
 """
@@ -17,7 +19,9 @@ cfg = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("shifted_sine"),
 
 for beta_param in (4.0, 16.0, 64.0):
     rep = lh.picard_sequence(cfg, n_max=5, beta_param=beta_param)
-    print(f"weight beta={beta_param:5.1f}  contracting={rep.contracting}")
+    laplace = lh.kernel_l2_laplace(exp2, beta_param)
+    print(f"weight beta={beta_param:5.1f}  laplace mass {laplace:.4f}  "
+          f"contracting={rep.contracting}")
     for n, (d, r) in enumerate(zip(rep.norms, rep.ratios)):
         print(f"  n={n}  |v{n + 1} - v{n}| = {d:.3e}   ratio to next: {r:.4f}")
     print(f"  n={len(rep.norms) - 1}  |v{len(rep.norms)} - "

@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .kernels import (
     DEFAULT_SERIES_TOL,
+    SeriesToleranceError,
     check_exponent_condition,
     field_from_function,
     make_power_exponent,
@@ -541,9 +542,9 @@ def parse_and_dispatch(argv):
         print(summary)
         print(f"wrote {data_path} and {meta_path}")
         return 0
-    except (ConfigError, BlowUpError, NumericalError, OSError,
-            ValueError) as exc:
-        if isinstance(exc, (BlowUpError, NumericalError)):
+    except (ConfigError, BlowUpError, NumericalError, SeriesToleranceError,
+            OSError, ValueError) as exc:
+        if isinstance(exc, (BlowUpError, NumericalError, SeriesToleranceError)):
             kind, code = "numerical", 2
         elif isinstance(exc, OSError):
             kind, code = "io", 3

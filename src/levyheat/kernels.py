@@ -26,6 +26,7 @@ value.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,6 +41,10 @@ _EXP_FLOOR = -745.0  # exp underflows to 0 below this; used to guard overflow in
 
 class ExponentRangeError(ValueError):
     """Raised when (alpha, beta) leave the admissible (1, 2] window."""
+
+
+class SeriesToleranceError(RuntimeError):
+    """Raised when no cutoff up to 2^26 modes certifies a series to its tol."""
 
 
 def _validate_orders(alpha, beta):
@@ -129,7 +134,8 @@ def _doubling_cutoff(tail, tol, n):
     while tail(n) > tol:
         n *= 2
         if n > _MAX_CUTOFF:
-            raise RuntimeError("series tolerance unattainable at sane cutoffs")
+            raise SeriesToleranceError(
+                f"series tolerance unattainable within {_MAX_CUTOFF} modes")
     return n
 
 
@@ -169,6 +175,56 @@ def check_exponent_condition(alpha, beta):
     theta = 2.0 * beta * (alpha - 1.0) / (alpha * (beta - 1.0)) - 1.0
     admissible = alpha >= 2.0 * beta / (beta + 1.0) - 1e-15
     return ExponentCheck(theta=theta, admissible=admissible)
+
+
+# ---------------------------------------------------------------------------
+# mode series over one Re phi table
+#
+# A series splits into a cutoff, which the envelope alone fixes, and a body
+# summed over the prefix Re phi(1..cutoff) of one table that every series of
+# a call shares.  The bodies keep the operation order of the one-series
+# expressions, so no value depends on which series shared its table.
+
+_PHI_BLOCK = 1 << 16  # modes per block: bounds the temporaries of re_phi
+
+
+def _blocks(size):
+    for lo in range(0, size, _PHI_BLOCK):
+        yield lo, min(lo + _PHI_BLOCK, size)
+
+
+class _ModeTable:
+    """Re phi(n) for n = 1..size, evaluated once, and one work buffer of the
+    same length that each series body overwrites."""
+
+    def __init__(self, exp_, size):
+        self.re = np.empty(size)
+        for lo, hi in _blocks(size):
+            self.re[lo:hi] = exp_.re_phi(np.arange(lo + 1, hi + 1))
+        self.work = np.empty(size)
+
+    @cached_property
+    def half_recip(self):
+        """1 / (2 Re phi), built on first use."""
+        out = np.multiply(2.0, self.re)
+        return np.divide(1.0, out, out=out)
+
+
+class _Series(NamedTuple):
+    cutoff: int
+    body: Callable    # (table, cutoff) -> sum of the terms over the prefix
+    finish: Callable  # body sum -> (value, certified error)
+
+
+def _sum_series(exp_, series):
+    """(value, certified error) of each series, all from one Re phi table."""
+    table = _ModeTable(exp_, max(s.cutoff for s in series))
+    return [s.finish(s.body(table, s.cutoff)) for s in series]
+
+
+def _one_series(exp_, series, full_output):
+    value, error = _sum_series(exp_, [series])[0]
+    return (value, error) if full_output else value
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +275,24 @@ def kernel_coefficients(exp_, t, tol=DEFAULT_SERIES_TOL):
     return KernelCoefficients(t=float(t), cutoff=cutoff, coeffs=coeffs, tail_bound=tail)
 
 
-def kernel_l2_norm_sq(exp_, t, tol=DEFAULT_SERIES_TOL, full_output=False):
-    """||q_t||^2 = (1/4pi^2) sum_n exp(-2 t Re phi(n)), certified to tol."""
+def _norm_series(exp_, t, tol):
     if t <= 0.0:
         raise ValueError(f"kernel norm needs t > 0, got t={t}")
     lam = 2.0 * t * exp_.c_lower
     cutoff = _exp_series_cutoff(lam, exp_.alpha, tol * FOUR_PI_SQ)
-    n = np.arange(1, cutoff + 1)
-    re = exp_.re_phi(n)
-    value = (1.0 + 2.0 * np.sum(np.exp(-2.0 * t * re))) / FOUR_PI_SQ
     tail = 2.0 * _one_sided_exp_tail(lam, exp_.alpha, cutoff) / FOUR_PI_SQ
-    if full_output:
-        return value, tail
-    return value
+
+    def body(table, n):
+        work = table.work[:n]
+        np.multiply(-2.0 * t, table.re[:n], out=work)
+        return np.sum(np.exp(work, out=work))
+
+    return _Series(cutoff, body, lambda s: ((1.0 + 2.0 * s) / FOUR_PI_SQ, tail))
+
+
+def kernel_l2_norm_sq(exp_, t, tol=DEFAULT_SERIES_TOL, full_output=False):
+    """||q_t||^2 = (1/4pi^2) sum_n exp(-2 t Re phi(n)), certified to tol."""
+    return _one_series(exp_, _norm_series(exp_, t, tol), full_output)
 
 
 def wrapped_gaussian_kernel(t, z, terms=64):
@@ -250,9 +311,9 @@ def wrapped_gaussian_kernel(t, z, terms=64):
 # time integrals of the squared kernel norm
 
 
-def _bracketed_mode_sum(exp_, term, lower_tail, head, tol, full_output):
-    """(head + 2 sum_{n>=1} term(Re phi(n))) / 4pi^2 for a positive term below
-    1/(2 Re phi), certified to tol.
+def _bracketed_series(exp_, body, lower_tail, head, tol):
+    """Series (head + 2 sum_{n>=1} term(Re phi(n))) / 4pi^2 for a positive
+    term below 1/(2 Re phi), certified to tol; body sums the terms.
 
     The modes past the cutoff are replaced by the midpoint of an envelope
     bracket: above by int_n^inf dx / (2 c_lower x^alpha), below by the
@@ -267,12 +328,38 @@ def _bracketed_mode_sum(exp_, term, lower_tail, head, tol, full_output):
         return 2.0 * (upper_tail(n) - lower_tail(n)) / FOUR_PI_SQ
 
     n = _doubling_cutoff(width, tol, 256)
-    body = np.sum(term(exp_.re_phi(np.arange(1, n + 1))))
     tail_mid = 0.5 * (upper_tail(n) + lower_tail(n))
-    value = (head + 2.0 * (body + tail_mid)) / FOUR_PI_SQ
-    if full_output:
-        return value, width(n)
-    return value
+    return _Series(n, body, lambda s: (
+        (head + 2.0 * (s + tail_mid)) / FOUR_PI_SQ, width(n)))
+
+
+def _time_integral_series(exp_, delta, tol):
+    if delta <= 0.0:
+        raise ValueError(f"need delta > 0, got {delta}")
+    a, c1 = exp_.alpha, exp_.c_lower
+    b, c2 = exp_.beta, exp_.c_upper
+
+    def lower_tail(n):
+        arg = -2.0 * delta * c2 * (n + 1.0) ** b
+        damp = 1.0 - (math.exp(arg) if arg > _EXP_FLOOR else 0.0)
+        return damp * (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0))
+
+    def body(table, n):
+        # expm1(-x) is exactly -1.0 for x >= 40 (e^-40 is below half an ulp
+        # of 1), so past the mode where the envelope puts 2 delta Re phi
+        # above 40 the term is exactly 1/(2 Re phi).  Re phi need not be
+        # monotone, so only the envelope can say where that starts.
+        head = math.ceil(min(n, (20.0 / (delta * c1)) ** (1.0 / a)))
+        re, work = table.re, table.work
+        for lo, hi in _blocks(head):
+            w = work[lo:hi]
+            np.multiply(-2.0 * delta, re[lo:hi], out=w)
+            np.negative(np.expm1(w, out=w), out=w)
+            w /= 2.0 * re[lo:hi]
+        work[head:n] = table.half_recip[head:n]
+        return np.sum(work[:n])
+
+    return _bracketed_series(exp_, body, lower_tail, delta, tol)
 
 
 def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL, full_output=False):
@@ -282,26 +369,10 @@ def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL, full_output=Fal
     so no time quadrature is involved; only the mode tail is truncated, with an
     envelope bracket supplying the estimate and its certified half-width.
     """
-    if delta <= 0.0:
-        raise ValueError(f"need delta > 0, got {delta}")
-    b, c2 = exp_.beta, exp_.c_upper
-
-    def lower_tail(n):
-        arg = -2.0 * delta * c2 * (n + 1.0) ** b
-        damp = 1.0 - (math.exp(arg) if arg > _EXP_FLOOR else 0.0)
-        return damp * (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0))
-
-    return _bracketed_mode_sum(
-        exp_, lambda re: -np.expm1(-2.0 * delta * re) / (2.0 * re), lower_tail,
-        delta, tol, full_output)
+    return _one_series(exp_, _time_integral_series(exp_, delta, tol), full_output)
 
 
-def kernel_l2_laplace(exp_, beta_param, tol=DEFAULT_SERIES_TOL, full_output=False):
-    """int_0^inf e^{-beta s} ||q_s||^2 ds = (1/4pi^2) sum_n 1/(beta + 2 Re phi(n)).
-
-    Monotone decreasing in beta_param and -> 0 as beta_param -> inf; the mode
-    tail is bracketed by the envelope like in kernel_l2_time_integral.
-    """
+def _laplace_series(exp_, beta_param, tol):
     if beta_param <= 0.0:
         raise ValueError(f"need beta_param > 0, got {beta_param}")
     b, c2 = exp_.beta, exp_.c_upper
@@ -311,9 +382,22 @@ def kernel_l2_laplace(exp_, beta_param, tol=DEFAULT_SERIES_TOL, full_output=Fals
         slack = 1.0 + beta_param / (2.0 * c2 * (n + 1.0) ** b)
         return (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0) * slack)
 
-    return _bracketed_mode_sum(
-        exp_, lambda re: 1.0 / (beta_param + 2.0 * re), lower_tail,
-        1.0 / beta_param, tol, full_output)
+    def body(table, n):
+        work = table.work[:n]
+        np.multiply(2.0, table.re[:n], out=work)
+        np.add(beta_param, work, out=work)
+        return np.sum(np.divide(1.0, work, out=work))
+
+    return _bracketed_series(exp_, body, lower_tail, 1.0 / beta_param, tol)
+
+
+def kernel_l2_laplace(exp_, beta_param, tol=DEFAULT_SERIES_TOL, full_output=False):
+    """int_0^inf e^{-beta s} ||q_s||^2 ds = (1/4pi^2) sum_n 1/(beta + 2 Re phi(n)).
+
+    Monotone decreasing in beta_param and -> 0 as beta_param -> inf; the mode
+    tail is bracketed by the envelope like in kernel_l2_time_integral.
+    """
+    return _one_series(exp_, _laplace_series(exp_, beta_param, tol), full_output)
 
 
 def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL, full_output=False):
@@ -489,13 +573,17 @@ def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
         raise ValueError("need at least 3 positive times")
     if np.any(np.diff(t_grid) == 0.0):
         raise ValueError("kernel times must be distinct")
-    pairs = [kernel_l2_norm_sq(exp_, t, tol, full_output=True) for t in t_grid]
-    norm_sq = np.array([p[0] for p in pairs])
-    tails = np.array([p[1] for p in pairs])
-    cumulative = np.array([kernel_l2_time_integral(exp_, t, tol) for t in t_grid])
+    k = len(t_grid)
+    results = _sum_series(
+        exp_, [_norm_series(exp_, t, tol) for t in t_grid]
+        + [_time_integral_series(exp_, t, tol) for t in t_grid]
+        + [_laplace_series(exp_, beta_param, tol)])
+    norm_sq = np.array([p[0] for p in results[:k]])
+    tails = np.array([p[1] for p in results[:k]])
+    cumulative = np.array([p[0] for p in results[k:2 * k]])
+    laplace = results[-1][0]
     slope_n, _, r2_n = fit_slope(t_grid, norm_sq)
     slope_c, _, r2_c = fit_slope(t_grid, cumulative)
-    laplace = kernel_l2_laplace(exp_, beta_param, tol)
     weighted = np.exp(-beta_param * t_grid) * cumulative
     sup_weighted = float(np.max(weighted))
     return KernelBoundReport(

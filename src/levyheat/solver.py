@@ -30,7 +30,8 @@ from .kernels import (
     FOUR_PI_SQ,
     TWO_PI,
     SpectralField,
-    kernel_l2_norm_sq,
+    _norm_series,
+    _sum_series,
     rfft_symbol,
     rfft_weights,
 )
@@ -234,9 +235,9 @@ def walsh_variance(exp_, grid, tol=DEFAULT_SERIES_TOL):
     sum_{j=1..K} dt ||q_{j dt}||^2 up to band truncation.
     """
     dt = grid.dt
-    return dt * math.fsum(
-        kernel_l2_norm_sq(exp_, j * dt, tol) for j in range(1, grid.k_time + 1)
-    )
+    norms = _sum_series(exp_, [_norm_series(exp_, j * dt, tol)
+                               for j in range(1, grid.k_time + 1)])
+    return dt * math.fsum(value for value, _ in norms)
 
 
 def additive_variance_exact(exp_, grid):

@@ -165,6 +165,17 @@ def test_kernel_slope_row(tmp_path):
     assert meta["config"]["alpha"] == 1.5
 
 
+def test_unattainable_series_tolerance_is_numerical_error(tmp_path, capsys):
+    # at t = 1e-13 the norm series needs ~1e10 modes, past the 2^26 cap;
+    # the cutoff search refuses it before any mode is evaluated
+    code, out = run_cli(["kernel", "--set", "alpha=1.4",
+                         "--set", "t_min=1e-13"], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("levyheat:error:numerical: series tolerance")
+    assert not (out / "kernel.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # metadata contract
 

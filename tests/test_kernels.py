@@ -5,7 +5,9 @@ integral tail brackets, so every comparison tolerance is the sum of the two
 certified errors rather than a guessed constant.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +29,16 @@ from levyheat import (
     verify_kernel_bounds,
     wrapped_gaussian_kernel,
 )
-from levyheat.kernels import FOUR_PI_SQ, TWO_PI, rfft_symbol, rfft_weights
+from levyheat.kernels import (
+    FOUR_PI_SQ,
+    TWO_PI,
+    _laplace_series,
+    _ModeTable,
+    _norm_series,
+    _time_integral_series,
+    rfft_symbol,
+    rfft_weights,
+)
 
 GAMMA_3_2 = math.gamma(1.5)  # = sqrt(pi)/2, the alpha=2 limit constant
 
@@ -491,3 +502,93 @@ def test_verify_kernel_bounds_fractional():
     assert np.all(np.isfinite(report.scaled_beta))
     with pytest.raises(ValueError, match="kernel times must be distinct"):
         verify_kernel_bounds(exp_, [1e-5, 1e-4, 1e-4, 1e-3])
+
+
+# The report sums every series over prefixes of one Re phi table.  Each case
+# is (exponent, times, beta_param, tol); "series" is the perfbench workload,
+# whose largest certified cutoff is 2^22 modes (the time integral at 1e-8).
+SERIES_TIMES = np.geomspace(1e-8, 1e-3, 33)
+
+
+def wobbly_phi(n):
+    # Re phi = |n|^1.5 (1.5 + 0.5 cos n): inside [|n|^1.5, 2 |n|^1.5] but not
+    # monotone, so only the envelope can say where expm1 saturates
+    n = np.asarray(n, dtype=float)
+    return np.abs(n) ** 1.5 * (1.5 + 0.5 * np.cos(n))
+
+
+REPORT_CASES = {
+    "series": (make_power_exponent(1.0, 1.4), SERIES_TIMES, 64.0, 1e-10),
+    "beta_above_alpha": (
+        dataclasses.replace(make_power_exponent(1.0, 1.5), beta=1.6),
+        np.geomspace(1e-5, 1e-1, 9), 3.0, 1e-4),
+    "drift": (make_power_exponent(0.7, 1.8, drift=2.5),
+              np.geomspace(1e-6, 1.0, 9), 64.0, 1e-10),
+    "non_monotone": (
+        LevyExponent(phi=wobbly_phi, alpha=1.5, beta=1.5, c_lower=1.0,
+                     c_upper=2.0),
+        np.geomspace(1e-5, 1e-1, 9), 5.0, 1e-4),
+}
+
+# the one-shot term of each series: the shared-table bodies must give the
+# np.sum of these over Re phi(1..cutoff), bit for bit
+ONE_SHOT_TERMS = {
+    _norm_series: lambda t, re: np.exp(-2.0 * t * re),
+    _time_integral_series:
+        lambda t, re: -np.expm1(-2.0 * t * re) / (2.0 * re),
+    _laplace_series: lambda b, re: 1.0 / (b + 2.0 * re),
+}
+
+
+@pytest.mark.parametrize("case", REPORT_CASES)
+def test_report_equals_single_series(case):
+    exp_, times, beta_param, tol = REPORT_CASES[case]
+    report = verify_kernel_bounds(exp_, times, beta_param, tol)
+    pairs = [kernel_l2_norm_sq(exp_, t, tol, full_output=True) for t in times]
+    assert list(report.norm_sq) == [value for value, _ in pairs]
+    assert list(report.norm_tails) == [tail for _, tail in pairs]
+    assert list(report.cumulative) == [
+        kernel_l2_time_integral(exp_, t, tol) for t in times]
+    assert report.laplace_mass == kernel_l2_laplace(exp_, beta_param, tol)
+
+
+@pytest.mark.parametrize("case", REPORT_CASES)
+def test_series_bodies_equal_one_shot_sums(case):
+    exp_, times, beta_param, tol = REPORT_CASES[case]
+    args = [(build, t) for build in (_norm_series, _time_integral_series)
+            for t in times] + [(_laplace_series, beta_param)]
+    series = [build(exp_, x, tol) for build, x in args]
+    table = _ModeTable(exp_, max(s.cutoff for s in series))
+    for (build, x), s in zip(args, series):
+        re = exp_.re_phi(np.arange(1, s.cutoff + 1))
+        assert s.body(table, s.cutoff) == np.sum(ONE_SHOT_TERMS[build](x, re))
+
+
+def test_report_evaluates_each_mode_once():
+    power = make_power_exponent(1.0, 1.4)
+    modes = []
+
+    def counting_phi(n):
+        modes.append(np.size(n))
+        return power.phi(n)
+
+    exp_ = LevyExponent(phi=counting_phi, alpha=1.4, beta=1.4, c_lower=1.0,
+                        c_upper=1.0)
+    modes.clear()
+    verify_kernel_bounds(exp_, SERIES_TIMES, beta_param=64.0, tol=1e-10)
+    # one table up to the largest cutoff, plus at most one block of slack;
+    # evaluating each series on its own takes 59.0 M modes
+    assert sum(modes) <= (1 << 22) + (1 << 16)
+
+
+def test_report_memory_is_a_few_tables():
+    exp_ = make_power_exponent(1.0, 1.4)
+    tracemalloc.start()
+    try:
+        verify_kernel_bounds(exp_, SERIES_TIMES, beta_param=64.0, tol=1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # float64 arrays of the largest cutoff: Re phi, the work buffer and
+    # 1 / (2 Re phi), plus block temporaries
+    assert peak <= 3.5 * 8 * (1 << 22)

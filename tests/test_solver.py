@@ -20,6 +20,7 @@ from levyheat import (
     apply_semigroup,
     field_from_function,
     get_sigma,
+    kernel_l2_norm_sq,
     kernel_l2_time_integral,
     make_power_exponent,
     noise_density_scale,
@@ -223,6 +224,16 @@ def test_additive_variance_and_skewness():
     assert walsh_variance(EXP2, grid) == pytest.approx(exact, rel=1e-6)
     skew = float(np.mean(((u - u.mean()) / u.std()) ** 3))
     assert abs(skew) < 4.0 * math.sqrt(6.0 / n)
+
+
+def test_walsh_variance_equals_per_time_norms():
+    # one shared Re phi table gives math.fsum the very terms of the per-time
+    # loop
+    exp_ = make_power_exponent(0.8, 1.3, drift=1.0)
+    grid = GridSpec(16, 48, 0.3)
+    loop = grid.dt * math.fsum(kernel_l2_norm_sq(exp_, j * grid.dt)
+                               for j in range(1, grid.k_time + 1))
+    assert walsh_variance(exp_, grid) == loop
 
 
 def test_scheme_variance_approaches_time_integral():
