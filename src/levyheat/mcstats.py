@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import _drop_blowups, _evolve_batch, _noise_block
+from .solver import _NoiseRows, _drop_blowups, _evolve_batch
 from ._parallel import map_chunks
 
 ENSEMBLE_CHUNK = 256
@@ -84,7 +84,7 @@ def run_ensemble(config, workers=1):
     k_p, i_p = config.probe_cell
 
     def one_chunk(lo, hi):
-        xi = _noise_block(grid, config.seed, range(lo, hi))
+        xi = _NoiseRows(grid, config.seed, range(lo, hi))
         records, _, blowups = _evolve_batch(
             config.u0.values, xi, config.exponent, config.sigma, grid,
             record_ks={k_p},

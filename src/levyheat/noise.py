@@ -8,13 +8,13 @@ stream keyed by (seed, replica), mapped through the Gaussian inverse CDF.
 One word per cell, no rejection sampling, so any access order, slicing, or
 thread layout reproduces identical values bit for bit.
 
-Every variate comes from one block filler.  Each thread keeps a single Philox
-bit generator; for each replica of a block it resets the generator's counter
+Every variate comes from one block filler.  Each thread keeps a single
+Philox generator; for each replica of a block it resets the generator's counter
 and key to the stream position, which for a counter-based generator is the
-same as building a fresh one (Salmon et al., SC'11), and writes the words,
-mapped to uniforms exactly as Generator.random maps them, straight into the
-preallocated (replicas, count) block.  One ndtri call then maps the whole
-block.  This is an evaluation order only: RNG_SCHEME is unchanged.
+same as building a fresh one (Salmon et al., SC'11), and Generator.random
+writes the stream's uniforms straight into its row of the preallocated
+(replicas, count) block, one call per stream.  One ndtri call then maps the
+whole block.  This is an evaluation order only: RNG_SCHEME is unchanged.
 """
 
 import math
@@ -91,9 +91,10 @@ def _normal_block(seed, replicas, first_word, count):
     streams (seed, r), one row per replica r, as a (len(replicas), count)
     array."""
     skip = first_word % 4
-    bitgen = getattr(_per_thread, "philox", None)
-    if bitgen is None:
-        bitgen = _per_thread.philox = np.random.Philox()
+    gen = getattr(_per_thread, "gen", None)
+    if gen is None:
+        gen = _per_thread.gen = np.random.Generator(np.random.Philox())
+    bitgen = gen.bit_generator
     # a freshly constructed Philox(counter=, key=) has an empty buffer
     state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -102,10 +103,9 @@ def _normal_block(seed, replicas, first_word, count):
     for row, r in zip(out, replicas):
         state["state"] = {"counter": counter, "key": _key(seed, r)}
         bitgen.state = state
-        words = bitgen.random_raw(skip + count)[skip:]
-        words >>= 11
-        # (word >> 11) * 2^-53, exactly Generator.random
-        np.multiply(words, 2.0 ** -53, out=row)
+        if skip:  # first_word sits inside a 4-word Philox block
+            bitgen.random_raw(skip)
+        gen.random(out=row)
     # recenter each dyadic cell so the inverse CDF never sees 0.0 or 1.0
     out += _HALF_ULP
     return ndtri(out, out=out)

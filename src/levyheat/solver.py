@@ -39,6 +39,8 @@ from .noise import GridSpec, _normal_block, sample_noise
 from ._parallel import map_chunks
 
 BLOWUP_THRESHOLD = 1e12
+# the stepper draws at least this many words of each noise stream at a time
+_ROW_BLOCK_WORDS = 2048
 
 
 class BlowUpError(RuntimeError):
@@ -146,13 +148,18 @@ class RunConfig:
 def _evolve_batch(u0_values, xi, exp_, sigma, grid, record_ks=(), keep_path=False):
     """Drive a batch of replicas through all k_time steps.
 
-    xi has shape (B, k_time, m_space).  Returns (records, path, blowups):
-    records maps k -> (B, m_space) snapshot, path is (B, k_time+1, m_space)
-    when keep_path, blowups is a list of (batch_row, step_index, max_abs).
-    Rows that blow up are frozen to NaN and reported, not raised.
+    xi is the batch's noise: anything with shape == (B, k_time, m_space)
+    whose xi[:, k0:k1] is the (B, k1-k0, m_space) array of the variates of
+    steps k0..k1-1, so an array or a _NoiseRows.  The loop reads it in blocks
+    of max(1, _ROW_BLOCK_WORDS // m_space) time rows and holds one block at a
+    time.  Returns (records, path, blowups): records maps k -> (B, m_space)
+    snapshot, path is (B, k_time+1, m_space) when keep_path, blowups is a
+    list of (batch_row, step_index, max_abs).  Rows that blow up are frozen
+    to NaN and reported, not raised.
     """
     m, k_time = grid.m_space, grid.k_time
     b = xi.shape[0]
+    rb = max(1, _ROW_BLOCK_WORDS // m)
     mult = rfft_multiplier(exp_, grid)
     scale = noise_density_scale(grid)
     u = np.broadcast_to(np.asarray(u0_values, dtype=float), (b, m)).copy()
@@ -165,10 +172,14 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, record_ks=(), keep_path=Fals
     if 0 in record_ks:
         records[0] = u.copy()
     for k in range(k_time):
-        g = sigma.sigma(u) * xi[:, k, :] * scale
+        if k % rb == 0:
+            block = None  # release the last block before drawing the next
+            block = xi[:, k:k + rb]
+        g = sigma.sigma(u) * block[:, k % rb] * scale
         u = _smooth(u + g, mult, m)
         if np.any(alive):
-            max_abs = np.max(np.abs(u[alive]), axis=-1)
+            live = u if alive.all() else u[alive]
+            max_abs = np.max(np.abs(live), axis=-1)
             bad = ~np.isfinite(max_abs) | (max_abs > BLOWUP_THRESHOLD)
             if np.any(bad):
                 rows = np.flatnonzero(alive)[bad]
@@ -184,10 +195,25 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, record_ks=(), keep_path=Fals
     return records, path, blowups
 
 
+class _NoiseRows:
+    """The (len(replicas), k_time, m_space) variates of a range of replicas,
+    drawn on demand: xi[:, k0:k1] fills steps k0..k1-1 from their word
+    counters, bit-identical to the same slice of the whole block."""
+
+    def __init__(self, grid, seed, replicas):
+        self.grid, self.seed, self.replicas = grid, seed, replicas
+        self.shape = (len(replicas), grid.k_time, grid.m_space)
+
+    def __getitem__(self, index):
+        k0, k1, _ = index[1].indices(self.grid.k_time)
+        m = self.grid.m_space
+        block = _normal_block(self.seed, self.replicas, k0 * m, (k1 - k0) * m)
+        return block.reshape(-1, k1 - k0, m)
+
+
 def _noise_block(grid, seed, replicas):
     """(len(replicas), k_time, m_space) variates for a range of replicas."""
-    m, k = grid.m_space, grid.k_time
-    return _normal_block(seed, replicas, 0, k * m).reshape(-1, k, m)
+    return _NoiseRows(grid, seed, replicas)[:, :]
 
 
 def _drop_blowups(lo, blowups, *arrays):

@@ -7,7 +7,6 @@ certified errors rather than a guessed constant.
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +38,8 @@ from levyheat.kernels import (
     rfft_symbol,
     rfft_weights,
 )
+
+from conftest import traced_peak
 
 GAMMA_3_2 = math.gamma(1.5)  # = sqrt(pi)/2, the alpha=2 limit constant
 
@@ -583,12 +584,8 @@ def test_report_evaluates_each_mode_once():
 
 def test_report_memory_is_a_few_tables():
     exp_ = make_power_exponent(1.0, 1.4)
-    tracemalloc.start()
-    try:
-        verify_kernel_bounds(exp_, SERIES_TIMES, beta_param=64.0, tol=1e-10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(verify_kernel_bounds, exp_, SERIES_TIMES,
+                          beta_param=64.0, tol=1e-10)
     # float64 arrays of the largest cutoff: Re phi, the work buffer and
     # 1 / (2 Re phi), plus block temporaries
     assert peak <= 3.5 * 8 * (1 << 22)

@@ -9,7 +9,6 @@ finite-difference oracle.
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +37,8 @@ from levyheat import (
     solve_path,
 )
 from levyheat.malliavin import _wilson
+
+from conftest import traced_peak
 
 TWO_PI = 2.0 * math.pi
 
@@ -356,12 +357,7 @@ def test_hnorm_memory_is_linear_in_the_grid():
     # each here; any O(k_time * m_space^2) derivative lattice needs 16 MiB of
     # rows per replica alone at 128 x 128
     cfg = make_config(128, 128, 0.2, "shifted_sine", replicas=2)
-    tracemalloc.start()
-    try:
-        hnorm_samples(cfg, deltas=(0.1,))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(hnorm_samples, cfg, deltas=(0.1,))
     assert peak < 8 * 2 ** 20
 
 

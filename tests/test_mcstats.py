@@ -5,8 +5,8 @@ and ensemble checks compare against closed forms; serialization checks are
 byte-level.
 """
 
+import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +29,11 @@ from levyheat import (
     smoothness_report,
     solve_path,
 )
+from levyheat import solver
 from levyheat.kernels import fit_slope
+from levyheat.solver import _drop_blowups, _evolve_batch, _noise_block
+
+from conftest import steep_sigma, traced_peak
 
 EXP2 = make_power_exponent(1.0, 2.0)
 
@@ -96,6 +100,44 @@ def test_ensemble_blowups_reported_not_silently_dropped():
         assert step == 1 and mag > 1e12
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streamed_ensemble_matches_the_whole_block(monkeypatch, workers):
+    # blocks of 3 rows over 37 steps at m_space = 10; the steep sigma blows
+    # up replicas in later blocks and in both chunks of 300 replicas
+    monkeypatch.setattr(solver, "_ROW_BLOCK_WORDS", 32)
+    steep = steep_sigma(1e12)
+    cfg = dataclasses.replace(additive_config(300, m=10, k=37, horizon=0.3),
+                              sigma=steep)
+    ss = run_ensemble(cfg, workers=workers)
+    values, blowups = [], []
+    for lo, hi in ((0, 256), (256, 300)):
+        rec, _, chunk_blowups = _evolve_batch(
+            cfg.u0.values, _noise_block(cfg.grid, cfg.seed, range(lo, hi)),
+            EXP2, steep, cfg.grid, {37})
+        (v,), b = _drop_blowups(lo, chunk_blowups, rec[37][:, 0])
+        values.append(v)
+        blowups += b
+    assert np.array_equal(ss.values, np.concatenate(values))
+    assert ss.blowups == blowups
+    assert min(r for r, _, _ in blowups) < 256 <= max(r for r, _, _ in blowups)
+    assert min(k for _, k, _ in blowups) > 3
+
+
+def test_ensemble_memory_is_flat_in_replicas_and_steps():
+    # the stepper holds one block of time rows per chunk, about 4 MiB here;
+    # drawing a chunk's whole noise block first would need
+    # 256 * k_time * m_space * 8 bytes, 32 MiB at 256 steps
+    def peak(replicas, m, k):
+        cfg = dataclasses.replace(additive_config(replicas, m, k),
+                                  sigma=get_sigma("shifted_sine"))
+        return traced_peak(run_ensemble, cfg)[1]
+
+    base = peak(256, 64, 32)
+    assert peak(1024, 64, 32) <= 1.25 * base
+    assert peak(256, 64, 256) <= 1.25 * base
+    assert peak(256, 128, 32) <= 2 * 1.25 * base
+
+
 def test_ensemble_validation():
     # a one-replica run has no variance: the config refuses it before any
     # driver runs
@@ -154,12 +196,7 @@ def test_kde_blocks_match_the_direct_sum(n):
 def test_kde_memory_at_perfbench_size():
     # the (512, n) matrix and its temporaries need 384 MiB at n = 32768
     s = np.random.default_rng(4).standard_normal(32768)
-    tracemalloc.start()
-    try:
-        kde(s)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(kde, s)
     assert peak < 8 * 2 ** 20
 
 

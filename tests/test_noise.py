@@ -7,7 +7,6 @@ so they are deterministic despite being empirical.
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,8 @@ from levyheat import (
 )
 from levyheat.noise import _HALF_ULP, _normal_block
 from levyheat.solver import _noise_block
+
+from conftest import traced_peak
 
 TWO_PI = 2.0 * math.pi
 
@@ -172,12 +173,7 @@ def test_noise_block_memory_is_the_block():
     # 256 replicas at 64 x 64 are an 8 MiB block; building rows in a list and
     # stacking them holds the block twice
     g = GridSpec(m_space=64, k_time=64, horizon=0.5)
-    tracemalloc.start()
-    try:
-        xi = _noise_block(g, 3, range(256))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    xi, peak = traced_peak(_noise_block, g, 3, range(256))
     assert xi.nbytes == 8 * 2 ** 20
     assert peak <= 1.25 * xi.nbytes
 

@@ -31,7 +31,10 @@ from levyheat import (
     walsh_variance,
 )
 from levyheat.kernels import rfft_weights
-from levyheat.solver import _evolve_batch, _noise_block
+from levyheat import solver
+from levyheat.solver import _evolve_batch, _noise_block, _NoiseRows
+
+from conftest import steep_sigma
 
 TWO_PI = 2.0 * math.pi
 
@@ -200,6 +203,58 @@ def test_blow_up_reported():
         solve_path(cfg)
     assert err.value.step_index == 1
     assert err.value.max_abs > 1e12
+
+
+# ---------------------------------------------------------------------------
+# streamed noise
+
+
+@pytest.mark.parametrize("m", [6, 10])
+@pytest.mark.parametrize("words", [1, 32, 2048])
+def test_streamed_noise_matches_the_whole_block(monkeypatch, m, words):
+    # 32 words give blocks of 5 or 3 rows, the second starting at word 30,
+    # mid Philox block, and 37 steps leave a short last block; 1 word steps
+    # row by row, 2048 draws all 37 rows at once
+    monkeypatch.setattr(solver, "_ROW_BLOCK_WORDS", words)
+    grid = GridSpec(m_space=m, k_time=37, horizon=0.3)
+    lazy = _NoiseRows(grid, 4, range(5, 12))
+    whole = _noise_block(grid, 4, range(5, 12))
+    assert lazy.shape == whole.shape == (7, 37, m)
+    for k0, k1 in ((0, 37), (3, 6), (35, 40)):
+        assert np.array_equal(lazy[:, k0:k1], whole[:, k0:k1])
+    u0 = field_from_function(np.sin, m).values
+    args = (EXP2, get_sigma("shifted_sine"), grid, {0, 4, 37}, True)
+    rec_a, path_a, blow_a = _evolve_batch(u0, lazy, *args)
+    rec_b, path_b, blow_b = _evolve_batch(u0, whole, *args)
+    assert np.array_equal(path_a, path_b)
+    assert rec_a.keys() == rec_b.keys() == {0, 4, 37}
+    for k in rec_b:
+        assert np.array_equal(rec_a[k], rec_b[k])
+    assert blow_a == blow_b == []
+    cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
+                    u0=field_from_function(np.sin, m), seed=4, replicas=2)
+    assert np.array_equal(path_a[2], solve_path(cfg, replica=7))
+
+
+def test_streamed_blowups_in_later_blocks(monkeypatch):
+    # blocks of 3 rows; the steep sigma blows up a sixth of the replicas,
+    # between steps 11 and 37
+    monkeypatch.setattr(solver, "_ROW_BLOCK_WORDS", 32)
+    grid = GridSpec(m_space=10, k_time=37, horizon=0.3)
+    sigma = steep_sigma(1e12)
+
+    def run(xi):
+        return _evolve_batch(np.zeros(10), xi, EXP2, sigma, grid, {20, 37})
+
+    rec_a, _, blow_a = run(_NoiseRows(grid, 3, range(300)))
+    rec_b, _, blow_b = run(_noise_block(grid, 3, range(300)))
+    assert blow_a == blow_b
+    assert 0 < len(blow_a) < 300
+    assert min(k for _, k, _ in blow_a) > 3
+    for r, _, mag in blow_a:
+        assert mag > 1e12 and np.isnan(rec_a[37][r]).all()
+    for k in (20, 37):
+        assert np.array_equal(rec_a[k], rec_b[k], equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
