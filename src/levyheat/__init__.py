@@ -23,7 +23,7 @@ from .kernels import (
     verify_kernel_bounds,
     wrapped_gaussian_kernel,
 )
-from .noise import RNG_SCHEME, GridSpec, noise_row, sample_noise
+from .noise import RNG_SCHEME, GridSpec, sample_noise
 from .solver import (
     BlowUpError,
     PicardReport,

@@ -327,7 +327,15 @@ def _bracketed_series(exp_, body, lower_tail, head, tol):
     def width(n):
         return 2.0 * (upper_tail(n) - lower_tail(n)) / FOUR_PI_SQ
 
-    n = _doubling_cutoff(width, tol, 256)
+    try:
+        n = _doubling_cutoff(width, tol, 256)
+    except SeriesToleranceError as exc:
+        if (a, c1) == (exp_.beta, exp_.c_upper):
+            raise
+        raise SeriesToleranceError(
+            f"{exc}: the envelope alpha={a}, beta={exp_.beta}, c_lower={c1}, "
+            f"c_upper={exp_.c_upper} is not tight, so the tail bracket narrows "
+            "only like n^(1-alpha); use a looser tol") from None
     tail_mid = 0.5 * (upper_tail(n) + lower_tail(n))
     return _Series(n, body, lambda s: (
         (head + 2.0 * (s + tail_mid)) / FOUR_PI_SQ, width(n)))

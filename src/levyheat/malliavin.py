@@ -30,12 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import DEFAULT_SERIES_TOL, TWO_PI, kernel_l2_time_integral
-from .noise import sample_noise
+from .noise import _NoiseRows, sample_noise
 from .solver import (
     BlowUpError,
     _drop_blowups,
     _evolve_batch,
-    _noise_block,
     _smooth,
     noise_density_scale,
     rfft_multiplier,
@@ -190,7 +189,7 @@ def hnorm_samples(config, workers=1, deltas=()):
     k_p, i_p = config.probe_cell
 
     def one_chunk(lo, hi):
-        xi = _noise_block(grid, config.seed, range(lo, hi))
+        xi = _NoiseRows(grid, config.seed, range(lo, hi))[:, :]
         _, path, blowups = _evolve_batch(config.u0.values, xi, config.exponent,
                                          config.sigma, grid, keep_path=True)
         (path, xi), blowups = _drop_blowups(lo, blowups, path, xi)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import _NoiseRows, _drop_blowups, _evolve_batch
+from .noise import _NoiseRows
+from .solver import _drop_blowups, _evolve_batch
 from ._parallel import map_chunks
 
 ENSEMBLE_CHUNK = 256

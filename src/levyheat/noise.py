@@ -15,6 +15,8 @@ same as building a fresh one (Salmon et al., SC'11), and Generator.random
 writes the stream's uniforms straight into its row of the preallocated
 (replicas, count) block, one call per stream.  One ndtri call then maps the
 whole block.  This is an evaluation order only: RNG_SCHEME is unchanged.
+Every reader, sample_noise and the drivers alike, takes time rows of the
+streams from a _NoiseRows slice.
 """
 
 import math
@@ -77,12 +79,6 @@ class GridSpec:
         return int(round(k)), int(round(i)) % self.m_space
 
 
-def _key(seed, replica):
-    if replica < 0:
-        raise ValueError("replica index must be nonnegative")
-    return (seed % (1 << 64), replica % (1 << 64))
-
-
 _per_thread = threading.local()
 
 
@@ -101,7 +97,10 @@ def _normal_block(seed, replicas, first_word, count):
     counter = (first_word // 4, 0, 0, 0)
     out = np.empty((len(replicas), count))
     for row, r in zip(out, replicas):
-        state["state"] = {"counter": counter, "key": _key(seed, r)}
+        if r < 0:
+            raise ValueError("replica index must be nonnegative")
+        key = (seed % (1 << 64), r % (1 << 64))
+        state["state"] = {"counter": counter, "key": key}
         bitgen.state = state
         if skip:  # first_word sits inside a 4-word Philox block
             bitgen.random_raw(skip)
@@ -111,19 +110,26 @@ def _normal_block(seed, replicas, first_word, count):
     return ndtri(out, out=out)
 
 
+class _NoiseRows:
+    """The (len(replicas), k_time, m_space) variates of a range of replicas,
+    drawn on demand: xi[:, k0:k1] fills steps k0..k1-1 from their word
+    counters, bit-identical to the same slice of the whole block."""
+
+    def __init__(self, grid, seed, replicas):
+        self.grid, self.seed, self.replicas = grid, seed, replicas
+        self.shape = (len(replicas), grid.k_time, grid.m_space)
+
+    def __getitem__(self, index):
+        k0, k1, _ = index[1].indices(self.grid.k_time)
+        m = self.grid.m_space
+        block = _normal_block(self.seed, self.replicas, k0 * m, (k1 - k0) * m)
+        return block.reshape(-1, k1 - k0, m)
+
+
 def sample_noise(grid, seed, replica=0):
     """All variates xi of one replica as a (k_time, m_space) array.
 
     Only (seed, replica) identify the noise; the array itself is never
     serialized.
     """
-    m, k = grid.m_space, grid.k_time
-    return _normal_block(seed, (replica,), 0, k * m).reshape(k, m)
-
-
-def noise_row(grid, seed, replica, k):
-    """Row k alone; bit-identical to sample_noise(...)[k]."""
-    if not (0 <= k < grid.k_time):
-        raise IndexError(f"time index {k} outside [0, {grid.k_time})")
-    m = grid.m_space
-    return _normal_block(seed, (replica,), k * m, m)[0]
+    return _NoiseRows(grid, seed, (replica,))[:, :][0]

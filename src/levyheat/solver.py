@@ -35,7 +35,7 @@ from .kernels import (
     rfft_symbol,
     rfft_weights,
 )
-from .noise import GridSpec, _normal_block, sample_noise
+from .noise import GridSpec, _NoiseRows, sample_noise
 from ._parallel import map_chunks
 
 BLOWUP_THRESHOLD = 1e12
@@ -150,12 +150,12 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, record_ks=(), keep_path=Fals
 
     xi is the batch's noise: anything with shape == (B, k_time, m_space)
     whose xi[:, k0:k1] is the (B, k1-k0, m_space) array of the variates of
-    steps k0..k1-1, so an array or a _NoiseRows.  The loop reads it in blocks
-    of max(1, _ROW_BLOCK_WORDS // m_space) time rows and holds one block at a
-    time.  Returns (records, path, blowups): records maps k -> (B, m_space)
-    snapshot, path is (B, k_time+1, m_space) when keep_path, blowups is a
-    list of (batch_row, step_index, max_abs).  Rows that blow up are frozen
-    to NaN and reported, not raised.
+    steps k0..k1-1, so an array or a noise._NoiseRows.  The loop reads it in
+    blocks of max(1, _ROW_BLOCK_WORDS // m_space) time rows and holds one
+    block at a time.  Returns (records, path, blowups): records maps k ->
+    (B, m_space) snapshot, path is (B, k_time+1, m_space) when keep_path,
+    blowups is a list of (batch_row, step_index, max_abs).  Rows that blow
+    up are frozen to NaN and reported, not raised.
     """
     m, k_time = grid.m_space, grid.k_time
     b = xi.shape[0]
@@ -193,27 +193,6 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, record_ks=(), keep_path=Fals
         if (k + 1) in record_ks:
             records[k + 1] = u.copy()
     return records, path, blowups
-
-
-class _NoiseRows:
-    """The (len(replicas), k_time, m_space) variates of a range of replicas,
-    drawn on demand: xi[:, k0:k1] fills steps k0..k1-1 from their word
-    counters, bit-identical to the same slice of the whole block."""
-
-    def __init__(self, grid, seed, replicas):
-        self.grid, self.seed, self.replicas = grid, seed, replicas
-        self.shape = (len(replicas), grid.k_time, grid.m_space)
-
-    def __getitem__(self, index):
-        k0, k1, _ = index[1].indices(self.grid.k_time)
-        m = self.grid.m_space
-        block = _normal_block(self.seed, self.replicas, k0 * m, (k1 - k0) * m)
-        return block.reshape(-1, k1 - k0, m)
-
-
-def _noise_block(grid, seed, replicas):
-    """(len(replicas), k_time, m_space) variates for a range of replicas."""
-    return _NoiseRows(grid, seed, replicas)[:, :]
 
 
 def _drop_blowups(lo, blowups, *arrays):
@@ -328,35 +307,39 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     mult = rfft_multiplier(config.exponent, grid)
     scale = noise_density_scale(grid)
     sig = config.sigma.sigma
-
-    v0_path = np.empty((k_time + 1, m))
-    v0_path[0] = config.u0.values
-    for k in range(k_time):
-        v0_path[k + 1] = _smooth(v0_path[k], mult, m)
+    rb = max(1, _ROW_BLOCK_WORDS // m)
 
     def one_chunk(lo, hi):
-        b = hi - lo
-        xi = _noise_block(grid, config.seed, range(lo, hi))
-        prev = np.broadcast_to(v0_path, (b, k_time + 1, m)).copy()
-        mom = np.zeros((n_max, k_time + 1, m))
-        mom_sq = np.zeros((n_max, k_time + 1, m))
-        for n in range(n_max):
-            nxt = np.empty_like(prev)
-            nxt[:, 0] = v0_path[0]
-            conv = np.zeros((b, m))
-            for k in range(k_time):
-                g = sig(prev[:, k]) * xi[:, k] * scale
-                conv = _smooth(conv + g, mult, m)
-                nxt[:, k + 1] = v0_path[k + 1] + conv
-            d = np.abs(nxt - prev) ** p
-            mom[n] = d.sum(axis=0)
-            mom_sq[n] = (d * d).sum(axis=0)
-            prev = nxt
-        return mom, mom_sq
+        # v[n] is iterate n at step k; iterate n + 1 needs iterate n only at
+        # step k, so all of them advance together, row 0 being the flow of u0
+        xi = _NoiseRows(grid, config.seed, range(lo, hi))
+        v0 = np.asarray(config.u0.values, dtype=float)
+        v = np.broadcast_to(v0, (n_max + 1, hi - lo, m)).copy()
+        conv = np.zeros((n_max, hi - lo, m))
+        moments = np.zeros((2, n_max, k_time + 1, m))
+        mom, mom_sq = moments
+        for k in range(k_time):
+            if k % rb == 0:
+                block = None  # release the last block before drawing the next
+                block = xi[:, k:k + rb]
+            conv = _smooth(conv + sig(v[:-1]) * block[:, k % rb] * scale,
+                           mult, m)
+            v0 = _smooth(v0, mult, m)
+            v[0] = v0
+            v[1:] = v0 + conv
+            d = np.abs(v[1:] - v[:-1]) ** p
+            mom[:, k + 1] = d.sum(axis=1)
+            mom_sq[:, k + 1] = (d * d).sum(axis=1)
+        return moments
 
-    parts = map_chunks(one_chunk, r_total, PICARD_CHUNK, workers)
-    mom = sum(p_[0] for p_ in parts) / r_total
-    mom_sq = sum(p_[1] for p_ in parts) / r_total
+    # a wave of one chunk per worker at a time, folded in chunk order into the
+    # sum over all chunks, so memory does not grow with the replica count
+    moments, wave = 0, PICARD_CHUNK * max(1, workers)
+    for start in range(0, r_total, wave):
+        moments = sum(map_chunks(lambda lo, hi: one_chunk(start + lo, start + hi),
+                                 min(wave, r_total - start), PICARD_CHUNK,
+                                 workers), moments)
+    mom, mom_sq = moments / r_total
 
     t_weights = np.exp(-beta_param * grid.t_points())[:, None]
     norms = np.empty(n_max)

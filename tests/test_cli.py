@@ -174,6 +174,17 @@ def test_unattainable_series_tolerance_is_numerical_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("levyheat:error:numerical: series tolerance")
     assert not (out / "kernel.csv").exists()
+    # a loose envelope brackets the tail of the time-integral series only to
+    # order n^(1 - alpha); the message says which envelope and what to change
+    code, out = run_cli(["kernel", "--set", "alpha=1.5", "--set", "beta=1.6"],
+                        tmp_path, "loose")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("levyheat:error:numerical: series tolerance")
+    for part in ("alpha=1.5", "beta=1.6", "c_lower=1.0", "c_upper=1.0",
+                 "n^(1-alpha)", "looser tol"):
+        assert part in err
+    assert not (out / "kernel.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,17 @@ def test_only_noise_draws_random_numbers():
     assert not others, f"random sources outside noise.py: {others}"
 
 
+def test_only_noise_names_the_block_filler():
+    # _normal_block addresses every word of the frozen RNG_SCHEME; the other
+    # modules read noise through sample_noise and _NoiseRows
+    naming = sorted(path.name for path in PACKAGE.glob("*.py")
+                    if "_normal_block" in path.read_text(encoding="utf-8"))
+    assert naming == ["noise.py"]
+
+
 # public names whose only callers are tests, kept on purpose as references
 TEST_ONLY_API = {
     "apply_semigroup",  # reference for the sigma = 0 solver
-    "noise_row",  # pins the word-indexed RNG_SCHEME of sample_noise
     "load_rows",  # round-trip reference for emit
 }
 

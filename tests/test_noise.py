@@ -16,11 +16,9 @@ from levyheat import (
     RNG_SCHEME,
     GridSpec,
     noise_density_scale,
-    noise_row,
     sample_noise,
 )
-from levyheat.noise import _HALF_ULP, _normal_block
-from levyheat.solver import _noise_block
+from levyheat.noise import _HALF_ULP, _NoiseRows, _normal_block
 
 from conftest import traced_peak
 
@@ -65,7 +63,8 @@ def test_row_matches_full_field():
     g = GridSpec(m_space=17, k_time=9, horizon=0.3)
     full = sample_noise(g, seed=5, replica=1)
     for k in (0, 3, 8):
-        assert np.array_equal(noise_row(g, 5, 1, k), full[k])
+        assert np.array_equal(_NoiseRows(g, 5, (1,))[:, k:k + 1][0, 0],
+                              full[k])
 
 
 def test_frozen_variates():
@@ -124,9 +123,9 @@ def test_odd_rows_and_blocks_match_constructed_generators():
     # with m_space odd, row k starts at word k * m_space, mostly mid-block
     g = GridSpec(m_space=13, k_time=7, horizon=0.2)
     for k in range(g.k_time):
-        assert np.array_equal(noise_row(g, -3, 4, k),
+        assert np.array_equal(_NoiseRows(g, -3, (4,))[:, k:k + 1][0, 0],
                               constructed_stream(-3, 4, k * 13, 13))
-    xi = _noise_block(g, 2 ** 64 - 2, range(3, 6))
+    xi = _NoiseRows(g, 2 ** 64 - 2, range(3, 6))[:, :]
     for b, r in enumerate(range(3, 6)):
         ref = constructed_stream(2 ** 64 - 2, r, 0, 13 * 7).reshape(7, 13)
         assert np.array_equal(xi[b], ref)
@@ -166,14 +165,15 @@ def test_negative_replica_in_a_block_raises():
     with pytest.raises(ValueError):
         _normal_block(1, (0, -1), 0, 4)
     with pytest.raises(ValueError):
-        _noise_block(g, 1, (2, -2))
+        _NoiseRows(g, 1, (2, -2))[:, :]
 
 
 def test_noise_block_memory_is_the_block():
     # 256 replicas at 64 x 64 are an 8 MiB block; building rows in a list and
     # stacking them holds the block twice
     g = GridSpec(m_space=64, k_time=64, horizon=0.5)
-    xi, peak = traced_peak(_noise_block, g, 3, range(256))
+    xi, peak = traced_peak(_NoiseRows(g, 3, range(256)).__getitem__,
+                           np.s_[:, :])
     assert xi.nbytes == 8 * 2 ** 20
     assert peak <= 1.25 * xi.nbytes
 
@@ -223,10 +223,6 @@ def test_increment_scaling_and_bounds():
     root = math.sqrt(g.dt * g.dx)
     assert noise_density_scale(g) * g.dx * math.sqrt(TWO_PI) == pytest.approx(
         root, rel=1e-15)
-    with pytest.raises(IndexError):
-        noise_row(g, 3, 0, 8)
-    with pytest.raises(IndexError):
-        noise_row(g, 3, 0, -1)
 
 
 def test_increment_quadratic_variation():

@@ -32,9 +32,11 @@ from levyheat import (
 )
 from levyheat.kernels import rfft_weights
 from levyheat import solver
-from levyheat.solver import _evolve_batch, _noise_block, _NoiseRows
+from levyheat.noise import _NoiseRows
+from levyheat.solver import _evolve_batch
+from levyheat._parallel import map_chunks
 
-from conftest import steep_sigma
+from conftest import steep_sigma, traced_peak
 
 TWO_PI = 2.0 * math.pi
 
@@ -218,7 +220,7 @@ def test_streamed_noise_matches_the_whole_block(monkeypatch, m, words):
     monkeypatch.setattr(solver, "_ROW_BLOCK_WORDS", words)
     grid = GridSpec(m_space=m, k_time=37, horizon=0.3)
     lazy = _NoiseRows(grid, 4, range(5, 12))
-    whole = _noise_block(grid, 4, range(5, 12))
+    whole = _NoiseRows(grid, 4, range(5, 12))[:, :]
     assert lazy.shape == whole.shape == (7, 37, m)
     for k0, k1 in ((0, 37), (3, 6), (35, 40)):
         assert np.array_equal(lazy[:, k0:k1], whole[:, k0:k1])
@@ -247,7 +249,7 @@ def test_streamed_blowups_in_later_blocks(monkeypatch):
         return _evolve_batch(np.zeros(10), xi, EXP2, sigma, grid, {20, 37})
 
     rec_a, _, blow_a = run(_NoiseRows(grid, 3, range(300)))
-    rec_b, _, blow_b = run(_noise_block(grid, 3, range(300)))
+    rec_b, _, blow_b = run(_NoiseRows(grid, 3, range(300))[:, :])
     assert blow_a == blow_b
     assert 0 < len(blow_a) < 300
     assert min(k for _, k, _ in blow_a) > 3
@@ -263,7 +265,7 @@ def test_streamed_blowups_in_later_blocks(monkeypatch):
 
 def test_additive_variance_and_skewness():
     grid = GridSpec(m_space=64, k_time=64, horizon=0.5)
-    xi = _noise_block(grid, 21, range(4000))
+    xi = _NoiseRows(grid, 21, range(4000))[:, :]
     rec, _, blowups = _evolve_batch(zero_field(64).values, xi, EXP2,
                                     get_sigma("one"), grid, record_ks={64})
     assert not blowups
@@ -305,7 +307,7 @@ def test_scheme_variance_approaches_time_integral():
 
 def test_second_moment_stability_and_self_convergence():
     def m2(grid_, reps):
-        xi = _noise_block(grid_, 77, range(reps))
+        xi = _NoiseRows(grid_, 77, range(reps))[:, :]
         rec, _, _ = _evolve_batch(zero_field(grid_.m_space).values, xi, EXP2,
                                   get_sigma("shifted_sine"), grid_,
                                   record_ks={grid_.k_time})
@@ -393,6 +395,82 @@ def test_picard_norms_monotone_in_beta():
     norms = [picard_sequence(cfg, n_max=3, beta_param=b).norms
              for b in (0.0, 1.0, 4.0, 16.0)]
     assert all(np.all(norms[j + 1] <= norms[j] + 1e-15) for j in range(3))
+
+
+def nested_picard_chunk(cfg, n_max, p):
+    """Picard's chunk body as one full time sweep per iterate over the whole
+    noise block and the whole path of every iterate: the reference for the
+    lockstep loop."""
+    grid = cfg.grid
+    m, k_time = grid.m_space, grid.k_time
+    mult = rfft_multiplier(cfg.exponent, grid)
+    scale = noise_density_scale(grid)
+    sig = cfg.sigma.sigma
+    v0_path = np.empty((k_time + 1, m))
+    v0_path[0] = cfg.u0.values
+    for k in range(k_time):
+        v0_path[k + 1] = solver._smooth(v0_path[k], mult, m)
+
+    def one_chunk(lo, hi):
+        xi = _NoiseRows(grid, cfg.seed, range(lo, hi))[:, :]
+        prev = np.broadcast_to(v0_path, (hi - lo, k_time + 1, m)).copy()
+        mom = np.zeros((n_max, k_time + 1, m))
+        mom_sq = np.zeros((n_max, k_time + 1, m))
+        for n in range(n_max):
+            nxt = np.empty_like(prev)
+            nxt[:, 0] = v0_path[0]
+            conv = np.zeros((hi - lo, m))
+            for k in range(k_time):
+                g = sig(prev[:, k]) * xi[:, k] * scale
+                conv = solver._smooth(conv + g, mult, m)
+                nxt[:, k + 1] = v0_path[k + 1] + conv
+            d = np.abs(nxt - prev) ** p
+            mom[n] = d.sum(axis=0)
+            mom_sq[n] = (d * d).sum(axis=0)
+            prev = nxt
+        return np.stack((mom, mom_sq))
+
+    return one_chunk
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("m, k, drift, p, words", [
+    (10, 37, 1.5, 2.5, 2048),
+    # blocks of 3 rows, the second starting at word 30, mid Philox block
+    (10, 37, 1.5, 2.5, 32),
+    # two blocks of 32 rows
+    (64, 64, 0.0, 2, 2048),
+])
+def test_picard_lockstep_matches_nested_sweeps(monkeypatch, workers, m, k,
+                                               drift, p, words):
+    monkeypatch.setattr(solver, "_ROW_BLOCK_WORDS", words)
+    grid = GridSpec(m_space=m, k_time=k, horizon=0.3)
+    cfg = RunConfig(grid=grid, exponent=make_power_exponent(1.0, 1.7, drift),
+                    sigma=get_sigma("shifted_sine"),
+                    u0=field_from_function(np.sin, m), seed=11, replicas=300)
+    args = (cfg, 4, 8.0, p, workers)
+    lockstep = picard_sequence(*args)
+    # the nested chunks' moments, handed to picard_sequence in chunk order
+    parts = iter(map_chunks(nested_picard_chunk(cfg, 4, p), cfg.replicas,
+                            solver.PICARD_CHUNK, workers))
+    monkeypatch.setattr(solver, "map_chunks", lambda _, n, size, w: [
+        next(parts) for _ in range(0, n, size)])
+    nested = picard_sequence(*args)
+    assert np.array_equal(lockstep.norms, nested.norms)
+    assert np.array_equal(lockstep.stderrs, nested.stderrs)
+    assert np.array_equal(lockstep.ratios, nested.ratios)
+    assert np.all(nested.norms[:3] > 0.0)
+
+
+def test_picard_memory_is_one_step_of_every_iterate():
+    # the iterates at one step and one block of noise rows, not the whole
+    # noise block and every iterate's path: those were 98.5 MiB here
+    cfg = picard_config(128, 128, 0.5, "shifted_sine", replicas=128)
+    _, peak = traced_peak(picard_sequence, cfg, n_max=6, beta_param=8.0)
+    assert peak <= 16 * 2 ** 20
+    cfg = picard_config(128, 128, 0.5, "shifted_sine", replicas=512)
+    _, peak_512 = traced_peak(picard_sequence, cfg, n_max=6, beta_param=8.0)
+    assert peak_512 <= 1.25 * peak
 
 
 def test_picard_validation():
