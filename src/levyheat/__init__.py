@@ -9,8 +9,6 @@ from .kernels import (
     ExponentRangeError,
     KernelCoefficients,
     LevyExponent,
-    SpectralField,
-    apply_semigroup,
     check_exponent_condition,
     field_from_function,
     fit_slope,

@@ -10,13 +10,14 @@ unit-mass convention for the torus measure, under which
 
     ||q_t||^2 = (1/4pi^2) sum_n exp(-2 t Re phi(n)).
 
-Mode convention used throughout the package: a real field on the m-point
-grid x_i = 2pi i / m is f(x) = sum_n c(n) exp(+i n x) (the numpy FFT
-convention), stored as its rfft coefficients c(n) = rfft(f)[n] / m for
-n = 0..m//2; c(-n) = conj(c(n)) is implied.  The semigroup multiplies mode n
-by exp(-t phi(n)), and Hermitian symmetry phi(-n) = conj(phi(n)) keeps real
-fields real.  For even m the Nyquist mode n = m/2 is its own conjugate on the
-grid, so a multiplier acts there through its real part (`rfft_symbol`).
+Spectral convention used throughout the package: a real field is its values
+on the grid x_i = 2pi i / m, with f(x) = sum_n c(n) exp(+i n x) and
+c(n) = rfft(f)[n] / m for n = 0..m//2, c(-n) = conj(c(n)) (numpy's FFT
+convention).  A multiplier acts through its symbol on these rfft modes
+(`rfft_symbol`), applied by `solver._smooth`, the one place that transforms;
+the semigroup's symbol is exp(-t phi(n)).  For even m the Nyquist mode m/2 is
+its own conjugate, so a symbol acts there through its real part, which keeps
+real fields real.
 
 Series are truncated with certified tail bounds derived from the growth
 envelope c_lower |n|^alpha <= Re phi(n) <= c_upper |n|^beta; pass
@@ -131,6 +132,8 @@ def _one_sided_exp_tail(lam, alpha, n):
 
 def _doubling_cutoff(tail, tol, n):
     """First cutoff n * 2^j whose certified tail(n * 2^j) is at most tol."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("series tol must be positive and finite")
     while tail(n) > tol:
         n *= 2
         if n > _MAX_CUTOFF:
@@ -381,7 +384,7 @@ def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL, full_output=Fal
 
 
 def _laplace_series(exp_, beta_param, tol):
-    if beta_param <= 0.0:
+    if not beta_param > 0.0:
         raise ValueError(f"need beta_param > 0, got {beta_param}")
     b, c2 = exp_.beta, exp_.c_upper
 
@@ -431,55 +434,7 @@ def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL, full_output=False):
 
 
 # ---------------------------------------------------------------------------
-# spectral fields and semigroup
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Real field on the uniform grid x_i = 2pi i / m, stored with its modes.
-
-    modes[n] = rfft(values)[n] / m is the coefficient of exp(+i n x) for
-    n = 0..m//2; mode -n is the conjugate of mode n and is not stored.  The
-    DC mode and, for even m, the Nyquist mode m/2 are real.
-    """
-
-    values: np.ndarray
-    modes: np.ndarray
-
-    def __post_init__(self):
-        if np.any(~np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-
-    @property
-    def m_space(self):
-        return len(self.values)
-
-    @staticmethod
-    def from_values(values):
-        values = np.asarray(values, dtype=float)
-        m = len(values)
-        if m < 4:
-            raise ValueError("need at least 4 grid points")
-        return SpectralField(values=values, modes=np.fft.rfft(values) / m)
-
-    @staticmethod
-    def from_modes(modes, m_space=None):
-        """Field with the given rfft modes on m_space points; m_space
-        defaults to the even grid 2 * (len(modes) - 1)."""
-        modes = np.asarray(modes, dtype=complex)
-        m = 2 * (len(modes) - 1) if m_space is None else m_space
-        if m < 4 or len(modes) != m // 2 + 1:
-            raise ValueError(
-                f"need m_space >= 4 and m_space // 2 + 1 modes, got "
-                f"{len(modes)} modes for m_space={m}")
-        real = modes[[0, -1]] if m % 2 == 0 else modes[:1]
-        if np.any(np.abs(real.imag) > 1e-12):
-            raise ValueError("DC and Nyquist modes of a real field must be real")
-        return _with_modes(modes, m)
-
-
-def _with_modes(modes, m):
-    return SpectralField(values=np.fft.irfft(modes * m, n=m), modes=modes)
+# rfft symbols and grid fields
 
 
 def rfft_symbol(exp_, m, fn):
@@ -506,17 +461,8 @@ def rfft_weights(m):
 
 
 def field_from_function(f, m_space):
-    x = TWO_PI * np.arange(m_space) / m_space
-    return SpectralField.from_values(f(x))
-
-
-def apply_semigroup(exp_, t, field):
-    """Evolve a field by the semigroup: mode n -> exp(-t phi(n)) * mode n."""
-    if t < 0.0:
-        raise ValueError("semigroup time must be nonnegative")
-    m = field.m_space
-    mult = rfft_symbol(exp_, m, lambda p: np.exp(-t * p))
-    return _with_modes(field.modes * mult, m)
+    """f(x) at the grid points x_i = 2pi i / m_space, as a float array."""
+    return np.asarray(f(TWO_PI * np.arange(m_space) / m_space), dtype=float)
 
 
 # ---------------------------------------------------------------------------

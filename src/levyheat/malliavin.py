@@ -113,8 +113,8 @@ def hnorm_sq(rows, grid, deltas=()):
     sources in the window (t - delta, t], the windowed mass that drives the
     small-ball bounds.
     """
-    if any(delta <= 0 for delta in deltas):
-        raise ValueError("tail windows must be positive")
+    if not all(0 < delta < math.inf for delta in deltas):
+        raise ValueError("tail windows must be positive and finite")
     weight = grid.dt * grid.dx
     per_step = np.sum(rows ** 2, axis=-1)
     k_p = rows.shape[1]
@@ -156,7 +156,7 @@ def noise_gradient_oracle(config, replica, source, probe, h=0.5, rel_tol=0.05):
     variants[2, k_s, i_s] += 0.5 * h
     variants[3, k_s, i_s] -= 0.5 * h
     records, _, blowups = _evolve_batch(
-        config.u0.values, variants, config.exponent, config.sigma, grid,
+        config.u0, variants, config.exponent, config.sigma, grid,
         record_ks={k_p},
     )
     if blowups:
@@ -190,7 +190,7 @@ def hnorm_samples(config, workers=1, deltas=()):
 
     def one_chunk(lo, hi):
         xi = _NoiseRows(grid, config.seed, range(lo, hi))[:, :]
-        _, path, blowups = _evolve_batch(config.u0.values, xi, config.exponent,
+        _, path, blowups = _evolve_batch(config.u0, xi, config.exponent,
                                          config.sigma, grid, keep_path=True)
         (path, xi), blowups = _drop_blowups(lo, blowups, path, xi)
         rows = adjoint_gradient(path, xi, config.exponent, config.sigma, grid,
@@ -307,9 +307,9 @@ def negative_moment_estimate(samples, p=2, floor=1e-8):
     the sweep re-evaluates at floor/sqrt(10) and floor/10 so floor sensitivity
     is visible across one decade.
     """
-    if p < 2:
+    if not p >= 2:
         raise ValueError("need p >= 2")
-    if floor <= 0:
+    if not floor > 0:
         raise ValueError("need floor > 0")
     samples = np.asarray(samples, dtype=float)
     n = len(samples)

@@ -87,7 +87,7 @@ def run_ensemble(config, workers=1):
     def one_chunk(lo, hi):
         xi = _NoiseRows(grid, config.seed, range(lo, hi))
         records, _, blowups = _evolve_batch(
-            config.u0.values, xi, config.exponent, config.sigma, grid,
+            config.u0, xi, config.exponent, config.sigma, grid,
             record_ks={k_p},
         )
         (values,), blowups = _drop_blowups(lo, blowups, records[k_p][:, i_p])

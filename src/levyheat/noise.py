@@ -74,6 +74,8 @@ class GridSpec:
         i = x / self.dx
         if not (0.0 <= t <= self.horizon * (1 + 1e-12)):
             raise ValueError(f"probe time {t} outside [0, {self.horizon}]")
+        if not abs(x) < math.inf:
+            raise ValueError(f"probe point {x} is not finite")
         if abs(k - round(k)) > 1e-9 or abs(i - round(i)) > 1e-9:
             raise ValueError(f"probe ({t}, {x}) is not a grid point")
         return int(round(k)), int(round(i)) % self.m_space

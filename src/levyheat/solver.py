@@ -29,7 +29,6 @@ from .kernels import (
     DEFAULT_SERIES_TOL,
     FOUR_PI_SQ,
     TWO_PI,
-    SpectralField,
     _norm_series,
     _sum_series,
     rfft_symbol,
@@ -114,25 +113,30 @@ def _smooth(fields, mult, m):
 class RunConfig:
     """Everything a deterministic run needs.
 
-    probe is the (t, x) point whose law the run samples; it must sit exactly
-    on the grid and defaults to (horizon, 0), resolved when the config is
-    built (dataclasses.replace with a new grid keeps the old probe).  Moment
-    estimates need at least 2 replicas.
+    u0 is the initial field as its m_space grid values, stored as a
+    read-only float copy.  probe is the (t, x) point whose law the run
+    samples; it must sit exactly on the grid and defaults to (horizon, 0),
+    resolved when the config is built (dataclasses.replace with a new grid
+    keeps the old probe).  Moment estimates need at least 2 replicas.
     """
 
     grid: GridSpec
     exponent: object
     sigma: SigmaSpec
-    u0: SpectralField
+    u0: np.ndarray
     seed: int = 0
     replicas: int = 10000
     probe: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.u0.m_space != self.grid.m_space:
-            raise ValueError(
-                f"u0 lives on {self.u0.m_space} points, grid has {self.grid.m_space}"
-            )
+        u0 = np.array(self.u0, dtype=float)
+        if u0.shape != (self.grid.m_space,):
+            raise ValueError(f"u0 has shape {u0.shape}, the grid needs "
+                             f"({self.grid.m_space},)")
+        if not np.all(np.isfinite(u0)):
+            raise ValueError("u0 values must be finite")
+        u0.flags.writeable = False
+        object.__setattr__(self, "u0", u0)
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas")
         if self.probe is None:
@@ -219,7 +223,7 @@ def solve_path(config, replica=0, noise=None):
     if noise is None:
         noise = sample_noise(config.grid, config.seed, replica)
     _, path, blowups = _evolve_batch(
-        config.u0.values, noise[None], config.exponent, config.sigma,
+        config.u0, noise[None], config.exponent, config.sigma,
         config.grid, keep_path=True,
     )
     if blowups:
@@ -297,9 +301,9 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    if p < 2:
+    if not p >= 2:
         raise ValueError("need p >= 2")
-    if beta_param < 0:
+    if not beta_param >= 0:
         raise ValueError("need beta_param >= 0")
     grid = config.grid
     r_total = config.replicas
@@ -313,7 +317,7 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
         # v[n] is iterate n at step k; iterate n + 1 needs iterate n only at
         # step k, so all of them advance together, row 0 being the flow of u0
         xi = _NoiseRows(grid, config.seed, range(lo, hi))
-        v0 = np.asarray(config.u0.values, dtype=float)
+        v0 = config.u0
         v = np.broadcast_to(v0, (n_max + 1, hi - lo, m)).copy()
         conv = np.zeros((n_max, hi - lo, m))
         moments = np.zeros((2, n_max, k_time + 1, m))

@@ -187,6 +187,16 @@ def test_unattainable_series_tolerance_is_numerical_error(tmp_path, capsys):
     assert not (out / "kernel.csv").exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_series_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
+    # a NaN or infinite tol would pass every tail test and certify nothing
+    code, out = run_cli(["kernel", "--set", f"tol={tol}"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("levyheat:error:config: series tol must be positive")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # metadata contract
 
@@ -393,6 +403,31 @@ def test_picard_norm_parameters_are_config_errors(tmp_path, capsys, setting):
     code, out = run_cli(["picard"] + SMALL + ["--set", setting], tmp_path)
     assert code == 1
     assert capsys.readouterr().err.startswith("levyheat:error:config:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, settings, message", [
+    ("picard", "moment_p=nan", "need p >= 2"),
+    ("picard", "picard_beta=nan", "need beta_param >= 0"),
+    ("kernel", "picard_beta=nan", "need beta_param > 0"),
+    ("malliavin", "moment_p=nan", "need p >= 2"),
+    ("malliavin", "floor=nan", "need floor > 0"),
+    ("malliavin", "deltas=nan", "tail windows must be positive and finite"),
+    ("malliavin", "deltas=0.05,inf", "tail windows must be positive and finite"),
+    ("simulate", "probe_x=nan", "is not finite"),
+    ("simulate", "probe_x=inf", "is not finite"),
+    ("simulate", "u0=sin u0_amp=nan", "u0 values must be finite"),
+])
+def test_nan_parameters_are_config_errors(tmp_path, capsys, subcommand,
+                                          settings, message):
+    # a NaN fails every "x < bound" test, so each guard is a negated
+    # comparison that NaN cannot pass; an infinite window or probe point is
+    # refused the same way
+    sets = [arg for s in settings.split() for arg in ("--set", s)]
+    code, out = run_cli([subcommand] + SMALL + sets, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("levyheat:error:config:") and message in err
     assert not out.exists()
 
 

@@ -15,8 +15,6 @@ from scipy.integrate import quad, trapezoid
 from levyheat import (
     ExponentRangeError,
     LevyExponent,
-    SpectralField,
-    apply_semigroup,
     check_exponent_condition,
     field_from_function,
     kernel_coefficients,
@@ -38,8 +36,9 @@ from levyheat.kernels import (
     rfft_symbol,
     rfft_weights,
 )
+from levyheat.solver import _smooth
 
-from conftest import traced_peak
+from conftest import semigroup, traced_peak
 
 GAMMA_3_2 = math.gamma(1.5)  # = sqrt(pi)/2, the alpha=2 limit constant
 
@@ -301,6 +300,22 @@ def test_laplace_rejects_nonpositive():
     exp_ = make_power_exponent(1.0, 2.0)
     with pytest.raises(ValueError):
         kernel_l2_laplace(exp_, 0.0)
+    with pytest.raises(ValueError):
+        kernel_l2_laplace(exp_, float("nan"))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+def test_series_tol_must_be_positive_and_finite(tol):
+    # every series finds its cutoff in one doubling search, which refuses a
+    # tol that no tail bound can be compared against
+    exp_ = make_power_exponent(1.0, 2.0)
+    for series in (lambda: kernel_l2_norm_sq(exp_, 0.1, tol=tol),
+                   lambda: kernel_l2_time_integral(exp_, 0.1, tol=tol),
+                   lambda: kernel_l2_laplace(exp_, 1.0, tol=tol),
+                   lambda: kernel_coefficients(exp_, 0.1, tol=tol),
+                   lambda: limit_constant_probe(1.5, 0.1, tol=tol)):
+        with pytest.raises(ValueError, match="series tol must be positive"):
+            series()
 
 
 def test_laplace_equals_weighted_time_integral():
@@ -352,18 +367,18 @@ def test_limit_constant_cauchy_near_zero():
 def test_semigroup_identity_and_constants():
     exp_ = make_power_exponent(1.0, 1.5)
     f = field_from_function(lambda x: 1.0 + 0.0 * x, 32)
-    assert apply_semigroup(exp_, 0.0, f).values == pytest.approx(f.values)
-    out = apply_semigroup(exp_, 3.0, f)
-    assert out.values == pytest.approx(np.ones(32), rel=1e-14)
+    assert semigroup(exp_, 0.0, f) == pytest.approx(f)
+    out = semigroup(exp_, 3.0, f)
+    assert out == pytest.approx(np.ones(32), rel=1e-14)
 
 
 def test_semigroup_cosine_decay():
     exp_ = make_power_exponent(1.0, 2.0)
     f = field_from_function(np.cos, 64)
     t = 0.3
-    out = apply_semigroup(exp_, t, f)
+    out = semigroup(exp_, t, f)
     x = np.arange(64) * (TWO_PI / 64)
-    assert out.values == pytest.approx(math.exp(-t) * np.cos(x), rel=1e-12)
+    assert out == pytest.approx(math.exp(-t) * np.cos(x), rel=1e-12)
 
 
 def test_semigroup_composition():
@@ -372,15 +387,15 @@ def test_semigroup_composition():
     # steps apply the product of their real parts, as the solver's steps do
     exp_ = make_power_exponent(0.8, 1.5, drift=0.2)
     rng = np.random.default_rng(5)
-    f = SpectralField.from_values(rng.standard_normal(32))
-    one = apply_semigroup(exp_, 0.25, f)
-    two = apply_semigroup(exp_, 0.15, apply_semigroup(exp_, 0.10, f))
-    assert two.modes[:-1] == pytest.approx(one.modes[:-1], rel=1e-12, abs=1e-13)
+    f = rng.standard_normal(32)
+    one = np.fft.rfft(semigroup(exp_, 0.25, f)) / 32
+    two = np.fft.rfft(semigroup(exp_, 0.15, semigroup(exp_, 0.10, f))) / 32
+    assert two[:-1] == pytest.approx(one[:-1], rel=1e-12, abs=1e-13)
     phi_nyq = exp_.phi(np.array([16]))[0]
     step_re = [math.exp(-t * phi_nyq.real) * math.cos(t * phi_nyq.imag)
                for t in (0.10, 0.15)]
-    assert two.modes[-1] == pytest.approx(
-        step_re[0] * step_re[1] * f.modes[-1], rel=1e-12)
+    assert two[-1] == pytest.approx(
+        step_re[0] * step_re[1] * np.fft.rfft(f)[-1] / 32, rel=1e-12)
 
 
 def test_semigroup_drift_translates():
@@ -392,21 +407,19 @@ def test_semigroup_drift_translates():
     exp_ = make_power_exponent(1.0, 2.0, drift=drift)
     base = make_power_exponent(1.0, 2.0)
     f = field_from_function(lambda x: np.sin(x) + 0.3 * np.cos(2 * x), m)
-    moved = apply_semigroup(exp_, t, f)
-    plain = apply_semigroup(base, t, f)
-    assert moved.values == pytest.approx(np.roll(plain.values, 1), rel=1e-10,
-                                         abs=1e-12)
+    moved = semigroup(exp_, t, f)
+    plain = semigroup(base, t, f)
+    assert moved == pytest.approx(np.roll(plain, 1), rel=1e-10, abs=1e-12)
 
 
 def test_generator_is_semigroup_derivative():
     exp_ = make_power_exponent(1.0, 1.5, drift=0.3)
     f = field_from_function(lambda x: np.sin(2 * x) + np.cos(x), 64)
     # the generator acts on mode n as -phi(n)
-    target = SpectralField.from_modes(
-        rfft_symbol(exp_, 64, np.negative) * f.modes, 64).values
+    target = _smooth(f, rfft_symbol(exp_, 64, np.negative), 64)
     errs = []
     for h in (1e-3, 5e-4, 2.5e-4):
-        diff = (apply_semigroup(exp_, h, f).values - f.values) / h
+        diff = (semigroup(exp_, h, f) - f) / h
         errs.append(np.max(np.abs(diff - target)))
     # first-order convergence: error roughly halves with h
     assert errs[2] < errs[0]
@@ -447,43 +460,39 @@ def test_exponent_condition_rejects_out_of_range():
 
 
 def test_field_roundtrip_even_and_odd():
+    # values -> rfft modes -> values on even and odd grids, through the
+    # solver's transform with the t = 0 semigroup symbol
+    exp_ = make_power_exponent(1.0, 1.5, drift=0.3)
     rng = np.random.default_rng(11)
     for m in (16, 17, 64, 65):
         vals = rng.standard_normal(m)
-        f = SpectralField.from_values(vals)
-        back = SpectralField.from_modes(f.modes, m_space=m)
-        assert back.values == pytest.approx(vals, rel=1e-12, abs=1e-12)
+        back = semigroup(exp_, 0.0, vals)
+        assert back == pytest.approx(vals, rel=1e-12, abs=1e-12)
 
 
 def test_field_parseval():
-    # each stored mode n > 0 stands for the pair +-n, except the even-m
+    # each rfft mode n > 0 stands for the pair +-n, except the even-m
     # Nyquist mode, which is a single grid harmonic
     rng = np.random.default_rng(12)
     for m in (65, 64):
         vals = rng.standard_normal(m)
-        f = SpectralField.from_values(vals)
+        modes = np.fft.rfft(vals) / m
         assert np.mean(vals ** 2) == pytest.approx(
-            float(np.sum(rfft_weights(m) * np.abs(f.modes) ** 2)), rel=1e-12)
+            float(np.sum(rfft_weights(m) * np.abs(modes) ** 2)), rel=1e-12)
 
 
 def test_field_hermitian_modes():
-    # the stored modes are the half n = 0..m/2 of a Hermitian spectrum
+    # the rfft modes are the half n = 0..m/2 of a Hermitian spectrum, with
+    # f(x) = sum_n c(n) exp(+i n x)
     f = field_from_function(lambda x: np.sin(x) + np.cos(3 * x), 32)
-    assert len(f.modes) == 17
-    assert f.modes[1] == pytest.approx(-0.5j, abs=1e-15)
-    assert f.modes[3] == pytest.approx(0.5, abs=1e-15)
-    full = np.fft.fft(f.values) / 32
+    modes = np.fft.rfft(f) / 32
+    assert len(modes) == 17
+    assert modes[1] == pytest.approx(-0.5j, abs=1e-15)
+    assert modes[3] == pytest.approx(0.5, abs=1e-15)
+    full = np.fft.fft(f) / 32
     for n in range(1, 17):
-        assert full[-n] == pytest.approx(np.conj(f.modes[n]), abs=1e-15)
-    assert f.modes[0].imag == 0.0 and f.modes[16].imag == 0.0
-    # DC and Nyquist of a real field are real; outside input must agree
-    for j in (0, 16):
-        bad = f.modes.copy()
-        bad[j] += 1e-3j
-        with pytest.raises(ValueError):
-            SpectralField.from_modes(bad, m_space=32)
-    with pytest.raises(ValueError):
-        SpectralField.from_modes(f.modes, m_space=64)
+        assert full[-n] == pytest.approx(np.conj(modes[n]), abs=1e-15)
+    assert modes[0].imag == 0.0 and modes[16].imag == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Layering: the numerical modules never reach up into the output layer, the
-noise module alone draws random numbers, and the public API has no name that
-only the tests use.
+noise module alone draws random numbers, solver._smooth alone transforms, and
+the public API has no name that only the tests use.
 
 mcstats (ensembles, density, row serialization) and cli (the row format)
 sit above kernels, noise, solver, malliavin and _parallel.  An import the
@@ -10,6 +10,7 @@ format, so this test parses each lower module and rejects any such import.
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -80,9 +81,22 @@ def test_only_noise_names_the_block_filler():
     assert naming == ["noise.py"]
 
 
+def test_only_the_solver_step_transforms():
+    # one spectral convention: kernels writes the rfft symbols down and
+    # solver._smooth, the one function that calls numpy's FFT, applies them
+    # to grid values
+    naming = sorted(path.name for path in PACKAGE.glob("*.py")
+                    if re.search(r"\b(np|numpy)\.fft\b",
+                                 path.read_text(encoding="utf-8")))
+    assert naming == ["solver.py"]
+    tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    calling = [node.name for node in tree.body
+               if "np.fft" in ast.unparse(node)]
+    assert calling == ["_smooth"]
+
+
 # public names whose only callers are tests, kept on purpose as references
 TEST_ONLY_API = {
-    "apply_semigroup",  # reference for the sigma = 0 solver
     "load_rows",  # round-trip reference for emit
 }
 

@@ -113,7 +113,7 @@ def test_streamed_ensemble_matches_the_whole_block(monkeypatch, workers):
     values, blowups = [], []
     for lo, hi in ((0, 256), (256, 300)):
         rec, _, chunk_blowups = _evolve_batch(
-            cfg.u0.values, _NoiseRows(cfg.grid, cfg.seed, range(lo, hi))[:, :],
+            cfg.u0, _NoiseRows(cfg.grid, cfg.seed, range(lo, hi))[:, :],
             EXP2, steep, cfg.grid, {37})
         (v,), b = _drop_blowups(lo, chunk_blowups, rec[37][:, 0])
         values.append(v)

@@ -15,9 +15,7 @@ from levyheat import (
     GridSpec,
     RunConfig,
     SigmaSpec,
-    SpectralField,
     additive_variance_exact,
-    apply_semigroup,
     field_from_function,
     get_sigma,
     kernel_l2_norm_sq,
@@ -36,7 +34,7 @@ from levyheat.noise import _NoiseRows
 from levyheat.solver import _evolve_batch
 from levyheat._parallel import map_chunks
 
-from conftest import steep_sigma, traced_peak
+from conftest import semigroup, steep_sigma, traced_peak
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,8 +114,8 @@ def test_zero_sigma_matches_semigroup():
                     seed=0, replicas=2)
     path = solve_path(cfg)
     for k in (0, 5, 10):
-        target = apply_semigroup(EXP2, k * grid.dt, u0)
-        assert path[k] == pytest.approx(target.values, abs=1e-12)
+        assert path[k] == pytest.approx(semigroup(EXP2, k * grid.dt, u0),
+                                        abs=1e-12)
 
 
 def test_constant_initial_state_is_preserved():
@@ -140,8 +138,8 @@ def test_additive_superposition():
     path_sin = solve_path(RunConfig(u0=u0, **base))
     path_zero = solve_path(RunConfig(u0=zero_field(32), **base))
     for k in (5, 20):
-        target = apply_semigroup(EXP2, k * grid.dt, u0)
-        assert path_sin[k] - path_zero[k] == pytest.approx(target.values, abs=1e-12)
+        assert path_sin[k] - path_zero[k] == pytest.approx(
+            semigroup(EXP2, k * grid.dt, u0), abs=1e-12)
 
 
 def test_torus_periodicity():
@@ -149,7 +147,7 @@ def test_torus_periodicity():
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
                     u0=field_from_function(np.cos, 16), seed=11, replicas=2)
     values = solve_path(cfg)[-1]
-    modes = SpectralField.from_values(values).modes
+    modes = np.fft.rfft(values) / 16
     n = np.arange(len(modes))
 
     def synth(x):
@@ -196,6 +194,28 @@ def test_config_validation():
                       u0=zero_field(16), seed=0, replicas=replicas)
 
 
+def test_u0_is_a_read_only_copy_of_finite_grid_values():
+    grid = GridSpec(m_space=16, k_time=8, horizon=0.2)
+    base = dict(grid=grid, exponent=EXP2, sigma=get_sigma("one"), seed=0,
+                replicas=2)
+    with_nan = field_from_function(np.sin, 16)
+    with_nan[3] = np.nan
+    for bad in (np.zeros(15), np.zeros((1, 16)), np.zeros((16, 16)), with_nan,
+                np.full(16, np.inf)):
+        with pytest.raises(ValueError):
+            RunConfig(u0=bad, **base)
+    mine = field_from_function(np.sin, 16)
+    cfg = RunConfig(u0=mine, **base)
+    assert cfg.u0.dtype == float and cfg.u0.shape == (16,)
+    mine[:] = 5.0
+    assert np.array_equal(cfg.u0, field_from_function(np.sin, 16))
+    assert not cfg.u0.flags.writeable
+    with pytest.raises(ValueError):
+        cfg.u0[0] = 1.0
+    # a list of grid values is accepted and stored the same way
+    assert np.array_equal(RunConfig(u0=[0.0] * 16, **base).u0, np.zeros(16))
+
+
 def test_blow_up_reported():
     grid = GridSpec(m_space=16, k_time=8, horizon=0.2)
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
@@ -224,7 +244,7 @@ def test_streamed_noise_matches_the_whole_block(monkeypatch, m, words):
     assert lazy.shape == whole.shape == (7, 37, m)
     for k0, k1 in ((0, 37), (3, 6), (35, 40)):
         assert np.array_equal(lazy[:, k0:k1], whole[:, k0:k1])
-    u0 = field_from_function(np.sin, m).values
+    u0 = field_from_function(np.sin, m)
     args = (EXP2, get_sigma("shifted_sine"), grid, {0, 4, 37}, True)
     rec_a, path_a, blow_a = _evolve_batch(u0, lazy, *args)
     rec_b, path_b, blow_b = _evolve_batch(u0, whole, *args)
@@ -266,7 +286,7 @@ def test_streamed_blowups_in_later_blocks(monkeypatch):
 def test_additive_variance_and_skewness():
     grid = GridSpec(m_space=64, k_time=64, horizon=0.5)
     xi = _NoiseRows(grid, 21, range(4000))[:, :]
-    rec, _, blowups = _evolve_batch(zero_field(64).values, xi, EXP2,
+    rec, _, blowups = _evolve_batch(zero_field(64), xi, EXP2,
                                     get_sigma("one"), grid, record_ks={64})
     assert not blowups
     u = rec[64][:, 0]
@@ -308,7 +328,7 @@ def test_scheme_variance_approaches_time_integral():
 def test_second_moment_stability_and_self_convergence():
     def m2(grid_, reps):
         xi = _NoiseRows(grid_, 77, range(reps))[:, :]
-        rec, _, _ = _evolve_batch(zero_field(grid_.m_space).values, xi, EXP2,
+        rec, _, _ = _evolve_batch(zero_field(grid_.m_space), xi, EXP2,
                                   get_sigma("shifted_sine"), grid_,
                                   record_ks={grid_.k_time})
         u = rec[grid_.k_time][:, 0]
@@ -407,7 +427,7 @@ def nested_picard_chunk(cfg, n_max, p):
     scale = noise_density_scale(grid)
     sig = cfg.sigma.sigma
     v0_path = np.empty((k_time + 1, m))
-    v0_path[0] = cfg.u0.values
+    v0_path[0] = cfg.u0
     for k in range(k_time):
         v0_path[k + 1] = solver._smooth(v0_path[k], mult, m)
 
