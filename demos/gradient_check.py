@@ -16,14 +16,13 @@ grid = lh.GridSpec(m_space=16, k_time=16, horizon=0.25)
 cfg = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("shifted_sine"),
                    u0=lh.field_from_function(np.sin, 16), seed=12, replicas=4)
 xi = lh.sample_noise(grid, cfg.seed, 1)
-path = lh.solve_path(cfg, 1, noise=xi)
+path = lh.solve_path(cfg, 1)
 
 print("derivative wrt noise cell (k,i), probed at (t,x); sigma(u)=2+sin(u)")
 print(f"{'source':>8} {'probe':>16} {'propagated':>14} {'bumped':>14} {'rel':>9}")
 for src in ((2, 3), (5, 0), (9, 11)):
     for probe in ((0.25, 0.0), (0.1875, math.pi)):
-        k_p = int(round(probe[0] / grid.dt))
-        i_p = int(round(probe[1] / grid.dx))
+        k_p, i_p = grid.index_of(*probe)
         d = lh.propagate_derivative(path, xi, exp2, cfg.sigma, grid,
                                     src, until_k=k_p)
         orc = lh.noise_gradient_oracle(cfg, 1, src, probe)
@@ -43,7 +42,7 @@ print()
 print("derivative mass at the probe vs the constant-sigma closed form")
 cfg1 = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("one"),
                     u0=cfg.u0, seed=12, replicas=4)
-path1 = lh.solve_path(cfg1, 1, noise=xi)
+path1 = lh.solve_path(cfg1, 1)
 # one reverse sweep gives the gradient of u(t, x) in every noise cell
 rows = lh.adjoint_gradient(path[None], xi[None], exp2, cfg.sigma, grid,
                            grid.k_time, 0)

@@ -384,8 +384,8 @@ def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL, full_output=Fal
 
 
 def _laplace_series(exp_, beta_param, tol):
-    if not beta_param > 0.0:
-        raise ValueError(f"need beta_param > 0, got {beta_param}")
+    if not 0.0 < beta_param < math.inf:
+        raise ValueError(f"need beta_param > 0 and finite, got {beta_param}")
     b, c2 = exp_.beta, exp_.c_upper
 
     def lower_tail(n):

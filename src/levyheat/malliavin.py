@@ -31,14 +31,7 @@ import numpy as np
 
 from .kernels import DEFAULT_SERIES_TOL, TWO_PI, kernel_l2_time_integral
 from .noise import _NoiseRows, sample_noise
-from .solver import (
-    BlowUpError,
-    _drop_blowups,
-    _evolve_batch,
-    _smooth,
-    noise_density_scale,
-    rfft_multiplier,
-)
+from .solver import BlowUpError, _Scheme, _drop_blowups, _evolve_batch
 from ._parallel import map_chunks
 
 HNORM_CHUNK = 64
@@ -69,13 +62,12 @@ def propagate_derivative(path, xi, exp_, sigma, grid, source, until_k=None):
     m = grid.m_space
     if k_s >= until_k:
         return np.zeros(m)
-    mult = rfft_multiplier(exp_, grid)
-    scale = noise_density_scale(grid)
+    scheme = _Scheme(exp_, sigma, grid)
     d = np.zeros(m)
     d[i_s] = float(sigma.sigma(path[k_s, i_s])) * _point_scale(grid)
-    d = _smooth(d, mult, m)
+    d = scheme.smooth(d)
     for k in range(k_s + 1, until_k):
-        d = _smooth(d * (1.0 + sigma.sigma_prime(path[k]) * xi[k] * scale), mult, m)
+        d = scheme.smooth(d * scheme.tangent(path[k], xi[k]))
     return d
 
 
@@ -89,19 +81,15 @@ def adjoint_gradient(path, xi, exp_, sigma, grid, k_p, i_p):
     """
     if not (0 <= k_p <= grid.k_time) or not (0 <= i_p < grid.m_space):
         raise IndexError(f"probe cell {(k_p, i_p)} outside the grid")
-    m = grid.m_space
-    # S is a real circulant, so S^T has the conjugate symbol; S^T != S under
-    # drift
-    mult_t = np.conj(rfft_multiplier(exp_, grid))
-    scale = noise_density_scale(grid)
+    scheme = _Scheme(exp_, sigma, grid)
     pscale = _point_scale(grid)
-    rows = np.empty((len(path), k_p, m))
-    lam = np.zeros((len(path), m))
+    rows = np.empty((len(path), k_p, grid.m_space))
+    lam = np.zeros((len(path), grid.m_space))
     lam[:, i_p] = 1.0
     for k in range(k_p - 1, -1, -1):
-        mu = _smooth(lam, mult_t, m)
+        mu = scheme.smooth(lam, transpose=True)
         rows[:, k] = sigma.sigma(path[:, k]) * pscale * mu
-        lam = (1.0 + sigma.sigma_prime(path[:, k]) * xi[:, k] * scale) * mu
+        lam = scheme.tangent(path[:, k], xi[:, k]) * mu
     return rows
 
 
@@ -155,14 +143,12 @@ def noise_gradient_oracle(config, replica, source, probe, h=0.5, rel_tol=0.05):
     variants[1, k_s, i_s] -= h
     variants[2, k_s, i_s] += 0.5 * h
     variants[3, k_s, i_s] -= 0.5 * h
-    records, _, blowups = _evolve_batch(
-        config.u0, variants, config.exponent, config.sigma, grid,
-        record_ks={k_p},
-    )
+    u, _, blowups = _evolve_batch(config.u0, variants, config.exponent,
+                                  config.sigma, grid, k_p)
     if blowups:
         _, k_bad, max_abs = blowups[0]
         raise BlowUpError(k_bad, max_abs, replica)
-    u = records[k_p][:, i_p]
+    u = u[:, i_p]
     cell = math.sqrt(grid.dt * grid.dx)
     v_h = (u[0] - u[1]) / (2.0 * h * cell)
     v_half = (u[2] - u[3]) / (h * cell)
@@ -181,17 +167,17 @@ def hnorm_samples(config, workers=1, deltas=()):
 
     Returns (samples, tails, blowups): tails maps each window delta to its
     per-replica array, and blowups lists (replica, step, magnitude) for the
-    replicas that blew up, which are excluded from samples and tails exactly
-    as run_ensemble excludes them.  Deterministic in config regardless of
-    worker count.
+    replicas that blew up by the probe step, where each path stops; they are
+    excluded from samples and tails exactly as run_ensemble excludes them.
+    Deterministic in config regardless of worker count.
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
 
     def one_chunk(lo, hi):
-        xi = _NoiseRows(grid, config.seed, range(lo, hi))[:, :]
+        xi = _NoiseRows(grid, config.seed, range(lo, hi))[:, :k_p]
         _, path, blowups = _evolve_batch(config.u0, xi, config.exponent,
-                                         config.sigma, grid, keep_path=True)
+                                         config.sigma, grid, k_p, keep_path=True)
         (path, xi), blowups = _drop_blowups(lo, blowups, path, xi)
         rows = adjoint_gradient(path, xi, config.exponent, config.sigma, grid,
                                 k_p, i_p)
@@ -307,10 +293,10 @@ def negative_moment_estimate(samples, p=2, floor=1e-8):
     the sweep re-evaluates at floor/sqrt(10) and floor/10 so floor sensitivity
     is visible across one decade.
     """
-    if not p >= 2:
-        raise ValueError("need p >= 2")
-    if not floor > 0:
-        raise ValueError("need floor > 0")
+    if not 2 <= p < math.inf:
+        raise ValueError("need p >= 2 and finite")
+    if not 0 < floor < math.inf:
+        raise ValueError("need floor > 0 and finite")
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n < 2:

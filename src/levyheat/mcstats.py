@@ -77,20 +77,20 @@ class SampleSet:
 def run_ensemble(config, workers=1):
     """Samples of u at the configured probe, from independent replica paths.
 
-    Replica r uses noise stream (config.seed, r).  Blown-up replicas are
-    dropped from the values but reported in blowups; dropping them silently
-    is not an option since they bias every statistic.
+    Replica r uses noise stream (config.seed, r), stepped up to the probe
+    step only.  Replicas blown up by then are dropped from the values but
+    reported in blowups; dropping them silently is not an option since
+    they bias every statistic.
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
 
     def one_chunk(lo, hi):
         xi = _NoiseRows(grid, config.seed, range(lo, hi))
-        records, _, blowups = _evolve_batch(
-            config.u0, xi, config.exponent, config.sigma, grid,
-            record_ks={k_p},
-        )
-        (values,), blowups = _drop_blowups(lo, blowups, records[k_p][:, i_p])
+        u, _, blowups = _evolve_batch(config.u0, xi, config.exponent,
+                                      config.sigma, grid, k_p)
+        # a copy: a view of the probe column would keep all of u alive
+        (values,), blowups = _drop_blowups(lo, blowups, u[:, i_p].copy())
         return values, blowups
 
     parts = map_chunks(one_chunk, config.replicas, ENSEMBLE_CHUNK, workers)

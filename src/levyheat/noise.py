@@ -125,7 +125,7 @@ class _NoiseRows:
         k0, k1, _ = index[1].indices(self.grid.k_time)
         m = self.grid.m_space
         block = _normal_block(self.seed, self.replicas, k0 * m, (k1 - k0) * m)
-        return block.reshape(-1, k1 - k0, m)
+        return block.reshape(len(self.replicas), k1 - k0, m)
 
 
 def sample_noise(grid, seed, replica=0):

@@ -34,7 +34,7 @@ from .kernels import (
     rfft_symbol,
     rfft_weights,
 )
-from .noise import GridSpec, _NoiseRows, sample_noise
+from .noise import GridSpec, _NoiseRows
 from ._parallel import map_chunks
 
 BLOWUP_THRESHOLD = 1e12
@@ -149,54 +149,76 @@ class RunConfig:
         return self.grid.index_of(*self.probe)
 
 
-def _evolve_batch(u0_values, xi, exp_, sigma, grid, record_ks=(), keep_path=False):
-    """Drive a batch of replicas through all k_time steps.
+class _Scheme:
+    """The exponential-Euler step of one run: the multiplier S, the noise
+    density scale and sigma, written once for every driver."""
 
-    xi is the batch's noise: anything with shape == (B, k_time, m_space)
+    def __init__(self, exp_, sigma, grid):
+        self.m = grid.m_space
+        self.mult = rfft_multiplier(exp_, grid)
+        self.scale = noise_density_scale(grid)
+        self.sigma = sigma
+
+    def smooth(self, u, transpose=False):
+        # S is a real circulant, so S^T has the conjugate symbol; S^T != S
+        # under drift
+        return _smooth(u, np.conj(self.mult) if transpose else self.mult,
+                       self.m)
+
+    def step(self, u, xi_k, w=None):
+        """S(u + sigma(w) xi_k scale), w being u unless given (Picard's
+        iterate n + 1 takes sigma of iterate n)."""
+        return self.smooth(u + self.sigma.sigma(u if w is None else w)
+                           * xi_k * self.scale)
+
+    def tangent(self, u, xi_k):
+        """F_k = 1 + sigma'(u_k) xi_k scale, the linearized step's factor."""
+        return 1.0 + self.sigma.sigma_prime(u) * xi_k * self.scale
+
+    def rows(self, xi, until_k):
+        """xi[:, 0], ..., xi[:, until_k - 1] in order, drawn in blocks of
+        max(1, _ROW_BLOCK_WORDS // m_space) time rows.  A caller that takes
+        each row with next() and keeps none holds one block at a time."""
+        rb = max(1, _ROW_BLOCK_WORDS // self.m)
+        for k0 in range(0, until_k, rb):
+            block = xi[:, k0:min(k0 + rb, until_k)]
+            for j in range(block.shape[1]):
+                yield block[:, j]
+            del block  # release the last block before drawing the next
+
+
+def _evolve_batch(u0_values, xi, exp_, sigma, grid, until_k, keep_path=False):
+    """Drive a batch of replicas through steps 0..until_k-1 and stop.
+
+    xi is the batch's noise: anything with shape (B, >= until_k, m_space)
     whose xi[:, k0:k1] is the (B, k1-k0, m_space) array of the variates of
-    steps k0..k1-1, so an array or a noise._NoiseRows.  The loop reads it in
-    blocks of max(1, _ROW_BLOCK_WORDS // m_space) time rows and holds one
-    block at a time.  Returns (records, path, blowups): records maps k ->
-    (B, m_space) snapshot, path is (B, k_time+1, m_space) when keep_path,
-    blowups is a list of (batch_row, step_index, max_abs).  Rows that blow
-    up are frozen to NaN and reported, not raised.
+    steps k0..k1-1, so an array or a noise._NoiseRows.  Returns (u, path,
+    blowups): u is the (B, m_space) field at step until_k, path is
+    (B, until_k+1, m_space) when keep_path, blowups is a list of
+    (batch_row, step_index, max_abs).  Rows that blow up are frozen to NaN
+    and reported, not raised; a row that would blow up only after until_k
+    is not seen, so the drivers, which stop at the probe, keep it.
     """
-    m, k_time = grid.m_space, grid.k_time
-    b = xi.shape[0]
-    rb = max(1, _ROW_BLOCK_WORDS // m)
-    mult = rfft_multiplier(exp_, grid)
-    scale = noise_density_scale(grid)
+    scheme = _Scheme(exp_, sigma, grid)
+    rows = scheme.rows(xi, until_k)
+    b, m = xi.shape[0], grid.m_space
     u = np.broadcast_to(np.asarray(u0_values, dtype=float), (b, m)).copy()
     alive = np.ones(b, dtype=bool)
     blowups = []
-    records = {}
-    path = np.empty((b, k_time + 1, m)) if keep_path else None
+    path = np.empty((b, until_k + 1, m)) if keep_path else None
     if keep_path:
         path[:, 0] = u
-    if 0 in record_ks:
-        records[0] = u.copy()
-    for k in range(k_time):
-        if k % rb == 0:
-            block = None  # release the last block before drawing the next
-            block = xi[:, k:k + rb]
-        g = sigma.sigma(u) * block[:, k % rb] * scale
-        u = _smooth(u + g, mult, m)
-        if np.any(alive):
-            live = u if alive.all() else u[alive]
-            max_abs = np.max(np.abs(live), axis=-1)
-            bad = ~np.isfinite(max_abs) | (max_abs > BLOWUP_THRESHOLD)
-            if np.any(bad):
-                rows = np.flatnonzero(alive)[bad]
-                for r in rows:
-                    top = float(np.max(np.abs(u[r])))
-                    blowups.append((int(r), k + 1, top))
-                u[rows] = np.nan
-                alive[rows] = False
+    for k in range(until_k):
+        u = scheme.step(u, next(rows))
+        top = np.max(np.abs(u), axis=-1)
+        bad = alive & ~(top <= BLOWUP_THRESHOLD)
+        for r in np.flatnonzero(bad):
+            blowups.append((int(r), k + 1, float(top[r])))
+            u[r] = np.nan
+        alive &= ~bad
         if keep_path:
             path[:, k + 1] = u
-        if (k + 1) in record_ks:
-            records[k + 1] = u.copy()
-    return records, path, blowups
+    return u, path, blowups
 
 
 def _drop_blowups(lo, blowups, *arrays):
@@ -214,17 +236,13 @@ def _drop_blowups(lo, blowups, *arrays):
     return arrays, sorted((lo + r, k, mag) for r, k, mag in blowups)
 
 
-def solve_path(config, replica=0, noise=None):
-    """Full (k_time+1, m_space) trajectory of one replica.
-
-    noise is the (k_time, m_space) variate array and defaults to the
-    replica's stream (config.seed, replica).  A blow-up raises BlowUpError.
-    """
-    if noise is None:
-        noise = sample_noise(config.grid, config.seed, replica)
+def solve_path(config, replica=0):
+    """Full (k_time+1, m_space) trajectory of replica `replica`, driven by
+    noise stream (config.seed, replica).  A blow-up raises BlowUpError."""
+    grid = config.grid
     _, path, blowups = _evolve_batch(
-        config.u0, noise[None], config.exponent, config.sigma,
-        config.grid, keep_path=True,
+        config.u0, _NoiseRows(grid, config.seed, (replica,)), config.exponent,
+        config.sigma, grid, grid.k_time, keep_path=True,
     )
     if blowups:
         _, k_bad, max_abs = blowups[0]
@@ -301,34 +319,27 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    if not p >= 2:
-        raise ValueError("need p >= 2")
-    if not beta_param >= 0:
-        raise ValueError("need beta_param >= 0")
+    if not 2 <= p < math.inf:
+        raise ValueError("need p >= 2 and finite")
+    if not 0 <= beta_param < math.inf:
+        raise ValueError("need beta_param >= 0 and finite")
     grid = config.grid
     r_total = config.replicas
     m, k_time = grid.m_space, grid.k_time
-    mult = rfft_multiplier(config.exponent, grid)
-    scale = noise_density_scale(grid)
-    sig = config.sigma.sigma
-    rb = max(1, _ROW_BLOCK_WORDS // m)
+    scheme = _Scheme(config.exponent, config.sigma, grid)
 
     def one_chunk(lo, hi):
         # v[n] is iterate n at step k; iterate n + 1 needs iterate n only at
         # step k, so all of them advance together, row 0 being the flow of u0
-        xi = _NoiseRows(grid, config.seed, range(lo, hi))
+        rows = scheme.rows(_NoiseRows(grid, config.seed, range(lo, hi)), k_time)
         v0 = config.u0
         v = np.broadcast_to(v0, (n_max + 1, hi - lo, m)).copy()
         conv = np.zeros((n_max, hi - lo, m))
         moments = np.zeros((2, n_max, k_time + 1, m))
         mom, mom_sq = moments
         for k in range(k_time):
-            if k % rb == 0:
-                block = None  # release the last block before drawing the next
-                block = xi[:, k:k + rb]
-            conv = _smooth(conv + sig(v[:-1]) * block[:, k % rb] * scale,
-                           mult, m)
-            v0 = _smooth(v0, mult, m)
+            conv = scheme.step(conv, next(rows), v[:-1])
+            v0 = scheme.smooth(v0)
             v[0] = v0
             v[1:] = v0 + conv
             d = np.abs(v[1:] - v[:-1]) ** p

@@ -92,7 +92,7 @@ def test_gradient_oracle_agreement():
                        u0=lh.field_from_function(np.sin, 16), seed=12,
                        replicas=4)
     xi = lh.sample_noise(grid, cfg.seed, 1)
-    path = lh.solve_path(cfg, 1, noise=xi)
+    path = lh.solve_path(cfg, 1)
 
     agree = True
     for src in ((2, 3), (5, 0), (9, 11)):
@@ -122,7 +122,7 @@ def test_derivative_mass_scaling():
                        exponent=EXP15, sigma=lh.get_sigma("one"),
                        u0=zero_field(32), seed=9, replicas=4)
     xi = lh.sample_noise(cfg.grid, cfg.seed, 0)
-    path = lh.solve_path(cfg, 0, noise=xi)
+    path = lh.solve_path(cfg, 0)
     rows = lh.adjoint_gradient(path[None], xi[None], EXP15, cfg.sigma,
                                cfg.grid, cfg.grid.k_time, 0)
     mass, _ = lh.hnorm_sq(rows, cfg.grid)

@@ -417,12 +417,17 @@ def test_picard_norm_parameters_are_config_errors(tmp_path, capsys, setting):
     ("simulate", "probe_x=nan", "is not finite"),
     ("simulate", "probe_x=inf", "is not finite"),
     ("simulate", "u0=sin u0_amp=nan", "u0 values must be finite"),
+    ("picard", "moment_p=inf", "need p >= 2 and finite"),
+    ("picard", "picard_beta=inf", "need beta_param >= 0 and finite"),
+    ("kernel", "picard_beta=inf", "need beta_param > 0 and finite"),
+    ("malliavin", "moment_p=inf", "need p >= 2 and finite"),
+    ("malliavin", "floor=inf", "need floor > 0 and finite"),
 ])
 def test_nan_parameters_are_config_errors(tmp_path, capsys, subcommand,
                                           settings, message):
     # a NaN fails every "x < bound" test, so each guard is a negated
-    # comparison that NaN cannot pass; an infinite window or probe point is
-    # refused the same way
+    # comparison that NaN cannot pass; an infinite window, probe point,
+    # moment order, weight or floor is refused the same way
     sets = [arg for s in settings.split() for arg in ("--set", s)]
     code, out = run_cli([subcommand] + SMALL + sets, tmp_path)
     assert code == 1

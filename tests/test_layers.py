@@ -1,6 +1,7 @@
 """Layering: the numerical modules never reach up into the output layer, the
-noise module alone draws random numbers, solver._smooth alone transforms, and
-the public API has no name that only the tests use.
+noise module alone draws random numbers, solver._smooth alone transforms,
+solver._Scheme alone steps, and the public API has no name that only the
+tests use.
 
 mcstats (ensembles, density, row serialization) and cli (the row format)
 sit above kernels, noise, solver, malliavin and _parallel.  An import the
@@ -93,6 +94,40 @@ def test_only_the_solver_step_transforms():
     calling = [node.name for node in tree.body
                if "np.fft" in ast.unparse(node)]
     assert calling == ["_smooth"]
+
+
+def functions_reading(name):
+    """Qualified names of the package's top-level functions and methods
+    that read `name`, as a name or as an attribute."""
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                defs = [(f"{top.name}.{f.name}", f) for f in top.body
+                        if isinstance(f, ast.FunctionDef)]
+            elif isinstance(top, ast.FunctionDef):
+                defs = [(top.name, top)]
+            else:
+                continue
+            for qual, fn in defs:
+                if any(getattr(node, "id", None) == name
+                       or getattr(node, "attr", None) == name
+                       for node in ast.walk(fn)):
+                    readers.add(f"{path.stem}.{qual}")
+    return readers
+
+
+@pytest.mark.parametrize("name, reader", [
+    ("_smooth", "solver._Scheme.smooth"),  # the step S and its transpose
+    ("sigma_prime", "solver._Scheme.tangent"),  # the tangent factor F_k
+    ("_ROW_BLOCK_WORDS", "solver._Scheme.rows"),  # the row-block reader
+    ("noise_density_scale", "solver._Scheme.__init__"),
+])
+def test_the_step_is_written_once(name, reader):
+    # every driver steps, linearizes and reads its noise rows through
+    # solver._Scheme, so each piece of the scheme has one reader
+    assert functions_reading(name) == {reader}
 
 
 # public names whose only callers are tests, kept on purpose as references

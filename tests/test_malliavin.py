@@ -56,8 +56,8 @@ def make_config(m, k, horizon, sigma_name, seed=9, exponent=EXP2, u0=None,
 
 def solved(config, replica=0):
     """Path and variates of one replica."""
-    xi = sample_noise(config.grid, config.seed, replica)
-    return solve_path(config, replica, noise=xi), xi
+    return (solve_path(config, replica),
+            sample_noise(config.grid, config.seed, replica))
 
 
 def mass_of(config, path, xi, i_p, deltas=()):
@@ -350,6 +350,24 @@ def test_hnorm_samples_excludes_exactly_the_ensemble_blowups():
     assert len(samples) == len(tails[0.1]) == 300 - len(blowups)
     v = additive_variance_exact(EXP2, cfg.grid)
     np.testing.assert_allclose(samples, c * c * v, rtol=1e-12)
+
+
+def test_hnorm_samples_at_an_interior_probe():
+    # the chunks stop at step k_p = 5 of 8; each mass is the one of the
+    # replica's whole path swept back from the probe
+    cfg = make_config(16, 8, 0.2, "shifted_sine", replicas=3,
+                      probe=(0.125, 0.0))
+    samples, tails, blowups = hnorm_samples(cfg, deltas=(0.05,))
+    assert blowups == []
+    for r in range(3):
+        path, xi = solved(cfg, r)
+        rows = adjoint_gradient(path[None], xi[None], cfg.exponent,
+                                cfg.sigma, cfg.grid, 5, 0)
+        mass, tail = hnorm_sq(rows, cfg.grid, (0.05,))
+        assert samples[r] == mass[0] and tails[0.05][r] == tail[0.05][0]
+    # a probe at t = 0 stops before the first step and draws no noise row
+    at_zero = dataclasses.replace(cfg, probe=(0.0, 0.0))
+    assert np.array_equal(hnorm_samples(at_zero)[0], np.zeros(3))
 
 
 def test_hnorm_memory_is_linear_in_the_grid():

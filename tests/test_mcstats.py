@@ -112,16 +112,66 @@ def test_streamed_ensemble_matches_the_whole_block(monkeypatch, workers):
     ss = run_ensemble(cfg, workers=workers)
     values, blowups = [], []
     for lo, hi in ((0, 256), (256, 300)):
-        rec, _, chunk_blowups = _evolve_batch(
+        u, _, chunk_blowups = _evolve_batch(
             cfg.u0, _NoiseRows(cfg.grid, cfg.seed, range(lo, hi))[:, :],
-            EXP2, steep, cfg.grid, {37})
-        (v,), b = _drop_blowups(lo, chunk_blowups, rec[37][:, 0])
+            EXP2, steep, cfg.grid, 37)
+        (v,), b = _drop_blowups(lo, chunk_blowups, u[:, 0])
         values.append(v)
         blowups += b
     assert np.array_equal(ss.values, np.concatenate(values))
     assert ss.blowups == blowups
     assert min(r for r, _, _ in blowups) < 256 <= max(r for r, _, _ in blowups)
     assert min(k for _, k, _ in blowups) > 3
+
+
+def interior_probe_config(sigma, k_p, replicas=300, m=16, k=8, horizon=0.2):
+    # probe at step k_p < k_time and at x_3; 300 replicas make two chunks
+    cfg = dataclasses.replace(additive_config(replicas, m, k, horizon),
+                              sigma=sigma)
+    return dataclasses.replace(cfg, probe=(k_p * cfg.grid.dt,
+                                           3 * cfg.grid.dx))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interior_probe_values_are_the_paths_at_the_probe(workers):
+    cfg = interior_probe_config(get_sigma("shifted_sine"), 5)
+    assert cfg.probe_cell == (5, 3)
+    ss = run_ensemble(cfg, workers=workers)
+    assert ss.blowups == []
+    singles = [solve_path(cfg, replica=r)[5, 3] for r in range(300)]
+    assert np.array_equal(ss.values, np.array(singles))
+
+
+def test_ensemble_chunks_stop_at_the_probe():
+    # sigma is evaluated once per step: each chunk takes k_p = 5 steps of
+    # the 8 up to the horizon
+    shapes = []
+    base = get_sigma("shifted_sine")
+    counting = dataclasses.replace(
+        base, sigma=lambda u: shapes.append(u.shape) or base.sigma(u))
+    run_ensemble(interior_probe_config(counting, 5))
+    assert shapes == [(256, 16)] * 5 + [(44, 16)] * 5
+
+
+def test_blowup_after_the_probe_keeps_the_replica():
+    # with the steep sigma, replicas blow up between steps 15 and 37; at a
+    # probe at step 20 those that blow up later are kept with their value at
+    # step 20, and only the ones that blew up by step 20 are excluded
+    steep = steep_sigma(1e12)
+    cfg = interior_probe_config(steep, 20, m=10, k=37, horizon=0.3)
+    grid = cfg.grid
+    ss = run_ensemble(cfg)
+    everywhere = run_ensemble(dataclasses.replace(cfg, probe=None)).blowups
+    late = [r for r, k, _ in everywhere if k > 20]
+    early = [b for b in everywhere if b[1] <= 20]
+    assert late and early
+    assert ss.blowups == early
+    _, path, _ = _evolve_batch(cfg.u0, _NoiseRows(grid, cfg.seed, range(300)),
+                               EXP2, steep, grid, 37, keep_path=True)
+    kept = sorted(set(range(300)) - {r for r, _, _ in early})
+    assert set(late) <= set(kept)
+    assert np.array_equal(ss.values, path[kept, 20, 3])
+    assert np.isnan(path[late, 37]).all()
 
 
 def test_ensemble_memory_is_flat_in_replicas_and_steps():

@@ -73,9 +73,8 @@ def test_step_matches_direct_convolution_oracle():
     u0 = rng.standard_normal(8)
     xi = sample_noise(grid, seed=8, replica=0)
     sigma = get_sigma("shifted_sine")
-    records, _, _ = _evolve_batch(u0, xi[None], EXP2, sigma, grid,
-                                  record_ks={1})
-    out = records[1][0]
+    u, _, _ = _evolve_batch(u0, xi[None], EXP2, sigma, grid, 1)
+    out = u[0]
 
     g = sigma.sigma(u0) + 0.0
     w = u0 + g * xi[0] * noise_density_scale(grid)
@@ -245,13 +244,18 @@ def test_streamed_noise_matches_the_whole_block(monkeypatch, m, words):
     for k0, k1 in ((0, 37), (3, 6), (35, 40)):
         assert np.array_equal(lazy[:, k0:k1], whole[:, k0:k1])
     u0 = field_from_function(np.sin, m)
-    args = (EXP2, get_sigma("shifted_sine"), grid, {0, 4, 37}, True)
-    rec_a, path_a, blow_a = _evolve_batch(u0, lazy, *args)
-    rec_b, path_b, blow_b = _evolve_batch(u0, whole, *args)
+    args = (EXP2, get_sigma("shifted_sine"), grid, 37, True)
+    u_a, path_a, blow_a = _evolve_batch(u0, lazy, *args)
+    u_b, path_b, blow_b = _evolve_batch(u0, whole, *args)
     assert np.array_equal(path_a, path_b)
-    assert rec_a.keys() == rec_b.keys() == {0, 4, 37}
-    for k in rec_b:
-        assert np.array_equal(rec_a[k], rec_b[k])
+    assert np.array_equal(u_a, u_b) and np.array_equal(u_a, path_a[:, 37])
+    assert np.array_equal(path_a[:, 0], np.broadcast_to(u0, (7, m)))
+    # stopping early walks the same path: step 4 ends the second block of
+    # rows at 32 words and the first at 2048
+    u_4, path_4, _ = _evolve_batch(u0, lazy, EXP2, get_sigma("shifted_sine"),
+                                   grid, 4, True)
+    assert np.array_equal(u_4, path_a[:, 4])
+    assert np.array_equal(path_4, path_a[:, :5])
     assert blow_a == blow_b == []
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
                     u0=field_from_function(np.sin, m), seed=4, replicas=2)
@@ -266,17 +270,18 @@ def test_streamed_blowups_in_later_blocks(monkeypatch):
     sigma = steep_sigma(1e12)
 
     def run(xi):
-        return _evolve_batch(np.zeros(10), xi, EXP2, sigma, grid, {20, 37})
+        return _evolve_batch(np.zeros(10), xi, EXP2, sigma, grid, 37, True)
 
-    rec_a, _, blow_a = run(_NoiseRows(grid, 3, range(300)))
-    rec_b, _, blow_b = run(_NoiseRows(grid, 3, range(300))[:, :])
+    u_a, path_a, blow_a = run(_NoiseRows(grid, 3, range(300)))
+    u_b, path_b, blow_b = run(_NoiseRows(grid, 3, range(300))[:, :])
     assert blow_a == blow_b
     assert 0 < len(blow_a) < 300
     assert min(k for _, k, _ in blow_a) > 3
     for r, _, mag in blow_a:
-        assert mag > 1e12 and np.isnan(rec_a[37][r]).all()
+        assert mag > 1e12 and np.isnan(u_a[r]).all()
     for k in (20, 37):
-        assert np.array_equal(rec_a[k], rec_b[k], equal_nan=True)
+        assert np.array_equal(path_a[:, k], path_b[:, k], equal_nan=True)
+    assert np.array_equal(u_a, u_b, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +291,10 @@ def test_streamed_blowups_in_later_blocks(monkeypatch):
 def test_additive_variance_and_skewness():
     grid = GridSpec(m_space=64, k_time=64, horizon=0.5)
     xi = _NoiseRows(grid, 21, range(4000))[:, :]
-    rec, _, blowups = _evolve_batch(zero_field(64), xi, EXP2,
-                                    get_sigma("one"), grid, record_ks={64})
+    u, _, blowups = _evolve_batch(zero_field(64), xi, EXP2,
+                                  get_sigma("one"), grid, 64)
     assert not blowups
-    u = rec[64][:, 0]
+    u = u[:, 0]
     n = len(u)
     var = float(np.var(u, ddof=1))
     m4 = float(np.mean((u - u.mean()) ** 4))
@@ -328,10 +333,9 @@ def test_scheme_variance_approaches_time_integral():
 def test_second_moment_stability_and_self_convergence():
     def m2(grid_, reps):
         xi = _NoiseRows(grid_, 77, range(reps))[:, :]
-        rec, _, _ = _evolve_batch(zero_field(grid_.m_space), xi, EXP2,
-                                  get_sigma("shifted_sine"), grid_,
-                                  record_ks={grid_.k_time})
-        u = rec[grid_.k_time][:, 0]
+        u, _, _ = _evolve_batch(zero_field(grid_.m_space), xi, EXP2,
+                                get_sigma("shifted_sine"), grid_, grid_.k_time)
+        u = u[:, 0]
         return float(np.mean(u ** 2)), float(np.std(u ** 2, ddof=1) / math.sqrt(reps))
 
     g64 = GridSpec(64, 64, 0.5)
