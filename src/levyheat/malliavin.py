@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import DEFAULT_SERIES_TOL, TWO_PI, kernel_l2_time_integral
-from .noise import _NoiseRows, sample_noise
+from .noise import _NoiseRows
 from .solver import BlowUpError, _Scheme, _drop_blowups, _evolve_batch
 from ._parallel import map_chunks
 
@@ -137,12 +137,11 @@ def noise_gradient_oracle(config, replica, source, probe, h=0.5, rel_tol=0.05):
     if not (0 <= k_s < grid.k_time) or not (0 <= i_s < grid.m_space):
         raise IndexError(f"source cell {source} outside the grid")
     k_p, i_p = grid.index_of(*probe)
-    base = sample_noise(grid, config.seed, replica)
-    variants = np.stack([base, base, base, base])
-    variants[0, k_s, i_s] += h
-    variants[1, k_s, i_s] -= h
-    variants[2, k_s, i_s] += 0.5 * h
-    variants[3, k_s, i_s] -= 0.5 * h
+    # the steps up to the probe read only the first k_p rows
+    variants = np.repeat(_NoiseRows(grid, config.seed, (replica,))[:, :k_p],
+                         4, axis=0)
+    if k_s < k_p:  # a source at or after the probe leaves u(probe) as it is
+        variants[:, k_s, i_s] += (h, -h, 0.5 * h, -0.5 * h)
     u, _, blowups = _evolve_batch(config.u0, variants, config.exponent,
                                   config.sigma, grid, k_p)
     if blowups:

@@ -422,12 +422,14 @@ def test_picard_norm_parameters_are_config_errors(tmp_path, capsys, setting):
     ("kernel", "picard_beta=inf", "need beta_param > 0 and finite"),
     ("malliavin", "moment_p=inf", "need p >= 2 and finite"),
     ("malliavin", "floor=inf", "need floor > 0 and finite"),
+    ("density", "bandwidth=nan", "bandwidth must be >= 0"),
+    ("density", "bandwidth=inf", "need bandwidth > 0 and finite, got inf"),
 ])
 def test_nan_parameters_are_config_errors(tmp_path, capsys, subcommand,
                                           settings, message):
     # a NaN fails every "x < bound" test, so each guard is a negated
     # comparison that NaN cannot pass; an infinite window, probe point,
-    # moment order, weight or floor is refused the same way
+    # moment order, weight, floor or bandwidth is refused the same way
     sets = [arg for s in settings.split() for arg in ("--set", s)]
     code, out = run_cli([subcommand] + SMALL + sets, tmp_path)
     assert code == 1

@@ -118,6 +118,11 @@ def functions_reading(name):
     return readers
 
 
+# kde's one Gaussian convolution of the binned samples is the only other
+# spectral product in the package
+NOT_A_STEP = {"_smooth": {"mcstats.kde"}}
+
+
 @pytest.mark.parametrize("name, reader", [
     ("_smooth", "solver._Scheme.smooth"),  # the step S and its transpose
     ("sigma_prime", "solver._Scheme.tangent"),  # the tangent factor F_k
@@ -126,8 +131,9 @@ def functions_reading(name):
 ])
 def test_the_step_is_written_once(name, reader):
     # every driver steps, linearizes and reads its noise rows through
-    # solver._Scheme, so each piece of the scheme has one reader
-    assert functions_reading(name) == {reader}
+    # solver._Scheme, so each piece of the scheme has one reader that
+    # steps; NOT_A_STEP names the readers that step nothing
+    assert functions_reading(name) == {reader} | NOT_A_STEP.get(name, set())
 
 
 # public names whose only callers are tests, kept on purpose as references

@@ -16,6 +16,7 @@ import pytest
 from levyheat import (
     BlowUpError,
     GridSpec,
+    OracleResult,
     RunConfig,
     SigmaSpec,
     additive_variance_exact,
@@ -37,6 +38,7 @@ from levyheat import (
     solve_path,
 )
 from levyheat.malliavin import _wilson
+from levyheat.solver import _evolve_batch
 
 from conftest import traced_peak
 
@@ -163,6 +165,42 @@ def test_oracle_matches_propagation_nonlinear():
             orc = noise_gradient_oracle(cfg, 1, src, probe)
             assert orc.reliable
             assert d[i_p] == pytest.approx(orc.value, rel=1e-2)
+
+
+def whole_noise_oracle(cfg, replica, source, probe, h=0.5, rel_tol=0.05):
+    """The oracle on four perturbed copies of the replica's whole noise,
+    stepped to the probe: the reference for the oracle's first k_p rows."""
+    grid = cfg.grid
+    k_p, i_p = grid.index_of(*probe)
+    variants = np.stack([sample_noise(grid, cfg.seed, replica)] * 4)
+    for row, shift in zip(variants, (h, -h, 0.5 * h, -0.5 * h)):
+        row[source] += shift
+    u = _evolve_batch(cfg.u0, variants, cfg.exponent, cfg.sigma, grid,
+                      k_p)[0][:, i_p]
+    cell = math.sqrt(grid.dt * grid.dx)
+    v_h = (u[0] - u[1]) / (2.0 * h * cell)
+    v_half = (u[2] - u[3]) / (h * cell)
+    err = abs(v_half - v_h) / 3.0
+    return OracleResult(value=float(v_h), value_half=float(v_half),
+                        richardson_err=float(err),
+                        reliable=bool(err <= max(rel_tol * abs(v_half),
+                                                 1e-12)))
+
+
+@pytest.mark.parametrize("source", [(2, 3), (5, 0), (6, 4), (13, 11)],
+                         ids=["interior", "interior_last_row", "at_probe",
+                              "after_probe"])
+def test_oracle_reads_the_rows_up_to_the_probe(source):
+    # probe at step 6 of 16: the oracle draws and perturbs rows 0..5 only;
+    # a source at or after the probe moves nothing and gives an exact 0
+    cfg = make_config(16, 16, 0.25, "shifted_sine", seed=12, u0=np.sin)
+    probe = (6 * cfg.grid.dt, 3 * cfg.grid.dx)
+    orc = noise_gradient_oracle(cfg, 1, source, probe)
+    assert orc == whole_noise_oracle(cfg, 1, source, probe)
+    if source[0] >= 6:
+        assert orc == OracleResult(0.0, 0.0, 0.0, True)
+    else:
+        assert orc.reliable and orc.value != 0.0
 
 
 def test_oracle_zero_sigma():

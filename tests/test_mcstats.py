@@ -231,8 +231,18 @@ def direct_kde(samples, bandwidth):
     return points, dens
 
 
+def binning_bound(points, h):
+    """Largest distance of kde from direct_kde: linear binning at delta =
+    step / r, r = max(16, ceil(4 step / h)), moves each value by at most
+    delta^2 sup|K_h''| / 8, and sup|K_h''| = 1 / (sqrt(2 pi) h^3)."""
+    step = (points[-1] - points[0]) / 511
+    delta = step / max(16, math.ceil(4.0 * step / h))
+    return delta ** 2 / (8.0 * math.sqrt(2.0 * math.pi) * h ** 3)
+
+
 @pytest.mark.parametrize("n", [2, 1001, 32768])
 def test_kde_blocks_match_the_direct_sum(n):
+    # 1e-12 of the peak covers the FFT's roundoff
     s = np.random.default_rng(n).standard_normal(n)
     for bandwidth in (None, 0.3, 0.017):
         est = kde(s, bandwidth)
@@ -240,8 +250,9 @@ def test_kde_blocks_match_the_direct_sum(n):
         points, dens = direct_kde(s, h)
         assert est.bandwidth == h
         assert np.array_equal(est.points, points)
-        assert np.array_equal(est.density, dens)
-        assert np.array_equal(est.d1, np.gradient(dens, points))
+        assert np.max(np.abs(est.density - dens)) <= (
+            binning_bound(points, h) + 1e-12 * np.max(dens))
+        assert np.array_equal(est.d1, np.gradient(est.density, points))
 
 
 def test_kde_memory_at_perfbench_size():
@@ -249,6 +260,15 @@ def test_kde_memory_at_perfbench_size():
     s = np.random.default_rng(4).standard_normal(32768)
     _, peak = traced_peak(kde, s)
     assert peak < 8 * 2 ** 20
+
+
+def test_kde_memory_is_a_few_sample_arrays():
+    # binning holds the bin positions and indices, two arrays of n words,
+    # next to bin arrays of O(range / h); a direct sum over blocks of 8
+    # grid points held two (8, n) buffers, 16 sample arrays
+    s = np.random.default_rng(5).standard_normal(2 ** 17)
+    _, peak = traced_peak(kde, s)
+    assert peak <= 6 * s.nbytes + 2 * 2 ** 20
 
 
 def test_kde_degenerate_point_mass():
@@ -263,8 +283,22 @@ def test_kde_validation():
         kde(np.array([1.0]))
     with pytest.raises(ValueError):
         kde(np.array([1.0, np.nan, 2.0]))
-    with pytest.raises(ValueError):
-        kde(np.array([1.0, 2.0, 3.0]), bandwidth=-1.0)
+    # NaN fails every comparison, so only a negated "0 < h < inf" refuses it
+    for bandwidth in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bandwidth"):
+            kde(np.array([1.0, 2.0, 3.0]), bandwidth=bandwidth)
+
+
+def test_kde_refuses_a_bin_grid_past_the_cap():
+    # at 4 bins per bandwidth, h = 1e-6 over a span of 2 needs about 8e6
+    # bins; 1e-4 needs about 8e4 and runs
+    s = np.array([-1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="bins"):
+        kde(s, bandwidth=1e-6)
+    est = kde(s, bandwidth=1e-4)
+    points, dens = direct_kde(s, 1e-4)
+    assert np.max(np.abs(est.density - dens)) <= (
+        binning_bound(points, 1e-4) + 1e-12 * np.max(dens))
 
 
 def test_silverman_rule_value():
