@@ -179,8 +179,6 @@ def _beta(cfg):
 def build_exponent(cfg):
     alpha = cfg["alpha"]
     beta = _beta(cfg)
-    if cfg["scale"] <= 0:
-        raise ConfigError("scale must be positive")
     try:
         exp_ = make_power_exponent(cfg["scale"], alpha, drift=cfg["drift"])
         if beta != alpha:
@@ -261,8 +259,6 @@ def cmd_simulate(cfg, args, head):
     ss = run_ensemble(run, workers=args.workers)
     t, x = run.probe
     n = ss.count
-    if n < 2:
-        raise NumericalError(f"only {n} usable replicas at probe ({t}, {x})")
     var = ss.variance()
     m4 = float(np.mean((ss.values - ss.mean()) ** 4))
     se_var = math.sqrt(max(m4 - var ** 2, 0.0) / n)
@@ -312,8 +308,6 @@ def cmd_malliavin(cfg, args, head):
                                             deltas=deltas)
     t, x = run.probe
     n = len(samples)
-    if n < 2:
-        raise NumericalError(f"only {n} usable replicas")
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(n))
     where = dict(t=t, x=x, replica_count=n)
@@ -368,15 +362,13 @@ def cmd_density(cfg, args, head):
     run = build_run_config(cfg)
     ss = run_ensemble(run, workers=args.workers)
     t, x = run.probe
-    if ss.count < 2:
-        raise NumericalError(f"only {ss.count} usable replicas")
     bandwidth = cfg["bandwidth"] if cfg["bandwidth"] != 0 else None
     where = dict(t=t, x=x, replica_count=ss.count)
     try:
         est = kde(ss.values, bandwidth=bandwidth)
     except DegenerateSamplesError as err:
         rows = [make_row(*head, "density_point_mass", err.value, **where)]
-        return rows, {"degenerate": True}, \
+        return rows, {"degenerate": True, "blowups": ss.blowups}, \
             f"density: point mass at {err.value:.6g}, no estimate"
     rep = smoothness_report(est)
     rows = [make_row(*head, quantity, value, **where) for quantity, value in (
@@ -390,7 +382,8 @@ def cmd_density(cfg, args, head):
     summary = (f"density: bandwidth {est.bandwidth:.6g}, max |d1| "
                f"{rep.max_d1:.6g}, max |d2| {rep.max_d2:.6g}, "
                f"under_smoothed={rep.under_smoothed}")
-    return rows, {"bandwidth_rule": est.metadata["bandwidth_rule"]}, summary
+    return rows, {"bandwidth_rule": est.metadata["bandwidth_rule"],
+                  "blowups": ss.blowups}, summary
 
 
 def cmd_check_exponent(cfg, args, head):

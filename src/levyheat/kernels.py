@@ -103,11 +103,14 @@ def make_power_exponent(c, alpha, drift=0.0):
     """Exponent phi(n) = c |n|^alpha + i * drift * n.
 
     The imaginary part is an asymmetry (transport) term; it does not affect
-    any L2 quantity.  alpha outside (1, 2] or c <= 0 is rejected.
+    any L2 quantity.  alpha outside (1, 2], c outside (0, inf) and a
+    non-finite drift are rejected before phi is ever evaluated.
     """
     _validate_orders(alpha, alpha)
-    if c <= 0:
-        raise ValueError(f"need c > 0, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"need scale c > 0 and finite, got {c}")
+    if not math.isfinite(drift):
+        raise ValueError(f"need a finite drift, got {drift}")
 
     def phi(n):
         n = np.asarray(n, dtype=float)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .kernels import DEFAULT_SERIES_TOL, TWO_PI, kernel_l2_time_integral
 from .noise import _NoiseRows
-from .solver import BlowUpError, _Scheme, _drop_blowups, _evolve_batch
+from .solver import BlowUpError, _Scheme, _evolve_batch, _survivors
 from ._parallel import map_chunks
 
 HNORM_CHUNK = 64
@@ -166,9 +166,10 @@ def hnorm_samples(config, workers=1, deltas=()):
 
     Returns (samples, tails, blowups): tails maps each window delta to its
     per-replica array, and blowups lists (replica, step, magnitude) for the
-    replicas that blew up by the probe step, where each path stops; they are
-    excluded from samples and tails exactly as run_ensemble excludes them.
-    Deterministic in config regardless of worker count.
+    replicas with |u| > BLOWUP_THRESHOLD by the probe step, where each path
+    stops.  They are excluded from samples and tails exactly as run_ensemble
+    excludes them, and fewer than 2 survivors raise BlowUpError for the
+    first blow-up.  Deterministic in config regardless of worker count.
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
@@ -177,17 +178,16 @@ def hnorm_samples(config, workers=1, deltas=()):
         xi = _NoiseRows(grid, config.seed, range(lo, hi))[:, :k_p]
         _, path, blowups = _evolve_batch(config.u0, xi, config.exponent,
                                          config.sigma, grid, k_p, keep_path=True)
-        (path, xi), blowups = _drop_blowups(lo, blowups, path, xi)
+        # the sweep keeps each replica's rows apart, so the NaN-frozen rows
+        # of the blown-up replicas reach no other row
         rows = adjoint_gradient(path, xi, config.exponent, config.sigma, grid,
                                 k_p, i_p)
         mass, tails = hnorm_sq(rows, grid, deltas)
-        return mass, tails, blowups
+        return (mass, *(tails[float(d)] for d in deltas)), blowups
 
-    parts = map_chunks(one_chunk, config.replicas, HNORM_CHUNK, workers)
-    samples = np.concatenate([p[0] for p in parts])
-    tails = {float(d): np.concatenate([p[1][float(d)] for p in parts])
-             for d in deltas}
-    return samples, tails, [b for p in parts for b in p[2]]
+    (samples, *tails), blowups = _survivors(
+        map_chunks(one_chunk, config.replicas, HNORM_CHUNK, workers))
+    return samples, dict(zip(map(float, deltas), tails)), blowups
 
 
 def smallball_lower_mass(exp_, kappa, delta, tol=DEFAULT_SERIES_TOL):
@@ -235,17 +235,14 @@ def smallball_probability(config, eps_list=None, levels=SMALLBALL_LEVELS,
     """Monte Carlo small-ball frequencies of the derivative mass at the probe.
 
     eps defaults to the empirical quantiles of the samples at levels.  Zero-hit
-    eps still get a positive Wilson upper bound.  Blow-ups that leave fewer
-    than 2 usable replicas raise BlowUpError for the first of them.
+    eps still get a positive Wilson upper bound.  Blow-ups are excluded and
+    reported as hnorm_samples does.
     """
     if config.sigma.kappa <= 0:
         raise ValueError("small-ball analysis needs sigma bounded below: kappa > 0")
     t = config.probe[0]
     samples, _, blowups = hnorm_samples(config, workers=workers)
     n = len(samples)
-    if n < 2:
-        r, k, mag = blowups[0]
-        raise BlowUpError(k, mag, r)
     if eps_list is None:
         eps = np.quantile(samples, levels)
         eps = np.unique(eps[eps > 0])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import _NoiseRows
-from .solver import _drop_blowups, _evolve_batch, _smooth
+from .solver import _evolve_batch, _smooth, _survivors
 from ._parallel import map_chunks
 
 ENSEMBLE_CHUNK = 256
@@ -29,8 +29,9 @@ KDE_MAX_BINS = 2 ** 20  # largest bin grid kde convolves
 CSV_SCHEMA = "levyheat csv schema v1"
 CSV_COLUMNS = ("run_id", "seed", "replica_count", "alpha", "beta",
                "t", "x", "quantity", "value", "stderr", "tail_bound")
-_INT_COLUMNS = {"seed", "replica_count"}
-_STR_COLUMNS = {"run_id", "quantity"}
+# the type of each column's cells; every other column holds floats
+_COLUMN_TYPES = {"run_id": str, "seed": int, "replica_count": int,
+                 "quantity": str}
 
 
 def make_row(run_id, seed, alpha, beta, quantity, value, stderr=0.0,
@@ -83,9 +84,10 @@ def run_ensemble(config, workers=1):
     """Samples of u at the configured probe, from independent replica paths.
 
     Replica r uses noise stream (config.seed, r), stepped up to the probe
-    step only.  Replicas blown up by then are dropped from the values but
-    reported in blowups; dropping them silently is not an option since
-    they bias every statistic.
+    step only.  A replica with |u| > BLOWUP_THRESHOLD by then is excluded
+    from the values and reported in blowups, since a silent drop biases
+    every statistic; fewer than 2 survivors raise BlowUpError for the first
+    blow-up, so the set holds at least 2 values.
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
@@ -95,12 +97,11 @@ def run_ensemble(config, workers=1):
         u, _, blowups = _evolve_batch(config.u0, xi, config.exponent,
                                       config.sigma, grid, k_p)
         # a copy: a view of the probe column would keep all of u alive
-        (values,), blowups = _drop_blowups(lo, blowups, u[:, i_p].copy())
-        return values, blowups
+        return (u[:, i_p].copy(),), blowups
 
-    parts = map_chunks(one_chunk, config.replicas, ENSEMBLE_CHUNK, workers)
-    return SampleSet(values=np.concatenate([p[0] for p in parts]),
-                     blowups=[b for p in parts for b in p[1]])
+    (values,), blowups = _survivors(
+        map_chunks(one_chunk, config.replicas, ENSEMBLE_CHUNK, workers))
+    return SampleSet(values=values, blowups=blowups)
 
 
 @dataclass
@@ -251,24 +252,15 @@ def smoothness_report(estimate):
 # serialization
 
 
-def _format_cell(column, value):
+def _coerce(column, value):
+    return None if value is None else _COLUMN_TYPES.get(column, float)(value)
+
+
+def _format_cell(value):
+    """The CSV cell of a value _coerce has typed."""
     if value is None:
         return ""
-    if column in _STR_COLUMNS:
-        return str(value)
-    if column in _INT_COLUMNS:
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _coerce(column, value):
-    if value is None:
-        return None
-    if column in _STR_COLUMNS:
-        return str(value)
-    if column in _INT_COLUMNS:
-        return int(value)
-    return float(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _normalize_rows(rows):
@@ -300,7 +292,7 @@ def emit(rows, fmt, path):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([_format_cell(c, row[c]) for c in CSV_COLUMNS])
+            writer.writerow([_format_cell(row[c]) for c in CSV_COLUMNS])
         payload = buf.getvalue()
     else:
         payload = json.dumps({"schema": CSV_SCHEMA, "rows": rows},
@@ -320,19 +312,6 @@ def load_rows(path):
     if text.lstrip().startswith("{"):
         return json.loads(text)["rows"]
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    rows = []
-    for raw in reader:
-        row = {}
-        for col in CSV_COLUMNS:
-            cell = raw[col]
-            if cell == "":
-                row[col] = None
-            elif col in _STR_COLUMNS:
-                row[col] = cell
-            elif col in _INT_COLUMNS:
-                row[col] = int(cell)
-            else:
-                row[col] = float(cell)
-        rows.append(row)
-    return rows
+    # an empty cell is a None
+    return [{col: _coerce(col, raw[col] or None) for col in CSV_COLUMNS}
+            for raw in csv.DictReader(lines)]

@@ -221,19 +221,29 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, until_k, keep_path=False):
     return u, path, blowups
 
 
-def _drop_blowups(lo, blowups, *arrays):
-    """Drop the blown-up rows of a chunk's arrays.
+def _survivors(parts):
+    """The blow-up policy of every sampling driver, written once.
 
-    blowups are _evolve_batch's (batch_row, step, magnitude) triples for the
-    chunk whose first replica is lo.  Returns the filtered arrays and the
-    blow-ups as (replica, step, magnitude) in replica order, so the report
-    does not depend on the chunk size.
+    parts are the chunk results in chunk order, each (arrays, blowups):
+    arrays holds the chunk's per-replica arrays, one row per replica, and
+    blowups are the (batch_row, step, magnitude) triples _evolve_batch gave
+    the chunk.  Returns the joined arrays without the blown-up replicas, and
+    the blow-ups as (replica, step, magnitude) in replica order, so the
+    report does not depend on the chunk size.  Fewer than 2 survivors raise
+    BlowUpError for the first blow-up.
     """
-    if blowups:
-        keep = np.ones(len(arrays[0]), dtype=bool)
-        keep[[r for r, _, _ in blowups]] = False
-        arrays = tuple(a[keep] for a in arrays)
-    return arrays, sorted((lo + r, k, mag) for r, k, mag in blowups)
+    blowups, lo = [], 0
+    for arrays, chunk_blowups in parts:
+        blowups += [(lo + r, k, mag) for r, k, mag in chunk_blowups]
+        lo += len(arrays[0])
+    blowups.sort()
+    if lo - len(blowups) < 2:
+        replica, k_bad, max_abs = blowups[0]
+        raise BlowUpError(k_bad, max_abs, replica)
+    keep = np.ones(lo, dtype=bool)
+    keep[[r for r, _, _ in blowups]] = False
+    joined = (np.concatenate(column) for column in zip(*(a for a, _ in parts)))
+    return tuple(a[keep] for a in joined), blowups
 
 
 def solve_path(config, replica=0):

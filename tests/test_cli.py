@@ -5,6 +5,7 @@ parse_and_dispatch, so stdout/stderr and the filesystem are observable."""
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -110,26 +111,24 @@ def test_help_exits_zero(capsys):
     assert SEED_ENV in text
 
 
-def test_blowup_is_numerical_error(tmp_path, capsys):
-    code, _ = run_cli(["simulate"] + SMALL + ["--set", "u0=sin",
-                                              "--set", "u0_amp=1e13"],
-                      tmp_path)
-    assert code == 2
-    assert capsys.readouterr().err.startswith("levyheat:error:numerical:")
+SAMPLING = ["simulate", "density", "malliavin", "smallball"]
 
 
-@pytest.mark.parametrize("subcommand", ["malliavin", "smallball"])
+@pytest.mark.parametrize("subcommand", SAMPLING)
 def test_derivative_blowups_are_numerical_error(tmp_path, capsys, subcommand):
-    # every replica blows up, so fewer than 2 usable ones remain
+    # every replica blows up, so fewer than 2 usable ones remain; the error
+    # names the first of them
     code, out = run_cli([subcommand] + SMALL + ["--set", "u0=sin",
                                                 "--set", "u0_amp=1e13"],
                         tmp_path)
     assert code == 2
-    assert capsys.readouterr().err.startswith("levyheat:error:numerical:")
+    err = capsys.readouterr().err
+    assert err.startswith("levyheat:error:numerical:")
+    assert "at step 1 " in err and "replica 0)" in err
     assert not (out / f"{subcommand}.csv").exists()
 
 
-@pytest.mark.parametrize("subcommand", ["malliavin", "smallball"])
+@pytest.mark.parametrize("subcommand", SAMPLING)
 def test_derivative_blowups_reported_and_excluded(tmp_path, capsys,
                                                   subcommand):
     # u0 = A sin x with A exp(-dt) a hair below the 1e12 blow-up threshold:
@@ -424,17 +423,26 @@ def test_picard_norm_parameters_are_config_errors(tmp_path, capsys, setting):
     ("malliavin", "floor=inf", "need floor > 0 and finite"),
     ("density", "bandwidth=nan", "bandwidth must be >= 0"),
     ("density", "bandwidth=inf", "need bandwidth > 0 and finite, got inf"),
+    ("simulate", "drift=inf", "need a finite drift, got inf"),
+    ("simulate", "drift=nan", "need a finite drift, got nan"),
+    ("simulate", "scale=nan", "need scale c > 0 and finite, got nan"),
+    ("kernel", "scale=inf", "need scale c > 0 and finite, got inf"),
 ])
 def test_nan_parameters_are_config_errors(tmp_path, capsys, subcommand,
                                           settings, message):
     # a NaN fails every "x < bound" test, so each guard is a negated
     # comparison that NaN cannot pass; an infinite window, probe point,
-    # moment order, weight, floor or bandwidth is refused the same way
+    # moment order, weight, floor, bandwidth, scale or drift is refused the
+    # same way, before any numpy arithmetic can warn about it (pytest would
+    # keep such a warning off stderr, so it is recorded here)
     sets = [arg for s in settings.split() for arg in ("--set", s)]
-    code, out = run_cli([subcommand] + SMALL + sets, tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli([subcommand] + SMALL + sets, tmp_path)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("levyheat:error:config:") and message in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

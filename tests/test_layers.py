@@ -1,7 +1,8 @@
 """Layering: the numerical modules never reach up into the output layer, the
 noise module alone draws random numbers, solver._smooth alone transforms,
-solver._Scheme alone steps, and the public API has no name that only the
-tests use.
+solver._Scheme alone steps, solver._survivors alone applies the blow-up
+policy of the sampling drivers, and the public API has no name that only
+the tests use.
 
 mcstats (ensembles, density, row serialization) and cli (the row format)
 sit above kernels, noise, solver, malliavin and _parallel.  An import the
@@ -134,6 +135,17 @@ def test_the_step_is_written_once(name, reader):
     # solver._Scheme, so each piece of the scheme has one reader that
     # steps; NOT_A_STEP names the readers that step nothing
     assert functions_reading(name) == {reader} | NOT_A_STEP.get(name, set())
+
+
+def test_the_blowup_policy_is_written_once():
+    # the sampling drivers join their chunks through solver._survivors, which
+    # alone excludes, reports and raises their blow-ups; the single-replica
+    # paths raise their own, and the CLI turns BlowUpError into exit 2
+    assert functions_reading("_survivors") == {"mcstats.run_ensemble",
+                                               "malliavin.hnorm_samples"}
+    assert functions_reading("BlowUpError") == {
+        "solver._survivors", "solver.solve_path",
+        "malliavin.noise_gradient_oracle", "cli.parse_and_dispatch"}
 
 
 # public names whose only callers are tests, kept on purpose as references

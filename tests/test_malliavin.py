@@ -359,15 +359,14 @@ def test_hnorm_samples_additive_degenerate():
 def test_hnorm_samples_blowups_reported_not_silently_dropped():
     cfg = make_config(16, 8, 0.2, "shifted_sine", seed=0,
                       u0=lambda x: 1e13 * np.sin(x), replicas=3)
-    samples, tails, blowups = hnorm_samples(cfg, deltas=(0.1,))
-    assert len(samples) == 0 and len(tails[0.1]) == 0
-    assert len(blowups) == 3
-    for r, step, mag in blowups:
-        assert step == 1 and mag > 1e12
-    with pytest.raises(BlowUpError):
-        smallball_probability(cfg)
-    with pytest.raises(ValueError):
-        negative_moment_estimate(samples)
+    # every replica blows up: fewer than 2 survive, so both drivers raise
+    # the first blow-up
+    for driver in (lambda: hnorm_samples(cfg, deltas=(0.1,)),
+                   lambda: smallball_probability(cfg)):
+        with pytest.raises(BlowUpError) as err:
+            driver()
+        assert err.value.replica == 0 and err.value.step_index == 1
+        assert err.value.max_abs > 1e12
 
 
 def test_hnorm_samples_excludes_exactly_the_ensemble_blowups():

@@ -32,7 +32,7 @@ from levyheat import (
 from levyheat import solver
 from levyheat.kernels import fit_slope
 from levyheat.noise import _NoiseRows
-from levyheat.solver import _drop_blowups, _evolve_batch
+from levyheat.solver import BlowUpError, _evolve_batch
 
 from conftest import steep_sigma, traced_peak
 
@@ -94,11 +94,12 @@ def test_ensemble_blowups_reported_not_silently_dropped():
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
                     u0=field_from_function(lambda x: 1e13 * np.sin(x), 16),
                     seed=0, replicas=3)
-    ss = run_ensemble(cfg)
-    assert ss.count == 0
-    assert len(ss.blowups) == 3
-    for r, step, mag in ss.blowups:
-        assert step == 1 and mag > 1e12
+    # every replica blows up: fewer than 2 survive, so the first blow-up
+    # is raised
+    with pytest.raises(BlowUpError) as err:
+        run_ensemble(cfg)
+    assert err.value.replica == 0 and err.value.step_index == 1
+    assert err.value.max_abs > 1e12
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -115,11 +116,12 @@ def test_streamed_ensemble_matches_the_whole_block(monkeypatch, workers):
         u, _, chunk_blowups = _evolve_batch(
             cfg.u0, _NoiseRows(cfg.grid, cfg.seed, range(lo, hi))[:, :],
             EXP2, steep, cfg.grid, 37)
-        (v,), b = _drop_blowups(lo, chunk_blowups, u[:, 0])
-        values.append(v)
-        blowups += b
-    assert np.array_equal(ss.values, np.concatenate(values))
-    assert ss.blowups == blowups
+        values.append(u[:, 0])
+        blowups += [(lo + r, k, mag) for r, k, mag in chunk_blowups]
+    keep = np.ones(300, dtype=bool)
+    keep[[r for r, _, _ in blowups]] = False
+    assert np.array_equal(ss.values, np.concatenate(values)[keep])
+    assert ss.blowups == sorted(blowups)
     assert min(r for r, _, _ in blowups) < 256 <= max(r for r, _, _ in blowups)
     assert min(k for _, k, _ in blowups) > 3
 

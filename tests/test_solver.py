@@ -31,7 +31,7 @@ from levyheat import (
 from levyheat.kernels import rfft_weights
 from levyheat import solver
 from levyheat.noise import _NoiseRows
-from levyheat.solver import _evolve_batch
+from levyheat.solver import _evolve_batch, _survivors
 from levyheat._parallel import map_chunks
 
 from conftest import semigroup, steep_sigma, traced_peak
@@ -260,6 +260,24 @@ def test_streamed_noise_matches_the_whole_block(monkeypatch, m, words):
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
                     u0=field_from_function(np.sin, m), seed=4, replicas=2)
     assert np.array_equal(path_a[2], solve_path(cfg, replica=7))
+
+
+def test_survivors_join_the_chunks_and_need_two():
+    # chunk batch rows become replica indices and the report is in replica
+    # order; every array of a chunk loses the same rows
+    parts = [((np.array([0.0, 1.0, 2.0]), np.array([5.0, 6.0, 7.0])),
+              [(2, 4, 2e12)]),
+             ((np.array([3.0, 4.0]), np.array([8.0, 9.0])),
+              [(1, 3, 5e12), (0, 5, 3e12)])]
+    (a, b), blowups = _survivors(parts)
+    assert a.tolist() == [0.0, 1.0] and b.tolist() == [5.0, 6.0]
+    assert blowups == [(2, 4, 2e12), (3, 5, 3e12), (4, 3, 5e12)]
+    # one survivor: the first blow-up by replica, not by step, is raised
+    with pytest.raises(BlowUpError) as err:
+        _survivors([((np.array([0.0, 1.0]),), [(1, 2, 6e12)]),
+                    ((np.array([2.0]),), [(0, 1, 7e12)])])
+    assert (err.value.replica, err.value.step_index) == (1, 2)
+    assert err.value.max_abs == 6e12
 
 
 def test_streamed_blowups_in_later_blocks(monkeypatch):
