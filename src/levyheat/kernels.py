@@ -96,7 +96,10 @@ class LevyExponent:
             raise ValueError("Re phi leaves the declared growth envelope")
 
     def re_phi(self, n):
-        return np.asarray(self.phi(np.asarray(n)), dtype=complex).real
+        # a phi that carries its real part as phi.re, as make_power_exponent's
+        # does, skips the complex array
+        re, n = getattr(self.phi, "re", None), np.asarray(n)
+        return re(n) if re else np.asarray(self.phi(n), dtype=complex).real
 
 
 def make_power_exponent(c, alpha, drift=0.0):
@@ -116,6 +119,8 @@ def make_power_exponent(c, alpha, drift=0.0):
         n = np.asarray(n, dtype=float)
         return c * np.abs(n) ** alpha + 1j * drift * n
 
+    # phi(n).real to the last bit: the drift term adds +-0 to c |n|^alpha >= 0
+    phi.re = lambda n: c * np.abs(np.asarray(n, dtype=float)) ** alpha
     return LevyExponent(phi=phi, alpha=alpha, beta=alpha, c_lower=c, c_upper=c)
 
 

@@ -65,9 +65,10 @@ def propagate_derivative(path, xi, exp_, sigma, grid, source, until_k=None):
     scheme = _Scheme(exp_, sigma, grid)
     d = np.zeros(m)
     d[i_s] = float(sigma.sigma(path[k_s, i_s])) * _point_scale(grid)
-    d = scheme.smooth(d)
+    scheme.smooth(d)
     for k in range(k_s + 1, until_k):
-        d = scheme.smooth(d * scheme.tangent(path[k], xi[k]))
+        d *= scheme.tangent(path[k], xi[k])
+        scheme.smooth(d)
     return d
 
 
@@ -81,15 +82,15 @@ def adjoint_gradient(path, xi, exp_, sigma, grid, k_p, i_p):
     """
     if not (0 <= k_p <= grid.k_time) or not (0 <= i_p < grid.m_space):
         raise IndexError(f"probe cell {(k_p, i_p)} outside the grid")
-    scheme = _Scheme(exp_, sigma, grid)
+    scheme = _Scheme(exp_, sigma, grid, (len(path),))
     pscale = _point_scale(grid)
     rows = np.empty((len(path), k_p, grid.m_space))
     lam = np.zeros((len(path), grid.m_space))
     lam[:, i_p] = 1.0
     for k in range(k_p - 1, -1, -1):
-        mu = scheme.smooth(lam, transpose=True)
-        rows[:, k] = sigma.sigma(path[:, k]) * pscale * mu
-        lam = scheme.tangent(path[:, k], xi[:, k]) * mu
+        scheme.smooth(lam, transpose=True)  # lam <- mu = S^T lam
+        rows[:, k] = sigma.sigma(path[:, k]) * pscale * lam
+        lam *= scheme.tangent(path[:, k], xi[:, k])  # lam <- F_k mu
     return rows
 
 

@@ -23,7 +23,7 @@ from .noise import _NoiseRows
 from .solver import _evolve_batch, _smooth, _survivors
 from ._parallel import map_chunks
 
-ENSEMBLE_CHUNK = 256
+ENSEMBLE_CHUNK_WORDS = 16384  # replicas per chunk times m_space
 KDE_MAX_BINS = 2 ** 20  # largest bin grid kde convolves
 
 CSV_SCHEMA = "levyheat csv schema v1"
@@ -100,7 +100,8 @@ def run_ensemble(config, workers=1):
         return (u[:, i_p].copy(),), blowups
 
     (values,), blowups = _survivors(
-        map_chunks(one_chunk, config.replicas, ENSEMBLE_CHUNK, workers))
+        map_chunks(one_chunk, config.replicas,
+                   max(1, ENSEMBLE_CHUNK_WORDS // grid.m_space), workers))
     return SampleSet(values=values, blowups=blowups)
 
 

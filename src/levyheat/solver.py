@@ -105,8 +105,10 @@ def rfft_multiplier(exp_, grid):
     return rfft_symbol(exp_, grid.m_space, lambda p: np.exp(-grid.dt * p))
 
 
-def _smooth(fields, mult, m):
-    return np.fft.irfft(np.fft.rfft(fields, axis=-1) * mult, n=m, axis=-1)
+def _smooth(fields, mult, m, out=None, spec=None):
+    spec = np.fft.rfft(fields, axis=-1, out=spec)
+    spec *= mult
+    return np.fft.irfft(spec, n=m, axis=-1, out=out)
 
 
 @dataclass(frozen=True)
@@ -151,25 +153,33 @@ class RunConfig:
 
 class _Scheme:
     """The exponential-Euler step of one run: the multiplier S, the noise
-    density scale and sigma, written once for every driver."""
+    density scale, sigma and the work buffers of fields of shape
+    (*batch, m_space), written once for every driver."""
 
-    def __init__(self, exp_, sigma, grid):
+    def __init__(self, exp_, sigma, grid, batch=()):
         self.m = grid.m_space
         self.mult = rfft_multiplier(exp_, grid)
-        self.scale = noise_density_scale(grid)
-        self.sigma = sigma
-
-    def smooth(self, u, transpose=False):
         # S is a real circulant, so S^T has the conjugate symbol; S^T != S
         # under drift
-        return _smooth(u, np.conj(self.mult) if transpose else self.mult,
-                       self.m)
+        self.mult_t = np.conj(self.mult)
+        self.scale = noise_density_scale(grid)
+        self.sigma = sigma
+        self.g = np.empty((*batch, self.m))
+        self.spec = np.empty((*batch, self.m // 2 + 1), dtype=complex)
+
+    def smooth(self, u, transpose=False, out=None):
+        """S u (S^T u if transpose), written into out, by default into u."""
+        return _smooth(u, self.mult_t if transpose else self.mult, self.m,
+                       u if out is None else out, self.spec)
 
     def step(self, u, xi_k, w=None):
-        """S(u + sigma(w) xi_k scale), w being u unless given (Picard's
-        iterate n + 1 takes sigma of iterate n)."""
-        return self.smooth(u + self.sigma.sigma(u if w is None else w)
-                           * xi_k * self.scale)
+        """u <- S(u + sigma(w) xi_k scale) in place, w being u unless given
+        (Picard's iterate n + 1 takes sigma of iterate n)."""
+        g = np.multiply(self.sigma.sigma(u if w is None else w), xi_k,
+                        out=self.g)
+        g *= self.scale
+        g += u
+        return self.smooth(g, out=u)
 
     def tangent(self, u, xi_k):
         """F_k = 1 + sigma'(u_k) xi_k scale, the linearized step's factor."""
@@ -199,9 +209,9 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, until_k, keep_path=False):
     and reported, not raised; a row that would blow up only after until_k
     is not seen, so the drivers, which stop at the probe, keep it.
     """
-    scheme = _Scheme(exp_, sigma, grid)
-    rows = scheme.rows(xi, until_k)
     b, m = xi.shape[0], grid.m_space
+    scheme = _Scheme(exp_, sigma, grid, (b,))
+    rows = scheme.rows(xi, until_k)
     u = np.broadcast_to(np.asarray(u0_values, dtype=float), (b, m)).copy()
     alive = np.ones(b, dtype=bool)
     blowups = []
@@ -209,13 +219,15 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, until_k, keep_path=False):
     if keep_path:
         path[:, 0] = u
     for k in range(until_k):
-        u = scheme.step(u, next(rows))
-        top = np.max(np.abs(u), axis=-1)
-        bad = alive & ~(top <= BLOWUP_THRESHOLD)
-        for r in np.flatnonzero(bad):
-            blowups.append((int(r), k + 1, float(top[r])))
-            u[r] = np.nan
-        alive &= ~bad
+        scheme.step(u, next(rows))
+        # rows are searched only when the batch max is too big or NaN
+        if not np.abs(u, out=scheme.g).max() <= BLOWUP_THRESHOLD:
+            top = scheme.g.max(axis=-1)
+            bad = alive & ~(top <= BLOWUP_THRESHOLD)
+            for r in np.flatnonzero(bad):
+                blowups.append((int(r), k + 1, float(top[r])))
+                u[r] = np.nan
+            alive &= ~bad
         if keep_path:
             path[:, k + 1] = u
     return u, path, blowups
@@ -336,23 +348,23 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     grid = config.grid
     r_total = config.replicas
     m, k_time = grid.m_space, grid.k_time
-    scheme = _Scheme(config.exponent, config.sigma, grid)
 
     def one_chunk(lo, hi):
-        # v[n] is iterate n at step k; iterate n + 1 needs iterate n only at
-        # step k, so all of them advance together, row 0 being the flow of u0
+        # iterate n at step k is v0 + conv[n], v0 being the flow of u0 and
+        # conv[0] = 0; iterate n + 1 needs iterate n only at step k, so all
+        # of them advance together.  v_{n+1} - v_n = conv[n+1] - conv[n]:
+        # the flow cancels exactly, whatever the size of u0
+        flow = _Scheme(config.exponent, config.sigma, grid)
+        scheme = _Scheme(config.exponent, config.sigma, grid, (n_max, hi - lo))
         rows = scheme.rows(_NoiseRows(grid, config.seed, range(lo, hi)), k_time)
-        v0 = config.u0
-        v = np.broadcast_to(v0, (n_max + 1, hi - lo, m)).copy()
-        conv = np.zeros((n_max, hi - lo, m))
+        v0 = config.u0.copy()
+        conv = np.zeros((n_max + 1, hi - lo, m))
         moments = np.zeros((2, n_max, k_time + 1, m))
         mom, mom_sq = moments
         for k in range(k_time):
-            conv = scheme.step(conv, next(rows), v[:-1])
-            v0 = scheme.smooth(v0)
-            v[0] = v0
-            v[1:] = v0 + conv
-            d = np.abs(v[1:] - v[:-1]) ** p
+            scheme.step(conv[1:], next(rows), v0 + conv[:-1])
+            flow.smooth(v0)
+            d = np.abs(conv[1:] - conv[:-1]) ** p
             mom[:, k + 1] = d.sum(axis=1)
             mom_sq[:, k + 1] = (d * d).sum(axis=1)
         return moments

@@ -93,6 +93,25 @@ def test_power_exponent_hermitian_with_drift():
         assert exp_.phi(-n) == pytest.approx(np.conj(exp_.phi(n)))
 
 
+@pytest.mark.parametrize("drift", [0.0, 2.5, -2.5])
+@pytest.mark.parametrize("alpha", [1.4, 2.0])
+def test_power_re_phi_is_the_real_part_bit_for_bit(alpha, drift):
+    # make_power_exponent's Re phi skips the complex array; it is the real
+    # part of phi to the last bit and the sign of every zero, for arrays and
+    # scalars, and a phi of the user's own takes the generic path
+    exp_ = make_power_exponent(1.3, alpha, drift)
+    n = np.arange(-4096, 4097)
+    full = np.asarray(exp_.phi(n), complex).real
+    for fast in (exp_.re_phi(n), dataclasses.replace(exp_, beta=2.0).re_phi(n)):
+        assert np.array_equal(fast, full)
+        assert np.array_equal(np.signbit(fast), np.signbit(full))
+    assert exp_.re_phi(0) == 0.0 and not np.signbit(exp_.re_phi(0))
+    assert exp_.re_phi(-7) == full[4096 - 7]
+    own = LevyExponent(lambda k: exp_.phi(k), alpha, alpha, 1.3, 1.3)
+    assert not hasattr(own.phi, "re")
+    assert np.array_equal(own.re_phi(n), full)
+
+
 def test_threshold_family_accepted():
     exp_ = make_power_exponent(1.0, 4.0 / 3.0 + 0.1)
     assert exp_.alpha == pytest.approx(4.0 / 3.0 + 0.1)

@@ -37,6 +37,7 @@ from levyheat import (
     smallball_probability,
     solve_path,
 )
+from levyheat import mcstats
 from levyheat.malliavin import _wilson
 from levyheat.solver import _evolve_batch
 
@@ -369,12 +370,13 @@ def test_hnorm_samples_blowups_reported_not_silently_dropped():
         assert err.value.max_abs > 1e12
 
 
-def test_hnorm_samples_excludes_exactly_the_ensemble_blowups():
+def test_hnorm_samples_excludes_exactly_the_ensemble_blowups(monkeypatch):
     # a huge constant sigma crosses the blow-up threshold on some noise
     # paths only; the survivors keep the additive mass c^2 * v, and the
     # excluded replicas are the ones run_ensemble excludes.  300 replicas
-    # span several chunks of both drivers, so the chunk offset of the
-    # replica index is exercised
+    # span several chunks of both drivers (run_ensemble's of 256 at
+    # m_space = 16), so the chunk offset of the replica index is exercised
+    monkeypatch.setattr(mcstats, "ENSEMBLE_CHUNK_WORDS", 256 * 16)
     c = 3e12
     huge = SigmaSpec("huge", lambda u: np.full_like(u, c), np.zeros_like,
                      kappa=c)

@@ -5,7 +5,9 @@ additive-case targets come from the geometric per-mode sum, so statistical and
 discretization error are separated.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +264,32 @@ def test_streamed_noise_matches_the_whole_block(monkeypatch, m, words):
     assert np.array_equal(path_a[2], solve_path(cfg, replica=7))
 
 
+def test_the_step_allocates_only_what_sigma_returns():
+    # the stepper works in its own buffers: between two sigma calls, one
+    # step, the only new (B, M) array is the one sigma returns.  The noise
+    # is one (K, M) array broadcast over the batch, read through views, and
+    # numpy's ufunc buffers (np.getbufsize() elements each) fit in the margin
+    b, m, k = 1024, 64, 64
+    field = b * m * 8
+    grid = GridSpec(m_space=m, k_time=k, horizon=0.2)
+    xi = np.broadcast_to(np.random.default_rng(5).standard_normal((k, m)),
+                         (b, k, m))
+    marks = []
+
+    def sigma(u):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return np.full_like(u, 2.0)
+
+    spec = SigmaSpec("marked", sigma, np.zeros_like, kappa=2.0)
+    traced_peak(_evolve_batch, np.zeros(m), xi, EXP2, spec, grid, k)
+    assert len(marks) == k
+    # peak during step j minus what was live when step j began
+    extra = [peak - current for (current, _), (_, peak)
+             in zip(marks, marks[1:])]
+    assert max(extra) <= 1.5 * field
+
+
 def test_survivors_join_the_chunks_and_need_two():
     # chunk batch rows become replica indices and the report is in replica
     # order; every array of a chunk loses the same rows
@@ -454,22 +482,28 @@ def nested_picard_chunk(cfg, n_max, p):
         v0_path[k + 1] = solver._smooth(v0_path[k], mult, m)
 
     def one_chunk(lo, hi):
+        # each iterate is the flow v0_path plus its convolution path; the
+        # difference of two iterates is that of their convolutions, the
+        # zero path being iterate 0's
         xi = _NoiseRows(grid, cfg.seed, range(lo, hi))[:, :]
         prev = np.broadcast_to(v0_path, (hi - lo, k_time + 1, m)).copy()
+        prev_conv = np.zeros_like(prev)
         mom = np.zeros((n_max, k_time + 1, m))
         mom_sq = np.zeros((n_max, k_time + 1, m))
         for n in range(n_max):
             nxt = np.empty_like(prev)
             nxt[:, 0] = v0_path[0]
+            nxt_conv = np.zeros_like(prev)
             conv = np.zeros((hi - lo, m))
             for k in range(k_time):
                 g = sig(prev[:, k]) * xi[:, k] * scale
                 conv = solver._smooth(conv + g, mult, m)
                 nxt[:, k + 1] = v0_path[k + 1] + conv
-            d = np.abs(nxt - prev) ** p
+                nxt_conv[:, k + 1] = conv
+            d = np.abs(nxt_conv - prev_conv) ** p
             mom[n] = d.sum(axis=0)
             mom_sq[n] = (d * d).sum(axis=0)
-            prev = nxt
+            prev, prev_conv = nxt, nxt_conv
         return np.stack((mom, mom_sq))
 
     return one_chunk
@@ -502,6 +536,20 @@ def test_picard_lockstep_matches_nested_sweeps(monkeypatch, workers, m, k,
     assert np.array_equal(lockstep.stderrs, nested.stderrs)
     assert np.array_equal(lockstep.ratios, nested.ratios)
     assert np.all(nested.norms[:3] > 0.0)
+
+
+@pytest.mark.parametrize("sigma_name", ["one", "two"])
+def test_picard_differences_keep_their_digits_under_a_huge_u0(sigma_name):
+    # with a constant sigma the first difference v_1 - v_0 is the stochastic
+    # convolution alone, which does not see u0; differencing whole iterates
+    # cancelled it to 0 once the flow of u0 swamped it
+    cfg = picard_config(16, 8, 0.2, sigma_name, replicas=8)
+    huge = dataclasses.replace(cfg, u0=1e200 * np.sin(cfg.grid.x_points()))
+    flat = picard_sequence(cfg, n_max=3, beta_param=8.0)
+    far = picard_sequence(huge, n_max=3, beta_param=8.0)
+    assert far.norms[0] > 0.0
+    assert far.norms[0] == flat.norms[0]
+    assert far.stderrs[0] == flat.stderrs[0]
 
 
 def test_picard_memory_is_one_step_of_every_iterate():
