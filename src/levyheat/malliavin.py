@@ -31,10 +31,11 @@ import numpy as np
 
 from .kernels import DEFAULT_SERIES_TOL, TWO_PI, kernel_l2_time_integral
 from .noise import _NoiseRows
-from .solver import BlowUpError, _Scheme, _evolve_batch, _survivors
-from ._parallel import map_chunks
+from .solver import BlowUpError, _Scheme, _evolve_batch, sample_at_probe
 
-HNORM_CHUNK = 64
+# replicas per hnorm chunk times (k_p + 1) m_space: each replica holds its
+# noise, path and gradient rows, O(k_p m_space) words apiece
+HNORM_CHUNK_WORDS = 2 ** 20
 # quantile levels of the default small-ball eps: the resolvable range, where
 # frequencies are neither all-zero nor saturated
 SMALLBALL_LEVELS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -166,28 +167,24 @@ def hnorm_samples(config, workers=1, deltas=()):
     """Replica samples of the derivative mass |D u(t, x)|^2_H at the probe.
 
     Returns (samples, tails, blowups): tails maps each window delta to its
-    per-replica array, and blowups lists (replica, step, magnitude) for the
-    replicas with |u| > BLOWUP_THRESHOLD by the probe step, where each path
-    stops.  They are excluded from samples and tails exactly as run_ensemble
-    excludes them, and fewer than 2 survivors raise BlowUpError for the
-    first blow-up.  Deterministic in config regardless of worker count.
+    per-replica array.  Blow-ups are excluded and reported as in
+    run_ensemble.  Deterministic in config regardless of worker count.
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
 
-    def one_chunk(lo, hi):
-        xi = _NoiseRows(grid, config.seed, range(lo, hi))[:, :k_p]
-        _, path, blowups = _evolve_batch(config.u0, xi, config.exponent,
-                                         config.sigma, grid, k_p, keep_path=True)
+    def read(u, path, xi):
         # the sweep keeps each replica's rows apart, so the NaN-frozen rows
         # of the blown-up replicas reach no other row
         rows = adjoint_gradient(path, xi, config.exponent, config.sigma, grid,
                                 k_p, i_p)
         mass, tails = hnorm_sq(rows, grid, deltas)
-        return (mass, *(tails[float(d)] for d in deltas)), blowups
+        return (mass, *(tails[float(d)] for d in deltas))
 
-    (samples, *tails), blowups = _survivors(
-        map_chunks(one_chunk, config.replicas, HNORM_CHUNK, workers))
+    # k_p + 1 path rows: a probe at t = 0 still holds u0
+    chunk = max(1, HNORM_CHUNK_WORDS // ((k_p + 1) * grid.m_space))
+    (samples, *tails), blowups = sample_at_probe(config, chunk, read, workers,
+                                                 keep_path=True)
     return samples, dict(zip(map(float, deltas), tails)), blowups
 
 

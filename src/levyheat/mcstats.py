@@ -1,8 +1,8 @@
 """Ensemble driving, kernel density estimation, output rows and file output.
 
 Everything here is deterministic in (config, seed): replica r always draws
-noise stream (seed, r), chunk boundaries are fixed regardless of worker
-count, and scalar reductions use compensated summation, so emitted files are
+noise stream (seed, r) (solver.sample_at_probe), and every reduction runs
+over fixed chunk bounds in a fixed order, so emitted files are
 byte-identical across reruns and across worker counts.
 
 The density estimate bins the samples linearly and convolves once with the
@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import _NoiseRows
-from .solver import _evolve_batch, _smooth, _survivors
-from ._parallel import map_chunks
+from .solver import _smooth, sample_at_probe
 
 ENSEMBLE_CHUNK_WORDS = 16384  # replicas per chunk times m_space
 KDE_MAX_BINS = 2 ** 20  # largest bin grid kde convolves
@@ -81,27 +79,14 @@ class SampleSet:
 
 
 def run_ensemble(config, workers=1):
-    """Samples of u at the configured probe, from independent replica paths.
-
-    Replica r uses noise stream (config.seed, r), stepped up to the probe
-    step only.  A replica with |u| > BLOWUP_THRESHOLD by then is excluded
-    from the values and reported in blowups, since a silent drop biases
-    every statistic; fewer than 2 survivors raise BlowUpError for the first
-    blow-up, so the set holds at least 2 values.
-    """
-    grid = config.grid
-    k_p, i_p = config.probe_cell
-
-    def one_chunk(lo, hi):
-        xi = _NoiseRows(grid, config.seed, range(lo, hi))
-        u, _, blowups = _evolve_batch(config.u0, xi, config.exponent,
-                                      config.sigma, grid, k_p)
-        # a copy: a view of the probe column would keep all of u alive
-        return (u[:, i_p].copy(),), blowups
-
-    (values,), blowups = _survivors(
-        map_chunks(one_chunk, config.replicas,
-                   max(1, ENSEMBLE_CHUNK_WORDS // grid.m_space), workers))
+    """Samples of u at the configured probe, one per replica path.  Blow-ups
+    are excluded and reported as solver.sample_at_probe does, since a silent
+    drop biases every statistic, so the set holds at least 2 values."""
+    i_p = config.probe_cell[1]
+    # a copy: a view of the probe column would keep all of u alive
+    (values,), blowups = sample_at_probe(
+        config, max(1, ENSEMBLE_CHUNK_WORDS // config.grid.m_space),
+        lambda u, path, xi: (u[:, i_p].copy(),), workers)
     return SampleSet(values=values, blowups=blowups)
 
 

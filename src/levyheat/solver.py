@@ -20,6 +20,8 @@ apart.
 """
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,7 +37,6 @@ from .kernels import (
     rfft_weights,
 )
 from .noise import GridSpec, _NoiseRows
-from ._parallel import map_chunks
 
 BLOWUP_THRESHOLD = 1e12
 # the stepper draws at least this many words of each noise stream at a time
@@ -233,28 +234,64 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, until_k, keep_path=False):
     return u, path, blowups
 
 
-def _survivors(parts):
-    """The blow-up policy of every sampling driver, written once.
-
-    parts are the chunk results in chunk order, each (arrays, blowups):
-    arrays holds the chunk's per-replica arrays, one row per replica, and
-    blowups are the (batch_row, step, magnitude) triples _evolve_batch gave
-    the chunk.  Returns the joined arrays without the blown-up replicas, and
-    the blow-ups as (replica, step, magnitude) in replica order, so the
-    report does not depend on the chunk size.  Fewer than 2 survivors raise
-    BlowUpError for the first blow-up.
+def map_chunks(fn, n_items, chunk, workers=1):
+    """fn(lo, hi) over chunks of `chunk` of n_items items, yielded in chunk
+    order.  The bounds do not depend on workers, so an in-order fold of the
+    results is bit-identical for any worker count.  At most workers + 1
+    chunks are ever submitted and not yet read.
     """
-    blowups, lo = [], 0
-    for arrays, chunk_blowups in parts:
-        blowups += [(lo + r, k, mag) for r, k, mag in chunk_blowups]
-        lo += len(arrays[0])
+    bounds = [(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
+    if workers <= 1 or len(bounds) <= 1:
+        yield from (fn(lo, hi) for lo, hi in bounds)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for lo, hi in bounds:
+            pending.append(pool.submit(fn, lo, hi))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def sample_at_probe(config, chunk, read, workers=1, keep_path=False):
+    """The sampling loop of every driver: read(u, path, xi) off each chunk
+    of `chunk` replicas stepped to the probe step k_p, the chunks joined
+    under the one blow-up policy.
+
+    Replica r draws noise stream (config.seed, r), and the chunk bounds do
+    not depend on workers.  read gets the chunk's (B, m_space) field at k_p
+    and, if keep_path, its (B, k_p + 1, m_space) path and (B, k_p, m_space)
+    variates (else None and its _NoiseRows); it returns a tuple of arrays
+    with one row per replica.  Returns (arrays, blowups): the arrays without
+    the replicas with |u| > BLOWUP_THRESHOLD by k_p, and those blow-ups as
+    (replica, step, magnitude) in replica order, whatever the chunk size.
+    Fewer than 2 survivors raise BlowUpError for the first blow-up by
+    replica.
+    """
+    grid = config.grid
+    k_p = config.probe_cell[0]
+
+    def one_chunk(lo, hi):
+        xi = _NoiseRows(grid, config.seed, range(lo, hi))
+        if keep_path:  # read needs the variates of the path: draw them once
+            xi = xi[:, :k_p]
+        u, path, blowups = _evolve_batch(config.u0, xi, config.exponent,
+                                         config.sigma, grid, k_p, keep_path)
+        return read(u, path, xi), [(lo + r, k, mag) for r, k, mag in blowups]
+
+    parts, blowups = [], []
+    for arrays, chunk_blowups in map_chunks(one_chunk, config.replicas, chunk,
+                                            workers):
+        parts.append(arrays)
+        blowups += chunk_blowups
     blowups.sort()
-    if lo - len(blowups) < 2:
+    if config.replicas - len(blowups) < 2:
         replica, k_bad, max_abs = blowups[0]
         raise BlowUpError(k_bad, max_abs, replica)
-    keep = np.ones(lo, dtype=bool)
+    keep = np.ones(config.replicas, dtype=bool)
     keep[[r for r, _, _ in blowups]] = False
-    joined = (np.concatenate(column) for column in zip(*(a for a, _ in parts)))
+    joined = (np.concatenate(column) for column in zip(*parts))
     return tuple(a[keep] for a in joined), blowups
 
 
@@ -325,6 +362,7 @@ class PicardReport:
     contracting: bool
 
 
+# fixed: the moment sums are folded per chunk, so their bits depend on it
 PICARD_CHUNK = 128
 
 
@@ -369,13 +407,9 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
             mom_sq[:, k + 1] = (d * d).sum(axis=1)
         return moments
 
-    # a wave of one chunk per worker at a time, folded in chunk order into the
-    # sum over all chunks, so memory does not grow with the replica count
-    moments, wave = 0, PICARD_CHUNK * max(1, workers)
-    for start in range(0, r_total, wave):
-        moments = sum(map_chunks(lambda lo, hi: one_chunk(start + lo, start + hi),
-                                 min(wave, r_total - start), PICARD_CHUNK,
-                                 workers), moments)
+    # a left fold in chunk order, the same for every worker count; map_chunks
+    # keeps at most workers + 1 chunks' moments unread
+    moments = sum(map_chunks(one_chunk, r_total, PICARD_CHUNK, workers))
     mom, mom_sq = moments / r_total
 
     t_weights = np.exp(-beta_param * grid.t_points())[:, None]

@@ -1,11 +1,11 @@
 """Layering: the numerical modules never reach up into the output layer, the
 noise module alone draws random numbers, solver._smooth alone transforms,
-solver._Scheme alone steps, solver._survivors alone applies the blow-up
-policy of the sampling drivers, and the public API has no name that only
-the tests use.
+solver._Scheme alone steps, solver.sample_at_probe alone runs the sampling
+loop and applies the blow-up policy of the sampling drivers, and the public
+API has no name that only the tests use.
 
 mcstats (ensembles, density, row serialization) and cli (the row format)
-sit above kernels, noise, solver, malliavin and _parallel.  An import the
+sit above kernels, noise, solver and malliavin.  An import the
 other way, even one inside a function, couples the numerics to the output
 format, so this test parses each lower module and rejects any such import.
 """
@@ -21,7 +21,7 @@ import levyheat
 
 PACKAGE = Path(levyheat.__file__).parent
 DEMOS = PACKAGE.parents[1] / "demos"
-LOWER = ("kernels", "noise", "solver", "malliavin", "_parallel")
+LOWER = ("kernels", "noise", "solver", "malliavin")
 UPPER = {"mcstats", "cli"}
 
 
@@ -120,8 +120,8 @@ def functions_reading(name):
 
 
 # kde's one Gaussian convolution of the binned samples is the only other
-# spectral product in the package
-NOT_A_STEP = {"_smooth": {"mcstats.kde"}}
+# spectral product in the package, and its `step` is a grid spacing
+NOT_A_STEP = {"_smooth": {"mcstats.kde"}, "step": {"mcstats.kde"}}
 
 
 @pytest.mark.parametrize("name, reader", [
@@ -137,14 +137,35 @@ def test_the_step_is_written_once(name, reader):
     assert functions_reading(name) == {reader} | NOT_A_STEP.get(name, set())
 
 
+def test_only_the_forward_pass_and_picard_loop_over_time_steps():
+    # _evolve_batch runs every forward pass, and Picard's lockstep chunk,
+    # which steps every iterate at once, is the only other loop over steps
+    assert functions_reading("step") == ({"solver._evolve_batch",
+                                          "solver.picard_sequence"}
+                                         | NOT_A_STEP["step"])
+
+
+def test_the_sampling_loop_is_written_once():
+    # solver.sample_at_probe alone chunks the replicas, draws their noise
+    # streams and steps them to the probe for the sampling drivers, which
+    # keep only their chunk size and what they read off each chunk; Picard
+    # folds its own chunks through the same map_chunks
+    assert functions_reading("map_chunks") == {"solver.sample_at_probe",
+                                               "solver.picard_sequence"}
+    assert functions_reading("_evolve_batch") == {
+        "solver.sample_at_probe", "solver.solve_path",
+        "malliavin.noise_gradient_oracle"}
+
+
 def test_the_blowup_policy_is_written_once():
-    # the sampling drivers join their chunks through solver._survivors, which
-    # alone excludes, reports and raises their blow-ups; the single-replica
-    # paths raise their own, and the CLI turns BlowUpError into exit 2
-    assert functions_reading("_survivors") == {"mcstats.run_ensemble",
-                                               "malliavin.hnorm_samples"}
+    # the sampling drivers join their chunks through solver.sample_at_probe,
+    # which alone excludes, reports and raises their blow-ups; the
+    # single-replica paths raise their own, and the CLI turns BlowUpError
+    # into exit 2
+    assert functions_reading("sample_at_probe") == {"mcstats.run_ensemble",
+                                                    "malliavin.hnorm_samples"}
     assert functions_reading("BlowUpError") == {
-        "solver._survivors", "solver.solve_path",
+        "solver.sample_at_probe", "solver.solve_path",
         "malliavin.noise_gradient_oracle", "cli.parse_and_dispatch"}
 
 

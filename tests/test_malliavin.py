@@ -37,7 +37,7 @@ from levyheat import (
     smallball_probability,
     solve_path,
 )
-from levyheat import mcstats
+from levyheat import malliavin, mcstats
 from levyheat.malliavin import _wilson
 from levyheat.solver import _evolve_batch
 
@@ -374,9 +374,11 @@ def test_hnorm_samples_excludes_exactly_the_ensemble_blowups(monkeypatch):
     # a huge constant sigma crosses the blow-up threshold on some noise
     # paths only; the survivors keep the additive mass c^2 * v, and the
     # excluded replicas are the ones run_ensemble excludes.  300 replicas
-    # span several chunks of both drivers (run_ensemble's of 256 at
-    # m_space = 16), so the chunk offset of the replica index is exercised
+    # span several chunks of both drivers (run_ensemble's of 256 and
+    # hnorm_samples' of 64 at m_space = 16, k_p = 8), so the chunk offset of
+    # the replica index is exercised
     monkeypatch.setattr(mcstats, "ENSEMBLE_CHUNK_WORDS", 256 * 16)
+    monkeypatch.setattr(malliavin, "HNORM_CHUNK_WORDS", 64 * 9 * 16)
     c = 3e12
     huge = SigmaSpec("huge", lambda u: np.full_like(u, c), np.zeros_like,
                      kappa=c)
@@ -407,6 +409,37 @@ def test_hnorm_samples_at_an_interior_probe():
     # a probe at t = 0 stops before the first step and draws no noise row
     at_zero = dataclasses.replace(cfg, probe=(0.0, 0.0))
     assert np.array_equal(hnorm_samples(at_zero)[0], np.zeros(3))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_hnorm_samples_are_the_same_for_every_chunk_budget(monkeypatch,
+                                                           workers):
+    # each replica's pass and sweep do not depend on the batch: chunks of 1,
+    # 7, 64 and all 300 replicas give the same masses, tails and blow-ups,
+    # and the 7-replica chunks split runs of blown-up replicas
+    cfg = make_config(16, 8, 0.2, "shifted_sine", seed=0, replicas=300,
+                      u0=lambda x: 1025315120524.2238 * np.sin(x))
+    results = []
+    for chunk in (1, 7, 64, 300):
+        monkeypatch.setattr(malliavin, "HNORM_CHUNK_WORDS", chunk * 9 * 16)
+        results.append(hnorm_samples(cfg, workers=workers, deltas=(0.05,)))
+    samples, tails, blowups = results[0]
+    blown = {r for r, _, _ in blowups}
+    assert 0 < len(blown) < 300
+    assert any(0 < len(blown & set(range(lo, lo + 7))) < 7
+               for lo in range(0, 300, 7))
+    for other, other_tails, other_blowups in results[1:]:
+        assert np.array_equal(other, samples)
+        assert np.array_equal(other_tails[0.05], tails[0.05])
+        assert other_blowups == blowups
+
+
+def test_hnorm_memory_is_bounded_at_256():
+    # 64 replicas at 256 x 256 took 128 MiB in 64-replica chunks; chunks of
+    # 2^20 words of (k_p + 1) m_space rows hold 15 replicas here
+    cfg = make_config(256, 256, 0.2, "shifted_sine", replicas=64)
+    _, peak = traced_peak(hnorm_samples, cfg)
+    assert peak <= 32 * 2 ** 20
 
 
 def test_hnorm_memory_is_linear_in_the_grid():

@@ -7,6 +7,8 @@ discretization error are separated.
 
 import dataclasses
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,8 +35,7 @@ from levyheat import (
 from levyheat.kernels import rfft_weights
 from levyheat import solver
 from levyheat.noise import _NoiseRows
-from levyheat.solver import _evolve_batch, _survivors
-from levyheat._parallel import map_chunks
+from levyheat.solver import _evolve_batch, map_chunks, sample_at_probe
 
 from conftest import semigroup, steep_sigma, traced_peak
 
@@ -290,22 +291,58 @@ def test_the_step_allocates_only_what_sigma_returns():
     assert max(extra) <= 1.5 * field
 
 
-def test_survivors_join_the_chunks_and_need_two():
-    # chunk batch rows become replica indices and the report is in replica
-    # order; every array of a chunk loses the same rows
-    parts = [((np.array([0.0, 1.0, 2.0]), np.array([5.0, 6.0, 7.0])),
-              [(2, 4, 2e12)]),
-             ((np.array([3.0, 4.0]), np.array([8.0, 9.0])),
-              [(1, 3, 5e12), (0, 5, 3e12)])]
-    (a, b), blowups = _survivors(parts)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_at_probe_joins_the_chunks_and_needs_two(monkeypatch,
+                                                        workers):
+    # a stub pass gives replica r the field r and the chunk's blow-ups as
+    # batch rows; chunk rows become replica indices, the report is in
+    # replica order, and every array read off a chunk loses the same rows
+    chunk_blowups = {0: [(2, 4, 2e12)], 3: [(1, 3, 5e12), (0, 5, 3e12)]}
+
+    def stub(u0, xi, exp_, sigma, grid, until_k, keep_path=False):
+        u = np.repeat(np.asarray(xi.replicas, dtype=float)[:, None],
+                      grid.m_space, axis=1)
+        return u, None, chunk_blowups.get(xi.replicas[0], [])
+
+    monkeypatch.setattr(solver, "_evolve_batch", stub)
+    cfg = RunConfig(grid=GridSpec(m_space=4, k_time=8, horizon=0.2),
+                    exponent=EXP2, sigma=get_sigma("one"), u0=np.zeros(4),
+                    replicas=5)
+    (a, b), blowups = sample_at_probe(
+        cfg, 3, lambda u, path, xi: (u[:, 0], u[:, 0] + 5.0), workers)
     assert a.tolist() == [0.0, 1.0] and b.tolist() == [5.0, 6.0]
     assert blowups == [(2, 4, 2e12), (3, 5, 3e12), (4, 3, 5e12)]
     # one survivor: the first blow-up by replica, not by step, is raised
+    chunk_blowups = {0: [(1, 2, 6e12)], 2: [(0, 1, 7e12)]}
     with pytest.raises(BlowUpError) as err:
-        _survivors([((np.array([0.0, 1.0]),), [(1, 2, 6e12)]),
-                    ((np.array([2.0]),), [(0, 1, 7e12)])])
+        sample_at_probe(dataclasses.replace(cfg, replicas=3), 2,
+                        lambda u, path, xi: (u[:, 0],), workers)
     assert (err.value.replica, err.value.step_index) == (1, 2)
     assert err.value.max_abs == 6e12
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_chunks_yields_in_order_and_holds_few_unread(workers):
+    # the chunks at lo = 0, 12, 24, ... sleep, so later chunks finish first,
+    # but they come back in chunk order; no more than workers + 1 chunks are
+    # ever submitted and not yet read
+    lock = threading.Lock()
+    started, read = [], []
+
+    def fn(lo, hi):
+        with lock:
+            started.append(lo)
+            assert len(started) - len(read) <= workers + 1
+        time.sleep(0.002 * (lo % 4 == 0))
+        return lo, hi
+
+    out = []
+    for lo, hi in map_chunks(fn, 50, 3, workers):
+        with lock:
+            read.append(lo)
+        out.append((lo, hi))
+    assert out == [(lo, min(lo + 3, 50)) for lo in range(0, 50, 3)]
+    assert sorted(started) == read
 
 
 def test_streamed_blowups_in_later_blocks(monkeypatch):
@@ -527,10 +564,9 @@ def test_picard_lockstep_matches_nested_sweeps(monkeypatch, workers, m, k,
     args = (cfg, 4, 8.0, p, workers)
     lockstep = picard_sequence(*args)
     # the nested chunks' moments, handed to picard_sequence in chunk order
-    parts = iter(map_chunks(nested_picard_chunk(cfg, 4, p), cfg.replicas,
-                            solver.PICARD_CHUNK, workers))
-    monkeypatch.setattr(solver, "map_chunks", lambda _, n, size, w: [
-        next(parts) for _ in range(0, n, size)])
+    parts = map_chunks(nested_picard_chunk(cfg, 4, p), cfg.replicas,
+                       solver.PICARD_CHUNK, workers)
+    monkeypatch.setattr(solver, "map_chunks", lambda *_: parts)
     nested = picard_sequence(*args)
     assert np.array_equal(lockstep.norms, nested.norms)
     assert np.array_equal(lockstep.stderrs, nested.stderrs)
