@@ -189,48 +189,56 @@ def check_exponent_condition(alpha, beta):
 
 
 # ---------------------------------------------------------------------------
-# mode series over one Re phi table
+# mode series streamed over blocks of Re phi
 #
 # A series splits into a cutoff, which the envelope alone fixes, and a body
-# summed over the prefix Re phi(1..cutoff) of one table that every series of
-# a call shares.  The bodies keep the operation order of the one-series
-# expressions, so no value depends on which series shared its table.
+# that sums its terms over the first n modes of one block.  One pass
+# evaluates Re phi block by block for every series of a call, and each
+# series folds its block sums left to right in block order, so no value
+# depends on which series shared the pass, and the pass holds a few blocks
+# whatever the cutoffs.
 
-_PHI_BLOCK = 1 << 16  # modes per block: bounds the temporaries of re_phi
-
-
-def _blocks(size):
-    for lo in range(0, size, _PHI_BLOCK):
-        yield lo, min(lo + _PHI_BLOCK, size)
+_PHI_BLOCK = 1 << 16  # modes per block: bounds the memory of a pass
 
 
-class _ModeTable:
-    """Re phi(n) for n = 1..size, evaluated once, and one work buffer of the
-    same length that each series body overwrites."""
+class _Block:
+    """Re phi(n) for the modes n = lo+1..lo+len(re), and one work buffer of
+    the same length that each series body overwrites."""
 
-    def __init__(self, exp_, size):
-        self.re = np.empty(size)
-        for lo, hi in _blocks(size):
-            self.re[lo:hi] = exp_.re_phi(np.arange(lo + 1, hi + 1))
-        self.work = np.empty(size)
+    def __init__(self, lo, re):
+        self.lo, self.re = lo, re
+        self.work = np.empty_like(re)
 
     @cached_property
     def half_recip(self):
-        """1 / (2 Re phi), built on first use."""
+        """1 / (2 Re phi), built on first use and shared by every series."""
         out = np.multiply(2.0, self.re)
         return np.divide(1.0, out, out=out)
+
+    @cached_property
+    def half_recip_sum(self):
+        return np.sum(self.half_recip)
 
 
 class _Series(NamedTuple):
     cutoff: int
-    body: Callable    # (table, cutoff) -> sum of the terms over the prefix
-    finish: Callable  # body sum -> (value, certified error)
+    body: Callable    # (block, n) -> sum of the terms over its first n modes
+    finish: Callable  # sum of the terms -> (value, certified error)
 
 
 def _sum_series(exp_, series):
-    """(value, certified error) of each series, all from one Re phi table."""
-    table = _ModeTable(exp_, max(s.cutoff for s in series))
-    return [s.finish(s.body(table, s.cutoff)) for s in series]
+    """(value, certified error) of each series, all from one streamed pass
+    over Re phi(1..largest cutoff)."""
+    sums = [0.0] * len(series)
+    size = max((s.cutoff for s in series), default=0)
+    for lo in range(0, size, _PHI_BLOCK):
+        hi = min(lo + _PHI_BLOCK, size)
+        block = _Block(lo, exp_.re_phi(np.arange(lo + 1, hi + 1)))
+        for i, s in enumerate(series):
+            if s.cutoff > lo:
+                sums[i] += s.body(block, min(s.cutoff, hi) - lo)
+        del block  # free it before the next block's Re phi temporaries
+    return [s.finish(total) for s, total in zip(series, sums)]
 
 
 def _one_series(exp_, series, full_output):
@@ -293,9 +301,9 @@ def _norm_series(exp_, t, tol):
     cutoff = _exp_series_cutoff(lam, exp_.alpha, tol * FOUR_PI_SQ)
     tail = 2.0 * _one_sided_exp_tail(lam, exp_.alpha, cutoff) / FOUR_PI_SQ
 
-    def body(table, n):
-        work = table.work[:n]
-        np.multiply(-2.0 * t, table.re[:n], out=work)
+    def body(block, n):
+        work = block.work[:n]
+        np.multiply(-2.0 * t, block.re[:n], out=work)
         return np.sum(np.exp(work, out=work))
 
     return _Series(cutoff, body, lambda s: ((1.0 + 2.0 * s) / FOUR_PI_SQ, tail))
@@ -363,20 +371,23 @@ def _time_integral_series(exp_, delta, tol):
         damp = 1.0 - (math.exp(arg) if arg > _EXP_FLOOR else 0.0)
         return damp * (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0))
 
-    def body(table, n):
+    def body(block, n):
         # expm1(-x) is exactly -1.0 for x >= 40 (e^-40 is below half an ulp
-        # of 1), so past the mode where the envelope puts 2 delta Re phi
-        # above 40 the term is exactly 1/(2 Re phi).  Re phi need not be
-        # monotone, so only the envelope can say where that starts.
-        head = math.ceil(min(n, (20.0 / (delta * c1)) ** (1.0 / a)))
-        re, work = table.re, table.work
-        for lo, hi in _blocks(head):
-            w = work[lo:hi]
-            np.multiply(-2.0 * delta, re[lo:hi], out=w)
-            np.negative(np.expm1(w, out=w), out=w)
-            w /= 2.0 * re[lo:hi]
-        work[head:n] = table.half_recip[head:n]
-        return np.sum(work[:n])
+        # of 1), so past the mode `head` where the envelope puts 2 delta
+        # Re phi above 40 the term is exactly 1/(2 Re phi).  Re phi need not
+        # be monotone, so only the envelope can say where that starts; no
+        # cutoff passes _MAX_CUTOFF.
+        head = math.ceil(min((20.0 / (delta * c1)) ** (1.0 / a), _MAX_CUTOFF))
+        k = min(n, max(0, head - block.lo))
+        if k == 0 and n == len(block.re):
+            return block.half_recip_sum
+        re, work = block.re[:k], block.work[:n]
+        w = work[:k]
+        np.multiply(-2.0 * delta, re, out=w)
+        np.negative(np.expm1(w, out=w), out=w)
+        w /= 2.0 * re
+        work[k:] = block.half_recip[k:n]
+        return np.sum(work)
 
     return _bracketed_series(exp_, body, lower_tail, delta, tol)
 
@@ -401,9 +412,9 @@ def _laplace_series(exp_, beta_param, tol):
         slack = 1.0 + beta_param / (2.0 * c2 * (n + 1.0) ** b)
         return (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0) * slack)
 
-    def body(table, n):
-        work = table.work[:n]
-        np.multiply(2.0, table.re[:n], out=work)
+    def body(block, n):
+        work = block.work[:n]
+        np.multiply(2.0, block.re[:n], out=work)
         np.add(beta_param, work, out=work)
         return np.sum(np.divide(1.0, work, out=work))
 

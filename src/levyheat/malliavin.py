@@ -29,7 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DEFAULT_SERIES_TOL, TWO_PI, kernel_l2_time_integral
+from .kernels import (
+    DEFAULT_SERIES_TOL,
+    TWO_PI,
+    _sum_series,
+    _time_integral_series,
+)
 from .noise import _NoiseRows
 from .solver import BlowUpError, _Scheme, _evolve_batch, sample_at_probe
 
@@ -181,8 +186,11 @@ def hnorm_samples(config, workers=1, deltas=()):
         mass, tails = hnorm_sq(rows, grid, deltas)
         return (mass, *(tails[float(d)] for d in deltas))
 
-    # k_p + 1 path rows: a probe at t = 0 still holds u0
-    chunk = max(1, HNORM_CHUNK_WORDS // ((k_p + 1) * grid.m_space))
+    # k_p + 1 path rows: a probe at t = 0 still holds u0.  The budget caps
+    # the chunk; the replicas are then spread evenly over as few chunks, so
+    # no tail chunk costs a whole pass for a replica or two
+    cap = max(1, HNORM_CHUNK_WORDS // ((k_p + 1) * grid.m_space))
+    chunk = math.ceil(config.replicas / math.ceil(config.replicas / cap))
     (samples, *tails), blowups = sample_at_probe(config, chunk, read, workers,
                                                  keep_path=True)
     return samples, dict(zip(map(float, deltas), tails)), blowups
@@ -190,10 +198,17 @@ def hnorm_samples(config, workers=1, deltas=()):
 
 def smallball_lower_mass(exp_, kappa, delta, tol=DEFAULT_SERIES_TOL):
     """(kappa^2 / 2) * int_0^delta ||q_s||^2 ds, the guaranteed derivative mass
-    contributed by the window (t - delta, t] when |sigma| >= kappa."""
+    contributed by the window (t - delta, t] when |sigma| >= kappa.
+
+    delta may be an array of windows: they share one streamed series pass,
+    and each mass has the bits it has on its own."""
     if kappa <= 0:
         raise ValueError("needs a positive lower bound kappa on |sigma|")
-    return 0.5 * kappa ** 2 * kernel_l2_time_integral(exp_, delta, tol)
+    deltas = np.asarray(delta, dtype=float)
+    pairs = _sum_series(exp_, [_time_integral_series(exp_, d, tol)
+                               for d in deltas.ravel()])
+    masses = np.array([0.5 * kappa ** 2 * value for value, _ in pairs])
+    return masses.reshape(deltas.shape)[()]
 
 
 def _wilson(successes, n, z=1.959963984540054):
@@ -255,12 +270,10 @@ def smallball_probability(config, eps_list=None, levels=SMALLBALL_LEVELS,
     beta = exp_.beta
     # scale constant of the lower mass: J(delta) >= (c/2) delta^(1-1/beta)
     d_grid = np.geomspace(max(t * 1e-3, config.grid.dt * 1e-2), t, 16)
-    j_vals = np.array([smallball_lower_mass(exp_, config.sigma.kappa, d)
-                       for d in d_grid])
+    j_vals = smallball_lower_mass(exp_, config.sigma.kappa, d_grid)
     c_fit = float(np.min(2.0 * j_vals / d_grid ** (1.0 - 1.0 / beta)))
     delta = np.minimum((4.0 * eps / c_fit) ** (beta / (beta - 1.0)), t)
-    lower = np.array([smallball_lower_mass(exp_, config.sigma.kappa, d)
-                      for d in delta])
+    lower = smallball_lower_mass(exp_, config.sigma.kappa, delta)
     return SmallBallReport(
         eps=eps, freq=freq,
         ci_lo=ci[:, 0], ci_hi=ci[:, 1], delta=delta, lower_mass=lower,

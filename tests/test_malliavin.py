@@ -9,6 +9,7 @@ finite-difference oracle.
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from levyheat import (
     BlowUpError,
     GridSpec,
+    LevyExponent,
     OracleResult,
     RunConfig,
     SigmaSpec,
@@ -375,8 +377,8 @@ def test_hnorm_samples_excludes_exactly_the_ensemble_blowups(monkeypatch):
     # paths only; the survivors keep the additive mass c^2 * v, and the
     # excluded replicas are the ones run_ensemble excludes.  300 replicas
     # span several chunks of both drivers (run_ensemble's of 256 and
-    # hnorm_samples' of 64 at m_space = 16, k_p = 8), so the chunk offset of
-    # the replica index is exercised
+    # hnorm_samples' of 60 under a budget of 64 at m_space = 16, k_p = 8), so
+    # the chunk offset of the replica index is exercised
     monkeypatch.setattr(mcstats, "ENSEMBLE_CHUNK_WORDS", 256 * 16)
     monkeypatch.setattr(malliavin, "HNORM_CHUNK_WORDS", 64 * 9 * 16)
     c = 3e12
@@ -415,8 +417,9 @@ def test_hnorm_samples_at_an_interior_probe():
 def test_hnorm_samples_are_the_same_for_every_chunk_budget(monkeypatch,
                                                            workers):
     # each replica's pass and sweep do not depend on the batch: chunks of 1,
-    # 7, 64 and all 300 replicas give the same masses, tails and blow-ups,
-    # and the 7-replica chunks split runs of blown-up replicas
+    # 7, 60 and all 300 replicas (budgets of 1, 7, 64 and 300) give the same
+    # masses, tails and blow-ups, and the 7-replica chunks split runs of
+    # blown-up replicas
     cfg = make_config(16, 8, 0.2, "shifted_sine", seed=0, replicas=300,
                       u0=lambda x: 1025315120524.2238 * np.sin(x))
     results = []
@@ -432,6 +435,25 @@ def test_hnorm_samples_are_the_same_for_every_chunk_budget(monkeypatch,
         assert np.array_equal(other, samples)
         assert np.array_equal(other_tails[0.05], tails[0.05])
         assert other_blowups == blowups
+
+
+@pytest.mark.parametrize("m, replicas, chunk", [
+    (128, 64, 32),  # budget 63: 2 chunks of 32, not 63 + 1
+    (256, 64, 13),  # budget 15: 5 chunks, 4 of 13 and 1 of 12
+    (64, 16, 16),   # budget 252: one chunk
+    (1024, 4, 1),   # budget below one replica: one replica per chunk
+])
+def test_hnorm_chunks_split_the_replicas_evenly(monkeypatch, m, replicas,
+                                                chunk):
+    seen = []
+
+    def spy(config, chunk, read, workers=1, keep_path=False):
+        seen.append(chunk)
+        return (np.zeros(config.replicas),), []
+
+    monkeypatch.setattr(malliavin, "sample_at_probe", spy)
+    hnorm_samples(make_config(m, m, 0.2, "shifted_sine", replicas=replicas))
+    assert seen == [chunk]
 
 
 def test_hnorm_memory_is_bounded_at_256():
@@ -507,6 +529,30 @@ def test_smallball_monotone_and_rows():
     assert np.all(np.diff(rep.freq) >= 0)
     assert np.all((rep.ci_lo <= rep.freq) & (rep.freq <= rep.ci_hi))
     assert rep.c_fit > 0
+
+
+def test_smallball_evaluates_each_series_mode_at_most_twice():
+    # the 16 fit windows share one streamed series pass and the eps windows
+    # a second; one pass per lower mass evaluated mode 1 23 times.  Series
+    # blocks start at a mode lo + 1 >= 1, grid symbols at mode 0
+    starts = []
+
+    def counting_phi(n):
+        n = np.asarray(n)
+        if n.size and n.min() >= 1:
+            starts.append(int(n.min()))
+        return EXP15.phi(n)
+
+    exp_ = LevyExponent(phi=counting_phi, alpha=1.5, beta=1.5, c_lower=1.0,
+                        c_upper=1.0)
+    cfg = make_config(16, 8, 0.2, "shifted_sine", exponent=exp_, replicas=16)
+    starts.clear()
+    rep = smallball_probability(cfg)
+    counts = Counter(starts)
+    assert counts[1] == 2 and max(counts.values()) == 2
+    # a shared pass gives each window the bits of its own series
+    assert list(rep.lower_mass) == [
+        smallball_lower_mass(exp_, cfg.sigma.kappa, d) for d in rep.delta]
 
 
 def test_smallball_validation():
