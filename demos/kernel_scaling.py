@@ -14,15 +14,16 @@ print("squared kernel norm ~ t^(-1/alpha) as t -> 0")
 ts = np.geomspace(1e-5, 1e-3, 9)
 for alpha in (1.2, 1.5, 2.0):
     exp_ = lh.make_power_exponent(1.0, alpha)
-    norms = [lh.kernel_l2_norm_sq(exp_, t) for t in ts]
+    norms, errors = lh.kernel_l2_norm_sq(exp_, ts)
     fit = lh.fit_slope(ts, norms)
     print(f"  alpha={alpha:4.1f}  fitted slope {fit.slope:+.4f}"
-          f"  expected {-1.0 / alpha:+.4f}  r2={fit.r2:.6f}")
+          f"  expected {-1.0 / alpha:+.4f}  r2={fit.r2:.6f}"
+          f"  certified error <= {errors.max():.1e}")
 
 print()
 print("limit constant: lam^(1/alpha) * sum_n exp(-lam n^alpha) as lam -> 0")
 for alpha in (1.5, 2.0):
-    vals = [lh.limit_constant_probe(alpha, lam) for lam in (1e-4, 1e-6, 1e-8)]
+    vals = [lh.limit_constant_probe(alpha, lam)[0] for lam in (1e-4, 1e-6, 1e-8)]
     print(f"  alpha={alpha:4.1f}  probes {vals[0]:.6f} {vals[1]:.6f} "
           f"{vals[2]:.6f}  Gamma(1+1/alpha)={math.gamma(1.0 + 1.0 / alpha):.6f}")
 

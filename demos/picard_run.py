@@ -19,7 +19,7 @@ cfg = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("shifted_sine"),
 
 for beta_param in (4.0, 16.0, 64.0):
     rep = lh.picard_sequence(cfg, n_max=5, beta_param=beta_param)
-    laplace = lh.kernel_l2_laplace(exp2, beta_param)
+    laplace, _ = lh.kernel_l2_laplace(exp2, beta_param)
     print(f"weight beta={beta_param:5.1f}  laplace mass {laplace:.4f}  "
           f"contracting={rep.contracting}")
     for n, (d, r) in enumerate(zip(rep.norms, rep.ratios)):

@@ -179,22 +179,16 @@ def _beta(cfg):
 def build_exponent(cfg):
     alpha = cfg["alpha"]
     beta = _beta(cfg)
-    try:
-        exp_ = make_power_exponent(cfg["scale"], alpha, drift=cfg["drift"])
-        if beta != alpha:
-            exp_ = dataclasses.replace(exp_, beta=beta)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    exp_ = make_power_exponent(cfg["scale"], alpha, drift=cfg["drift"])
+    if beta != alpha:
+        exp_ = dataclasses.replace(exp_, beta=beta)
     return exp_
 
 
 def build_run_config(cfg):
-    try:
-        grid = GridSpec(m_space=cfg["m_space"], k_time=cfg["k_time"],
-                        horizon=cfg["horizon"])
-        sigma = get_sigma(cfg["sigma"])
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    grid = GridSpec(m_space=cfg["m_space"], k_time=cfg["k_time"],
+                    horizon=cfg["horizon"])
+    sigma = get_sigma(cfg["sigma"])
     exp_ = build_exponent(cfg)
     amp = cfg["u0_amp"]
     shapes = {
@@ -206,13 +200,9 @@ def build_run_config(cfg):
         raise ConfigError(f"unknown u0 shape {cfg['u0']!r}")
     u0 = field_from_function(shapes[cfg["u0"]], grid.m_space)
     t = cfg["probe_t"] if cfg["probe_t"] != 0 else grid.horizon
-    try:
-        run = RunConfig(grid=grid, exponent=exp_, sigma=sigma, u0=u0,
-                        seed=cfg["seed"], replicas=cfg["replicas"],
-                        probe=(t, cfg["probe_x"]))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return run
+    return RunConfig(grid=grid, exponent=exp_, sigma=sigma, u0=u0,
+                     seed=cfg["seed"], replicas=cfg["replicas"],
+                     probe=(t, cfg["probe_x"]))
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +324,7 @@ def cmd_smallball(cfg, args, head):
     levels = _float_list(cfg["levels"], "levels")
     if not levels:
         raise ConfigError("levels must name at least one quantile")
-    try:
-        report = smallball_probability(run, levels=levels,
-                                       workers=args.workers)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    report = smallball_probability(run, levels=levels, workers=args.workers)
     t, x = run.probe
     where = dict(t=t, x=x, replica_count=len(report.samples))
     rows = []
@@ -387,10 +373,7 @@ def cmd_density(cfg, args, head):
 
 
 def cmd_check_exponent(cfg, args, head):
-    try:
-        chk = check_exponent_condition(cfg["alpha"], _beta(cfg))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    chk = check_exponent_condition(cfg["alpha"], _beta(cfg))
     rows = [
         make_row(*head, "theta", chk.theta),
         make_row(*head, "admissible", float(chk.admissible)),
@@ -535,8 +518,8 @@ def parse_and_dispatch(argv):
         print(summary)
         print(f"wrote {data_path} and {meta_path}")
         return 0
-    except (ConfigError, BlowUpError, NumericalError, SeriesToleranceError,
-            OSError, ValueError) as exc:
+    except (BlowUpError, NumericalError, SeriesToleranceError, OSError,
+            ValueError) as exc:
         if isinstance(exc, (BlowUpError, NumericalError, SeriesToleranceError)):
             kind, code = "numerical", 2
         elif isinstance(exc, OSError):

@@ -20,9 +20,9 @@ its own conjugate, so a symbol acts there through its real part, which keeps
 real fields real.
 
 Series are truncated with certified tail bounds derived from the growth
-envelope c_lower |n|^alpha <= Re phi(n) <= c_upper |n|^beta; pass
-``full_output=True`` to the series routines to get the bound along with the
-value.
+envelope c_lower |n|^alpha <= Re phi(n) <= c_upper |n|^beta; every series
+routine returns its value together with that bound, and the norm, time
+integral and Laplace series take an array of arguments, summed in one pass.
 """
 
 import math
@@ -241,9 +241,15 @@ def _sum_series(exp_, series):
     return [s.finish(total) for s, total in zip(series, sums)]
 
 
-def _one_series(exp_, series, full_output):
-    value, error = _sum_series(exp_, [series])[0]
-    return (value, error) if full_output else value
+def _sum_each(exp_, build, xs, tol):
+    """(value, certified error) of the series build(exp_, x, tol) at each x:
+    floats for a scalar xs, arrays shaped like xs otherwise.  Every series is
+    built, and so checked, before Re phi is evaluated, and all share one
+    pass."""
+    xs = np.asarray(xs, dtype=float)
+    pairs = _sum_series(exp_, [build(exp_, x, tol) for x in xs.ravel()])
+    out = np.array(pairs, dtype=float).reshape(xs.shape + (2,))
+    return out[..., 0][()], out[..., 1][()]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +290,7 @@ def kernel_coefficients(exp_, t, tol=DEFAULT_SERIES_TOL):
     sup error of evaluate() is kept below tol.  tail_bound still reports the
     discarded L2 mass in squared-norm units.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"kernel needs t > 0, got t={t}")
     lam = t * exp_.c_lower
     cutoff = _exp_series_cutoff(lam, exp_.alpha, tol * TWO_PI)
@@ -295,7 +301,7 @@ def kernel_coefficients(exp_, t, tol=DEFAULT_SERIES_TOL):
 
 
 def _norm_series(exp_, t, tol):
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"kernel norm needs t > 0, got t={t}")
     lam = 2.0 * t * exp_.c_lower
     cutoff = _exp_series_cutoff(lam, exp_.alpha, tol * FOUR_PI_SQ)
@@ -309,19 +315,21 @@ def _norm_series(exp_, t, tol):
     return _Series(cutoff, body, lambda s: ((1.0 + 2.0 * s) / FOUR_PI_SQ, tail))
 
 
-def kernel_l2_norm_sq(exp_, t, tol=DEFAULT_SERIES_TOL, full_output=False):
-    """||q_t||^2 = (1/4pi^2) sum_n exp(-2 t Re phi(n)), certified to tol."""
-    return _one_series(exp_, _norm_series(exp_, t, tol), full_output)
+def kernel_l2_norm_sq(exp_, t, tol=DEFAULT_SERIES_TOL):
+    """(||q_t||^2, certified error) with ||q_t||^2 = (1/4pi^2) sum_n
+    exp(-2 t Re phi(n)), certified to tol; t may be an array."""
+    return _sum_each(exp_, _norm_series, t, tol)
 
 
-def wrapped_gaussian_kernel(t, z, terms=64):
+def wrapped_gaussian_kernel(t, z):
     """Brownian-case oracle: the heat kernel exp(-z^2/4t)/sqrt(4 pi t) wrapped
-    around the circle.  Matches phi(n) = n^2 (the factor exp(-t n^2) is a
-    Gaussian characteristic function with variance 2t)."""
+    around the circle, summed over the images z + 2pi m with |m| <= 64.
+    Matches phi(n) = n^2 (the factor exp(-t n^2) is a Gaussian characteristic
+    function with variance 2t)."""
     if t <= 0.0:
         raise ValueError("wrapped Gaussian needs t > 0")
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    m = np.arange(-terms, terms + 1)
+    m = np.arange(-64, 65)
     shifted = z[:, None] + TWO_PI * m[None, :]
     return np.sum(np.exp(-shifted ** 2 / (4.0 * t)), axis=1) / math.sqrt(4.0 * math.pi * t)
 
@@ -361,7 +369,7 @@ def _bracketed_series(exp_, body, lower_tail, head, tol):
 
 
 def _time_integral_series(exp_, delta, tol):
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"need delta > 0, got {delta}")
     a, c1 = exp_.alpha, exp_.c_lower
     b, c2 = exp_.beta, exp_.c_upper
@@ -392,14 +400,15 @@ def _time_integral_series(exp_, delta, tol):
     return _bracketed_series(exp_, body, lower_tail, delta, tol)
 
 
-def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL, full_output=False):
-    """int_0^delta ||q_s||^2 ds, summed per mode in closed form.
+def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL):
+    """(int_0^delta ||q_s||^2 ds, certified error), summed per mode in closed
+    form; delta may be an array.
 
     Per-mode integral of exp(-2 s Re phi(n)) is (1 - exp(-2 delta Re phi))/2 Re phi,
     so no time quadrature is involved; only the mode tail is truncated, with an
     envelope bracket supplying the estimate and its certified half-width.
     """
-    return _one_series(exp_, _time_integral_series(exp_, delta, tol), full_output)
+    return _sum_each(exp_, _time_integral_series, delta, tol)
 
 
 def _laplace_series(exp_, beta_param, tol):
@@ -421,23 +430,25 @@ def _laplace_series(exp_, beta_param, tol):
     return _bracketed_series(exp_, body, lower_tail, 1.0 / beta_param, tol)
 
 
-def kernel_l2_laplace(exp_, beta_param, tol=DEFAULT_SERIES_TOL, full_output=False):
-    """int_0^inf e^{-beta s} ||q_s||^2 ds = (1/4pi^2) sum_n 1/(beta + 2 Re phi(n)).
+def kernel_l2_laplace(exp_, beta_param, tol=DEFAULT_SERIES_TOL):
+    """(int_0^inf e^{-beta s} ||q_s||^2 ds, certified error), where the mass
+    is (1/4pi^2) sum_n 1/(beta + 2 Re phi(n)); beta_param may be an array.
 
     Monotone decreasing in beta_param and -> 0 as beta_param -> inf; the mode
     tail is bracketed by the envelope like in kernel_l2_time_integral.
     """
-    return _one_series(exp_, _laplace_series(exp_, beta_param, tol), full_output)
+    return _sum_each(exp_, _laplace_series, beta_param, tol)
 
 
-def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL, full_output=False):
-    """lam^(1/alpha) * sum_{n>=1} exp(-lam n^alpha), certified to tol.
+def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL):
+    """(lam^(1/alpha) * sum_{n>=1} exp(-lam n^alpha), certified error), the
+    sum certified to tol.
 
     As lam -> 0 this approaches Gamma(1 + 1/alpha) (Riemann-sum limit of
     int_0^inf exp(-x^alpha) dx); the probe stays positive and bounded on (0, 1].
     """
     _validate_orders(alpha, alpha)
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError(f"need lam > 0, got {lam}")
     scale = lam ** (1.0 / alpha)
 
@@ -446,10 +457,7 @@ def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL, full_output=False):
 
     n = _doubling_cutoff(tail, tol, 4)
     modes = np.arange(1, n + 1, dtype=float)
-    value = scale * np.sum(np.exp(-lam * modes ** alpha))
-    if full_output:
-        return value, tail(n)
-    return value
+    return scale * np.sum(np.exp(-lam * modes ** alpha)), tail(n)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    DEFAULT_SERIES_TOL,
-    TWO_PI,
-    _sum_series,
-    _time_integral_series,
-)
+from .kernels import TWO_PI, kernel_l2_time_integral
 from .noise import _NoiseRows
 from .solver import BlowUpError, _Scheme, _evolve_batch, sample_at_probe
 
@@ -130,15 +125,17 @@ class OracleResult:
     reliable: bool
 
 
-def noise_gradient_oracle(config, replica, source, probe, h=0.5, rel_tol=0.05):
+def noise_gradient_oracle(config, replica, source, probe):
     """Finite-difference derivative of u(probe) in one noise variate.
 
-    Re-solves the full scheme with xi(source) shifted by +-h and +-h/2 and
-    returns (u+ - u-)/(2h), divided by sqrt(dt*dx) to match the cell
-    normalization of propagate_derivative.  The two step sizes give a
-    3-point Richardson error estimate; `reliable` flags whether h sits in the
-    window where nonlinearity and roundoff are both under control.
+    Re-solves the full scheme with xi(source) shifted by +-h and +-h/2,
+    h = 0.5, and returns (u+ - u-)/(2h), divided by sqrt(dt*dx) to match the
+    cell normalization of propagate_derivative.  The two step sizes give a
+    3-point Richardson error estimate; `reliable` flags whether it is within
+    5% of the value, that is whether h sits in the window where nonlinearity
+    and roundoff are both under control.
     """
+    h, rel_tol = 0.5, 0.05
     grid = config.grid
     k_s, i_s = source
     if not (0 <= k_s < grid.k_time) or not (0 <= i_s < grid.m_space):
@@ -196,7 +193,7 @@ def hnorm_samples(config, workers=1, deltas=()):
     return samples, dict(zip(map(float, deltas), tails)), blowups
 
 
-def smallball_lower_mass(exp_, kappa, delta, tol=DEFAULT_SERIES_TOL):
+def smallball_lower_mass(exp_, kappa, delta):
     """(kappa^2 / 2) * int_0^delta ||q_s||^2 ds, the guaranteed derivative mass
     contributed by the window (t - delta, t] when |sigma| >= kappa.
 
@@ -204,11 +201,7 @@ def smallball_lower_mass(exp_, kappa, delta, tol=DEFAULT_SERIES_TOL):
     and each mass has the bits it has on its own."""
     if kappa <= 0:
         raise ValueError("needs a positive lower bound kappa on |sigma|")
-    deltas = np.asarray(delta, dtype=float)
-    pairs = _sum_series(exp_, [_time_integral_series(exp_, d, tol)
-                               for d in deltas.ravel()])
-    masses = np.array([0.5 * kappa ** 2 * value for value, _ in pairs])
-    return masses.reshape(deltas.shape)[()]
+    return 0.5 * kappa ** 2 * kernel_l2_time_integral(exp_, delta)[0]
 
 
 def _wilson(successes, n, z=1.959963984540054):

@@ -28,11 +28,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import (
-    DEFAULT_SERIES_TOL,
     FOUR_PI_SQ,
     TWO_PI,
-    _norm_series,
-    _sum_series,
+    kernel_l2_norm_sq,
     rfft_symbol,
     rfft_weights,
 )
@@ -313,17 +311,15 @@ def solve_path(config, replica=0):
 # additive-case variance targets
 
 
-def walsh_variance(exp_, grid, tol=DEFAULT_SERIES_TOL):
+def walsh_variance(exp_, grid):
     """Isometry variance int_0^T ||q_s||^2 ds on the scheme's time grid.
 
     Right-endpoint sum: the increment injected at step k is smoothed for the
     remaining K-k steps, so the scheme's additive variance is
     sum_{j=1..K} dt ||q_{j dt}||^2 up to band truncation.
     """
-    dt = grid.dt
-    norms = _sum_series(exp_, [_norm_series(exp_, j * dt, tol)
-                               for j in range(1, grid.k_time + 1)])
-    return dt * math.fsum(value for value, _ in norms)
+    norms, _ = kernel_l2_norm_sq(exp_, grid.dt * np.arange(1, grid.k_time + 1))
+    return grid.dt * math.fsum(norms)
 
 
 def additive_variance_exact(exp_, grid):

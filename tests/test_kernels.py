@@ -237,7 +237,7 @@ def test_wrapped_gaussian_mass_and_symmetry():
 
 def test_norm_sq_against_brute_sum():
     exp_ = make_power_exponent(1.0, 2.0)
-    value, tail = kernel_l2_norm_sq(exp_, 0.01, tol=1e-12, full_output=True)
+    value, tail = kernel_l2_norm_sq(exp_, 0.01, tol=1e-12)
     brute, brute_tail = brute_norm_sq(exp_, 0.01, 10_000)
     assert abs(value - brute) <= tail + brute_tail + 1e-15
 
@@ -245,16 +245,16 @@ def test_norm_sq_against_brute_sum():
 def test_norm_sq_brute_sum_fractional():
     exp_ = make_power_exponent(0.7, 1.5)
     for t in (1e-4, 1e-2, 0.3):
-        value, tail = kernel_l2_norm_sq(exp_, t, tol=1e-12, full_output=True)
+        value, tail = kernel_l2_norm_sq(exp_, t, tol=1e-12)
         brute, brute_tail = brute_norm_sq(exp_, t, 300_000)
         assert abs(value - brute) <= tail + brute_tail + 1e-15
 
 
 def test_norm_sq_long_time_limit_and_floor():
     exp_ = make_power_exponent(1.0, 2.0)
-    assert kernel_l2_norm_sq(exp_, 1e6) == pytest.approx(1.0 / FOUR_PI_SQ)
+    assert kernel_l2_norm_sq(exp_, 1e6)[0] == pytest.approx(1.0 / FOUR_PI_SQ)
     for t in (1e-5, 1e-2, 10.0):
-        assert kernel_l2_norm_sq(exp_, t) >= 1.0 / FOUR_PI_SQ
+        assert kernel_l2_norm_sq(exp_, t)[0] >= 1.0 / FOUR_PI_SQ
 
 
 def test_norm_sq_parseval():
@@ -265,7 +265,7 @@ def test_norm_sq_parseval():
     m = 2 * kc.cutoff + 9
     z = np.arange(m) * (TWO_PI / m)
     quad_value = float(np.mean(kc.evaluate(z) ** 2))
-    value, tail = kernel_l2_norm_sq(exp_, t, tol=1e-14, full_output=True)
+    value, tail = kernel_l2_norm_sq(exp_, t, tol=1e-14)
     assert quad_value == pytest.approx(value, rel=1e-10)
     assert tail <= 1e-14
 
@@ -273,7 +273,7 @@ def test_norm_sq_parseval():
 def test_norm_sq_envelope_two_sided():
     exp_ = make_power_exponent(1.0, 1.5)
     ts = np.geomspace(1e-5, 1e-3, 7)
-    vals = np.array([kernel_l2_norm_sq(exp_, t) for t in ts])
+    vals = np.array([kernel_l2_norm_sq(exp_, t)[0] for t in ts])
     scaled = vals * ts ** (2.0 / 3.0)
     assert scaled.max() / scaled.min() < 1.01
 
@@ -287,15 +287,14 @@ def test_time_integral_against_brute_quadrature():
     body = delta + 2.0 * ((1.0 - np.exp(-2.0 * delta * re)) / (2.0 * re)).sum()
     brute = body / FOUR_PI_SQ
     brute_tail = 2.0 * (200_000 ** -0.5) / (2.0 * 0.5) / FOUR_PI_SQ
-    value, tail = kernel_l2_time_integral(exp_, delta, tol=1e-12,
-                                          full_output=True)
+    value, tail = kernel_l2_time_integral(exp_, delta, tol=1e-12)
     assert abs(value - brute) <= tail + brute_tail + 1e-15
 
 
 def test_time_integral_small_delta_scaling():
     exp_ = make_power_exponent(1.0, 1.5)
     deltas = np.geomspace(1e-4, 1e-2, 7)
-    vals = np.array([kernel_l2_time_integral(exp_, d) for d in deltas])
+    vals = np.array([kernel_l2_time_integral(exp_, d)[0] for d in deltas])
     assert np.all(np.diff(vals) > 0)
     scaled = vals * deltas ** (-1.0 / 3.0)
     assert scaled.max() / scaled.min() < 1.02
@@ -303,7 +302,7 @@ def test_time_integral_small_delta_scaling():
 
 def test_laplace_against_brute_sum():
     exp_ = make_power_exponent(1.0, 2.0)
-    value, tail = kernel_l2_laplace(exp_, 1.0, tol=1e-12, full_output=True)
+    value, tail = kernel_l2_laplace(exp_, 1.0, tol=1e-12)
     brute, brute_tail = brute_laplace(exp_, 1.0, 1_000_000)
     assert abs(value - brute) <= tail + brute_tail + 1e-15
 
@@ -311,7 +310,7 @@ def test_laplace_against_brute_sum():
 def test_laplace_monotone_and_vanishing():
     exp_ = make_power_exponent(1.0, 2.0)
     betas = [0.5, 1.0, 10.0, 1e3, 1e6]
-    vals = [kernel_l2_laplace(exp_, b) for b in betas]
+    vals = [kernel_l2_laplace(exp_, b)[0] for b in betas]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-4
 
@@ -342,17 +341,88 @@ def test_laplace_equals_weighted_time_integral():
     # the Laplace mass is the integral of e^(-beta s) ||q_s||^2 over s
     exp_ = make_power_exponent(1.0, 2.0)
     beta = 4.0
-    target = kernel_l2_laplace(exp_, beta, tol=1e-12)
+    target, _ = kernel_l2_laplace(exp_, beta, tol=1e-12)
 
     def integrand(u):
         s = u * u
-        return 2.0 * u * math.exp(-beta * s) * kernel_l2_norm_sq(exp_, s)
+        return 2.0 * u * math.exp(-beta * s) * kernel_l2_norm_sq(exp_, s)[0]
 
     got, err = quad(integrand, 1e-6, 6.0, epsabs=1e-10, epsrel=1e-10, limit=200)
     # the clipped ends: int_0^eps ||q|| <= int_0^eps (A s^(-1/2) + c) ds
-    head = kernel_l2_time_integral(exp_, 1e-12)
-    tail_cut = kernel_l2_laplace(exp_, beta) * math.exp(-beta * 36.0)
+    head, _ = kernel_l2_time_integral(exp_, 1e-12)
+    tail_cut = kernel_l2_laplace(exp_, beta)[0] * math.exp(-beta * 36.0)
     assert abs(got - target) < head + tail_cut + 1e-7
+
+
+NAN = float("nan")
+# the three mode series and arguments for each: cutoffs from 4 to past two
+# blocks, and the bad arguments that each must refuse
+ARRAY_SERIES = {
+    "norm": (kernel_l2_norm_sq, [1e-8, 1e-4, 0.01, 0.3, 2.0, 1e-4],
+             (0.0, NAN)),
+    "time_integral": (kernel_l2_time_integral,
+                      [1e-6, 1e-3, 0.05, 0.2, 1.0, 1e-3], (-0.1, NAN)),
+    "laplace": (kernel_l2_laplace, [0.5, 1.0, 4.0, 64.0, 1e4, 4.0],
+                (0.0, NAN)),
+}
+
+
+def counting_exponent(calls):
+    """make_power_exponent(0.7, 1.5) that records every Re phi evaluation."""
+    power = make_power_exponent(0.7, 1.5)
+
+    def phi(n):
+        calls.append(np.size(n))
+        return power.phi(n)
+
+    phi.re = lambda n: calls.append(np.size(n)) or power.phi.re(n)
+    exp_ = dataclasses.replace(power, phi=phi)
+    calls.clear()
+    return exp_
+
+
+@pytest.mark.parametrize("name", ARRAY_SERIES)
+def test_array_call_equals_scalar_calls(name):
+    series, xs, _ = ARRAY_SERIES[name]
+    exp_ = make_power_exponent(0.7, 1.5)
+    values, errors = series(exp_, np.array(xs))
+    pairs = [series(exp_, x) for x in xs]
+    assert all(isinstance(v, float) and isinstance(e, float)
+               for v, e in pairs)
+    assert list(values) == [value for value, _ in pairs]
+    assert list(errors) == [error for _, error in pairs]
+
+
+@pytest.mark.parametrize("name", ARRAY_SERIES)
+def test_array_results_take_the_input_shape(name):
+    series, xs, _ = ARRAY_SERIES[name]
+    exp_ = make_power_exponent(0.7, 1.5)
+    values, errors = series(exp_, np.reshape(xs, (2, 3)))
+    assert values.shape == errors.shape == (2, 3)
+    assert values[1, 2] == series(exp_, xs[5])[0]
+    for empty in ([], np.empty((2, 0))):
+        values, errors = series(exp_, empty)
+        assert values.shape == errors.shape == np.shape(empty)
+        assert values.dtype == errors.dtype == float
+
+
+@pytest.mark.parametrize("name", ARRAY_SERIES)
+def test_one_bad_element_raises_before_any_mode(name):
+    series, xs, bads = ARRAY_SERIES[name]
+    calls = []
+    exp_ = counting_exponent(calls)
+    for bad in bads:
+        with pytest.raises(ValueError, match="> 0"):
+            series(exp_, xs[:3] + [bad] + xs[3:])
+        assert calls == []
+
+
+def test_nan_arguments_are_refused():
+    exp_ = make_power_exponent(1.0, 1.5)
+    with pytest.raises(ValueError, match="t > 0"):
+        kernel_coefficients(exp_, NAN)
+    with pytest.raises(ValueError, match="lam > 0"):
+        limit_constant_probe(1.5, NAN)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +430,7 @@ def test_laplace_equals_weighted_time_integral():
 
 
 def test_limit_constant_alpha_two():
-    probe = limit_constant_probe(2.0, 1e-6)
+    probe, _ = limit_constant_probe(2.0, 1e-6)
     oracle = riemann_exp_integral(2.0)
     assert oracle == pytest.approx(GAMMA_3_2, abs=1e-8)
     assert abs(probe - oracle) < 1e-3
@@ -368,12 +438,12 @@ def test_limit_constant_alpha_two():
 
 def test_limit_constant_bounded_on_unit_interval():
     for lam in (1.0, 0.1, 1e-3, 1e-6):
-        v = limit_constant_probe(1.5, lam)
+        v, _ = limit_constant_probe(1.5, lam)
         assert 0.0 < v < 2.0
 
 
 def test_limit_constant_cauchy_near_zero():
-    vals = [limit_constant_probe(1.5, lam)
+    vals = [limit_constant_probe(1.5, lam)[0]
             for lam in (1e-8, 5e-9, 2.5e-9)]
     assert abs(vals[1] - vals[0]) / vals[0] < 0.01
     assert abs(vals[2] - vals[1]) / vals[1] < 0.01
@@ -574,12 +644,12 @@ ONE_SHOT_TERMS = {
 def test_report_equals_single_series(case):
     exp_, times, beta_param, tol = REPORT_CASES[case]
     report = verify_kernel_bounds(exp_, times, beta_param, tol)
-    pairs = [kernel_l2_norm_sq(exp_, t, tol, full_output=True) for t in times]
+    pairs = [kernel_l2_norm_sq(exp_, t, tol) for t in times]
     assert list(report.norm_sq) == [value for value, _ in pairs]
     assert list(report.norm_tails) == [tail for _, tail in pairs]
     assert list(report.cumulative) == [
-        kernel_l2_time_integral(exp_, t, tol) for t in times]
-    assert report.laplace_mass == kernel_l2_laplace(exp_, beta_param, tol)
+        kernel_l2_time_integral(exp_, t, tol)[0] for t in times]
+    assert report.laplace_mass == kernel_l2_laplace(exp_, beta_param, tol)[0]
 
 
 @pytest.mark.parametrize("case", REPORT_CASES)

@@ -83,6 +83,16 @@ def test_only_noise_names_the_block_filler():
     assert naming == ["noise.py"]
 
 
+def test_only_kernels_names_the_series_protocol():
+    # kernels alone cuts, sums and finishes a mode series (_Series,
+    # _sum_series and the _*_series builders); the other modules ask its
+    # public series functions for (value, certified error)
+    protocol = re.compile(r"\b_(Series|\w+_series)\b")
+    naming = sorted(path.name for path in PACKAGE.glob("*.py")
+                    if protocol.search(path.read_text(encoding="utf-8")))
+    assert naming == ["kernels.py"]
+
+
 def test_only_the_solver_step_transforms():
     # one spectral convention: kernels writes the rfft symbols down and
     # solver._smooth, the one function that calls numpy's FFT, applies them

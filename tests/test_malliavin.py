@@ -293,7 +293,7 @@ def test_additive_hnorm_equals_geometric_sum():
 def test_hnorm_quadrature_deficit_shrinks():
     # right-endpoint quadrature undershoots the continuum mass; refining the
     # time grid reduces the deficit
-    cont = kernel_l2_time_integral(EXP15, 0.2)
+    cont, _ = kernel_l2_time_integral(EXP15, 0.2)
     d32 = cont - additive_variance_exact(EXP15, GridSpec(32, 32, 0.2))
     d64 = cont - additive_variance_exact(EXP15, GridSpec(64, 64, 0.2))
     assert 0.0 < d64 < d32 < 0.35 * cont

@@ -406,7 +406,7 @@ def test_fit_slope_constant():
 def test_fit_slope_kernel_norm_rate():
     exp15 = make_power_exponent(1.0, 1.5)
     ts = np.geomspace(1e-5, 1e-3, 9)
-    fit = fit_slope(ts, [kernel_l2_norm_sq(exp15, t) for t in ts])
+    fit = fit_slope(ts, [kernel_l2_norm_sq(exp15, t)[0] for t in ts])
     assert fit.slope == pytest.approx(-2.0 / 3.0, rel=0.03)
     assert fit.r2 > 0.999
 

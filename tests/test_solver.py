@@ -396,7 +396,7 @@ def test_walsh_variance_equals_per_time_norms():
     # loop
     exp_ = make_power_exponent(0.8, 1.3, drift=1.0)
     grid = GridSpec(16, 48, 0.3)
-    loop = grid.dt * math.fsum(kernel_l2_norm_sq(exp_, j * grid.dt)
+    loop = grid.dt * math.fsum(kernel_l2_norm_sq(exp_, j * grid.dt)[0]
                                for j in range(1, grid.k_time + 1))
     assert walsh_variance(exp_, grid) == loop
 
@@ -404,7 +404,7 @@ def test_walsh_variance_equals_per_time_norms():
 def test_scheme_variance_approaches_time_integral():
     # right-endpoint quadrature bias is order sqrt(dt): halving dt cuts the
     # distance to the continuum integral by about sqrt(2)
-    target = kernel_l2_time_integral(EXP2, 0.5)
+    target, _ = kernel_l2_time_integral(EXP2, 0.5)
     coarse = additive_variance_exact(EXP2, GridSpec(64, 64, 0.5))
     fine = additive_variance_exact(EXP2, GridSpec(128, 128, 0.5))
     assert abs(fine - target) < abs(coarse - target)
