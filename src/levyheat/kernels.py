@@ -79,7 +79,9 @@ class LevyExponent:
             raise ValueError("need 0 < c_lower <= c_upper")
         self._spot_check()
 
-    def _spot_check(self, n_max=64):
+    def _spot_check(self):
+        """Check the properties stated above on the modes |n| <= 64."""
+        n_max = 64
         n = np.arange(-n_max, n_max + 1)
         val = np.asarray(self.phi(n), dtype=complex)
         if abs(val[n_max]) > 1e-12:
@@ -88,10 +90,9 @@ class LevyExponent:
             raise ValueError("Re phi must be nonnegative")
         if not np.allclose(val[::-1], np.conj(val), rtol=1e-12, atol=1e-12):
             raise ValueError("phi must satisfy phi(-n) = conj(phi(n))")
-        pos = np.arange(1, n_max + 1)
-        re = np.asarray(self.phi(pos), dtype=complex).real
-        lo = self.c_lower * pos.astype(float) ** self.alpha
-        hi = self.c_upper * pos.astype(float) ** self.beta
+        pos, re = n[n_max + 1:].astype(float), val[n_max + 1:].real
+        lo = self.c_lower * pos ** self.alpha
+        hi = self.c_upper * pos ** self.beta
         if np.any(re < lo * (1.0 - 1e-9)) or np.any(re > hi * (1.0 + 1e-9)):
             raise ValueError("Re phi leaves the declared growth envelope")
 
@@ -132,35 +133,26 @@ def _one_sided_exp_tail(lam, alpha, n):
     # sum_{m > n} exp(-lam m^alpha) <= int_n^inf exp(-lam x^alpha) dx
     #                               <= exp(-lam n^alpha) / (lam alpha n^(alpha-1))
     # (the last step uses (x/n)^(alpha-1) >= 1 inside the integral, alpha >= 1)
+    if not lam > 0.0:
+        raise ValueError("need a positive decay rate")
     arg = -lam * n ** alpha
     if arg < _EXP_FLOOR:
         return 0.0
     return math.exp(arg) / (lam * alpha * n ** (alpha - 1.0))
 
 
-def _doubling_cutoff(tail, tol, n):
-    """First cutoff n * 2^j whose certified tail(n * 2^j) is at most tol."""
+def _smallest_cutoff(tail, tol, n0):
+    """Smallest N >= n0 with certified tail(N) <= tol, for a tail that falls
+    with N: doubling from n0, then bisection inside the last doubling step."""
     if not 0.0 < tol < math.inf:
         raise ValueError("series tol must be positive and finite")
+    n = n0
     while tail(n) > tol:
         n *= 2
         if n > _MAX_CUTOFF:
             raise SeriesToleranceError(
                 f"series tolerance unattainable within {_MAX_CUTOFF} modes")
-    return n
-
-
-def _exp_series_cutoff(lam, alpha, tol):
-    """Smallest N >= 4 with certified two-sided tail below tol: doubling, then
-    bisection inside the last doubling step."""
-    if lam <= 0.0:
-        raise ValueError("need a positive decay rate")
-
-    def tail(n):
-        return 2.0 * _one_sided_exp_tail(lam, alpha, n)
-
-    n = _doubling_cutoff(tail, tol, 4)
-    lo, hi = max(4, n // 2), n
+    lo, hi = max(n0, n // 2), n
     while lo < hi:
         mid = (lo + hi) // 2
         if tail(mid) <= tol:
@@ -293,7 +285,8 @@ def kernel_coefficients(exp_, t, tol=DEFAULT_SERIES_TOL):
     if not t > 0.0:
         raise ValueError(f"kernel needs t > 0, got t={t}")
     lam = t * exp_.c_lower
-    cutoff = _exp_series_cutoff(lam, exp_.alpha, tol * TWO_PI)
+    cutoff = _smallest_cutoff(
+        lambda n: 2.0 * _one_sided_exp_tail(lam, exp_.alpha, n), tol * TWO_PI, 4)
     n = np.arange(-cutoff, cutoff + 1)
     coeffs = np.exp(-t * np.asarray(exp_.phi(n), dtype=complex)) / TWO_PI
     tail = 2.0 * _one_sided_exp_tail(2.0 * lam, exp_.alpha, cutoff) / FOUR_PI_SQ
@@ -304,7 +297,8 @@ def _norm_series(exp_, t, tol):
     if not t > 0.0:
         raise ValueError(f"kernel norm needs t > 0, got t={t}")
     lam = 2.0 * t * exp_.c_lower
-    cutoff = _exp_series_cutoff(lam, exp_.alpha, tol * FOUR_PI_SQ)
+    cutoff = _smallest_cutoff(
+        lambda n: 2.0 * _one_sided_exp_tail(lam, exp_.alpha, n), tol * FOUR_PI_SQ, 4)
     tail = 2.0 * _one_sided_exp_tail(lam, exp_.alpha, cutoff) / FOUR_PI_SQ
 
     def body(block, n):
@@ -326,8 +320,8 @@ def wrapped_gaussian_kernel(t, z):
     around the circle, summed over the images z + 2pi m with |m| <= 64.
     Matches phi(n) = n^2 (the factor exp(-t n^2) is a Gaussian characteristic
     function with variance 2t)."""
-    if t <= 0.0:
-        raise ValueError("wrapped Gaussian needs t > 0")
+    if not t > 0.0:
+        raise ValueError(f"wrapped Gaussian needs t > 0, got t={t}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     m = np.arange(-64, 65)
     shifted = z[:, None] + TWO_PI * m[None, :]
@@ -355,7 +349,7 @@ def _bracketed_series(exp_, body, lower_tail, head, tol):
         return 2.0 * (upper_tail(n) - lower_tail(n)) / FOUR_PI_SQ
 
     try:
-        n = _doubling_cutoff(width, tol, 256)
+        n = _smallest_cutoff(width, tol, 256)
     except SeriesToleranceError as exc:
         if (a, c1) == (exp_.beta, exp_.c_upper):
             raise
@@ -369,8 +363,8 @@ def _bracketed_series(exp_, body, lower_tail, head, tol):
 
 
 def _time_integral_series(exp_, delta, tol):
-    if not delta > 0.0:
-        raise ValueError(f"need delta > 0, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"need delta > 0 and finite, got delta={delta}")
     a, c1 = exp_.alpha, exp_.c_lower
     b, c2 = exp_.beta, exp_.c_upper
 
@@ -455,7 +449,7 @@ def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL):
     def tail(n):
         return scale * _one_sided_exp_tail(lam, alpha, n)
 
-    n = _doubling_cutoff(tail, tol, 4)
+    n = _smallest_cutoff(tail, tol, 4)
     modes = np.arange(1, n + 1, dtype=float)
     return scale * np.sum(np.exp(-lam * modes ** alpha)), tail(n)
 

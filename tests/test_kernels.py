@@ -32,6 +32,8 @@ from levyheat.kernels import (
     _PHI_BLOCK,
     _laplace_series,
     _norm_series,
+    _one_sided_exp_tail,
+    _smallest_cutoff,
     _sum_series,
     _time_integral_series,
     rfft_symbol,
@@ -111,6 +113,18 @@ def test_power_re_phi_is_the_real_part_bit_for_bit(alpha, drift):
     own = LevyExponent(lambda k: exp_.phi(k), alpha, alpha, 1.3, 1.3)
     assert not hasattr(own.phi, "re")
     assert np.array_equal(own.re_phi(n), full)
+
+
+def test_spot_check_evaluates_phi_once():
+    # the envelope check reads Re phi(1..64) from the symmetric evaluation
+    calls = []
+
+    def phi(n):
+        calls.append(np.size(n))
+        return np.abs(np.asarray(n, dtype=float)) ** 1.5 + 0j
+
+    LevyExponent(phi=phi, alpha=1.5, beta=1.5, c_lower=1.0, c_upper=1.0)
+    assert calls == [129]
 
 
 def test_threshold_family_accepted():
@@ -231,6 +245,12 @@ def test_wrapped_gaussian_mass_and_symmetry():
         wrapped_gaussian_kernel(0.07, TWO_PI - 1.1), rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.0, -0.1, float("nan")])
+def test_wrapped_gaussian_refuses_a_time_that_is_not_positive(t):
+    with pytest.raises(ValueError, match="t > 0"):
+        wrapped_gaussian_kernel(t, [0.1])
+
+
 # ---------------------------------------------------------------------------
 # L2 norm, time integral, Laplace transform
 
@@ -325,8 +345,8 @@ def test_laplace_rejects_nonpositive():
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
 def test_series_tol_must_be_positive_and_finite(tol):
-    # every series finds its cutoff in one doubling search, which refuses a
-    # tol that no tail bound can be compared against
+    # every series finds its cutoff in one search, which refuses a tol that
+    # no tail bound can be compared against
     exp_ = make_power_exponent(1.0, 2.0)
     for series in (lambda: kernel_l2_norm_sq(exp_, 0.1, tol=tol),
                    lambda: kernel_l2_time_integral(exp_, 0.1, tol=tol),
@@ -335,6 +355,53 @@ def test_series_tol_must_be_positive_and_finite(tol):
                    lambda: limit_constant_probe(1.5, 0.1, tol=tol)):
         with pytest.raises(ValueError, match="series tol must be positive"):
             series()
+
+
+# tails that fall with n: the two-sided exponential tail of the norm and
+# coefficient series, and the C n^(-alpha) width of a first-order bracket
+FALLING_TAILS = {
+    "exp": lambda n: 2.0 * _one_sided_exp_tail(0.02, 1.5, n),
+    "exp_fast": lambda n: 2.0 * _one_sided_exp_tail(3.0, 2.0, n),
+    "power": lambda n: 0.02 * n ** -1.1,
+    "power_steep": lambda n: 5.0 * n ** -2.0,
+}
+
+
+@pytest.mark.parametrize("n0", [4, 256])
+@pytest.mark.parametrize("name", FALLING_TAILS)
+def test_smallest_cutoff_is_the_smallest_certified(name, n0):
+    tail = FALLING_TAILS[name]
+    for tol in (1e-2, 1e-4, 1e-7, 1e-10):
+        n = _smallest_cutoff(tail, tol, n0)
+        assert n >= n0
+        assert tail(n) <= tol
+        if n > n0:
+            assert tail(n - 1) > tol
+
+
+def test_cutoffs_are_pinned_at_alpha_two():
+    # at c = 1 the tight bracket narrows like 1 / (4 pi^2 n (n + 1)), so
+    # tol 1e-10 needs n(n+1) >= 1e10 / (4 pi^2); a power of two would be 16384
+    exp_ = make_power_exponent(1.0, 2.0)
+    assert _time_integral_series(exp_, 1e-3, 1e-10).cutoff == 15_915
+    assert _laplace_series(exp_, 64.0, 1e-10).cutoff == 15_931
+
+
+def test_an_underflowing_decay_rate_is_refused():
+    # t c_lower rounds to 0 below the smallest subnormal, and the exponential
+    # tail bound would divide by it
+    calls = []
+    exp_ = dataclasses.replace(counting_exponent(calls), c_lower=0.1)
+    calls.clear()
+    for series in (kernel_l2_norm_sq, kernel_coefficients):
+        with pytest.raises(ValueError, match="positive decay rate"):
+            series(exp_, 5e-324)
+    assert calls == []
+
+
+def test_norm_sq_at_infinite_time_is_the_limit():
+    exp_ = make_power_exponent(1.0, 1.5)
+    assert kernel_l2_norm_sq(exp_, INF) == (1.0 / FOUR_PI_SQ, 0.0)
 
 
 def test_laplace_equals_weighted_time_integral():
@@ -354,14 +421,14 @@ def test_laplace_equals_weighted_time_integral():
     assert abs(got - target) < head + tail_cut + 1e-7
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 # the three mode series and arguments for each: cutoffs from 4 to past two
 # blocks, and the bad arguments that each must refuse
 ARRAY_SERIES = {
     "norm": (kernel_l2_norm_sq, [1e-8, 1e-4, 0.01, 0.3, 2.0, 1e-4],
              (0.0, NAN)),
     "time_integral": (kernel_l2_time_integral,
-                      [1e-6, 1e-3, 0.05, 0.2, 1.0, 1e-3], (-0.1, NAN)),
+                      [1e-6, 1e-3, 0.05, 0.2, 1.0, 1e-3], (-0.1, NAN, INF)),
     "laplace": (kernel_l2_laplace, [0.5, 1.0, 4.0, 64.0, 1e4, 4.0],
                 (0.0, NAN)),
 }
@@ -414,6 +481,8 @@ def test_one_bad_element_raises_before_any_mode(name):
     for bad in bads:
         with pytest.raises(ValueError, match="> 0"):
             series(exp_, xs[:3] + [bad] + xs[3:])
+        with pytest.raises(ValueError, match="> 0"):
+            series(exp_, bad)
         assert calls == []
 
 
@@ -606,7 +675,7 @@ def test_verify_kernel_bounds_fractional():
 
 # The report sums every series over prefixes of one Re phi table.  Each case
 # is (exponent, times, beta_param, tol); "series" is the perfbench workload,
-# whose largest certified cutoff is 2^22 modes (the time integral at 1e-8).
+# whose largest certified cutoff is 3,701,246 modes (the norm at 1e-8).
 SERIES_TIMES = np.geomspace(1e-8, 1e-3, 33)
 
 
@@ -684,14 +753,14 @@ def test_report_evaluates_each_mode_once():
     modes.clear()
     verify_kernel_bounds(exp_, SERIES_TIMES, beta_param=64.0, tol=1e-10)
     # one table up to the largest cutoff, plus at most one block of slack;
-    # evaluating each series on its own takes 59.0 M modes
-    assert sum(modes) <= (1 << 22) + (1 << 16)
+    # evaluating each series on its own takes 52.7 M modes
+    assert sum(modes) <= 3_701_246 + (1 << 16)
 
 
 def test_report_memory_is_a_few_tables():
     # one streamed pass holds a few blocks of float64 (Re phi, the work
     # buffer, 1 / (2 Re phi) and the block temporaries), whatever the
-    # largest cutoff: 2^22 modes at tol 1e-10, fewer at 1e-6
+    # largest cutoff: 3,701,246 modes at tol 1e-10, fewer at 1e-6
     exp_ = make_power_exponent(1.0, 1.4)
     for tol in (1e-6, 1e-10):
         _, peak = traced_peak(verify_kernel_bounds, exp_, SERIES_TIMES,

@@ -1,5 +1,6 @@
 """Layering: the numerical modules never reach up into the output layer, the
-noise module alone draws random numbers, solver._smooth alone transforms,
+noise module alone draws random numbers, kernels._smallest_cutoff alone
+searches for a series cutoff, solver._smooth alone transforms,
 solver._Scheme alone steps, solver.sample_at_probe alone runs the sampling
 loop and applies the blow-up policy of the sampling drivers, and the public
 API has no name that only the tests use.
@@ -91,6 +92,21 @@ def test_only_kernels_names_the_series_protocol():
     naming = sorted(path.name for path in PACKAGE.glob("*.py")
                     if protocol.search(path.read_text(encoding="utf-8")))
     assert naming == ["kernels.py"]
+
+
+def test_the_cutoff_search_is_written_once():
+    # every series stops at the smallest cutoff its tail bound certifies,
+    # found by kernels._smallest_cutoff, the only loop in kernels that
+    # doubles or bisects
+    tree = ast.parse((PACKAGE / "kernels.py").read_text(encoding="utf-8"))
+    looping = sorted(node.name for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)
+                     and any(isinstance(inner, ast.While)
+                             for inner in ast.walk(node)))
+    assert looping == ["_smallest_cutoff"]
+    assert functions_reading("_smallest_cutoff") == {
+        "kernels.kernel_coefficients", "kernels._norm_series",
+        "kernels._bracketed_series", "kernels.limit_constant_probe"}
 
 
 def test_only_the_solver_step_transforms():
