@@ -18,9 +18,10 @@ cfg = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("shifted_sine"),
                    u0=u0, seed=7, replicas=512)
 
 print("small-ball frequencies of |Du|^2 at the final-time probe")
-rep = lh.smallball_probability(cfg)
-print(f"  replicas {len(rep.samples)}, sample range "
-      f"[{rep.samples.min():.4f}, {rep.samples.max():.4f}]")
+mass, _ = lh.hnorm_samples(cfg)
+rep = lh.smallball_probability(cfg, mass.values)
+print(f"  replicas {len(mass)}, sample range "
+      f"[{mass.values.min():.4f}, {mass.values.max():.4f}]")
 print(f"  {'eps':>10} {'freq':>8} {'wilson 95% ci':>22} {'certified floor':>16}")
 for e, f, lo, hi, lm in zip(rep.eps, rep.freq, rep.ci_lo, rep.ci_hi,
                             rep.lower_mass):
@@ -32,7 +33,7 @@ print(f"  log-log trend: slope {fit.slope:+.2f}, r2 {fit.r2:.4f}")
 
 print()
 print("negative moment of the mass (floor-regularized)")
-neg = lh.negative_moment_estimate(rep.samples, p=2)
+neg = lh.negative_moment_estimate(mass.values, p=2)
 print(f"  E[|Du|^-2] ~ {neg.estimate:.3f} +- {neg.stderr:.3f}"
       f"   floor hits {neg.floor_fraction:.1%}  reliable={neg.reliable}")
 

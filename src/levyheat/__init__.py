@@ -27,6 +27,7 @@ from .solver import (
     PicardReport,
     RunConfig,
     SIGMA_REGISTRY,
+    SampleSet,
     SigmaSpec,
     additive_variance_exact,
     get_sigma,
@@ -52,7 +53,6 @@ from .malliavin import (
 from .mcstats import (
     DegenerateSamplesError,
     DensityEstimate,
-    SampleSet,
     SmoothnessReport,
     emit,
     kde,

@@ -248,18 +248,14 @@ def cmd_simulate(cfg, args, head):
     run = build_run_config(cfg)
     ss = run_ensemble(run, workers=args.workers)
     t, x = run.probe
-    n = ss.count
-    var = ss.variance()
-    m4 = float(np.mean((ss.values - ss.mean()) ** 4))
-    se_var = math.sqrt(max(m4 - var ** 2, 0.0) / n)
-    where = dict(t=t, x=x, replica_count=n)
+    where = dict(t=t, x=x, replica_count=len(ss))
     rows = [
         make_row(*head, "u_mean", ss.mean(), ss.stderr(), **where),
-        make_row(*head, "u_var", var, se_var, **where),
+        make_row(*head, "u_var", ss.variance(), ss.variance_stderr(), **where),
         make_row(*head, "u_blowups", float(len(ss.blowups)), **where),
     ]
-    summary = (f"simulate: {n} replicas, mean {ss.mean():.6g} "
-               f"+- {ss.stderr():.2g}, var {var:.6g}")
+    summary = (f"simulate: {len(ss)} replicas, mean {ss.mean():.6g} "
+               f"+- {ss.stderr():.2g}, var {ss.variance():.6g}")
     return rows, {"blowups": ss.blowups}, summary
 
 
@@ -294,29 +290,26 @@ def _negative_moment_rows(samples, cfg, head, where):
 def cmd_malliavin(cfg, args, head):
     run = build_run_config(cfg)
     deltas = _float_list(cfg["deltas"], "deltas")
-    samples, tails, blowups = hnorm_samples(run, workers=args.workers,
-                                            deltas=deltas)
+    mass, tails = hnorm_samples(run, workers=args.workers, deltas=deltas)
     t, x = run.probe
-    n = len(samples)
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n))
-    where = dict(t=t, x=x, replica_count=n)
+    mean, se = mass.mean(), mass.stderr()
+    where = dict(t=t, x=x, replica_count=len(mass))
     rows = [
         make_row(*head, "hnorm_mean", mean, se, **where),
-        make_row(*head, "hnorm_sd", float(samples.std(ddof=1)), **where),
+        make_row(*head, "hnorm_sd", mass.sd(), **where),
     ]
     for d in deltas:
         rows.append(make_row(*head, f"hnorm_tail_mean/delta={d:.6e}",
-                             float(tails[float(d)].mean()), **where))
+                             tails[float(d)].mean(), **where))
     if run.sigma.kappa > 0:
-        nm, nm_rows = _negative_moment_rows(samples, cfg, head, where)
+        nm, nm_rows = _negative_moment_rows(mass.values, cfg, head, where)
         rows += nm_rows
         summary = (f"malliavin: hnorm mean {mean:.6g} +- {se:.2g}, "
                    f"negative moment {nm.estimate:.6g} "
                    f"(reliable={nm.reliable})")
     else:
         summary = f"malliavin: hnorm mean {mean:.6g} +- {se:.2g}"
-    return rows, {"blowups": blowups}, summary
+    return rows, {"blowups": mass.blowups}, summary
 
 
 def cmd_smallball(cfg, args, head):
@@ -324,9 +317,10 @@ def cmd_smallball(cfg, args, head):
     levels = _float_list(cfg["levels"], "levels")
     if not levels:
         raise ConfigError("levels must name at least one quantile")
-    report = smallball_probability(run, levels=levels, workers=args.workers)
+    mass, _ = hnorm_samples(run, workers=args.workers)
+    report = smallball_probability(run, mass.values, levels=levels)
     t, x = run.probe
-    where = dict(t=t, x=x, replica_count=len(report.samples))
+    where = dict(t=t, x=x, replica_count=len(mass))
     rows = []
     for j, e in enumerate(report.eps):
         rows += [
@@ -337,11 +331,11 @@ def cmd_smallball(cfg, args, head):
             make_row(*head, f"smallball_lower_mass_minus_eps/eps={e:.6e}",
                      report.lower_mass_minus_eps[j], **where),
         ]
-    rows += _negative_moment_rows(report.samples, cfg, head, where)[1]
+    rows += _negative_moment_rows(mass.values, cfg, head, where)[1]
     summary = (f"smallball: {len(report.eps)} eps levels, freq "
                f"{report.freq.min():.3g}..{report.freq.max():.3g}, "
                f"c_fit {report.c_fit:.6g}")
-    return rows, {"c_fit": report.c_fit, "blowups": report.blowups}, summary
+    return rows, {"c_fit": report.c_fit, "blowups": mass.blowups}, summary
 
 
 def cmd_density(cfg, args, head):
@@ -349,7 +343,7 @@ def cmd_density(cfg, args, head):
     ss = run_ensemble(run, workers=args.workers)
     t, x = run.probe
     bandwidth = cfg["bandwidth"] if cfg["bandwidth"] != 0 else None
-    where = dict(t=t, x=x, replica_count=ss.count)
+    where = dict(t=t, x=x, replica_count=len(ss))
     try:
         est = kde(ss.values, bandwidth=bandwidth)
     except DegenerateSamplesError as err:

@@ -442,8 +442,8 @@ def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL):
     int_0^inf exp(-x^alpha) dx); the probe stays positive and bounded on (0, 1].
     """
     _validate_orders(alpha, alpha)
-    if not lam > 0.0:
-        raise ValueError(f"need lam > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"need lam > 0 and finite, got {lam}")
     scale = lam ** (1.0 / alpha)
 
     def tail(n):

@@ -31,7 +31,8 @@ import numpy as np
 
 from .kernels import TWO_PI, kernel_l2_time_integral
 from .noise import _NoiseRows
-from .solver import BlowUpError, _Scheme, _evolve_batch, sample_at_probe
+from .solver import (BlowUpError, SampleSet, _Scheme, _evolve_batch,
+                     sample_at_probe)
 
 # replicas per hnorm chunk times (k_p + 1) m_space: each replica holds its
 # noise, path and gradient rows, O(k_p m_space) words apiece
@@ -168,9 +169,10 @@ def noise_gradient_oracle(config, replica, source, probe):
 def hnorm_samples(config, workers=1, deltas=()):
     """Replica samples of the derivative mass |D u(t, x)|^2_H at the probe.
 
-    Returns (samples, tails, blowups): tails maps each window delta to its
-    per-replica array.  Blow-ups are excluded and reported as in
-    run_ensemble.  Deterministic in config regardless of worker count.
+    Returns (mass, tails): the SampleSet of the mass, and tails mapping each
+    window delta to the SampleSet of its windowed mass.  Blow-ups are
+    excluded as in run_ensemble and listed in mass.blowups.  Deterministic
+    in config regardless of worker count.
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
@@ -188,9 +190,9 @@ def hnorm_samples(config, workers=1, deltas=()):
     # no tail chunk costs a whole pass for a replica or two
     cap = max(1, HNORM_CHUNK_WORDS // ((k_p + 1) * grid.m_space))
     chunk = math.ceil(config.replicas / math.ceil(config.replicas / cap))
-    (samples, *tails), blowups = sample_at_probe(config, chunk, read, workers,
-                                                 keep_path=True)
-    return samples, dict(zip(map(float, deltas), tails)), blowups
+    mass, *tails = sample_at_probe(config, chunk, read, workers,
+                                   keep_path=True)
+    return mass, dict(zip(map(float, deltas), tails))
 
 
 def smallball_lower_mass(exp_, kappa, delta):
@@ -219,9 +221,7 @@ class SmallBallReport:
     For each eps: the frequency P(mass < eps) with a Wilson interval, the
     window delta = (4 eps / c_fit)^(beta/(beta-1)) suggested by the lower-mass
     scaling, and lower_mass(delta) - eps, which must stay positive for the
-    window argument to have any force.  samples holds the mass of every
-    usable replica; replicas that blew up are excluded and listed in blowups
-    as (replica, step, magnitude).
+    window argument to have any force.
     """
 
     eps: np.ndarray
@@ -232,22 +232,20 @@ class SmallBallReport:
     lower_mass: np.ndarray
     lower_mass_minus_eps: np.ndarray
     c_fit: float
-    samples: np.ndarray
-    blowups: list
 
 
-def smallball_probability(config, eps_list=None, levels=SMALLBALL_LEVELS,
-                          workers=1):
-    """Monte Carlo small-ball frequencies of the derivative mass at the probe.
+def smallball_probability(config, samples, eps_list=None,
+                          levels=SMALLBALL_LEVELS):
+    """Small-ball frequencies of the derivative mass samples at the probe.
 
-    eps defaults to the empirical quantiles of the samples at levels.  Zero-hit
-    eps still get a positive Wilson upper bound.  Blow-ups are excluded and
-    reported as hnorm_samples does.
+    samples are the mass values hnorm_samples drew for config; nothing is
+    drawn here.  eps defaults to their empirical quantiles at levels.
+    Zero-hit eps still get a positive Wilson upper bound.
     """
     if config.sigma.kappa <= 0:
         raise ValueError("small-ball analysis needs sigma bounded below: kappa > 0")
     t = config.probe[0]
-    samples, _, blowups = hnorm_samples(config, workers=workers)
+    samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if eps_list is None:
         eps = np.quantile(samples, levels)
@@ -256,8 +254,9 @@ def smallball_probability(config, eps_list=None, levels=SMALLBALL_LEVELS,
         eps = np.sort(np.asarray(eps_list, dtype=float))
         if np.any(eps <= 0):
             raise ValueError("eps values must be positive")
-    freq = np.array([(samples < e).mean() for e in eps])
-    ci = np.array([_wilson(int((samples < e).sum()), n) for e in eps])
+    hits = [int(np.count_nonzero(samples < e)) for e in eps]
+    freq = np.array(hits) / n
+    ci = np.array([_wilson(h, n) for h in hits])
 
     exp_ = config.exponent
     beta = exp_.beta
@@ -270,8 +269,7 @@ def smallball_probability(config, eps_list=None, levels=SMALLBALL_LEVELS,
     return SmallBallReport(
         eps=eps, freq=freq,
         ci_lo=ci[:, 0], ci_hi=ci[:, 1], delta=delta, lower_mass=lower,
-        lower_mass_minus_eps=lower - eps, c_fit=c_fit, samples=samples,
-        blowups=blowups,
+        lower_mass_minus_eps=lower - eps, c_fit=c_fit,
     )
 
 
@@ -298,19 +296,17 @@ def negative_moment_estimate(samples, p=2, floor=1e-8):
     if not 0 < floor < math.inf:
         raise ValueError("need floor > 0 and finite")
     samples = np.asarray(samples, dtype=float)
-    n = len(samples)
-    if n < 2:
+    if len(samples) < 2:
         raise ValueError("need at least 2 samples")
 
-    def est_at(fl):
-        vals = np.maximum(samples, fl) ** (-p / 2.0)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
+    def moment(fl):
+        return SampleSet(np.maximum(samples, fl) ** (-p / 2.0))
 
-    estimate, stderr = est_at(floor)
+    at_floor = moment(floor)
     frac = float((samples <= floor).mean())
-    sweep = {float(floor * 10 ** (-j / 2)): est_at(floor * 10 ** (-j / 2))[0]
-             for j in range(3)}
+    sweep = {float(fl): moment(fl).mean()
+             for fl in (floor * 10 ** (-j / 2) for j in range(3))}
     return NegativeMomentReport(
-        estimate=estimate, stderr=stderr, floor_fraction=frac,
-        reliable=bool(frac <= 0.01), sensitivity=sweep,
+        estimate=at_floor.mean(), stderr=at_floor.stderr(),
+        floor_fraction=frac, reliable=bool(frac <= 0.01), sensitivity=sweep,
     )

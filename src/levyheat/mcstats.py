@@ -51,43 +51,15 @@ class DegenerateSamplesError(ValueError):
         )
 
 
-@dataclass
-class SampleSet:
-    """Replica values of u(t, x) at the run's probe, blow-up rows excluded.
-
-    blowups lists the excluded replicas as (replica, step, magnitude).
-    """
-
-    values: np.ndarray
-    blowups: list = field(default_factory=list)
-
-    @property
-    def count(self):
-        return len(self.values)
-
-    def mean(self):
-        return float(math.fsum(self.values) / self.count)
-
-    def variance(self):
-        if self.count < 2:
-            raise ValueError("variance needs at least 2 samples")
-        mu = self.mean()
-        return float(math.fsum((self.values - mu) ** 2) / (self.count - 1))
-
-    def stderr(self):
-        return math.sqrt(self.variance() / self.count)
-
-
 def run_ensemble(config, workers=1):
-    """Samples of u at the configured probe, one per replica path.  Blow-ups
+    """The SampleSet of u at the probe, one value per replica path.  Blow-ups
     are excluded and reported as solver.sample_at_probe does, since a silent
     drop biases every statistic, so the set holds at least 2 values."""
     i_p = config.probe_cell[1]
     # a copy: a view of the probe column would keep all of u alive
-    (values,), blowups = sample_at_probe(
+    return sample_at_probe(
         config, max(1, ENSEMBLE_CHUNK_WORDS // config.grid.m_space),
-        lambda u, path, xi: (u[:, i_p].copy(),), workers)
-    return SampleSet(values=values, blowups=blowups)
+        lambda u, path, xi: (u[:, i_p].copy(),), workers)[0]
 
 
 @dataclass

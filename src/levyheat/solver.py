@@ -22,7 +22,7 @@ apart.
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -252,6 +252,40 @@ def map_chunks(fn, n_items, chunk, workers=1):
             yield pending.popleft().result()
 
 
+@dataclass
+class SampleSet:
+    """Replica values of one sampled quantity without the blow-ups, listed
+    as (replica, step, magnitude), and the one Monte Carlo estimator of
+    every mean, variance and stderr the package reports."""
+
+    values: np.ndarray
+    blowups: list = field(default_factory=list)
+
+    def __len__(self):
+        return len(self.values)
+
+    def mean(self):
+        return float(math.fsum(self.values) / len(self))
+
+    def variance(self):
+        if len(self) < 2:
+            raise ValueError("variance needs at least 2 samples")
+        mu = self.mean()
+        return float(math.fsum((self.values - mu) ** 2) / (len(self) - 1))
+
+    def sd(self):
+        return math.sqrt(self.variance())
+
+    def stderr(self):
+        return math.sqrt(self.variance() / len(self))
+
+    def variance_stderr(self):
+        """Stderr of variance() from the fourth central moment."""
+        var = self.variance()
+        m4 = float(np.mean((self.values - self.mean()) ** 4))
+        return math.sqrt(max(m4 - var ** 2, 0.0) / len(self))
+
+
 def sample_at_probe(config, chunk, read, workers=1, keep_path=False):
     """The sampling loop of every driver: read(u, path, xi) off each chunk
     of `chunk` replicas stepped to the probe step k_p, the chunks joined
@@ -261,11 +295,11 @@ def sample_at_probe(config, chunk, read, workers=1, keep_path=False):
     not depend on workers.  read gets the chunk's (B, m_space) field at k_p
     and, if keep_path, its (B, k_p + 1, m_space) path and (B, k_p, m_space)
     variates (else None and its _NoiseRows); it returns a tuple of arrays
-    with one row per replica.  Returns (arrays, blowups): the arrays without
-    the replicas with |u| > BLOWUP_THRESHOLD by k_p, and those blow-ups as
-    (replica, step, magnitude) in replica order, whatever the chunk size.
-    Fewer than 2 survivors raise BlowUpError for the first blow-up by
-    replica.
+    with one row per replica.  Returns one SampleSet per array: its values
+    without the replicas with |u| > BLOWUP_THRESHOLD by k_p, and those
+    blow-ups, shared by every set, as (replica, step, magnitude) in replica
+    order, whatever the chunk size.  Fewer than 2 survivors raise
+    BlowUpError for the first blow-up by replica.
     """
     grid = config.grid
     k_p = config.probe_cell[0]
@@ -290,7 +324,7 @@ def sample_at_probe(config, chunk, read, workers=1, keep_path=False):
     keep = np.ones(config.replicas, dtype=bool)
     keep[[r for r, _, _ in blowups]] = False
     joined = (np.concatenate(column) for column in zip(*parts))
-    return tuple(a[keep] for a in joined), blowups
+    return tuple(SampleSet(a[keep], blowups) for a in joined)
 
 
 def solve_path(config, replica=0):

@@ -70,8 +70,7 @@ def test_additive_noise_law():
     samples = sset.values
     n = len(samples)
     var = sset.variance()
-    m4 = float(np.mean((samples - sset.mean()) ** 4))
-    se_var = math.sqrt(max(m4 - var ** 2, 0.0) / n)
+    se_var = sset.variance_stderr()
     target = lh.walsh_variance(EXP2, grid)
 
     dens = lh.kde(samples)
@@ -184,7 +183,7 @@ def test_smallball_qualitative():
     cfg = lh.RunConfig(grid=grid, exponent=EXP2,
                        sigma=lh.get_sigma("shifted_sine"),
                        u0=zero_field(16), seed=7, replicas=512)
-    rep = lh.smallball_probability(cfg)
+    rep = lh.smallball_probability(cfg, lh.hnorm_samples(cfg)[0].values)
     monotone = bool(np.all(np.diff(rep.freq) >= 0.0))
     mask = (rep.freq > 0.0) & (rep.freq < 1.0)
     fit = lh.fit_slope(rep.eps[mask], rep.freq[mask])
@@ -192,8 +191,10 @@ def test_smallball_qualitative():
     cfg1 = lh.RunConfig(grid=grid, exponent=EXP2, sigma=lh.get_sigma("one"),
                         u0=zero_field(16), seed=7, replicas=64)
     v = lh.additive_variance_exact(EXP2, grid)
-    rep1 = lh.smallball_probability(cfg1, eps_list=[0.5 * v, 2.0 * v])
-    additive_exact = (float(np.ptp(rep1.samples)) == 0.0
+    samples1 = lh.hnorm_samples(cfg1)[0].values
+    rep1 = lh.smallball_probability(cfg1, samples1,
+                                    eps_list=[0.5 * v, 2.0 * v])
+    additive_exact = (float(np.ptp(samples1)) == 0.0
                       and rep1.freq[0] == 0.0 and rep1.freq[1] == 1.0)
 
     ok = (monotone and int(mask.sum()) >= 4 and fit.slope > 0.0

@@ -7,10 +7,12 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
-from levyheat import __version__
-from levyheat.cli import SCHEMA, SEED_ENV, parse_and_dispatch
+from levyheat import SampleSet, __version__, hnorm_samples, run_ensemble
+from levyheat.cli import (SCHEMA, SEED_ENV, build_parser, build_run_config,
+                          effective_config, parse_and_dispatch)
 from levyheat.mcstats import load_rows
 
 SMALL = ["--set", "m_space=16", "--set", "k_time=8", "--set", "horizon=0.2",
@@ -30,6 +32,12 @@ def run_cli(args, tmp_path, sub_dir="out"):
 
 def rows_by_quantity(path):
     return {r["quantity"]: r for r in load_rows(str(path))}
+
+
+def sampled_config(args):
+    """The RunConfig a subcommand's arguments build."""
+    cfg, _ = effective_config(build_parser().parse_args(args))
+    return build_run_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +236,12 @@ def test_simulate_rows(tmp_path):
     assert got["u_blowups"]["value"] == 0.0
     assert got["u_mean"]["replica_count"] == 8
     assert got["u_mean"]["t"] == 0.2
+    # the values and stderrs are the SampleSet estimators of the ensemble
+    ss = run_ensemble(sampled_config(["simulate"] + SMALL))
+    assert (got["u_mean"]["value"], got["u_mean"]["stderr"]) == (
+        ss.mean(), ss.stderr())
+    assert (got["u_var"]["value"], got["u_var"]["stderr"]) == (
+        ss.variance(), ss.variance_stderr())
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +484,35 @@ def test_smallball_subcommand_rows(tmp_path):
     meta = json.loads((out / "smallball.meta.json").read_text())
     assert meta["c_fit"] > 0
     assert meta["blowups"] == []
+
+
+@pytest.mark.parametrize("seed", [43, 51])
+def test_malliavin_rows_are_the_sample_set_estimators(tmp_path, seed):
+    # every mean, sd and stderr in the rows is SampleSet's; at these seeds
+    # numpy's pairwise mean and std(ddof=1) differ from them in the last bit
+    # for each kind of row
+    args = ["malliavin"] + SMALL + ["--set", "deltas=0.05,0.1",
+                                    "--seed", str(seed)]
+    code, out = run_cli(args, tmp_path)
+    assert code == 0
+    got = rows_by_quantity(out / "malliavin.csv")
+    mass, tails = hnorm_samples(sampled_config(args), deltas=(0.05, 0.1))
+    assert got["hnorm_mean"]["value"] == mass.mean()
+    assert got["hnorm_mean"]["stderr"] == mass.stderr()
+    assert got["hnorm_sd"]["value"] == mass.sd()
+    for d in (0.05, 0.1):
+        tail = got[f"hnorm_tail_mean/delta={d:.6e}"]
+        assert tail["value"] == tails[d].mean()
+
+    def moment(floor):  # p = 2
+        return SampleSet(np.maximum(mass.values, floor) ** -1.0)
+
+    nm = got["negative_moment/p=2/floor=1.000e-08"]
+    assert (nm["value"], nm["stderr"]) == (moment(1e-8).mean(),
+                                          moment(1e-8).stderr())
+    for fl in (1e-8 * 10 ** (-j / 2) for j in range(3)):
+        row = got[f"negative_moment_floor_sweep/floor={fl:.3e}"]
+        assert row["value"] == moment(fl).mean()
 
 
 def test_smallball_needs_nondegenerate_sigma(tmp_path, capsys):

@@ -490,8 +490,9 @@ def test_nan_arguments_are_refused():
     exp_ = make_power_exponent(1.0, 1.5)
     with pytest.raises(ValueError, match="t > 0"):
         kernel_coefficients(exp_, NAN)
-    with pytest.raises(ValueError, match="lam > 0"):
-        limit_constant_probe(1.5, NAN)
+    for lam in (NAN, INF):
+        with pytest.raises(ValueError, match="lam > 0 and finite"):
+            limit_constant_probe(1.5, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -123,10 +123,9 @@ def test_only_the_solver_step_transforms():
     assert calling == ["_smooth"]
 
 
-def functions_reading(name):
-    """Qualified names of the package's top-level functions and methods
-    that read `name`, as a name or as an attribute."""
-    readers = set()
+def top_level_functions():
+    """(qualified name, node) of the package's top-level functions and
+    methods."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
@@ -138,11 +137,16 @@ def functions_reading(name):
             else:
                 continue
             for qual, fn in defs:
-                if any(getattr(node, "id", None) == name
-                       or getattr(node, "attr", None) == name
-                       for node in ast.walk(fn)):
-                    readers.add(f"{path.stem}.{qual}")
-    return readers
+                yield f"{path.stem}.{qual}", fn
+
+
+def functions_reading(name):
+    """Qualified names of the package's top-level functions and methods
+    that read `name`, as a name or as an attribute."""
+    return {qual for qual, fn in top_level_functions()
+            if any(getattr(node, "id", None) == name
+                   or getattr(node, "attr", None) == name
+                   for node in ast.walk(fn))}
 
 
 # kde's one Gaussian convolution of the binned samples is the only other
@@ -193,6 +197,21 @@ def test_the_blowup_policy_is_written_once():
     assert functions_reading("BlowUpError") == {
         "solver.sample_at_probe", "solver.solve_path",
         "malliavin.noise_gradient_oracle", "cli.parse_and_dispatch"}
+
+
+def test_every_reported_mean_and_stderr_is_computed_once():
+    # solver.SampleSet is the one Monte Carlo estimator: the samplers return
+    # SampleSets, and neither cli nor malliavin computes a spread of its
+    # own.  The Silverman bandwidth rule reads the sample sd as a bandwidth,
+    # not as a stderr
+    calling_std = {qual for qual, fn in top_level_functions()
+                   if any(isinstance(node, ast.Call)
+                          and getattr(node.func, "attr", None) == "std"
+                          and any(kw.arg == "ddof" for kw in node.keywords)
+                          for node in ast.walk(fn))}
+    assert calling_std == {"mcstats.silverman_bandwidth"}
+    spreads = functions_reading("sqrt") | functions_reading("fsum")
+    assert not {f for f in spreads if f.startswith("cli.")}
 
 
 # public names whose only callers are tests, kept on purpose as references

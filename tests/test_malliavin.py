@@ -20,6 +20,7 @@ from levyheat import (
     LevyExponent,
     OracleResult,
     RunConfig,
+    SampleSet,
     SigmaSpec,
     additive_variance_exact,
     adjoint_gradient,
@@ -39,7 +40,7 @@ from levyheat import (
     smallball_probability,
     solve_path,
 )
-from levyheat import malliavin, mcstats
+from levyheat import malliavin, mcstats, noise
 from levyheat.malliavin import _wilson
 from levyheat.solver import _evolve_batch
 
@@ -265,8 +266,9 @@ def _probed(probe):
                          ids=["off_grid_x", "t_negative", "t_past_horizon"])
 @pytest.mark.parametrize("call", [
     lambda probe: hnorm_samples(_probed(probe)),
-    lambda probe: negative_moment_estimate(hnorm_samples(_probed(probe))[0]),
-    lambda probe: smallball_probability(_probed(probe)),
+    lambda probe: negative_moment_estimate(
+        hnorm_samples(_probed(probe))[0].values),
+    lambda probe: smallball_probability(_probed(probe), np.ones(2)),
     lambda probe: noise_gradient_oracle(_probed(None), 0, (1, 1), probe),
 ], ids=["hnorm_samples", "negative_moment_estimate", "smallball_probability",
         "noise_gradient_oracle"])
@@ -341,19 +343,19 @@ def test_tail_bounded_nonlinear():
 
 def test_hnorm_samples_deterministic_across_workers():
     cfg = make_config(16, 8, 0.2, "shifted_sine", seed=8, replicas=6)
-    a, tails_a, blowups_a = hnorm_samples(cfg, workers=1, deltas=(0.1,))
-    b, tails_b, blowups_b = hnorm_samples(cfg, workers=4, deltas=(0.1,))
-    assert blowups_a == blowups_b == []
-    assert np.array_equal(a, b)
-    assert np.array_equal(tails_a[0.1], tails_b[0.1])
-    assert a.shape == (6,)
-    assert np.all(tails_a[0.1] <= a)
+    a, tails_a = hnorm_samples(cfg, workers=1, deltas=(0.1,))
+    b, tails_b = hnorm_samples(cfg, workers=4, deltas=(0.1,))
+    assert a.blowups == b.blowups == []
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(tails_a[0.1].values, tails_b[0.1].values)
+    assert a.values.shape == (6,)
+    assert np.all(tails_a[0.1].values <= a.values)
 
 
 def test_hnorm_samples_additive_degenerate():
     # constant sigma makes the mass a deterministic functional
     cfg = make_config(16, 8, 0.2, "one", replicas=5)
-    samples, _, _ = hnorm_samples(cfg)
+    samples = hnorm_samples(cfg)[0].values
     assert float(np.ptp(samples)) == 0.0
     assert samples[0] == pytest.approx(additive_variance_exact(EXP2, cfg.grid),
                                        rel=1e-12)
@@ -362,14 +364,12 @@ def test_hnorm_samples_additive_degenerate():
 def test_hnorm_samples_blowups_reported_not_silently_dropped():
     cfg = make_config(16, 8, 0.2, "shifted_sine", seed=0,
                       u0=lambda x: 1e13 * np.sin(x), replicas=3)
-    # every replica blows up: fewer than 2 survive, so both drivers raise
-    # the first blow-up
-    for driver in (lambda: hnorm_samples(cfg, deltas=(0.1,)),
-                   lambda: smallball_probability(cfg)):
-        with pytest.raises(BlowUpError) as err:
-            driver()
-        assert err.value.replica == 0 and err.value.step_index == 1
-        assert err.value.max_abs > 1e12
+    # every replica blows up: fewer than 2 survive, so the sampler raises
+    # the first blow-up (smallball_probability takes its samples)
+    with pytest.raises(BlowUpError) as err:
+        hnorm_samples(cfg, deltas=(0.1,))
+    assert err.value.replica == 0 and err.value.step_index == 1
+    assert err.value.max_abs > 1e12
 
 
 def test_hnorm_samples_excludes_exactly_the_ensemble_blowups(monkeypatch):
@@ -386,13 +386,14 @@ def test_hnorm_samples_excludes_exactly_the_ensemble_blowups(monkeypatch):
                      kappa=c)
     cfg = dataclasses.replace(
         make_config(16, 8, 0.2, "one", seed=0, replicas=300), sigma=huge)
-    samples, tails, blowups = hnorm_samples(cfg, deltas=(0.1,))
-    assert blowups == run_ensemble(cfg).blowups
+    mass, tails = hnorm_samples(cfg, deltas=(0.1,))
+    blowups = mass.blowups
+    assert blowups == tails[0.1].blowups == run_ensemble(cfg).blowups
     assert 0 < len(blowups) < 300
     assert max(r for r, _, _ in blowups) >= 256
-    assert len(samples) == len(tails[0.1]) == 300 - len(blowups)
+    assert len(mass) == len(tails[0.1]) == 300 - len(blowups)
     v = additive_variance_exact(EXP2, cfg.grid)
-    np.testing.assert_allclose(samples, c * c * v, rtol=1e-12)
+    np.testing.assert_allclose(mass.values, c * c * v, rtol=1e-12)
 
 
 def test_hnorm_samples_at_an_interior_probe():
@@ -400,17 +401,18 @@ def test_hnorm_samples_at_an_interior_probe():
     # replica's whole path swept back from the probe
     cfg = make_config(16, 8, 0.2, "shifted_sine", replicas=3,
                       probe=(0.125, 0.0))
-    samples, tails, blowups = hnorm_samples(cfg, deltas=(0.05,))
-    assert blowups == []
+    samples, tails = hnorm_samples(cfg, deltas=(0.05,))
+    assert samples.blowups == []
     for r in range(3):
         path, xi = solved(cfg, r)
         rows = adjoint_gradient(path[None], xi[None], cfg.exponent,
                                 cfg.sigma, cfg.grid, 5, 0)
         mass, tail = hnorm_sq(rows, cfg.grid, (0.05,))
-        assert samples[r] == mass[0] and tails[0.05][r] == tail[0.05][0]
+        assert (samples.values[r] == mass[0]
+                and tails[0.05].values[r] == tail[0.05][0])
     # a probe at t = 0 stops before the first step and draws no noise row
     at_zero = dataclasses.replace(cfg, probe=(0.0, 0.0))
-    assert np.array_equal(hnorm_samples(at_zero)[0], np.zeros(3))
+    assert np.array_equal(hnorm_samples(at_zero)[0].values, np.zeros(3))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -426,15 +428,15 @@ def test_hnorm_samples_are_the_same_for_every_chunk_budget(monkeypatch,
     for chunk in (1, 7, 64, 300):
         monkeypatch.setattr(malliavin, "HNORM_CHUNK_WORDS", chunk * 9 * 16)
         results.append(hnorm_samples(cfg, workers=workers, deltas=(0.05,)))
-    samples, tails, blowups = results[0]
-    blown = {r for r, _, _ in blowups}
+    samples, tails = results[0]
+    blown = {r for r, _, _ in samples.blowups}
     assert 0 < len(blown) < 300
     assert any(0 < len(blown & set(range(lo, lo + 7))) < 7
                for lo in range(0, 300, 7))
-    for other, other_tails, other_blowups in results[1:]:
-        assert np.array_equal(other, samples)
-        assert np.array_equal(other_tails[0.05], tails[0.05])
-        assert other_blowups == blowups
+    for other, other_tails in results[1:]:
+        assert np.array_equal(other.values, samples.values)
+        assert np.array_equal(other_tails[0.05].values, tails[0.05].values)
+        assert other.blowups == samples.blowups
 
 
 @pytest.mark.parametrize("m, replicas, chunk", [
@@ -449,7 +451,7 @@ def test_hnorm_chunks_split_the_replicas_evenly(monkeypatch, m, replicas,
 
     def spy(config, chunk, read, workers=1, keep_path=False):
         seen.append(chunk)
-        return (np.zeros(config.replicas),), []
+        return (SampleSet(np.zeros(config.replicas)),)
 
     monkeypatch.setattr(malliavin, "sample_at_probe", spy)
     hnorm_samples(make_config(m, m, 0.2, "shifted_sine", replicas=replicas))
@@ -514,8 +516,9 @@ def test_smallball_additive_step_function():
     # zero-hit side still reports a positive upper confidence bound
     cfg = make_config(16, 8, 0.2, "one", replicas=8)
     v = additive_variance_exact(EXP2, cfg.grid)
-    rep = smallball_probability(cfg, eps_list=[0.5 * v, 2.0 * v])
-    assert float(np.ptp(rep.samples)) == 0.0
+    samples = hnorm_samples(cfg)[0].values
+    rep = smallball_probability(cfg, samples, eps_list=[0.5 * v, 2.0 * v])
+    assert float(np.ptp(samples)) == 0.0
     assert rep.freq[0] == 0.0 and rep.freq[1] == 1.0
     assert rep.ci_hi[0] > 0.0
     assert rep.ci_lo[1] < 1.0
@@ -524,7 +527,8 @@ def test_smallball_additive_step_function():
 
 def test_smallball_monotone_and_rows():
     cfg = make_config(16, 16, 0.25, "shifted_sine", seed=14, replicas=48)
-    rep = smallball_probability(cfg, levels=[0.1, 0.25, 0.5, 0.75])
+    rep = smallball_probability(cfg, hnorm_samples(cfg)[0].values,
+                                levels=[0.1, 0.25, 0.5, 0.75])
     assert np.all(np.diff(rep.eps) > 0)
     assert np.all(np.diff(rep.freq) >= 0)
     assert np.all((rep.ci_lo <= rep.freq) & (rep.freq <= rep.ci_hi))
@@ -546,8 +550,9 @@ def test_smallball_evaluates_each_series_mode_at_most_twice():
     exp_ = LevyExponent(phi=counting_phi, alpha=1.5, beta=1.5, c_lower=1.0,
                         c_upper=1.0)
     cfg = make_config(16, 8, 0.2, "shifted_sine", exponent=exp_, replicas=16)
+    samples = hnorm_samples(cfg)[0].values
     starts.clear()
-    rep = smallball_probability(cfg)
+    rep = smallball_probability(cfg, samples)
     counts = Counter(starts)
     assert counts[1] == 2 and max(counts.values()) == 2
     # a shared pass gives each window the bits of its own series
@@ -555,13 +560,33 @@ def test_smallball_evaluates_each_series_mode_at_most_twice():
         smallball_lower_mass(exp_, cfg.sigma.kappa, d) for d in rep.delta]
 
 
+def test_smallball_probability_draws_no_noise(monkeypatch):
+    # the estimator reads the mass samples it is given; the patched block
+    # filler, which every noise draw goes through, would raise
+    cfg = make_config(16, 8, 0.2, "shifted_sine", seed=3, replicas=40)
+    samples = hnorm_samples(cfg)[0].values
+    want = smallball_probability(cfg, samples)
+
+    def refuse(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(noise, "_normal_block", refuse)
+    with pytest.raises(AssertionError, match="noise drawn"):
+        hnorm_samples(cfg)
+    got = smallball_probability(cfg, samples)
+    for name in ("eps", "freq", "ci_lo", "ci_hi", "delta", "lower_mass"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    # hits are counted once; hits / n has the bits of the mean of the hits
+    assert got.freq.tolist() == [(samples < e).mean() for e in got.eps]
+
+
 def test_smallball_validation():
     cfg = make_config(16, 8, 0.2, "zero")
     with pytest.raises(ValueError):
-        smallball_probability(cfg)
+        smallball_probability(cfg, np.ones(4))
     cfg2 = make_config(16, 8, 0.2, "one")
     with pytest.raises(ValueError):
-        smallball_probability(cfg2, eps_list=[-1.0, 0.5])
+        smallball_probability(cfg2, np.ones(4), eps_list=[-1.0, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +596,7 @@ def test_smallball_validation():
 def test_negative_moment_additive_exact():
     cfg = make_config(16, 8, 0.2, "one")
     v = additive_variance_exact(EXP2, cfg.grid)
-    samples, _, _ = hnorm_samples(cfg)
+    samples = hnorm_samples(cfg)[0].values
     rep = negative_moment_estimate(samples, p=2)
     assert rep.estimate == pytest.approx(v ** -1.0, rel=1e-12)
     assert rep.stderr == 0.0
@@ -584,10 +609,10 @@ def test_negative_moment_additive_exact():
 
 
 def test_negative_moment_decreasing_in_time():
-    early, _, _ = hnorm_samples(make_config(16, 8, 0.1, "one"))
-    late, _, _ = hnorm_samples(make_config(16, 8, 0.4, "one"))
-    assert (negative_moment_estimate(late, p=2).estimate
-            < negative_moment_estimate(early, p=2).estimate)
+    early, _ = hnorm_samples(make_config(16, 8, 0.1, "one"))
+    late, _ = hnorm_samples(make_config(16, 8, 0.4, "one"))
+    assert (negative_moment_estimate(late.values, p=2).estimate
+            < negative_moment_estimate(early.values, p=2).estimate)
 
 
 def test_negative_moment_floor_flag():

@@ -16,6 +16,7 @@ from levyheat import (
     DegenerateSamplesError,
     GridSpec,
     RunConfig,
+    SampleSet,
     additive_variance_exact,
     emit,
     field_from_function,
@@ -66,12 +67,23 @@ def test_ensemble_is_union_of_single_runs():
 def test_ensemble_additive_statistics():
     cfg = additive_config()
     ss = run_ensemble(cfg)
-    assert ss.count == 4000
+    assert len(ss) == 4000
     assert abs(ss.mean()) < 3.0 * ss.stderr()
     var = additive_variance_exact(EXP2, cfg.grid)
     assert ss.variance() == pytest.approx(var, rel=0.1)
     assert cfg.probe == (0.5, 0.0)
     assert ss.blowups == []
+
+
+def test_variance_stderr_is_the_fourth_moment_formula():
+    # the u_var stderr of simulate, bit for bit as it was once written in
+    # cmd_simulate, on skewed samples whose fourth moment matters
+    values = np.random.default_rng(5).standard_normal(1001) ** 3
+    ss = SampleSet(values)
+    var = ss.variance()
+    m4 = float(np.mean((values - ss.mean()) ** 4))
+    assert ss.variance_stderr() == math.sqrt(max(m4 - var ** 2, 0.0) / 1001)
+    assert len(ss) == 1001 and ss.sd() == math.sqrt(var)
 
 
 def test_ensemble_stderr_clt_scaling():

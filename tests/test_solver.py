@@ -308,10 +308,11 @@ def test_sample_at_probe_joins_the_chunks_and_needs_two(monkeypatch,
     cfg = RunConfig(grid=GridSpec(m_space=4, k_time=8, horizon=0.2),
                     exponent=EXP2, sigma=get_sigma("one"), u0=np.zeros(4),
                     replicas=5)
-    (a, b), blowups = sample_at_probe(
+    a, b = sample_at_probe(
         cfg, 3, lambda u, path, xi: (u[:, 0], u[:, 0] + 5.0), workers)
-    assert a.tolist() == [0.0, 1.0] and b.tolist() == [5.0, 6.0]
-    assert blowups == [(2, 4, 2e12), (3, 5, 3e12), (4, 3, 5e12)]
+    assert a.values.tolist() == [0.0, 1.0] and b.values.tolist() == [5.0, 6.0]
+    assert a.blowups == [(2, 4, 2e12), (3, 5, 3e12), (4, 3, 5e12)]
+    assert b.blowups is a.blowups
     # one survivor: the first blow-up by replica, not by step, is raised
     chunk_blowups = {0: [(1, 2, 6e12)], 2: [(0, 1, 7e12)]}
     with pytest.raises(BlowUpError) as err:
