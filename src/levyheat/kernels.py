@@ -38,6 +38,7 @@ FOUR_PI_SQ = 4.0 * math.pi ** 2
 DEFAULT_SERIES_TOL = 1e-10
 _MAX_CUTOFF = 1 << 26
 _EXP_FLOOR = -745.0  # exp underflows to 0 below this; used to guard overflow in bounds
+_EPS = 2.0 ** -53  # half an ulp of 1: an alternating series stops at terms this small
 
 
 class ExponentRangeError(ValueError):
@@ -98,9 +99,16 @@ class LevyExponent:
 
     def re_phi(self, n):
         # a phi that carries its real part as phi.re, as make_power_exponent's
-        # does, skips the complex array
+        # does, skips the complex array; any other phi gets integer modes
         re, n = getattr(self.phi, "re", None), np.asarray(n)
-        return re(n) if re else np.asarray(self.phi(n), dtype=complex).real
+        if re:
+            return re(n)
+        return np.asarray(self.phi(n.astype(int, copy=False)), dtype=complex).real
+
+    @property
+    def tight(self):
+        """True when the envelope pins Re phi(n) = c |n|^alpha exactly."""
+        return (self.alpha, self.c_lower) == (self.beta, self.c_upper)
 
 
 def make_power_exponent(c, alpha, drift=0.0):
@@ -120,8 +128,16 @@ def make_power_exponent(c, alpha, drift=0.0):
         n = np.asarray(n, dtype=float)
         return c * np.abs(n) ** alpha + 1j * drift * n
 
-    # phi(n).real to the last bit: the drift term adds +-0 to c |n|^alpha >= 0
-    phi.re = lambda n: c * np.abs(np.asarray(n, dtype=float)) ** alpha
+    def re(n):
+        # phi(n).real to the last bit: the drift term adds +-0 to
+        # c |n|^alpha >= 0.  Built in place in the one array that abs
+        # returns (a scalar for a scalar n), with no temporaries
+        out = np.abs(np.asarray(n, dtype=float))
+        out **= alpha
+        out *= c
+        return out
+
+    phi.re = re
     return LevyExponent(phi=phi, alpha=alpha, beta=alpha, c_lower=c, c_upper=c)
 
 
@@ -184,7 +200,11 @@ def check_exponent_condition(alpha, beta):
 # mode series streamed over blocks of Re phi
 #
 # A series splits into a cutoff, which the envelope alone fixes, and a body
-# that sums its terms over the first n modes of one block.  One pass
+# that sums its terms over the first n modes of one block.  The cutoff is the
+# smallest n whose tail bound meets tol: an exponential tail for the norm,
+# and for the time integral and Laplace mass the width of a bracket on the
+# tail, second order (Hermite-Hadamard) when the envelope is tight and first
+# order when it is not; see _bracketed_series.  One pass
 # evaluates Re phi block by block for every series of a call, and each
 # series folds its block sums left to right in block order, so no value
 # depends on which series shared the pass, and the pass holds a few blocks
@@ -225,7 +245,7 @@ def _sum_series(exp_, series):
     size = max((s.cutoff for s in series), default=0)
     for lo in range(0, size, _PHI_BLOCK):
         hi = min(lo + _PHI_BLOCK, size)
-        block = _Block(lo, exp_.re_phi(np.arange(lo + 1, hi + 1)))
+        block = _Block(lo, exp_.re_phi(np.arange(lo + 1, hi + 1, dtype=float)))
         for i, s in enumerate(series):
             if s.cutoff > lo:
                 sums[i] += s.body(block, min(s.cutoff, hi) - lo)
@@ -332,46 +352,85 @@ def wrapped_gaussian_kernel(t, z):
 # time integrals of the squared kernel norm
 
 
-def _bracketed_series(exp_, body, lower_tail, head, tol):
+def _bracketed_series(exp_, body, tail, head, tol):
     """Series (head + 2 sum_{n>=1} term(Re phi(n))) / 4pi^2 for a positive
-    term below 1/(2 Re phi), certified to tol; body sums the terms.
+    term, certified to tol; body sums the terms.
 
-    The modes past the cutoff are replaced by the midpoint of an envelope
-    bracket: above by int_n^inf dx / (2 c_lower x^alpha), below by the
-    caller's lower_tail(n); the bracket's width is the certified error bound.
+    The modes past the cutoff n are replaced by the midpoint of a bracket on
+    their sum, tail(n) -> (midpoint, width), and the bracket's width is the
+    certified error bound: twice what the midpoint can miss by, which also
+    covers the rounding of a width that nearly cancels.
     """
-    a, c1 = exp_.alpha, exp_.c_lower
-
-    def upper_tail(n):
-        return n ** (1.0 - a) / (2.0 * c1 * (a - 1.0))
-
     def width(n):
-        return 2.0 * (upper_tail(n) - lower_tail(n)) / FOUR_PI_SQ
+        return 2.0 * tail(n)[1] / FOUR_PI_SQ
 
     try:
         n = _smallest_cutoff(width, tol, 256)
     except SeriesToleranceError as exc:
-        if (a, c1) == (exp_.beta, exp_.c_upper):
+        if exp_.tight:
             raise
         raise SeriesToleranceError(
-            f"{exc}: the envelope alpha={a}, beta={exp_.beta}, c_lower={c1}, "
-            f"c_upper={exp_.c_upper} is not tight, so the tail bracket narrows "
-            "only like n^(1-alpha); use a looser tol") from None
-    tail_mid = 0.5 * (upper_tail(n) + lower_tail(n))
+            f"{exc}: the envelope alpha={exp_.alpha}, beta={exp_.beta}, "
+            f"c_lower={exp_.c_lower}, c_upper={exp_.c_upper} is not tight, so "
+            "the tail bracket narrows only like n^(1-alpha); use a looser tol"
+        ) from None
+    tail_mid = tail(n)[0]
     return _Series(n, body, lambda s: (
         (head + 2.0 * (s + tail_mid)) / FOUR_PI_SQ, width(n)))
+
+
+def _first_order(exp_, n, lower):
+    """(midpoint, width) of the bracket of a tail sum_{m>n} of terms below
+    1/(2 Re phi(m)) between lower and int_n^inf dx / (2 c_lower x^alpha).
+    It holds for any envelope; it narrows like n^(-alpha) when the envelope
+    is tight and only like n^(1-alpha) when it is not."""
+    a, c1 = exp_.alpha, exp_.c_lower
+    upper = n ** (1.0 - a) / (2.0 * c1 * (a - 1.0))
+    return 0.5 * (upper + lower), upper - lower
+
+
+def _power_integrals(x, p):
+    """(int_x^inf t^-p dt, int_{x-1/2}^x t^-p dt), each over x^-p, for p > 1;
+    the second through expm1 and log1p, so that it does not cancel."""
+    far = x / (p - 1.0)
+    return far, far * math.expm1((1.0 - p) * math.log1p(-0.5 / x))
+
+
+# A tight envelope brackets its tails by the Hermite-Hadamard inequality
+# (Dragomir & Pearce 2000; DLMF 2.10): for f convex on [n + 1/2, inf) and
+# falling to 0,
+#
+#     int_{n+1}^inf f + f(n+1)/2 <= sum_{m>n} f(m) <= int_{n+1/2}^inf f,
+#
+# whose width int_{n+1/2}^{n+1} f - f(n+1)/2 is about |f'(n)|/8: it narrows
+# like n^(-alpha-1), one order in n faster than the first-order bracket.
+
+
+def _time_integral_tail(exp_, delta, n):
+    """(midpoint, width) of a bracket on
+    sum_{m>n} (1 - exp(-2 delta Re phi(m))) / (2 Re phi(m))."""
+    a, c1 = exp_.alpha, exp_.c_lower
+    if not exp_.tight:
+        b, c2 = exp_.beta, exp_.c_upper
+        arg = -2.0 * delta * c2 * (n + 1.0) ** b
+        damp = 1.0 - (math.exp(arg) if arg > _EXP_FLOOR else 0.0)
+        return _first_order(
+            exp_, n, damp * (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0)))
+    # the term is h - e with h = 1/(2 c x^a) convex and
+    # e = exp(-2 delta c x^a) h; sum e lies between 0 and
+    # h(n+1) sum_{m>n} exp(-2 delta c m^a)
+    x = n + 1.0
+    far, near = _power_integrals(x, a)
+    h = 0.5 / (c1 * x ** a)
+    e = h * _one_sided_exp_tail(2.0 * delta * c1, a, n)
+    width = h * (near - 0.5) + e
+    return h * (far + 0.5) - e + 0.5 * width, width
 
 
 def _time_integral_series(exp_, delta, tol):
     if not 0.0 < delta < math.inf:
         raise ValueError(f"need delta > 0 and finite, got delta={delta}")
     a, c1 = exp_.alpha, exp_.c_lower
-    b, c2 = exp_.beta, exp_.c_upper
-
-    def lower_tail(n):
-        arg = -2.0 * delta * c2 * (n + 1.0) ** b
-        damp = 1.0 - (math.exp(arg) if arg > _EXP_FLOOR else 0.0)
-        return damp * (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0))
 
     def body(block, n):
         # expm1(-x) is exactly -1.0 for x >= 40 (e^-40 is below half an ulp
@@ -386,12 +445,14 @@ def _time_integral_series(exp_, delta, tol):
         re, work = block.re[:k], block.work[:n]
         w = work[:k]
         np.multiply(-2.0 * delta, re, out=w)
-        np.negative(np.expm1(w, out=w), out=w)
-        w /= 2.0 * re
+        np.expm1(w, out=w)
+        w /= re
+        w *= -0.5  # exact, so this is -expm1 / (2 Re phi) to the last bit
         work[k:] = block.half_recip[k:n]
         return np.sum(work)
 
-    return _bracketed_series(exp_, body, lower_tail, delta, tol)
+    return _bracketed_series(
+        exp_, body, lambda n: _time_integral_tail(exp_, delta, n), delta, tol)
 
 
 def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL):
@@ -405,15 +466,42 @@ def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL):
     return _sum_each(exp_, _time_integral_series, delta, tol)
 
 
+def _laplace_tail(exp_, beta_param, n):
+    """(midpoint, width) of a bracket on sum_{m>n} 1/(beta + 2 Re phi(m))."""
+    a, c1 = exp_.alpha, exp_.c_lower
+    # f = 1/(beta + 2 c x^a) is convex on [n, inf) once
+    # 2 c (a+1) n^a >= (a-1) beta, and for beta <= c (n+1/2)^a it is
+    # sum_k h (-beta h)^k with h = 1/(2 c x^a): an alternating series whose
+    # terms at least halve, as do those of its integrals over [n+1/2, inf)
+    # and [n+1, inf), so each truncation misses by at most the first term
+    # it omits
+    if (not exp_.tight or beta_param > c1 * (n + 0.5) ** a
+            or 2.0 * c1 * (a + 1.0) * n ** a < (a - 1.0) * beta_param):
+        b, c2 = exp_.beta, exp_.c_upper
+        # 1/(beta + 2 c2 x^b) >= (1/(2 c2 x^b)) / (1 + beta/(2 c2 (n+1)^b)) on x >= n+1
+        slack = 1.0 + beta_param / (2.0 * c2 * (n + 1.0) ** b)
+        return _first_order(
+            exp_, n, (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0) * slack))
+    x = n + 1.0
+    h = 0.5 / (c1 * x ** a)
+    far = near = 0.0
+    term = h  # the k-th power term h (-beta h)^k at x
+    for k in range(53):  # the terms at least halve, so this breaks by k = 52
+        far_k, near_k = _power_integrals(x, a * (k + 1.0))
+        far += term * far_k
+        near += term * near_k
+        term *= -beta_param * h
+        if abs(term) <= _EPS * h:
+            break
+    far_k, near_k = _power_integrals(x, a * (k + 2.0))
+    f_next = 1.0 / (beta_param + 2.0 * c1 * x ** a)
+    width = near - 0.5 * f_next + abs(term) * (2.0 * far_k + near_k)
+    return far - abs(term) * far_k + 0.5 * f_next + 0.5 * width, width
+
+
 def _laplace_series(exp_, beta_param, tol):
     if not 0.0 < beta_param < math.inf:
         raise ValueError(f"need beta_param > 0 and finite, got {beta_param}")
-    b, c2 = exp_.beta, exp_.c_upper
-
-    def lower_tail(n):
-        # 1/(beta + 2 c2 x^b) >= (1/(2 c2 x^b)) / (1 + beta/(2 c2 (n+1)^b)) on x >= n+1
-        slack = 1.0 + beta_param / (2.0 * c2 * (n + 1.0) ** b)
-        return (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0) * slack)
 
     def body(block, n):
         work = block.work[:n]
@@ -421,7 +509,9 @@ def _laplace_series(exp_, beta_param, tol):
         np.add(beta_param, work, out=work)
         return np.sum(np.divide(1.0, work, out=work))
 
-    return _bracketed_series(exp_, body, lower_tail, 1.0 / beta_param, tol)
+    return _bracketed_series(
+        exp_, body, lambda n: _laplace_tail(exp_, beta_param, n),
+        1.0 / beta_param, tol)
 
 
 def kernel_l2_laplace(exp_, beta_param, tol=DEFAULT_SERIES_TOL):

@@ -6,11 +6,13 @@ certified errors rather than a guessed constant.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
+from scipy.special import zeta
 
 from levyheat import (
     ExponentRangeError,
@@ -27,15 +29,18 @@ from levyheat import (
     wrapped_gaussian_kernel,
 )
 from levyheat.kernels import (
+    DEFAULT_SERIES_TOL,
     FOUR_PI_SQ,
     TWO_PI,
     _PHI_BLOCK,
     _laplace_series,
+    _laplace_tail,
     _norm_series,
     _one_sided_exp_tail,
     _smallest_cutoff,
     _sum_series,
     _time_integral_series,
+    _time_integral_tail,
     rfft_symbol,
     rfft_weights,
 )
@@ -380,11 +385,71 @@ def test_smallest_cutoff_is_the_smallest_certified(name, n0):
 
 
 def test_cutoffs_are_pinned_at_alpha_two():
-    # at c = 1 the tight bracket narrows like 1 / (4 pi^2 n (n + 1)), so
-    # tol 1e-10 needs n(n+1) >= 1e10 / (4 pi^2); a power of two would be 16384
+    # at c = 1 the tight brackets are Hermite-Hadamard's, of width
+    # (2 / 4pi^2) (int_{n+1/2}^{n+1} f - f(n+1) / 2).  For the time integral
+    # at delta = 1e-3, f = 1 / (2 x^2) gives 1 / (8 pi^2 x^2 (2x - 1)) with
+    # x = n + 1, and the exponential part is below e^-316, so tol 1e-10
+    # needs x^2 (2x - 1) >= 1e10 / (8 pi^2): n = 398.  For the Laplace mass
+    # at beta = 64, f = 1 / (64 + 2 x^2) integrates through arctan, and the
+    # width first falls below 1e-10 at n = 398 too (1.0053e-10 at 397,
+    # 0.9978e-10 at 398)
     exp_ = make_power_exponent(1.0, 2.0)
-    assert _time_integral_series(exp_, 1e-3, 1e-10).cutoff == 15_915
-    assert _laplace_series(exp_, 64.0, 1e-10).cutoff == 15_931
+    assert _time_integral_series(exp_, 1e-3, 1e-10).cutoff == 398
+    assert _laplace_series(exp_, 64.0, 1e-10).cutoff == 398
+
+
+def hurwitz_tails(c, a, beta, n, terms=8):
+    """Bounds on sum_{m>n} 1/(beta + 2 c m^a) from the Hurwitz zeta: with
+    y = 2 c m^a, 1/(beta + y) lies between any two consecutive partial sums
+    of sum_k (-beta)^k / y^(k+1).  At beta = 0 both are zeta(a, n+1)/(2c)."""
+    sums = np.cumsum([(-beta) ** k * zeta((k + 1) * a, n + 1)
+                      / (2.0 * c) ** (k + 1) for k in range(terms + 1)])
+    return min(sums[-2:]), max(sums[-2:])
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.4, 2.0])
+def test_tight_brackets_hold_the_hurwitz_zeta_tails(alpha):
+    # a time integral at delta = inf sums 1/(2 c m^alpha), whose tail past n
+    # is zeta(alpha, n + 1) / (2c).  Each Hermite-Hadamard bracket holds its
+    # tail and is narrower than alpha / (16 c n^(alpha+1)), one order in n
+    # narrower than the first-order bracket
+    for c, n in itertools.product((1.0, 0.7), (256, 4096, 100_000)):
+        exp_ = make_power_exponent(c, alpha)
+        for tail, beta in ((_time_integral_tail, 0.0), (_laplace_tail, 1.0),
+                           (_laplace_tail, 64.0)):
+            lo, hi = hurwitz_tails(c, alpha, beta, n)
+            mid, width = tail(exp_, beta or INF, n)
+            assert mid - width / 2 <= lo <= hi <= mid + width / 2
+            assert width <= alpha / (16.0 * c * n ** (alpha + 1.0))
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.4, 2.0])
+@pytest.mark.parametrize("c", [1.0, 0.7])
+def test_tight_series_agree_with_brute_sums_at_16x_the_cutoff(c, alpha):
+    # the sum over the first 16 N modes, its tail past 16 N bracketed
+    # through the Hurwitz zeta, lies within half the certified error of the
+    # value cut at N: the bracket at N holds the modes N+1..16N and beyond
+    exp_ = make_power_exponent(c, alpha)
+    cases = [(_time_integral_series, kernel_l2_time_integral, d)
+             for d in (1e-3, 0.05, 1.0)]
+    cases += [(_laplace_series, kernel_l2_laplace, b) for b in (1.0, 64.0, 1e4)]
+    for build, series, x in cases:
+        m = 16 * build(exp_, x, DEFAULT_SERIES_TOL).cutoff
+        re = c * np.arange(1.0, m + 1.0) ** alpha
+        if build is _laplace_series:
+            head, body = 1.0 / x, np.sum(1.0 / (x + 2.0 * re))
+            lo, hi = hurwitz_tails(c, alpha, x, m)
+        else:
+            head, body = x, np.sum(-np.expm1(-2.0 * x * re) / (2.0 * re))
+            # the tail sums (1 - e^(-2 x c k^alpha)) / (2 c k^alpha), k > m
+            lam = 2.0 * x * c
+            e = math.exp(-lam * m ** alpha) / (lam * alpha * m ** (alpha - 1.0))
+            hi = hurwitz_tails(c, alpha, 0.0, m)[1]
+            lo = hi - e / (2.0 * c * m ** alpha)
+        brute = (head + 2.0 * (body + 0.5 * (lo + hi))) / FOUR_PI_SQ
+        brute_err = (hi - lo) / FOUR_PI_SQ + 1e-14
+        value, error = series(exp_, x)
+        assert abs(value - brute) <= error / 2 + brute_err
 
 
 def test_an_underflowing_decay_rate_is_refused():
@@ -743,10 +808,11 @@ def test_series_sums_are_block_folds_of_one_shot_sums(case):
 
 def test_report_evaluates_each_mode_once():
     power = make_power_exponent(1.0, 1.4)
-    modes = []
+    modes, kinds = [], set()
 
     def counting_phi(n):
         modes.append(np.size(n))
+        kinds.add(np.asarray(n).dtype.kind)
         return power.phi(n)
 
     exp_ = LevyExponent(phi=counting_phi, alpha=1.4, beta=1.4, c_lower=1.0,
@@ -754,8 +820,10 @@ def test_report_evaluates_each_mode_once():
     modes.clear()
     verify_kernel_bounds(exp_, SERIES_TIMES, beta_param=64.0, tol=1e-10)
     # one table up to the largest cutoff, plus at most one block of slack;
-    # evaluating each series on its own takes 52.7 M modes
+    # evaluating each series on its own takes 23.8 M modes.  A phi without
+    # phi.re is handed integer modes, as LevyExponent documents
     assert sum(modes) <= 3_701_246 + (1 << 16)
+    assert kinds == {"i"}
 
 
 def test_report_memory_is_a_few_tables():
@@ -767,3 +835,85 @@ def test_report_memory_is_a_few_tables():
         _, peak = traced_peak(verify_kernel_bounds, exp_, SERIES_TIMES,
                               beta_param=64.0, tol=tol)
         assert peak <= 8 * 8 * _PHI_BLOCK
+
+
+def test_power_re_phi_fills_one_buffer():
+    # c |n|^alpha is built in its output array: no temporaries
+    n = np.arange(1.0, _PHI_BLOCK + 1.0)
+    re, peak = traced_peak(make_power_exponent(1.3, 1.4).re_phi, n)
+    assert re.shape == n.shape and peak <= n.nbytes + 1024
+
+
+# (exponent, times, beta_param): the perfbench series workload and the
+# kernel subcommand's defaults
+SCALING_GRIDS = {
+    "series": (make_power_exponent(1.0, 1.4), SERIES_TIMES, 64.0),
+    "default": (make_power_exponent(1.0, 2.0), np.geomspace(1e-5, 1e-3, 9),
+                64.0),
+}
+
+
+@pytest.mark.parametrize("grid", SCALING_GRIDS)
+def test_second_order_values_agree_with_first_order(grid, monkeypatch):
+    # both brackets hold the same tail, so the two values of each series
+    # differ by no more than the sum of their certified errors, and the
+    # second-order cutoffs are no larger
+    exp_, times, beta_param = SCALING_GRIDS[grid]
+    cases = ((_time_integral_series, kernel_l2_time_integral, times),
+             (_laplace_series, kernel_l2_laplace, np.array([beta_param])))
+    second = [(series(exp_, xs), [build(exp_, x, DEFAULT_SERIES_TOL).cutoff
+                                   for x in xs])
+              for build, series, xs in cases]
+    # the first-order bracket, which a loose envelope keeps
+    monkeypatch.setattr(LevyExponent, "tight", property(lambda self: False))
+    for (build, series, xs), ((value, error), cutoffs) in zip(cases, second):
+        first, first_error = series(exp_, xs)
+        assert np.all(np.abs(value - first) <= error + first_error)
+        assert np.all(error <= DEFAULT_SERIES_TOL)
+        assert all(n <= build(exp_, x, DEFAULT_SERIES_TOL).cutoff
+                   for x, n in zip(xs, cutoffs))
+
+
+def first_order_reference(exp_, build, x, tol):
+    """(cutoff, finish) of the first-order bracket, written out from its
+    formulas: above by int_n^inf dx / (2 c_lower x^alpha), below by the
+    series' own lower tail at the upper envelope."""
+    a, c1, b, c2 = exp_.alpha, exp_.c_lower, exp_.beta, exp_.c_upper
+
+    def upper(n):
+        return n ** (1.0 - a) / (2.0 * c1 * (a - 1.0))
+
+    def lower(n):
+        if build is _laplace_series:
+            slack = 1.0 + x / (2.0 * c2 * (n + 1.0) ** b)
+            return (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0) * slack)
+        arg = -2.0 * x * c2 * (n + 1.0) ** b
+        damp = 1.0 - (math.exp(arg) if arg > -745.0 else 0.0)
+        return damp * (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0))
+
+    def width(n):
+        return 2.0 * (upper(n) - lower(n)) / FOUR_PI_SQ
+
+    n = _smallest_cutoff(width, tol, 256)
+    head = 1.0 / x if build is _laplace_series else x
+    mid = 0.5 * (upper(n) + lower(n))
+    return n, lambda s: ((head + 2.0 * (s + mid)) / FOUR_PI_SQ, width(n))
+
+
+@pytest.mark.parametrize("case", ["beta_above_alpha", "non_monotone"])
+def test_a_loose_envelope_keeps_the_first_order_bracket(case):
+    # bit for bit: the same cutoffs, values and errors as the first-order
+    # formulas give
+    exp_, times, beta_param, tol = REPORT_CASES[case]
+    for build, series, xs in ((_time_integral_series, kernel_l2_time_integral,
+                               times),
+                              (_laplace_series, kernel_l2_laplace,
+                               np.array([beta_param, 64.0, 1e4]))):
+        values, errors = series(exp_, xs, tol)
+        refs = [first_order_reference(exp_, build, x, tol) for x in xs]
+        built = [build(exp_, x, tol) for x in xs]
+        assert [s.cutoff for s in built] == [n for n, _ in refs]
+        pairs = _sum_series(exp_, [s._replace(finish=finish)
+                                   for s, (_, finish) in zip(built, refs)])
+        assert np.array_equal(values, [v for v, _ in pairs])
+        assert np.array_equal(errors, [e for _, e in pairs])
