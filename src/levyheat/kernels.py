@@ -23,6 +23,11 @@ Series are truncated with certified tail bounds derived from the growth
 envelope c_lower |n|^alpha <= Re phi(n) <= c_upper |n|^beta; every series
 routine returns its value together with that bound, and the norm, time
 integral and Laplace series take an array of arguments, summed in one pass.
+A tight envelope (Re phi = c |n|^alpha) brackets the norm and time-integral
+tails by the midpoint Euler-Maclaurin formula, whose integrals are upper
+incomplete gamma functions, and the Laplace tail by the Hermite-Hadamard
+inequality; the notes on mode series below say when a series keeps a
+one-sided or first-order bound instead.
 """
 
 import math
@@ -38,7 +43,7 @@ FOUR_PI_SQ = 4.0 * math.pi ** 2
 DEFAULT_SERIES_TOL = 1e-10
 _MAX_CUTOFF = 1 << 26
 _EXP_FLOOR = -745.0  # exp underflows to 0 below this; used to guard overflow in bounds
-_EPS = 2.0 ** -53  # half an ulp of 1: an alternating series stops at terms this small
+_EPS = 2.0 ** -53  # half an ulp of 1: a series stops at terms this small
 
 
 class ExponentRangeError(ValueError):
@@ -178,6 +183,116 @@ def _smallest_cutoff(tail, tol, n0):
     return lo
 
 
+# A tight envelope (Re phi = c |n|^alpha) brackets the tail of the norm and
+# time-integral series by the midpoint Euler-Maclaurin formula (DLMF 2.10):
+# for f smooth on [x, inf), x = n + 1/2, with f and f' falling to 0,
+#
+#     sum_{m>n} f(m) = int_x^inf f + f'(x)/24 + E,
+#     |E| <= V(f''; [x, inf)) / (72 sqrt 3),
+#
+# where V is the total variation and 1/(72 sqrt 3) is the largest value of
+# the third periodic Peano kernel of the midpoint rule, which vanishes at the
+# half-integers.  Both tails integrate in closed form through the upper
+# incomplete gamma function Gamma(s, z) at s = 1/alpha and z = rate x^alpha.
+
+_BRACKET_START = 256  # no bracketed series stops below this many modes
+_EM_REMAINDER = 1.0 / (72.0 * math.sqrt(3.0))
+# Kummer's series serves z below this; above, 0 <= Gamma(s, z) <=
+# z^(s-1) e^-z (s < 1) already holds it to e^-40 of Gamma(s)
+_KUMMER_Z = 40.0
+# the rounding of rate^(+-s) s Gamma(s, z), with s Gamma(s, z) =
+# Gamma(1 + s) - z^s e^-z M, in ulps (2^-52) of rate^(+-s) Gamma(1 + s), less
+# the |log rate| / 4 that _upper_gamma_error adds for the rounded s = 1/alpha.
+# This is a measured maximum, not an a-priori bound: 12.7 against 50-digit
+# references on two sets of random points (10^5 and 4 x 10^4) with alpha in
+# (1, 2], z in [1e-12, 40) and rates in [1e-14, 10], and math.gamma(1 + s)
+# alone within 3.4; the rest is Kummer's series near z = 40.  A first-order
+# bound that lets the roundings of all its up to 2z + 54 terms align would
+# be about 2 (2z + 54) ulps, 268 at z = 40.
+# test_upper_gamma_rounds_within_its_stated_ulps checks the count against a
+# decimal reference
+_GAMMA_ULPS = 16.0
+
+
+def _kummer_upper_gamma(s, z):
+    """s Gamma(s, z) for 0 < s < 1 and 0 <= z < _KUMMER_Z, as
+    Gamma(1 + s) - z^s e^-z M with Kummer's series
+    M = sum_k z^k / ((s+1)...(s+k)) of positive terms (DLMF 8.5.1)."""
+    term = total = 1.0
+    # past k = 2z the terms at least halve, so this breaks by k = 2z + 54
+    for k in range(1, 4 * int(_KUMMER_Z)):
+        term *= z / (s + k)
+        total += term
+        if term <= _EPS * total:
+            break
+    return math.gamma(1.0 + s) - z ** s * math.exp(-z) * total
+
+
+def _upper_gamma_bound(scale, s, z):
+    """scale s z^(s-1) e^-z >= scale s Gamma(s, z) for s < 1; 0 once e^-z
+    underflows, also for an infinite rate."""
+    if z > -_EXP_FLOOR:
+        return 0.0
+    return scale * s * z ** (s - 1.0) * math.exp(-z)
+
+
+def _upper_gamma(scale, s, z):
+    """scale s Gamma(s, z): Kummer's series below _KUMMER_Z, and above it the
+    midpoint of 0 <= scale s Gamma(s, z) <= _upper_gamma_bound."""
+    if z >= _KUMMER_Z:
+        return 0.5 * _upper_gamma_bound(scale, s, z)
+    return scale * _kummer_upper_gamma(s, z)
+
+
+def _upper_gamma_error(scale, rate, s, z):
+    """What _upper_gamma(scale, s, z) may miss by, with scale = rate^(+-s)
+    times a constant: the whole interval above _KUMMER_Z, and below it
+    _GAMMA_ULPS ulps of scale Gamma(1 + s), plus |log rate| / 4 ulps for the
+    power of s = 1/alpha, which is rounded by up to 2^-54.  Below _KUMMER_Z
+    it does not fall with z, so it is the floor of a bracket's width."""
+    if z >= _KUMMER_Z:
+        return _upper_gamma_bound(scale, s, z)
+    ulps = _GAMMA_ULPS + abs(math.log(rate)) / 4.0
+    return ulps * 2.0 ** -52 * scale * math.gamma(1.0 + s)
+
+
+def _exp_power_variation(lam, a, x):
+    """V(f''; [x, inf)) for f = exp(-lam x^a), exactly.
+
+    f'' = a lam^(2/a) G(y) at y = lam x^a, with
+    G(y) = e^-y y^(1-2/a) (a y - (a-1)) and
+    G'(y) = e^-y y^(-2/a) Q(y), Q(y) = -a y^2 + 3(a-1) y - (a-1)(a-2)/a.
+    For 1 < a <= 2, Q has one positive root y*: G rises to G(y*) > 0 and then
+    falls to 0."""
+    def g(y):
+        return math.exp(-y) * y ** (1.0 - 2.0 / a) * (a * y - (a - 1.0))
+
+    root = math.sqrt((a - 1.0) * (5.0 * a - 1.0))
+    y_star = (3.0 * (a - 1.0) + root) / (2.0 * a)
+    z = lam * x ** a
+    variation = g(z) if z >= y_star else 2.0 * g(y_star) - g(z)
+    return a * lam ** (2.0 / a) * variation
+
+
+def _exp_power_width(lam, a, n):
+    """Width of the midpoint bracket on sum_{m>n} exp(-lam m^a): twice the
+    remainder bound, plus what its integral lam^(-1/a) s Gamma(s, z) may
+    miss by."""
+    x = n + 0.5
+    width = 2.0 * _EM_REMAINDER * _exp_power_variation(lam, a, x)
+    return width + _upper_gamma_error(
+        lam ** (-1.0 / a), lam, 1.0 / a, lam * x ** a)
+
+
+def _exp_power_midpoint(lam, a, n):
+    """Midpoint of the bracket on sum_{m>n} exp(-lam m^a):
+    int_x^inf f = lam^(-1/a) s Gamma(s, z) and f'(x) = -a z e^-z / x."""
+    x = n + 0.5
+    z = lam * x ** a
+    integral = _upper_gamma(lam ** (-1.0 / a), 1.0 / a, z)
+    return integral - a * z * math.exp(-z) / (24.0 * x)
+
+
 class ExponentCheck(NamedTuple):
     theta: float
     admissible: bool
@@ -201,14 +316,18 @@ def check_exponent_condition(alpha, beta):
 #
 # A series splits into a cutoff, which the envelope alone fixes, and a body
 # that sums its terms over the first n modes of one block.  The cutoff is the
-# smallest n whose tail bound meets tol: an exponential tail for the norm,
-# and for the time integral and Laplace mass the width of a bracket on the
-# tail, second order (Hermite-Hadamard) when the envelope is tight and first
-# order when it is not; see _bracketed_series.  One pass
-# evaluates Re phi block by block for every series of a call, and each
-# series folds its block sums left to right in block order, so no value
-# depends on which series shared the pass, and the pass holds a few blocks
-# whatever the cutoffs.
+# smallest n whose tail bound meets tol.  For a tight envelope that bound is
+# the width of a bracket on the tail from _BRACKET_START modes on: midpoint
+# Euler-Maclaurin for the norm and the time integral, Hermite-Hadamard for
+# the Laplace mass.  A loose envelope brackets the time integral and Laplace
+# mass to first order.  The norm keeps its one-sided exponential tail when
+# the envelope is loose or when that tail meets tol with no more modes than
+# the bracket, as at tiny t, where the rounding of the bracket's integral
+# keeps its width above tol until the interval form takes over at
+# _KUMMER_Z.  See _bracketed_series.  One pass evaluates Re phi block by
+# block for every series of a call, and each series folds its block sums
+# left to right in block order, so no value depends on which series shared
+# the pass, and the pass holds a few blocks whatever the cutoffs.
 
 _PHI_BLOCK = 1 << 16  # modes per block: bounds the memory of a pass
 
@@ -264,6 +383,36 @@ def _sum_each(exp_, build, xs, tol):
     return out[..., 0][()], out[..., 1][()]
 
 
+def _bracketed_series(exp_, body, width, midpoint, head, tol):
+    """Series (head + 2 sum_{n>=1} term(Re phi(n))) / 4pi^2 for a positive
+    term, certified to tol; body sums the terms.
+
+    The modes past the cutoff n are replaced by the midpoint(n) of a bracket
+    on their sum, and the bracket's width(n) gives the certified error
+    2 width / 4pi^2: twice what the truncation can miss by, which also
+    covers the rounding of a width that nearly cancels, plus, for a midpoint
+    Euler-Maclaurin bracket, what the Gamma term of its closed-form integral
+    may miss by.  The cutoff search evaluates only the width; the midpoint is
+    evaluated once, at the cutoff.
+    """
+    def error(n):
+        return 2.0 * width(n) / FOUR_PI_SQ
+
+    try:
+        n = _smallest_cutoff(error, tol, _BRACKET_START)
+    except SeriesToleranceError as exc:
+        if exp_.tight:
+            raise
+        raise SeriesToleranceError(
+            f"{exc}: the envelope alpha={exp_.alpha}, beta={exp_.beta}, "
+            f"c_lower={exp_.c_lower}, c_upper={exp_.c_upper} is not tight, so "
+            "the tail bracket narrows only like n^(1-alpha); use a looser tol"
+        ) from None
+    tail_mid = midpoint(n)
+    return _Series(n, body, lambda s: (
+        (head + 2.0 * (s + tail_mid)) / FOUR_PI_SQ, error(n)))
+
+
 # ---------------------------------------------------------------------------
 # kernel coefficients and reconstruction
 
@@ -316,17 +465,41 @@ def kernel_coefficients(exp_, t, tol=DEFAULT_SERIES_TOL):
 def _norm_series(exp_, t, tol):
     if not t > 0.0:
         raise ValueError(f"kernel norm needs t > 0, got t={t}")
+    a = exp_.alpha
     lam = 2.0 * t * exp_.c_lower
-    cutoff = _smallest_cutoff(
-        lambda n: 2.0 * _one_sided_exp_tail(lam, exp_.alpha, n), tol * FOUR_PI_SQ, 4)
-    tail = 2.0 * _one_sided_exp_tail(lam, exp_.alpha, cutoff) / FOUR_PI_SQ
 
     def body(block, n):
         work = block.work[:n]
         np.multiply(-2.0 * t, block.re[:n], out=work)
         return np.sum(np.exp(work, out=work))
 
-    return _Series(cutoff, body, lambda s: ((1.0 + 2.0 * s) / FOUR_PI_SQ, tail))
+    def one_sided(n):
+        return 2.0 * _one_sided_exp_tail(lam, a, n)
+
+    def one_sided_series():
+        cutoff = _smallest_cutoff(one_sided, tol * FOUR_PI_SQ, 4)
+        tail = one_sided(cutoff) / FOUR_PI_SQ
+        return _Series(cutoff, body,
+                       lambda s: ((1.0 + 2.0 * s) / FOUR_PI_SQ, tail))
+
+    def bracketed_series():
+        return _bracketed_series(
+            exp_, body, lambda n: _exp_power_width(lam, a, n),
+            lambda n: _exp_power_midpoint(lam, a, n), 1.0, tol)
+
+    # no bracket stops below _BRACKET_START modes
+    if not exp_.tight or one_sided(_BRACKET_START) <= tol * FOUR_PI_SQ:
+        return one_sided_series()
+    # whichever certifies tol with fewer modes, the one-sided on a tie
+    found = []
+    for build in (one_sided_series, bracketed_series):
+        try:
+            found.append(build())
+        except SeriesToleranceError as exc:
+            refusal = exc
+    if not found:
+        raise refusal
+    return min(found, key=lambda s: s.cutoff)
 
 
 def kernel_l2_norm_sq(exp_, t, tol=DEFAULT_SERIES_TOL):
@@ -352,33 +525,6 @@ def wrapped_gaussian_kernel(t, z):
 # time integrals of the squared kernel norm
 
 
-def _bracketed_series(exp_, body, tail, head, tol):
-    """Series (head + 2 sum_{n>=1} term(Re phi(n))) / 4pi^2 for a positive
-    term, certified to tol; body sums the terms.
-
-    The modes past the cutoff n are replaced by the midpoint of a bracket on
-    their sum, tail(n) -> (midpoint, width), and the bracket's width is the
-    certified error bound: twice what the midpoint can miss by, which also
-    covers the rounding of a width that nearly cancels.
-    """
-    def width(n):
-        return 2.0 * tail(n)[1] / FOUR_PI_SQ
-
-    try:
-        n = _smallest_cutoff(width, tol, 256)
-    except SeriesToleranceError as exc:
-        if exp_.tight:
-            raise
-        raise SeriesToleranceError(
-            f"{exc}: the envelope alpha={exp_.alpha}, beta={exp_.beta}, "
-            f"c_lower={exp_.c_lower}, c_upper={exp_.c_upper} is not tight, so "
-            "the tail bracket narrows only like n^(1-alpha); use a looser tol"
-        ) from None
-    tail_mid = tail(n)[0]
-    return _Series(n, body, lambda s: (
-        (head + 2.0 * (s + tail_mid)) / FOUR_PI_SQ, width(n)))
-
-
 def _first_order(exp_, n, lower):
     """(midpoint, width) of the bracket of a tail sum_{m>n} of terms below
     1/(2 Re phi(m)) between lower and int_n^inf dx / (2 c_lower x^alpha).
@@ -396,35 +542,66 @@ def _power_integrals(x, p):
     return far, far * math.expm1((1.0 - p) * math.log1p(-0.5 / x))
 
 
-# A tight envelope brackets its tails by the Hermite-Hadamard inequality
-# (Dragomir & Pearce 2000; DLMF 2.10): for f convex on [n + 1/2, inf) and
-# falling to 0,
-#
-#     int_{n+1}^inf f + f(n+1)/2 <= sum_{m>n} f(m) <= int_{n+1/2}^inf f,
-#
-# whose width int_{n+1/2}^{n+1} f - f(n+1)/2 is about |f'(n)|/8: it narrows
-# like n^(-alpha-1), one order in n faster than the first-order bracket.
-
-
 def _time_integral_tail(exp_, delta, n):
-    """(midpoint, width) of a bracket on
-    sum_{m>n} (1 - exp(-2 delta Re phi(m))) / (2 Re phi(m))."""
-    a, c1 = exp_.alpha, exp_.c_lower
-    if not exp_.tight:
-        b, c2 = exp_.beta, exp_.c_upper
-        arg = -2.0 * delta * c2 * (n + 1.0) ** b
-        damp = 1.0 - (math.exp(arg) if arg > _EXP_FLOOR else 0.0)
-        return _first_order(
-            exp_, n, damp * (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0)))
-    # the term is h - e with h = 1/(2 c x^a) convex and
-    # e = exp(-2 delta c x^a) h; sum e lies between 0 and
-    # h(n+1) sum_{m>n} exp(-2 delta c m^a)
-    x = n + 1.0
-    far, near = _power_integrals(x, a)
-    h = 0.5 / (c1 * x ** a)
-    e = h * _one_sided_exp_tail(2.0 * delta * c1, a, n)
-    width = h * (near - 0.5) + e
-    return h * (far + 0.5) - e + 0.5 * width, width
+    """(midpoint, width) of the first-order bracket on
+    sum_{m>n} (1 - exp(-2 delta Re phi(m))) / (2 Re phi(m)), which a loose
+    envelope keeps."""
+    b, c2 = exp_.beta, exp_.c_upper
+    arg = -2.0 * delta * c2 * (n + 1.0) ** b
+    damp = 1.0 - (math.exp(arg) if arg > _EXP_FLOOR else 0.0)
+    return _first_order(
+        exp_, n, damp * (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0)))
+
+
+# A tight envelope brackets the time integral's tail by the midpoint
+# Euler-Maclaurin formula (see _EM_REMAINDER) in place of the first-order
+# bracket above.  The term is h - e, with h = 1/(2 c x^a) and
+# e = h exp(-z), z = mu x^a, mu = 2 delta c.  With s = 1/a,
+# int_x^inf e = mu^(1-s) Gamma(s - 1, z) / (2 c a), and the recurrence
+# Gamma(s, z) = (s - 1) Gamma(s - 1, z) + z^(s-1) e^-z gives
+#
+#     int_x^inf (h - e) = (x^(1-a) (1 - e^-z) + mu^(1-s) Gamma(s, z)) / (2c(a-1)),
+#
+# whose two parts are positive, so nothing cancels.  h'' and
+# e'' = e^-z (h / x^2) (a (a+1) (1+z) + a^2 z^2) are positive and fall to
+# 0, so V((h - e)''; [x, inf)) <= h''(x) + e''(x).
+
+
+def _time_integral_width(exp_, delta, n):
+    """Width of the midpoint bracket on a tight time integral's tail past n:
+    twice the remainder bound, plus what the Gamma term of its integral may
+    miss by.  The power part and the body sum round to a few ulps of the
+    value, which no series here counts; the Gamma term is counted because
+    Kummer's series rounds to up to _GAMMA_ULPS."""
+    a, c = exp_.alpha, exp_.c_lower
+    x = n + 0.5
+    mu = 2.0 * delta * c
+    z = mu * x ** a
+    damped = (math.exp(-z) * (a * (a + 1.0) * (1.0 + z) + a * a * z * z)
+              if z < -_EXP_FLOOR else 0.0)
+    variation = 0.5 * (a * (a + 1.0) + damped) / (c * x ** (a + 2.0))
+    return 2.0 * _EM_REMAINDER * variation + _upper_gamma_error(
+        _gamma_scale(a, c, mu), mu, 1.0 / a, z)
+
+
+def _time_integral_midpoint(exp_, delta, n):
+    """Midpoint of the bracket on a tight time integral's tail past n: the
+    integral plus (h - e)'(x) / 24, with (h - e)' = h' (1 - e^-z (1+z))."""
+    a, c = exp_.alpha, exp_.c_lower
+    x = n + 0.5
+    mu = 2.0 * delta * c
+    z = mu * x ** a
+    power = x ** (1.0 - a) / (2.0 * c * (a - 1.0))
+    gamma = _upper_gamma(_gamma_scale(a, c, mu), 1.0 / a, z)
+    damped = math.exp(-z) * (1.0 + z) if z < -_EXP_FLOOR else 0.0
+    slope = -0.5 * a * (1.0 - damped) / (c * x ** (a + 1.0))
+    return power * -math.expm1(-z) + gamma + slope / 24.0
+
+
+def _gamma_scale(a, c, mu):
+    """a mu^(1-s) / (2c(a-1)), so that the Gamma term of the time
+    integral's tail is _upper_gamma(_gamma_scale(a, c, mu), s, z)."""
+    return a * mu ** (1.0 - 1.0 / a) / (2.0 * c * (a - 1.0))
 
 
 def _time_integral_series(exp_, delta, tol):
@@ -451,8 +628,13 @@ def _time_integral_series(exp_, delta, tol):
         work[k:] = block.half_recip[k:n]
         return np.sum(work)
 
+    if exp_.tight:
+        return _bracketed_series(
+            exp_, body, lambda n: _time_integral_width(exp_, delta, n),
+            lambda n: _time_integral_midpoint(exp_, delta, n), delta, tol)
     return _bracketed_series(
-        exp_, body, lambda n: _time_integral_tail(exp_, delta, n), delta, tol)
+        exp_, body, lambda n: _time_integral_tail(exp_, delta, n)[1],
+        lambda n: _time_integral_tail(exp_, delta, n)[0], delta, tol)
 
 
 def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL):
@@ -464,6 +646,16 @@ def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL):
     envelope bracket supplying the estimate and its certified half-width.
     """
     return _sum_each(exp_, _time_integral_series, delta, tol)
+
+
+# A tight envelope brackets the Laplace tail by the Hermite-Hadamard
+# inequality (Dragomir & Pearce 2000; DLMF 2.10): for f convex on
+# [n + 1/2, inf) and falling to 0,
+#
+#     int_{n+1}^inf f + f(n+1)/2 <= sum_{m>n} f(m) <= int_{n+1/2}^inf f,
+#
+# whose width int_{n+1/2}^{n+1} f - f(n+1)/2 is about |f'(n)|/8: it narrows
+# like n^(-alpha-1), one order in n faster than the first-order bracket.
 
 
 def _laplace_tail(exp_, beta_param, n):
@@ -510,8 +702,8 @@ def _laplace_series(exp_, beta_param, tol):
         return np.sum(np.divide(1.0, work, out=work))
 
     return _bracketed_series(
-        exp_, body, lambda n: _laplace_tail(exp_, beta_param, n),
-        1.0 / beta_param, tol)
+        exp_, body, lambda n: _laplace_tail(exp_, beta_param, n)[1],
+        lambda n: _laplace_tail(exp_, beta_param, n)[0], 1.0 / beta_param, tol)
 
 
 def kernel_l2_laplace(exp_, beta_param, tol=DEFAULT_SERIES_TOL):
@@ -530,18 +722,15 @@ def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL):
 
     As lam -> 0 this approaches Gamma(1 + 1/alpha) (Riemann-sum limit of
     int_0^inf exp(-x^alpha) dx); the probe stays positive and bounded on (0, 1].
+    The sum is the norm series of phi(n) = |n|^alpha at t = lam / 2, where
+    ||q_t||^2 = (1 + 2 sum) / 4pi^2.
     """
-    _validate_orders(alpha, alpha)
+    exp_ = make_power_exponent(1.0, alpha)
     if not 0.0 < lam < math.inf:
         raise ValueError(f"need lam > 0 and finite, got {lam}")
-    scale = lam ** (1.0 / alpha)
-
-    def tail(n):
-        return scale * _one_sided_exp_tail(lam, alpha, n)
-
-    n = _smallest_cutoff(tail, tol, 4)
-    modes = np.arange(1, n + 1, dtype=float)
-    return scale * np.sum(np.exp(-lam * modes ** alpha)), tail(n)
+    half = 0.5 * FOUR_PI_SQ * lam ** (1.0 / alpha)  # sum = (4pi^2 norm - 1) / 2
+    norm, error = kernel_l2_norm_sq(exp_, 0.5 * lam, tol / half)
+    return half * (norm - 1.0 / FOUR_PI_SQ), half * error
 
 
 # ---------------------------------------------------------------------------

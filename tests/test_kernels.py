@@ -8,6 +8,9 @@ certified errors rather than a guessed constant.
 import dataclasses
 import itertools
 import math
+from collections import Counter
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,16 +34,26 @@ from levyheat import (
 from levyheat.kernels import (
     DEFAULT_SERIES_TOL,
     FOUR_PI_SQ,
+    SeriesToleranceError,
     TWO_PI,
+    _BRACKET_START,
+    _KUMMER_Z,
     _PHI_BLOCK,
+    _exp_power_midpoint,
+    _exp_power_variation,
+    _exp_power_width,
+    _gamma_scale,
     _laplace_series,
     _laplace_tail,
     _norm_series,
     _one_sided_exp_tail,
     _smallest_cutoff,
     _sum_series,
+    _time_integral_midpoint,
     _time_integral_series,
-    _time_integral_tail,
+    _time_integral_width,
+    _upper_gamma,
+    _upper_gamma_error,
     rfft_symbol,
     rfft_weights,
 )
@@ -49,6 +62,7 @@ from levyheat.solver import _smooth
 from conftest import semigroup, traced_peak
 
 GAMMA_3_2 = math.gamma(1.5)  # = sqrt(pi)/2, the alpha=2 limit constant
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +399,22 @@ def test_smallest_cutoff_is_the_smallest_certified(name, n0):
 
 
 def test_cutoffs_are_pinned_at_alpha_two():
-    # at c = 1 the tight brackets are Hermite-Hadamard's, of width
-    # (2 / 4pi^2) (int_{n+1/2}^{n+1} f - f(n+1) / 2).  For the time integral
-    # at delta = 1e-3, f = 1 / (2 x^2) gives 1 / (8 pi^2 x^2 (2x - 1)) with
-    # x = n + 1, and the exponential part is below e^-316, so tol 1e-10
-    # needs x^2 (2x - 1) >= 1e10 / (8 pi^2): n = 398.  For the Laplace mass
-    # at beta = 64, f = 1 / (64 + 2 x^2) integrates through arctan, and the
-    # width first falls below 1e-10 at n = 398 too (1.0053e-10 at 397,
+    # at c = 1 the time integral's bracket is the midpoint Euler-Maclaurin
+    # one.  At delta = 1e-3, f = h - e with h = 1 / (2 x^2), so h'' = 3 / x^4;
+    # with x = n + 1/2, z = 2e-3 x^2 is past 40 from n = 141 on, where
+    # e'' < 1e-14 h'' and the integral's interval is x^-1 e^-z / 2.  The
+    # error 2 width / 4pi^2 is then (12 / (72 sqrt 3 x^4) + e^-z / x) / 4pi^2
+    # to 1e-14 relative: 5.63e-13 at n = 256, below tol
+    # 1e-10 at the search's start, so the cutoff is 256; tol 1e-14 needs
+    # x^4 >= 12e14 / (72 sqrt 3 4pi^2), n = 703 (1.0008e-14 at 702,
+    # 0.9951e-14 at 703).  The Laplace mass keeps its Hermite-Hadamard
+    # bracket, of width (2 / 4pi^2) (int_{n+1/2}^{n+1} f - f(n+1) / 2); at
+    # beta = 64, f = 1 / (64 + 2 x^2) integrates through arctan, and the
+    # width first falls below 1e-10 at n = 398 (1.0053e-10 at 397,
     # 0.9978e-10 at 398)
     exp_ = make_power_exponent(1.0, 2.0)
-    assert _time_integral_series(exp_, 1e-3, 1e-10).cutoff == 398
+    assert _time_integral_series(exp_, 1e-3, 1e-10).cutoff == 256
+    assert _time_integral_series(exp_, 1e-3, 1e-14).cutoff == 703
     assert _laplace_series(exp_, 64.0, 1e-10).cutoff == 398
 
 
@@ -407,49 +427,287 @@ def hurwitz_tails(c, a, beta, n, terms=8):
     return min(sums[-2:]), max(sums[-2:])
 
 
+def time_integral_bracket(exp_, delta, n):
+    """(midpoint, width) of a tight time integral's midpoint bracket."""
+    return (_time_integral_midpoint(exp_, delta, n),
+            _time_integral_width(exp_, delta, n))
+
+
 @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.4, 2.0])
 def test_tight_brackets_hold_the_hurwitz_zeta_tails(alpha):
     # a time integral at delta = inf sums 1/(2 c m^alpha), whose tail past n
-    # is zeta(alpha, n + 1) / (2c).  Each Hermite-Hadamard bracket holds its
-    # tail and is narrower than alpha / (16 c n^(alpha+1)), one order in n
-    # narrower than the first-order bracket
+    # is zeta(alpha, n + 1) / (2c).  Its midpoint bracket and the Laplace
+    # Hermite-Hadamard brackets hold their tails and are narrower than
+    # alpha / (16 c n^(alpha+1)), one order in n narrower than the
+    # first-order bracket.  The midpoint bracket's width counts the rounding
+    # of its Gamma term but not of its power part, which, like every body
+    # sum, rounds to a few ulps of the value; at n = 100,000 that bracket is
+    # narrower than an ulp of its midpoint (half-width 0.004 to 0.2 ulp), so
+    # it alone is compared to within 4 ulps of the zeta tail
     for c, n in itertools.product((1.0, 0.7), (256, 4096, 100_000)):
         exp_ = make_power_exponent(c, alpha)
-        for tail, beta in ((_time_integral_tail, 0.0), (_laplace_tail, 1.0),
+        for tail, beta in ((time_integral_bracket, 0.0), (_laplace_tail, 1.0),
                            (_laplace_tail, 64.0)):
             lo, hi = hurwitz_tails(c, alpha, beta, n)
             mid, width = tail(exp_, beta or INF, n)
-            assert mid - width / 2 <= lo <= hi <= mid + width / 2
+            rounding = 4 * EPS * hi if tail is time_integral_bracket else 0.0
+            half = width / 2 + rounding
+            assert mid - half <= lo <= hi <= mid + half
             assert width <= alpha / (16.0 * c * n ** (alpha + 1.0))
+
+
+def fsum_terms(term, lo, hi, chunk=1 << 20):
+    """math.fsum of term(k) over the float modes lo < k <= hi, built a chunk
+    of modes at a time."""
+    return math.fsum(itertools.chain.from_iterable(
+        term(np.arange(k + 1.0, min(k + chunk, hi) + 1.0))
+        for k in range(lo, hi, chunk)))
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.4, 2.0])
 @pytest.mark.parametrize("c", [1.0, 0.7])
 def test_tight_series_agree_with_brute_sums_at_16x_the_cutoff(c, alpha):
-    # the sum over the first 16 N modes, its tail past 16 N bracketed
-    # through the Hurwitz zeta, lies within half the certified error of the
-    # value cut at N: the bracket at N holds the modes N+1..16N and beyond
+    # the math.fsum of the first M modes, M = 16 N or, for a norm or time
+    # integral, the mode where its exponential part falls below e^-40 if
+    # that is further, with its tail past M bracketed through the Hurwitz
+    # zeta and the one-sided exponential bound, lies within half the
+    # certified error of the value cut at N: the bracket at N holds the
+    # modes N+1..M and beyond.  The small t and delta are where the norm
+    # and the time integral's exponential part are bracketed at all
     exp_ = make_power_exponent(c, alpha)
-    cases = [(_time_integral_series, kernel_l2_time_integral, d)
-             for d in (1e-3, 0.05, 1.0)]
+    cases = [(_norm_series, kernel_l2_norm_sq, t) for t in (1e-6, 1e-4, 1e-2)]
+    cases += [(_time_integral_series, kernel_l2_time_integral, d)
+              for d in (1e-6, 1e-4, 1e-3, 1e-2, 0.05, 1.0)]
     cases += [(_laplace_series, kernel_l2_laplace, b) for b in (1.0, 64.0, 1e4)]
     for build, series, x in cases:
         m = 16 * build(exp_, x, DEFAULT_SERIES_TOL).cutoff
-        re = c * np.arange(1.0, m + 1.0) ** alpha
         if build is _laplace_series:
-            head, body = 1.0 / x, np.sum(1.0 / (x + 2.0 * re))
+            head = 1.0 / x
+            body = fsum_terms(lambda k: 1.0 / (x + 2.0 * c * k ** alpha), 0, m)
             lo, hi = hurwitz_tails(c, alpha, x, m)
         else:
-            head, body = x, np.sum(-np.expm1(-2.0 * x * re) / (2.0 * re))
-            # the tail sums (1 - e^(-2 x c k^alpha)) / (2 c k^alpha), k > m
             lam = 2.0 * x * c
+            m = max(m, math.ceil((40.0 / lam) ** (1.0 / alpha)))
             e = math.exp(-lam * m ** alpha) / (lam * alpha * m ** (alpha - 1.0))
-            hi = hurwitz_tails(c, alpha, 0.0, m)[1]
-            lo = hi - e / (2.0 * c * m ** alpha)
+            if build is _norm_series:
+                head = 1.0
+                body = fsum_terms(lambda k: np.exp(-2.0 * x * (c * k ** alpha)),
+                                  0, m)
+                lo, hi = 0.0, e
+            else:
+                # the tail sums (1 - e^(-2 x c k^alpha)) / (2 c k^alpha), k > m
+                head = x
+                body = fsum_terms(lambda k: -np.expm1(-lam * k ** alpha)
+                                  / (2.0 * c * k ** alpha), 0, m)
+                hi = hurwitz_tails(c, alpha, 0.0, m)[1]
+                lo = hi - e / (2.0 * c * m ** alpha)
         brute = (head + 2.0 * (body + 0.5 * (lo + hi))) / FOUR_PI_SQ
         brute_err = (hi - lo) / FOUR_PI_SQ + 1e-14
         value, error = series(exp_, x)
-        assert abs(value - brute) <= error / 2 + brute_err
+        if build is _norm_series:
+            # norms reach 1e4 here, where 1e-14 is below an ulp, so they
+            # also allow 4 ulps of the value.  A norm whose one-sided bound
+            # needs no more modes keeps it, and its value, a lower bound,
+            # can miss by the whole error
+            assert abs(value - brute) <= error + brute_err + 4 * EPS * brute
+        else:
+            assert abs(value - brute) <= error / 2 + brute_err
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.4, 2.0])
+@pytest.mark.parametrize("c", [1.0, 0.7])
+def test_midpoint_brackets_hold_their_fsum_tails(c, alpha):
+    # each midpoint bracket on a tail past n lies within its width of the
+    # math.fsum of the tail out to m, where the one-sided exponential bound
+    # falls below 1e-24, with that bound as the rest of the tail.  The n are
+    # the search's start, the series' own cutoff and four times it, and
+    # m/16 and m/4, for t and delta from 1e-6 to 1
+    exp_ = make_power_exponent(c, alpha)
+    cases = 0
+    for x in np.geomspace(1e-6, 1.0, 13):
+        lam = 2.0 * x * c
+        m = _smallest_cutoff(lambda n: _one_sided_exp_tail(lam, alpha, n),
+                             1e-24, 4)
+        norm = (lambda n: _exp_power_midpoint(lam, alpha, n),
+                lambda n: _exp_power_width(lam, alpha, n),
+                lambda k: np.exp(-lam * k ** alpha),
+                0.0, _one_sided_exp_tail(lam, alpha, m), _norm_series)
+        # past m the time integral's tail is the Hurwitz tail of h, less
+        # at most h(m) times the one-sided bound
+        time_integral = (
+            lambda n: _time_integral_midpoint(exp_, x, n),
+            lambda n: _time_integral_width(exp_, x, n),
+            lambda k: -np.expm1(-lam * k ** alpha) / (2.0 * c * k ** alpha),
+            hurwitz_tails(c, alpha, 0.0, m)[1],
+            -_one_sided_exp_tail(lam, alpha, m) / (2.0 * c * m ** alpha),
+            _time_integral_series)
+        for midpoint, width, term, far, rest, build in (norm, time_integral):
+            cutoff = build(exp_, x, DEFAULT_SERIES_TOL).cutoff
+            ns = sorted(n for n in {_BRACKET_START, cutoff, 4 * cutoff,
+                                    m // 16, m // 4} if 1 <= n < m)
+            # the fsum of each stretch between consecutive n, once
+            stretches = [fsum_terms(term, lo, hi)
+                         for lo, hi in zip(ns, ns[1:] + [m])]
+            for i, n in enumerate(ns):
+                tail = math.fsum(stretches[i:] + [far, rest / 2])
+                assert abs(tail - midpoint(n)) <= (
+                    width(n) + abs(rest) / 2 + 4 * EPS * tail)
+                cases += 1
+    assert cases >= 70
+
+
+def test_bracketed_cutoffs_are_the_smallest_certified():
+    # on the perfbench series grid every series is bracketed, its error is
+    # twice its width over 4pi^2, and its cutoff is the smallest that this
+    # certifies: the error at one mode fewer is above tol, unless the
+    # search stopped at its start
+    exp_, times, beta_param = SCALING_GRIDS["series"]
+    a, c, tol = exp_.alpha, exp_.c_lower, DEFAULT_SERIES_TOL
+    widths = [(_norm_series, kernel_l2_norm_sq, t,
+               lambda n, t=t: _exp_power_width(2.0 * t * c, a, n))
+              for t in times]
+    widths += [(_time_integral_series, kernel_l2_time_integral, t,
+                lambda n, t=t: _time_integral_width(exp_, t, n))
+               for t in times]
+    widths.append((_laplace_series, kernel_l2_laplace, beta_param,
+                   lambda n: _laplace_tail(exp_, beta_param, n)[1]))
+    for build, series, x, width in widths:
+        n = build(exp_, x, tol).cutoff
+        assert series(exp_, x, tol)[1] == 2.0 * width(n) / FOUR_PI_SQ <= tol
+        assert n == _BRACKET_START or 2.0 * width(n - 1) / FOUR_PI_SQ > tol
+
+
+@pytest.mark.parametrize("alpha, t", [
+    (2.0, 1e-3), (1.4, 1e-4), (1.4, 1e-8), (2.0, 2.7e-12), (2.0, 2.5e-12),
+    (2.0, 1e-12), (1.2, 1e-8), (1.4, 2.15e-10)])
+def test_a_norm_takes_the_cutoff_with_fewer_modes(alpha, t):
+    # a tight norm takes the one-sided cutoff or the midpoint bracket's,
+    # whichever is smaller, and the one-sided on a tie, so it never needs
+    # more modes than the one-sided bound alone.  At t = 2.7e-12 (alpha = 2)
+    # the rounding of the bracket's integral is 0.97 tol and the bracket
+    # stops at its start; at 2.5e-12 it is 1.0001 tol, and the bracket's
+    # width stays above tol until the interval form takes over, past the
+    # one-sided cutoff.  At 2.15e-10 (alpha = 1.4) no bracket certifies tol
+    exp_ = make_power_exponent(1.0, alpha)
+    tol, lam = DEFAULT_SERIES_TOL, 2.0 * t
+    s = _norm_series(exp_, t, tol)
+    n = _smallest_cutoff(lambda k: 2.0 * _one_sided_exp_tail(lam, alpha, k),
+                         tol * FOUR_PI_SQ, 4)
+    try:
+        m = _smallest_cutoff(
+            lambda k: 2.0 * _exp_power_width(lam, alpha, k) / FOUR_PI_SQ,
+            tol, _BRACKET_START)
+    except SeriesToleranceError:
+        m = math.inf
+    assert s.cutoff == min(n, m)
+    if n <= m:
+        assert s.finish(1.0)[1] == 2.0 * _one_sided_exp_tail(
+            lam, alpha, n) / FOUR_PI_SQ
+    else:
+        assert s.finish(1.0)[1] == 2.0 * _exp_power_width(
+            lam, alpha, m) / FOUR_PI_SQ
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.4, 2.0])
+@pytest.mark.parametrize("lam", [1e-8, 1e-4, 0.3])
+def test_exp_power_variation_is_the_sampled_total_variation(alpha, lam):
+    # V(f''; [x, inf)) for f = exp(-lam x^alpha) in closed form against the
+    # sum of |f''(x_{i+1}) - f''(x_i)| over 2 x 10^5 geometric points out to
+    # lam x^alpha = 200, from x where lam x^alpha is below, near and above
+    # the maximum of f''
+    for z in (1e-4, 0.5, 3.0):
+        x0 = (z / lam) ** (1.0 / alpha)
+        x = np.geomspace(x0, (200.0 / lam) ** (1.0 / alpha), 200_001)
+        second = np.exp(-lam * x ** alpha) * (
+            lam ** 2 * alpha ** 2 * x ** (2 * alpha - 2)
+            - lam * alpha * (alpha - 1) * x ** (alpha - 2))
+        sampled = np.sum(np.abs(np.diff(second)))
+        assert _exp_power_variation(lam, alpha, x0) == pytest.approx(
+            sampled, rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.4, 2.0])
+@pytest.mark.parametrize("mu", [2e-8, 2e-4, 0.6])
+def test_the_damped_part_has_a_falling_second_derivative(alpha, mu):
+    # e = exp(-mu x^alpha) / (2 x^alpha) by the product rule on u = x^-alpha
+    # and v = exp(-mu x^alpha): e'' > 0 falls from x = 1/2 to where it
+    # underflows, so V(e''; [x, inf)) = e''(x)
+    x = np.geomspace(0.5, (700.0 / mu) ** (1.0 / alpha), 200_001)
+    v = np.exp(-mu * x ** alpha)
+    dv = -mu * alpha * x ** (alpha - 1) * v
+    d2v = (mu ** 2 * alpha ** 2 * x ** (2 * alpha - 2)
+           - mu * alpha * (alpha - 1) * x ** (alpha - 2)) * v
+    u, du = x ** -alpha, -alpha * x ** (-alpha - 1)
+    d2u = alpha * (alpha + 1) * x ** (-alpha - 2)
+    second = 0.5 * (d2u * v + 2.0 * du * dv + u * d2v)
+    assert np.all(second >= 0.0)
+    assert np.all(np.diff(second) <= 0.0)
+
+
+def bernoulli_even(count):
+    """B_2, B_4, ..., B_{2 count} as Fractions, by the recurrence
+    sum_{k <= m} C(m + 1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b[2::2]
+
+
+PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def decimal_upper_gamma(s, z):
+    """s Gamma(s, z) for Decimal 0 < s < 1 and z >= 0 at the context's
+    precision: Gamma(1 + s) from Stirling's series at 1 + s + 60 (20 terms,
+    good to about 1e-48), less z^s e^-z times Kummer's series."""
+    w = 1 + s + 60
+    log_gamma = (w - Decimal("0.5")) * w.ln() - w + (2 * PI_50).ln() / 2
+    for k, b in enumerate(bernoulli_even(20), 1):
+        log_gamma += (Decimal(b.numerator) / b.denominator
+                      / (2 * k * (2 * k - 1) * w ** (2 * k - 1)))
+    gamma = log_gamma.exp()
+    for j in range(1, 61):
+        gamma /= s + j
+    term = total = Decimal(1)
+    for k in range(1, 1000):
+        term = term * z / (s + k)
+        total += term
+        if term < total.scaleb(-60):
+            break
+    return gamma - z ** s * (-z).exp() * total
+
+
+def test_upper_gamma_rounds_within_its_stated_ulps():
+    # the Gamma terms of the norm's and the time integral's tail integrals,
+    # lam^-s s Gamma(s, z) and mu^(1-s) Gamma(s, z) / (2c(alpha-1)) at
+    # c = 0.7, as the brackets compute them from alpha, the rate and
+    # x = n + 1/2, lie within _upper_gamma_error of a 50-digit decimal
+    # reference that takes s = 1/alpha and z = rate x^alpha exactly.  This
+    # is the one rounding a width counts; the z run past _KUMMER_Z into the
+    # interval form
+    kinds = Counter()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for alpha, rate in itertools.product(
+                (1.0 + 1e-6, 1.05, 1.1, 1.4, 1.7, 1.93, 2.0), (1e-14, 1e-6, 0.3)):
+            s = 1.0 / alpha
+            for target in np.concatenate([np.geomspace(1e-12, 1.0, 4),
+                                          np.linspace(1.5, 45.0, 10)]):
+                x = math.floor((target / rate) ** s) + 0.5
+                z = rate * x ** alpha
+                exact_s = 1 / Decimal(alpha)
+                exact = decimal_upper_gamma(
+                    exact_s, Decimal(rate) * Decimal(x) ** Decimal(alpha))
+                for scale, factor in (
+                        (rate ** -s, Decimal(rate) ** -exact_s),
+                        (_gamma_scale(alpha, 0.7, rate),
+                         Decimal(alpha) * Decimal(rate) ** (1 - exact_s)
+                         / (2 * Decimal(0.7) * (Decimal(alpha) - 1)))):
+                    miss = abs(Decimal(_upper_gamma(scale, s, z)) - factor * exact)
+                    allowed = _upper_gamma_error(scale, rate, s, z)
+                    assert miss <= Decimal(allowed), (alpha, rate, x)
+                    kinds[z < _KUMMER_Z] += 1
+    assert kinds[True] >= 200 and kinds[False] >= 20
 
 
 def test_an_underflowing_decay_rate_is_refused():
@@ -741,7 +999,7 @@ def test_verify_kernel_bounds_fractional():
 
 # The report sums every series over prefixes of one Re phi table.  Each case
 # is (exponent, times, beta_param, tol); "series" is the perfbench workload,
-# whose largest certified cutoff is 3,701,246 modes (the norm at 1e-8).
+# whose largest certified cutoff is 2,705 modes (the norm at 1.6e-5).
 SERIES_TIMES = np.geomspace(1e-8, 1e-3, 33)
 
 
@@ -819,17 +1077,17 @@ def test_report_evaluates_each_mode_once():
                         c_upper=1.0)
     modes.clear()
     verify_kernel_bounds(exp_, SERIES_TIMES, beta_param=64.0, tol=1e-10)
-    # one table up to the largest cutoff, plus at most one block of slack;
-    # evaluating each series on its own takes 23.8 M modes.  A phi without
-    # phi.re is handed integer modes, as LevyExponent documents
-    assert sum(modes) <= 3_701_246 + (1 << 16)
+    # one block: the largest cutoff is 2,705 modes (the norm at t = 1.6e-5)
+    # and the 67 series sum 36,957 terms.  A phi without phi.re is handed
+    # integer modes, as LevyExponent documents
+    assert sum(modes) <= 1 << 16
     assert kinds == {"i"}
 
 
 def test_report_memory_is_a_few_tables():
     # one streamed pass holds a few blocks of float64 (Re phi, the work
     # buffer, 1 / (2 Re phi) and the block temporaries), whatever the
-    # largest cutoff: 3,701,246 modes at tol 1e-10, fewer at 1e-6
+    # largest cutoff: 2,705 modes at tol 1e-10, fewer at 1e-6
     exp_ = make_power_exponent(1.0, 1.4)
     for tol in (1e-6, 1e-10):
         _, peak = traced_peak(verify_kernel_bounds, exp_, SERIES_TIMES,
