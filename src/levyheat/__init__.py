@@ -30,6 +30,7 @@ from .solver import (
     SampleSet,
     SigmaSpec,
     additive_variance_exact,
+    adjoint_gradient,
     get_sigma,
     noise_density_scale,
     picard_sequence,
@@ -41,7 +42,6 @@ from .malliavin import (
     NegativeMomentReport,
     OracleResult,
     SmallBallReport,
-    adjoint_gradient,
     hnorm_samples,
     hnorm_sq,
     negative_moment_estimate,

@@ -1,20 +1,12 @@
 """Pathwise derivative of the scheme in its noise variates.
 
 The exponential-Euler step u_{k+1} = S (u_k + sigma(u_k) xi_k * scale) is
-differentiated exactly.  Normalized by sqrt(dt*dx), the derivative of
-u(t_{k_p}, x_{i_p}) in the variate of cell (k, j) is
-
-    e_{i_p}^T S F_{k_p-1} S ... F_{k+1} S e_j sigma(u_k(x_j)) / (dx sqrt(2pi)),
-
-with F_k = 1 + sigma'(u_k) xi_k * scale acting pointwise.  `adjoint_gradient`
-reads the whole gradient off one reverse sweep: starting from
-lambda = e_{i_p}, each step back forms mu = S^T lambda (the conjugate rfft
-multiplier, since S^T != S under drift), emits the row
-sigma(u_k) mu / (dx sqrt(2pi)) of the cells at step k, and moves on with
-lambda = F_k mu.  That is O(k_p m log m) per replica, batched over replicas.
-In the additive case the rows are the transition kernel divided by sqrt(2pi)
-(the measure normalization of the solver's noise density), so the squared
-quadrature sum_{cells} |D|^2 dt dx that `hnorm_sq` forms reproduces
+differentiated exactly: `solver.adjoint_gradient` reads the whole gradient
+of the probe value off one reverse sweep (the solver's own constant-sigma
+sampler reads its Wiener weights there too).  In the additive case the rows
+are the transition kernel divided by sqrt(2pi) (the measure normalization of
+the solver's noise density), so the squared quadrature
+sum_{cells} |D|^2 dt dx that `hnorm_sq` forms reproduces
 int_0^t ||q_s||^2 ds in the kernel's unit-mass convention.
 
 Two independent oracles check the sweep: `propagate_derivative` pushes the
@@ -29,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TWO_PI, kernel_l2_time_integral
+from .kernels import kernel_l2_time_integral
 from .noise import _NoiseRows
 from .solver import (BlowUpError, SampleSet, _Scheme, _evolve_batch,
-                     sample_at_probe)
+                     adjoint_gradient, sample_at_probe)
 
 # replicas per hnorm chunk times (k_p + 1) m_space: each replica holds its
 # noise, path and gradient rows, O(k_p m_space) words apiece
@@ -40,11 +32,6 @@ HNORM_CHUNK_WORDS = 2 ** 20
 # quantile levels of the default small-ball eps: the resolvable range, where
 # frequencies are neither all-zero nor saturated
 SMALLBALL_LEVELS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
-
-
-def _point_scale(grid):
-    # point density against the unit-mass measure, cf. noise_density_scale
-    return 1.0 / (grid.dx * math.sqrt(TWO_PI))
 
 
 def propagate_derivative(path, xi, exp_, sigma, grid, source, until_k=None):
@@ -66,34 +53,12 @@ def propagate_derivative(path, xi, exp_, sigma, grid, source, until_k=None):
         return np.zeros(m)
     scheme = _Scheme(exp_, sigma, grid)
     d = np.zeros(m)
-    d[i_s] = float(sigma.sigma(path[k_s, i_s])) * _point_scale(grid)
+    d[i_s] = float(sigma.sigma(path[k_s, i_s])) * scheme.point_scale
     scheme.smooth(d)
     for k in range(k_s + 1, until_k):
         d *= scheme.tangent(path[k], xi[k])
         scheme.smooth(d)
     return d
-
-
-def adjoint_gradient(path, xi, exp_, sigma, grid, k_p, i_p):
-    """Gradient of u(t_{k_p}, x_{i_p}) in every noise cell before step k_p.
-
-    path (B, >= k_p, m_space) and xi (B, >= k_p, m_space) are solved
-    trajectories and their variates, one replica per leading index.  Returns
-    rows of shape (B, k_p, m_space): rows[b, k, j] is the derivative in the
-    variate of cell (k, j), normalized as in propagate_derivative.
-    """
-    if not (0 <= k_p <= grid.k_time) or not (0 <= i_p < grid.m_space):
-        raise IndexError(f"probe cell {(k_p, i_p)} outside the grid")
-    scheme = _Scheme(exp_, sigma, grid, (len(path),))
-    pscale = _point_scale(grid)
-    rows = np.empty((len(path), k_p, grid.m_space))
-    lam = np.zeros((len(path), grid.m_space))
-    lam[:, i_p] = 1.0
-    for k in range(k_p - 1, -1, -1):
-        scheme.smooth(lam, transpose=True)  # lam <- mu = S^T lam
-        rows[:, k] = sigma.sigma(path[:, k]) * pscale * lam
-        lam *= scheme.tangent(path[:, k], xi[:, k])  # lam <- F_k mu
-    return rows
 
 
 def hnorm_sq(rows, grid, deltas=()):
@@ -177,7 +142,7 @@ def hnorm_samples(config, workers=1, deltas=()):
     grid = config.grid
     k_p, i_p = config.probe_cell
 
-    def read(u, path, xi):
+    def read(u_p, path, xi):
         # the sweep keeps each replica's rows apart, so the NaN-frozen rows
         # of the blown-up replicas reach no other row
         rows = adjoint_gradient(path, xi, config.exponent, config.sigma, grid,

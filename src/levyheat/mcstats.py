@@ -55,11 +55,9 @@ def run_ensemble(config, workers=1):
     """The SampleSet of u at the probe, one value per replica path.  Blow-ups
     are excluded and reported as solver.sample_at_probe does, since a silent
     drop biases every statistic, so the set holds at least 2 values."""
-    i_p = config.probe_cell[1]
-    # a copy: a view of the probe column would keep all of u alive
     return sample_at_probe(
         config, max(1, ENSEMBLE_CHUNK_WORDS // config.grid.m_space),
-        lambda u, path, xi: (u[:, i_p].copy(),), workers)[0]
+        lambda u_p, path, xi: (u_p,), workers)[0]
 
 
 @dataclass

@@ -31,7 +31,12 @@ from .kernels import TWO_PI
 # recorded in run metadata; bump if the variate derivation ever changes
 RNG_SCHEME = "philox4x64/word-indexed/ndtri/v1"
 
-_HALF_ULP = 2.0 ** -54  # centers the dyadic uniform grid away from 0 and 1
+# shifts each uniform k * 2^-53 by half its cell; see _normal_block
+_HALF_ULP = 2.0 ** -54
+# bounds |xi| of every finite variate: the smallest shifted uniform is
+# 2^-54, and the largest below 1.0 is 1 - 2^-52, farther from 1 than 2^-54
+# is from 0
+XI_MAX = -float(ndtri(_HALF_ULP))
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,8 @@ _per_thread = threading.local()
 def _normal_block(seed, replicas, first_word, count):
     """Standard normals for words [first_word, first_word + count) of the
     streams (seed, r), one row per replica r, as a (len(replicas), count)
-    array."""
+    array: ndtri(u + 2^-54) of each word's uniform u, finite except for the
+    top uniform, whose variate is +inf."""
     skip = first_word % 4
     gen = getattr(_per_thread, "gen", None)
     if gen is None:
@@ -107,7 +113,11 @@ def _normal_block(seed, replicas, first_word, count):
         if skip:  # first_word sits inside a 4-word Philox block
             bitgen.random_raw(skip)
         gen.random(out=row)
-    # recenter each dyadic cell so the inverse CDF never sees 0.0 or 1.0
+    # the shift keeps the inverse CDF off 0.0, but not off 1.0: at u >= 1/2
+    # doubles are 2^-53 apart, so every shift there is a tie that rounds to
+    # the even neighbour.  The uniforms (2j - 1) 2^-53 and 2j 2^-53 share
+    # one variate, and the top one, (2^53 - 1) 2^-53, rounds to 1.0, whose
+    # variate is +inf (probability 2^-53 per cell).  RNG_SCHEME freezes both
     out += _HALF_ULP
     return ndtri(out, out=out)
 

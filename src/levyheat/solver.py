@@ -16,7 +16,24 @@ The additive case (sigma constant) makes the solution Gaussian with variance
 sum_k dt ||q_{(K-k) dt}||^2; `walsh_variance` evaluates that target on the
 scheme's own time grid and `additive_variance_exact` gives the band-limited
 discrete value, so Monte Carlo error and discretization bias can be told
-apart.
+apart.  There the scheme is affine in its variates, so its probe value is
+exactly a Wiener integral, the flow of u0 plus sum_{k,j} w_{k,j} xi_{k,j},
+whose weights are `adjoint_gradient`'s rows times sqrt(dt*dx) (Nualart, The
+Malliavin Calculus and Related Topics, 2006, sec. 1.2); `sample_at_probe`
+samples constant-sigma runs that way, one weighted sum per noise block.
+
+`adjoint_gradient` differentiates the step exactly.  Normalized by
+sqrt(dt*dx), the derivative of u(t_{k_p}, x_{i_p}) in the variate of cell
+(k, j) is
+
+    e_{i_p}^T S F_{k_p-1} S ... F_{k+1} S e_j sigma(u_k(x_j)) / (dx sqrt(2pi)),
+
+with F_k = 1 + sigma'(u_k) xi_k * scale acting pointwise.  One reverse sweep
+reads the whole gradient: starting from lambda = e_{i_p}, each step back
+forms mu = S^T lambda (the conjugate rfft multiplier, since S^T != S under
+drift), emits the row sigma(u_k) mu / (dx sqrt(2pi)) of the cells at step
+k, and moves on with lambda = F_k mu.  That is O(k_p m log m) per replica,
+batched over replicas.
 """
 
 import math
@@ -34,7 +51,7 @@ from .kernels import (
     rfft_symbol,
     rfft_weights,
 )
-from .noise import GridSpec, _NoiseRows
+from .noise import XI_MAX, GridSpec, _NoiseRows
 
 BLOWUP_THRESHOLD = 1e12
 # the stepper draws at least this many words of each noise stream at a time
@@ -56,20 +73,25 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """Noise coefficient sigma with its derivative and a lower bound on |sigma|.
+    """Noise coefficient sigma with its derivative, a lower bound on |sigma|
+    and a Lipschitz constant.
 
     kappa is that lower bound: 0 for degenerate choices, and the small-ball
-    and negative-moment estimators insist on kappa > 0.
+    and negative-moment estimators insist on kappa > 0.  lip bounds
+    |sigma(a) - sigma(b)| / |a - b|; lip = 0 declares sigma constant, which
+    sample_at_probe samples as a Wiener integral.
     """
 
     name: str
     sigma: Callable
     sigma_prime: Callable
     kappa: float
+    lip: float
 
     def __post_init__(self):
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be nonnegative")
+        for key in ("kappa", "lip"):
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be nonnegative and finite")
 
 
 def _const(value):
@@ -77,11 +99,11 @@ def _const(value):
 
 
 SIGMA_REGISTRY = {
-    "zero": SigmaSpec("zero", _const(0.0), _const(0.0), kappa=0.0),
-    "one": SigmaSpec("one", _const(1.0), _const(0.0), kappa=1.0),
-    "two": SigmaSpec("two", _const(2.0), _const(0.0), kappa=2.0),
+    "zero": SigmaSpec("zero", _const(0.0), _const(0.0), kappa=0.0, lip=0.0),
+    "one": SigmaSpec("one", _const(1.0), _const(0.0), kappa=1.0, lip=0.0),
+    "two": SigmaSpec("two", _const(2.0), _const(0.0), kappa=2.0, lip=0.0),
     "shifted_sine": SigmaSpec("shifted_sine", lambda u: 2.0 + np.sin(u), np.cos,
-                              kappa=1.0),
+                              kappa=1.0, lip=1.0),
 }
 
 
@@ -162,6 +184,9 @@ class _Scheme:
         # under drift
         self.mult_t = np.conj(self.mult)
         self.scale = noise_density_scale(grid)
+        # a point source as a density against the unit-mass measure: the
+        # noise density scale without the cell's sqrt(dt*dx)
+        self.point_scale = 1.0 / (grid.dx * math.sqrt(TWO_PI))
         self.sigma = sigma
         self.g = np.empty((*batch, self.m))
         self.spec = np.empty((*batch, self.m // 2 + 1), dtype=complex)
@@ -184,13 +209,19 @@ class _Scheme:
         """F_k = 1 + sigma'(u_k) xi_k scale, the linearized step's factor."""
         return 1.0 + self.sigma.sigma_prime(u) * xi_k * self.scale
 
-    def rows(self, xi, until_k):
-        """xi[:, 0], ..., xi[:, until_k - 1] in order, drawn in blocks of
-        max(1, _ROW_BLOCK_WORDS // m_space) time rows.  A caller that takes
-        each row with next() and keeps none holds one block at a time."""
+    def blocks(self, xi, until_k):
+        """xi[:, k0:k1] for consecutive blocks of max(1, _ROW_BLOCK_WORDS //
+        m_space) time rows that cover steps 0..until_k-1.  A caller that
+        keeps no block holds one at a time."""
         rb = max(1, _ROW_BLOCK_WORDS // self.m)
         for k0 in range(0, until_k, rb):
-            block = xi[:, k0:min(k0 + rb, until_k)]
+            yield xi[:, k0:min(k0 + rb, until_k)]
+
+    def rows(self, xi, until_k):
+        """xi[:, 0], ..., xi[:, until_k - 1] in order, read off blocks().  A
+        caller that takes each row with next() and keeps none holds one block
+        at a time."""
+        for block in self.blocks(xi, until_k):
             for j in range(block.shape[1]):
                 yield block[:, j]
             del block  # release the last block before drawing the next
@@ -286,31 +317,101 @@ class SampleSet:
         return math.sqrt(max(m4 - var ** 2, 0.0) / len(self))
 
 
-def sample_at_probe(config, chunk, read, workers=1, keep_path=False):
-    """The sampling loop of every driver: read(u, path, xi) off each chunk
-    of `chunk` replicas stepped to the probe step k_p, the chunks joined
-    under the one blow-up policy.
+def adjoint_gradient(path, xi, exp_, sigma, grid, k_p, i_p):
+    """Gradient of u(t_{k_p}, x_{i_p}) in every noise cell before step k_p.
 
-    Replica r draws noise stream (config.seed, r), and the chunk bounds do
-    not depend on workers.  read gets the chunk's (B, m_space) field at k_p
-    and, if keep_path, its (B, k_p + 1, m_space) path and (B, k_p, m_space)
-    variates (else None and its _NoiseRows); it returns a tuple of arrays
-    with one row per replica.  Returns one SampleSet per array: its values
-    without the replicas with |u| > BLOWUP_THRESHOLD by k_p, and those
-    blow-ups, shared by every set, as (replica, step, magnitude) in replica
-    order, whatever the chunk size.  Fewer than 2 survivors raise
-    BlowUpError for the first blow-up by replica.
+    path (B, >= k_p, m_space) and xi (B, >= k_p, m_space) are solved
+    trajectories and their variates, one replica per leading index.  Returns
+    rows of shape (B, k_p, m_space): rows[b, k, j] is the derivative in the
+    variate of cell (k, j) divided by sqrt(dt*dx).
+    """
+    if not (0 <= k_p <= grid.k_time) or not (0 <= i_p < grid.m_space):
+        raise IndexError(f"probe cell {(k_p, i_p)} outside the grid")
+    scheme = _Scheme(exp_, sigma, grid, (len(path),))
+    rows = np.empty((len(path), k_p, grid.m_space))
+    lam = np.zeros((len(path), grid.m_space))
+    lam[:, i_p] = 1.0
+    for k in range(k_p - 1, -1, -1):
+        scheme.smooth(lam, transpose=True)  # lam <- mu = S^T lam
+        rows[:, k] = sigma.sigma(path[:, k]) * scheme.point_scale * lam
+        lam *= scheme.tangent(path[:, k], xi[:, k])  # lam <- F_k mu
+    return rows
+
+
+def _wiener_weights(config, scheme, flow, zero):
+    """The (1, k_p, m_space) weights w of u(t_{k_p}, x_{i_p}) = flow +
+    sum_{k,j} w_{k,j} xi_{k,j} for a constant sigma whose flow path (1, k_p
+    + 1, m_space) was stepped on the zero variates; None unless a
+    certificate shows that no replica with finite variates blows up.
+
+    Each field the stepper forms is the flow plus scale sigma sum_{j<k}
+    S^(k-j) xi_j, and ||S^j||_inf->inf <= sqrt(m_space) while every |rho_n|
+    <= 1, so |u_k| <= max ||flow|| + |sigma| scale XI_MAX sqrt(m_space) k_p;
+    half the threshold leaves room for rounding.
     """
     grid = config.grid
-    k_p = config.probe_cell[0]
+    k_p, i_p = config.probe_cell
+    size = float(np.abs(config.sigma.sigma(flow)).max())
+    reach = (np.abs(flow).max()
+             + size * scheme.scale * XI_MAX * math.sqrt(scheme.m) * k_p)
+    if not (reach <= BLOWUP_THRESHOLD / 2
+            and np.abs(scheme.mult).max() <= 1.0):
+        return None
+    rows = adjoint_gradient(flow, zero, config.exponent, config.sigma, grid,
+                            k_p, i_p)
+    return rows * math.sqrt(grid.dt * grid.dx)
+
+
+def sample_at_probe(config, chunk, read, workers=1, keep_path=False):
+    """The sampling loop of every driver: read(u_p, path, xi) off each chunk
+    of `chunk` replicas at the probe step k_p, the chunks joined under the
+    one blow-up policy.
+
+    Replica r draws noise stream (config.seed, r), and the chunk bounds do
+    not depend on workers.  read gets the chunk's (B,) values u_p at the
+    probe and, if keep_path, its (B, k_p + 1, m_space) path and (B, k_p,
+    m_space) variates (else None and its _NoiseRows); it returns a tuple of
+    arrays with one row per replica.  Returns one SampleSet per array: its
+    values without the replicas with |u| > BLOWUP_THRESHOLD by k_p, and
+    those blow-ups, shared by every set, as (replica, step, magnitude) in
+    replica order, whatever the chunk size.  Fewer than 2 survivors raise
+    BlowUpError for the first blow-up by replica.
+
+    A constant sigma (lip 0) without keep_path takes each u_p as the Wiener
+    integral flow + sum w xi, one elementwise product and row sum per noise
+    block, so a replica's bits do not depend on its chunk; _wiener_weights
+    certifies that no replica with finite variates blows up.  A chunk with a
+    non-finite u_p, which only an infinite variate gives, is stepped
+    instead, and so is every other run.
+    """
+    grid = config.grid
+    k_p, i_p = config.probe_cell
+    weights = None
+    if config.sigma.lip == 0 and not keep_path:
+        scheme = _Scheme(config.exponent, config.sigma, grid)
+        zero = np.zeros((1, k_p, grid.m_space))
+        _, flow, _ = _evolve_batch(config.u0, zero, config.exponent,
+                                   config.sigma, grid, k_p, keep_path=True)
+        weights = _wiener_weights(config, scheme, flow, zero)
 
     def one_chunk(lo, hi):
         xi = _NoiseRows(grid, config.seed, range(lo, hi))
+        if weights is not None:
+            u_p = np.full(hi - lo, flow[0, k_p, i_p])
+            for block, w in zip(scheme.blocks(xi, k_p),
+                                scheme.blocks(weights, k_p)):
+                block *= w  # the block is this chunk's own draw
+                u_p += block.reshape(hi - lo, -1).sum(axis=1)
+                del block  # release it before drawing the next
+            if np.all(np.isfinite(u_p)):
+                return read(u_p, None, xi), []
         if keep_path:  # read needs the variates of the path: draw them once
             xi = xi[:, :k_p]
         u, path, blowups = _evolve_batch(config.u0, xi, config.exponent,
                                          config.sigma, grid, k_p, keep_path)
-        return read(u, path, xi), [(lo + r, k, mag) for r, k, mag in blowups]
+        # a copy: a view of the probe column would keep all of u alive
+        return (read(u[:, i_p].copy(), path, xi),
+                [(lo + r, k, mag) for r, k, mag in blowups])
 
     parts, blowups = [], []
     for arrays, chunk_blowups in map_chunks(one_chunk, config.replicas, chunk,

@@ -24,7 +24,7 @@ def steep_sigma(c):
     """c * (2 + sin u): with c near the blow-up threshold, some replicas blow
     up after many steps and the others survive."""
     return SigmaSpec("steep", lambda u: c * (2.0 + np.sin(u)),
-                     lambda u: c * np.cos(u), kappa=c)
+                     lambda u: c * np.cos(u), kappa=c, lip=c)
 
 
 def semigroup(exp_, t, values):

@@ -322,6 +322,23 @@ def test_worker_count_never_changes_bytes(tmp_path, subcommand):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ["density", "--set", "sigma=one"],
+    ["simulate", "--set", "sigma=two", "--set", "u0=sin"],
+])
+def test_constant_sigma_bytes_never_change(tmp_path, args):
+    # constant sigma samples the Wiener integral; 2100 replicas at m_space 16
+    # are 3 chunks, so workers 1 and 2 split them differently
+    args = args + SMALL + ["--set", "replicas=2100"]
+    outs = [run_cli(args + ["--workers", w], tmp_path, tag)
+            for tag, w in (("a", "1"), ("b", "1"), ("c", "2"))]
+    assert [code for code, _ in outs] == [0, 0, 0]
+    stem = args[0]
+    for name in (f"{stem}.csv", f"{stem}.meta.json"):
+        data = {(out / name).read_bytes() for _, out in outs}
+        assert len(data) == 1
+
+
 # (quantity, t, x, replica_count) of every row each subcommand writes at
 # SMALL with three levels and two deltas; the number after eps= is Monte Carlo
 KERNEL_T = (1e-05, 1.778279410038923e-05, 3.1622776601683795e-05,

@@ -157,7 +157,7 @@ NOT_A_STEP = {"_smooth": {"mcstats.kde"}, "step": {"mcstats.kde"}}
 @pytest.mark.parametrize("name, reader", [
     ("_smooth", "solver._Scheme.smooth"),  # the step S and its transpose
     ("sigma_prime", "solver._Scheme.tangent"),  # the tangent factor F_k
-    ("_ROW_BLOCK_WORDS", "solver._Scheme.rows"),  # the row-block reader
+    ("_ROW_BLOCK_WORDS", "solver._Scheme.blocks"),  # the noise block reader
     ("noise_density_scale", "solver._Scheme.__init__"),
 ])
 def test_the_step_is_written_once(name, reader):

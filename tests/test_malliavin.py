@@ -383,7 +383,7 @@ def test_hnorm_samples_excludes_exactly_the_ensemble_blowups(monkeypatch):
     monkeypatch.setattr(malliavin, "HNORM_CHUNK_WORDS", 64 * 9 * 16)
     c = 3e12
     huge = SigmaSpec("huge", lambda u: np.full_like(u, c), np.zeros_like,
-                     kappa=c)
+                     kappa=c, lip=0.0)
     cfg = dataclasses.replace(
         make_config(16, 8, 0.2, "one", seed=0, replicas=300), sigma=huge)
     mass, tails = hnorm_samples(cfg, deltas=(0.1,))

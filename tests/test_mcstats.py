@@ -58,7 +58,9 @@ def sample_row(quantity="q", t=0.0, x=0.0, value=1.0, alpha=2.0):
 
 
 def test_ensemble_is_union_of_single_runs():
-    cfg = additive_config(replicas=2, m=16, k=8, horizon=0.2)
+    cfg = dataclasses.replace(additive_config(replicas=2, m=16, k=8,
+                                              horizon=0.2),
+                              sigma=get_sigma("shifted_sine"))
     ss = run_ensemble(cfg)
     singles = [solve_path(cfg, replica=r)[-1, 0] for r in (0, 1)]
     assert np.array_equal(ss.values, np.array(singles))

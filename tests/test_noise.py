@@ -7,6 +7,7 @@ so they are deterministic despite being empirical.
 import math
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from levyheat import (
     noise_density_scale,
     sample_noise,
 )
-from levyheat.noise import _HALF_ULP, _NoiseRows, _normal_block
+from levyheat import noise
+from levyheat.noise import XI_MAX, _HALF_ULP, _NoiseRows, _normal_block
 
 from conftest import traced_peak
 
@@ -182,6 +184,39 @@ def test_all_variates_finite():
     g = GridSpec(m_space=512, k_time=200, horizon=1.0)
     f = sample_noise(g, seed=2024, replica=0)
     assert np.all(np.isfinite(f))
+
+
+class FixedUniforms:
+    """Stands in for the per-thread Philox generator: every stream it is
+    asked for holds the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+        self.bit_generator = types.SimpleNamespace(state=None)
+
+    def random(self, out):
+        out[:] = self.uniforms
+
+
+def test_the_half_ulp_shift_ties_above_one_half(monkeypatch):
+    # the frozen transform of RNG_SCHEME, through the block filler itself.
+    # Below 1/2 the shift is exact and every uniform keeps its own variate.
+    # At u >= 1/2 every shift is a tie that rounds to even: (2j - 1) 2^-53
+    # and 2j 2^-53 share a variate, and the top uniform, (2^53 - 1) 2^-53,
+    # rounds to 1.0, whose variate is +inf
+    low = (2 ** 51 + np.arange(6)) * 2.0 ** -53
+    high = (2 ** 53 - 6 + np.arange(6)) * 2.0 ** -53
+    fake = FixedUniforms(np.concatenate(([0.0], low, high)))
+    monkeypatch.setattr(noise._per_thread, "gen", fake, raising=False)
+    xi = _normal_block(0, (0,), 0, 13)[0]
+    assert xi[0] == -XI_MAX == ndtri(_HALF_ULP)
+    assert len(np.unique(xi[1:7])) == 6
+    top = xi[7:]
+    assert top[1] == top[2] and top[3] == top[4]
+    assert len(np.unique(top)) == 4
+    assert top[5] == math.inf
+    # XI_MAX bounds every finite variate, the largest of which is top[4]
+    assert top[4] == ndtri(1.0 - 2.0 ** -52) < XI_MAX
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from levyheat import (
     BlowUpError,
     GridSpec,
     RunConfig,
+    SIGMA_REGISTRY,
     SigmaSpec,
     additive_variance_exact,
     field_from_function,
@@ -33,7 +34,7 @@ from levyheat import (
     walsh_variance,
 )
 from levyheat.kernels import rfft_weights
-from levyheat import solver
+from levyheat import noise, solver
 from levyheat.noise import _NoiseRows
 from levyheat.solver import _evolve_batch, map_chunks, sample_at_probe
 
@@ -58,10 +59,39 @@ def test_sigma_registry():
     assert s.sigma_prime(np.array([0.0]))[0] == pytest.approx(1.0)
     assert s.kappa == 1.0
     assert get_sigma("zero").kappa == 0.0
+    assert [n for n, s in SIGMA_REGISTRY.items() if s.lip == 0] == [
+        "zero", "one", "two"]
     with pytest.raises(ValueError):
         get_sigma("cubic")
     with pytest.raises(ValueError):
-        SigmaSpec("bad", lambda u: u, lambda u: u, kappa=-0.5)
+        SigmaSpec("bad", lambda u: u, lambda u: u, kappa=-0.5, lip=1.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key in ("kappa", "lip")
+    for value in (-0.5, math.inf, math.nan)])
+def test_sigma_bounds_must_be_nonnegative_and_finite(key, value):
+    bounds = {"kappa": 1.0, "lip": 1.0, key: value}
+    with pytest.raises(ValueError, match=key):
+        SigmaSpec("bad", lambda u: u, lambda u: u, **bounds)
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA_REGISTRY))
+def test_registry_sigma_is_lipschitz_with_its_lip(name):
+    # lip = 0 declares sigma constant, and sample_at_probe then sums a
+    # Wiener integral instead of stepping: check both on random points, the
+    # pairs from far apart down to 1e-6 apart
+    spec = SIGMA_REGISTRY[name]
+    rng = np.random.default_rng(8)
+    a = rng.uniform(-20.0, 20.0, 4000)
+    b = a + rng.uniform(-1.0, 1.0, 4000) * 10.0 ** rng.uniform(-6, 1, 4000)
+    # 2 + sin rounds to within an ulp of 3
+    slack = 2 * np.spacing(3.0)
+    assert np.all(np.abs(spec.sigma(a) - spec.sigma(b))
+                  <= spec.lip * np.abs(a - b) + slack)
+    if spec.lip == 0:
+        assert np.all(spec.sigma(a) == spec.sigma(0.0))
+        assert np.all(spec.sigma_prime(a) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +312,7 @@ def test_the_step_allocates_only_what_sigma_returns():
         tracemalloc.reset_peak()
         return np.full_like(u, 2.0)
 
-    spec = SigmaSpec("marked", sigma, np.zeros_like, kappa=2.0)
+    spec = SigmaSpec("marked", sigma, np.zeros_like, kappa=2.0, lip=0.0)
     traced_peak(_evolve_batch, np.zeros(m), xi, EXP2, spec, grid, k)
     assert len(marks) == k
     # peak during step j minus what was live when step j began
@@ -306,10 +336,10 @@ def test_sample_at_probe_joins_the_chunks_and_needs_two(monkeypatch,
 
     monkeypatch.setattr(solver, "_evolve_batch", stub)
     cfg = RunConfig(grid=GridSpec(m_space=4, k_time=8, horizon=0.2),
-                    exponent=EXP2, sigma=get_sigma("one"), u0=np.zeros(4),
-                    replicas=5)
+                    exponent=EXP2, sigma=get_sigma("shifted_sine"),
+                    u0=np.zeros(4), replicas=5)
     a, b = sample_at_probe(
-        cfg, 3, lambda u, path, xi: (u[:, 0], u[:, 0] + 5.0), workers)
+        cfg, 3, lambda u_p, path, xi: (u_p, u_p + 5.0), workers)
     assert a.values.tolist() == [0.0, 1.0] and b.values.tolist() == [5.0, 6.0]
     assert a.blowups == [(2, 4, 2e12), (3, 5, 3e12), (4, 3, 5e12)]
     assert b.blowups is a.blowups
@@ -317,7 +347,7 @@ def test_sample_at_probe_joins_the_chunks_and_needs_two(monkeypatch,
     chunk_blowups = {0: [(1, 2, 6e12)], 2: [(0, 1, 7e12)]}
     with pytest.raises(BlowUpError) as err:
         sample_at_probe(dataclasses.replace(cfg, replicas=3), 2,
-                        lambda u, path, xi: (u[:, 0],), workers)
+                        lambda u_p, path, xi: (u_p,), workers)
     assert (err.value.replica, err.value.step_index) == (1, 2)
     assert err.value.max_abs == 6e12
 
@@ -439,6 +469,133 @@ def test_trajectory_deterministic():
     assert np.array_equal(a, b)
     c = solve_path(cfg, replica=6)
     assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# constant sigma: the probe value as a Wiener integral
+
+
+def wiener_config(sigma_name, case, replicas=300):
+    """A constant-sigma run in one of three settings: the default grid at
+    the horizon; alpha = 1.4 under drift (S^T != S), odd m_space and an
+    interior probe; and a probe at t = 0, where k_p = 0."""
+    if case == "horizon":
+        exp_, grid, probe = EXP2, GridSpec(16, 8, 0.2), None
+    else:
+        exp_, grid = make_power_exponent(1.0, 1.4, 1.5), GridSpec(15, 9, 0.3)
+        probe = (5 * grid.dt if case == "interior" else 0.0, 4 * grid.dx)
+    return RunConfig(grid=grid, exponent=exp_, sigma=get_sigma(sigma_name),
+                     u0=field_from_function(np.sin, grid.m_space), seed=17,
+                     replicas=replicas, probe=probe)
+
+
+def stepped(cfg):
+    """cfg with its sigma declared non-constant: the stepper's run."""
+    return dataclasses.replace(
+        cfg, sigma=dataclasses.replace(cfg.sigma, lip=1.0))
+
+
+def probe_values(cfg, chunk=64, workers=1):
+    return sample_at_probe(cfg, chunk, lambda u_p, path, xi: (u_p,),
+                           workers)[0]
+
+
+@pytest.fixture
+def stepped_chunks(monkeypatch):
+    """The replica ranges _evolve_batch steps on drawn noise; the flow on
+    the zero variates is not counted."""
+    seen = []
+    real = solver._evolve_batch
+
+    def spy(u0, xi, *args, **kwargs):
+        if isinstance(xi, _NoiseRows):
+            seen.append(xi.replicas)
+        return real(u0, xi, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_evolve_batch", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["horizon", "interior", "t0"])
+@pytest.mark.parametrize("sigma_name", ["zero", "one", "two"])
+def test_constant_sigma_probe_values_match_the_stepper(stepped_chunks,
+                                                       sigma_name, case):
+    # the same noise, summed as flow + sum w xi and stepped; sigma = zero
+    # and k_p = 0 leave every replica at the flow, sd 0, so they must agree
+    # exactly
+    cfg = wiener_config(sigma_name, case)
+    summed = probe_values(cfg)
+    assert stepped_chunks == []
+    ref = probe_values(stepped(cfg))
+    assert len(stepped_chunks) == 5
+    assert summed.blowups == ref.blowups == []
+    assert np.all(np.abs(summed.values - ref.values) <= 1e-12 * ref.sd())
+    assert (np.ptp(ref.values) > 0) == (sigma_name != "zero"
+                                        and case != "t0")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("words", [32, 2048])
+def test_constant_sigma_probe_values_do_not_depend_on_the_chunk(
+        monkeypatch, workers, words):
+    # one elementwise product and row sum per noise block: 32 words give
+    # blocks of 2 time rows, 2048 one block of all 5; chunks of 1, 7, 256
+    # and all 300 replicas give the same bits
+    monkeypatch.setattr(solver, "_ROW_BLOCK_WORDS", words)
+    cfg = wiener_config("two", "interior")
+    ref = probe_values(cfg, 300, workers).values
+    for chunk in (1, 7, 256):
+        assert np.array_equal(probe_values(cfg, chunk, workers).values, ref)
+
+
+@pytest.mark.parametrize("c, amp, stepped_too", [
+    (1.0, 4e11, False),  # the flow of u0 stays below half the threshold
+    (1.0, 6e11, True),  # it may not
+    (3e12, 1.0, True),  # the noise term alone may cross it
+])
+def test_a_run_that_could_blow_up_is_stepped(stepped_chunks, c, amp,
+                                             stepped_too):
+    # the certificate bounds every field of every step, so a blow-up is
+    # reported by the stepper, which alone sees one
+    grid = GridSpec(16, 8, 0.2)
+    spec = SigmaSpec("const", lambda u: np.full_like(u, c), np.zeros_like,
+                     kappa=c, lip=0.0)
+    cfg = RunConfig(grid=grid, exponent=EXP2, sigma=spec,
+                    u0=amp * np.sin(grid.x_points()), seed=0, replicas=300)
+    values = probe_values(cfg)
+    assert len(stepped_chunks) == (5 if stepped_too else 0)
+    ref = probe_values(stepped(cfg))
+    assert values.blowups == ref.blowups
+    # the stepper rounds at the size of the whole field, up to amp
+    assert np.all(np.abs(values.values - ref.values) <= 1e-14 * amp)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("sigma_name", ["zero", "one"])
+def test_an_infinite_variate_is_the_same_blowup_on_both_paths(
+        monkeypatch, stepped_chunks, sigma_name):
+    # the top uniform maps to xi = +inf (test_noise pins it); plant one in
+    # cell (3, 2) of replica 100: its chunk is stepped and reports it at
+    # step 4, and the other chunks keep their Wiener integrals
+    real = noise._normal_block
+    word = 3 * 16 + 2
+
+    def planted(seed, replicas, first_word, count):
+        out = real(seed, replicas, first_word, count)
+        for row, r in enumerate(replicas):
+            if r == 100 and first_word <= word < first_word + count:
+                out[row, word - first_word] = np.inf
+        return out
+
+    monkeypatch.setattr(noise, "_normal_block", planted)
+    cfg = wiener_config(sigma_name, "horizon")
+    summed = probe_values(cfg)
+    assert stepped_chunks == [range(64, 128)]
+    ref = probe_values(stepped(cfg))
+    for got in (summed, ref):
+        ((replica, step, mag),) = got.blowups
+        assert (replica, step) == (100, 4) and math.isnan(mag)
+    assert np.all(np.abs(summed.values - ref.values) <= 1e-12 * ref.sd())
 
 
 # ---------------------------------------------------------------------------
