@@ -239,8 +239,7 @@ def cmd_kernel(cfg, args, head):
         ("sup_weighted_cumulative", report.sup_weighted_cumulative),
     )]
     summary = (f"kernel: norm slope {report.slope_norm:.6g} "
-               f"(r2 {report.r2_norm:.6g}), weighted integral bounded by "
-               f"laplace mass: {report.sup_bounded_by_laplace}")
+               f"(r2 {report.r2_norm:.6g})")
     return rows, {}, summary
 
 
@@ -462,13 +461,8 @@ def _check_finite(rows):
 
 def _write_outputs(args, subcommand, cfg, seed_source, run_id, rows, extra):
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise OSError(f"cannot create output directory {out_dir}: {err}") from err
     stem = subcommand.replace("-", "_")
     data_path = out_dir / f"{stem}.{args.format}"
-    emit(rows, args.format, str(data_path))
     meta = {
         "subcommand": subcommand,
         "run_id": run_id,
@@ -481,11 +475,26 @@ def _write_outputs(args, subcommand, cfg, seed_source, run_id, rows, extra):
         "outputs": [data_path.name],
     }
     meta.update(extra)
+    if "blowups" in meta:
+        # an infinite variate blows its replica up with magnitude NaN, which
+        # strict JSON cannot hold: such a magnitude is written as null
+        meta["blowups"] = [[r, k, mag if math.isfinite(mag) else None]
+                           for r, k, mag in meta["blowups"]]
+    try:
+        text = json.dumps(meta, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as err:
+        # a non-finite config value that the subcommand never reads, and so
+        # never refused
+        raise ConfigError(f"metadata cannot be strict JSON: {err}") from None
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise OSError(f"cannot create output directory {out_dir}: {err}") from err
+    emit(rows, args.format, str(data_path))
     meta_path = out_dir / f"{stem}.meta.json"
     try:
         with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
     except OSError as err:
         raise OSError(f"cannot write {meta_path}: {err}") from err
     return data_path, meta_path
@@ -498,6 +507,8 @@ def parse_and_dispatch(argv):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg, seed_source = effective_config(args)
         run_id = _run_identifier(args.subcommand, cfg, seed_source)
         command = COMMANDS[args.subcommand][0]

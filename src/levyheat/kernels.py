@@ -32,7 +32,6 @@ one-sided or first-order bound instead.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -315,9 +314,10 @@ def check_exponent_condition(alpha, beta):
 # mode series streamed over blocks of Re phi
 #
 # A series splits into a cutoff, which the envelope alone fixes, and a body
-# that sums its terms over the first n modes of one block.  The cutoff is the
-# smallest n whose tail bound meets tol.  For a tight envelope that bound is
-# the width of a bracket on the tail from _BRACKET_START modes on: midpoint
+# that sums its terms over one slice of Re phi, by a chain of ufuncs into a
+# work buffer of the same length.  The cutoff is the smallest n whose tail
+# bound meets tol.  For a tight envelope that bound is the width of a
+# bracket on the tail from _BRACKET_START modes on: midpoint
 # Euler-Maclaurin for the norm and the time integral, Hermite-Hadamard for
 # the Laplace mass.  A loose envelope brackets the time integral and Laplace
 # mass to first order.  The norm keeps its one-sided exponential tail when
@@ -332,43 +332,26 @@ def check_exponent_condition(alpha, beta):
 _PHI_BLOCK = 1 << 16  # modes per block: bounds the memory of a pass
 
 
-class _Block:
-    """Re phi(n) for the modes n = lo+1..lo+len(re), and one work buffer of
-    the same length that each series body overwrites."""
-
-    def __init__(self, lo, re):
-        self.lo, self.re = lo, re
-        self.work = np.empty_like(re)
-
-    @cached_property
-    def half_recip(self):
-        """1 / (2 Re phi), built on first use and shared by every series."""
-        out = np.multiply(2.0, self.re)
-        return np.divide(1.0, out, out=out)
-
-    @cached_property
-    def half_recip_sum(self):
-        return np.sum(self.half_recip)
-
-
 class _Series(NamedTuple):
     cutoff: int
-    body: Callable    # (block, n) -> sum of the terms over its first n modes
+    body: Callable    # (re, work) -> sum of the terms at the modes re holds
     finish: Callable  # sum of the terms -> (value, certified error)
 
 
 def _sum_series(exp_, series):
     """(value, certified error) of each series, all from one streamed pass
-    over Re phi(1..largest cutoff)."""
+    over Re phi(1..largest cutoff); every body overwrites one work buffer."""
     sums = [0.0] * len(series)
     size = max((s.cutoff for s in series), default=0)
+    work = np.empty(min(size, _PHI_BLOCK))
     for lo in range(0, size, _PHI_BLOCK):
         hi = min(lo + _PHI_BLOCK, size)
-        block = _Block(lo, exp_.re_phi(np.arange(lo + 1, hi + 1, dtype=float)))
+        re = exp_.re_phi(np.arange(lo + 1, hi + 1, dtype=float))
         for i, s in enumerate(series):
             if s.cutoff > lo:
-                sums[i] += s.body(block, min(s.cutoff, hi) - lo)
-        del block  # free it before the next block's Re phi temporaries
+                m = min(s.cutoff, hi) - lo
+                sums[i] += s.body(re[:m], work[:m])
+        del re  # free it before the next block's Re phi temporaries
     return [s.finish(total) for s, total in zip(series, sums)]
 
 
@@ -468,9 +451,8 @@ def _norm_series(exp_, t, tol):
     a = exp_.alpha
     lam = 2.0 * t * exp_.c_lower
 
-    def body(block, n):
-        work = block.work[:n]
-        np.multiply(-2.0 * t, block.re[:n], out=work)
+    def body(re, work):
+        np.multiply(-2.0 * t, re, out=work)
         return np.sum(np.exp(work, out=work))
 
     def one_sided(n):
@@ -607,25 +589,12 @@ def _gamma_scale(a, c, mu):
 def _time_integral_series(exp_, delta, tol):
     if not 0.0 < delta < math.inf:
         raise ValueError(f"need delta > 0 and finite, got delta={delta}")
-    a, c1 = exp_.alpha, exp_.c_lower
 
-    def body(block, n):
-        # expm1(-x) is exactly -1.0 for x >= 40 (e^-40 is below half an ulp
-        # of 1), so past the mode `head` where the envelope puts 2 delta
-        # Re phi above 40 the term is exactly 1/(2 Re phi).  Re phi need not
-        # be monotone, so only the envelope can say where that starts; no
-        # cutoff passes _MAX_CUTOFF.
-        head = math.ceil(min((20.0 / (delta * c1)) ** (1.0 / a), _MAX_CUTOFF))
-        k = min(n, max(0, head - block.lo))
-        if k == 0 and n == len(block.re):
-            return block.half_recip_sum
-        re, work = block.re[:k], block.work[:n]
-        w = work[:k]
-        np.multiply(-2.0 * delta, re, out=w)
-        np.expm1(w, out=w)
-        w /= re
-        w *= -0.5  # exact, so this is -expm1 / (2 Re phi) to the last bit
-        work[k:] = block.half_recip[k:n]
+    def body(re, work):
+        np.multiply(-2.0 * delta, re, out=work)
+        np.expm1(work, out=work)
+        work /= re
+        work *= -0.5  # exact, so this is -expm1 / (2 Re phi) to the last bit
         return np.sum(work)
 
     if exp_.tight:
@@ -695,9 +664,8 @@ def _laplace_series(exp_, beta_param, tol):
     if not 0.0 < beta_param < math.inf:
         raise ValueError(f"need beta_param > 0 and finite, got {beta_param}")
 
-    def body(block, n):
-        work = block.work[:n]
-        np.multiply(2.0, block.re[:n], out=work)
+    def body(re, work):
+        np.multiply(2.0, re, out=work)
         np.add(beta_param, work, out=work)
         return np.sum(np.divide(1.0, work, out=work))
 
@@ -810,8 +778,7 @@ class KernelBoundReport:
     slope_cumulative: float
     r2_cumulative: float
     laplace_mass: float           # int_0^inf e^{-beta s}||q_s||^2 ds
-    sup_weighted_cumulative: float
-    sup_bounded_by_laplace: bool
+    sup_weighted_cumulative: float  # sup_t e^{-beta t} cumulative(t)
 
 
 def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
@@ -819,8 +786,8 @@ def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
 
     Reports t^(1/alpha)- and t^(1/beta)-scaled norms (these stay bounded when
     the envelope holds), fitted log-log slopes for the norm and its running
-    integral, and the check that sup_t e^{-beta t} int_0^t ||q_s||^2 ds stays
-    below the Laplace mass at beta.
+    integral, and sup_t e^{-beta t} int_0^t ||q_s||^2 ds next to the Laplace
+    mass at beta, which bounds it (e^{-beta t} <= e^{-beta s} for s <= t).
     """
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if len(t_grid) < 3 or t_grid[0] <= 0.0:
@@ -835,11 +802,8 @@ def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
     norm_sq = np.array([p[0] for p in results[:k]])
     tails = np.array([p[1] for p in results[:k]])
     cumulative = np.array([p[0] for p in results[k:2 * k]])
-    laplace = results[-1][0]
     slope_n, _, r2_n = fit_slope(t_grid, norm_sq)
     slope_c, _, r2_c = fit_slope(t_grid, cumulative)
-    weighted = np.exp(-beta_param * t_grid) * cumulative
-    sup_weighted = float(np.max(weighted))
     return KernelBoundReport(
         t_grid=t_grid,
         norm_sq=norm_sq,
@@ -851,7 +815,7 @@ def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
         r2_norm=r2_n,
         slope_cumulative=slope_c,
         r2_cumulative=r2_c,
-        laplace_mass=laplace,
-        sup_weighted_cumulative=sup_weighted,
-        sup_bounded_by_laplace=bool(sup_weighted <= laplace * (1.0 + 1e-9)),
+        laplace_mass=results[-1][0],
+        sup_weighted_cumulative=float(
+            np.max(np.exp(-beta_param * t_grid) * cumulative)),
     )

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from levyheat import SampleSet, __version__, hnorm_samples, run_ensemble
+from levyheat import noise
 from levyheat.cli import (SCHEMA, SEED_ENV, build_parser, build_run_config,
                           effective_config, parse_and_dispatch)
 from levyheat.mcstats import load_rows
@@ -337,6 +338,62 @@ def test_constant_sigma_bytes_never_change(tmp_path, args):
     for name in (f"{stem}.csv", f"{stem}.meta.json"):
         data = {(out / name).read_bytes() for _, out in outs}
         assert len(data) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_are_config_errors(tmp_path, capsys, workers):
+    code, out = run_cli(["simulate"] + SMALL + ["--workers", workers],
+                        tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"levyheat:error:config: --workers must be >= 1, got {workers}\n")
+    assert not out.exists()
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("sigma", ["shifted_sine", "one"])
+def test_an_infinite_variate_writes_strict_json_metadata(
+        tmp_path, capsys, monkeypatch, sigma):
+    # the top uniform maps to xi = +inf; planted in cell (1, 2) of replica 3
+    # it blows that replica up at step 2 with magnitude NaN, which the
+    # metadata records as null.  A constant sigma steps that chunk too
+    real = noise._normal_block
+    word = 1 * 16 + 2
+
+    def planted(seed, replicas, first_word, count):
+        out = real(seed, replicas, first_word, count)
+        for row, r in enumerate(replicas):
+            if r == 3 and first_word <= word < first_word + count:
+                out[row, word - first_word] = np.inf
+        return out
+
+    monkeypatch.setattr(noise, "_normal_block", planted)
+    code, out = run_cli(["simulate"] + SMALL + ["--set", f"sigma={sigma}"],
+                        tmp_path)
+    assert code == 0
+    assert "1 replicas blew up" in capsys.readouterr().err
+    meta = strict_json((out / "simulate.meta.json").read_text())
+    assert meta["blowups"] == [[3, 2, None]]
+    assert rows_by_quantity(out / "simulate.csv")["u_blowups"]["value"] == 1.0
+
+
+@pytest.mark.parametrize("subcommand, setting", [
+    ("kernel", "u0_amp=nan"), ("check-exponent", "horizon=inf")])
+def test_an_unread_non_finite_config_value_writes_nothing(
+        tmp_path, capsys, subcommand, setting):
+    # no layer reads the value, so none refuses it, but the metadata echoes
+    # the config and strict JSON has no NaN or Infinity
+    code, out = run_cli([subcommand, "--set", setting], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "levyheat:error:config: metadata cannot be strict JSON")
+    assert not out.exists()
 
 
 # (quantity, t, x, replica_count) of every row each subcommand writes at

@@ -990,7 +990,7 @@ def test_verify_kernel_bounds_fractional():
     assert report.r2_norm > 0.999
     assert report.slope_cumulative == pytest.approx(1.0 / 3.0, rel=0.03)
     assert report.r2_cumulative > 0.999
-    assert report.sup_bounded_by_laplace
+    assert report.sup_weighted_cumulative <= report.laplace_mass
     assert np.all(report.scaled_alpha > 0)
     assert np.all(np.isfinite(report.scaled_beta))
     with pytest.raises(ValueError, match="kernel times must be distinct"):
@@ -1005,7 +1005,7 @@ SERIES_TIMES = np.geomspace(1e-8, 1e-3, 33)
 
 def wobbly_phi(n):
     # Re phi = |n|^1.5 (1.5 + 0.5 cos n): inside [|n|^1.5, 2 |n|^1.5] but not
-    # monotone, so only the envelope can say where expm1 saturates
+    # monotone, so only the envelope can bound its tails
     n = np.asarray(n, dtype=float)
     return np.abs(n) ** 1.5 * (1.5 + 0.5 * np.cos(n))
 
@@ -1086,8 +1086,8 @@ def test_report_evaluates_each_mode_once():
 
 def test_report_memory_is_a_few_tables():
     # one streamed pass holds a few blocks of float64 (Re phi, the work
-    # buffer, 1 / (2 Re phi) and the block temporaries), whatever the
-    # largest cutoff: 2,705 modes at tol 1e-10, fewer at 1e-6
+    # buffer and the block temporaries), whatever the largest cutoff: 2,705
+    # modes at tol 1e-10, fewer at 1e-6
     exp_ = make_power_exponent(1.0, 1.4)
     for tol in (1e-6, 1e-10):
         _, peak = traced_peak(verify_kernel_bounds, exp_, SERIES_TIMES,
