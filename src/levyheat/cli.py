@@ -228,16 +228,18 @@ def cmd_kernel(cfg, args, head):
                      report.scaled_alpha[i], t=t),
             make_row(*head, "kernel_l2_norm_sq_scaled_beta",
                      report.scaled_beta[i], t=t),
-            make_row(*head, "kernel_l2_time_integral", report.cumulative[i], t=t),
+            make_row(*head, "kernel_l2_time_integral", report.cumulative[i],
+                     tail_bound=report.cumulative_tails[i], t=t),
         ]
     rows += [make_row(*head, quantity, value) for quantity, value in (
         ("kernel_norm_slope", report.slope_norm),
         ("kernel_norm_slope_r2", report.r2_norm),
         ("kernel_integral_slope", report.slope_cumulative),
         ("kernel_integral_slope_r2", report.r2_cumulative),
-        ("kernel_l2_laplace", report.laplace_mass),
         ("sup_weighted_cumulative", report.sup_weighted_cumulative),
     )]
+    rows.append(make_row(*head, "kernel_l2_laplace", report.laplace_mass,
+                         tail_bound=report.laplace_tail))
     summary = (f"kernel: norm slope {report.slope_norm:.6g} "
                f"(r2 {report.r2_norm:.6g})")
     return rows, {}, summary

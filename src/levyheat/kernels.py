@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+import numpy.ma  # np.unique and np.percentile import it on their first call
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -773,11 +774,13 @@ class KernelBoundReport:
     scaled_alpha: np.ndarray      # t^(1/alpha) * ||q_t||^2, bounded above
     scaled_beta: np.ndarray       # t^(1/beta) * ||q_t||^2, bounded below
     cumulative: np.ndarray        # int_0^t ||q_s||^2 ds
+    cumulative_tails: np.ndarray  # certified error of each cumulative
     slope_norm: float
     r2_norm: float
     slope_cumulative: float
     r2_cumulative: float
     laplace_mass: float           # int_0^inf e^{-beta s}||q_s||^2 ds
+    laplace_tail: float           # certified error of laplace_mass
     sup_weighted_cumulative: float  # sup_t e^{-beta t} cumulative(t)
 
 
@@ -802,6 +805,7 @@ def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
     norm_sq = np.array([p[0] for p in results[:k]])
     tails = np.array([p[1] for p in results[:k]])
     cumulative = np.array([p[0] for p in results[k:2 * k]])
+    cumulative_tails = np.array([p[1] for p in results[k:2 * k]])
     slope_n, _, r2_n = fit_slope(t_grid, norm_sq)
     slope_c, _, r2_c = fit_slope(t_grid, cumulative)
     return KernelBoundReport(
@@ -811,11 +815,13 @@ def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
         scaled_alpha=t_grid ** (1.0 / exp_.alpha) * norm_sq,
         scaled_beta=t_grid ** (1.0 / exp_.beta) * norm_sq,
         cumulative=cumulative,
+        cumulative_tails=cumulative_tails,
         slope_norm=slope_n,
         r2_norm=r2_n,
         slope_cumulative=slope_c,
         r2_cumulative=r2_c,
         laplace_mass=results[-1][0],
+        laplace_tail=results[-1][1],
         sup_weighted_cumulative=float(
             np.max(np.exp(-beta_param * t_grid) * cumulative)),
     )

@@ -17,16 +17,55 @@ writes the stream's uniforms straight into its row of the preallocated
 whole block.  This is an evaluation order only: RNG_SCHEME is unchanged.
 Every reader, sample_noise and the drivers alike, takes time rows of the
 streams from a _NoiseRows slice.
+
+ndtri is the one name the package takes from scipy, and _load_ndtri loads it
+from the compiled scipy.special._ufuncs alone.  Importing the scipy.special
+package runs its array-API layer, which imports every lazily loaded numpy
+submodule (numpy.testing, numpy.f2py, ...) and took about 0.24 s of a 0.44 s
+import of levyheat.cli on a 2-core host.  The ufunc is the same object either
+way, so no variate changes; a later import of scipy.special reuses it.
 """
 
 import math
+import os
+import sys
 import threading
+import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+import numpy.random  # numpy loads it lazily: here, not in the first draw
 
 from .kernels import TWO_PI
+
+
+def _load_ndtri():
+    """scipy's ndtri ufunc, without running scipy.special's __init__.
+
+    The extension's parent package is stood in for by a bare module while it
+    loads; the compiled modules stay in sys.modules.  Falls back to the
+    package import if the extension cannot load that way.
+    """
+    if "scipy.special" in sys.modules:
+        return sys.modules["scipy.special"].ndtri
+    import scipy
+    stand_in = types.ModuleType("scipy.special")
+    stand_in.__path__ = [os.path.join(scipy.__path__[0], "special")]
+    sys.modules["scipy.special"] = stand_in
+    try:
+        from scipy.special._ufuncs import ndtri
+        return ndtri
+    except ImportError:  # say, an extension that imports scipy.special
+        pass
+    finally:
+        if sys.modules.get("scipy.special") is stand_in:
+            del sys.modules["scipy.special"]
+    from scipy.special import ndtri
+    return ndtri
+
+
+# a module global: _normal_block reads it at call time
+ndtri = _load_ndtri()
 
 # recorded in run metadata; bump if the variate derivation ever changes
 RNG_SCHEME = "philox4x64/word-indexed/ndtri/v1"

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily: here, not in the first _smooth
 
 from .kernels import (
     FOUR_PI_SQ,

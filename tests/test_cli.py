@@ -10,10 +10,13 @@ import warnings
 import numpy as np
 import pytest
 
-from levyheat import SampleSet, __version__, hnorm_samples, run_ensemble
+from levyheat import (SampleSet, __version__, hnorm_samples,
+                      kernel_l2_laplace, kernel_l2_norm_sq,
+                      kernel_l2_time_integral, run_ensemble)
 from levyheat import noise
-from levyheat.cli import (SCHEMA, SEED_ENV, build_parser, build_run_config,
-                          effective_config, parse_and_dispatch)
+from levyheat.cli import (SCHEMA, SEED_ENV, build_exponent, build_parser,
+                          build_run_config, effective_config,
+                          parse_and_dispatch)
 from levyheat.mcstats import load_rows
 
 SMALL = ["--set", "m_space=16", "--set", "k_time=8", "--set", "horizon=0.2",
@@ -171,6 +174,26 @@ def test_kernel_slope_row(tmp_path):
                                                               rel=0.03)
     meta = json.loads((out / "kernel.meta.json").read_text())
     assert meta["config"]["alpha"] == 1.5
+
+
+def test_kernel_rows_write_certified_errors(tmp_path):
+    # every series row's tail_bound is the certified error of its value
+    code, out = run_cli(["kernel"], tmp_path)
+    assert code == 0
+    cfg, _ = effective_config(build_parser().parse_args(["kernel"]))
+    exp_, tol = build_exponent(cfg), cfg["tol"]
+    series = {"kernel_l2_norm_sq": lambda t: kernel_l2_norm_sq(exp_, t, tol),
+              "kernel_l2_time_integral":
+                  lambda t: kernel_l2_time_integral(exp_, t, tol),
+              "kernel_l2_laplace":
+                  lambda t: kernel_l2_laplace(exp_, cfg["picard_beta"], tol)}
+    rows = [r for r in load_rows(str(out / "kernel.csv"))
+            if r["quantity"] in series]
+    assert len(rows) == 2 * cfg["t_points"] + 1
+    for row in rows:
+        value, tail = series[row["quantity"]](row["t"])
+        assert (row["value"], row["tail_bound"]) == (value, tail)
+        assert tail > 0
 
 
 def test_unattainable_series_tolerance_is_numerical_error(tmp_path, capsys):

@@ -1040,9 +1040,11 @@ def test_report_equals_single_series(case):
     pairs = [kernel_l2_norm_sq(exp_, t, tol) for t in times]
     assert list(report.norm_sq) == [value for value, _ in pairs]
     assert list(report.norm_tails) == [tail for _, tail in pairs]
-    assert list(report.cumulative) == [
-        kernel_l2_time_integral(exp_, t, tol)[0] for t in times]
-    assert report.laplace_mass == kernel_l2_laplace(exp_, beta_param, tol)[0]
+    integrals = [kernel_l2_time_integral(exp_, t, tol) for t in times]
+    assert list(report.cumulative) == [value for value, _ in integrals]
+    assert list(report.cumulative_tails) == [tail for _, tail in integrals]
+    laplace = kernel_l2_laplace(exp_, beta_param, tol)
+    assert (report.laplace_mass, report.laplace_tail) == laplace
 
 
 @pytest.mark.parametrize("case", REPORT_CASES)
