@@ -91,7 +91,9 @@ SCHEMA = {
     "bandwidth": (float, 0.0,
                   "density bandwidth; 0 means Silverman rule, negative is refused"),
     "floor": (float, 1e-8, "negative-moment regularization floor"),
-    "tol": (float, DEFAULT_SERIES_TOL, "series tail tolerance"),
+    "tol": (float, DEFAULT_SERIES_TOL, "series tolerance: each certified "
+            "error, every rounding counted, is at most tol max(1, L), L a "
+            "lower bound of the value"),
 }
 SENTINELS = ("beta", "probe_t", "bandwidth")
 
@@ -101,9 +103,14 @@ def _parse_value(key, raw):
         raise ConfigError(f"unknown config key {key!r}")
     ctor = SCHEMA[key][0]
     try:
-        return ctor(raw)
+        value = ctor(raw)
     except ValueError as err:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from err
+    if ctor is float and not math.isfinite(value):
+        # whichever layer reads the key, if any, and before it runs: the
+        # metadata echoes every value, and strict JSON has no NaN or Infinity
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return value
 
 
 def read_config_file(path):
@@ -485,8 +492,8 @@ def _write_outputs(args, subcommand, cfg, seed_source, run_id, rows, extra):
     try:
         text = json.dumps(meta, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as err:
-        # a non-finite config value that the subcommand never reads, and so
-        # never refused
+        # non-finite config values are refused when parsed, and blow-up
+        # magnitudes are null above; this guards what else a command adds
         raise ConfigError(f"metadata cannot be strict JSON: {err}") from None
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

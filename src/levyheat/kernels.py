@@ -21,10 +21,13 @@ real fields real.
 
 Series are truncated with certified tail bounds derived from the growth
 envelope c_lower |n|^alpha <= Re phi(n) <= c_upper |n|^beta; every series
-routine returns its value together with that bound, and the norm, time
-integral and Laplace series take an array of arguments, summed in one pass.
-A tight envelope (Re phi = c |n|^alpha) brackets the norm and time-integral
-tails by the midpoint Euler-Maclaurin formula, whose integrals are upper
+routine returns its value together with a certified error, and the norm,
+time integral and Laplace series take an array of arguments, summed in one
+pass.  tol is relative above 1: each series is certified to tol max(1, L),
+where L is a lower bound of its value known before the pass, and the error
+charges every rounding of its sums as well as the truncation.  A tight
+envelope (Re phi = c |n|^alpha) brackets the norm and time-integral tails
+by the midpoint Euler-Maclaurin formula, whose integrals are upper
 incomplete gamma functions, and the Laplace tail by the Hermite-Hadamard
 inequality; the notes on mode series below say when a series keeps a
 one-sided or first-order bound instead.
@@ -200,18 +203,16 @@ _EM_REMAINDER = 1.0 / (72.0 * math.sqrt(3.0))
 # Kummer's series serves z below this; above, 0 <= Gamma(s, z) <=
 # z^(s-1) e^-z (s < 1) already holds it to e^-40 of Gamma(s)
 _KUMMER_Z = 40.0
-# the rounding of rate^(+-s) s Gamma(s, z), with s Gamma(s, z) =
-# Gamma(1 + s) - z^s e^-z M, in ulps (2^-52) of rate^(+-s) Gamma(1 + s), less
-# the |log rate| / 4 that _upper_gamma_error adds for the rounded s = 1/alpha.
-# This is a measured maximum, not an a-priori bound: 12.7 against 50-digit
-# references on two sets of random points (10^5 and 4 x 10^4) with alpha in
-# (1, 2], z in [1e-12, 40) and rates in [1e-14, 10], and math.gamma(1 + s)
-# alone within 3.4; the rest is Kummer's series near z = 40.  A first-order
-# bound that lets the roundings of all its up to 2z + 54 terms align would
-# be about 2 (2z + 54) ulps, 268 at z = 40.
-# test_upper_gamma_rounds_within_its_stated_ulps checks the count against a
-# decimal reference
-_GAMMA_ULPS = 16.0
+# The rounding of s Gamma(s, z) = Gamma(1 + s) - z^s e^-z M is charged a
+# priori, to first order, in ulps (2^-52) of Gamma(1 + s), which bounds
+# z^s e^-z M.  Term k of M carries 3k roundings of 2^-53 and the running sum
+# one per term; k t_k <= z t_(k-1), so the terms' weighted mean k is at most
+# z, and there are at most 2z + 54 of them, so M is good to (5z + 56) 2^-53.
+# z^s, e^-z, two products and the difference add 5 more, which leaves
+# math.gamma(1 + s) at least 77 of the 2 (2z + 54) ulps charged (it rounds
+# to a few).  _upper_gamma_error adds |log rate| / 4 ulps for the power
+# rate^(+-s) of the rounded s = 1/alpha.  Measured against 50-digit
+# references, the rounding is at most 12.7 ulps.
 
 
 def _kummer_upper_gamma(s, z):
@@ -247,12 +248,12 @@ def _upper_gamma(scale, s, z):
 def _upper_gamma_error(scale, rate, s, z):
     """What _upper_gamma(scale, s, z) may miss by, with scale = rate^(+-s)
     times a constant: the whole interval above _KUMMER_Z, and below it
-    _GAMMA_ULPS ulps of scale Gamma(1 + s), plus |log rate| / 4 ulps for the
+    2 (2z + 54) ulps of scale Gamma(1 + s), plus |log rate| / 4 ulps for the
     power of s = 1/alpha, which is rounded by up to 2^-54.  Below _KUMMER_Z
-    it does not fall with z, so it is the floor of a bracket's width."""
+    it grows with z, so it is the floor of a bracket's width."""
     if z >= _KUMMER_Z:
         return _upper_gamma_bound(scale, s, z)
-    ulps = _GAMMA_ULPS + abs(math.log(rate)) / 4.0
+    ulps = 4.0 * z + 108.0 + abs(math.log(rate)) / 4.0
     return ulps * 2.0 ** -52 * scale * math.gamma(1.0 + s)
 
 
@@ -316,19 +317,21 @@ def check_exponent_condition(alpha, beta):
 #
 # A series splits into a cutoff, which the envelope alone fixes, and a body
 # that sums its terms over one slice of Re phi, by a chain of ufuncs into a
-# work buffer of the same length.  The cutoff is the smallest n whose tail
-# bound meets tol.  For a tight envelope that bound is the width of a
-# bracket on the tail from _BRACKET_START modes on: midpoint
-# Euler-Maclaurin for the norm and the time integral, Hermite-Hadamard for
-# the Laplace mass.  A loose envelope brackets the time integral and Laplace
-# mass to first order.  The norm keeps its one-sided exponential tail when
-# the envelope is loose or when that tail meets tol with no more modes than
-# the bracket, as at tiny t, where the rounding of the bracket's integral
-# keeps its width above tol until the interval form takes over at
-# _KUMMER_Z.  See _bracketed_series.  One pass evaluates Re phi block by
-# block for every series of a call, and each series folds its block sums
-# left to right in block order, so no value depends on which series shared
-# the pass, and the pass holds a few blocks whatever the cutoffs.
+# work buffer of the same length.  The cutoff is the smallest n whose
+# certified error meets tol max(1, L), L a lower bound of the value known
+# before the pass: below 1 tol is absolute, above it relative.  The error
+# is twice the width of a bracket on the tail past n plus twice what the
+# sums may round by, over 4pi^2 (see _bracketed_series and _rounding).  For
+# a tight envelope the bracket is midpoint Euler-Maclaurin for the norm and
+# the time integral, and Hermite-Hadamard for the Laplace mass, from
+# _BRACKET_START modes on.  A loose envelope brackets the time integral and
+# Laplace mass to first order.  The norm keeps the one-sided exponential
+# tail, the bracket [0, bound] from 4 modes on, when the envelope is loose
+# or when that tail already meets tol at _BRACKET_START, as at large t.
+# One pass evaluates Re phi block by block for every series of a call, and
+# each series folds its block sums left to right in block order, so no
+# value depends on which series shared the pass, and the pass holds a few
+# blocks whatever the cutoffs.
 
 _PHI_BLOCK = 1 << 16  # modes per block: bounds the memory of a pass
 
@@ -367,25 +370,47 @@ def _sum_each(exp_, build, xs, tol):
     return out[..., 0][()], out[..., 1][()]
 
 
-def _bracketed_series(exp_, body, width, midpoint, head, tol):
+def _rounding(n, high):
+    """What the sums of a series cut at n may round by, to first order, when
+    its positive terms sum to at most high, in roundings of 2^-53 of high:
+    ceil(log2 m) + 18 in np.sum's pairwise sum of a block of m terms (runs of
+    128 in 8 running sums), one per block in their fold, 10 in each term (for
+    the norm, whose exp turns the 4 roundings of its argument z into 4z, the
+    terms' (2 + 4z) e^-z sum to at most 10 high), and 10 in the tail's
+    midpoint, less its Gamma term, and the sum that adds it."""
+    blocks = -(-n // _PHI_BLOCK)
+    levels = math.ceil(math.log2(min(n, _PHI_BLOCK)))
+    return (levels + blocks + 38) * 2.0 ** -53 * high
+
+
+def _capped_power_sum(a, c, cap):
+    """int_0^inf min(cap, 1/(2 c x^a)) dx: above sum_{n>=1} of that minimum,
+    and less cap, below it."""
+    return cap ** (1.0 - 1.0 / a) * (2.0 * c) ** (-1.0 / a) * a / (a - 1.0)
+
+
+def _bracketed_series(exp_, body, width, midpoint, head, tol, low, high,
+                      start=_BRACKET_START):
     """Series (head + 2 sum_{n>=1} term(Re phi(n))) / 4pi^2 for a positive
-    term, certified to tol; body sums the terms.
+    term, certified to tol max(1, L), L = (head + 2 low) / 4pi^2; body sums
+    the terms, and over all modes they sum to between low and high.
 
     The modes past the cutoff n are replaced by the midpoint(n) of a bracket
-    on their sum, and the bracket's width(n) gives the certified error
-    2 width / 4pi^2: twice what the truncation can miss by, which also
-    covers the rounding of a width that nearly cancels, plus, for a midpoint
-    Euler-Maclaurin bracket, what the Gamma term of its closed-form integral
-    may miss by.  The cutoff search evaluates only the width; the midpoint is
+    on their sum, and the certified error is 2 (width(n) + _rounding) /
+    4pi^2: twice what the truncation can miss by (which also covers the
+    rounding of a width that nearly cancels, and for a midpoint
+    Euler-Maclaurin bracket what its Gamma term may miss by) and what the
+    sums may round by.  The search evaluates only the error; the midpoint is
     evaluated once, at the cutoff.
     """
     def error(n):
-        return 2.0 * width(n) / FOUR_PI_SQ
+        return 2.0 * (width(n) + _rounding(n, high)) / FOUR_PI_SQ
 
+    tol *= max(1.0, (head + 2.0 * low) / FOUR_PI_SQ)
     try:
-        n = _smallest_cutoff(error, tol, _BRACKET_START)
+        n = _smallest_cutoff(error, tol, start)
     except SeriesToleranceError as exc:
-        if exp_.tight:
+        if exp_.tight or start < _BRACKET_START:  # not a first-order bracket
             raise
         raise SeriesToleranceError(
             f"{exc}: the envelope alpha={exp_.alpha}, beta={exp_.beta}, "
@@ -449,40 +474,29 @@ def kernel_coefficients(exp_, t, tol=DEFAULT_SERIES_TOL):
 def _norm_series(exp_, t, tol):
     if not t > 0.0:
         raise ValueError(f"kernel norm needs t > 0, got t={t}")
-    a = exp_.alpha
-    lam = 2.0 * t * exp_.c_lower
+    a, s = exp_.alpha, 1.0 / exp_.beta
+    lam, lam_b = 2.0 * t * exp_.c_lower, 2.0 * t * exp_.c_upper
+    if not lam > 0.0:
+        raise ValueError("need a positive decay rate")
+    # the terms sum to at least int_1^inf exp(-lam_b x^beta) dx and at most
+    # int_0^inf exp(-lam x^alpha) dx
+    scale = lam_b ** -s
+    low = _upper_gamma(scale, s, lam_b) - _upper_gamma_error(scale, lam_b, s, lam_b)
+    high = lam ** (-1.0 / a) * math.gamma(1.0 + 1.0 / a)
 
     def body(re, work):
         np.multiply(-2.0 * t, re, out=work)
         return np.sum(np.exp(work, out=work))
 
     def one_sided(n):
-        return 2.0 * _one_sided_exp_tail(lam, a, n)
+        return _one_sided_exp_tail(lam, a, n)
 
-    def one_sided_series():
-        cutoff = _smallest_cutoff(one_sided, tol * FOUR_PI_SQ, 4)
-        tail = one_sided(cutoff) / FOUR_PI_SQ
-        return _Series(cutoff, body,
-                       lambda s: ((1.0 + 2.0 * s) / FOUR_PI_SQ, tail))
-
-    def bracketed_series():
-        return _bracketed_series(
-            exp_, body, lambda n: _exp_power_width(lam, a, n),
-            lambda n: _exp_power_midpoint(lam, a, n), 1.0, tol)
-
-    # no bracket stops below _BRACKET_START modes
-    if not exp_.tight or one_sided(_BRACKET_START) <= tol * FOUR_PI_SQ:
-        return one_sided_series()
-    # whichever certifies tol with fewer modes, the one-sided on a tie
-    found = []
-    for build in (one_sided_series, bracketed_series):
-        try:
-            found.append(build())
-        except SeriesToleranceError as exc:
-            refusal = exc
-    if not found:
-        raise refusal
-    return min(found, key=lambda s: s.cutoff)
+    if not exp_.tight or 2.0 * one_sided(_BRACKET_START) / FOUR_PI_SQ <= tol:
+        return _bracketed_series(exp_, body, one_sided, lambda n: 0.0, 1.0,
+                                 tol, low, high, start=4)
+    return _bracketed_series(
+        exp_, body, lambda n: _exp_power_width(lam, a, n),
+        lambda n: _exp_power_midpoint(lam, a, n), 1.0, tol, low, high)
 
 
 def kernel_l2_norm_sq(exp_, t, tol=DEFAULT_SERIES_TOL):
@@ -553,9 +567,9 @@ def _time_integral_tail(exp_, delta, n):
 def _time_integral_width(exp_, delta, n):
     """Width of the midpoint bracket on a tight time integral's tail past n:
     twice the remainder bound, plus what the Gamma term of its integral may
-    miss by.  The power part and the body sum round to a few ulps of the
-    value, which no series here counts; the Gamma term is counted because
-    Kummer's series rounds to up to _GAMMA_ULPS."""
+    miss by.  The rounding of the power part and of the body sum is
+    charged by _rounding; the Gamma term's, up to 2 (2z + 54) ulps of its
+    scale from Kummer's series, here."""
     a, c = exp_.alpha, exp_.c_lower
     x = n + 0.5
     mu = 2.0 * delta * c
@@ -598,13 +612,19 @@ def _time_integral_series(exp_, delta, tol):
         work *= -0.5  # exact, so this is -expm1 / (2 Re phi) to the last bit
         return np.sum(work)
 
-    if exp_.tight:
-        return _bracketed_series(
-            exp_, body, lambda n: _time_integral_width(exp_, delta, n),
-            lambda n: _time_integral_midpoint(exp_, delta, n), delta, tol)
-    return _bracketed_series(
-        exp_, body, lambda n: _time_integral_tail(exp_, delta, n)[1],
-        lambda n: _time_integral_tail(exp_, delta, n)[0], delta, tol)
+    # the terms sum to at least int_1^inf (1 - exp(-mu x^b)) / (2 c x^b) dx
+    # at the upper envelope (see above), and at most _capped_power_sum
+    b, c = exp_.beta, exp_.c_upper
+    mu = 2.0 * delta * c
+    scale = _gamma_scale(b, c, mu)
+    low = (-math.expm1(-mu) / (2.0 * c * (b - 1.0)) + _upper_gamma(
+        scale, 1.0 / b, mu) - _upper_gamma_error(scale, mu, 1.0 / b, mu))
+    tail = ((lambda n: _time_integral_width(exp_, delta, n),
+             lambda n: _time_integral_midpoint(exp_, delta, n)) if exp_.tight
+            else (lambda n: _time_integral_tail(exp_, delta, n)[1],
+                  lambda n: _time_integral_tail(exp_, delta, n)[0]))
+    return _bracketed_series(exp_, body, *tail, delta, tol, low,
+                             _capped_power_sum(exp_.alpha, exp_.c_lower, delta))
 
 
 def kernel_l2_time_integral(exp_, delta, tol=DEFAULT_SERIES_TOL):
@@ -670,9 +690,14 @@ def _laplace_series(exp_, beta_param, tol):
         np.add(beta_param, work, out=work)
         return np.sum(np.divide(1.0, work, out=work))
 
+    # the terms lie between half min(1/beta, 1/(2 c_upper n^beta)) and
+    # min(1/beta, 1/(2 c_lower n^alpha))
+    head = 1.0 / beta_param
     return _bracketed_series(
         exp_, body, lambda n: _laplace_tail(exp_, beta_param, n)[1],
-        lambda n: _laplace_tail(exp_, beta_param, n)[0], 1.0 / beta_param, tol)
+        lambda n: _laplace_tail(exp_, beta_param, n)[0], head, tol,
+        0.5 * (_capped_power_sum(exp_.beta, exp_.c_upper, head) - head),
+        _capped_power_sum(exp_.alpha, exp_.c_lower, head))
 
 
 def kernel_l2_laplace(exp_, beta_param, tol=DEFAULT_SERIES_TOL):
@@ -698,7 +723,10 @@ def limit_constant_probe(alpha, lam, tol=DEFAULT_SERIES_TOL):
     if not 0.0 < lam < math.inf:
         raise ValueError(f"need lam > 0 and finite, got {lam}")
     half = 0.5 * FOUR_PI_SQ * lam ** (1.0 / alpha)  # sum = (4pi^2 norm - 1) / 2
-    norm, error = kernel_l2_norm_sq(exp_, 0.5 * lam, tol / half)
+    # the norm is certified to its tol max(1, L), and half L is below
+    # (lam^(1/alpha) + 2 int_0^inf exp(-x^alpha) dx) / 2
+    bound = max(half, 0.5 * lam ** (1.0 / alpha) + math.gamma(1.0 + 1.0 / alpha))
+    norm, error = kernel_l2_norm_sq(exp_, 0.5 * lam, tol / bound)
     return half * (norm - 1.0 / FOUR_PI_SQ), half * error
 
 

@@ -13,7 +13,7 @@ import pytest
 from levyheat import (SampleSet, __version__, hnorm_samples,
                       kernel_l2_laplace, kernel_l2_norm_sq,
                       kernel_l2_time_integral, run_ensemble)
-from levyheat import noise
+from levyheat import cli, noise
 from levyheat.cli import (SCHEMA, SEED_ENV, build_exponent, build_parser,
                           build_run_config, effective_config,
                           parse_and_dispatch)
@@ -196,11 +196,27 @@ def test_kernel_rows_write_certified_errors(tmp_path):
         assert tail > 0
 
 
+@pytest.mark.parametrize("settings", [
+    "alpha=1.2 t_min=1e-8", "t_min=1e-12", "alpha=1.1 t_min=1e-8",
+    "alpha=1.4 t_min=1e-10"])
+def test_tiny_time_kernels_are_certified(tmp_path, settings):
+    # the norms here run from 3e4 to 5e5, so tol is relative: each is
+    # bracketed from 256 modes on to a few 1e-14 of its value
+    args = ["kernel"] + [a for s in settings.split() for a in ("--set", s)]
+    code, out = run_cli(args, tmp_path)
+    assert code == 0
+    norms = [r for r in load_rows(str(out / "kernel.csv"))
+             if r["quantity"] == "kernel_l2_norm_sq"]
+    smallest = min(norms, key=lambda r: r["t"])
+    assert smallest["value"] > 3e4
+    assert 0 < smallest["tail_bound"] <= 1e-13 * smallest["value"]
+
+
 def test_unattainable_series_tolerance_is_numerical_error(tmp_path, capsys):
-    # at t = 1e-13 the norm series needs ~1e10 modes, past the 2^26 cap;
-    # the cutoff search refuses it before any mode is evaluated
-    code, out = run_cli(["kernel", "--set", "alpha=1.4",
-                         "--set", "t_min=1e-13"], tmp_path)
+    # tol 1e-17 lies below what the sums of each series may round by, so no
+    # cutoff up to the 2^26 cap certifies it; the cutoff search refuses it
+    # before any mode is evaluated
+    code, out = run_cli(["kernel", "--set", "tol=1e-17"], tmp_path)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("levyheat:error:numerical: series tolerance")
@@ -220,11 +236,14 @@ def test_unattainable_series_tolerance_is_numerical_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 def test_series_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
-    # a NaN or infinite tol would pass every tail test and certify nothing
+    # a NaN or infinite tol would pass every tail test and certify nothing;
+    # the config refuses it, and the cutoff search a tol of 0
     code, out = run_cli(["kernel", "--set", f"tol={tol}"], tmp_path)
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("levyheat:error:config: series tol must be positive")
+    assert err.startswith("levyheat:error:config: series tol must be positive"
+                          if tol == "0" else
+                          f"levyheat:error:config: tol must be finite, got {tol}")
     assert not out.exists()
 
 
@@ -410,12 +429,28 @@ def test_an_infinite_variate_writes_strict_json_metadata(
     ("kernel", "u0_amp=nan"), ("check-exponent", "horizon=inf")])
 def test_an_unread_non_finite_config_value_writes_nothing(
         tmp_path, capsys, subcommand, setting):
-    # no layer reads the value, so none refuses it, but the metadata echoes
-    # the config and strict JSON has no NaN or Infinity
+    # no layer reads the value, but the metadata echoes the config and
+    # strict JSON has no NaN or Infinity, so the config is refused first
     code, out = run_cli([subcommand, "--set", setting], tmp_path)
     assert code == 1
-    assert capsys.readouterr().err.startswith(
-        "levyheat:error:config: metadata cannot be strict JSON")
+    key, _, raw = setting.partition("=")
+    assert capsys.readouterr().err == (
+        f"levyheat:error:config: {key} must be finite, got {raw}\n")
+    assert not out.exists()
+
+
+def test_a_non_finite_config_value_is_refused_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    # malliavin never reads t_min; the refusal comes before it samples
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(cli, "hnorm_samples", unreachable)
+    code, out = run_cli(["malliavin"] + SMALL + ["--set", "t_min=nan"],
+                        tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "levyheat:error:config: t_min must be finite, got nan\n")
     assert not out.exists()
 
 
@@ -539,22 +574,32 @@ def test_picard_norm_parameters_are_config_errors(tmp_path, capsys, setting):
     ("simulate", "scale=nan", "need scale c > 0 and finite, got nan"),
     ("kernel", "scale=inf", "need scale c > 0 and finite, got inf"),
 ])
-def test_nan_parameters_are_config_errors(tmp_path, capsys, subcommand,
-                                          settings, message):
-    # a NaN fails every "x < bound" test, so each guard is a negated
-    # comparison that NaN cannot pass; an infinite window, probe point,
-    # moment order, weight, floor, bandwidth, scale or drift is refused the
-    # same way, before any numpy arithmetic can warn about it (pytest would
-    # keep such a warning off stderr, so it is recorded here)
+def test_nan_parameters_are_config_errors(tmp_path, capsys, monkeypatch,
+                                          subcommand, settings, message):
+    # the config refuses a non-finite float value and names its key; a
+    # comma list (deltas) is left to the layer that reads it.  Each layer
+    # still refuses the value with its own message (the one listed): a NaN
+    # fails every "x < bound" test, so each guard is a negated comparison
+    # that NaN cannot pass, and an infinite window, probe point, moment
+    # order, weight, floor, bandwidth, scale or drift is refused the same
+    # way, before any numpy arithmetic can warn about it (pytest would keep
+    # such a warning off stderr, so it is recorded here)
     sets = [arg for s in settings.split() for arg in ("--set", s)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out = run_cli([subcommand] + SMALL + sets, tmp_path)
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("levyheat:error:config:") and message in err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not out.exists()
+    key, _, raw = settings.split()[-1].partition("=")
+    first = f"{key} must be finite, got {raw}" if SCHEMA[key][0] is float \
+        else message
+    for expected in (first, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli([subcommand] + SMALL + sets, tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("levyheat:error:config:") and expected in err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+        monkeypatch.setattr(cli, "_parse_value",
+                            lambda key, raw: SCHEMA[key][0](raw))
 
 
 def test_malliavin_subcommand(tmp_path):

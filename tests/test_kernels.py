@@ -47,6 +47,8 @@ from levyheat.kernels import (
     _laplace_tail,
     _norm_series,
     _one_sided_exp_tail,
+    _rounding,
+    _capped_power_sum,
     _smallest_cutoff,
     _sum_series,
     _time_integral_midpoint,
@@ -507,7 +509,7 @@ def test_tight_series_agree_with_brute_sums_at_16x_the_cutoff(c, alpha):
         if build is _norm_series:
             # norms reach 1e4 here, where 1e-14 is below an ulp, so they
             # also allow 4 ulps of the value.  A norm whose one-sided bound
-            # needs no more modes keeps it, and its value, a lower bound,
+            # meets tol at 256 modes keeps it, and its value, a lower bound,
             # can miss by the whole error
             assert abs(value - brute) <= error + brute_err + 4 * EPS * brute
         else:
@@ -556,56 +558,134 @@ def test_midpoint_brackets_hold_their_fsum_tails(c, alpha):
     assert cases >= 70
 
 
+def certified_tol(build, exp_, x, tol):
+    """tol max(1, L) for the series build(exp_, x, tol): L is its head plus
+    twice a lower bound of its terms' sum, over 4pi^2.  For the norm and
+    the time integral that bound is the integral from 1 of the terms at the
+    upper envelope, less what the Gamma term of that integral may miss by;
+    the Laplace terms are at least half min(1/beta, 1/(2 c_upper n^beta))."""
+    b, c = exp_.beta, exp_.c_upper
+    rate = 2.0 * x * c
+    if build is _laplace_series:
+        head = 1.0 / x
+        low = 0.5 * (_capped_power_sum(b, c, head) - head)
+    else:
+        if build is _norm_series:
+            head, scale, power = 1.0, rate ** (-1.0 / b), 0.0
+        else:
+            head, scale = x, _gamma_scale(b, c, rate)
+            power = -math.expm1(-rate) / (2.0 * c * (b - 1.0))
+        low = power + _upper_gamma(scale, 1.0 / b, rate) - _upper_gamma_error(
+            scale, rate, 1.0 / b, rate)
+    return tol * max(1.0, (head + 2.0 * low) / FOUR_PI_SQ)
+
+
 def test_bracketed_cutoffs_are_the_smallest_certified():
     # on the perfbench series grid every series is bracketed, its error is
-    # twice its width over 4pi^2, and its cutoff is the smallest that this
-    # certifies: the error at one mode fewer is above tol, unless the
-    # search stopped at its start
+    # twice its width plus its rounding over 4pi^2, and its cutoff is the
+    # smallest that this certifies to tol max(1, L): the error at one mode
+    # fewer is above it, unless the search stopped at its start.  The
+    # rounding is charged on the integral from 0 of the norm's terms and on
+    # _capped_power_sum for the others, whose terms it bounds
     exp_, times, beta_param = SCALING_GRIDS["series"]
     a, c, tol = exp_.alpha, exp_.c_lower, DEFAULT_SERIES_TOL
     widths = [(_norm_series, kernel_l2_norm_sq, t,
-               lambda n, t=t: _exp_power_width(2.0 * t * c, a, n))
+               lambda n, t=t: _exp_power_width(2.0 * t * c, a, n),
+               (2.0 * t * c) ** (-1.0 / a) * math.gamma(1.0 + 1.0 / a))
               for t in times]
     widths += [(_time_integral_series, kernel_l2_time_integral, t,
-                lambda n, t=t: _time_integral_width(exp_, t, n))
+                lambda n, t=t: _time_integral_width(exp_, t, n),
+                _capped_power_sum(a, c, t))
                for t in times]
     widths.append((_laplace_series, kernel_l2_laplace, beta_param,
-                   lambda n: _laplace_tail(exp_, beta_param, n)[1]))
-    for build, series, x, width in widths:
+                   lambda n: _laplace_tail(exp_, beta_param, n)[1],
+                   _capped_power_sum(a, c, 1.0 / beta_param)))
+    relative = 0
+    for build, series, x, width, high in widths:
         n = build(exp_, x, tol).cutoff
-        assert series(exp_, x, tol)[1] == 2.0 * width(n) / FOUR_PI_SQ <= tol
-        assert n == _BRACKET_START or 2.0 * width(n - 1) / FOUR_PI_SQ > tol
+        bound = certified_tol(build, exp_, x, tol)
+        relative += bound > tol
+
+        def error(k):
+            return 2.0 * (width(k) + _rounding(k, high)) / FOUR_PI_SQ
+
+        assert series(exp_, x, tol)[1] == error(n) <= bound
+        assert n == _BRACKET_START or error(n - 1) > bound
+    # every norm on this grid is above 1, so its tol is relative
+    assert relative == len(times)
+
+
+# the cutoff of each tight norm at c = 1 and an absolute tol of 1e-10: the
+# smaller of its one-sided and midpoint-bracket cutoffs, and None where
+# neither certifies it within 2^26 modes.  With (1.2, 1e-8) and (2, 1e-12),
+# the last two are the smallest norms of `kernel --set alpha=1.1 --set
+# t_min=1e-8` and `kernel --set alpha=1.4 --set t_min=1e-10`
+ABSOLUTE_CUTOFFS = {
+    (2.0, 1e-3): 103, (1.4, 1e-4): 1447, (1.4, 1e-8): 256,
+    (2.0, 2.7e-12): 256, (2.0, 2.5e-12): 2475867, (2.0, 1e-12): 3943376,
+    (1.2, 1e-8): 49263945, (1.4, 2.15e-10): 60986883, (1.1, 1e-8): None,
+    (1.4, 1e-10): None}
+
+
+def euler_maclaurin_tail(lam, alpha, n, terms=3):
+    """Decimal sum_{m>=n} exp(-lam m^alpha) for lam n^alpha small: the
+    integral from n, a 50-digit upper incomplete gamma function, plus f(n)/2
+    less B_2k / (2k)! f^(2k-1)(n) for k <= terms, with f^(j) = f P_j and
+    P_(j+1) = P_j' - lam alpha x^(alpha-1) P_j built term by term."""
+    lam, a, x = Decimal(lam), Decimal(alpha), Decimal(n)
+    s = 1 / a
+    f = (-lam * x ** a).exp()
+    total = lam ** -s * decimal_upper_gamma(s, lam * x ** a) + f / 2
+    bernoulli = bernoulli_even(terms)
+    poly = {Decimal(0): Decimal(1)}  # exponent -> coefficient of P_j
+    for j in range(1, 2 * terms):
+        derived = Counter()
+        for e, coeff in poly.items():
+            if e:
+                derived[e - 1] += coeff * e
+            derived[e + a - 1] -= lam * a * coeff
+        poly = derived
+        if j % 2:
+            b = bernoulli[j // 2]
+            total -= (Decimal(b.numerator) / b.denominator
+                      / math.factorial(j + 1) * f
+                      * sum(coeff * x ** e for e, coeff in poly.items()))
+    return total
+
+
+def reference_norm(alpha, t):
+    """Decimal ||q_t||^2 for phi(n) = |n|^alpha: the math.fsum of the terms
+    while they exceed e^-69, or, where that takes more than 2 x 10^5
+    modes, of the first 9,999 plus the Euler-Maclaurin tail from 10^4."""
+    lam = 2.0 * t
+    last = math.ceil((69.0 / lam) ** (1.0 / alpha))
+    n = last + 1 if last <= 200_000 else 10_000
+    head = math.fsum(math.exp(-lam * k ** alpha) for k in range(1, n))
+    tail = euler_maclaurin_tail(lam, alpha, n) if n == 10_000 else 0
+    return (1 + 2 * (Decimal(head) + tail)) / (4 * PI_50 ** 2)
 
 
 @pytest.mark.parametrize("alpha, t", [
     (2.0, 1e-3), (1.4, 1e-4), (1.4, 1e-8), (2.0, 2.7e-12), (2.0, 2.5e-12),
-    (2.0, 1e-12), (1.2, 1e-8), (1.4, 2.15e-10)])
+    (2.0, 1e-12), (1.2, 1e-8), (1.4, 2.15e-10), (1.1, 1e-8), (1.4, 1e-10)])
 def test_a_norm_takes_the_cutoff_with_fewer_modes(alpha, t):
-    # a tight norm takes the one-sided cutoff or the midpoint bracket's,
-    # whichever is smaller, and the one-sided on a tie, so it never needs
-    # more modes than the one-sided bound alone.  At t = 2.7e-12 (alpha = 2)
-    # the rounding of the bracket's integral is 0.97 tol and the bracket
-    # stops at its start; at 2.5e-12 it is 1.0001 tol, and the bracket's
-    # width stays above tol until the interval form takes over, past the
-    # one-sided cutoff.  At 2.15e-10 (alpha = 1.4) no bracket certifies tol
+    # a tight norm builds one series, the one-sided one where it meets its
+    # tol at _BRACKET_START and the midpoint bracket otherwise, and needs no
+    # more modes than ABSOLUTE_CUTOFFS.  Its certified error, below
+    # tol max(1, L), covers an independent reference; at tiny t the tol is
+    # relative, so the bracket stops at its start
     exp_ = make_power_exponent(1.0, alpha)
-    tol, lam = DEFAULT_SERIES_TOL, 2.0 * t
+    tol = DEFAULT_SERIES_TOL
     s = _norm_series(exp_, t, tol)
-    n = _smallest_cutoff(lambda k: 2.0 * _one_sided_exp_tail(lam, alpha, k),
-                         tol * FOUR_PI_SQ, 4)
-    try:
-        m = _smallest_cutoff(
-            lambda k: 2.0 * _exp_power_width(lam, alpha, k) / FOUR_PI_SQ,
-            tol, _BRACKET_START)
-    except SeriesToleranceError:
-        m = math.inf
-    assert s.cutoff == min(n, m)
-    if n <= m:
-        assert s.finish(1.0)[1] == 2.0 * _one_sided_exp_tail(
-            lam, alpha, n) / FOUR_PI_SQ
-    else:
-        assert s.finish(1.0)[1] == 2.0 * _exp_power_width(
-            lam, alpha, m) / FOUR_PI_SQ
+    pinned = ABSOLUTE_CUTOFFS[alpha, t]
+    assert pinned is None or s.cutoff <= pinned
+    value, error = kernel_l2_norm_sq(exp_, t)
+    assert error <= certified_tol(_norm_series, exp_, t, tol)
+    if t <= 1e-8:
+        assert s.cutoff == _BRACKET_START
+    with localcontext() as ctx:
+        ctx.prec = 50
+        assert abs(Decimal(value) - reference_norm(alpha, t)) <= Decimal(error)
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.4, 2.0])
@@ -682,9 +762,10 @@ def test_upper_gamma_rounds_within_its_stated_ulps():
     # lam^-s s Gamma(s, z) and mu^(1-s) Gamma(s, z) / (2c(alpha-1)) at
     # c = 0.7, as the brackets compute them from alpha, the rate and
     # x = n + 1/2, lie within _upper_gamma_error of a 50-digit decimal
-    # reference that takes s = 1/alpha and z = rate x^alpha exactly.  This
-    # is the one rounding a width counts; the z run past _KUMMER_Z into the
-    # interval form
+    # reference that takes s = 1/alpha and z = rate x^alpha exactly, and
+    # below _KUMMER_Z, where that error is charged a priori, within the 16
+    # ulps of scale Gamma(1 + s), plus |log rate| / 4, that Kummer's series
+    # is measured to keep.  The z run past _KUMMER_Z into the interval form
     kinds = Counter()
     with localcontext() as ctx:
         ctx.prec = 50
@@ -706,6 +787,10 @@ def test_upper_gamma_rounds_within_its_stated_ulps():
                     miss = abs(Decimal(_upper_gamma(scale, s, z)) - factor * exact)
                     allowed = _upper_gamma_error(scale, rate, s, z)
                     assert miss <= Decimal(allowed), (alpha, rate, x)
+                    if z < _KUMMER_Z:
+                        measured = (16.0 + abs(math.log(rate)) / 4.0) * (
+                            2.0 ** -52 * scale * math.gamma(1.0 + s))
+                        assert miss <= Decimal(measured), (alpha, rate, x)
                     kinds[z < _KUMMER_Z] += 1
     assert kinds[True] >= 200 and kinds[False] >= 20
 
@@ -833,6 +918,16 @@ def test_limit_constant_bounded_on_unit_interval():
     for lam in (1.0, 0.1, 1e-3, 1e-6):
         v, _ = limit_constant_probe(1.5, lam)
         assert 0.0 < v < 2.0
+
+
+def test_limit_constant_error_is_within_tol():
+    # the probe scales the norm series by lam^(1/alpha) 2pi^2, and that
+    # series is certified relative to its value, so the probe asks it for
+    # tol over the scale times a bound on the value
+    for alpha, lam, tol in itertools.product(
+            (1.2, 1.5, 2.0), (1.0, 1e-3, 1e-6, 1e-9), (1e-6, 1e-10, 1e-12)):
+        _, error = limit_constant_probe(alpha, lam, tol)
+        assert error <= tol, (alpha, lam, tol)
 
 
 def test_limit_constant_cauchy_near_zero():
@@ -1129,7 +1224,8 @@ def test_second_order_values_agree_with_first_order(grid, monkeypatch):
     for (build, series, xs), ((value, error), cutoffs) in zip(cases, second):
         first, first_error = series(exp_, xs)
         assert np.all(np.abs(value - first) <= error + first_error)
-        assert np.all(error <= DEFAULT_SERIES_TOL)
+        assert np.all(error <= [certified_tol(build, exp_, x, DEFAULT_SERIES_TOL)
+                                for x in xs])
         assert all(n <= build(exp_, x, DEFAULT_SERIES_TOL).cutoff
                    for x, n in zip(xs, cutoffs))
 
@@ -1137,8 +1233,12 @@ def test_second_order_values_agree_with_first_order(grid, monkeypatch):
 def first_order_reference(exp_, build, x, tol):
     """(cutoff, finish) of the first-order bracket, written out from its
     formulas: above by int_n^inf dx / (2 c_lower x^alpha), below by the
-    series' own lower tail at the upper envelope."""
+    series' own lower tail at the upper envelope, with the rounding charged
+    on _capped_power_sum.  Every value here is below 1, so tol is
+    absolute."""
     a, c1, b, c2 = exp_.alpha, exp_.c_lower, exp_.beta, exp_.c_upper
+    head = 1.0 / x if build is _laplace_series else x
+    high = _capped_power_sum(a, c1, head)
 
     def upper(n):
         return n ** (1.0 - a) / (2.0 * c1 * (a - 1.0))
@@ -1152,10 +1252,9 @@ def first_order_reference(exp_, build, x, tol):
         return damp * (n + 1.0) ** (1.0 - b) / (2.0 * c2 * (b - 1.0))
 
     def width(n):
-        return 2.0 * (upper(n) - lower(n)) / FOUR_PI_SQ
+        return 2.0 * (upper(n) - lower(n) + _rounding(n, high)) / FOUR_PI_SQ
 
     n = _smallest_cutoff(width, tol, 256)
-    head = 1.0 / x if build is _laplace_series else x
     mid = 0.5 * (upper(n) + lower(n))
     return n, lambda s: ((head + 2.0 * (s + mid)) / FOUR_PI_SQ, width(n))
 

@@ -105,8 +105,7 @@ def test_the_cutoff_search_is_written_once():
                              for inner in ast.walk(node)))
     assert looping == ["_smallest_cutoff"]
     assert functions_reading("_smallest_cutoff") == {
-        "kernels.kernel_coefficients", "kernels._norm_series",
-        "kernels._bracketed_series"}
+        "kernels.kernel_coefficients", "kernels._bracketed_series"}
 
 
 def test_only_the_solver_step_transforms():
