@@ -162,7 +162,7 @@ def _one_sided_exp_tail(lam, alpha, n):
     arg = -lam * n ** alpha
     if arg < _EXP_FLOOR:
         return 0.0
-    return math.exp(arg) / (lam * alpha * n ** (alpha - 1.0))
+    return math.exp(arg) / float(lam * alpha * n ** (alpha - 1.0))
 
 
 def _smallest_cutoff(tail, tol, n0):

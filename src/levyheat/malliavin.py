@@ -2,12 +2,13 @@
 
 The exponential-Euler step u_{k+1} = S (u_k + sigma(u_k) xi_k * scale) is
 differentiated exactly: `solver.adjoint_gradient` reads the whole gradient
-of the probe value off one reverse sweep (the solver's own constant-sigma
-sampler reads its Wiener weights there too).  In the additive case the rows
+of the probe value off one reverse sweep.  In the additive case the rows
 are the transition kernel divided by sqrt(2pi) (the measure normalization of
 the solver's noise density), so the squared quadrature
 sum_{cells} |D|^2 dt dx that `hnorm_sq` forms reproduces
-int_0^t ||q_s||^2 ds in the kernel's unit-mass convention.
+int_0^t ||q_s||^2 ds in the kernel's unit-mass convention.  There the
+derivative is the rows of `solver.linearize`'s one sweep of the flow, which
+the solver's Wiener sampler reads too, so `hnorm_samples` draws no noise.
 
 Two independent oracles check the sweep: `propagate_derivative` pushes the
 derivative of a single source cell forward through the linearized scheme,
@@ -24,7 +25,7 @@ import numpy as np
 from .kernels import kernel_l2_time_integral
 from .noise import _NoiseRows
 from .solver import (BlowUpError, SampleSet, _Scheme, _evolve_batch,
-                     adjoint_gradient, sample_at_probe)
+                     adjoint_gradient, linearize, sample_at_probe)
 
 # replicas per hnorm chunk times (k_p + 1) m_space: each replica holds its
 # noise, path and gradient rows, O(k_p m_space) words apiece
@@ -141,6 +142,13 @@ def hnorm_samples(config, workers=1, deltas=()):
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
+    if config.sigma.lip == 0:
+        _, rows, certified = linearize(config)
+        if certified:  # no noise: every replica has the flow's rows
+            mass, tails = hnorm_sq(rows, grid, deltas)
+            return (SampleSet(np.repeat(mass, config.replicas)),
+                    {d: SampleSet(np.repeat(a, config.replicas))
+                     for d, a in tails.items()})
 
     def read(u_p, path, xi):
         # the sweep keeps each replica's rows apart, so the NaN-frozen rows

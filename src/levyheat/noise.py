@@ -42,9 +42,9 @@ from .kernels import TWO_PI
 def _load_ndtri():
     """scipy's ndtri ufunc, without running scipy.special's __init__.
 
-    The extension's parent package is stood in for by a bare module while it
-    loads; the compiled modules stay in sys.modules.  Falls back to the
-    package import if the extension cannot load that way.
+    A bare module stands in for its parent package while it loads and leaves
+    with the submodules set on it, _ufuncs aside, for a later scipy.special
+    to load as its own.  Falls back to the package import otherwise.
     """
     if "scipy.special" in sys.modules:
         return sys.modules["scipy.special"].ndtri
@@ -60,6 +60,8 @@ def _load_ndtri():
     finally:
         if sys.modules.get("scipy.special") is stand_in:
             del sys.modules["scipy.special"]
+            for name in vars(stand_in).keys() - {"_ufuncs"}:
+                sys.modules.pop(f"scipy.special.{name}", None)
     from scipy.special import ndtri
     return ndtri
 

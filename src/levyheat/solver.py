@@ -18,9 +18,9 @@ scheme's own time grid and `additive_variance_exact` gives the band-limited
 discrete value, so Monte Carlo error and discretization bias can be told
 apart.  There the scheme is affine in its variates, so its probe value is
 exactly a Wiener integral, the flow of u0 plus sum_{k,j} w_{k,j} xi_{k,j},
-whose weights are `adjoint_gradient`'s rows times sqrt(dt*dx) (Nualart, The
-Malliavin Calculus and Related Topics, 2006, sec. 1.2); `sample_at_probe`
-samples constant-sigma runs that way, one weighted sum per noise block.
+whose weights are `adjoint_gradient`'s rows on the flow times sqrt(dt*dx)
+(Nualart, The Malliavin Calculus and Related Topics, 2006, sec. 1.2):
+`linearize` sweeps the flow once, `sample_at_probe` sums per noise block.
 
 `adjoint_gradient` differentiates the step exactly.  Normalized by
 sqrt(dt*dx), the derivative of u(t_{k_p}, x_{i_p}) in the variate of cell
@@ -339,28 +339,31 @@ def adjoint_gradient(path, xi, exp_, sigma, grid, k_p, i_p):
     return rows
 
 
-def _wiener_weights(config, scheme, flow, zero):
-    """The (1, k_p, m_space) weights w of u(t_{k_p}, x_{i_p}) = flow +
-    sum_{k,j} w_{k,j} xi_{k,j} for a constant sigma whose flow path (1, k_p
-    + 1, m_space) was stepped on the zero variates; None unless a
-    certificate shows that no replica with finite variates blows up.
-
-    Each field the stepper forms is the flow plus scale sigma sum_{j<k}
-    S^(k-j) xi_j, and ||S^j||_inf->inf <= sqrt(m_space) while every |rho_n|
-    <= 1, so |u_k| <= max ||flow|| + |sigma| scale XI_MAX sqrt(m_space) k_p;
-    half the threshold leaves room for rounding.
+def linearize(config):
+    """The scheme linearized about its flow v0 (its run on zero variates) up
+    to the probe step k_p: (flow, rows, certified).  flow is v0's (1, k_p + 1,
+    m_space) path and rows the (1, k_p, m_space) adjoint_gradient rows on
+    it, sigma(v0_k) times the additive rows.  A constant sigma (lip 0) makes
+    the scheme affine, u_p = flow_p + sqrt(dt*dx) sum rows xi, with these
+    rows for every replica; certified says it also blows up no replica with
+    finite variates: |u_k| <= max|flow| + |sigma| scale XI_MAX sqrt(m_space)
+    k_p (||S^j||_inf->inf <= sqrt(m_space) while every |rho_n| <= 1) stays
+    under half the threshold.  An infinite variate (probability 2^-53 per
+    cell) is not covered: it blows a stepped replica up, unseen by the rows.
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
-    size = float(np.abs(config.sigma.sigma(flow)).max())
-    reach = (np.abs(flow).max()
-             + size * scheme.scale * XI_MAX * math.sqrt(scheme.m) * k_p)
-    if not (reach <= BLOWUP_THRESHOLD / 2
-            and np.abs(scheme.mult).max() <= 1.0):
-        return None
+    scheme = _Scheme(config.exponent, config.sigma, grid)
+    zero = np.zeros((1, k_p, grid.m_space))
+    _, flow, _ = _evolve_batch(config.u0, zero, config.exponent, config.sigma,
+                               grid, k_p, keep_path=True)
     rows = adjoint_gradient(flow, zero, config.exponent, config.sigma, grid,
                             k_p, i_p)
-    return rows * math.sqrt(grid.dt * grid.dx)
+    reach = (np.abs(flow).max() + float(np.abs(config.sigma.sigma(flow)).max())
+             * scheme.scale * XI_MAX * math.sqrt(scheme.m) * k_p)
+    certified = bool(config.sigma.lip == 0 and reach <= BLOWUP_THRESHOLD / 2
+                     and np.abs(scheme.mult).max() <= 1.0)
+    return flow, rows, certified
 
 
 def sample_at_probe(config, chunk, read, workers=1, keep_path=False):
@@ -378,22 +381,19 @@ def sample_at_probe(config, chunk, read, workers=1, keep_path=False):
     replica order, whatever the chunk size.  Fewer than 2 survivors raise
     BlowUpError for the first blow-up by replica.
 
-    A constant sigma (lip 0) without keep_path takes each u_p as the Wiener
-    integral flow + sum w xi, one elementwise product and row sum per noise
-    block, so a replica's bits do not depend on its chunk; _wiener_weights
-    certifies that no replica with finite variates blows up.  A chunk with a
-    non-finite u_p, which only an infinite variate gives, is stepped
-    instead, and so is every other run.
+    A constant sigma (lip 0) that linearize certifies, without keep_path,
+    takes each u_p as the Wiener integral flow + sum w xi, one elementwise
+    product and row sum per noise block, so its bits do not depend on the
+    chunk.  A chunk with a non-finite u_p, which only an infinite variate
+    gives, is stepped instead, and so is every other run.
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
     weights = None
     if config.sigma.lip == 0 and not keep_path:
         scheme = _Scheme(config.exponent, config.sigma, grid)
-        zero = np.zeros((1, k_p, grid.m_space))
-        _, flow, _ = _evolve_batch(config.u0, zero, config.exponent,
-                                   config.sigma, grid, k_p, keep_path=True)
-        weights = _wiener_weights(config, scheme, flow, zero)
+        flow, rows, certified = linearize(config)
+        weights = rows * math.sqrt(grid.dt * grid.dx) if certified else None
 
     def one_chunk(lo, hi):
         xi = _NoiseRows(grid, config.seed, range(lo, hi))

@@ -212,6 +212,19 @@ def test_tiny_time_kernels_are_certified(tmp_path, settings):
     assert 0 < smallest["tail_bound"] <= 1e-13 * smallest["value"]
 
 
+@pytest.mark.parametrize("settings", ["alpha=1.01 t_min=1e-310",
+                                      "t_min=1e-320"])
+def test_subnormal_times_warn_nothing(tmp_path, capsys, settings):
+    # at a subnormal t the one-sided tail bound of the norm is inf, a float
+    # quotient that numpy would report as an overflow on stderr
+    args = ["kernel"] + [a for s in settings.split() for a in ("--set", s)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_cli(args, tmp_path)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_unattainable_series_tolerance_is_numerical_error(tmp_path, capsys):
     # tol 1e-17 lies below what the sums of each series may round by, so no
     # cutoff up to the 2^26 cap certifies it; the cutoff search refuses it

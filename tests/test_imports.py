@@ -101,6 +101,35 @@ def test_ndtri_loads_without_the_package():
                    "ppf": True, "refused": 0}
 
 
+def test_a_later_scipy_special_holds_its_submodules():
+    # the submodules that _ufuncs loaded under the stand-in leave with it, so
+    # the real package sets each one it loads on itself (_ufuncs_cxx, which
+    # only _ufuncs imports, on its next import); ndtri, held from the
+    # stand-in's import, still works after a collection
+    got = run_python("""
+        import gc, json, sys
+        from levyheat import noise
+        gc.collect()
+        first = float(noise.ndtri(0.3))
+        import scipy.special
+        gc.collect()
+        loaded = [name.split(".")[2] for name in sys.modules
+                  if name.count(".") == 2
+                  and name.startswith("scipy.special.")]
+        import scipy.special._ufuncs_cxx
+        print(json.dumps({
+            "detached": [n for n in loaded if not hasattr(scipy.special, n)],
+            "named": [n for n in ("_ufuncs_cxx", "_special_ufuncs", "_gufuncs",
+                                  "_ellip_harm_2")
+                      if not hasattr(scipy.special, n)],
+            "same": noise.ndtri is scipy.special.ndtri,
+            "ndtri": [first, float(noise.ndtri(0.3)),
+                      float(scipy.special.ndtri(0.3))]}))
+        """)
+    assert got["detached"] == [] and got["named"] == [] and got["same"]
+    assert got["ndtri"] == [-0.5244005127080409] * 3
+
+
 def test_ndtri_falls_back_to_the_package():
     # refuse the extension while its parent is the bare stand-in, which has
     # no __file__; the real package then loads it

@@ -1,9 +1,10 @@
 """Layering: the numerical modules never reach up into the output layer, the
 noise module alone draws random numbers, kernels._smallest_cutoff alone
 searches for a series cutoff, solver._smooth alone transforms,
-solver._Scheme alone steps, solver.sample_at_probe alone runs the sampling
-loop and applies the blow-up policy of the sampling drivers, and the public
-API has no name that only the tests use.
+solver._Scheme alone steps, solver.linearize alone linearizes the scheme
+about its flow, solver.sample_at_probe alone runs the sampling loop and
+applies the blow-up policy of the sampling drivers, and the public API has
+no name that only the tests use.
 
 mcstats (ensembles, density, row serialization) and cli (the row format)
 sit above kernels, noise, solver and malliavin.  An import the
@@ -183,7 +184,20 @@ def test_the_sampling_loop_is_written_once():
                                                "solver.picard_sequence"}
     assert functions_reading("_evolve_batch") == {
         "solver.sample_at_probe", "solver.solve_path",
-        "malliavin.noise_gradient_oracle"}
+        "malliavin.noise_gradient_oracle", "solver.linearize"}
+
+
+def test_the_linearization_is_written_once():
+    # solver.linearize alone steps the flow on zero variates, sweeps it and
+    # certifies it; the Wiener sampler and the constant-sigma derivative
+    # mass read its rows and step no flow of their own
+    assert (functions_reading("_evolve_batch")
+            & functions_reading("adjoint_gradient")) == {"solver.linearize"}
+    assert (functions_reading("zeros")
+            & functions_reading("_evolve_batch")) == {"solver.linearize"}
+    assert functions_reading("XI_MAX") == {"solver.linearize"}
+    assert functions_reading("linearize") == {"solver.sample_at_probe",
+                                              "malliavin.hnorm_samples"}
 
 
 def test_the_blowup_policy_is_written_once():

@@ -415,6 +415,63 @@ def test_hnorm_samples_at_an_interior_probe():
     assert np.array_equal(hnorm_samples(at_zero)[0].values, np.zeros(3))
 
 
+THREE_QUARTERS = SigmaSpec("three_quarters", lambda u: np.full_like(u, 0.75),
+                           np.zeros_like, kappa=0.75, lip=0.0)
+
+
+def constant_sigma_config(sigma, case):
+    """The command line's default run (64 x 64 to t = 0.5, probe (0.5, 0))
+    with a constant sigma, or an interior probe (0.25, x_10) under alpha =
+    1.4, drift and u0 = sin, at odd m_space."""
+    sigma = sigma if isinstance(sigma, SigmaSpec) else get_sigma(sigma)
+    if case == "default":
+        return dataclasses.replace(
+            make_config(64, 64, 0.5, "one", seed=0, replicas=3), sigma=sigma)
+    grid = GridSpec(33, 40, 0.5)
+    return RunConfig(grid=grid, exponent=make_power_exponent(1.0, 1.4, 0.7),
+                     sigma=sigma, u0=field_from_function(np.sin, 33), seed=5,
+                     replicas=3, probe=(20 * grid.dt, 10 * grid.dx))
+
+
+@pytest.mark.parametrize("case", ["default", "interior"])
+@pytest.mark.parametrize("sigma", ["one", "two", THREE_QUARTERS],
+                         ids=["one", "two", "three_quarters"])
+def test_constant_sigma_masses_are_each_replicas_own(sigma, case):
+    # the flow's rows draw no noise, and each mass and tail has the bits of
+    # the replica's own solved path swept back from the probe
+    cfg = constant_sigma_config(sigma, case)
+    k_p, i_p = cfg.probe_cell
+    deltas = (0.05, 3 * cfg.grid.dt)
+    samples, tails = hnorm_samples(cfg, deltas=deltas)
+    assert samples.blowups == [] and len(samples) == 3
+    for r in range(3):
+        path, xi = solved(cfg, r)
+        rows = adjoint_gradient(path[None, :k_p + 1], xi[None, :k_p],
+                                cfg.exponent, cfg.sigma, cfg.grid, k_p, i_p)
+        mass, tail = hnorm_sq(rows, cfg.grid, deltas)
+        assert samples.values[r] == mass[0]
+        assert all(tails[d].values[r] == tail[d][0] for d in deltas)
+        assert all(tails[d].blowups == [] for d in deltas)
+
+
+@pytest.mark.parametrize("sigma_name", ["one", "two"])
+def test_a_certified_constant_sigma_mass_draws_no_noise(monkeypatch,
+                                                        sigma_name):
+    def refuse(*args):
+        raise AssertionError("noise drawn")
+
+    cfg = make_config(16, 8, 0.2, sigma_name, replicas=65536)
+    monkeypatch.setattr(noise, "_normal_block", refuse)
+    mass, tails = hnorm_samples(cfg, deltas=(0.1,))
+    assert len(mass) == len(tails[0.1]) == 65536
+    assert float(np.ptp(mass.values)) == 0.0 and mass.blowups == []
+    # a sigma the certificate refuses is stepped, and so draws its noise
+    huge = SigmaSpec("huge", lambda u: np.full_like(u, 3e12), np.zeros_like,
+                     kappa=3e12, lip=0.0)
+    with pytest.raises(AssertionError, match="noise drawn"):
+        hnorm_samples(dataclasses.replace(cfg, sigma=huge))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_hnorm_samples_are_the_same_for_every_chunk_budget(monkeypatch,
                                                            workers):

@@ -534,6 +534,34 @@ def test_constant_sigma_probe_values_match_the_stepper(stepped_chunks,
                                         and case != "t0")
 
 
+@pytest.mark.parametrize("alpha, drift, m, k, k_p, i_p", [
+    (2.0, 0.0, 64, 64, 64, 0),  # the command line's default grid
+    (1.1, 0.7, 33, 40, 40, 0),
+    (1.4, -1.5, 15, 9, 5, 4),
+    (1.4, 2.0, 64, 64, 17, 31),
+    (2.0, -0.3, 17, 24, 11, 16),
+])
+def test_the_flow_rows_hold_the_additive_variance(alpha, drift, m, k, k_p,
+                                                  i_p):
+    # at sigma = 1 the rows are the kernel rows, whatever the flow: their
+    # squared sum times dt dx is the scheme's exact additive variance on
+    # the grid cut at the probe step
+    grid = GridSpec(m, k, 0.5)
+    exp_ = make_power_exponent(1.0, alpha, drift)
+    cfg = RunConfig(grid=grid, exponent=exp_, sigma=get_sigma("one"),
+                    u0=field_from_function(np.sin, m), replicas=2,
+                    probe=(k_p * grid.dt, i_p * grid.dx))
+    flow, rows, certified = solver.linearize(cfg)
+    assert certified and rows.shape == (1, k_p, m)
+    assert flow.shape == (1, k_p + 1, m)
+    cut = GridSpec(m, k_p, k_p * grid.dt)
+    want = additive_variance_exact(exp_, cut)
+    got = math.fsum((rows ** 2).ravel()) * grid.dt * grid.dx
+    assert abs(got - want) <= 1e-13 * want
+    # the certificate bounds a constant sigma's fields only
+    assert not solver.linearize(stepped(cfg))[2]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("words", [32, 2048])
 def test_constant_sigma_probe_values_do_not_depend_on_the_chunk(
