@@ -34,9 +34,13 @@ from .kernels import (
     verify_kernel_bounds,
 )
 from .noise import RNG_SCHEME, GridSpec
-from .solver import BlowUpError, RunConfig, get_sigma, picard_sequence
+from .solver import (BlowUpError, RunConfig, check_moment_order, get_sigma,
+                     picard_sequence)
 from .malliavin import (
     SMALLBALL_LEVELS,
+    check_floor,
+    check_levels,
+    check_windows,
     hnorm_samples,
     negative_moment_estimate,
     smallball_probability,
@@ -168,13 +172,27 @@ def effective_config(args):
     return cfg, seed_source
 
 
-def _float_list(raw, key):
-    if not raw.strip():
-        return []
-    try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as err:
-        raise ConfigError(f"bad float list for {key!r}: {raw!r}") from err
+# the one check of each estimator key, which the function that reads the
+# value runs as well; a subcommand runs it before it draws any noise
+ESTIMATOR_CHECKS = {"moment_p": check_moment_order, "floor": check_floor,
+                    "levels": check_levels, "deltas": check_windows}
+
+
+def _estimator_args(cfg, *keys):
+    """The values of estimator keys, a comma list as its floats; a value
+    that does not parse or that its check refuses is a config error that
+    names the key."""
+    values = []
+    for key in keys:
+        value = cfg[key]
+        try:
+            if isinstance(value, str):
+                value = [float(tok) for tok in value.split(",") if tok.strip()]
+            ESTIMATOR_CHECKS[key](value)
+        except ValueError as err:
+            raise ConfigError(f"{key}: {err}") from None
+        values.append(value)
+    return values
 
 
 def _beta(cfg):
@@ -271,6 +289,7 @@ def cmd_picard(cfg, args, head):
     run = build_run_config(cfg)
     if cfg["picard_n"] < 1:
         raise ConfigError("need picard_n >= 1")
+    _estimator_args(cfg, "moment_p")
     report = picard_sequence(run, cfg["picard_n"], cfg["picard_beta"],
                              p=cfg["moment_p"], workers=args.workers)
     where = dict(replica_count=run.replicas)
@@ -297,7 +316,13 @@ def _negative_moment_rows(samples, cfg, head, where):
 
 def cmd_malliavin(cfg, args, head):
     run = build_run_config(cfg)
-    deltas = _float_list(cfg["deltas"], "deltas")
+    deltas, = _estimator_args(cfg, "deltas")
+    names = [f"hnorm_tail_mean/delta={d:.6e}" for d in deltas]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"deltas: two windows name one row to 7 "
+                          f"significant digits, got {cfg['deltas']!r}")
+    if run.sigma.kappa > 0:  # the negative moment reads them
+        _estimator_args(cfg, "moment_p", "floor")
     mass, tails = hnorm_samples(run, workers=args.workers, deltas=deltas)
     t, x = run.probe
     mean, se = mass.mean(), mass.stderr()
@@ -306,9 +331,8 @@ def cmd_malliavin(cfg, args, head):
         make_row(*head, "hnorm_mean", mean, se, **where),
         make_row(*head, "hnorm_sd", mass.sd(), **where),
     ]
-    for d in deltas:
-        rows.append(make_row(*head, f"hnorm_tail_mean/delta={d:.6e}",
-                             tails[float(d)].mean(), **where))
+    for name, d in zip(names, deltas):
+        rows.append(make_row(*head, name, tails[d].mean(), **where))
     if run.sigma.kappa > 0:
         nm, nm_rows = _negative_moment_rows(mass.values, cfg, head, where)
         rows += nm_rows
@@ -322,9 +346,7 @@ def cmd_malliavin(cfg, args, head):
 
 def cmd_smallball(cfg, args, head):
     run = build_run_config(cfg)
-    levels = _float_list(cfg["levels"], "levels")
-    if not levels:
-        raise ConfigError("levels must name at least one quantile")
+    levels, _, _ = _estimator_args(cfg, "levels", "moment_p", "floor")
     mass, _ = hnorm_samples(run, workers=args.workers)
     report = smallball_probability(run, mass.values, levels=levels)
     t, x = run.probe

@@ -106,12 +106,9 @@ class LevyExponent:
             raise ValueError("Re phi leaves the declared growth envelope")
 
     def re_phi(self, n):
-        # a phi that carries its real part as phi.re, as make_power_exponent's
-        # does, skips the complex array; any other phi gets integer modes
-        re, n = getattr(self.phi, "re", None), np.asarray(n)
-        if re:
-            return re(n)
-        return np.asarray(self.phi(n.astype(int, copy=False)), dtype=complex).real
+        """Re phi(n) for every series: phi's own real part on integer modes."""
+        n = np.asarray(n).astype(int, copy=False)
+        return np.asarray(self.phi(n), dtype=complex).real
 
     @property
     def tight(self):
@@ -120,11 +117,12 @@ class LevyExponent:
 
 
 def make_power_exponent(c, alpha, drift=0.0):
-    """Exponent phi(n) = c |n|^alpha + i * drift * n.
+    """Exponent phi(n) = c |n|^alpha + i * drift * n, a plain function.
 
-    The imaginary part is an asymmetry (transport) term; it does not affect
-    any L2 quantity.  alpha outside (1, 2], c outside (0, inf) and a
-    non-finite drift are rejected before phi is ever evaluated.
+    Its real part is c |n|^alpha to the last bit (the drift adds +-0), so the
+    envelope is tight.  The imaginary part is an asymmetry (transport) term;
+    it does not affect any L2 quantity.  alpha outside (1, 2], c outside
+    (0, inf) and a non-finite drift are rejected before phi is evaluated.
     """
     _validate_orders(alpha, alpha)
     if not 0 < c < math.inf:
@@ -136,16 +134,6 @@ def make_power_exponent(c, alpha, drift=0.0):
         n = np.asarray(n, dtype=float)
         return c * np.abs(n) ** alpha + 1j * drift * n
 
-    def re(n):
-        # phi(n).real to the last bit: the drift term adds +-0 to
-        # c |n|^alpha >= 0.  Built in place in the one array that abs
-        # returns (a scalar for a scalar n), with no temporaries
-        out = np.abs(np.asarray(n, dtype=float))
-        out **= alpha
-        out *= c
-        return out
-
-    phi.re = re
     return LevyExponent(phi=phi, alpha=alpha, beta=alpha, c_lower=c, c_upper=c)
 
 
@@ -200,8 +188,9 @@ def _smallest_cutoff(tail, tol, n0):
 
 _BRACKET_START = 256  # no bracketed series stops below this many modes
 _EM_REMAINDER = 1.0 / (72.0 * math.sqrt(3.0))
-# Kummer's series serves z below this; above, 0 <= Gamma(s, z) <=
-# z^(s-1) e^-z (s < 1) already holds it to e^-40 of Gamma(s)
+# Kummer's series serves z below this only (its loop bound relies on it),
+# and there only while its charge is narrower than 0 <= Gamma(s, z) <=
+# z^(s-1) e^-z (s < 1), up to z of about 28.5 to 31
 _KUMMER_Z = 40.0
 # The rounding of s Gamma(s, z) = Gamma(1 + s) - z^s e^-z M is charged a
 # priori, to first order, in ulps (2^-52) of Gamma(1 + s), which bounds
@@ -210,7 +199,7 @@ _KUMMER_Z = 40.0
 # z, and there are at most 2z + 54 of them, so M is good to (5z + 56) 2^-53.
 # z^s, e^-z, two products and the difference add 5 more, which leaves
 # math.gamma(1 + s) at least 77 of the 2 (2z + 54) ulps charged (it rounds
-# to a few).  _upper_gamma_error adds |log rate| / 4 ulps for the power
+# to a few).  _kummer_charge adds |log rate| / 4 ulps for the power
 # rate^(+-s) of the rounded s = 1/alpha.  Measured against 50-digit
 # references, the rounding is at most 12.7 ulps.
 
@@ -237,24 +226,34 @@ def _upper_gamma_bound(scale, s, z):
     return scale * s * z ** (s - 1.0) * math.exp(-z)
 
 
-def _upper_gamma(scale, s, z):
-    """scale s Gamma(s, z): Kummer's series below _KUMMER_Z, and above it the
-    midpoint of 0 <= scale s Gamma(s, z) <= _upper_gamma_bound."""
+def _kummer_charge(scale, rate, s, z):
+    """What scale times Kummer's series may miss by, with scale = rate^(+-s)
+    times a constant: 2 (2z + 54) ulps of scale Gamma(1 + s), plus
+    |log rate| / 4 ulps for the power of the rounded s = 1/alpha.  None where
+    the interval is narrower (compared at scale 1, so nothing overflows), and
+    from _KUMMER_Z on: the one choice of form for the value and its error."""
     if z >= _KUMMER_Z:
+        return None
+    ulps = (4.0 * z + 108.0 + abs(math.log(rate)) / 4.0) * 2.0 ** -52
+    gamma = math.gamma(1.0 + s)
+    if ulps * gamma >= _upper_gamma_bound(1.0, s, z):
+        return None
+    return ulps * scale * gamma
+
+
+def _upper_gamma(scale, rate, s, z):
+    """scale s Gamma(s, z): Kummer's series where it has a charge, else the
+    midpoint of 0 <= scale s Gamma(s, z) <= _upper_gamma_bound."""
+    if _kummer_charge(scale, rate, s, z) is None:
         return 0.5 * _upper_gamma_bound(scale, s, z)
     return scale * _kummer_upper_gamma(s, z)
 
 
 def _upper_gamma_error(scale, rate, s, z):
-    """What _upper_gamma(scale, s, z) may miss by, with scale = rate^(+-s)
-    times a constant: the whole interval above _KUMMER_Z, and below it
-    2 (2z + 54) ulps of scale Gamma(1 + s), plus |log rate| / 4 ulps for the
-    power of s = 1/alpha, which is rounded by up to 2^-54.  Below _KUMMER_Z
-    it grows with z, so it is the floor of a bracket's width."""
-    if z >= _KUMMER_Z:
-        return _upper_gamma_bound(scale, s, z)
-    ulps = 4.0 * z + 108.0 + abs(math.log(rate)) / 4.0
-    return ulps * 2.0 ** -52 * scale * math.gamma(1.0 + s)
+    """What _upper_gamma may miss by: the smaller of Kummer's charge and the
+    whole interval, and so the floor of a bracket's width."""
+    charge = _kummer_charge(scale, rate, s, z)
+    return _upper_gamma_bound(scale, s, z) if charge is None else charge
 
 
 def _exp_power_variation(lam, a, x):
@@ -290,7 +289,7 @@ def _exp_power_midpoint(lam, a, n):
     int_x^inf f = lam^(-1/a) s Gamma(s, z) and f'(x) = -a z e^-z / x."""
     x = n + 0.5
     z = lam * x ** a
-    integral = _upper_gamma(lam ** (-1.0 / a), 1.0 / a, z)
+    integral = _upper_gamma(lam ** (-1.0 / a), lam, 1.0 / a, z)
     return integral - a * z * math.exp(-z) / (24.0 * x)
 
 
@@ -350,7 +349,7 @@ def _sum_series(exp_, series):
     work = np.empty(min(size, _PHI_BLOCK))
     for lo in range(0, size, _PHI_BLOCK):
         hi = min(lo + _PHI_BLOCK, size)
-        re = exp_.re_phi(np.arange(lo + 1, hi + 1, dtype=float))
+        re = exp_.re_phi(np.arange(lo + 1, hi + 1))
         for i, s in enumerate(series):
             if s.cutoff > lo:
                 m = min(s.cutoff, hi) - lo
@@ -481,7 +480,8 @@ def _norm_series(exp_, t, tol):
     # the terms sum to at least int_1^inf exp(-lam_b x^beta) dx and at most
     # int_0^inf exp(-lam x^alpha) dx
     scale = lam_b ** -s
-    low = _upper_gamma(scale, s, lam_b) - _upper_gamma_error(scale, lam_b, s, lam_b)
+    low = (_upper_gamma(scale, lam_b, s, lam_b)
+           - _upper_gamma_error(scale, lam_b, s, lam_b))
     high = lam ** (-1.0 / a) * math.gamma(1.0 + 1.0 / a)
 
     def body(re, work):
@@ -589,7 +589,7 @@ def _time_integral_midpoint(exp_, delta, n):
     mu = 2.0 * delta * c
     z = mu * x ** a
     power = x ** (1.0 - a) / (2.0 * c * (a - 1.0))
-    gamma = _upper_gamma(_gamma_scale(a, c, mu), 1.0 / a, z)
+    gamma = _upper_gamma(_gamma_scale(a, c, mu), mu, 1.0 / a, z)
     damped = math.exp(-z) * (1.0 + z) if z < -_EXP_FLOOR else 0.0
     slope = -0.5 * a * (1.0 - damped) / (c * x ** (a + 1.0))
     return power * -math.expm1(-z) + gamma + slope / 24.0
@@ -597,7 +597,7 @@ def _time_integral_midpoint(exp_, delta, n):
 
 def _gamma_scale(a, c, mu):
     """a mu^(1-s) / (2c(a-1)), so that the Gamma term of the time
-    integral's tail is _upper_gamma(_gamma_scale(a, c, mu), s, z)."""
+    integral's tail is _upper_gamma(_gamma_scale(a, c, mu), mu, s, z)."""
     return a * mu ** (1.0 - 1.0 / a) / (2.0 * c * (a - 1.0))
 
 
@@ -618,7 +618,7 @@ def _time_integral_series(exp_, delta, tol):
     mu = 2.0 * delta * c
     scale = _gamma_scale(b, c, mu)
     low = (-math.expm1(-mu) / (2.0 * c * (b - 1.0)) + _upper_gamma(
-        scale, 1.0 / b, mu) - _upper_gamma_error(scale, mu, 1.0 / b, mu))
+        scale, mu, 1.0 / b, mu) - _upper_gamma_error(scale, mu, 1.0 / b, mu))
     tail = ((lambda n: _time_integral_width(exp_, delta, n),
              lambda n: _time_integral_midpoint(exp_, delta, n)) if exp_.tight
             else (lambda n: _time_integral_tail(exp_, delta, n)[1],

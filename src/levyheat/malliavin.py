@@ -25,7 +25,8 @@ import numpy as np
 from .kernels import kernel_l2_time_integral
 from .noise import _NoiseRows
 from .solver import (BlowUpError, SampleSet, _Scheme, _evolve_batch,
-                     adjoint_gradient, linearize, sample_at_probe)
+                     adjoint_gradient, check_moment_order, linearize,
+                     sample_at_probe)
 
 # replicas per hnorm chunk times (k_p + 1) m_space: each replica holds its
 # noise, path and gradient rows, O(k_p m_space) words apiece
@@ -62,6 +63,13 @@ def propagate_derivative(path, xi, exp_, sigma, grid, source, until_k=None):
     return d
 
 
+def check_windows(deltas):
+    """Refuse a tail window that is not positive and finite."""
+    if not all(0 < delta < math.inf for delta in deltas):
+        raise ValueError(f"tail windows must be positive and finite, got "
+                         f"{list(deltas)}")
+
+
 def hnorm_sq(rows, grid, deltas=()):
     """Per-replica quadrature sum_{cells} |D u(t, x)|^2 dt dx of gradient rows.
 
@@ -70,8 +78,7 @@ def hnorm_sq(rows, grid, deltas=()):
     sources in the window (t - delta, t], the windowed mass that drives the
     small-ball bounds.
     """
-    if not all(0 < delta < math.inf for delta in deltas):
-        raise ValueError("tail windows must be positive and finite")
+    check_windows(deltas)
     weight = grid.dt * grid.dx
     per_step = np.sum(rows ** 2, axis=-1)
     k_p = rows.shape[1]
@@ -140,6 +147,7 @@ def hnorm_samples(config, workers=1, deltas=()):
     excluded as in run_ensemble and listed in mass.blowups.  Deterministic
     in config regardless of worker count.
     """
+    check_windows(deltas)
     grid = config.grid
     k_p, i_p = config.probe_cell
     if config.sigma.lip == 0:
@@ -207,6 +215,13 @@ class SmallBallReport:
     c_fit: float
 
 
+def check_levels(levels):
+    """Refuse quantile levels that are none, or not finite and in [0, 1]."""
+    if not (len(levels) and all(0.0 <= q <= 1.0 for q in levels)):
+        raise ValueError("need at least one quantile level, each finite "
+                         f"and in [0, 1], got {list(levels)}")
+
+
 def smallball_probability(config, samples, eps_list=None,
                           levels=SMALLBALL_LEVELS):
     """Small-ball frequencies of the derivative mass samples at the probe.
@@ -221,6 +236,7 @@ def smallball_probability(config, samples, eps_list=None,
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if eps_list is None:
+        check_levels(levels)
         eps = np.quantile(samples, levels)
         eps = np.unique(eps[eps > 0])
     else:
@@ -257,6 +273,12 @@ class NegativeMomentReport:
     sensitivity: dict
 
 
+def check_floor(floor):
+    """Refuse a negative-moment floor that is not positive and finite."""
+    if not 0 < floor < math.inf:
+        raise ValueError(f"need floor > 0 and finite, got {floor!r}")
+
+
 def negative_moment_estimate(samples, p=2, floor=1e-8):
     """Replica average of max(|D u|^2_H, floor)^(-p/2) over mass samples.
 
@@ -264,10 +286,8 @@ def negative_moment_estimate(samples, p=2, floor=1e-8):
     the sweep re-evaluates at floor/sqrt(10) and floor/10 so floor sensitivity
     is visible across one decade.
     """
-    if not 2 <= p < math.inf:
-        raise ValueError("need p >= 2 and finite")
-    if not 0 < floor < math.inf:
-        raise ValueError("need floor > 0 and finite")
+    check_moment_order(p)
+    check_floor(floor)
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 2:
         raise ValueError("need at least 2 samples")

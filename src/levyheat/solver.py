@@ -498,6 +498,13 @@ class PicardReport:
 PICARD_CHUNK = 128
 
 
+def check_moment_order(p):
+    """Refuse a moment order p other than 2 <= p < inf, the orders that
+    picard_sequence's weighted norm and the negative moment take."""
+    if not 2 <= p < math.inf:
+        raise ValueError(f"need p >= 2 and finite, got {p!r}")
+
+
 def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     """Successive Picard iterates against frozen noise paths.
 
@@ -511,8 +518,7 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    if not 2 <= p < math.inf:
-        raise ValueError("need p >= 2 and finite")
+    check_moment_order(p)
     if not 0 <= beta_param < math.inf:
         raise ValueError("need beta_param >= 0 and finite")
     grid = config.grid

@@ -615,6 +615,58 @@ def test_nan_parameters_are_config_errors(tmp_path, capsys, monkeypatch,
                             lambda key, raw: SCHEMA[key][0](raw))
 
 
+@pytest.mark.parametrize("subcommand, setting, message", [
+    ("smallball", "moment_p=1", "moment_p: need p >= 2 and finite, got 1.0"),
+    ("malliavin", "moment_p=1", "moment_p: need p >= 2 and finite, got 1.0"),
+    ("picard", "moment_p=1", "moment_p: need p >= 2 and finite, got 1.0"),
+    ("malliavin", "floor=0", "floor: need floor > 0 and finite, got 0.0"),
+    ("smallball", "floor=-1e-8", "floor: need floor > 0 and finite"),
+    ("smallball", "levels=1.5", "levels: need at least one quantile level, "
+     "each finite and in [0, 1], got [1.5]"),
+    ("smallball", "levels=0.5,-0.1", "levels: need at least one quantile"),
+    ("smallball", "levels=nan", "levels: need at least one quantile"),
+    ("smallball", "levels=", "levels: need at least one quantile"),
+    ("malliavin", "deltas=-1", "deltas: tail windows must be positive and "
+     "finite, got [-1.0]"),
+    ("malliavin", "deltas=0.05,0.05", "deltas: two windows name one row"),
+    ("malliavin", "deltas=0.1,0.05,0.0500000001",
+     "deltas: two windows name one row"),
+])
+def test_bad_estimator_arguments_are_refused_before_sampling(
+        tmp_path, capsys, monkeypatch, subcommand, setting, message):
+    # each estimator key is checked, naming the key, before any noise is
+    # drawn: the block filler that every variate comes from is a stub that
+    # raises, which a good value reaches
+    def refuse(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(noise, "_normal_block", refuse)
+    code, out = run_cli([subcommand] + SMALL + ["--set", setting], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("levyheat:error:config: ") and message in err
+    assert not out.exists()
+    with pytest.raises(AssertionError, match="noise drawn"):
+        run_cli([subcommand] + SMALL, tmp_path)
+
+
+def test_duplicate_levels_are_merged_and_close_windows_kept(tmp_path):
+    # levels that give one eps make one row; windows whose names differ in
+    # the 7th significant digit make two
+    code, out = run_cli(["smallball"] + SMALL + ["--set", "levels=0.5,0.5"],
+                        tmp_path)
+    assert code == 0
+    got = rows_by_quantity(out / "smallball.csv")
+    assert len([q for q in got if q.startswith("smallball_freq/")]) == 1
+    code, out = run_cli(["malliavin"] + SMALL
+                        + ["--set", "deltas=0.05,0.05000001"], tmp_path, "w")
+    assert code == 0
+    got = rows_by_quantity(out / "malliavin.csv")
+    assert {q for q in got if q.startswith("hnorm_tail_mean/")} == {
+        "hnorm_tail_mean/delta=5.000000e-02",
+        "hnorm_tail_mean/delta=5.000001e-02"}
+
+
 def test_malliavin_subcommand(tmp_path):
     code, out = run_cli(["malliavin"] + SMALL + ["--set", "deltas=0.05,0.1"],
                         tmp_path)

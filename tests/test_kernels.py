@@ -6,8 +6,10 @@ certified errors rather than a guessed constant.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
+import sys
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -43,6 +45,8 @@ from levyheat.kernels import (
     _exp_power_variation,
     _exp_power_width,
     _gamma_scale,
+    _kummer_charge,
+    _kummer_upper_gamma,
     _laplace_series,
     _laplace_tail,
     _norm_series,
@@ -55,6 +59,7 @@ from levyheat.kernels import (
     _time_integral_series,
     _time_integral_width,
     _upper_gamma,
+    _upper_gamma_bound,
     _upper_gamma_error,
     rfft_symbol,
     rfft_weights,
@@ -120,20 +125,23 @@ def test_power_exponent_hermitian_with_drift():
 @pytest.mark.parametrize("drift", [0.0, 2.5, -2.5])
 @pytest.mark.parametrize("alpha", [1.4, 2.0])
 def test_power_re_phi_is_the_real_part_bit_for_bit(alpha, drift):
-    # make_power_exponent's Re phi skips the complex array; it is the real
-    # part of phi to the last bit and the sign of every zero, for arrays and
-    # scalars, and a phi of the user's own takes the generic path
+    # re_phi is phi's own real part, for arrays of float or integer modes
+    # and for scalars, and for the power exponent that is c |n|^alpha to the
+    # last bit and the sign of every zero: the drift term adds +-0.  A phi
+    # of the user's own, or a wrapped one, takes the same path
     exp_ = make_power_exponent(1.3, alpha, drift)
+    assert not hasattr(exp_.phi, "re")
     n = np.arange(-4096, 4097)
     full = np.asarray(exp_.phi(n), complex).real
-    for fast in (exp_.re_phi(n), dataclasses.replace(exp_, beta=2.0).re_phi(n)):
-        assert np.array_equal(fast, full)
-        assert np.array_equal(np.signbit(fast), np.signbit(full))
+    power = 1.3 * np.abs(n.astype(float)) ** alpha
+    for re in (exp_.re_phi(n), exp_.re_phi(n.astype(float)),
+               dataclasses.replace(exp_, beta=2.0).re_phi(n),
+               LevyExponent(lambda k: exp_.phi(k), alpha, alpha, 1.3,
+                            1.3).re_phi(n)):
+        assert np.array_equal(re, full) and np.array_equal(re, power)
+        assert np.array_equal(np.signbit(re), np.signbit(full))
     assert exp_.re_phi(0) == 0.0 and not np.signbit(exp_.re_phi(0))
     assert exp_.re_phi(-7) == full[4096 - 7]
-    own = LevyExponent(lambda k: exp_.phi(k), alpha, alpha, 1.3, 1.3)
-    assert not hasattr(own.phi, "re")
-    assert np.array_equal(own.re_phi(n), full)
 
 
 def test_spot_check_evaluates_phi_once():
@@ -575,8 +583,8 @@ def certified_tol(build, exp_, x, tol):
         else:
             head, scale = x, _gamma_scale(b, c, rate)
             power = -math.expm1(-rate) / (2.0 * c * (b - 1.0))
-        low = power + _upper_gamma(scale, 1.0 / b, rate) - _upper_gamma_error(
-            scale, rate, 1.0 / b, rate)
+        low = power + _upper_gamma(scale, rate, 1.0 / b, rate) - \
+            _upper_gamma_error(scale, rate, 1.0 / b, rate)
     return tol * max(1.0, (head + 2.0 * low) / FOUR_PI_SQ)
 
 
@@ -763,9 +771,9 @@ def test_upper_gamma_rounds_within_its_stated_ulps():
     # c = 0.7, as the brackets compute them from alpha, the rate and
     # x = n + 1/2, lie within _upper_gamma_error of a 50-digit decimal
     # reference that takes s = 1/alpha and z = rate x^alpha exactly, and
-    # below _KUMMER_Z, where that error is charged a priori, within the 16
-    # ulps of scale Gamma(1 + s), plus |log rate| / 4, that Kummer's series
-    # is measured to keep.  The z run past _KUMMER_Z into the interval form
+    # where Kummer's series serves, its error charged a priori, within the
+    # 16 ulps of scale Gamma(1 + s), plus |log rate| / 4, that it is
+    # measured to keep.  The z run past the hand-off into the interval form
     kinds = Counter()
     with localcontext() as ctx:
         ctx.prec = 50
@@ -784,14 +792,16 @@ def test_upper_gamma_rounds_within_its_stated_ulps():
                         (_gamma_scale(alpha, 0.7, rate),
                          Decimal(alpha) * Decimal(rate) ** (1 - exact_s)
                          / (2 * Decimal(0.7) * (Decimal(alpha) - 1)))):
-                    miss = abs(Decimal(_upper_gamma(scale, s, z)) - factor * exact)
+                    miss = abs(Decimal(_upper_gamma(scale, rate, s, z))
+                               - factor * exact)
                     allowed = _upper_gamma_error(scale, rate, s, z)
                     assert miss <= Decimal(allowed), (alpha, rate, x)
-                    if z < _KUMMER_Z:
+                    kummer = _kummer_charge(scale, rate, s, z) is not None
+                    if kummer:
                         measured = (16.0 + abs(math.log(rate)) / 4.0) * (
                             2.0 ** -52 * scale * math.gamma(1.0 + s))
                         assert miss <= Decimal(measured), (alpha, rate, x)
-                    kinds[z < _KUMMER_Z] += 1
+                    kinds[kummer] += 1
     assert kinds[True] >= 200 and kinds[False] >= 20
 
 
@@ -850,7 +860,6 @@ def counting_exponent(calls):
         calls.append(np.size(n))
         return power.phi(n)
 
-    phi.re = lambda n: calls.append(np.size(n)) or power.phi.re(n)
     exp_ = dataclasses.replace(power, phi=phi)
     calls.clear()
     return exp_
@@ -1094,7 +1103,7 @@ def test_verify_kernel_bounds_fractional():
 
 # The report sums every series over prefixes of one Re phi table.  Each case
 # is (exponent, times, beta_param, tol); "series" is the perfbench workload,
-# whose largest certified cutoff is 2,705 modes (the norm at 1.6e-5).
+# whose largest certified cutoff is 1,533 modes (the Laplace mass).
 SERIES_TIMES = np.geomspace(1e-8, 1e-3, 33)
 
 
@@ -1174,17 +1183,17 @@ def test_report_evaluates_each_mode_once():
                         c_upper=1.0)
     modes.clear()
     verify_kernel_bounds(exp_, SERIES_TIMES, beta_param=64.0, tol=1e-10)
-    # one block: the largest cutoff is 2,705 modes (the norm at t = 1.6e-5)
-    # and the 67 series sum 36,957 terms.  A phi without phi.re is handed
-    # integer modes, as LevyExponent documents
+    # one block: the largest cutoff is 1,533 modes (the Laplace mass) and
+    # the 67 series sum 20,445 terms.  phi is handed integer modes, as
+    # LevyExponent documents
     assert sum(modes) <= 1 << 16
     assert kinds == {"i"}
 
 
 def test_report_memory_is_a_few_tables():
     # one streamed pass holds a few blocks of float64 (Re phi, the work
-    # buffer and the block temporaries), whatever the largest cutoff: 2,705
-    # modes at tol 1e-10, fewer at 1e-6
+    # buffer and the block temporaries), whatever the largest cutoff: 1,533
+    # modes at tol 1e-10, 256 at 1e-6
     exp_ = make_power_exponent(1.0, 1.4)
     for tol in (1e-6, 1e-10):
         _, peak = traced_peak(verify_kernel_bounds, exp_, SERIES_TIMES,
@@ -1192,11 +1201,72 @@ def test_report_memory_is_a_few_tables():
         assert peak <= 8 * 8 * _PHI_BLOCK
 
 
-def test_power_re_phi_fills_one_buffer():
-    # c |n|^alpha is built in its output array: no temporaries
-    n = np.arange(1.0, _PHI_BLOCK + 1.0)
-    re, peak = traced_peak(make_power_exponent(1.3, 1.4).re_phi, n)
-    assert re.shape == n.shape and peak <= n.nbytes + 1024
+def test_a_wrapped_phi_takes_the_plain_phi_path():
+    # every series reads Re phi from phi itself, so a report whose phi is
+    # wrapped, as the benchmark's tracer wraps it, hands the power phi the
+    # same modes as a report on the plain one, and gives the same bits.
+    # Calls are seen by profiling the power phi's code, not by wrapping it
+    power = make_power_exponent(1.0, 1.4, drift=0.5)
+
+    def call(fn, n):
+        return fn(n)
+
+    exponents = [power] + [dataclasses.replace(power, phi=wrapped) for wrapped
+                           in (functools.partial(call, power.phi),
+                               lambda n: power.phi(n))]
+    runs = []
+    for exp_ in exponents:
+        modes = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is power.phi.__code__:
+                modes.append(np.array(frame.f_locals["n"]))
+
+        sys.setprofile(profile)
+        try:
+            report = verify_kernel_bounds(exp_, SERIES_TIMES, beta_param=64.0)
+        finally:
+            sys.setprofile(None)
+        runs.append((modes, [np.asarray(v) for v in
+                             dataclasses.astuple(report)]))
+    (plain, plain_report), *wrapped = runs
+    assert sum(map(np.size, plain)) == 1533
+    for modes, fields in wrapped:
+        assert len(modes) == len(plain)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(modes, plain))
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(fields, plain_report))
+
+
+@pytest.mark.parametrize("s", [1.0 / 2.0, 1.0 / 1.1, 1.0 / 1.4])
+def test_gamma_takes_the_narrower_form(s):
+    # _upper_gamma and _upper_gamma_error pick one form through
+    # _kummer_charge: Kummer's series below _KUMMER_Z wherever its charge is
+    # below the interval's width, the interval elsewhere, so the certified
+    # error is the smaller of the two.  Kummer's series serves at z = 20,
+    # and the interval takes over below _KUMMER_Z
+    kinds = Counter()
+    for rate, z in itertools.product((1e-12, 0.3, 1.0),
+                                     np.linspace(20.0, 45.0, 251)):
+        scale = rate ** -s
+        value = _upper_gamma(scale, rate, s, z)
+        error = _upper_gamma_error(scale, rate, s, z)
+        width = _upper_gamma_bound(scale, s, z)
+        ulps = 4.0 * z + 108.0 + abs(math.log(rate)) / 4.0
+        charge = ulps * 2.0 ** -52 * scale * math.gamma(1.0 + s)
+        kummer = z < _KUMMER_Z and charge < width
+        assert (_kummer_charge(scale, rate, s, z) is not None) == kummer
+        if kummer:
+            assert (value, error) == (scale * _kummer_upper_gamma(s, z),
+                                      charge)
+        else:
+            assert (value, error) == (0.5 * width, width)
+        assert error == (min(charge, width) if z < _KUMMER_Z else width)
+        kinds[kummer, z < _KUMMER_Z] += 1
+    assert kinds[True, True] and kinds[False, True] and kinds[False, False]
+    assert min(z for z in np.linspace(20.0, 45.0, 251)
+               if _kummer_charge(1.0, 1.0, s, z) is None) < 32.0
 
 
 # (exponent, times, beta_param): the perfbench series workload and the
