@@ -47,7 +47,6 @@ from .malliavin import (
     negative_moment_estimate,
     noise_gradient_oracle,
     propagate_derivative,
-    smallball_lower_mass,
     smallball_probability,
 )
 from .mcstats import (

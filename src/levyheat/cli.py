@@ -178,7 +178,7 @@ ESTIMATOR_CHECKS = {"moment_p": check_moment_order, "floor": check_floor,
                     "levels": check_levels, "deltas": check_windows}
 
 
-def _estimator_args(cfg, *keys):
+def _estimator_args(cfg, *keys, dt=None):
     """The values of estimator keys, a comma list as its floats; a value
     that does not parse or that its check refuses is a config error that
     names the key."""
@@ -188,7 +188,7 @@ def _estimator_args(cfg, *keys):
         try:
             if isinstance(value, str):
                 value = [float(tok) for tok in value.split(",") if tok.strip()]
-            ESTIMATOR_CHECKS[key](value)
+            ESTIMATOR_CHECKS[key](value, *([dt] if key == "deltas" else []))
         except ValueError as err:
             raise ConfigError(f"{key}: {err}") from None
         values.append(value)
@@ -316,7 +316,7 @@ def _negative_moment_rows(samples, cfg, head, where):
 
 def cmd_malliavin(cfg, args, head):
     run = build_run_config(cfg)
-    deltas, = _estimator_args(cfg, "deltas")
+    deltas, = _estimator_args(cfg, "deltas", dt=run.grid.dt)
     names = [f"hnorm_tail_mean/delta={d:.6e}" for d in deltas]
     if len(set(names)) < len(names):
         raise ConfigError(f"deltas: two windows name one row to 7 "
@@ -346,26 +346,22 @@ def cmd_malliavin(cfg, args, head):
 
 def cmd_smallball(cfg, args, head):
     run = build_run_config(cfg)
+    if run.sigma.kappa <= 0:  # the negative moment needs a mass bounded below
+        raise ConfigError("small-ball analysis needs sigma bounded below: "
+                          "kappa > 0")
     levels, _, _ = _estimator_args(cfg, "levels", "moment_p", "floor")
     mass, _ = hnorm_samples(run, workers=args.workers)
-    report = smallball_probability(run, mass.values, levels=levels)
+    report = smallball_probability(mass.values, levels=levels)
     t, x = run.probe
     where = dict(t=t, x=x, replica_count=len(mass))
-    rows = []
-    for j, e in enumerate(report.eps):
-        rows += [
-            make_row(*head, f"smallball_freq/eps={e:.6e}", report.freq[j],
-                     0.5 * (report.ci_hi[j] - report.ci_lo[j]), **where),
-            make_row(*head, f"smallball_window/eps={e:.6e}", report.delta[j],
-                     **where),
-            make_row(*head, f"smallball_lower_mass_minus_eps/eps={e:.6e}",
-                     report.lower_mass_minus_eps[j], **where),
-        ]
+    rows = [make_row(*head, f"smallball_freq/eps={e:.6e}", f,
+                     0.5 * (hi - lo), **where)
+            for e, f, lo, hi in zip(report.eps, report.freq, report.ci_lo,
+                                    report.ci_hi)]
     rows += _negative_moment_rows(mass.values, cfg, head, where)[1]
     summary = (f"smallball: {len(report.eps)} eps levels, freq "
-               f"{report.freq.min():.3g}..{report.freq.max():.3g}, "
-               f"c_fit {report.c_fit:.6g}")
-    return rows, {"c_fit": report.c_fit, "blowups": mass.blowups}, summary
+               f"{report.freq.min():.3g}..{report.freq.max():.3g}")
+    return rows, {"blowups": mass.blowups}, summary
 
 
 def cmd_density(cfg, args, head):

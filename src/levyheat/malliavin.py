@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import kernel_l2_time_integral
 from .noise import _NoiseRows
 from .solver import (BlowUpError, SampleSet, _Scheme, _evolve_batch,
                      adjoint_gradient, check_moment_order, linearize,
@@ -63,11 +62,14 @@ def propagate_derivative(path, xi, exp_, sigma, grid, source, until_k=None):
     return d
 
 
-def check_windows(deltas):
-    """Refuse a tail window that is not positive and finite."""
+def check_windows(deltas, dt):
+    """Refuse a tail window that is not finite or that rounds to no step."""
     if not all(0 < delta < math.inf for delta in deltas):
         raise ValueError(f"tail windows must be positive and finite, got "
                          f"{list(deltas)}")
+    if not all(round(delta / dt) for delta in deltas):
+        raise ValueError(f"tail windows must exceed half a time step, "
+                         f"dt = {dt:.6g}, got {list(deltas)}")
 
 
 def hnorm_sq(rows, grid, deltas=()):
@@ -75,10 +77,9 @@ def hnorm_sq(rows, grid, deltas=()):
 
     rows is the (B, k_p, m_space) output of adjoint_gradient.  Returns
     (mass, tails): mass has shape (B,), and tails[delta] restricts the sum to
-    sources in the window (t - delta, t], the windowed mass that drives the
-    small-ball bounds.
+    sources in the window (t - delta, t], rounded to whole steps.
     """
-    check_windows(deltas)
+    check_windows(deltas, grid.dt)
     weight = grid.dt * grid.dx
     per_step = np.sum(rows ** 2, axis=-1)
     k_p = rows.shape[1]
@@ -147,8 +148,8 @@ def hnorm_samples(config, workers=1, deltas=()):
     excluded as in run_ensemble and listed in mass.blowups.  Deterministic
     in config regardless of worker count.
     """
-    check_windows(deltas)
     grid = config.grid
+    check_windows(deltas, grid.dt)
     k_p, i_p = config.probe_cell
     if config.sigma.lip == 0:
         _, rows, certified = linearize(config)
@@ -176,17 +177,6 @@ def hnorm_samples(config, workers=1, deltas=()):
     return mass, dict(zip(map(float, deltas), tails))
 
 
-def smallball_lower_mass(exp_, kappa, delta):
-    """(kappa^2 / 2) * int_0^delta ||q_s||^2 ds, the guaranteed derivative mass
-    contributed by the window (t - delta, t] when |sigma| >= kappa.
-
-    delta may be an array of windows: they share one streamed series pass,
-    and each mass has the bits it has on its own."""
-    if kappa <= 0:
-        raise ValueError("needs a positive lower bound kappa on |sigma|")
-    return 0.5 * kappa ** 2 * kernel_l2_time_integral(exp_, delta)[0]
-
-
 def _wilson(successes, n, z=1.959963984540054):
     p_hat = successes / n
     denom = 1.0 + z * z / n
@@ -197,22 +187,12 @@ def _wilson(successes, n, z=1.959963984540054):
 
 @dataclass
 class SmallBallReport:
-    """Empirical small-ball frequencies of |D u(t,x)|^2_H with diagnostics.
-
-    For each eps: the frequency P(mass < eps) with a Wilson interval, the
-    window delta = (4 eps / c_fit)^(beta/(beta-1)) suggested by the lower-mass
-    scaling, and lower_mass(delta) - eps, which must stay positive for the
-    window argument to have any force.
-    """
+    """Frequencies P(mass < eps) of mass samples, with Wilson intervals."""
 
     eps: np.ndarray
     freq: np.ndarray
     ci_lo: np.ndarray
     ci_hi: np.ndarray
-    delta: np.ndarray
-    lower_mass: np.ndarray
-    lower_mass_minus_eps: np.ndarray
-    c_fit: float
 
 
 def check_levels(levels):
@@ -222,17 +202,10 @@ def check_levels(levels):
                          f"and in [0, 1], got {list(levels)}")
 
 
-def smallball_probability(config, samples, eps_list=None,
-                          levels=SMALLBALL_LEVELS):
-    """Small-ball frequencies of the derivative mass samples at the probe.
-
-    samples are the mass values hnorm_samples drew for config; nothing is
-    drawn here.  eps defaults to their empirical quantiles at levels.
-    Zero-hit eps still get a positive Wilson upper bound.
-    """
-    if config.sigma.kappa <= 0:
-        raise ValueError("small-ball analysis needs sigma bounded below: kappa > 0")
-    t = config.probe[0]
+def smallball_probability(samples, eps_list=None, levels=SMALLBALL_LEVELS):
+    """Small-ball frequencies of derivative mass samples; nothing is drawn
+    here.  eps defaults to the samples' quantiles at levels, and a zero-hit
+    eps still gets a positive Wilson upper bound."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if eps_list is None:
@@ -244,22 +217,9 @@ def smallball_probability(config, samples, eps_list=None,
         if np.any(eps <= 0):
             raise ValueError("eps values must be positive")
     hits = [int(np.count_nonzero(samples < e)) for e in eps]
-    freq = np.array(hits) / n
     ci = np.array([_wilson(h, n) for h in hits])
-
-    exp_ = config.exponent
-    beta = exp_.beta
-    # scale constant of the lower mass: J(delta) >= (c/2) delta^(1-1/beta)
-    d_grid = np.geomspace(max(t * 1e-3, config.grid.dt * 1e-2), t, 16)
-    j_vals = smallball_lower_mass(exp_, config.sigma.kappa, d_grid)
-    c_fit = float(np.min(2.0 * j_vals / d_grid ** (1.0 - 1.0 / beta)))
-    delta = np.minimum((4.0 * eps / c_fit) ** (beta / (beta - 1.0)), t)
-    lower = smallball_lower_mass(exp_, config.sigma.kappa, delta)
-    return SmallBallReport(
-        eps=eps, freq=freq,
-        ci_lo=ci[:, 0], ci_hi=ci[:, 1], delta=delta, lower_mass=lower,
-        lower_mass_minus_eps=lower - eps, c_fit=c_fit,
-    )
+    return SmallBallReport(eps=eps, freq=np.array(hits) / n,
+                           ci_lo=ci[:, 0], ci_hi=ci[:, 1])
 
 
 @dataclass

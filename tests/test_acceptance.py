@@ -183,7 +183,7 @@ def test_smallball_qualitative():
     cfg = lh.RunConfig(grid=grid, exponent=EXP2,
                        sigma=lh.get_sigma("shifted_sine"),
                        u0=zero_field(16), seed=7, replicas=512)
-    rep = lh.smallball_probability(cfg, lh.hnorm_samples(cfg)[0].values)
+    rep = lh.smallball_probability(lh.hnorm_samples(cfg)[0].values)
     monotone = bool(np.all(np.diff(rep.freq) >= 0.0))
     mask = (rep.freq > 0.0) & (rep.freq < 1.0)
     fit = lh.fit_slope(rep.eps[mask], rep.freq[mask])
@@ -192,8 +192,7 @@ def test_smallball_qualitative():
                         u0=zero_field(16), seed=7, replicas=64)
     v = lh.additive_variance_exact(EXP2, grid)
     samples1 = lh.hnorm_samples(cfg1)[0].values
-    rep1 = lh.smallball_probability(cfg1, samples1,
-                                    eps_list=[0.5 * v, 2.0 * v])
+    rep1 = lh.smallball_probability(samples1, eps_list=[0.5 * v, 2.0 * v])
     additive_exact = (float(np.ptp(samples1)) == 0.0
                       and rep1.freq[0] == 0.0 and rep1.freq[1] == 1.0)
 

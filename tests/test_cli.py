@@ -490,9 +490,8 @@ ROW_KEYS = {
     "malliavin": [(q, 0.2, 0.0, 8) for q in (
         "hnorm_mean", "hnorm_sd", "hnorm_tail_mean/delta=1.000000e-01",
         "hnorm_tail_mean/delta=5.000000e-02", *NEGATIVE_MOMENT)],
-    "smallball": [(q, 0.2, 0.0, 8) for q in NEGATIVE_MOMENT + 3 * [
-        "smallball_freq/eps=*", "smallball_lower_mass_minus_eps/eps=*",
-        "smallball_window/eps=*"]],
+    "smallball": [(q, 0.2, 0.0, 8) for q in NEGATIVE_MOMENT
+                  + 3 * ["smallball_freq/eps=*"]],
     "density": [(q, 0.2, 0.0, 8) for q in (
         "density_bandwidth", "density_d2_sign_changes", "density_integral",
         "density_max_d1", "density_max_d2", "density_under_smoothed")],
@@ -628,6 +627,8 @@ def test_nan_parameters_are_config_errors(tmp_path, capsys, monkeypatch,
     ("smallball", "levels=", "levels: need at least one quantile"),
     ("malliavin", "deltas=-1", "deltas: tail windows must be positive and "
      "finite, got [-1.0]"),
+    ("malliavin", "deltas=0.05,0.005", "deltas: tail windows must exceed "
+     "half a time step, dt = 0.025, got [0.05, 0.005]"),
     ("malliavin", "deltas=0.05,0.05", "deltas: two windows name one row"),
     ("malliavin", "deltas=0.1,0.05,0.0500000001",
      "deltas: two windows name one row"),
@@ -687,9 +688,12 @@ def test_smallball_subcommand_rows(tmp_path):
     assert freqs
     for r in freqs.values():
         assert 0.0 <= r["value"] <= 1.0
+    # the sampled frequencies and the negative moment, and nothing else
+    assert all(q.startswith(("smallball_freq/", "negative_moment/",
+                             "negative_moment_floor_sweep/")) for q in got)
     assert any(q.startswith("negative_moment/") for q in got)
     meta = json.loads((out / "smallball.meta.json").read_text())
-    assert meta["c_fit"] > 0
+    assert "c_fit" not in meta
     assert meta["blowups"] == []
 
 
@@ -722,11 +726,18 @@ def test_malliavin_rows_are_the_sample_set_estimators(tmp_path, seed):
         assert row["value"] == moment(fl).mean()
 
 
-def test_smallball_needs_nondegenerate_sigma(tmp_path, capsys):
-    code, _ = run_cli(["smallball"] + SMALL + ["--set", "sigma=zero"],
-                      tmp_path)
+def test_smallball_needs_nondegenerate_sigma(tmp_path, capsys, monkeypatch):
+    # refused before sampling: the sampler is a stub that raises (a zero
+    # sigma is constant, so its masses would draw no noise anyway)
+    def refuse(*args, **kwargs):
+        raise AssertionError("masses sampled")
+
+    monkeypatch.setattr(cli, "hnorm_samples", refuse)
+    code, out = run_cli(["smallball"] + SMALL + ["--set", "sigma=zero"],
+                        tmp_path)
     assert code == 1
-    assert "kappa" in capsys.readouterr().err
+    assert "needs sigma bounded below: kappa > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_density_subcommand(tmp_path):

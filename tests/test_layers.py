@@ -66,6 +66,15 @@ def random_sources(tree):
                     or name.startswith("numpy.random"))
 
 
+def test_malliavin_evaluates_no_kernel_series():
+    # the derivative layer reports what its samples say: the continuum
+    # kernel series are the kernel subcommand's, and a sampled estimator
+    # never sums one beside them
+    tree = ast.parse((PACKAGE / "malliavin.py").read_text(encoding="utf-8"))
+    assert "kernels" not in {name.split(".")[0]
+                             for name in imported_modules(tree)}
+
+
 def test_only_noise_draws_random_numbers():
     # the frozen variate derivation (RNG_SCHEME) has one home
     found = {path.name: sorted(set(random_sources(

@@ -9,7 +9,6 @@ finite-difference oracle.
 
 import dataclasses
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ import pytest
 from levyheat import (
     BlowUpError,
     GridSpec,
-    LevyExponent,
     OracleResult,
     RunConfig,
     SampleSet,
@@ -36,7 +34,6 @@ from levyheat import (
     propagate_derivative,
     run_ensemble,
     sample_noise,
-    smallball_lower_mass,
     smallball_probability,
     solve_path,
 )
@@ -268,7 +265,8 @@ def _probed(probe):
     lambda probe: hnorm_samples(_probed(probe)),
     lambda probe: negative_moment_estimate(
         hnorm_samples(_probed(probe))[0].values),
-    lambda probe: smallball_probability(_probed(probe), np.ones(2)),
+    lambda probe: smallball_probability(
+        hnorm_samples(_probed(probe))[0].values),
     lambda probe: noise_gradient_oracle(_probed(None), 0, (1, 1), probe),
 ], ids=["hnorm_samples", "negative_moment_estimate", "smallball_probability",
         "noise_gradient_oracle"])
@@ -335,6 +333,21 @@ def test_tail_bounded_nonlinear():
     assert tail[0.25] == mass
     with pytest.raises(ValueError):
         mass_of(cfg, path, xi, 5, deltas=(-0.1,))
+
+
+def test_a_window_holds_at_least_one_step():
+    # windows round to whole steps: one of at most dt/2 would hold no source
+    # cell and read 0, so the window check refuses it, naming dt
+    cfg = make_config(16, 8, 0.2, "one", replicas=2)
+    path, xi = solved(cfg)
+    dt = cfg.grid.dt
+    for short in (1e-9, 0.49 * dt, 0.5 * dt):
+        with pytest.raises(ValueError, match=f"half a time step, dt = {dt:g}"):
+            mass_of(cfg, path, xi, 3, deltas=(short,))
+        with pytest.raises(ValueError, match="half a time step"):
+            hnorm_samples(cfg, deltas=(0.1, short))
+    _, tail = mass_of(cfg, path, xi, 3, deltas=(0.51 * dt, dt))
+    assert tail[0.51 * dt] == tail[dt] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -536,25 +549,6 @@ def test_hnorm_memory_is_linear_in_the_grid():
 # small-ball analysis
 
 
-def test_lower_mass_scaling():
-    v1 = smallball_lower_mass(EXP15, 1.0, 1e-9)
-    v2 = smallball_lower_mass(EXP15, 1.0, 1e-6)
-    v3 = smallball_lower_mass(EXP15, 1.0, 1e-3)
-    assert 0.0 < v1 < v2 < v3
-    assert v1 < 1e-2
-    # kappa enters squared
-    assert smallball_lower_mass(EXP15, 2.0, 1e-3) == pytest.approx(4.0 * v3)
-    with pytest.raises(ValueError):
-        smallball_lower_mass(EXP15, 0.0, 1e-3)
-
-
-def test_lower_mass_slope():
-    ds = np.geomspace(1e-3, 1e-1, 7)
-    vals = [smallball_lower_mass(EXP15, 1.0, d) for d in ds]
-    slope = np.polyfit(np.log(ds), np.log(vals), 1)[0]
-    assert slope == pytest.approx(1.0 - 1.0 / 1.5, rel=0.03)
-
-
 def test_wilson_interval_values():
     # frozen against the standard score-interval formula at z for 95%
     lo, hi = _wilson(3, 10)
@@ -574,47 +568,21 @@ def test_smallball_additive_step_function():
     cfg = make_config(16, 8, 0.2, "one", replicas=8)
     v = additive_variance_exact(EXP2, cfg.grid)
     samples = hnorm_samples(cfg)[0].values
-    rep = smallball_probability(cfg, samples, eps_list=[0.5 * v, 2.0 * v])
+    rep = smallball_probability(samples, eps_list=[0.5 * v, 2.0 * v])
     assert float(np.ptp(samples)) == 0.0
     assert rep.freq[0] == 0.0 and rep.freq[1] == 1.0
     assert rep.ci_hi[0] > 0.0
     assert rep.ci_lo[1] < 1.0
-    assert np.all(rep.delta <= cfg.grid.horizon * (1 + 1e-12))
 
 
 def test_smallball_monotone_and_rows():
     cfg = make_config(16, 16, 0.25, "shifted_sine", seed=14, replicas=48)
-    rep = smallball_probability(cfg, hnorm_samples(cfg)[0].values,
+    rep = smallball_probability(hnorm_samples(cfg)[0].values,
                                 levels=[0.1, 0.25, 0.5, 0.75])
+    assert len(rep.eps) == 4
     assert np.all(np.diff(rep.eps) > 0)
     assert np.all(np.diff(rep.freq) >= 0)
     assert np.all((rep.ci_lo <= rep.freq) & (rep.freq <= rep.ci_hi))
-    assert rep.c_fit > 0
-
-
-def test_smallball_evaluates_each_series_mode_at_most_twice():
-    # the 16 fit windows share one streamed series pass and the eps windows
-    # a second; one pass per lower mass evaluated mode 1 23 times.  Series
-    # blocks start at a mode lo + 1 >= 1, grid symbols at mode 0
-    starts = []
-
-    def counting_phi(n):
-        n = np.asarray(n)
-        if n.size and n.min() >= 1:
-            starts.append(int(n.min()))
-        return EXP15.phi(n)
-
-    exp_ = LevyExponent(phi=counting_phi, alpha=1.5, beta=1.5, c_lower=1.0,
-                        c_upper=1.0)
-    cfg = make_config(16, 8, 0.2, "shifted_sine", exponent=exp_, replicas=16)
-    samples = hnorm_samples(cfg)[0].values
-    starts.clear()
-    rep = smallball_probability(cfg, samples)
-    counts = Counter(starts)
-    assert counts[1] == 2 and max(counts.values()) == 2
-    # a shared pass gives each window the bits of its own series
-    assert list(rep.lower_mass) == [
-        smallball_lower_mass(exp_, cfg.sigma.kappa, d) for d in rep.delta]
 
 
 def test_smallball_probability_draws_no_noise(monkeypatch):
@@ -622,7 +590,7 @@ def test_smallball_probability_draws_no_noise(monkeypatch):
     # filler, which every noise draw goes through, would raise
     cfg = make_config(16, 8, 0.2, "shifted_sine", seed=3, replicas=40)
     samples = hnorm_samples(cfg)[0].values
-    want = smallball_probability(cfg, samples)
+    want = smallball_probability(samples)
 
     def refuse(*args):
         raise AssertionError("noise drawn")
@@ -630,20 +598,18 @@ def test_smallball_probability_draws_no_noise(monkeypatch):
     monkeypatch.setattr(noise, "_normal_block", refuse)
     with pytest.raises(AssertionError, match="noise drawn"):
         hnorm_samples(cfg)
-    got = smallball_probability(cfg, samples)
-    for name in ("eps", "freq", "ci_lo", "ci_hi", "delta", "lower_mass"):
+    got = smallball_probability(samples)
+    for name in ("eps", "freq", "ci_lo", "ci_hi"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     # hits are counted once; hits / n has the bits of the mean of the hits
     assert got.freq.tolist() == [(samples < e).mean() for e in got.eps]
 
 
 def test_smallball_validation():
-    cfg = make_config(16, 8, 0.2, "zero")
-    with pytest.raises(ValueError):
-        smallball_probability(cfg, np.ones(4))
-    cfg2 = make_config(16, 8, 0.2, "one")
-    with pytest.raises(ValueError):
-        smallball_probability(cfg2, np.ones(4), eps_list=[-1.0, 0.5])
+    with pytest.raises(ValueError, match="eps values must be positive"):
+        smallball_probability(np.ones(4), eps_list=[-1.0, 0.5])
+    with pytest.raises(ValueError, match="quantile level"):
+        smallball_probability(np.ones(4), levels=[0.5, 1.5])
 
 
 # ---------------------------------------------------------------------------
