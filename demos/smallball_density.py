@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 
 import levyheat as lh
+from levyheat.cli import SMALLBALL_LEVELS
 
 exp2 = lh.make_power_exponent(1.0, 2.0)
 grid = lh.GridSpec(m_space=16, k_time=16, horizon=0.25)
@@ -17,18 +18,24 @@ u0 = lh.field_from_function(lambda x: 0.0 * x, 16)
 cfg = lh.RunConfig(grid=grid, exponent=exp2, sigma=lh.get_sigma("shifted_sine"),
                    u0=u0, seed=7, replicas=512)
 
-print("small-ball frequencies of |Du|^2 at the final-time probe")
+print("small-ball quantiles of |Du|^2 at the final-time probe")
 mass, _ = lh.hnorm_samples(cfg)
-rep = lh.smallball_probability(mass.values)
+floor = lh.certified_floor(cfg)
 print(f"  replicas {len(mass)}, sample range "
-      f"[{mass.values.min():.4f}, {mass.values.max():.4f}]")
-print(f"  {'eps':>10} {'freq':>8} {'wilson 95% ci':>22}")
-for e, f, lo, hi in zip(rep.eps, rep.freq, rep.ci_lo, rep.ci_hi):
-    print(f"  {e:10.4f} {f:8.4f}   [{lo:7.4f}, {hi:7.4f}]")
+      f"[{mass.values.min():.4f}, {mass.values.max():.4f}], "
+      f"certified floor {floor:.5f}")
+print(f"  {'level':>6} {'quantile':>9} {'95% order-statistic ci':>24}")
+values = []
+for q in SMALLBALL_LEVELS:
+    value, lo, hi = mass.quantile(q)
+    values.append(value)
+    print(f"  {q:6.2f} {value:9.4f}   [{lo:8.4f}, {hi:8.4f}]")
 
-mask = (rep.freq > 0) & (rep.freq < 1)
-fit = lh.fit_slope(rep.eps[mask], rep.freq[mask])
-print(f"  log-log trend: slope {fit.slope:+.2f}, r2 {fit.r2:.4f}")
+fit = lh.fit_slope(values, SMALLBALL_LEVELS)
+print(f"  log level against log quantile: slope {fit.slope:+.2f}, "
+      f"r2 {fit.r2:.4f}")
+print(f"  no replica lies below the floor: P(mass < {floor:.5f}) = 0 on the "
+      "scheme")
 
 print()
 print("negative moment of the mass (floor-regularized)")

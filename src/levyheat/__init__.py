@@ -41,13 +41,12 @@ from .solver import (
 from .malliavin import (
     NegativeMomentReport,
     OracleResult,
-    SmallBallReport,
+    certified_floor,
     hnorm_samples,
     hnorm_sq,
     negative_moment_estimate,
     noise_gradient_oracle,
     propagate_derivative,
-    smallball_probability,
 )
 from .mcstats import (
     DegenerateSamplesError,

@@ -14,7 +14,6 @@ overrides everything (its use is recorded in the metadata).
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -34,16 +33,14 @@ from .kernels import (
     verify_kernel_bounds,
 )
 from .noise import RNG_SCHEME, GridSpec
-from .solver import (BlowUpError, RunConfig, check_moment_order, get_sigma,
-                     picard_sequence)
+from .solver import (BlowUpError, RunConfig, check_levels,
+                     check_moment_order, get_sigma, picard_sequence)
 from .malliavin import (
-    SMALLBALL_LEVELS,
+    certified_floor,
     check_floor,
-    check_levels,
     check_windows,
     hnorm_samples,
     negative_moment_estimate,
-    smallball_probability,
 )
 from .mcstats import (
     DegenerateSamplesError,
@@ -55,6 +52,8 @@ from .mcstats import (
 )
 
 SEED_ENV = "LEVYHEAT_SEED"
+# default small-ball quantile levels of the derivative mass
+SMALLBALL_LEVELS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 class ConfigError(ValueError):
@@ -69,8 +68,8 @@ class NumericalError(RuntimeError):
 # exactly 0 on one of the SENTINELS means "derive the default"
 SCHEMA = {
     "alpha": (float, 2.0, "lower power of the exponent envelope"),
-    "beta": (float, 0.0,
-             "upper power of the envelope; 0 means alpha, negative is refused"),
+    "beta": (float, 0.0, "upper power for check-exponent and the "
+             "scaled_beta rows; 0 means alpha, negative is refused"),
     "scale": (float, 1.0, "coefficient of re phi(n) = scale |n|^alpha"),
     "drift": (float, 0.0, "imaginary drift: phi(n) += i drift n"),
     "m_space": (int, 64, "spatial grid points"),
@@ -90,7 +89,7 @@ SCHEMA = {
     "picard_beta": (float, 64.0, "exponential weight of the iteration norm"),
     "moment_p": (float, 2.0, "moment order for picard and negative moments"),
     "levels": (str, ",".join(map(str, SMALLBALL_LEVELS)),
-               "small-ball quantile levels, comma separated"),
+               "small-ball quantile levels in (0, 1), comma separated"),
     "deltas": (str, "", "derivative tail windows, comma separated"),
     "bandwidth": (float, 0.0,
                   "density bandwidth; 0 means Silverman rule, negative is refused"),
@@ -176,12 +175,15 @@ def effective_config(args):
 # value runs as well; a subcommand runs it before it draws any noise
 ESTIMATOR_CHECKS = {"moment_p": check_moment_order, "floor": check_floor,
                     "levels": check_levels, "deltas": check_windows}
+# the row each value of a comma-list key names
+ROW_NAMES = {"levels": "smallball_quantile/level={:g}",
+             "deltas": "hnorm_tail_mean/delta={:.6e}"}
 
 
 def _estimator_args(cfg, *keys, dt=None):
     """The values of estimator keys, a comma list as its floats; a value
-    that does not parse or that its check refuses is a config error that
-    names the key."""
+    that does not parse, that its check refuses, or that names the row of
+    another value is a config error that names the key."""
     values = []
     for key in keys:
         value = cfg[key]
@@ -189,6 +191,9 @@ def _estimator_args(cfg, *keys, dt=None):
             if isinstance(value, str):
                 value = [float(tok) for tok in value.split(",") if tok.strip()]
             ESTIMATOR_CHECKS[key](value, *([dt] if key == "deltas" else []))
+            if key in ROW_NAMES and len(value) > len(
+                    {ROW_NAMES[key].format(v) for v in value}):
+                raise ValueError(f"two values name one row, got {cfg[key]!r}")
         except ValueError as err:
             raise ConfigError(f"{key}: {err}") from None
         values.append(value)
@@ -202,12 +207,11 @@ def _beta(cfg):
 
 
 def build_exponent(cfg):
-    alpha = cfg["alpha"]
-    beta = _beta(cfg)
-    exp_ = make_power_exponent(cfg["scale"], alpha, drift=cfg["drift"])
-    if beta != alpha:
-        exp_ = dataclasses.replace(exp_, beta=beta)
-    return exp_
+    # phi is exactly scale |n|^alpha, so the series take its tight
+    # envelope; beta, checked here, feeds only check-exponent and the
+    # scaled_beta rows
+    check_exponent_condition(cfg["alpha"], _beta(cfg))
+    return make_power_exponent(cfg["scale"], cfg["alpha"], drift=cfg["drift"])
 
 
 def build_run_config(cfg):
@@ -244,15 +248,20 @@ def cmd_kernel(cfg, args, head):
     t_grid = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     report = verify_kernel_bounds(exp_, t_grid, beta_param=cfg["picard_beta"],
                                   tol=cfg["tol"])
+    # t^(1/alpha) ||q_t||^2 stays bounded above and t^(1/beta) ||q_t||^2
+    # below, where alpha <= beta bracket Re phi
+    scaled_alpha, scaled_beta = (
+        report.t_grid ** (1.0 / power) * report.norm_sq
+        for power in (cfg["alpha"], _beta(cfg)))
     rows = []
     for i, t in enumerate(report.t_grid):
         rows += [
             make_row(*head, "kernel_l2_norm_sq", report.norm_sq[i],
                      tail_bound=report.norm_tails[i], t=t),
             make_row(*head, "kernel_l2_norm_sq_scaled_alpha",
-                     report.scaled_alpha[i], t=t),
-            make_row(*head, "kernel_l2_norm_sq_scaled_beta",
-                     report.scaled_beta[i], t=t),
+                     scaled_alpha[i], t=t),
+            make_row(*head, "kernel_l2_norm_sq_scaled_beta", scaled_beta[i],
+                     t=t),
             make_row(*head, "kernel_l2_time_integral", report.cumulative[i],
                      tail_bound=report.cumulative_tails[i], t=t),
         ]
@@ -317,10 +326,6 @@ def _negative_moment_rows(samples, cfg, head, where):
 def cmd_malliavin(cfg, args, head):
     run = build_run_config(cfg)
     deltas, = _estimator_args(cfg, "deltas", dt=run.grid.dt)
-    names = [f"hnorm_tail_mean/delta={d:.6e}" for d in deltas]
-    if len(set(names)) < len(names):
-        raise ConfigError(f"deltas: two windows name one row to 7 "
-                          f"significant digits, got {cfg['deltas']!r}")
     if run.sigma.kappa > 0:  # the negative moment reads them
         _estimator_args(cfg, "moment_p", "floor")
     mass, tails = hnorm_samples(run, workers=args.workers, deltas=deltas)
@@ -331,8 +336,8 @@ def cmd_malliavin(cfg, args, head):
         make_row(*head, "hnorm_mean", mean, se, **where),
         make_row(*head, "hnorm_sd", mass.sd(), **where),
     ]
-    for name, d in zip(names, deltas):
-        rows.append(make_row(*head, name, tails[d].mean(), **where))
+    rows += [make_row(*head, ROW_NAMES["deltas"].format(d), tails[d].mean(),
+                      **where) for d in deltas]
     if run.sigma.kappa > 0:
         nm, nm_rows = _negative_moment_rows(mass.values, cfg, head, where)
         rows += nm_rows
@@ -351,16 +356,19 @@ def cmd_smallball(cfg, args, head):
                           "kappa > 0")
     levels, _, _ = _estimator_args(cfg, "levels", "moment_p", "floor")
     mass, _ = hnorm_samples(run, workers=args.workers)
-    report = smallball_probability(mass.values, levels=levels)
     t, x = run.probe
     where = dict(t=t, x=x, replica_count=len(mass))
-    rows = [make_row(*head, f"smallball_freq/eps={e:.6e}", f,
-                     0.5 * (hi - lo), **where)
-            for e, f, lo, hi in zip(report.eps, report.freq, report.ci_lo,
-                                    report.ci_hi)]
+    floor = certified_floor(run)
+    rows = [make_row(*head, "smallball_certified_floor", floor, **where)]
+    quantiles = [mass.quantile(q) for q in levels]
+    # the stderr column holds the half-width of the 95% interval
+    rows += [make_row(*head, ROW_NAMES["levels"].format(q), value,
+                      0.5 * (hi - lo), **where)
+             for q, (value, lo, hi) in zip(levels, quantiles)]
     rows += _negative_moment_rows(mass.values, cfg, head, where)[1]
-    summary = (f"smallball: {len(report.eps)} eps levels, freq "
-               f"{report.freq.min():.3g}..{report.freq.max():.3g}")
+    summary = (f"smallball: quantiles {min(quantiles)[0]:.6g}.."
+               f"{max(quantiles)[0]:.6g} at {len(levels)} levels, certified "
+               f"floor {floor:.6g}")
     return rows, {"blowups": mass.blowups}, summary
 
 
@@ -408,7 +416,7 @@ COMMANDS = {
     "simulate": (cmd_simulate, "Monte Carlo moments of u at the probe"),
     "picard": (cmd_picard, "successive Picard difference norms"),
     "malliavin": (cmd_malliavin, "derivative mass statistics at the probe"),
-    "smallball": (cmd_smallball, "small-ball frequencies of the derivative mass"),
+    "smallball": (cmd_smallball, "small-ball quantiles of the derivative mass"),
     "density": (cmd_density, "density estimate and smoothness diagnostics"),
     "check-exponent": (cmd_check_exponent,
                        "smoothness admissibility of an (alpha, beta) pair"),

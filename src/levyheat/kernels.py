@@ -799,8 +799,6 @@ class KernelBoundReport:
     t_grid: np.ndarray
     norm_sq: np.ndarray
     norm_tails: np.ndarray
-    scaled_alpha: np.ndarray      # t^(1/alpha) * ||q_t||^2, bounded above
-    scaled_beta: np.ndarray       # t^(1/beta) * ||q_t||^2, bounded below
     cumulative: np.ndarray        # int_0^t ||q_s||^2 ds
     cumulative_tails: np.ndarray  # certified error of each cumulative
     slope_norm: float
@@ -815,10 +813,11 @@ class KernelBoundReport:
 def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
     """Evaluate the two-sided power bounds on ||q_t||^2 over a time grid.
 
-    Reports t^(1/alpha)- and t^(1/beta)-scaled norms (these stay bounded when
-    the envelope holds), fitted log-log slopes for the norm and its running
-    integral, and sup_t e^{-beta t} int_0^t ||q_s||^2 ds next to the Laplace
-    mass at beta, which bounds it (e^{-beta t} <= e^{-beta s} for s <= t).
+    Reports the certified norms (t^(1/alpha) ||q_t||^2 stays bounded above
+    and t^(1/beta) ||q_t||^2 below when the envelope holds), fitted log-log
+    slopes for the norm and its running integral, and
+    sup_t e^{-beta t} int_0^t ||q_s||^2 ds next to the Laplace mass at beta,
+    which bounds it (e^{-beta t} <= e^{-beta s} for s <= t).
     """
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if len(t_grid) < 3 or t_grid[0] <= 0.0:
@@ -840,8 +839,6 @@ def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
         t_grid=t_grid,
         norm_sq=norm_sq,
         norm_tails=tails,
-        scaled_alpha=t_grid ** (1.0 / exp_.alpha) * norm_sq,
-        scaled_beta=t_grid ** (1.0 / exp_.beta) * norm_sq,
         cumulative=cumulative,
         cumulative_tails=cumulative_tails,
         slope_norm=slope_n,

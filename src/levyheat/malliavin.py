@@ -18,21 +18,18 @@ quotient.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .noise import _NoiseRows
 from .solver import (BlowUpError, SampleSet, _Scheme, _evolve_batch,
-                     adjoint_gradient, check_moment_order, linearize,
-                     sample_at_probe)
+                     adjoint_gradient, check_moment_order, get_sigma,
+                     linearize, sample_at_probe)
 
 # replicas per hnorm chunk times (k_p + 1) m_space: each replica holds its
 # noise, path and gradient rows, O(k_p m_space) words apiece
 HNORM_CHUNK_WORDS = 2 ** 20
-# quantile levels of the default small-ball eps: the resolvable range, where
-# frequencies are neither all-zero nor saturated
-SMALLBALL_LEVELS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 def propagate_derivative(path, xi, exp_, sigma, grid, source, until_k=None):
@@ -136,6 +133,17 @@ def noise_gradient_oracle(config, replica, source, probe):
                         richardson_err=float(err), reliable=bool(reliable))
 
 
+def certified_floor(config):
+    """m_kappa = kappa^2 |W_{k_p-1}|^2 dt dx, below which no replica's mass
+    lies.  The sweep's last row is sigma(u_{k_p-1}) W_{k_p-1}, W the row of
+    a unit sigma, and every earlier row adds a nonnegative term; so each
+    mass is at least that row's, and |sigma| >= kappa.  A probe at t = 0
+    has mass 0 and floor 0."""
+    _, rows, _ = linearize(replace(config, sigma=get_sigma("one")))
+    weight = config.grid.dt * config.grid.dx
+    return config.sigma.kappa ** 2 * float(np.sum(rows[0, -1:] ** 2)) * weight
+
+
 # ---------------------------------------------------------------------------
 # sampling drivers
 
@@ -175,51 +183,6 @@ def hnorm_samples(config, workers=1, deltas=()):
     mass, *tails = sample_at_probe(config, chunk, read, workers,
                                    keep_path=True)
     return mass, dict(zip(map(float, deltas), tails))
-
-
-def _wilson(successes, n, z=1.959963984540054):
-    p_hat = successes / n
-    denom = 1.0 + z * z / n
-    center = (p_hat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n)) / denom
-    return max(center - half, 0.0), min(center + half, 1.0)
-
-
-@dataclass
-class SmallBallReport:
-    """Frequencies P(mass < eps) of mass samples, with Wilson intervals."""
-
-    eps: np.ndarray
-    freq: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
-
-
-def check_levels(levels):
-    """Refuse quantile levels that are none, or not finite and in [0, 1]."""
-    if not (len(levels) and all(0.0 <= q <= 1.0 for q in levels)):
-        raise ValueError("need at least one quantile level, each finite "
-                         f"and in [0, 1], got {list(levels)}")
-
-
-def smallball_probability(samples, eps_list=None, levels=SMALLBALL_LEVELS):
-    """Small-ball frequencies of derivative mass samples; nothing is drawn
-    here.  eps defaults to the samples' quantiles at levels, and a zero-hit
-    eps still gets a positive Wilson upper bound."""
-    samples = np.asarray(samples, dtype=float)
-    n = len(samples)
-    if eps_list is None:
-        check_levels(levels)
-        eps = np.quantile(samples, levels)
-        eps = np.unique(eps[eps > 0])
-    else:
-        eps = np.sort(np.asarray(eps_list, dtype=float))
-        if np.any(eps <= 0):
-            raise ValueError("eps values must be positive")
-    hits = [int(np.count_nonzero(samples < e)) for e in eps]
-    ci = np.array([_wilson(h, n) for h in hits])
-    return SmallBallReport(eps=eps, freq=np.array(hits) / n,
-                           ci_lo=ci[:, 0], ci_hi=ci[:, 1])
 
 
 @dataclass

@@ -284,11 +284,19 @@ def map_chunks(fn, n_items, chunk, workers=1):
             yield pending.popleft().result()
 
 
+def check_levels(levels):
+    """Refuse quantile levels that are none, or not in (0, 1): the 0 and 1
+    quantiles have no two-sided interval."""
+    if not (len(levels) and all(0.0 < q < 1.0 for q in levels)):
+        raise ValueError("need at least one quantile level, each in (0, 1), "
+                         f"got {list(levels)}")
+
+
 @dataclass
 class SampleSet:
     """Replica values of one sampled quantity without the blow-ups, listed
     as (replica, step, magnitude), and the one Monte Carlo estimator of
-    every mean, variance and stderr the package reports."""
+    every mean, variance, stderr and quantile the package reports."""
 
     values: np.ndarray
     blowups: list = field(default_factory=list)
@@ -316,6 +324,28 @@ class SampleSet:
         var = self.variance()
         m4 = float(np.mean((self.values - self.mean()) ** 4))
         return math.sqrt(max(m4 - var ** 2, 0.0) / len(self))
+
+    def quantile(self, q):
+        """(value, lo, hi): np.quantile's q sample quantile and the
+        distribution-free 95% interval [X_(j), X_(k)] of the true one.  The
+        count of values below it is binomial(n, q), and j and k - 1 are that
+        law's 2.5% and 97.5% points.  X_(0) is 0, the floor of a
+        nonnegative quantity such as a derivative mass; a level whose
+        interval needs X_(n+1) is refused."""
+        check_levels([q])
+        n = len(self)
+        i = np.arange(n + 1)
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(i[1:]))))
+        cdf = np.cumsum(np.exp(log_fact[n] - log_fact[i] - log_fact[n - i]
+                               + i * math.log(q) + (n - i) * math.log1p(-q)))
+        j, k = np.searchsorted(cdf, (0.025, 0.975)) + (0, 1)
+        if k > n:
+            raise ValueError(f"level {q:g} has no 95% interval from n = {n} "
+                             "samples: the upper end would lie past the "
+                             "largest")
+        order = np.concatenate(([0.0], np.sort(self.values)))
+        return (float(np.quantile(self.values, q)), float(order[j]),
+                float(order[k]))
 
 
 def adjoint_gradient(path, xi, exp_, sigma, grid, k_p, i_p):

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import ndtr
 
 import levyheat as lh
-from levyheat.cli import parse_and_dispatch
+from levyheat.cli import SMALLBALL_LEVELS, parse_and_dispatch
 
 EXP2 = lh.make_power_exponent(1.0, 2.0)
 EXP15 = lh.make_power_exponent(1.0, 1.5)
@@ -176,26 +176,28 @@ def test_output_determinism(tmp_path):
 
 
 def test_smallball_qualitative():
-    # bounded-below sigma: the derivative-mass small-ball frequency rises
-    # with the level, with a clean positive log-log trend; constant sigma
+    # bounded-below sigma: the derivative-mass quantiles rise with the
+    # level, above the certified floor, and log level against log quantile
+    # is a clean positive trend (the small-ball exponent); constant sigma
     # collapses the mass to a deterministic point
     grid = lh.GridSpec(m_space=16, k_time=16, horizon=0.25)
     cfg = lh.RunConfig(grid=grid, exponent=EXP2,
                        sigma=lh.get_sigma("shifted_sine"),
                        u0=zero_field(16), seed=7, replicas=512)
-    rep = lh.smallball_probability(lh.hnorm_samples(cfg)[0].values)
-    monotone = bool(np.all(np.diff(rep.freq) >= 0.0))
-    mask = (rep.freq > 0.0) & (rep.freq < 1.0)
-    fit = lh.fit_slope(rep.eps[mask], rep.freq[mask])
+    mass = lh.hnorm_samples(cfg)[0]
+    levels = SMALLBALL_LEVELS
+    value, lo, hi = np.array([mass.quantile(q) for q in levels]).T
+    monotone = bool(np.all(np.diff(value) > 0.0))
+    floored = bool(lh.certified_floor(cfg) <= mass.values.min())
+    fit = lh.fit_slope(value, levels)
 
     cfg1 = lh.RunConfig(grid=grid, exponent=EXP2, sigma=lh.get_sigma("one"),
-                        u0=zero_field(16), seed=7, replicas=64)
+                        u0=zero_field(16), seed=7, replicas=512)
     v = lh.additive_variance_exact(EXP2, grid)
-    samples1 = lh.hnorm_samples(cfg1)[0].values
-    rep1 = lh.smallball_probability(samples1, eps_list=[0.5 * v, 2.0 * v])
-    additive_exact = (float(np.ptp(samples1)) == 0.0
-                      and rep1.freq[0] == 0.0 and rep1.freq[1] == 1.0)
+    mass1 = lh.hnorm_samples(cfg1)[0]
+    additive_exact = all(value1 == lo1 == hi1 == pytest.approx(v, rel=1e-12)
+                         for value1, lo1, hi1 in map(mass1.quantile, levels))
 
-    ok = (monotone and int(mask.sum()) >= 4 and fit.slope > 0.0
+    ok = (monotone and floored and bool(np.all(lo < hi)) and fit.slope > 0.0
           and fit.r2 > 0.9 and additive_exact)
     assert verdict(10, "smallball-qualitative", ok)

@@ -4,7 +4,6 @@ parse_and_dispatch, so stdout/stderr and the filesystem are observable."""
 
 import json
 import math
-import re
 import warnings
 
 import numpy as np
@@ -144,9 +143,12 @@ def test_derivative_blowups_are_numerical_error(tmp_path, capsys, subcommand):
 def test_derivative_blowups_reported_and_excluded(tmp_path, capsys,
                                                   subcommand):
     # u0 = A sin x with A exp(-dt) a hair below the 1e12 blow-up threshold:
-    # after the first step the noise pushes some replicas over it, not all
+    # after the first step the noise pushes some replicas over it, not all.
+    # 5 replicas survive, too few for a 95% interval of the default 0.5
+    # quantile, so smallball takes a lower level
     code, out = run_cli([subcommand] + SMALL + [
-        "--set", "u0=sin", "--set", "u0_amp=1025315120524.2238"], tmp_path)
+        "--set", "u0=sin", "--set", "u0_amp=1025315120524.2238",
+        "--set", "levels=0.25"], tmp_path)
     assert code == 0
     assert "replicas blew up and were excluded" in capsys.readouterr().err
     meta = json.loads((out / f"{subcommand}.meta.json").read_text())
@@ -234,17 +236,46 @@ def test_unattainable_series_tolerance_is_numerical_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("levyheat:error:numerical: series tolerance")
     assert not (out / "kernel.csv").exists()
-    # a loose envelope brackets the tail of the time-integral series only to
-    # order n^(1 - alpha); the message says which envelope and what to change
+
+
+def test_kernel_beta_scales_rows_and_leaves_the_series_tight(tmp_path,
+                                                             capsys):
+    # phi is exactly |n|^alpha, so the series keep the tight envelope at
+    # any beta: beta = 1.6 certifies at the default tol, every series row
+    # is the beta = alpha one, and beta scales only its own rows, as alpha
+    # scales its own
     code, out = run_cli(["kernel", "--set", "alpha=1.5", "--set", "beta=1.6"],
                         tmp_path, "loose")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("levyheat:error:numerical: series tolerance")
-    for part in ("alpha=1.5", "beta=1.6", "c_lower=1.0", "c_upper=1.0",
-                 "n^(1-alpha)", "looser tol"):
-        assert part in err
-    assert not (out / "kernel.csv").exists()
+    assert code == 0
+    code, tight = run_cli(["kernel", "--set", "alpha=1.5"], tmp_path, "tight")
+    assert code == 0
+    rows = load_rows(str(out / "kernel.csv"))
+    same = load_rows(str(tight / "kernel.csv"))
+    norm = {r["t"]: r["value"] for r in rows
+            if r["quantity"] == "kernel_l2_norm_sq"}
+    assert len(rows) == len(same)
+    for row, ref in zip(rows, same):
+        assert (row["quantity"], row["t"], row["beta"], ref["beta"]) == \
+            (ref["quantity"], ref["t"], 1.6, 1.5)
+        power = {"kernel_l2_norm_sq_scaled_alpha": 1.5,
+                 "kernel_l2_norm_sq_scaled_beta": 1.6}.get(row["quantity"])
+        if power:
+            assert row["value"] == pytest.approx(
+                row["t"] ** (1.0 / power) * norm[row["t"]], rel=1e-15)
+            assert row["value"] > 0
+        else:
+            assert (row["value"], row["tail_bound"]) == \
+                (ref["value"], ref["tail_bound"])
+    # beta is still checked: above 2 or below alpha is a config error
+    for beta in ("3", "1.4"):
+        code, out = run_cli(["kernel", "--set", "alpha=1.5", "--set",
+                             f"beta={beta}"], tmp_path, f"beta-{beta}")
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "levyheat:error:config: " + ("beta must lie in (1, 2]"
+                                         if beta == "3" else
+                                         "need alpha <= beta"))
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
@@ -356,7 +387,7 @@ def test_config_file_errors(tmp_path, capsys):
 
 
 def test_rerun_byte_identical(tmp_path):
-    args = ["smallball"] + SMALL + ["--set", "levels=0.25,0.5,0.75"]
+    args = ["smallball"] + SMALL + ["--set", "levels=0.1,0.25,0.5"]
     _, out_a = run_cli(args, tmp_path, "a")
     _, out_b = run_cli(args, tmp_path, "b")
     assert (out_a / "smallball.csv").read_bytes() == \
@@ -369,7 +400,7 @@ def test_rerun_byte_identical(tmp_path):
                                         "malliavin", "smallball", "density",
                                         "check-exponent"])
 def test_worker_count_never_changes_bytes(tmp_path, subcommand):
-    args = [subcommand] + SMALL + ["--set", "levels=0.25,0.5,0.75"]
+    args = [subcommand] + SMALL + ["--set", "levels=0.1,0.25,0.5"]
     code_a, out_a = run_cli(args + ["--workers", "1"], tmp_path, "w1")
     code_b, out_b = run_cli(args + ["--workers", "8"], tmp_path, "w8")
     assert code_a == code_b == 0
@@ -468,7 +499,7 @@ def test_a_non_finite_config_value_is_refused_before_the_run(
 
 
 # (quantity, t, x, replica_count) of every row each subcommand writes at
-# SMALL with three levels and two deltas; the number after eps= is Monte Carlo
+# SMALL with three levels and two deltas
 KERNEL_T = (1e-05, 1.778279410038923e-05, 3.1622776601683795e-05,
             5.623413251903491e-05, 0.0001, 0.00017782794100389227,
             0.00031622776601683794, 0.0005623413251903491, 0.001)
@@ -490,8 +521,9 @@ ROW_KEYS = {
     "malliavin": [(q, 0.2, 0.0, 8) for q in (
         "hnorm_mean", "hnorm_sd", "hnorm_tail_mean/delta=1.000000e-01",
         "hnorm_tail_mean/delta=5.000000e-02", *NEGATIVE_MOMENT)],
-    "smallball": [(q, 0.2, 0.0, 8) for q in NEGATIVE_MOMENT
-                  + 3 * ["smallball_freq/eps=*"]],
+    "smallball": [(q, 0.2, 0.0, 8) for q in NEGATIVE_MOMENT + [
+        "smallball_certified_floor", "smallball_quantile/level=0.1",
+        "smallball_quantile/level=0.25", "smallball_quantile/level=0.5"]],
     "density": [(q, 0.2, 0.0, 8) for q in (
         "density_bandwidth", "density_d2_sign_changes", "density_integral",
         "density_max_d1", "density_max_d2", "density_under_smoothed")],
@@ -502,12 +534,12 @@ ROW_KEYS = {
 @pytest.mark.parametrize("subcommand", list(ROW_KEYS))
 def test_row_keys_pinned(tmp_path, subcommand):
     code, out = run_cli([subcommand] + SMALL
-                        + ["--set", "levels=0.25,0.5,0.75",
+                        + ["--set", "levels=0.1,0.25,0.5",
                            "--set", "deltas=0.05,0.1"], tmp_path)
     assert code == 0
     rows = load_rows(str(out / f"{subcommand.replace('-', '_')}.csv"))
-    got = sorted((re.sub(r"/eps=.*$", "/eps=*", r["quantity"]), r["t"], r["x"],
-                  r["replica_count"]) for r in rows)
+    got = sorted((r["quantity"], r["t"], r["x"], r["replica_count"])
+                 for r in rows)
     want = sorted(ROW_KEYS[subcommand])
     assert [(q, x, n) for q, _, x, n in got] == [(q, x, n) for q, _, x, n in want]
     assert [t for _, t, _, _ in got] == pytest.approx(
@@ -621,17 +653,24 @@ def test_nan_parameters_are_config_errors(tmp_path, capsys, monkeypatch,
     ("malliavin", "floor=0", "floor: need floor > 0 and finite, got 0.0"),
     ("smallball", "floor=-1e-8", "floor: need floor > 0 and finite"),
     ("smallball", "levels=1.5", "levels: need at least one quantile level, "
-     "each finite and in [0, 1], got [1.5]"),
+     "each in (0, 1), got [1.5]"),
     ("smallball", "levels=0.5,-0.1", "levels: need at least one quantile"),
     ("smallball", "levels=nan", "levels: need at least one quantile"),
     ("smallball", "levels=", "levels: need at least one quantile"),
+    ("smallball", "levels=0", "levels: need at least one quantile level, "
+     "each in (0, 1), got [0.0]"),
+    ("smallball", "levels=0.5,1", "levels: need at least one quantile"),
+    ("smallball", "levels=0.5,0.5", "levels: two values name one row, "
+     "got '0.5,0.5'"),
+    ("smallball", "levels=0.1,0.50000001,0.5", "levels: two values name one "
+     "row"),
     ("malliavin", "deltas=-1", "deltas: tail windows must be positive and "
      "finite, got [-1.0]"),
     ("malliavin", "deltas=0.05,0.005", "deltas: tail windows must exceed "
      "half a time step, dt = 0.025, got [0.05, 0.005]"),
-    ("malliavin", "deltas=0.05,0.05", "deltas: two windows name one row"),
+    ("malliavin", "deltas=0.05,0.05", "deltas: two values name one row"),
     ("malliavin", "deltas=0.1,0.05,0.0500000001",
-     "deltas: two windows name one row"),
+     "deltas: two values name one row"),
 ])
 def test_bad_estimator_arguments_are_refused_before_sampling(
         tmp_path, capsys, monkeypatch, subcommand, setting, message):
@@ -652,13 +691,18 @@ def test_bad_estimator_arguments_are_refused_before_sampling(
 
 
 def test_duplicate_levels_are_merged_and_close_windows_kept(tmp_path):
-    # levels that give one eps make one row; windows whose names differ in
-    # the 7th significant digit make two
+    # two levels that name one row are refused (see the refusals above);
+    # levels and windows whose names differ in their last written digit
+    # make two rows each
     code, out = run_cli(["smallball"] + SMALL + ["--set", "levels=0.5,0.5"],
-                        tmp_path)
+                        tmp_path, "same")
+    assert code == 1 and not out.exists()
+    code, out = run_cli(["smallball"] + SMALL
+                        + ["--set", "levels=0.5,0.500001"], tmp_path)
     assert code == 0
     got = rows_by_quantity(out / "smallball.csv")
-    assert len([q for q in got if q.startswith("smallball_freq/")]) == 1
+    assert {q for q in got if q.startswith("smallball_quantile/")} == {
+        "smallball_quantile/level=0.5", "smallball_quantile/level=0.500001"}
     code, out = run_cli(["malliavin"] + SMALL
                         + ["--set", "deltas=0.05,0.05000001"], tmp_path, "w")
     assert code == 0
@@ -681,20 +725,50 @@ def test_malliavin_subcommand(tmp_path):
 
 
 def test_smallball_subcommand_rows(tmp_path):
+    # each level's row is SampleSet.quantile's value, with the half-width
+    # of its interval as the stderr; no mass lies below the certified floor
     code, out = run_cli(["smallball"] + SMALL, tmp_path)
     assert code == 0
     got = rows_by_quantity(out / "smallball.csv")
-    freqs = {q: r for q, r in got.items() if q.startswith("smallball_freq/")}
-    assert freqs
-    for r in freqs.values():
-        assert 0.0 <= r["value"] <= 1.0
-    # the sampled frequencies and the negative moment, and nothing else
-    assert all(q.startswith(("smallball_freq/", "negative_moment/",
-                             "negative_moment_floor_sweep/")) for q in got)
-    assert any(q.startswith("negative_moment/") for q in got)
+    mass, _ = hnorm_samples(sampled_config(["smallball"] + SMALL))
+    floor = got.pop("smallball_certified_floor")["value"]
+    for q in SCHEMA["levels"][1].split(","):
+        value, lo, hi = mass.quantile(float(q))
+        row = got.pop(f"smallball_quantile/level={q}")
+        assert (row["value"], row["stderr"]) == (value, 0.5 * (hi - lo))
+        assert lo <= value <= hi and 0.0 < floor <= min(mass.values)
+    # the negative moment, and nothing else
+    assert got and all(q.startswith(("negative_moment/",
+                                     "negative_moment_floor_sweep/"))
+                       for q in got)
     meta = json.loads((out / "smallball.meta.json").read_text())
-    assert "c_fit" not in meta
     assert meta["blowups"] == []
+
+
+def test_smallball_row_names_do_not_depend_on_the_seed(tmp_path):
+    # a row is named by its level, not by a sampled value; the values move
+    rows = {}
+    for seed in ("0", "1"):
+        code, out = run_cli(["smallball"] + SMALL + ["--seed", seed],
+                            tmp_path, seed)
+        assert code == 0
+        rows[seed] = {r["quantity"]: r["value"]
+                      for r in load_rows(str(out / "smallball.csv"))}
+    assert list(rows["0"]) == list(rows["1"])
+    assert all(rows["0"][q] != rows["1"][q] for q in rows["0"]
+               if q.startswith("smallball_quantile/"))
+
+
+def test_a_level_past_the_largest_sample_is_config_error(tmp_path, capsys):
+    # the 0.75 quantile of 8 samples has no 95% interval: its upper end
+    # would be X_(9)
+    code, out = run_cli(["smallball"] + SMALL + ["--set", "levels=0.75"],
+                        tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "levyheat:error:config: level 0.75 has no 95% interval from n = 8 "
+        "samples: the upper end would lie past the largest\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [43, 51])

@@ -3,8 +3,9 @@ noise module alone draws random numbers, kernels._smallest_cutoff alone
 searches for a series cutoff, solver._smooth alone transforms,
 solver._Scheme alone steps, solver.linearize alone linearizes the scheme
 about its flow, solver.sample_at_probe alone runs the sampling loop and
-applies the blow-up policy of the sampling drivers, and the public API has
-no name that only the tests use.
+applies the blow-up policy of the sampling drivers, solver.SampleSet alone
+estimates a sample quantile, and the public API has no name that only the
+tests use.
 
 mcstats (ensembles, density, row serialization) and cli (the row format)
 sit above kernels, noise, solver and malliavin.  An import the
@@ -198,15 +199,17 @@ def test_the_sampling_loop_is_written_once():
 
 def test_the_linearization_is_written_once():
     # solver.linearize alone steps the flow on zero variates, sweeps it and
-    # certifies it; the Wiener sampler and the constant-sigma derivative
-    # mass read its rows and step no flow of their own
+    # certifies it; the Wiener sampler, the constant-sigma derivative mass
+    # and the certified small-ball floor read its rows and step no flow of
+    # their own
     assert (functions_reading("_evolve_batch")
             & functions_reading("adjoint_gradient")) == {"solver.linearize"}
     assert (functions_reading("zeros")
             & functions_reading("_evolve_batch")) == {"solver.linearize"}
     assert functions_reading("XI_MAX") == {"solver.linearize"}
     assert functions_reading("linearize") == {"solver.sample_at_probe",
-                                              "malliavin.hnorm_samples"}
+                                              "malliavin.hnorm_samples",
+                                              "malliavin.certified_floor"}
 
 
 def test_the_blowup_policy_is_written_once():
@@ -234,6 +237,17 @@ def test_every_reported_mean_and_stderr_is_computed_once():
     assert calling_std == {"mcstats.silverman_bandwidth"}
     spreads = functions_reading("sqrt") | functions_reading("fsum")
     assert not {f for f in spreads if f.startswith("cli.")}
+
+
+def test_every_sample_quantile_is_computed_once():
+    # SampleSet.quantile alone calls np.quantile, next to the order
+    # statistics of its interval; cli writes the rows it returns
+    calling = {qual for qual, fn in top_level_functions()
+               if any(isinstance(node, ast.Attribute)
+                      and node.attr == "quantile"
+                      and getattr(node.value, "id", None) in ("np", "numpy")
+                      for node in ast.walk(fn))}
+    assert calling == {"solver.SampleSet.quantile"}
 
 
 # public names whose only callers are tests, kept on purpose as references

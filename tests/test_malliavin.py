@@ -1,6 +1,6 @@
 """Derivative tests: kernel agreement, adjoint sweep against forward
 propagation, gradient oracle, H-norm quadrature, blow-up policy, memory,
-small-ball frequencies, negative moments.
+small-ball quantiles and floor, negative moments.
 
 The additive case (constant sigma) makes every quantity deterministic and
 closed-form, so most checks here are exact; the nonlinear checks lean on the
@@ -22,6 +22,7 @@ from levyheat import (
     SigmaSpec,
     additive_variance_exact,
     adjoint_gradient,
+    certified_floor,
     field_from_function,
     get_sigma,
     hnorm_samples,
@@ -34,11 +35,10 @@ from levyheat import (
     propagate_derivative,
     run_ensemble,
     sample_noise,
-    smallball_probability,
     solve_path,
 )
 from levyheat import malliavin, mcstats, noise
-from levyheat.malliavin import _wilson
+from levyheat.cli import SMALLBALL_LEVELS
 from levyheat.solver import _evolve_batch
 
 from conftest import traced_peak
@@ -265,10 +265,9 @@ def _probed(probe):
     lambda probe: hnorm_samples(_probed(probe)),
     lambda probe: negative_moment_estimate(
         hnorm_samples(_probed(probe))[0].values),
-    lambda probe: smallball_probability(
-        hnorm_samples(_probed(probe))[0].values),
+    lambda probe: hnorm_samples(_probed(probe))[0].quantile(0.5),
     lambda probe: noise_gradient_oracle(_probed(None), 0, (1, 1), probe),
-], ids=["hnorm_samples", "negative_moment_estimate", "smallball_probability",
+], ids=["hnorm_samples", "negative_moment_estimate", "sample_quantile",
         "noise_gradient_oracle"])
 def test_probe_off_grid_rejected(call, probe):
     # every probe maps to a cell through GridSpec.index_of, once, when the
@@ -378,7 +377,7 @@ def test_hnorm_samples_blowups_reported_not_silently_dropped():
     cfg = make_config(16, 8, 0.2, "shifted_sine", seed=0,
                       u0=lambda x: 1e13 * np.sin(x), replicas=3)
     # every replica blows up: fewer than 2 survive, so the sampler raises
-    # the first blow-up (smallball_probability takes its samples)
+    # the first blow-up (the small-ball quantiles take its samples)
     with pytest.raises(BlowUpError) as err:
         hnorm_samples(cfg, deltas=(0.1,))
     assert err.value.replica == 0 and err.value.step_index == 1
@@ -549,48 +548,36 @@ def test_hnorm_memory_is_linear_in_the_grid():
 # small-ball analysis
 
 
-def test_wilson_interval_values():
-    # frozen against the standard score-interval formula at z for 95%
-    lo, hi = _wilson(3, 10)
-    assert lo == pytest.approx(0.10779126740630099, abs=1e-12)
-    assert hi == pytest.approx(0.6032218525388546, abs=1e-12)
-    lo0, hi0 = _wilson(0, 100)
-    assert lo0 < 1e-12
-    assert hi0 == pytest.approx(0.03699349820698568, abs=1e-12)
-    lo1, hi1 = _wilson(10, 10)
-    assert hi1 == pytest.approx(1.0, abs=1e-12)
-    assert 0.7 < lo1 < 1.0
-
-
 def test_smallball_additive_step_function():
-    # deterministic mass: frequencies jump 0 -> 1 across the value, and the
-    # zero-hit side still reports a positive upper confidence bound
-    cfg = make_config(16, 8, 0.2, "one", replicas=8)
+    # a constant sigma makes the mass deterministic: its empirical law is one
+    # step at the mass, every quantile sits on it and every interval has
+    # width 0 (256 replicas put X_(j) >= X_(1) even at level 0.02)
+    cfg = make_config(16, 8, 0.2, "one", replicas=256)
     v = additive_variance_exact(EXP2, cfg.grid)
-    samples = hnorm_samples(cfg)[0].values
-    rep = smallball_probability(samples, eps_list=[0.5 * v, 2.0 * v])
-    assert float(np.ptp(samples)) == 0.0
-    assert rep.freq[0] == 0.0 and rep.freq[1] == 1.0
-    assert rep.ci_hi[0] > 0.0
-    assert rep.ci_lo[1] < 1.0
+    mass = hnorm_samples(cfg)[0]
+    for q in SMALLBALL_LEVELS + (0.9,):
+        value, lo, hi = mass.quantile(q)
+        assert value == lo == hi == pytest.approx(v, rel=1e-12)
 
 
 def test_smallball_monotone_and_rows():
     cfg = make_config(16, 16, 0.25, "shifted_sine", seed=14, replicas=48)
-    rep = smallball_probability(hnorm_samples(cfg)[0].values,
-                                levels=[0.1, 0.25, 0.5, 0.75])
-    assert len(rep.eps) == 4
-    assert np.all(np.diff(rep.eps) > 0)
-    assert np.all(np.diff(rep.freq) >= 0)
-    assert np.all((rep.ci_lo <= rep.freq) & (rep.freq <= rep.ci_hi))
+    mass = hnorm_samples(cfg)[0]
+    value, lo, hi = np.array([mass.quantile(q)
+                              for q in (0.1, 0.25, 0.5, 0.75)]).T
+    assert np.all(np.diff(value) > 0)
+    assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
+    assert np.all((lo <= value) & (value <= hi) & (lo < hi))
+    # each end is an order statistic: a sample, or X_(0) = 0
+    assert set(lo) | set(hi) <= set(mass.values) | {0.0}
 
 
 def test_smallball_probability_draws_no_noise(monkeypatch):
-    # the estimator reads the mass samples it is given; the patched block
+    # the quantiles read the mass samples they are given; the patched block
     # filler, which every noise draw goes through, would raise
     cfg = make_config(16, 8, 0.2, "shifted_sine", seed=3, replicas=40)
-    samples = hnorm_samples(cfg)[0].values
-    want = smallball_probability(samples)
+    mass = hnorm_samples(cfg)[0]
+    want = [mass.quantile(q) for q in SMALLBALL_LEVELS]
 
     def refuse(*args):
         raise AssertionError("noise drawn")
@@ -598,18 +585,71 @@ def test_smallball_probability_draws_no_noise(monkeypatch):
     monkeypatch.setattr(noise, "_normal_block", refuse)
     with pytest.raises(AssertionError, match="noise drawn"):
         hnorm_samples(cfg)
-    got = smallball_probability(samples)
-    for name in ("eps", "freq", "ci_lo", "ci_hi"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-    # hits are counted once; hits / n has the bits of the mean of the hits
-    assert got.freq.tolist() == [(samples < e).mean() for e in got.eps]
+    assert [mass.quantile(q) for q in SMALLBALL_LEVELS] == want
+    assert [value for value, _, _ in want] == list(
+        np.quantile(mass.values, SMALLBALL_LEVELS))
 
 
 def test_smallball_validation():
-    with pytest.raises(ValueError, match="eps values must be positive"):
-        smallball_probability(np.ones(4), eps_list=[-1.0, 0.5])
-    with pytest.raises(ValueError, match="quantile level"):
-        smallball_probability(np.ones(4), levels=[0.5, 1.5])
+    # a 0 or 1 quantile has no two-sided interval; nor has the median of 2
+    # samples, whose upper end would need X_(3)
+    mass = SampleSet(np.arange(1.0, 5.0))
+    for q in (0.0, 1.0, 1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="quantile level, each in"):
+            mass.quantile(q)
+    with pytest.raises(ValueError, match=r"level 0\.5 .* n = 2 samples"):
+        SampleSet(np.array([1.0, 2.0])).quantile(0.5)
+
+
+# the command line's smallball quantiles at 16 x 16 (horizon 0.5, probe
+# (0.5, 0), default sigma) from 2^18 replicas, made by
+#   levyheat smallball --set m_space=16 --set k_time=16 \
+#     --set replicas=262144 --seed 1000
+# whose interval half-widths, 1.9e-4 to 2.9e-4, are under 5% of those that
+# 256 replicas give
+REFERENCE_QUANTILES = dict(zip(SMALLBALL_LEVELS, (
+    0.070807265647102893, 0.080497017169067819, 0.091031283119354545,
+    0.10653289515987951, 0.11988818628177175, 0.13295332904185067,
+    0.14665684079388275)))
+
+
+def test_smallball_intervals_cover_the_reference_over_seeds():
+    # each level's 95% interval from 256 replicas covers the reference on
+    # at least 28 of seeds 0-31 (a binomial(32, 0.95) count is below 28
+    # with probability 0.02)
+    covered = dict.fromkeys(SMALLBALL_LEVELS, 0)
+    for seed in range(32):
+        cfg = make_config(16, 16, 0.5, "shifted_sine", seed=seed,
+                          replicas=256)
+        mass = hnorm_samples(cfg)[0]
+        for q, ref in REFERENCE_QUANTILES.items():
+            _, lo, hi = mass.quantile(q)
+            covered[q] += lo <= ref <= hi
+    assert min(covered.values()) >= 28, covered
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.4, 2.0])
+def test_every_mass_is_at_least_the_certified_floor(alpha):
+    # the sweep's last row is sigma(u_{k_p-1}) W_{k_p-1} and the earlier
+    # rows only add, so no replica's mass lies below m_kappa; odd m_space,
+    # drift, u0 = sin and an interior probe (k_p = 16 of 24)
+    grid = GridSpec(33, 24, 0.3)
+    cfg = RunConfig(grid=grid, exponent=make_power_exponent(1.0, alpha, 0.7),
+                    sigma=get_sigma("shifted_sine"),
+                    u0=field_from_function(np.sin, 33), seed=2, replicas=64,
+                    probe=(16 * grid.dt, 10 * grid.dx))
+    floor = certified_floor(cfg)
+    mass, last = hnorm_samples(cfg, deltas=(grid.dt,))
+    assert 0.0 < floor
+    assert mass.values.min() >= floor * (1.0 - 1e-12)
+    assert last[grid.dt].values.min() >= floor * (1.0 - 1e-12)
+    # under sigma = 1 the bound is the last row's mass itself
+    one = dataclasses.replace(cfg, sigma=get_sigma("one"))
+    _, last = hnorm_samples(one, deltas=(grid.dt,))
+    assert certified_floor(one) == pytest.approx(last[grid.dt].values[0],
+                                                 rel=1e-12)
+    # a probe at t = 0 has mass 0 and floor 0
+    assert certified_floor(dataclasses.replace(cfg, probe=(0.0, 0.0))) == 0.0
 
 
 # ---------------------------------------------------------------------------

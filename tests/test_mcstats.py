@@ -88,6 +88,20 @@ def test_variance_stderr_is_the_fourth_moment_formula():
     assert len(ss) == 1001 and ss.sd() == math.sqrt(var)
 
 
+@pytest.mark.parametrize("n, q", [(8, 0.5), (40, 0.02), (256, 0.02),
+                                  (256, 0.5), (1000, 0.9), (65536, 0.3)])
+def test_quantile_interval_ends_are_the_binomial_points(n, q):
+    # [X_(j), X_(k)] with j and k - 1 at scipy's binomial(n, q) 2.5% and
+    # 97.5% points, X_(0) = 0; a permuted 1..n makes X_(i) = i
+    from scipy.stats import binom
+
+    values = np.random.default_rng(n).permutation(np.arange(1.0, n + 1))
+    value, lo, hi = SampleSet(values).quantile(q)
+    assert value == np.quantile(values, q)
+    assert (lo, hi) == (binom.ppf(0.025, n, q), binom.ppf(0.975, n, q) + 1)
+    assert binom.cdf(hi - 1, n, q) - binom.cdf(lo - 1, n, q) >= 0.95
+
+
 def test_ensemble_stderr_clt_scaling():
     big = run_ensemble(additive_config(replicas=4000))
     small = run_ensemble(additive_config(replicas=2000))
