@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 
 import levyheat as lh
-from levyheat.cli import SMALLBALL_LEVELS
+from levyheat.solver import SMALLBALL_LEVELS
 
 exp2 = lh.make_power_exponent(1.0, 2.0)
 grid = lh.GridSpec(m_space=16, k_time=16, horizon=0.25)
@@ -27,7 +27,7 @@ print(f"  replicas {len(mass)}, sample range "
 print(f"  {'level':>6} {'quantile':>9} {'95% order-statistic ci':>24}")
 values = []
 for q in SMALLBALL_LEVELS:
-    value, lo, hi = mass.quantile(q)
+    value, lo, hi = mass.quantile(q, lower=floor)
     values.append(value)
     print(f"  {q:6.2f} {value:9.4f}   [{lo:8.4f}, {hi:8.4f}]")
 

@@ -28,12 +28,13 @@ from .kernels import (
     DEFAULT_SERIES_TOL,
     SeriesToleranceError,
     check_exponent_condition,
+    check_orders,
     field_from_function,
     make_power_exponent,
     verify_kernel_bounds,
 )
 from .noise import RNG_SCHEME, GridSpec
-from .solver import (BlowUpError, RunConfig, check_levels,
+from .solver import (SMALLBALL_LEVELS, BlowUpError, RunConfig, check_levels,
                      check_moment_order, get_sigma, picard_sequence)
 from .malliavin import (
     certified_floor,
@@ -52,8 +53,6 @@ from .mcstats import (
 )
 
 SEED_ENV = "LEVYHEAT_SEED"
-# default small-ball quantile levels of the derivative mass
-SMALLBALL_LEVELS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 class ConfigError(ValueError):
@@ -180,17 +179,18 @@ ROW_NAMES = {"levels": "smallball_quantile/level={:g}",
              "deltas": "hnorm_tail_mean/delta={:.6e}"}
 
 
-def _estimator_args(cfg, *keys, dt=None):
+def _estimator_args(cfg, *keys, dt=None, n=None):
     """The values of estimator keys, a comma list as its floats; a value
-    that does not parse, that its check refuses, or that names the row of
-    another value is a config error that names the key."""
+    that does not parse, that its check refuses given dt or n, or that
+    names the row of another value is a config error that names the key."""
     values = []
     for key in keys:
         value = cfg[key]
         try:
             if isinstance(value, str):
                 value = [float(tok) for tok in value.split(",") if tok.strip()]
-            ESTIMATOR_CHECKS[key](value, *([dt] if key == "deltas" else []))
+            ESTIMATOR_CHECKS[key](value,
+                                  *{"deltas": [dt], "levels": [n]}.get(key, []))
             if key in ROW_NAMES and len(value) > len(
                     {ROW_NAMES[key].format(v) for v in value}):
                 raise ValueError(f"two values name one row, got {cfg[key]!r}")
@@ -210,7 +210,7 @@ def build_exponent(cfg):
     # phi is exactly scale |n|^alpha, so the series take its tight
     # envelope; beta, checked here, feeds only check-exponent and the
     # scaled_beta rows
-    check_exponent_condition(cfg["alpha"], _beta(cfg))
+    check_orders(cfg["alpha"], _beta(cfg))
     return make_power_exponent(cfg["scale"], cfg["alpha"], drift=cfg["drift"])
 
 
@@ -250,18 +250,15 @@ def cmd_kernel(cfg, args, head):
                                   tol=cfg["tol"])
     # t^(1/alpha) ||q_t||^2 stays bounded above and t^(1/beta) ||q_t||^2
     # below, where alpha <= beta bracket Re phi
-    scaled_alpha, scaled_beta = (
-        report.t_grid ** (1.0 / power) * report.norm_sq
-        for power in (cfg["alpha"], _beta(cfg)))
+    scaled = [report.t_grid ** (1.0 / p) * report.norm_sq
+              for p in (cfg["alpha"], _beta(cfg))]
     rows = []
     for i, t in enumerate(report.t_grid):
         rows += [
             make_row(*head, "kernel_l2_norm_sq", report.norm_sq[i],
                      tail_bound=report.norm_tails[i], t=t),
-            make_row(*head, "kernel_l2_norm_sq_scaled_alpha",
-                     scaled_alpha[i], t=t),
-            make_row(*head, "kernel_l2_norm_sq_scaled_beta", scaled_beta[i],
-                     t=t),
+            make_row(*head, "kernel_l2_norm_sq_scaled_alpha", scaled[0][i], t=t),
+            make_row(*head, "kernel_l2_norm_sq_scaled_beta", scaled[1][i], t=t),
             make_row(*head, "kernel_l2_time_integral", report.cumulative[i],
                      tail_bound=report.cumulative_tails[i], t=t),
         ]
@@ -354,13 +351,18 @@ def cmd_smallball(cfg, args, head):
     if run.sigma.kappa <= 0:  # the negative moment needs a mass bounded below
         raise ConfigError("small-ball analysis needs sigma bounded below: "
                           "kappa > 0")
-    levels, _, _ = _estimator_args(cfg, "levels", "moment_p", "floor")
+    levels, _, _ = _estimator_args(cfg, "levels", "moment_p", "floor",
+                                   n=run.replicas)
     mass, _ = hnorm_samples(run, workers=args.workers)
     t, x = run.probe
     where = dict(t=t, x=x, replica_count=len(mass))
     floor = certified_floor(run)
     rows = [make_row(*head, "smallball_certified_floor", floor, **where)]
-    quantiles = [mass.quantile(q) for q in levels]
+    try:  # no mass lies below the floor; the levels passed at n = replicas
+        quantiles = [mass.quantile(q, lower=floor) for q in levels]
+    except ValueError as err:
+        raise NumericalError(f"levels: {len(mass.blowups)} of {run.replicas} "
+                             f"replicas blew up, and {err}") from None
     # the stderr column holds the half-width of the 95% interval
     rows += [make_row(*head, ROW_NAMES["levels"].format(q), value,
                       0.5 * (hi - lo), **where)

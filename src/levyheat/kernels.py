@@ -57,7 +57,7 @@ class SeriesToleranceError(RuntimeError):
     """Raised when no cutoff up to 2^26 modes certifies a series to its tol."""
 
 
-def _validate_orders(alpha, beta):
+def check_orders(alpha, beta):
     if not (1.0 < alpha <= 2.0):
         raise ExponentRangeError(f"alpha must lie in (1, 2], got {alpha}")
     if not (1.0 < beta <= 2.0):
@@ -83,7 +83,7 @@ class LevyExponent:
     c_upper: float
 
     def __post_init__(self):
-        _validate_orders(self.alpha, self.beta)
+        check_orders(self.alpha, self.beta)
         if not (0.0 < self.c_lower <= self.c_upper):
             raise ValueError("need 0 < c_lower <= c_upper")
         self._spot_check()
@@ -124,7 +124,7 @@ def make_power_exponent(c, alpha, drift=0.0):
     it does not affect any L2 quantity.  alpha outside (1, 2], c outside
     (0, inf) and a non-finite drift are rejected before phi is evaluated.
     """
-    _validate_orders(alpha, alpha)
+    check_orders(alpha, alpha)
     if not 0 < c < math.inf:
         raise ValueError(f"need scale c > 0 and finite, got {c}")
     if not math.isfinite(drift):
@@ -305,7 +305,7 @@ def check_exponent_condition(alpha, beta):
     admissible iff alpha >= 2 beta / (beta + 1) (equality is the theta = 0
     boundary).  For beta = alpha the same formula applies and gives theta = 1.
     """
-    _validate_orders(alpha, beta)
+    check_orders(alpha, beta)
     theta = 2.0 * beta * (alpha - 1.0) / (alpha * (beta - 1.0)) - 1.0
     admissible = alpha >= 2.0 * beta / (beta + 1.0) - 1e-15
     return ExponentCheck(theta=theta, admissible=admissible)
@@ -829,10 +829,8 @@ def verify_kernel_bounds(exp_, t_grid, beta_param=1.0, tol=DEFAULT_SERIES_TOL):
         exp_, [_norm_series(exp_, t, tol) for t in t_grid]
         + [_time_integral_series(exp_, t, tol) for t in t_grid]
         + [_laplace_series(exp_, beta_param, tol)])
-    norm_sq = np.array([p[0] for p in results[:k]])
-    tails = np.array([p[1] for p in results[:k]])
-    cumulative = np.array([p[0] for p in results[k:2 * k]])
-    cumulative_tails = np.array([p[1] for p in results[k:2 * k]])
+    (norm_sq, tails), (cumulative, cumulative_tails) = (
+        np.array(results[lo:lo + k], dtype=float).T for lo in (0, k))
     slope_n, _, r2_n = fit_slope(t_grid, norm_sq)
     slope_c, _, r2_c = fit_slope(t_grid, cumulative)
     return KernelBoundReport(

@@ -134,11 +134,10 @@ def noise_gradient_oracle(config, replica, source, probe):
 
 
 def certified_floor(config):
-    """m_kappa = kappa^2 |W_{k_p-1}|^2 dt dx, below which no replica's mass
-    lies.  The sweep's last row is sigma(u_{k_p-1}) W_{k_p-1}, W the row of
-    a unit sigma, and every earlier row adds a nonnegative term; so each
-    mass is at least that row's, and |sigma| >= kappa.  A probe at t = 0
-    has mass 0 and floor 0."""
+    """m_kappa = kappa^2 |W_{k_p-1}|^2 dt dx, below which no mass lies: the
+    sweep's last row is sigma(u_{k_p-1}) W_{k_p-1}, W the row of a unit
+    sigma, every earlier row adds to the mass, and |sigma| >= kappa.  A
+    probe at t = 0 has mass 0 and floor 0."""
     _, rows, _ = linearize(replace(config, sigma=get_sigma("one")))
     weight = config.grid.dt * config.grid.dx
     return config.sigma.kappa ** 2 * float(np.sum(rows[0, -1:] ** 2)) * weight

@@ -284,12 +284,30 @@ def map_chunks(fn, n_items, chunk, workers=1):
             yield pending.popleft().result()
 
 
-def check_levels(levels):
-    """Refuse quantile levels that are none, or not in (0, 1): the 0 and 1
-    quantiles have no two-sided interval."""
+# default small-ball quantile levels of the derivative mass
+SMALLBALL_LEVELS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
+
+
+def check_levels(levels, n):
+    """Each level's ranks (j, k) of the distribution-free 95% interval
+    [X_(j), X_(k)] of its quantile from n samples: j and k - 1 are the 2.5%
+    and 97.5% points of binomial(n, q), the count below it.  Refused: no
+    level, a level not in (0, 1), and one whose interval needs X_(n+1)."""
     if not (len(levels) and all(0.0 < q < 1.0 for q in levels)):
         raise ValueError("need at least one quantile level, each in (0, 1), "
                          f"got {list(levels)}")
+    i = np.arange(n + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(i[1:]))))
+    ranks = []
+    for q in levels:
+        cdf = np.cumsum(np.exp(log_fact[n] - log_fact[i] - log_fact[n - i]
+                               + i * math.log(q) + (n - i) * math.log1p(-q)))
+        j, k = np.searchsorted(cdf, (0.025, 0.975)) + (0, 1)
+        if k > n:
+            raise ValueError(f"level {q:g} has no 95% interval from n = {n} "
+                             "samples: the upper end would lie past the largest")
+        ranks.append((int(j), int(k)))
+    return ranks
 
 
 @dataclass
@@ -325,25 +343,12 @@ class SampleSet:
         m4 = float(np.mean((self.values - self.mean()) ** 4))
         return math.sqrt(max(m4 - var ** 2, 0.0) / len(self))
 
-    def quantile(self, q):
-        """(value, lo, hi): np.quantile's q sample quantile and the
-        distribution-free 95% interval [X_(j), X_(k)] of the true one.  The
-        count of values below it is binomial(n, q), and j and k - 1 are that
-        law's 2.5% and 97.5% points.  X_(0) is 0, the floor of a
-        nonnegative quantity such as a derivative mass; a level whose
-        interval needs X_(n+1) is refused."""
-        check_levels([q])
-        n = len(self)
-        i = np.arange(n + 1)
-        log_fact = np.concatenate(([0.0], np.cumsum(np.log(i[1:]))))
-        cdf = np.cumsum(np.exp(log_fact[n] - log_fact[i] - log_fact[n - i]
-                               + i * math.log(q) + (n - i) * math.log1p(-q)))
-        j, k = np.searchsorted(cdf, (0.025, 0.975)) + (0, 1)
-        if k > n:
-            raise ValueError(f"level {q:g} has no 95% interval from n = {n} "
-                             "samples: the upper end would lie past the "
-                             "largest")
-        order = np.concatenate(([0.0], np.sort(self.values)))
+    def quantile(self, q, lower=-math.inf):
+        """(value, lo, hi): np.quantile's q sample quantile and the 95%
+        interval [X_(j), X_(k)] of check_levels.  X_(0) is lower, a bound
+        no value lies below, such as a derivative mass's certified floor."""
+        (j, k), = check_levels([q], len(self))
+        order = np.concatenate(([lower], np.sort(self.values)))
         return (float(np.quantile(self.values, q)), float(order[j]),
                 float(order[k]))
 

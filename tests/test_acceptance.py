@@ -12,7 +12,8 @@ import pytest
 from scipy.special import ndtr
 
 import levyheat as lh
-from levyheat.cli import SMALLBALL_LEVELS, parse_and_dispatch
+from levyheat.cli import parse_and_dispatch
+from levyheat.solver import SMALLBALL_LEVELS
 
 EXP2 = lh.make_power_exponent(1.0, 2.0)
 EXP15 = lh.make_power_exponent(1.0, 1.5)

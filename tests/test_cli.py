@@ -143,12 +143,22 @@ def test_derivative_blowups_are_numerical_error(tmp_path, capsys, subcommand):
 def test_derivative_blowups_reported_and_excluded(tmp_path, capsys,
                                                   subcommand):
     # u0 = A sin x with A exp(-dt) a hair below the 1e12 blow-up threshold:
-    # after the first step the noise pushes some replicas over it, not all.
-    # 5 replicas survive, too few for a 95% interval of the default 0.5
-    # quantile, so smallball takes a lower level
-    code, out = run_cli([subcommand] + SMALL + [
-        "--set", "u0=sin", "--set", "u0_amp=1025315120524.2238",
-        "--set", "levels=0.25"], tmp_path)
+    # after the first step the noise pushes some replicas over it, not all
+    args = [subcommand] + SMALL + ["--set", "u0=sin",
+                                   "--set", "u0_amp=1025315120524.2238"]
+    if subcommand == "smallball":
+        # the 5 survivors are too few for a 95% interval of the default 0.5
+        # quantile, which 8 replicas would give: the samples fail, not the
+        # config; a level that 5 samples bracket runs
+        code, out = run_cli(args, tmp_path, "default")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "levyheat:error:numerical: levels: 3 of 8 replicas blew up, and "
+            "level 0.5 has no 95% interval from n = 5 samples: the upper end "
+            "would lie past the largest\n")
+        assert not out.exists()
+        args += ["--set", "levels=0.25"]
+    code, out = run_cli(args, tmp_path)
     assert code == 0
     assert "replicas blew up and were excluded" in capsys.readouterr().err
     meta = json.loads((out / f"{subcommand}.meta.json").read_text())
@@ -660,6 +670,8 @@ def test_nan_parameters_are_config_errors(tmp_path, capsys, monkeypatch,
     ("smallball", "levels=0", "levels: need at least one quantile level, "
      "each in (0, 1), got [0.0]"),
     ("smallball", "levels=0.5,1", "levels: need at least one quantile"),
+    ("smallball", "levels=0.1,0.75", "levels: level 0.75 has no 95% interval "
+     "from n = 8 samples: the upper end would lie past the largest"),
     ("smallball", "levels=0.5,0.5", "levels: two values name one row, "
      "got '0.5,0.5'"),
     ("smallball", "levels=0.1,0.50000001,0.5", "levels: two values name one "
@@ -726,17 +738,20 @@ def test_malliavin_subcommand(tmp_path):
 
 def test_smallball_subcommand_rows(tmp_path):
     # each level's row is SampleSet.quantile's value, with the half-width
-    # of its interval as the stderr; no mass lies below the certified floor
+    # of its interval as the stderr; no mass lies below the certified floor,
+    # so it is X_(0), the lower end of the levels up to 0.3, whose intervals
+    # from 8 samples reach below the smallest: (1 - q)^8 >= 0.025
     code, out = run_cli(["smallball"] + SMALL, tmp_path)
     assert code == 0
     got = rows_by_quantity(out / "smallball.csv")
     mass, _ = hnorm_samples(sampled_config(["smallball"] + SMALL))
     floor = got.pop("smallball_certified_floor")["value"]
     for q in SCHEMA["levels"][1].split(","):
-        value, lo, hi = mass.quantile(float(q))
+        value, lo, hi = mass.quantile(float(q), lower=floor)
         row = got.pop(f"smallball_quantile/level={q}")
         assert (row["value"], row["stderr"]) == (value, 0.5 * (hi - lo))
         assert lo <= value <= hi and 0.0 < floor <= min(mass.values)
+        assert (lo == floor) == (float(q) <= 0.3)
     # the negative moment, and nothing else
     assert got and all(q.startswith(("negative_moment/",
                                      "negative_moment_floor_sweep/"))
@@ -757,18 +772,6 @@ def test_smallball_row_names_do_not_depend_on_the_seed(tmp_path):
     assert list(rows["0"]) == list(rows["1"])
     assert all(rows["0"][q] != rows["1"][q] for q in rows["0"]
                if q.startswith("smallball_quantile/"))
-
-
-def test_a_level_past_the_largest_sample_is_config_error(tmp_path, capsys):
-    # the 0.75 quantile of 8 samples has no 95% interval: its upper end
-    # would be X_(9)
-    code, out = run_cli(["smallball"] + SMALL + ["--set", "levels=0.75"],
-                        tmp_path)
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "levyheat:error:config: level 0.75 has no 95% interval from n = 8 "
-        "samples: the upper end would lie past the largest\n")
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [43, 51])

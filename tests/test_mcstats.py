@@ -92,14 +92,28 @@ def test_variance_stderr_is_the_fourth_moment_formula():
                                   (256, 0.5), (1000, 0.9), (65536, 0.3)])
 def test_quantile_interval_ends_are_the_binomial_points(n, q):
     # [X_(j), X_(k)] with j and k - 1 at scipy's binomial(n, q) 2.5% and
-    # 97.5% points, X_(0) = 0; a permuted 1..n makes X_(i) = i
+    # 97.5% points; a permuted 1..n with the lower bound 0 makes X_(i) = i
     from scipy.stats import binom
 
     values = np.random.default_rng(n).permutation(np.arange(1.0, n + 1))
-    value, lo, hi = SampleSet(values).quantile(q)
+    value, lo, hi = SampleSet(values).quantile(q, lower=0.0)
     assert value == np.quantile(values, q)
     assert (lo, hi) == (binom.ppf(0.025, n, q), binom.ppf(0.975, n, q) + 1)
     assert binom.cdf(hi - 1, n, q) - binom.cdf(lo - 1, n, q) >= 0.95
+
+
+def test_quantile_of_signed_samples_takes_the_given_lower_end():
+    # u values have either sign: an interval that reaches below the smallest
+    # of 8 samples has lower end -inf, unless the caller knows a bound
+    ss = run_ensemble(additive_config(replicas=8))
+    assert min(ss.values) < 0.0 < max(ss.values)
+    value, lo, hi = ss.quantile(0.1)
+    assert (lo, hi) == (-math.inf, sorted(ss.values)[3])
+    assert lo < value == np.quantile(ss.values, 0.1) <= hi
+    assert ss.quantile(0.1, lower=-5.0) == (value, -5.0, hi)
+    # where the interval starts at a sample, the bound is not read
+    assert ss.quantile(0.5, lower=-5.0) == ss.quantile(0.5)
+    assert min(ss.values) <= ss.quantile(0.5)[1]
 
 
 def test_ensemble_stderr_clt_scaling():
