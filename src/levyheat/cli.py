@@ -8,16 +8,19 @@ alone.  Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 columns they fill) are decided here alone; library results carry only what
 they compute.
 
-Configuration comes from a flat key=value file; --set overrides single keys,
---seed overrides the seed key, and the LEVYHEAT_SEED environment variable
-overrides everything (its use is recorded in the metadata).
+    levyheat <subcommand> [--config FILE] [--set KEY=VALUE ...] [--seed N]
+             [--out DIR] [--format csv|json] [--workers N]
+
+Configuration comes from a flat key=value file; --set overrides single keys
+and --seed the seed key: config file < --set < --seed.  The run id hashes
+the subcommand, the effective configuration and the version alone, so one
+computation has one id however its values were given.
 """
 
 import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -51,8 +54,6 @@ from .mcstats import (
     run_ensemble,
     smoothness_report,
 )
-
-SEED_ENV = "LEVYHEAT_SEED"
 
 
 class ConfigError(ValueError):
@@ -133,41 +134,22 @@ def read_config_file(path):
 
 
 def effective_config(args):
-    """Defaults, then config file, then --set, then --seed, then the
-    environment.  Returns (config dict, seed_source)."""
+    """Defaults, then the config file, then --set, then --seed."""
     cfg = {key: default for key, (_, default, _) in SCHEMA.items()}
-    seed_source = "default"
     if args.config is not None:
-        file_vals = read_config_file(args.config)
-        if "seed" in file_vals:
-            seed_source = "config"
-        cfg.update(file_vals)
+        cfg.update(read_config_file(args.config))
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, _, raw = item.partition("=")
         cfg[key.strip()] = _parse_value(key.strip(), raw.strip())
-        if key.strip() == "seed":
-            seed_source = "set"
-    if getattr(args, "alpha", None) is not None:
-        cfg["alpha"] = float(args.alpha)
-    if getattr(args, "beta_flag", None) is not None:
-        cfg["beta"] = float(args.beta_flag)
     if args.seed is not None:
-        cfg["seed"] = int(args.seed)
-        seed_source = "flag"
-    env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        try:
-            cfg["seed"] = int(env_seed)
-        except ValueError as err:
-            raise ConfigError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from err
-        seed_source = "env"
+        cfg["seed"] = args.seed
     for key in SENTINELS:
         if not cfg[key] >= 0:  # NaN is refused too
             raise ConfigError(f"{key} must be >= 0 (0 derives the default), "
                               f"got {cfg[key]!r}")
-    return cfg, seed_source
+    return cfg
 
 
 # the one check of each estimator key, which the function that reads the
@@ -293,8 +275,8 @@ def cmd_simulate(cfg, args, head):
 
 def cmd_picard(cfg, args, head):
     run = build_run_config(cfg)
-    if cfg["picard_n"] < 1:
-        raise ConfigError("need picard_n >= 1")
+    if cfg["picard_n"] < 2:  # one difference has no ratio to judge
+        raise ConfigError("need picard_n >= 2")
     _estimator_args(cfg, "moment_p")
     report = picard_sequence(run, cfg["picard_n"], cfg["picard_beta"],
                              p=cfg["moment_p"], workers=args.workers)
@@ -434,54 +416,52 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    command_lines = "\n".join(f"  {name:<16}{help_}"
+                              for name, (_, help_) in COMMANDS.items())
     schema_lines = "\n".join(
         f"  {key} ({ctor.__name__}, default {default!r}): {help_}"
         for key, (ctor, default, help_) in SCHEMA.items()
     )
     parser = _Parser(
         prog="levyheat",
+        usage=("%(prog)s <subcommand> [--config FILE] [--set KEY=VALUE ...] "
+               "[--seed N]\n                [--out DIR] [--format csv|json] "
+               "[--workers N]"),
         description=(
             "Spectral simulator and analysis toolkit for the stochastic heat "
             "equation driven by space-time white noise, with a Levy generator "
             "given through its Fourier multiplier."
         ),
         epilog=(
+            "subcommands:\n" + command_lines + "\n"
+            "precedence: config file < --set < --seed.\n"
             "exit codes: 0 success, 1 config error, 2 numerical failure, "
             "3 I/O error.\n"
-            f"seed precedence: config file < --set seed= < --seed < "
-            f"{SEED_ENV} (recorded in metadata).\n"
             "config file: flat key=value lines, # comments; keys:\n"
             + schema_lines
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True,
-                                metavar="subcommand")
-    for name, (_, help_) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_, description=help_,
-                           formatter_class=argparse.RawDescriptionHelpFormatter)
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override one config key (repeatable)")
-        p.add_argument("--seed", type=int, help="override the seed key")
-        p.add_argument("--out", default=".",
-                       help="output directory (default: current)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads; never changes output bytes")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="data file format")
-        if name == "check-exponent":
-            p.add_argument("--alpha", type=float,
-                           help="shorthand for --set alpha=...")
-            p.add_argument("--beta", dest="beta_flag", type=float,
-                           help="shorthand for --set beta=...")
+    parser.add_argument("subcommand", choices=COMMANDS, metavar="subcommand",
+                        help="one of the subcommands below")
+    parser.add_argument("--config", metavar="FILE",
+                        help="key=value config file")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override one config key (repeatable)")
+    parser.add_argument("--seed", type=int, metavar="N",
+                        help="override the seed key")
+    parser.add_argument("--out", default=".", metavar="DIR",
+                        help="output directory (default: current)")
+    parser.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="worker threads; never changes output bytes")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="data file format")
     return parser
 
 
-def _run_identifier(subcommand, cfg, seed_source):
+def _run_identifier(subcommand, cfg):
     payload = json.dumps(
-        {"subcommand": subcommand, "config": cfg, "seed_source": seed_source,
-         "version": __version__},
+        {"subcommand": subcommand, "config": cfg, "version": __version__},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
@@ -496,7 +476,7 @@ def _check_finite(rows):
                     f"non-finite {col} in {row['quantity']!r}: {v!r}")
 
 
-def _write_outputs(args, subcommand, cfg, seed_source, run_id, rows, extra):
+def _write_outputs(args, subcommand, cfg, run_id, rows, extra):
     out_dir = Path(args.out)
     stem = subcommand.replace("-", "_")
     data_path = out_dir / f"{stem}.{args.format}"
@@ -505,7 +485,6 @@ def _write_outputs(args, subcommand, cfg, seed_source, run_id, rows, extra):
         "run_id": run_id,
         "config": cfg,
         "seed": cfg["seed"],
-        "seed_source": seed_source,
         "rng_scheme": RNG_SCHEME,
         "version": __version__,
         "format": args.format,
@@ -546,8 +525,8 @@ def parse_and_dispatch(argv):
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        cfg, seed_source = effective_config(args)
-        run_id = _run_identifier(args.subcommand, cfg, seed_source)
+        cfg = effective_config(args)
+        run_id = _run_identifier(args.subcommand, cfg)
         command = COMMANDS[args.subcommand][0]
         head = (run_id, cfg["seed"], cfg["alpha"], _beta(cfg))
         rows, extra, summary = command(cfg, args, head)
@@ -556,7 +535,7 @@ def parse_and_dispatch(argv):
             print(f"levyheat:warning: {len(extra['blowups'])} replicas blew up "
                   "and were excluded", file=sys.stderr)
         data_path, meta_path = _write_outputs(
-            args, args.subcommand, cfg, seed_source, run_id, rows, extra)
+            args, args.subcommand, cfg, run_id, rows, extra)
         print(summary)
         print(f"wrote {data_path} and {meta_path}")
         return 0

@@ -551,8 +551,8 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     sup_{t, x} (e^{-beta_param t} E|f(t, x)|^p)^(1/p): p >= 2 and
     beta_param >= 0, and beta_param = 0 gives the plain sup-L^p norm.
     """
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
+    if n_max < 2:  # one difference has no ratio for contracting to judge
+        raise ValueError("need n_max >= 2")
     check_moment_order(p)
     if not 0 <= beta_param < math.inf:
         raise ValueError("need beta_param >= 0 and finite")

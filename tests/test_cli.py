@@ -2,6 +2,7 @@
 output determinism.  All invocations run in-process through
 parse_and_dispatch, so stdout/stderr and the filesystem are observable."""
 
+import argparse
 import json
 import math
 import warnings
@@ -13,18 +14,13 @@ from levyheat import (SampleSet, __version__, hnorm_samples,
                       kernel_l2_laplace, kernel_l2_norm_sq,
                       kernel_l2_time_integral, run_ensemble)
 from levyheat import cli, noise
-from levyheat.cli import (SCHEMA, SEED_ENV, build_exponent, build_parser,
+from levyheat.cli import (COMMANDS, SCHEMA, build_exponent, build_parser,
                           build_run_config, effective_config,
                           parse_and_dispatch)
 from levyheat.mcstats import load_rows
 
 SMALL = ["--set", "m_space=16", "--set", "k_time=8", "--set", "horizon=0.2",
          "--set", "replicas=8"]
-
-
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv(SEED_ENV, raising=False)
 
 
 def run_cli(args, tmp_path, sub_dir="out"):
@@ -39,8 +35,7 @@ def rows_by_quantity(path):
 
 def sampled_config(args):
     """The RunConfig a subcommand's arguments build."""
-    cfg, _ = effective_config(build_parser().parse_args(args))
-    return build_run_config(cfg)
+    return build_run_config(effective_config(build_parser().parse_args(args)))
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +43,8 @@ def sampled_config(args):
 
 
 def test_check_exponent_admissible(tmp_path, capsys):
-    code, out = run_cli(["check-exponent", "--alpha", "2", "--beta", "2"],
-                        tmp_path)
+    code, out = run_cli(["check-exponent", "--set", "alpha=2",
+                         "--set", "beta=2"], tmp_path)
     assert code == 0
     text = capsys.readouterr().out
     assert "theta=1 admissible=true" in text
@@ -60,7 +55,8 @@ def test_check_exponent_admissible(tmp_path, capsys):
 
 def test_check_exponent_boundary(tmp_path, capsys):
     code, out = run_cli(
-        ["check-exponent", "--alpha", str(4.0 / 3.0), "--beta", "2"], tmp_path)
+        ["check-exponent", "--set", f"alpha={4.0 / 3.0}", "--set", "beta=2"],
+        tmp_path)
     assert code == 0
     assert "admissible=true" in capsys.readouterr().out
     got = rows_by_quantity(out / "check_exponent.csv")
@@ -68,8 +64,8 @@ def test_check_exponent_boundary(tmp_path, capsys):
 
 
 def test_check_exponent_inadmissible(tmp_path, capsys):
-    code, out = run_cli(["check-exponent", "--alpha", "1.2", "--beta", "2"],
-                        tmp_path)
+    code, out = run_cli(["check-exponent", "--set", "alpha=1.2",
+                         "--set", "beta=2"], tmp_path)
     assert code == 0
     assert "admissible=false" in capsys.readouterr().out
     got = rows_by_quantity(out / "check_exponent.csv")
@@ -78,8 +74,8 @@ def test_check_exponent_inadmissible(tmp_path, capsys):
 
 
 def test_check_exponent_out_of_range(tmp_path, capsys):
-    code, _ = run_cli(["check-exponent", "--alpha", "0.9", "--beta", "2"],
-                      tmp_path)
+    code, _ = run_cli(["check-exponent", "--set", "alpha=0.9",
+                       "--set", "beta=2"], tmp_path)
     assert code == 1
     assert capsys.readouterr().err.startswith("levyheat:error:config:")
 
@@ -118,8 +114,26 @@ def test_help_exits_zero(capsys):
     text = capsys.readouterr().out
     for name in ("kernel", "simulate", "picard", "malliavin", "smallball",
                  "density", "check-exponent"):
-        assert name in text
-    assert SEED_ENV in text
+        assert f"\n  {name} " in text
+    for key in SCHEMA:
+        assert f"\n  {key} (" in text
+
+
+def test_one_parser_reads_every_subcommand(tmp_path, capsys):
+    # the subcommand is a positional choice of one parser, and every
+    # subcommand takes the same flags: values come from --config, --set
+    # and --seed alone
+    parser = build_parser()
+    assert not any(isinstance(action, argparse._SubParsersAction)
+                   for action in parser._actions)
+    for name in COMMANDS:
+        assert parser.parse_args([name, "--seed", "3"]).subcommand == name
+    for flag in ("--alpha", "--beta"):
+        code, out = run_cli(["check-exponent", flag, "1.5"], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"levyheat:error:config: unrecognized arguments: {flag} 1.5\n")
+        assert not out.exists()
 
 
 SAMPLING = ["simulate", "density", "malliavin", "smallball"]
@@ -169,7 +183,7 @@ def test_derivative_blowups_reported_and_excluded(tmp_path, capsys,
 
 def test_unwritable_output_is_io_error(capsys):
     code = parse_and_dispatch(
-        ["check-exponent", "--alpha", "2", "--out", "/dev/null/nested"])
+        ["check-exponent", "--set", "alpha=2", "--out", "/dev/null/nested"])
     assert code == 3
     assert capsys.readouterr().err.startswith("levyheat:error:io:")
 
@@ -192,7 +206,7 @@ def test_kernel_rows_write_certified_errors(tmp_path):
     # every series row's tail_bound is the certified error of its value
     code, out = run_cli(["kernel"], tmp_path)
     assert code == 0
-    cfg, _ = effective_config(build_parser().parse_args(["kernel"]))
+    cfg = effective_config(build_parser().parse_args(["kernel"]))
     exp_, tol = build_exponent(cfg), cfg["tol"]
     series = {"kernel_l2_norm_sq": lambda t: kernel_l2_norm_sq(exp_, t, tol),
               "kernel_l2_time_integral":
@@ -313,7 +327,7 @@ def test_metadata_echoes_full_schema(tmp_path):
     assert meta["config"]["m_space"] == 16
     assert meta["config"]["sigma"] == "shifted_sine"
     assert meta["seed"] == 0
-    assert meta["seed_source"] == "default"
+    assert "seed_source" not in meta
     assert meta["version"] == __version__
     assert meta["rng_scheme"].startswith("philox4x64/")
     assert meta["outputs"] == ["simulate.csv"]
@@ -345,37 +359,30 @@ def test_simulate_rows(tmp_path):
 # seed precedence
 
 
-def test_seed_precedence_chain(tmp_path, monkeypatch):
+def test_seed_precedence_chain(tmp_path):
+    # config file < --set < --seed
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# manifest\nseed = 11\nm_space=16\nk_time=8\n"
                         "horizon=0.2\nreplicas=8\n")
     base = ["simulate", "--config", str(cfg_file)]
-
-    code, out = run_cli(base, tmp_path, "a")
-    meta = json.loads((out / "simulate.meta.json").read_text())
-    assert (meta["seed"], meta["seed_source"]) == (11, "config")
-
-    code, out = run_cli(base + ["--set", "seed=22"], tmp_path, "b")
-    meta = json.loads((out / "simulate.meta.json").read_text())
-    assert (meta["seed"], meta["seed_source"]) == (22, "set")
-
-    code, out = run_cli(base + ["--set", "seed=22", "--seed", "33"],
-                        tmp_path, "c")
-    meta = json.loads((out / "simulate.meta.json").read_text())
-    assert (meta["seed"], meta["seed_source"]) == (33, "flag")
-
-    monkeypatch.setenv(SEED_ENV, "44")
-    code, out = run_cli(base + ["--set", "seed=22", "--seed", "33"],
-                        tmp_path, "d")
-    meta = json.loads((out / "simulate.meta.json").read_text())
-    assert (meta["seed"], meta["seed_source"]) == (44, "env")
+    for tag, extra, seed in (("a", [], 11), ("b", ["--set", "seed=22"], 22),
+                             ("c", ["--set", "seed=22", "--seed", "33"], 33)):
+        code, out = run_cli(base + extra, tmp_path, tag)
+        assert code == 0
+        meta = json.loads((out / "simulate.meta.json").read_text())
+        assert (meta["seed"], meta["config"]["seed"]) == (seed, seed)
 
 
-def test_env_seed_must_be_integer(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(SEED_ENV, "banana")
-    code, _ = run_cli(["simulate"] + SMALL, tmp_path)
-    assert code == 1
-    assert SEED_ENV in capsys.readouterr().err
+def test_an_exported_seed_variable_changes_no_byte(tmp_path, monkeypatch):
+    # the environment sets no value: a LEVYHEAT_SEED, an integer or not,
+    # leaves every output byte as it is
+    _, plain = run_cli(["simulate"] + SMALL, tmp_path, "plain")
+    for value in ("44", "banana"):
+        monkeypatch.setenv("LEVYHEAT_SEED", value)
+        code, out = run_cli(["simulate"] + SMALL, tmp_path, value)
+        assert code == 0
+        for name in ("simulate.csv", "simulate.meta.json"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -573,11 +580,32 @@ def test_run_id_tracks_config(tmp_path):
     _, out_a = run_cli(["simulate"] + SMALL, tmp_path, "a")
     _, out_b = run_cli(["simulate"] + SMALL, tmp_path, "b")
     _, out_c = run_cli(["simulate"] + SMALL + ["--seed", "9"], tmp_path, "c")
-    id_a = json.loads((out_a / "simulate.meta.json").read_text())["run_id"]
-    id_b = json.loads((out_b / "simulate.meta.json").read_text())["run_id"]
-    id_c = json.loads((out_c / "simulate.meta.json").read_text())["run_id"]
+    _, out_d = run_cli(["simulate"] + SMALL + ["--set", "seed=9"], tmp_path,
+                       "d")
+    id_a, id_b, id_c, id_d = (
+        json.loads((out / "simulate.meta.json").read_text())["run_id"]
+        for out in (out_a, out_b, out_c, out_d))
     assert id_a == id_b
     assert id_a != id_c
+    # the run id names the computation, not the flag that gave the seed
+    assert id_c == id_d
+
+
+@pytest.mark.parametrize("subcommand", list(COMMANDS))
+def test_metadata_config_reproduces_the_outputs(tmp_path, subcommand):
+    # every key of the metadata's config, passed back as --set, rewrites
+    # the data and metadata files byte for byte
+    code, first = run_cli([subcommand] + SMALL + ["--seed", "3"], tmp_path,
+                          "first")
+    assert code == 0
+    stem = subcommand.replace("-", "_")
+    meta = json.loads((first / f"{stem}.meta.json").read_text())
+    sets = [arg for key, value in meta["config"].items()
+            for arg in ("--set", f"{key}={value}")]
+    code, again = run_cli([subcommand] + sets, tmp_path, "again")
+    assert code == 0
+    for name in (f"{stem}.csv", f"{stem}.meta.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +624,11 @@ def test_picard_subcommand(tmp_path):
     assert "contracting" in meta
 
 
-@pytest.mark.parametrize("setting", ["moment_p=1", "picard_beta=-5"])
+@pytest.mark.parametrize("setting", ["moment_p=1", "picard_beta=-5",
+                                     "picard_n=1"])
 def test_picard_norm_parameters_are_config_errors(tmp_path, capsys, setting):
-    # the weighted sup-L^p norm needs p >= 2 and a nonnegative weight
+    # the weighted sup-L^p norm needs p >= 2 and a nonnegative weight, and
+    # contracting needs a ratio, so two differences
     code, out = run_cli(["picard"] + SMALL + ["--set", setting], tmp_path)
     assert code == 1
     assert capsys.readouterr().err.startswith("levyheat:error:config:")

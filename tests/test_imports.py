@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 import levyheat
-from levyheat.cli import SEED_ENV
 
 from test_cli import SMALL
 
@@ -33,8 +32,7 @@ UNUSED = ("scipy.special", "scipy._lib._array_api", "numpy.testing",
 def run_python(code, *args):
     """Run code in a fresh interpreter that imports levyheat from this
     checkout; returns the JSON value of its last stdout line."""
-    env = {k: v for k, v in os.environ.items() if k != SEED_ENV}
-    env["PYTHONPATH"] = str(SRC)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code), *args],
         capture_output=True, text=True, env=env, timeout=120)

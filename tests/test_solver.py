@@ -789,6 +789,9 @@ def test_picard_validation():
     cfg = picard_config(16, 4, 0.2, "one", replicas=16)
     with pytest.raises(ValueError):
         picard_sequence(cfg, n_max=0, beta_param=8.0)
+    # one difference has no ratio: contracting would be np.all([]), True
+    with pytest.raises(ValueError, match="need n_max >= 2"):
+        picard_sequence(cfg, n_max=1, beta_param=8.0)
     # the weighted sup-L^p norm needs p >= 2 and a nonnegative weight
     with pytest.raises(ValueError):
         picard_sequence(cfg, n_max=2, beta_param=8.0, p=1)
