@@ -36,7 +36,6 @@ from .solver import (
     picard_sequence,
     rfft_multiplier,
     solve_path,
-    walsh_variance,
 )
 from .malliavin import (
     NegativeMomentReport,

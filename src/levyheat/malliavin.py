@@ -27,10 +27,6 @@ from .solver import (BlowUpError, SampleSet, _Scheme, _evolve_batch,
                      adjoint_gradient, check_moment_order, get_sigma,
                      linearize, sample_at_probe)
 
-# replicas per hnorm chunk times (k_p + 1) m_space: each replica holds its
-# noise, path and gradient rows, O(k_p m_space) words apiece
-HNORM_CHUNK_WORDS = 2 ** 20
-
 
 def propagate_derivative(path, xi, exp_, sigma, grid, source, until_k=None):
     """Derivative field of one source cell at time index until_k.
@@ -174,13 +170,7 @@ def hnorm_samples(config, workers=1, deltas=()):
         mass, tails = hnorm_sq(rows, grid, deltas)
         return (mass, *(tails[float(d)] for d in deltas))
 
-    # k_p + 1 path rows: a probe at t = 0 still holds u0.  The budget caps
-    # the chunk; the replicas are then spread evenly over as few chunks, so
-    # no tail chunk costs a whole pass for a replica or two
-    cap = max(1, HNORM_CHUNK_WORDS // ((k_p + 1) * grid.m_space))
-    chunk = math.ceil(config.replicas / math.ceil(config.replicas / cap))
-    mass, *tails = sample_at_probe(config, chunk, read, workers,
-                                   keep_path=True)
+    mass, *tails = sample_at_probe(config, read, workers, keep_path=True)
     return mass, dict(zip(map(float, deltas), tails))
 
 

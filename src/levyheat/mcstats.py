@@ -21,7 +21,6 @@ import numpy as np
 
 from .solver import _smooth, sample_at_probe
 
-ENSEMBLE_CHUNK_WORDS = 16384  # replicas per chunk times m_space
 KDE_MAX_BINS = 2 ** 20  # largest bin grid kde convolves
 
 CSV_SCHEMA = "levyheat csv schema v1"
@@ -55,9 +54,7 @@ def run_ensemble(config, workers=1):
     """The SampleSet of u at the probe, one value per replica path.  Blow-ups
     are excluded and reported as solver.sample_at_probe does, since a silent
     drop biases every statistic, so the set holds at least 2 values."""
-    return sample_at_probe(
-        config, max(1, ENSEMBLE_CHUNK_WORDS // config.grid.m_space),
-        lambda u_p, path, xi: (u_p,), workers)[0]
+    return sample_at_probe(config, lambda u_p, path, xi: (u_p,), workers)[0]
 
 
 @dataclass

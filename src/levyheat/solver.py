@@ -12,15 +12,16 @@ each step (Ito evaluation), and each increment is smoothed by the semigroup
 for the remaining steps, which is exactly the stochastic convolution with the
 transition kernel.
 
-The additive case (sigma constant) makes the solution Gaussian with variance
-sum_k dt ||q_{(K-k) dt}||^2; `walsh_variance` evaluates that target on the
-scheme's own time grid and `additive_variance_exact` gives the band-limited
-discrete value, so Monte Carlo error and discretization bias can be told
-apart.  There the scheme is affine in its variates, so its probe value is
-exactly a Wiener integral, the flow of u0 plus sum_{k,j} w_{k,j} xi_{k,j},
-whose weights are `adjoint_gradient`'s rows on the flow times sqrt(dt*dx)
-(Nualart, The Malliavin Calculus and Related Topics, 2006, sec. 1.2):
-`linearize` sweeps the flow once, `sample_at_probe` sums per noise block.
+The additive case (sigma constant) makes the solution Gaussian, and
+`additive_variance_exact` gives the scheme's exact variance, the
+right-endpoint sum sum_{j=1..K} dt ||q_{j dt}||^2 of the isometry on the
+band-limited modes, so Monte Carlo error can be told apart from
+discretization bias.  There the scheme is affine in its variates, so its
+probe value is exactly a Wiener integral, the flow of u0 plus
+sum_{k,j} w_{k,j} xi_{k,j}, whose weights are `adjoint_gradient`'s rows on
+the flow times sqrt(dt*dx) (Nualart, The Malliavin Calculus and Related
+Topics, 2006, sec. 1.2): `linearize` sweeps the flow once, `sample_at_probe`
+sums per noise block.
 
 `adjoint_gradient` differentiates the step exactly.  Normalized by
 sqrt(dt*dx), the derivative of u(t_{k_p}, x_{i_p}) in the variate of cell
@@ -45,18 +46,20 @@ from typing import Callable, Optional
 import numpy as np
 import numpy.fft  # numpy loads it lazily: here, not in the first _smooth
 
-from .kernels import (
-    FOUR_PI_SQ,
-    TWO_PI,
-    kernel_l2_norm_sq,
-    rfft_symbol,
-    rfft_weights,
-)
+from .kernels import FOUR_PI_SQ, TWO_PI, rfft_symbol, rfft_weights
 from .noise import XI_MAX, GridSpec, _NoiseRows
 
 BLOWUP_THRESHOLD = 1e12
 # the stepper draws at least this many words of each noise stream at a time
 _ROW_BLOCK_WORDS = 2048
+# words of one sample_at_probe chunk: replicas times m_space of field when
+# streamed, times (k_p + 1) m_space of path (a probe at t = 0 still holds
+# u0) when read takes the path.  They differ because a streamed replica's
+# memory is its noise block of _ROW_BLOCK_WORDS words, while a path
+# replica's is its path, its noise and its gradient rows, O(k_p m_space)
+# words apiece
+_STREAM_CHUNK_WORDS = 2 ** 14
+_PATH_CHUNK_WORDS = 2 ** 20
 
 
 class BlowUpError(RuntimeError):
@@ -401,19 +404,23 @@ def linearize(config):
     return flow, rows, certified
 
 
-def sample_at_probe(config, chunk, read, workers=1, keep_path=False):
+def sample_at_probe(config, read, workers=1, keep_path=False):
     """The sampling loop of every driver: read(u_p, path, xi) off each chunk
-    of `chunk` replicas at the probe step k_p, the chunks joined under the
-    one blow-up policy.
+    of replicas at the probe step k_p, the chunks joined under the one
+    blow-up policy.
 
-    Replica r draws noise stream (config.seed, r), and the chunk bounds do
-    not depend on workers.  read gets the chunk's (B,) values u_p at the
-    probe and, if keep_path, its (B, k_p + 1, m_space) path and (B, k_p,
-    m_space) variates (else None and its _NoiseRows); it returns a tuple of
-    arrays with one row per replica.  Returns one SampleSet per array: its
-    values without the replicas with |u| > BLOWUP_THRESHOLD by k_p, and
-    those blow-ups, shared by every set, as (replica, step, magnitude) in
-    replica order, whatever the chunk size.  Fewer than 2 survivors raise
+    Replica r draws noise stream (config.seed, r).  A chunk holds as many
+    replicas as fit in _STREAM_CHUNK_WORDS words of field, or in
+    _PATH_CHUNK_WORDS of path if keep_path, and at least one; the replicas
+    are spread evenly over as few chunks, so no tail chunk costs a whole
+    pass for a replica or two, and the bounds do not depend on workers.
+    read gets the chunk's (B,) values u_p at the probe and, if keep_path,
+    its (B, k_p + 1, m_space) path and (B, k_p, m_space) variates (else
+    None and its _NoiseRows); it returns a tuple of arrays with one row per
+    replica.  Returns one SampleSet per array: its values without the
+    replicas with |u| > BLOWUP_THRESHOLD by k_p, and those blow-ups, shared
+    by every set, as (replica, step, magnitude) in replica order, whatever
+    the chunk size.  Fewer than 2 survivors raise
     BlowUpError for the first blow-up by replica.
 
     A constant sigma (lip 0) that linearize certifies, without keep_path,
@@ -424,6 +431,9 @@ def sample_at_probe(config, chunk, read, workers=1, keep_path=False):
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
+    fit = max(1, _PATH_CHUNK_WORDS // ((k_p + 1) * grid.m_space) if keep_path
+              else _STREAM_CHUNK_WORDS // grid.m_space)
+    chunk = math.ceil(config.replicas / math.ceil(config.replicas / fit))
     weights = None
     if config.sigma.lip == 0 and not keep_path:
         scheme = _Scheme(config.exponent, config.sigma, grid)
@@ -479,24 +489,15 @@ def solve_path(config, replica=0):
 
 
 # ---------------------------------------------------------------------------
-# additive-case variance targets
-
-
-def walsh_variance(exp_, grid):
-    """Isometry variance int_0^T ||q_s||^2 ds on the scheme's time grid.
-
-    Right-endpoint sum: the increment injected at step k is smoothed for the
-    remaining K-k steps, so the scheme's additive variance is
-    sum_{j=1..K} dt ||q_{j dt}||^2 up to band truncation.
-    """
-    norms, _ = kernel_l2_norm_sq(exp_, grid.dt * np.arange(1, grid.k_time + 1))
-    return grid.dt * math.fsum(norms)
+# additive-case variance target
 
 
 def additive_variance_exact(exp_, grid):
     """Exact variance of the scheme's additive solution at the horizon.
 
-    Geometric sum per band-limited mode; isolates Monte Carlo error in tests.
+    The increment injected at step k is smoothed for the remaining K-k
+    steps: a geometric sum per band-limited mode, which isolates Monte Carlo
+    error in tests.
     """
     rho_sq = np.abs(rfft_multiplier(exp_, grid)) ** 2
     weights = rfft_weights(grid.m_space)

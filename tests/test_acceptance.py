@@ -62,8 +62,8 @@ def test_wrapped_kernel_equivalence():
 
 
 def test_additive_noise_law():
-    # constant sigma: u(T, x) is centered Gaussian with variance equal to
-    # the time-quadrature of the squared kernel norm
+    # constant sigma: u(T, x) is centered Gaussian with the scheme's exact
+    # variance, the time-quadrature of the squared kernel norm on its grid
     grid = lh.GridSpec(m_space=256, k_time=128, horizon=0.1)
     cfg = lh.RunConfig(grid=grid, exponent=EXP2, sigma=lh.get_sigma("one"),
                        u0=zero_field(256), seed=2026, replicas=10000)
@@ -72,7 +72,7 @@ def test_additive_noise_law():
     n = len(samples)
     var = sset.variance()
     se_var = sset.variance_stderr()
-    target = lh.walsh_variance(EXP2, grid)
+    target = lh.additive_variance_exact(EXP2, grid)
 
     dens = lh.kde(samples)
     ks = float(np.max(np.abs(dens.cdf() - ndtr(dens.points / math.sqrt(target)))))

@@ -13,7 +13,7 @@ import pytest
 from levyheat import (SampleSet, __version__, hnorm_samples,
                       kernel_l2_laplace, kernel_l2_norm_sq,
                       kernel_l2_time_integral, run_ensemble)
-from levyheat import cli, noise
+from levyheat import cli, noise, solver
 from levyheat.cli import (COMMANDS, SCHEMA, build_exponent, build_parser,
                           build_run_config, effective_config,
                           parse_and_dispatch)
@@ -441,6 +441,32 @@ def test_constant_sigma_bytes_never_change(tmp_path, args):
     for name in (f"{stem}.csv", f"{stem}.meta.json"):
         data = {(out / name).read_bytes() for _, out in outs}
         assert len(data) == 1
+
+
+@pytest.mark.parametrize("args, sampler, chunks, chunk", [
+    # perfbench's ensemble, density and hnorm settings
+    (["simulate", "--set", "m_space=128", "--set", "k_time=128",
+      "--set", "replicas=2048"], run_ensemble, 16, 128),
+    (["density", "--set", "sigma=one", "--set", "m_space=16",
+      "--set", "k_time=16", "--set", "replicas=32768"], run_ensemble, 32, 1024),
+    (["malliavin", "--set", "replicas=16"], hnorm_samples, 1, 16),
+    # the defaults: 256 replicas at 64 x 64
+    (["simulate"], run_ensemble, 1, 256),
+    (["malliavin"], hnorm_samples, 2, 128),
+], ids=["ensemble", "density", "hnorm", "simulate", "malliavin"])
+def test_the_sampled_runs_keep_their_chunk_bounds(monkeypatch, args, sampler,
+                                                  chunks, chunk):
+    # solver.sample_at_probe sizes the chunks of both samplers; the chunk
+    # bodies are not run
+    seen = []
+
+    def record(fn, n_items, size, workers=1):
+        seen.append((math.ceil(n_items / size), size))
+        return iter([((np.zeros(n_items),), [])])
+
+    monkeypatch.setattr(solver, "map_chunks", record)
+    sampler(sampled_config(args))
+    assert seen == [(chunks, chunk)]
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -2,8 +2,9 @@
 noise module alone draws random numbers, kernels._smallest_cutoff alone
 searches for a series cutoff, solver._smooth alone transforms,
 solver._Scheme alone steps, solver.linearize alone linearizes the scheme
-about its flow, solver.sample_at_probe alone runs the sampling loop and
-applies the blow-up policy of the sampling drivers, solver.SampleSet alone
+about its flow, solver.sample_at_probe alone runs the sampling loop, sizes
+its chunks and applies the blow-up policy of every sampler, neither solver
+nor malliavin evaluates a kernel series, solver.SampleSet alone
 estimates a sample quantile, and the public API has no name that only the
 tests use.
 
@@ -74,6 +75,19 @@ def test_malliavin_evaluates_no_kernel_series():
     tree = ast.parse((PACKAGE / "malliavin.py").read_text(encoding="utf-8"))
     assert "kernels" not in {name.split(".")[0]
                              for name in imported_modules(tree)}
+
+
+def test_solver_evaluates_no_kernel_series():
+    # the scheme steps its own rfft symbols: it takes from kernels the mode
+    # tables and constants alone, and its additive variance is the exact
+    # geometric sum on its grid, not a continuum series beside it
+    tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    from_kernels = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module == "kernels"
+                    for alias in node.names}
+    assert from_kernels == {"FOUR_PI_SQ", "TWO_PI", "rfft_symbol",
+                            "rfft_weights"}
 
 
 def test_only_noise_draws_random_numbers():
@@ -188,13 +202,25 @@ def test_only_the_forward_pass_and_picard_loop_over_time_steps():
 def test_the_sampling_loop_is_written_once():
     # solver.sample_at_probe alone chunks the replicas, draws their noise
     # streams and steps them to the probe for the sampling drivers, which
-    # keep only their chunk size and what they read off each chunk; Picard
-    # folds its own chunks through the same map_chunks
+    # keep only what they read off each chunk; Picard folds its own chunks
+    # through the same map_chunks
     assert functions_reading("map_chunks") == {"solver.sample_at_probe",
                                                "solver.picard_sequence"}
     assert functions_reading("_evolve_batch") == {
         "solver.sample_at_probe", "solver.solve_path",
         "malliavin.noise_gradient_oracle", "solver.linearize"}
+
+
+def test_only_the_sampling_loop_reads_a_chunk_budget():
+    # how many replicas a sampling chunk holds is decided once, from the
+    # words of field or path it keeps; the samplers name no budget of their
+    # own, and Picard's fixed PICARD_CHUNK is no budget but part of its bits
+    budgets = re.compile(r"\b\w*CHUNK_WORDS\b")
+    naming = sorted(path.name for path in PACKAGE.glob("*.py")
+                    if budgets.search(path.read_text(encoding="utf-8")))
+    assert naming == ["solver.py"]
+    for name in ("_STREAM_CHUNK_WORDS", "_PATH_CHUNK_WORDS"):
+        assert functions_reading(name) == {"solver.sample_at_probe"}
 
 
 def test_the_linearization_is_written_once():

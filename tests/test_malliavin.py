@@ -37,7 +37,7 @@ from levyheat import (
     sample_noise,
     solve_path,
 )
-from levyheat import malliavin, mcstats, noise
+from levyheat import noise, solver
 from levyheat.solver import SMALLBALL_LEVELS, _evolve_batch
 
 from conftest import traced_peak
@@ -387,11 +387,12 @@ def test_hnorm_samples_excludes_exactly_the_ensemble_blowups(monkeypatch):
     # a huge constant sigma crosses the blow-up threshold on some noise
     # paths only; the survivors keep the additive mass c^2 * v, and the
     # excluded replicas are the ones run_ensemble excludes.  300 replicas
-    # span several chunks of both drivers (run_ensemble's of 256 and
-    # hnorm_samples' of 60 under a budget of 64 at m_space = 16, k_p = 8), so
-    # the chunk offset of the replica index is exercised
-    monkeypatch.setattr(mcstats, "ENSEMBLE_CHUNK_WORDS", 256 * 16)
-    monkeypatch.setattr(malliavin, "HNORM_CHUNK_WORDS", 64 * 9 * 16)
+    # span several chunks of both samplers (run_ensemble's 2 of 150 under a
+    # budget of 256, and hnorm_samples' 5 of 60 under a budget of 64 at
+    # m_space = 16, k_p = 8), so the chunk offset of the replica index is
+    # exercised
+    monkeypatch.setattr(solver, "_STREAM_CHUNK_WORDS", 256 * 16)
+    monkeypatch.setattr(solver, "_PATH_CHUNK_WORDS", 64 * 9 * 16)
     c = 3e12
     huge = SigmaSpec("huge", lambda u: np.full_like(u, c), np.zeros_like,
                      kappa=c, lip=0.0)
@@ -401,7 +402,7 @@ def test_hnorm_samples_excludes_exactly_the_ensemble_blowups(monkeypatch):
     blowups = mass.blowups
     assert blowups == tails[0.1].blowups == run_ensemble(cfg).blowups
     assert 0 < len(blowups) < 300
-    assert max(r for r, _, _ in blowups) >= 256
+    assert max(r for r, _, _ in blowups) >= 150
     assert len(mass) == len(tails[0.1]) == 300 - len(blowups)
     v = additive_variance_exact(EXP2, cfg.grid)
     np.testing.assert_allclose(mass.values, c * c * v, rtol=1e-12)
@@ -486,16 +487,26 @@ def test_a_certified_constant_sigma_mass_draws_no_noise(monkeypatch,
 @pytest.mark.parametrize("workers", [1, 2])
 def test_hnorm_samples_are_the_same_for_every_chunk_budget(monkeypatch,
                                                            workers):
-    # each replica's pass and sweep do not depend on the batch: chunks of 1,
-    # 7, 60 and all 300 replicas (budgets of 1, 7, 64 and 300) give the same
+    # each replica's pass and sweep do not depend on the batch: budgets of
+    # one replica, of 7 (42 chunks of 7 and an uneven last one of 6), of 64
+    # (5 chunks of 60) and of all 300 replicas in one chunk give the same
     # masses, tails and blow-ups, and the 7-replica chunks split runs of
     # blown-up replicas
     cfg = make_config(16, 8, 0.2, "shifted_sine", seed=0, replicas=300,
                       u0=lambda x: 1025315120524.2238 * np.sin(x))
+    seen = []
+    real = solver.map_chunks
+
+    def spy(fn, n_items, chunk, workers=1):
+        seen.append((n_items, chunk))
+        return real(fn, n_items, chunk, workers)
+
+    monkeypatch.setattr(solver, "map_chunks", spy)
     results = []
-    for chunk in (1, 7, 64, 300):
-        monkeypatch.setattr(malliavin, "HNORM_CHUNK_WORDS", chunk * 9 * 16)
+    for fit in (1, 7, 64, 300):
+        monkeypatch.setattr(solver, "_PATH_CHUNK_WORDS", fit * 9 * 16)
         results.append(hnorm_samples(cfg, workers=workers, deltas=(0.05,)))
+    assert seen == [(300, 1), (300, 7), (300, 60), (300, 300)]
     samples, tails = results[0]
     blown = {r for r, _, _ in samples.blowups}
     assert 0 < len(blown) < 300
@@ -515,13 +526,15 @@ def test_hnorm_samples_are_the_same_for_every_chunk_budget(monkeypatch,
 ])
 def test_hnorm_chunks_split_the_replicas_evenly(monkeypatch, m, replicas,
                                                 chunk):
+    # the budget is 2^20 words of (k_p + 1) m_space path rows per chunk;
+    # the chunk bodies are not run
     seen = []
 
-    def spy(config, chunk, read, workers=1, keep_path=False):
+    def record(fn, n_items, chunk, workers=1):
         seen.append(chunk)
-        return (SampleSet(np.zeros(config.replicas)),)
+        return iter([((np.zeros(n_items),), [])])
 
-    monkeypatch.setattr(malliavin, "sample_at_probe", spy)
+    monkeypatch.setattr(solver, "map_chunks", record)
     hnorm_samples(make_config(m, m, 0.2, "shifted_sine", replicas=replicas))
     assert seen == [chunk]
 

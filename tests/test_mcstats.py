@@ -30,7 +30,7 @@ from levyheat import (
     smoothness_report,
     solve_path,
 )
-from levyheat import mcstats, solver
+from levyheat import solver
 from levyheat.kernels import fit_slope
 from levyheat.noise import _NoiseRows
 from levyheat.solver import BlowUpError, _evolve_batch
@@ -147,15 +147,16 @@ def test_ensemble_blowups_reported_not_silently_dropped():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_streamed_ensemble_matches_the_whole_block(monkeypatch, workers):
     # blocks of 3 rows over 37 steps at m_space = 10; the steep sigma blows
-    # up replicas in later blocks and in both chunks of 300 replicas
+    # up replicas in later blocks and in both chunks of 150 replicas that a
+    # budget of 256 spreads 300 over
     monkeypatch.setattr(solver, "_ROW_BLOCK_WORDS", 32)
-    monkeypatch.setattr(mcstats, "ENSEMBLE_CHUNK_WORDS", 256 * 10)
+    monkeypatch.setattr(solver, "_STREAM_CHUNK_WORDS", 256 * 10)
     steep = steep_sigma(1e12)
     cfg = dataclasses.replace(additive_config(300, m=10, k=37, horizon=0.3),
                               sigma=steep)
     ss = run_ensemble(cfg, workers=workers)
     values, blowups = [], []
-    for lo, hi in ((0, 256), (256, 300)):
+    for lo, hi in ((0, 150), (150, 300)):
         u, _, chunk_blowups = _evolve_batch(
             cfg.u0, _NoiseRows(cfg.grid, cfg.seed, range(lo, hi))[:, :],
             EXP2, steep, cfg.grid, 37)
@@ -165,15 +166,15 @@ def test_streamed_ensemble_matches_the_whole_block(monkeypatch, workers):
     keep[[r for r, _, _ in blowups]] = False
     assert np.array_equal(ss.values, np.concatenate(values)[keep])
     assert ss.blowups == sorted(blowups)
-    assert min(r for r, _, _ in blowups) < 256 <= max(r for r, _, _ in blowups)
+    assert min(r for r, _, _ in blowups) < 150 <= max(r for r, _, _ in blowups)
     assert min(k for _, k, _ in blowups) > 3
 
 
 def interior_probe_config(monkeypatch, sigma, k_p, replicas=300, m=16, k=8,
                           horizon=0.2):
-    # probe at step k_p < k_time and at x_3; 300 replicas make two chunks of
-    # 256 and 44
-    monkeypatch.setattr(mcstats, "ENSEMBLE_CHUNK_WORDS", 256 * m)
+    # probe at step k_p < k_time and at x_3; a budget of 256 replicas
+    # spreads 300 over two chunks of 150
+    monkeypatch.setattr(solver, "_STREAM_CHUNK_WORDS", 256 * m)
     cfg = dataclasses.replace(additive_config(replicas, m, k, horizon),
                               sigma=sigma)
     return dataclasses.replace(cfg, probe=(k_p * cfg.grid.dt,
@@ -199,7 +200,7 @@ def test_ensemble_chunks_stop_at_the_probe(monkeypatch):
     counting = dataclasses.replace(
         base, sigma=lambda u: shapes.append(u.shape) or base.sigma(u))
     run_ensemble(interior_probe_config(monkeypatch, counting, 5))
-    assert shapes == [(256, 16)] * 5 + [(44, 16)] * 5
+    assert shapes == [(150, 16)] * 10
 
 
 def test_blowup_after_the_probe_keeps_the_replica(monkeypatch):
@@ -227,7 +228,7 @@ def test_blowup_after_the_probe_keeps_the_replica(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ensemble_is_the_same_for_every_chunk_budget(monkeypatch, workers):
     # each row's arithmetic does not depend on the batch it is stepped in:
-    # chunks of 1, 7, 256 and all 300 replicas give the same values and
+    # chunks of 1, 7, 150 and all 300 replicas give the same values and
     # blow-ups, and the 7-replica chunks split the runs of blown-up
     # replicas between chunks that keep some of theirs
     steep = steep_sigma(1e12)
@@ -235,7 +236,7 @@ def test_ensemble_is_the_same_for_every_chunk_budget(monkeypatch, workers):
                               sigma=steep)
     results = []
     for words in (1, 70, 2560, 16384):
-        monkeypatch.setattr(mcstats, "ENSEMBLE_CHUNK_WORDS", words)
+        monkeypatch.setattr(solver, "_STREAM_CHUNK_WORDS", words)
         results.append(run_ensemble(cfg, workers=workers))
     blown = {r for r, _, _ in results[0].blowups}
     assert any(0 < len(blown & set(range(lo, lo + 7))) < 7
@@ -249,7 +250,8 @@ def test_ensemble_memory_is_flat_in_replicas_and_steps():
     # the stepper holds one block of time rows per chunk, about 4 MiB here;
     # drawing a chunk's whole noise block first would need
     # 256 * k_time * m_space * 8 bytes, 32 MiB at 256 steps.  A chunk holds
-    # ENSEMBLE_CHUNK_WORDS words of field, so the peak is flat in m_space
+    # solver._STREAM_CHUNK_WORDS words of field, so the peak is flat in
+    # m_space
     def peak(replicas, m, k):
         cfg = dataclasses.replace(additive_config(replicas, m, k),
                                   sigma=get_sigma("shifted_sine"))

@@ -31,7 +31,6 @@ from levyheat import (
     rfft_multiplier,
     sample_noise,
     solve_path,
-    walsh_variance,
 )
 from levyheat.kernels import rfft_weights
 from levyheat import noise, solver
@@ -335,18 +334,22 @@ def test_sample_at_probe_joins_the_chunks_and_needs_two(monkeypatch,
         return u, None, chunk_blowups.get(xi.replicas[0], [])
 
     monkeypatch.setattr(solver, "_evolve_batch", stub)
+    # chunks of at most 3 replicas of 4 points: [0, 3) and [3, 5)
+    monkeypatch.setattr(solver, "_STREAM_CHUNK_WORDS", 3 * 4)
     cfg = RunConfig(grid=GridSpec(m_space=4, k_time=8, horizon=0.2),
                     exponent=EXP2, sigma=get_sigma("shifted_sine"),
                     u0=np.zeros(4), replicas=5)
     a, b = sample_at_probe(
-        cfg, 3, lambda u_p, path, xi: (u_p, u_p + 5.0), workers)
+        cfg, lambda u_p, path, xi: (u_p, u_p + 5.0), workers)
     assert a.values.tolist() == [0.0, 1.0] and b.values.tolist() == [5.0, 6.0]
     assert a.blowups == [(2, 4, 2e12), (3, 5, 3e12), (4, 3, 5e12)]
     assert b.blowups is a.blowups
     # one survivor: the first blow-up by replica, not by step, is raised
+    # chunks of at most 2: [0, 2) and [2, 3)
     chunk_blowups = {0: [(1, 2, 6e12)], 2: [(0, 1, 7e12)]}
+    monkeypatch.setattr(solver, "_STREAM_CHUNK_WORDS", 2 * 4)
     with pytest.raises(BlowUpError) as err:
-        sample_at_probe(dataclasses.replace(cfg, replicas=3), 2,
+        sample_at_probe(dataclasses.replace(cfg, replicas=3),
                         lambda u_p, path, xi: (u_p,), workers)
     assert (err.value.replica, err.value.step_index) == (1, 2)
     assert err.value.max_abs == 6e12
@@ -415,21 +418,13 @@ def test_additive_variance_and_skewness():
     se_var = math.sqrt((m4 - var ** 2) / n)
     exact = additive_variance_exact(EXP2, grid)
     assert abs(var - exact) < 3.0 * se_var
-    # the on-grid Walsh quadrature and the geometric sum are the same number
-    # up to band truncation
-    assert walsh_variance(EXP2, grid) == pytest.approx(exact, rel=1e-6)
+    # the geometric sum is the isometry's right-endpoint quadrature
+    # sum_{j=1..K} dt ||q_{j dt}||^2 on the grid, up to band truncation
+    norms, _ = kernel_l2_norm_sq(EXP2,
+                                 grid.dt * np.arange(1, grid.k_time + 1))
+    assert grid.dt * math.fsum(norms) == pytest.approx(exact, rel=1e-6)
     skew = float(np.mean(((u - u.mean()) / u.std()) ** 3))
     assert abs(skew) < 4.0 * math.sqrt(6.0 / n)
-
-
-def test_walsh_variance_equals_per_time_norms():
-    # one shared Re phi table gives math.fsum the very terms of the per-time
-    # loop
-    exp_ = make_power_exponent(0.8, 1.3, drift=1.0)
-    grid = GridSpec(16, 48, 0.3)
-    loop = grid.dt * math.fsum(kernel_l2_norm_sq(exp_, j * grid.dt)[0]
-                               for j in range(1, grid.k_time + 1))
-    assert walsh_variance(exp_, grid) == loop
 
 
 def test_scheme_variance_approaches_time_integral():
@@ -496,8 +491,12 @@ def stepped(cfg):
 
 
 def probe_values(cfg, chunk=64, workers=1):
-    return sample_at_probe(cfg, chunk, lambda u_p, path, xi: (u_p,),
-                           workers)[0]
+    """The probe values in chunks of at most `chunk` replicas, spread
+    evenly: 300 replicas are 5 chunks of 60."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_STREAM_CHUNK_WORDS", chunk * cfg.grid.m_space)
+        return sample_at_probe(cfg, lambda u_p, path, xi: (u_p,),
+                               workers)[0]
 
 
 @pytest.fixture
@@ -567,7 +566,7 @@ def test_the_flow_rows_hold_the_additive_variance(alpha, drift, m, k, k_p,
 def test_constant_sigma_probe_values_do_not_depend_on_the_chunk(
         monkeypatch, workers, words):
     # one elementwise product and row sum per noise block: 32 words give
-    # blocks of 2 time rows, 2048 one block of all 5; chunks of 1, 7, 256
+    # blocks of 2 time rows, 2048 one block of all 5; chunks of 1, 7, 150
     # and all 300 replicas give the same bits
     monkeypatch.setattr(solver, "_ROW_BLOCK_WORDS", words)
     cfg = wiener_config("two", "interior")
@@ -603,8 +602,8 @@ def test_a_run_that_could_blow_up_is_stepped(stepped_chunks, c, amp,
 def test_an_infinite_variate_is_the_same_blowup_on_both_paths(
         monkeypatch, stepped_chunks, sigma_name):
     # the top uniform maps to xi = +inf (test_noise pins it); plant one in
-    # cell (3, 2) of replica 100: its chunk is stepped and reports it at
-    # step 4, and the other chunks keep their Wiener integrals
+    # cell (3, 2) of replica 100: its chunk of 60 is stepped and reports it
+    # at step 4, and the other chunks keep their Wiener integrals
     real = noise._normal_block
     word = 3 * 16 + 2
 
@@ -618,7 +617,7 @@ def test_an_infinite_variate_is_the_same_blowup_on_both_paths(
     monkeypatch.setattr(noise, "_normal_block", planted)
     cfg = wiener_config(sigma_name, "horizon")
     summed = probe_values(cfg)
-    assert stepped_chunks == [range(64, 128)]
+    assert stepped_chunks == [range(60, 120)]
     ref = probe_values(stepped(cfg))
     for got in (summed, ref):
         ((replica, step, mag),) = got.blowups
