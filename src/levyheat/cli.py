@@ -1,15 +1,15 @@
 """Command line entry point.
 
-One executable, one subcommand per experiment.  Every run writes a data file
-(CSV or JSON, fixed schema) plus a metadata record with the complete
-effective configuration, so any output can be reproduced from its metadata
-alone.  Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 I/O error.  The rows each subcommand writes (quantity names and the
-columns they fill) are decided here alone; library results carry only what
-they compute.
+One executable, one subcommand per experiment.  Every run writes a CSV data
+file of fixed schema plus a metadata record with the complete effective
+configuration, so any output can be reproduced from its metadata alone.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure, 3 I/O
+error.  The rows each subcommand writes (quantity names and the columns
+they fill) are decided here alone; library results carry only what they
+compute.
 
     levyheat <subcommand> [--config FILE] [--set KEY=VALUE ...] [--seed N]
-             [--out DIR] [--format csv|json] [--workers N]
+             [--out DIR] [--workers N]
 
 Configuration comes from a flat key=value file; --set overrides single keys
 and --seed the seed key: config file < --set < --seed.  The run id hashes
@@ -425,8 +425,7 @@ def build_parser():
     parser = _Parser(
         prog="levyheat",
         usage=("%(prog)s <subcommand> [--config FILE] [--set KEY=VALUE ...] "
-               "[--seed N]\n                [--out DIR] [--format csv|json] "
-               "[--workers N]"),
+               "[--seed N]\n                [--out DIR] [--workers N]"),
         description=(
             "Spectral simulator and analysis toolkit for the stochastic heat "
             "equation driven by space-time white noise, with a Levy generator "
@@ -454,8 +453,6 @@ def build_parser():
                         help="output directory (default: current)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker threads; never changes output bytes")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="data file format")
     return parser
 
 
@@ -471,7 +468,7 @@ def _check_finite(rows):
     for row in rows:
         for col in ("value", "stderr", "tail_bound"):
             v = row[col]
-            if v is not None and not math.isfinite(float(v)):
+            if not math.isfinite(v):
                 raise NumericalError(
                     f"non-finite {col} in {row['quantity']!r}: {v!r}")
 
@@ -479,7 +476,7 @@ def _check_finite(rows):
 def _write_outputs(args, subcommand, cfg, run_id, rows, extra):
     out_dir = Path(args.out)
     stem = subcommand.replace("-", "_")
-    data_path = out_dir / f"{stem}.{args.format}"
+    data_path = out_dir / f"{stem}.csv"
     meta = {
         "subcommand": subcommand,
         "run_id": run_id,
@@ -487,7 +484,6 @@ def _write_outputs(args, subcommand, cfg, run_id, rows, extra):
         "seed": cfg["seed"],
         "rng_scheme": RNG_SCHEME,
         "version": __version__,
-        "format": args.format,
         "outputs": [data_path.name],
     }
     meta.update(extra)
@@ -506,7 +502,7 @@ def _write_outputs(args, subcommand, cfg, run_id, rows, extra):
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise OSError(f"cannot create output directory {out_dir}: {err}") from err
-    emit(rows, args.format, str(data_path))
+    emit(rows, str(data_path))
     meta_path = out_dir / f"{stem}.meta.json"
     try:
         with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -13,7 +13,6 @@ of the direct kernel sum at bandwidth h, and B is capped at KDE_MAX_BINS.
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -33,9 +32,12 @@ _COLUMN_TYPES = {"run_id": str, "seed": int, "replica_count": int,
 
 def make_row(run_id, seed, alpha, beta, quantity, value, stderr=0.0,
              tail_bound=0.0, t=0.0, x=0.0, replica_count=0):
-    """One output row: a dict keyed by CSV_COLUMNS."""
-    return dict(zip(CSV_COLUMNS, (run_id, seed, replica_count, alpha, beta,
-                                  t, x, quantity, value, stderr, tail_bound)))
+    """One output row: a dict keyed by CSV_COLUMNS, each cell cast to its
+    column's type."""
+    cells = (run_id, seed, replica_count, alpha, beta, t, x, quantity, value,
+             stderr, tail_bound)
+    return {col: _COLUMN_TYPES.get(col, float)(cell)
+            for col, cell in zip(CSV_COLUMNS, cells)}
 
 
 class DegenerateSamplesError(ValueError):
@@ -205,66 +207,29 @@ def smoothness_report(estimate):
 # serialization
 
 
-def _coerce(column, value):
-    return None if value is None else _COLUMN_TYPES.get(column, float)(value)
-
-
-def _format_cell(value):
-    """The CSV cell of a value _coerce has typed."""
-    if value is None:
-        return ""
-    return format(value, ".17g") if isinstance(value, float) else str(value)
-
-
-def _normalize_rows(rows):
-    out = []
-    for row in rows:
-        extra = set(row) - set(CSV_COLUMNS)
-        missing = set(CSV_COLUMNS) - set(row)
-        if extra:
-            raise ValueError(f"unknown row fields: {sorted(extra)}")
-        if missing:
-            raise ValueError(f"missing row fields: {sorted(missing)}")
-        out.append({c: _coerce(c, row[c]) for c in CSV_COLUMNS})
-    out.sort(key=lambda r: (r["quantity"], r["t"], r["x"]))
-    return out
-
-
-def emit(rows, fmt, path):
-    """Write rows to path as CSV or JSON, deterministically.
+def emit(rows, path):
+    """Write make_row's rows to path as CSV, deterministically.
 
     Fixed column set, rows sorted by (quantity, t, x), UTF-8, LF line ends,
     17-significant-digit floats; reruns of the same rows are byte-identical.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-    rows = _normalize_rows(rows)
-    if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(f"# {CSV_SCHEMA}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in CSV_COLUMNS])
-        payload = buf.getvalue()
-    else:
-        payload = json.dumps({"schema": CSV_SCHEMA, "rows": rows},
-                             sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    buf.write(f"# {CSV_SCHEMA}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in sorted(rows, key=lambda r: (r["quantity"], r["t"], r["x"])):
+        writer.writerow([format(row[c], ".17g") if isinstance(row[c], float)
+                         else row[c] for c in CSV_COLUMNS])
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            fh.write(buf.getvalue())
     except OSError as err:
         raise OSError(f"cannot write {path}: {err}") from err
     return path
 
 
 def load_rows(path):
-    """Read back a file written by emit, as a list of row dicts."""
+    """Read back a file written by emit, as make_row's rows."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return json.loads(text)["rows"]
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    # an empty cell is a None
-    return [{col: _coerce(col, raw[col] or None) for col in CSV_COLUMNS}
-            for raw in csv.DictReader(lines)]
+        lines = [ln for ln in fh if not ln.startswith("#")]
+    return [make_row(**raw) for raw in csv.DictReader(lines)]

@@ -241,7 +241,9 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, until_k, keep_path=False):
     (B, until_k+1, m_space) when keep_path, blowups is a list of
     (batch_row, step_index, max_abs).  Rows that blow up are frozen to NaN
     and reported, not raised; a row that would blow up only after until_k
-    is not seen, so the drivers, which stop at the probe, keep it.
+    is not seen, so the drivers, which stop at the probe, keep it.  The
+    overflow on the way to a non-finite field warns nothing: the blow-up
+    policy reports it.
     """
     b, m = xi.shape[0], grid.m_space
     scheme = _Scheme(exp_, sigma, grid, (b,))
@@ -252,18 +254,19 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, until_k, keep_path=False):
     path = np.empty((b, until_k + 1, m)) if keep_path else None
     if keep_path:
         path[:, 0] = u
-    for k in range(until_k):
-        scheme.step(u, next(rows))
-        # rows are searched only when the batch max is too big or NaN
-        if not np.abs(u, out=scheme.g).max() <= BLOWUP_THRESHOLD:
-            top = scheme.g.max(axis=-1)
-            bad = alive & ~(top <= BLOWUP_THRESHOLD)
-            for r in np.flatnonzero(bad):
-                blowups.append((int(r), k + 1, float(top[r])))
-                u[r] = np.nan
-            alive &= ~bad
-        if keep_path:
-            path[:, k + 1] = u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(until_k):
+            scheme.step(u, next(rows))
+            # rows are searched only when the batch max is too big or NaN
+            if not np.abs(u, out=scheme.g).max() <= BLOWUP_THRESHOLD:
+                top = scheme.g.max(axis=-1)
+                bad = alive & ~(top <= BLOWUP_THRESHOLD)
+                for r in np.flatnonzero(bad):
+                    blowups.append((int(r), k + 1, float(top[r])))
+                    u[r] = np.nan
+                alive &= ~bad
+            if keep_path:
+                path[:, k + 1] = u
     return u, path, blowups
 
 
@@ -573,12 +576,15 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
         conv = np.zeros((n_max + 1, hi - lo, m))
         moments = np.zeros((2, n_max, k_time + 1, m))
         mom, mom_sq = moments
-        for k in range(k_time):
-            scheme.step(conv[1:], next(rows), v0 + conv[:-1])
-            flow.smooth(v0)
-            d = np.abs(conv[1:] - conv[:-1]) ** p
-            mom[:, k + 1] = d.sum(axis=1)
-            mom_sq[:, k + 1] = (d * d).sum(axis=1)
+        # an overflowing iterate or flow is a non-finite norm, which the
+        # CLI refuses as a numerical failure; it warns nothing on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(k_time):
+                scheme.step(conv[1:], next(rows), v0 + conv[:-1])
+                flow.smooth(v0)
+                d = np.abs(conv[1:] - conv[:-1]) ** p
+                mom[:, k + 1] = d.sum(axis=1)
+                mom_sq[:, k + 1] = (d * d).sum(axis=1)
         return moments
 
     # a left fold in chunk order, the same for every worker count; map_chunks

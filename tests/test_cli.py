@@ -153,6 +153,21 @@ def test_derivative_blowups_are_numerical_error(tmp_path, capsys, subcommand):
     assert not (out / f"{subcommand}.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("subcommand", SAMPLING + ["picard"])
+def test_an_overflowing_field_is_a_numerical_error_and_warns_nothing(
+        tmp_path, capsys, subcommand):
+    # 1e308 sin x overflows in the first step's transform: a non-finite
+    # field is the blow-up policy's to report, so numpy warns nothing on
+    # the way, and the run fails as numerical even under -W error
+    code, out = run_cli([subcommand] + SMALL + ["--set", "u0=sin",
+                                                "--set", "u0_amp=1e308"],
+                        tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("levyheat:error:numerical:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", SAMPLING)
 def test_derivative_blowups_reported_and_excluded(tmp_path, capsys,
                                                   subcommand):
@@ -331,7 +346,7 @@ def test_metadata_echoes_full_schema(tmp_path):
     assert meta["version"] == __version__
     assert meta["rng_scheme"].startswith("philox4x64/")
     assert meta["outputs"] == ["simulate.csv"]
-    assert meta["format"] == "csv"
+    assert "format" not in meta
     assert len(meta["run_id"]) == 12
     # nothing machine- or time-dependent may leak in
     assert "workers" not in meta
@@ -894,15 +909,13 @@ def test_density_degenerate_point_mass(tmp_path, capsys):
     assert got["density_point_mass"]["value"] == 0.0
 
 
-def test_json_format(tmp_path):
+def test_the_data_file_has_one_encoding(tmp_path, capsys):
+    # the data file is always CSV: there is no format to choose
     code, out = run_cli(["simulate"] + SMALL + ["--format", "json"], tmp_path)
-    assert code == 0
-    payload = json.loads((out / "simulate.json").read_text())
-    assert payload["schema"] == "levyheat csv schema v1"
-    assert {r["quantity"] for r in payload["rows"]} == \
-        {"u_mean", "u_var", "u_blowups"}
-    got = load_rows(str(out / "simulate.json"))
-    assert got == payload["rows"]
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "levyheat:error:config: unrecognized arguments: --format json\n")
+    assert not out.exists()
 
 
 def test_probe_must_be_on_grid(tmp_path, capsys):

@@ -32,6 +32,7 @@ from levyheat import (
 )
 from levyheat import solver
 from levyheat.kernels import fit_slope
+from levyheat.mcstats import CSV_COLUMNS, make_row
 from levyheat.noise import _NoiseRows
 from levyheat.solver import BlowUpError, _evolve_batch
 
@@ -47,10 +48,9 @@ def additive_config(replicas=4000, m=64, k=64, horizon=0.5, seed=21):
                      replicas=replicas)
 
 
-def sample_row(quantity="q", t=0.0, x=0.0, value=1.0, alpha=2.0):
-    return {"run_id": "r", "seed": 1, "replica_count": 10, "alpha": alpha,
-            "beta": 2.0, "t": t, "x": x, "quantity": quantity, "value": value,
-            "stderr": 0.0, "tail_bound": 0.0}
+def sample_row(quantity="q", t=0.0, x=0.0, value=1.0):
+    return make_row("r", 1, 2.0, 2.0, quantity, value, t=t, x=x,
+                    replica_count=10)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +474,7 @@ def test_emit_csv_layout_and_order(tmp_path):
     rows = [sample_row("b", t=0.5), sample_row("a", t=1.0),
             sample_row("a", t=0.5, x=1.0), sample_row("a", t=0.5, x=0.5)]
     path = tmp_path / "out.csv"
-    emit(rows, "csv", str(path))
+    emit(rows, str(path))
     text = path.read_text(encoding="utf-8")
     lines = text.split("\n")
     assert lines[0] == "# levyheat csv schema v1"
@@ -489,52 +489,44 @@ def test_emit_csv_layout_and_order(tmp_path):
 def test_emit_rerun_byte_identical(tmp_path):
     rows = [sample_row("a", value=1.0 / 3.0), sample_row("b", value=math.pi)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit(rows, "csv", str(p1))
-    emit(list(reversed(rows)), "csv", str(p2))
+    emit(rows, str(p1))
+    emit(list(reversed(rows)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
-    j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
-    emit(rows, "json", str(j1))
-    emit(list(reversed(rows)), "json", str(j2))
-    assert j1.read_bytes() == j2.read_bytes()
 
 
-def test_emit_roundtrip_and_format_equivalence(tmp_path):
-    rows = [sample_row("a", value=1.0 / 3.0, alpha=None),
-            sample_row("b", value=-2.5e-17)]
-    pc, pj = tmp_path / "r.csv", tmp_path / "r.json"
-    emit(rows, "csv", str(pc))
-    emit(rows, "json", str(pj))
-    from_csv = load_rows(str(pc))
-    from_json = load_rows(str(pj))
-    assert from_csv == from_json
-    assert from_csv[0]["alpha"] is None
-    assert from_csv[0]["value"] == 1.0 / 3.0
-    assert from_csv[1]["value"] == -2.5e-17
-    assert isinstance(from_csv[0]["seed"], int)
+def test_emit_roundtrip_gives_back_the_typed_rows(tmp_path):
+    rows = [sample_row("a", value=1.0 / 3.0), sample_row("b", value=-2.5e-17),
+            sample_row("c", value=np.float64(math.pi), t=np.float32(0.5))]
+    path = tmp_path / "r.csv"
+    emit(rows, str(path))
+    got = load_rows(str(path))
+    assert got == rows
+    assert got[0]["value"] == 1.0 / 3.0
+    assert got[1]["value"] == -2.5e-17
+    assert got[2]["t"] == 0.5
+
+
+def test_make_row_types_each_cell():
+    row = make_row(np.str_("r"), np.int64(7), np.float32(1.5), 2, "q",
+                   np.float64(0.25), stderr=1, t=np.float64(0.5),
+                   replica_count=np.int64(10))
+    assert list(row) == list(CSV_COLUMNS)
+    types = {col: type(cell) for col, cell in row.items()}
+    assert types == {col: {"run_id": str, "quantity": str, "seed": int,
+                           "replica_count": int}.get(col, float)
+                     for col in CSV_COLUMNS}
+    assert (row["seed"], row["alpha"], row["stderr"]) == (7, 1.5, 1.0)
 
 
 def test_emit_empty_rows_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit([], "csv", str(path))
+    emit([], str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
     assert load_rows(str(path)) == []
 
 
-def test_emit_field_validation(tmp_path):
-    bad = sample_row()
-    bad["extra"] = 1.0
-    with pytest.raises(ValueError):
-        emit([bad], "csv", str(tmp_path / "x.csv"))
-    short = sample_row()
-    del short["stderr"]
-    with pytest.raises(ValueError):
-        emit([short], "csv", str(tmp_path / "x.csv"))
-    with pytest.raises(ValueError):
-        emit([sample_row()], "yaml", str(tmp_path / "x.yaml"))
-
-
 def test_emit_unwritable_path():
     with pytest.raises(OSError) as err:
-        emit([sample_row()], "csv", "/nonexistent-dir/out.csv")
+        emit([sample_row()], "/nonexistent-dir/out.csv")
     assert "/nonexistent-dir/out.csv" in str(err.value)
