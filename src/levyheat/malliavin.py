@@ -101,25 +101,26 @@ def noise_gradient_oracle(config, replica, source, probe):
     cell normalization of propagate_derivative.  The two step sizes give a
     3-point Richardson error estimate; `reliable` flags whether it is within
     5% of the value, that is whether h sits in the window where nonlinearity
-    and roundoff are both under control.
+    and roundoff are both under control.  It certifies config again for
+    variates shifted by h.
     """
     h, rel_tol = 0.5, 0.05
     grid = config.grid
     k_s, i_s = source
     if not (0 <= k_s < grid.k_time) or not (0 <= i_s < grid.m_space):
         raise IndexError(f"source cell {source} outside the grid")
+    config.certify(shift=h)
     k_p, i_p = grid.index_of(*probe)
     # the steps up to the probe read only the first k_p rows
     variants = np.repeat(_NoiseRows(grid, config.seed, (replica,))[:, :k_p],
                          4, axis=0)
     if k_s < k_p:  # a source at or after the probe leaves u(probe) as it is
         variants[:, k_s, i_s] += (h, -h, 0.5 * h, -0.5 * h)
-    u, _, blowups = _evolve_batch(config.u0, variants, config.exponent,
-                                  config.sigma, grid, k_p)
-    if blowups:
-        _, k_bad, max_abs = blowups[0]
-        raise BlowUpError(k_bad, max_abs, replica)
+    u, _ = _evolve_batch(config.u0, variants, config.exponent, config.sigma,
+                         grid, k_p)
     u = u[:, i_p]
+    if not np.all(np.isfinite(u)):
+        raise BlowUpError(replica)
     cell = math.sqrt(grid.dt * grid.dx)
     v_h = (u[0] - u[1]) / (2.0 * h * cell)
     v_half = (u[2] - u[3]) / (h * cell)
@@ -134,7 +135,7 @@ def certified_floor(config):
     sweep's last row is sigma(u_{k_p-1}) W_{k_p-1}, W the row of a unit
     sigma, every earlier row adds to the mass, and |sigma| >= kappa.  A
     probe at t = 0 has mass 0 and floor 0."""
-    _, rows, _ = linearize(replace(config, sigma=get_sigma("one")))
+    _, rows = linearize(replace(config, sigma=get_sigma("one")))
     weight = config.grid.dt * config.grid.dx
     return config.sigma.kappa ** 2 * float(np.sum(rows[0, -1:] ** 2)) * weight
 
@@ -147,24 +148,20 @@ def hnorm_samples(config, workers=1, deltas=()):
     """Replica samples of the derivative mass |D u(t, x)|^2_H at the probe.
 
     Returns (mass, tails): the SampleSet of the mass, and tails mapping each
-    window delta to the SampleSet of its windowed mass.  Blow-ups are
-    excluded as in run_ensemble and listed in mass.blowups.  Deterministic
-    in config regardless of worker count.
+    window delta to the SampleSet of its windowed mass, one value per
+    replica (BlowUpError for a non-finite one, as in run_ensemble).
+    Deterministic in config regardless of worker count.
     """
     grid = config.grid
     check_windows(deltas, grid.dt)
     k_p, i_p = config.probe_cell
-    if config.sigma.lip == 0:
-        _, rows, certified = linearize(config)
-        if certified:  # no noise: every replica has the flow's rows
-            mass, tails = hnorm_sq(rows, grid, deltas)
-            return (SampleSet(np.repeat(mass, config.replicas)),
-                    {d: SampleSet(np.repeat(a, config.replicas))
-                     for d, a in tails.items()})
+    if config.sigma.lip == 0:  # no noise: every replica has the flow's rows
+        mass, tails = hnorm_sq(linearize(config)[1], grid, deltas)
+        return (SampleSet(np.repeat(mass, config.replicas)),
+                {d: SampleSet(np.repeat(a, config.replicas))
+                 for d, a in tails.items()})
 
     def read(u_p, path, xi):
-        # the sweep keeps each replica's rows apart, so the NaN-frozen rows
-        # of the blown-up replicas reach no other row
         rows = adjoint_gradient(path, xi, config.exponent, config.sigma, grid,
                                 k_p, i_p)
         mass, tails = hnorm_sq(rows, grid, deltas)

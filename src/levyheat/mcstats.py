@@ -53,9 +53,8 @@ class DegenerateSamplesError(ValueError):
 
 
 def run_ensemble(config, workers=1):
-    """The SampleSet of u at the probe, one value per replica path.  Blow-ups
-    are excluded and reported as solver.sample_at_probe does, since a silent
-    drop biases every statistic, so the set holds at least 2 values."""
+    """The SampleSet of u at the probe, one value per replica path; a
+    replica that is not finite there raises BlowUpError (sample_at_probe)."""
     return sample_at_probe(config, lambda u_p, path, xi: (u_p,), workers)[0]
 
 

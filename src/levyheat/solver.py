@@ -21,7 +21,7 @@ probe value is exactly a Wiener integral, the flow of u0 plus
 sum_{k,j} w_{k,j} xi_{k,j}, whose weights are `adjoint_gradient`'s rows on
 the flow times sqrt(dt*dx) (Nualart, The Malliavin Calculus and Related
 Topics, 2006, sec. 1.2): `linearize` sweeps the flow once, `sample_at_probe`
-sums per noise block.
+sums per noise block.  `RunConfig.certify` bounds every field first.
 
 `adjoint_gradient` differentiates the step exactly.  Normalized by
 sqrt(dt*dx), the derivative of u(t_{k_p}, x_{i_p}) in the variate of cell
@@ -40,7 +40,7 @@ batched over replicas.
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,6 +49,7 @@ import numpy.fft  # numpy loads it lazily: here, not in the first _smooth
 from .kernels import FOUR_PI_SQ, TWO_PI, rfft_symbol, rfft_weights
 from .noise import XI_MAX, GridSpec, _NoiseRows
 
+# the certificate keeps every field under half of it
 BLOWUP_THRESHOLD = 1e12
 # the stepper draws at least this many words of each noise stream at a time
 _ROW_BLOCK_WORDS = 2048
@@ -63,27 +64,24 @@ _PATH_CHUNK_WORDS = 2 ** 20
 
 
 class BlowUpError(RuntimeError):
-    """A replica exceeded the amplitude threshold and was aborted."""
+    """A replica's field is not finite: one of its variates is infinite
+    (probability 2^-53 per cell)."""
 
-    def __init__(self, step_index, max_abs, replica=0):
-        self.step_index = step_index
-        self.max_abs = max_abs
+    def __init__(self, replica):
         self.replica = replica
-        super().__init__(
-            f"field blew up at step {step_index} (max |u| = {max_abs:.3e}, "
-            f"replica {replica})"
-        )
+        super().__init__(f"replica {replica} has a non-finite field: one of "
+                         "its variates is infinite")
 
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """Noise coefficient sigma with its derivative, a lower bound on |sigma|
-    and a Lipschitz constant.
+    """Noise coefficient sigma with its derivative, bounds kappa <= |sigma|
+    <= sup and a Lipschitz constant.
 
-    kappa is that lower bound: 0 for degenerate choices, and the small-ball
-    and negative-moment estimators insist on kappa > 0.  lip bounds
-    |sigma(a) - sigma(b)| / |a - b|; lip = 0 declares sigma constant, which
-    sample_at_probe samples as a Wiener integral.
+    kappa is 0 for degenerate choices, and the small-ball and
+    negative-moment estimators insist on kappa > 0; RunConfig.certify reads
+    sup.  lip bounds |sigma(a) - sigma(b)| / |a - b|; lip = 0 declares
+    sigma constant, which sample_at_probe samples as a Wiener integral.
     """
 
     name: str
@@ -91,9 +89,10 @@ class SigmaSpec:
     sigma_prime: Callable
     kappa: float
     lip: float
+    sup: float
 
     def __post_init__(self):
-        for key in ("kappa", "lip"):
+        for key in ("kappa", "lip", "sup"):
             if not 0.0 <= getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be nonnegative and finite")
 
@@ -102,13 +101,13 @@ def _const(value):
     return lambda u: np.full_like(np.asarray(u, dtype=float), value)
 
 
+# a constant sigma is its own bounds: kappa = sup = its value, lip = 0
 SIGMA_REGISTRY = {
-    "zero": SigmaSpec("zero", _const(0.0), _const(0.0), kappa=0.0, lip=0.0),
-    "one": SigmaSpec("one", _const(1.0), _const(0.0), kappa=1.0, lip=0.0),
-    "two": SigmaSpec("two", _const(2.0), _const(0.0), kappa=2.0, lip=0.0),
-    "shifted_sine": SigmaSpec("shifted_sine", lambda u: 2.0 + np.sin(u), np.cos,
-                              kappa=1.0, lip=1.0),
-}
+    name: SigmaSpec(name, _const(c), _const(0.0), kappa=c, lip=0.0, sup=c)
+    for name, c in (("zero", 0.0), ("one", 1.0), ("two", 2.0))}
+SIGMA_REGISTRY["shifted_sine"] = SigmaSpec(
+    "shifted_sine", lambda u: 2.0 + np.sin(u), np.cos, kappa=1.0, lip=1.0,
+    sup=3.0)
 
 
 def get_sigma(name):
@@ -132,6 +131,8 @@ def rfft_multiplier(exp_, grid):
 
 def _smooth(fields, mult, m, out=None, spec=None):
     spec = np.fft.rfft(fields, axis=-1, out=spec)
+    if mult is None:  # the rfft spectrum itself
+        return spec
     spec *= mult
     return np.fft.irfft(spec, n=m, axis=-1, out=out)
 
@@ -144,7 +145,8 @@ class RunConfig:
     read-only float copy.  probe is the (t, x) point whose law the run
     samples; it must sit exactly on the grid and defaults to (horizon, 0),
     resolved when the config is built (dataclasses.replace with a new grid
-    keeps the old probe).  Moment estimates need at least 2 replicas.
+    keeps the old probe).  Moment estimates need at least 2 replicas.  A
+    config that certify() refuses is refused when it is built.
     """
 
     grid: GridSpec
@@ -169,6 +171,25 @@ class RunConfig:
         if self.probe is None:
             object.__setattr__(self, "probe", (self.grid.horizon, 0.0))
         self.grid.index_of(*self.probe)  # an off-grid probe raises here
+        self.certify()
+
+    def certify(self, shift=0.0):
+        """The bound below on |u| up to the horizon for variates of size at
+        most XI_MAX + shift; past BLOWUP_THRESHOLD / 2 the run is refused.
+        Re phi >= 0 makes every |rho_n| <= 1, so every field of every
+        driver, each Picard iterate too, keeps |u_k| <= (1/m) sum_n
+        |u0^(n)| (the Fourier l1 norm, exact for u0 = a sin x) + sup|sigma|
+        scale (XI_MAX + shift) sqrt(m) k, as ||S^j||_inf->inf <= sqrt(m)."""
+        m = self.grid.m_space
+        # the rfft of u0 / m: its sums stay below max |u0|, so finite
+        flow = float(rfft_weights(m) @ np.abs(_smooth(self.u0 / m, None, m)))
+        noise = (self.sigma.sup * noise_density_scale(self.grid)
+                 * (XI_MAX + shift) * math.sqrt(m) * self.grid.k_time)
+        if not flow + noise <= BLOWUP_THRESHOLD / 2:
+            raise ValueError(
+                f"u0_amp: flow {flow:.3e} + noise {noise:.3e} could carry a "
+                f"replica past the certified bound {BLOWUP_THRESHOLD / 2:.0e}")
+        return flow + noise
 
     @property
     def probe_cell(self):
@@ -236,38 +257,24 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, until_k, keep_path=False):
 
     xi is the batch's noise: anything with shape (B, >= until_k, m_space)
     whose xi[:, k0:k1] is the (B, k1-k0, m_space) array of the variates of
-    steps k0..k1-1, so an array or a noise._NoiseRows.  Returns (u, path,
-    blowups): u is the (B, m_space) field at step until_k, path is
-    (B, until_k+1, m_space) when keep_path, blowups is a list of
-    (batch_row, step_index, max_abs).  Rows that blow up are frozen to NaN
-    and reported, not raised; a row that would blow up only after until_k
-    is not seen, so the drivers, which stop at the probe, keep it.  The
-    overflow on the way to a non-finite field warns nothing: the blow-up
-    policy reports it.
+    steps k0..k1-1, so an array or a noise._NoiseRows.  Returns (u, path):
+    u is the (B, m_space) field at step until_k, path is
+    (B, until_k+1, m_space) when keep_path.  An infinite variate makes its
+    row non-finite from its step on, warning nothing; the drivers report it.
     """
     b, m = xi.shape[0], grid.m_space
     scheme = _Scheme(exp_, sigma, grid, (b,))
     rows = scheme.rows(xi, until_k)
     u = np.broadcast_to(np.asarray(u0_values, dtype=float), (b, m)).copy()
-    alive = np.ones(b, dtype=bool)
-    blowups = []
     path = np.empty((b, until_k + 1, m)) if keep_path else None
     if keep_path:
         path[:, 0] = u
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(until_k):
             scheme.step(u, next(rows))
-            # rows are searched only when the batch max is too big or NaN
-            if not np.abs(u, out=scheme.g).max() <= BLOWUP_THRESHOLD:
-                top = scheme.g.max(axis=-1)
-                bad = alive & ~(top <= BLOWUP_THRESHOLD)
-                for r in np.flatnonzero(bad):
-                    blowups.append((int(r), k + 1, float(top[r])))
-                    u[r] = np.nan
-                alive &= ~bad
             if keep_path:
                 path[:, k + 1] = u
-    return u, path, blowups
+    return u, path
 
 
 def map_chunks(fn, n_items, chunk, workers=1):
@@ -318,12 +325,10 @@ def check_levels(levels, n):
 
 @dataclass
 class SampleSet:
-    """Replica values of one sampled quantity without the blow-ups, listed
-    as (replica, step, magnitude), and the one Monte Carlo estimator of
-    every mean, variance, stderr and quantile the package reports."""
+    """Replica values of one sampled quantity and the one Monte Carlo
+    estimator of every mean, variance, stderr and quantile reported."""
 
     values: np.ndarray
-    blowups: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.values)
@@ -382,35 +387,25 @@ def adjoint_gradient(path, xi, exp_, sigma, grid, k_p, i_p):
 
 def linearize(config):
     """The scheme linearized about its flow v0 (its run on zero variates) up
-    to the probe step k_p: (flow, rows, certified).  flow is v0's (1, k_p + 1,
-    m_space) path and rows the (1, k_p, m_space) adjoint_gradient rows on
-    it, sigma(v0_k) times the additive rows.  A constant sigma (lip 0) makes
+    to the probe step k_p: (flow, rows).  flow is v0's (1, k_p + 1, m_space)
+    path and rows the (1, k_p, m_space) adjoint_gradient rows on it,
+    sigma(v0_k) times the additive rows.  A constant sigma (lip 0) makes
     the scheme affine, u_p = flow_p + sqrt(dt*dx) sum rows xi, with these
-    rows for every replica; certified says it also blows up no replica with
-    finite variates: |u_k| <= max|flow| + |sigma| scale XI_MAX sqrt(m_space)
-    k_p (||S^j||_inf->inf <= sqrt(m_space) while every |rho_n| <= 1) stays
-    under half the threshold.  An infinite variate (probability 2^-53 per
-    cell) is not covered: it blows a stepped replica up, unseen by the rows.
+    rows for every replica.
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
-    scheme = _Scheme(config.exponent, config.sigma, grid)
     zero = np.zeros((1, k_p, grid.m_space))
-    _, flow, _ = _evolve_batch(config.u0, zero, config.exponent, config.sigma,
-                               grid, k_p, keep_path=True)
+    _, flow = _evolve_batch(config.u0, zero, config.exponent, config.sigma,
+                            grid, k_p, keep_path=True)
     rows = adjoint_gradient(flow, zero, config.exponent, config.sigma, grid,
                             k_p, i_p)
-    reach = (np.abs(flow).max() + float(np.abs(config.sigma.sigma(flow)).max())
-             * scheme.scale * XI_MAX * math.sqrt(scheme.m) * k_p)
-    certified = bool(config.sigma.lip == 0 and reach <= BLOWUP_THRESHOLD / 2
-                     and np.abs(scheme.mult).max() <= 1.0)
-    return flow, rows, certified
+    return flow, rows
 
 
 def sample_at_probe(config, read, workers=1, keep_path=False):
     """The sampling loop of every driver: read(u_p, path, xi) off each chunk
-    of replicas at the probe step k_p, the chunks joined under the one
-    blow-up policy.
+    of replicas at the probe step k_p, the chunks joined in replica order.
 
     Replica r draws noise stream (config.seed, r).  A chunk holds as many
     replicas as fit in _STREAM_CHUNK_WORDS words of field, or in
@@ -420,74 +415,62 @@ def sample_at_probe(config, read, workers=1, keep_path=False):
     read gets the chunk's (B,) values u_p at the probe and, if keep_path,
     its (B, k_p + 1, m_space) path and (B, k_p, m_space) variates (else
     None and its _NoiseRows); it returns a tuple of arrays with one row per
-    replica.  Returns one SampleSet per array: its values without the
-    replicas with |u| > BLOWUP_THRESHOLD by k_p, and those blow-ups, shared
-    by every set, as (replica, step, magnitude) in replica order, whatever
-    the chunk size.  Fewer than 2 survivors raise
-    BlowUpError for the first blow-up by replica.
+    replica.  Returns one SampleSet per array, of every replica: the
+    config's certificate keeps every replica with finite variates finite,
+    and a non-finite u_p raises BlowUpError for the first such replica.
 
-    A constant sigma (lip 0) that linearize certifies, without keep_path,
-    takes each u_p as the Wiener integral flow + sum w xi, one elementwise
-    product and row sum per noise block, so its bits do not depend on the
-    chunk.  A chunk with a non-finite u_p, which only an infinite variate
-    gives, is stepped instead, and so is every other run.
+    A constant sigma (lip 0), without keep_path, takes each u_p as the
+    Wiener integral flow + sum w xi, one elementwise product and row sum
+    per noise block, so its bits do not depend on the chunk.  Every other
+    run is stepped.
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
     fit = max(1, _PATH_CHUNK_WORDS // ((k_p + 1) * grid.m_space) if keep_path
               else _STREAM_CHUNK_WORDS // grid.m_space)
     chunk = math.ceil(config.replicas / math.ceil(config.replicas / fit))
-    weights = None
-    if config.sigma.lip == 0 and not keep_path:
+    wiener = config.sigma.lip == 0 and not keep_path
+    if wiener:
         scheme = _Scheme(config.exponent, config.sigma, grid)
-        flow, rows, certified = linearize(config)
-        weights = rows * math.sqrt(grid.dt * grid.dx) if certified else None
+        flow, rows = linearize(config)
+        weights = rows * math.sqrt(grid.dt * grid.dx)
 
     def one_chunk(lo, hi):
         xi = _NoiseRows(grid, config.seed, range(lo, hi))
-        if weights is not None:
-            u_p = np.full(hi - lo, flow[0, k_p, i_p])
+        if keep_path:  # read needs the variates of the path: draw them once
+            xi = xi[:, :k_p]
+        if wiener:
+            u_p, path = np.full(hi - lo, flow[0, k_p, i_p]), None
             for block, w in zip(scheme.blocks(xi, k_p),
                                 scheme.blocks(weights, k_p)):
                 block *= w  # the block is this chunk's own draw
                 u_p += block.reshape(hi - lo, -1).sum(axis=1)
                 del block  # release it before drawing the next
-            if np.all(np.isfinite(u_p)):
-                return read(u_p, None, xi), []
-        if keep_path:  # read needs the variates of the path: draw them once
-            xi = xi[:, :k_p]
-        u, path, blowups = _evolve_batch(config.u0, xi, config.exponent,
-                                         config.sigma, grid, k_p, keep_path)
-        # a copy: a view of the probe column would keep all of u alive
-        return (read(u[:, i_p].copy(), path, xi),
-                [(lo + r, k, mag) for r, k, mag in blowups])
+        else:
+            u, path = _evolve_batch(config.u0, xi, config.exponent,
+                                    config.sigma, grid, k_p, keep_path)
+            # a copy: a view of the probe column would keep all of u alive
+            u_p = u[:, i_p].copy()
+        bad = np.flatnonzero(~np.isfinite(u_p))
+        if len(bad):
+            raise BlowUpError(lo + int(bad[0]))
+        return read(u_p, path, xi)
 
-    parts, blowups = [], []
-    for arrays, chunk_blowups in map_chunks(one_chunk, config.replicas, chunk,
-                                            workers):
-        parts.append(arrays)
-        blowups += chunk_blowups
-    blowups.sort()
-    if config.replicas - len(blowups) < 2:
-        replica, k_bad, max_abs = blowups[0]
-        raise BlowUpError(k_bad, max_abs, replica)
-    keep = np.ones(config.replicas, dtype=bool)
-    keep[[r for r, _, _ in blowups]] = False
-    joined = (np.concatenate(column) for column in zip(*parts))
-    return tuple(SampleSet(a[keep], blowups) for a in joined)
+    parts = map_chunks(one_chunk, config.replicas, chunk, workers)
+    return tuple(SampleSet(np.concatenate(column)) for column in zip(*parts))
 
 
 def solve_path(config, replica=0):
     """Full (k_time+1, m_space) trajectory of replica `replica`, driven by
-    noise stream (config.seed, replica).  A blow-up raises BlowUpError."""
+    noise stream (config.seed, replica).  A non-finite field raises
+    BlowUpError."""
     grid = config.grid
-    _, path, blowups = _evolve_batch(
+    u, path = _evolve_batch(
         config.u0, _NoiseRows(grid, config.seed, (replica,)), config.exponent,
         config.sigma, grid, grid.k_time, keep_path=True,
     )
-    if blowups:
-        _, k_bad, max_abs = blowups[0]
-        raise BlowUpError(k_bad, max_abs, replica)
+    if not np.all(np.isfinite(u)):
+        raise BlowUpError(replica)
     return path[0]
 
 
@@ -576,15 +559,16 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
         conv = np.zeros((n_max + 1, hi - lo, m))
         moments = np.zeros((2, n_max, k_time + 1, m))
         mom, mom_sq = moments
-        # an overflowing iterate or flow is a non-finite norm, which the
-        # CLI refuses as a numerical failure; it warns nothing on the way
+        # an infinite variate gives a non-finite norm, warning nothing; a
+        # moment that under- or overflows raises FloatingPointError
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(k_time):
                 scheme.step(conv[1:], next(rows), v0 + conv[:-1])
                 flow.smooth(v0)
-                d = np.abs(conv[1:] - conv[:-1]) ** p
-                mom[:, k + 1] = d.sum(axis=1)
-                mom_sq[:, k + 1] = (d * d).sum(axis=1)
+                with np.errstate(under="raise", over="raise"):
+                    d = np.abs(conv[1:] - conv[:-1]) ** p
+                    mom[:, k + 1] = d.sum(axis=1)
+                    mom_sq[:, k + 1] = (d * d).sum(axis=1)
         return moments
 
     # a left fold in chunk order, the same for every worker count; map_chunks

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 
-from levyheat import SigmaSpec
+from levyheat import noise
 from levyheat.kernels import rfft_symbol
 from levyheat.solver import _smooth
 
@@ -20,11 +20,19 @@ def traced_peak(fn, *args, **kwargs):
     return result, peak
 
 
-def steep_sigma(c):
-    """c * (2 + sin u): with c near the blow-up threshold, some replicas blow
-    up after many steps and the others survive."""
-    return SigmaSpec("steep", lambda u: c * (2.0 + np.sin(u)),
-                     lambda u: c * np.cos(u), kappa=c, lip=c)
+def planted_infinity(monkeypatch, replica, word):
+    """Make word `word` of replica `replica`'s noise stream +inf, the
+    variate of the top uniform (test_noise pins it), for every seed."""
+    real = noise._normal_block
+
+    def planted(seed, replicas, first_word, count):
+        out = real(seed, replicas, first_word, count)
+        for row, r in enumerate(replicas):
+            if r == replica and first_word <= word < first_word + count:
+                out[row, word - first_word] = np.inf
+        return out
+
+    monkeypatch.setattr(noise, "_normal_block", planted)
 
 
 def semigroup(exp_, t, values):

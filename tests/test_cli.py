@@ -19,6 +19,8 @@ from levyheat.cli import (COMMANDS, SCHEMA, build_exponent, build_parser,
                           parse_and_dispatch)
 from levyheat.mcstats import load_rows
 
+from conftest import planted_infinity
+
 SMALL = ["--set", "m_space=16", "--set", "k_time=8", "--set", "horizon=0.2",
          "--set", "replicas=8"]
 
@@ -139,61 +141,57 @@ def test_one_parser_reads_every_subcommand(tmp_path, capsys):
 SAMPLING = ["simulate", "density", "malliavin", "smallball"]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("subcommand", SAMPLING)
-def test_derivative_blowups_are_numerical_error(tmp_path, capsys, subcommand):
-    # every replica blows up, so fewer than 2 usable ones remain; the error
-    # names the first of them
-    code, out = run_cli([subcommand] + SMALL + ["--set", "u0=sin",
-                                                "--set", "u0_amp=1e13"],
-                        tmp_path)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("levyheat:error:numerical:")
-    assert "at step 1 " in err and "replica 0)" in err
-    assert not (out / f"{subcommand}.csv").exists()
+def test_derivative_blowups_are_numerical_error(tmp_path, capsys, monkeypatch,
+                                                subcommand):
+    # an infinite variate in cell (1, 2) of replica 3 is the one way a
+    # certified run can blow up; the run names the replica and writes
+    # nothing, stepped or, for a constant sigma's ensemble, summed as a
+    # Wiener integral (a constant sigma's derivative mass draws no noise)
+    planted_infinity(monkeypatch, 3, 1 * 16 + 2)
+    sigmas = ["shifted_sine"]
+    if subcommand in ("simulate", "density"):
+        sigmas.append("one")
+    for sigma in sigmas:
+        code, out = run_cli([subcommand] + SMALL + ["--set", f"sigma={sigma}"],
+                            tmp_path, sigma)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "levyheat:error:numerical: replica 3 has a non-finite field: one "
+            "of its variates is infinite\n")
+        assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("subcommand", SAMPLING + ["picard"])
 def test_an_overflowing_field_is_a_numerical_error_and_warns_nothing(
-        tmp_path, capsys, subcommand):
-    # 1e308 sin x overflows in the first step's transform: a non-finite
-    # field is the blow-up policy's to report, so numpy warns nothing on
-    # the way, and the run fails as numerical even under -W error
-    code, out = run_cli([subcommand] + SMALL + ["--set", "u0=sin",
-                                                "--set", "u0_amp=1e308"],
-                        tmp_path)
+        tmp_path, capsys, monkeypatch, subcommand):
+    # an infinite variate takes its replica's field to inf and NaN in the
+    # step it enters; numpy warns nothing on the way, and the run fails as
+    # numerical even under -W error.  picard steps its iterates and its
+    # flow in a loop of its own, so it runs too
+    planted_infinity(monkeypatch, 3, 1 * 16 + 2)
+    code, out = run_cli([subcommand] + SMALL, tmp_path)
     assert code == 2
     assert capsys.readouterr().err.startswith("levyheat:error:numerical:")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("subcommand", SAMPLING)
-def test_derivative_blowups_reported_and_excluded(tmp_path, capsys,
-                                                  subcommand):
-    # u0 = A sin x with A exp(-dt) a hair below the 1e12 blow-up threshold:
-    # after the first step the noise pushes some replicas over it, not all
-    args = [subcommand] + SMALL + ["--set", "u0=sin",
-                                   "--set", "u0_amp=1025315120524.2238"]
-    if subcommand == "smallball":
-        # the 5 survivors are too few for a 95% interval of the default 0.5
-        # quantile, which 8 replicas would give: the samples fail, not the
-        # config; a level that 5 samples bracket runs
-        code, out = run_cli(args, tmp_path, "default")
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "levyheat:error:numerical: levels: 3 of 8 replicas blew up, and "
-            "level 0.5 has no 95% interval from n = 5 samples: the upper end "
-            "would lie past the largest\n")
-        assert not out.exists()
-        args += ["--set", "levels=0.25"]
-    code, out = run_cli(args, tmp_path)
-    assert code == 0
-    assert "replicas blew up and were excluded" in capsys.readouterr().err
-    meta = json.loads((out / f"{subcommand}.meta.json").read_text())
-    assert 0 < len(meta["blowups"]) < 8
-    rows = load_rows(str(out / f"{subcommand}.csv"))
-    assert {r["replica_count"] for r in rows} == {8 - len(meta["blowups"])}
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("moment_p", ["200", "1000"])
+def test_picard_moments_out_of_float_range_are_numerical_errors(
+        tmp_path, capsys, moment_p):
+    # a nonzero difference of about 0.1 to the power 200 has a square
+    # below the smallest double, and to the power 1000 it underflows
+    # itself: the run fails, naming moment_p, rather than writing zeros
+    code, out = run_cli(["picard"] + SMALL + ["--set", f"moment_p={moment_p}"],
+                        tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"levyheat:error:numerical: moment_p = {moment_p}: underflow ")
+    assert not out.exists()
 
 
 def test_unwritable_output_is_io_error(capsys):
@@ -500,31 +498,23 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("sigma", ["shifted_sine", "one"])
 def test_an_infinite_variate_writes_strict_json_metadata(
-        tmp_path, capsys, monkeypatch, sigma):
-    # the top uniform maps to xi = +inf; planted in cell (1, 2) of replica 3
-    # it blows that replica up at step 2 with magnitude NaN, which the
-    # metadata records as null.  A constant sigma steps that chunk too
-    real = noise._normal_block
-    word = 1 * 16 + 2
-
-    def planted(seed, replicas, first_word, count):
-        out = real(seed, replicas, first_word, count)
-        for row, r in enumerate(replicas):
-            if r == 3 and first_word <= word < first_word + count:
-                out[row, word - first_word] = np.inf
-        return out
-
-    monkeypatch.setattr(noise, "_normal_block", planted)
-    code, out = run_cli(["simulate"] + SMALL + ["--set", f"sigma={sigma}"],
-                        tmp_path)
+        tmp_path, monkeypatch, sigma):
+    # an infinite variate past the probe, in cell (6, 2) of replica 3 with
+    # the probe at step 4 of 8, enters no probe value, stepped or summed as
+    # a Wiener integral: the run writes the bytes of a run without it, and
+    # its metadata is strict JSON
+    args = ["simulate"] + SMALL + ["--set", f"sigma={sigma}",
+                                   "--set", "probe_t=0.1"]
+    code, ref = run_cli(args, tmp_path, "ref")
     assert code == 0
-    assert "1 replicas blew up" in capsys.readouterr().err
-    meta = strict_json((out / "simulate.meta.json").read_text())
-    assert meta["blowups"] == [[3, 2, None]]
-    assert rows_by_quantity(out / "simulate.csv")["u_blowups"]["value"] == 1.0
+    planted_infinity(monkeypatch, 3, 6 * 16 + 2)
+    code, out = run_cli(args, tmp_path)
+    assert code == 0
+    for name in ("simulate.csv", "simulate.meta.json"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    strict_json((out / "simulate.meta.json").read_text())
 
 
 @pytest.mark.parametrize("subcommand, setting", [
@@ -804,7 +794,7 @@ def test_malliavin_subcommand(tmp_path):
     assert "hnorm_tail_mean/delta=5.000000e-02" in got
     assert any(q.startswith("negative_moment/p=2") for q in got)
     meta = json.loads((out / "malliavin.meta.json").read_text())
-    assert meta["blowups"] == []
+    assert "blowups" not in meta
 
 
 def test_smallball_subcommand_rows(tmp_path):
@@ -828,7 +818,7 @@ def test_smallball_subcommand_rows(tmp_path):
                                      "negative_moment_floor_sweep/"))
                        for q in got)
     meta = json.loads((out / "smallball.meta.json").read_text())
-    assert meta["blowups"] == []
+    assert "blowups" not in meta
 
 
 def test_smallball_row_names_do_not_depend_on_the_seed(tmp_path):

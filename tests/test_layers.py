@@ -2,8 +2,9 @@
 noise module alone draws random numbers, kernels._smallest_cutoff alone
 searches for a series cutoff, solver._smooth alone transforms,
 solver._Scheme alone steps, solver.linearize alone linearizes the scheme
-about its flow, solver.sample_at_probe alone runs the sampling loop, sizes
-its chunks and applies the blow-up policy of every sampler, neither solver
+about its flow, solver.sample_at_probe alone runs the sampling loop and
+sizes its chunks, solver.RunConfig.certify alone bounds the fields of every
+driver before any noise is drawn, neither solver
 nor malliavin evaluates a kernel series, solver.SampleSet alone
 estimates a sample quantile, and the public API has no name that only the
 tests use.
@@ -16,12 +17,17 @@ format, so this test parses each lower module and rejects any such import.
 
 import ast
 import inspect
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levyheat
+from levyheat import (GridSpec, RunConfig, get_sigma, make_power_exponent,
+                      noise, noise_density_scale, noise_gradient_oracle)
+from levyheat.cli import parse_and_dispatch
 
 PACKAGE = Path(levyheat.__file__).parent
 DEMOS = PACKAGE.parents[1] / "demos"
@@ -174,8 +180,11 @@ def functions_reading(name):
 
 
 # kde's one Gaussian convolution of the binned samples is the only other
-# spectral product in the package, and its `step` is a grid spacing
-NOT_A_STEP = {"_smooth": {"mcstats.kde"}, "step": {"mcstats.kde"}}
+# spectral product in the package, and its `step` is a grid spacing; the
+# certificate reads the spectrum of u0 and the noise scale, and steps nothing
+NOT_A_STEP = {"_smooth": {"mcstats.kde", "solver.RunConfig.certify"},
+              "step": {"mcstats.kde"},
+              "noise_density_scale": {"solver.RunConfig.certify"}}
 
 
 @pytest.mark.parametrize("name, reader", [
@@ -224,30 +233,98 @@ def test_only_the_sampling_loop_reads_a_chunk_budget():
 
 
 def test_the_linearization_is_written_once():
-    # solver.linearize alone steps the flow on zero variates, sweeps it and
-    # certifies it; the Wiener sampler, the constant-sigma derivative mass
-    # and the certified small-ball floor read its rows and step no flow of
-    # their own
+    # solver.linearize alone steps the flow on zero variates and sweeps it;
+    # the Wiener sampler, the constant-sigma derivative mass and the
+    # certified small-ball floor read its rows and step no flow of their own
     assert (functions_reading("_evolve_batch")
             & functions_reading("adjoint_gradient")) == {"solver.linearize"}
     assert (functions_reading("zeros")
             & functions_reading("_evolve_batch")) == {"solver.linearize"}
-    assert functions_reading("XI_MAX") == {"solver.linearize"}
     assert functions_reading("linearize") == {"solver.sample_at_probe",
                                               "malliavin.hnorm_samples",
                                               "malliavin.certified_floor"}
 
 
+def step_loops(qual):
+    """The loops over time steps of a top-level function or method: its for
+    loops over range(until_k) or range(k_time)."""
+    fn = dict(top_level_functions())[qual]
+    return [node for node in ast.walk(fn) if isinstance(node, ast.For)
+            and ast.unparse(node.iter) in ("range(until_k)", "range(k_time)")]
+
+
 def test_the_blowup_policy_is_written_once():
-    # the sampling drivers join their chunks through solver.sample_at_probe,
-    # which alone excludes, reports and raises their blow-ups; the
-    # single-replica paths raise their own, and the CLI turns BlowUpError
-    # into exit 2
+    # the blow-up policy is the certificate: RunConfig.certify alone reads
+    # the threshold and the largest finite variate, every driver takes a
+    # RunConfig, which runs it when it is built, and the gradient oracle,
+    # which shifts a variate, runs it again.  No loop over time steps scans
+    # the field; a non-finite replica, which only an infinite variate
+    # gives, raises BlowUpError where the drivers read it, and the CLI
+    # turns that into exit 2
+    assert functions_reading("BLOWUP_THRESHOLD") == {"solver.RunConfig.certify"}
+    assert functions_reading("XI_MAX") == {"solver.RunConfig.certify"}
+    assert functions_reading("certify") == {
+        "solver.RunConfig.__post_init__", "malliavin.noise_gradient_oracle"}
+    for qual in ("solver._evolve_batch", "solver.picard_sequence"):
+        loops = step_loops(qual)
+        assert loops
+        for loop in loops:
+            read = {getattr(node, "id", getattr(node, "attr", None))
+                    for node in ast.walk(loop)}
+            assert not read & {"max", "isfinite", "BLOWUP_THRESHOLD"}, qual
     assert functions_reading("sample_at_probe") == {"mcstats.run_ensemble",
                                                     "malliavin.hnorm_samples"}
     assert functions_reading("BlowUpError") == {
         "solver.sample_at_probe", "solver.solve_path",
         "malliavin.noise_gradient_oracle", "cli.parse_and_dispatch"}
+
+
+def refuse_noise(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(noise, "_normal_block", refuse)
+
+
+# amplitudes of u0 = a sin x that the certificate refuses: 1.025e12 ran with
+# some replicas past the threshold, and 1e308 overflows the first step
+REFUSED_AMPLITUDES = ("1e13", "1025315120524.2238", "1e308")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("subcommand", ["simulate", "density", "malliavin",
+                                        "smallball", "picard"])
+def test_a_run_that_could_blow_up_is_refused_before_any_noise(
+        tmp_path, capsys, monkeypatch, subcommand):
+    refuse_noise(monkeypatch)
+    for amp in REFUSED_AMPLITUDES:
+        out = tmp_path / amp
+        code = parse_and_dispatch([subcommand, "--set", "u0=sin", "--set",
+                                   f"u0_amp={amp}", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("levyheat:error:config: u0_amp: flow ")
+        assert err.endswith(" past the certified bound 5e+11\n")
+        assert not out.exists()
+
+
+def test_the_gradient_oracle_certifies_its_shifted_variates(monkeypatch):
+    # the oracle moves one variate by h = 0.5, so it certifies the config
+    # again for variates up to XI_MAX + 0.5 before it draws noise: an
+    # amplitude between the two bounds is built, and refused there
+    refuse_noise(monkeypatch)
+    grid = GridSpec(16, 8, 0.2)
+    per_variate = 3.0 * noise_density_scale(grid) * math.sqrt(16) * 8
+    amp = 5e11 - per_variate * (noise.XI_MAX + 0.25)
+    args = dict(grid=grid, exponent=make_power_exponent(1.0, 2.0),
+                sigma=get_sigma("shifted_sine"), replicas=2)
+    cfg = RunConfig(u0=amp * np.sin(grid.x_points()), **args)
+    with pytest.raises(ValueError, match="^u0_amp: .* bound 5e[+]11"):
+        noise_gradient_oracle(cfg, 0, (3, 4), (0.2, 0.0))
+    # the oracle takes a RunConfig, and none is built at a refused amplitude
+    for amp in map(float, REFUSED_AMPLITUDES):
+        with pytest.raises(ValueError, match="^u0_amp: .* bound 5e[+]11"):
+            RunConfig(u0=amp * np.sin(grid.x_points()), **args)
 
 
 def test_every_reported_mean_and_stderr_is_computed_once():

@@ -36,7 +36,7 @@ from levyheat.mcstats import CSV_COLUMNS, make_row
 from levyheat.noise import _NoiseRows
 from levyheat.solver import BlowUpError, _evolve_batch
 
-from conftest import steep_sigma, traced_peak
+from conftest import planted_infinity, traced_peak
 
 EXP2 = make_power_exponent(1.0, 2.0)
 
@@ -74,7 +74,6 @@ def test_ensemble_additive_statistics():
     var = additive_variance_exact(EXP2, cfg.grid)
     assert ss.variance() == pytest.approx(var, rel=0.1)
     assert cfg.probe == (0.5, 0.0)
-    assert ss.blowups == []
 
 
 def test_variance_stderr_is_the_fourth_moment_formula():
@@ -131,43 +130,36 @@ def test_ensemble_deterministic_across_workers():
     assert a.mean() == b.mean()
 
 
-def test_ensemble_blowups_reported_not_silently_dropped():
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_ensemble_blowups_reported_not_silently_dropped(monkeypatch):
+    # an infinite variate in replica 1 makes its value non-finite; the
+    # ensemble raises for it rather than dropping it
     grid = GridSpec(m_space=16, k_time=8, horizon=0.2)
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
-                    u0=field_from_function(lambda x: 1e13 * np.sin(x), 16),
-                    seed=0, replicas=3)
-    # every replica blows up: fewer than 2 survive, so the first blow-up
-    # is raised
+                    u0=field_from_function(np.sin, 16), seed=0, replicas=3)
+    planted_infinity(monkeypatch, 1, 5 * 16)
     with pytest.raises(BlowUpError) as err:
         run_ensemble(cfg)
-    assert err.value.replica == 0 and err.value.step_index == 1
-    assert err.value.max_abs > 1e12
+    assert err.value.replica == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_streamed_ensemble_matches_the_whole_block(monkeypatch, workers):
-    # blocks of 3 rows over 37 steps at m_space = 10; the steep sigma blows
-    # up replicas in later blocks and in both chunks of 150 replicas that a
-    # budget of 256 spreads 300 over
+    # blocks of 3 rows over 37 steps at m_space = 10, in both chunks of 150
+    # replicas that a budget of 256 spreads 300 over
     monkeypatch.setattr(solver, "_ROW_BLOCK_WORDS", 32)
     monkeypatch.setattr(solver, "_STREAM_CHUNK_WORDS", 256 * 10)
-    steep = steep_sigma(1e12)
+    sigma = get_sigma("shifted_sine")
     cfg = dataclasses.replace(additive_config(300, m=10, k=37, horizon=0.3),
-                              sigma=steep)
+                              sigma=sigma)
     ss = run_ensemble(cfg, workers=workers)
-    values, blowups = [], []
+    values = []
     for lo, hi in ((0, 150), (150, 300)):
-        u, _, chunk_blowups = _evolve_batch(
+        u, _ = _evolve_batch(
             cfg.u0, _NoiseRows(cfg.grid, cfg.seed, range(lo, hi))[:, :],
-            EXP2, steep, cfg.grid, 37)
+            EXP2, sigma, cfg.grid, 37)
         values.append(u[:, 0])
-        blowups += [(lo + r, k, mag) for r, k, mag in chunk_blowups]
-    keep = np.ones(300, dtype=bool)
-    keep[[r for r, _, _ in blowups]] = False
-    assert np.array_equal(ss.values, np.concatenate(values)[keep])
-    assert ss.blowups == sorted(blowups)
-    assert min(r for r, _, _ in blowups) < 150 <= max(r for r, _, _ in blowups)
-    assert min(k for _, k, _ in blowups) > 3
+    assert np.array_equal(ss.values, np.concatenate(values))
 
 
 def interior_probe_config(monkeypatch, sigma, k_p, replicas=300, m=16, k=8,
@@ -187,7 +179,6 @@ def test_interior_probe_values_are_the_paths_at_the_probe(monkeypatch,
     cfg = interior_probe_config(monkeypatch, get_sigma("shifted_sine"), 5)
     assert cfg.probe_cell == (5, 3)
     ss = run_ensemble(cfg, workers=workers)
-    assert ss.blowups == []
     singles = [solve_path(cfg, replica=r)[5, 3] for r in range(300)]
     assert np.array_equal(ss.values, np.array(singles))
 
@@ -203,47 +194,37 @@ def test_ensemble_chunks_stop_at_the_probe(monkeypatch):
     assert shapes == [(150, 16)] * 10
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_blowup_after_the_probe_keeps_the_replica(monkeypatch):
-    # with the steep sigma, replicas blow up between steps 15 and 37; at a
-    # probe at step 20 those that blow up later are kept with their value at
-    # step 20, and only the ones that blew up by step 20 are excluded
-    steep = steep_sigma(1e12)
-    cfg = interior_probe_config(monkeypatch, steep, 20, m=10, k=37,
-                                horizon=0.3)
+    # an infinite variate in step 25 of replica 170 makes its field
+    # non-finite from step 26 on; a probe at step 20 never draws that row,
+    # so the replica keeps its value there, and a probe at the horizon
+    # raises for it
+    cfg = interior_probe_config(monkeypatch, get_sigma("shifted_sine"), 20,
+                                m=10, k=37, horizon=0.3)
     grid = cfg.grid
+    ref, path = _evolve_batch(cfg.u0, _NoiseRows(grid, cfg.seed, range(300)),
+                              EXP2, cfg.sigma, grid, 37, keep_path=True)
+    planted_infinity(monkeypatch, 170, 25 * 10 + 6)
     ss = run_ensemble(cfg)
-    everywhere = run_ensemble(dataclasses.replace(cfg, probe=None)).blowups
-    late = [r for r, k, _ in everywhere if k > 20]
-    early = [b for b in everywhere if b[1] <= 20]
-    assert late and early
-    assert ss.blowups == early
-    _, path, _ = _evolve_batch(cfg.u0, _NoiseRows(grid, cfg.seed, range(300)),
-                               EXP2, steep, grid, 37, keep_path=True)
-    kept = sorted(set(range(300)) - {r for r, _, _ in early})
-    assert set(late) <= set(kept)
-    assert np.array_equal(ss.values, path[kept, 20, 3])
-    assert np.isnan(path[late, 37]).all()
+    assert np.array_equal(ss.values, path[:, 20, 3])
+    with pytest.raises(BlowUpError) as err:
+        run_ensemble(dataclasses.replace(cfg, probe=None))
+    assert err.value.replica == 170
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ensemble_is_the_same_for_every_chunk_budget(monkeypatch, workers):
     # each row's arithmetic does not depend on the batch it is stepped in:
-    # chunks of 1, 7, 150 and all 300 replicas give the same values and
-    # blow-ups, and the 7-replica chunks split the runs of blown-up
-    # replicas between chunks that keep some of theirs
-    steep = steep_sigma(1e12)
+    # chunks of 1, 7, 150 and all 300 replicas give the same values
     cfg = dataclasses.replace(additive_config(300, m=10, k=37, horizon=0.3),
-                              sigma=steep)
+                              sigma=get_sigma("shifted_sine"))
     results = []
     for words in (1, 70, 2560, 16384):
         monkeypatch.setattr(solver, "_STREAM_CHUNK_WORDS", words)
         results.append(run_ensemble(cfg, workers=workers))
-    blown = {r for r, _, _ in results[0].blowups}
-    assert any(0 < len(blown & set(range(lo, lo + 7))) < 7
-               for lo in range(0, 300, 7))
     for ss in results[1:]:
         assert np.array_equal(ss.values, results[0].values)
-        assert ss.blowups == results[0].blowups
 
 
 def test_ensemble_memory_is_flat_in_replicas_and_steps():

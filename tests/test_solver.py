@@ -33,11 +33,11 @@ from levyheat import (
     solve_path,
 )
 from levyheat.kernels import rfft_weights
-from levyheat import noise, solver
-from levyheat.noise import _NoiseRows
+from levyheat import solver
+from levyheat.noise import XI_MAX, _NoiseRows
 from levyheat.solver import _evolve_batch, map_chunks, sample_at_probe
 
-from conftest import semigroup, steep_sigma, traced_peak
+from conftest import planted_infinity, semigroup, traced_peak
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,14 +63,15 @@ def test_sigma_registry():
     with pytest.raises(ValueError):
         get_sigma("cubic")
     with pytest.raises(ValueError):
-        SigmaSpec("bad", lambda u: u, lambda u: u, kappa=-0.5, lip=1.0)
+        SigmaSpec("bad", lambda u: u, lambda u: u, kappa=-0.5, lip=1.0,
+                  sup=1.0)
 
 
 @pytest.mark.parametrize("key, value", [
-    (key, value) for key in ("kappa", "lip")
+    (key, value) for key in ("kappa", "lip", "sup")
     for value in (-0.5, math.inf, math.nan)])
 def test_sigma_bounds_must_be_nonnegative_and_finite(key, value):
-    bounds = {"kappa": 1.0, "lip": 1.0, key: value}
+    bounds = {"kappa": 1.0, "lip": 1.0, "sup": 1.0, key: value}
     with pytest.raises(ValueError, match=key):
         SigmaSpec("bad", lambda u: u, lambda u: u, **bounds)
 
@@ -88,6 +89,9 @@ def test_registry_sigma_is_lipschitz_with_its_lip(name):
     slack = 2 * np.spacing(3.0)
     assert np.all(np.abs(spec.sigma(a) - spec.sigma(b))
                   <= spec.lip * np.abs(a - b) + slack)
+    # kappa <= |sigma| <= sup, which the certificate reads
+    assert np.all((spec.kappa <= np.abs(spec.sigma(a)))
+                  & (np.abs(spec.sigma(a)) <= spec.sup))
     if spec.lip == 0:
         assert np.all(spec.sigma(a) == spec.sigma(0.0))
         assert np.all(spec.sigma_prime(a) == 0.0)
@@ -105,7 +109,7 @@ def test_step_matches_direct_convolution_oracle():
     u0 = rng.standard_normal(8)
     xi = sample_noise(grid, seed=8, replica=0)
     sigma = get_sigma("shifted_sine")
-    u, _, _ = _evolve_batch(u0, xi[None], EXP2, sigma, grid, 1)
+    u, _ = _evolve_batch(u0, xi[None], EXP2, sigma, grid, 1)
     out = u[0]
 
     g = sigma.sigma(u0) + 0.0
@@ -247,15 +251,20 @@ def test_u0_is_a_read_only_copy_of_finite_grid_values():
     assert np.array_equal(RunConfig(u0=[0.0] * 16, **base).u0, np.zeros(16))
 
 
-def test_blow_up_reported():
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_blow_up_reported(monkeypatch):
+    # a field can only blow up through an infinite variate, planted here in
+    # cell (3, 2) of replica 1; the path raises, naming the replica
     grid = GridSpec(m_space=16, k_time=8, horizon=0.2)
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
-                    u0=field_from_function(lambda x: 1e13 * np.sin(x), 16),
-                    seed=0, replicas=2)
+                    u0=field_from_function(np.sin, 16), seed=0, replicas=2)
+    planted_infinity(monkeypatch, 1, 3 * 16 + 2)
+    assert np.all(np.isfinite(solve_path(cfg, replica=0)))
     with pytest.raises(BlowUpError) as err:
-        solve_path(cfg)
-    assert err.value.step_index == 1
-    assert err.value.max_abs > 1e12
+        solve_path(cfg, replica=1)
+    assert err.value.replica == 1
+    assert str(err.value) == ("replica 1 has a non-finite field: one of its "
+                              "variates is infinite")
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +286,17 @@ def test_streamed_noise_matches_the_whole_block(monkeypatch, m, words):
         assert np.array_equal(lazy[:, k0:k1], whole[:, k0:k1])
     u0 = field_from_function(np.sin, m)
     args = (EXP2, get_sigma("shifted_sine"), grid, 37, True)
-    u_a, path_a, blow_a = _evolve_batch(u0, lazy, *args)
-    u_b, path_b, blow_b = _evolve_batch(u0, whole, *args)
+    u_a, path_a = _evolve_batch(u0, lazy, *args)
+    u_b, path_b = _evolve_batch(u0, whole, *args)
     assert np.array_equal(path_a, path_b)
     assert np.array_equal(u_a, u_b) and np.array_equal(u_a, path_a[:, 37])
     assert np.array_equal(path_a[:, 0], np.broadcast_to(u0, (7, m)))
     # stopping early walks the same path: step 4 ends the second block of
     # rows at 32 words and the first at 2048
-    u_4, path_4, _ = _evolve_batch(u0, lazy, EXP2, get_sigma("shifted_sine"),
-                                   grid, 4, True)
+    u_4, path_4 = _evolve_batch(u0, lazy, EXP2, get_sigma("shifted_sine"),
+                                grid, 4, True)
     assert np.array_equal(u_4, path_a[:, 4])
     assert np.array_equal(path_4, path_a[:, :5])
-    assert blow_a == blow_b == []
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
                     u0=field_from_function(np.sin, m), seed=4, replicas=2)
     assert np.array_equal(path_a[2], solve_path(cfg, replica=7))
@@ -311,7 +319,8 @@ def test_the_step_allocates_only_what_sigma_returns():
         tracemalloc.reset_peak()
         return np.full_like(u, 2.0)
 
-    spec = SigmaSpec("marked", sigma, np.zeros_like, kappa=2.0, lip=0.0)
+    spec = SigmaSpec("marked", sigma, np.zeros_like, kappa=2.0, lip=0.0,
+                     sup=2.0)
     traced_peak(_evolve_batch, np.zeros(m), xi, EXP2, spec, grid, k)
     assert len(marks) == k
     # peak during step j minus what was live when step j began
@@ -323,15 +332,15 @@ def test_the_step_allocates_only_what_sigma_returns():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sample_at_probe_joins_the_chunks_and_needs_two(monkeypatch,
                                                         workers):
-    # a stub pass gives replica r the field r and the chunk's blow-ups as
-    # batch rows; chunk rows become replica indices, the report is in
-    # replica order, and every array read off a chunk loses the same rows
-    chunk_blowups = {0: [(2, 4, 2e12)], 3: [(1, 3, 5e12), (0, 5, 3e12)]}
+    # a stub pass gives replica r the field r, NaN for the replicas in
+    # `bad`; chunk rows become replica indices, every array read off a
+    # chunk is joined in replica order, and the first non-finite replica by
+    # index raises, whichever chunk ends first
+    bad = set()
 
     def stub(u0, xi, exp_, sigma, grid, until_k, keep_path=False):
-        u = np.repeat(np.asarray(xi.replicas, dtype=float)[:, None],
-                      grid.m_space, axis=1)
-        return u, None, chunk_blowups.get(xi.replicas[0], [])
+        u = np.array([np.nan if r in bad else r for r in xi.replicas])
+        return np.repeat(u[:, None], grid.m_space, axis=1), None
 
     monkeypatch.setattr(solver, "_evolve_batch", stub)
     # chunks of at most 3 replicas of 4 points: [0, 3) and [3, 5)
@@ -341,18 +350,15 @@ def test_sample_at_probe_joins_the_chunks_and_needs_two(monkeypatch,
                     u0=np.zeros(4), replicas=5)
     a, b = sample_at_probe(
         cfg, lambda u_p, path, xi: (u_p, u_p + 5.0), workers)
-    assert a.values.tolist() == [0.0, 1.0] and b.values.tolist() == [5.0, 6.0]
-    assert a.blowups == [(2, 4, 2e12), (3, 5, 3e12), (4, 3, 5e12)]
-    assert b.blowups is a.blowups
-    # one survivor: the first blow-up by replica, not by step, is raised
-    # chunks of at most 2: [0, 2) and [2, 3)
-    chunk_blowups = {0: [(1, 2, 6e12)], 2: [(0, 1, 7e12)]}
-    monkeypatch.setattr(solver, "_STREAM_CHUNK_WORDS", 2 * 4)
+    assert a.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert b.values.tolist() == [5.0, 6.0, 7.0, 8.0, 9.0]
+    bad.update((4, 2))
     with pytest.raises(BlowUpError) as err:
-        sample_at_probe(dataclasses.replace(cfg, replicas=3),
-                        lambda u_p, path, xi: (u_p,), workers)
-    assert (err.value.replica, err.value.step_index) == (1, 2)
-    assert err.value.max_abs == 6e12
+        sample_at_probe(cfg, lambda u_p, path, xi: (u_p,), workers)
+    assert err.value.replica == 2
+    # moment estimates need two replicas, which the config insists on
+    with pytest.raises(ValueError, match="at least 2 replicas"):
+        dataclasses.replace(cfg, replicas=1)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -379,26 +385,26 @@ def test_map_chunks_yields_in_order_and_holds_few_unread(workers):
     assert sorted(started) == read
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_streamed_blowups_in_later_blocks(monkeypatch):
-    # blocks of 3 rows; the steep sigma blows up a sixth of the replicas,
-    # between steps 11 and 37
+    # blocks of 3 rows; an infinite variate planted in step 20 of replica 7,
+    # in the seventh block, reaches that replica's field at step 21 alone,
+    # streamed or read whole, and every other row stays finite
     monkeypatch.setattr(solver, "_ROW_BLOCK_WORDS", 32)
     grid = GridSpec(m_space=10, k_time=37, horizon=0.3)
-    sigma = steep_sigma(1e12)
+    planted_infinity(monkeypatch, 7, 20 * 10 + 4)
 
     def run(xi):
-        return _evolve_batch(np.zeros(10), xi, EXP2, sigma, grid, 37, True)
+        return _evolve_batch(np.zeros(10), xi, EXP2,
+                             get_sigma("shifted_sine"), grid, 37, True)
 
-    u_a, path_a, blow_a = run(_NoiseRows(grid, 3, range(300)))
-    u_b, path_b, blow_b = run(_NoiseRows(grid, 3, range(300))[:, :])
-    assert blow_a == blow_b
-    assert 0 < len(blow_a) < 300
-    assert min(k for _, k, _ in blow_a) > 3
-    for r, _, mag in blow_a:
-        assert mag > 1e12 and np.isnan(u_a[r]).all()
-    for k in (20, 37):
-        assert np.array_equal(path_a[:, k], path_b[:, k], equal_nan=True)
+    u_a, path_a = run(_NoiseRows(grid, 3, range(30)))
+    u_b, path_b = run(_NoiseRows(grid, 3, range(30))[:, :])
+    assert np.array_equal(path_a, path_b, equal_nan=True)
     assert np.array_equal(u_a, u_b, equal_nan=True)
+    finite = np.isfinite(path_a).all(axis=-1)
+    assert finite[:, :21].all() and not finite[7, 21:].any()
+    assert np.delete(finite, 7, axis=0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +414,7 @@ def test_streamed_blowups_in_later_blocks(monkeypatch):
 def test_additive_variance_and_skewness():
     grid = GridSpec(m_space=64, k_time=64, horizon=0.5)
     xi = _NoiseRows(grid, 21, range(4000))[:, :]
-    u, _, blowups = _evolve_batch(zero_field(64), xi, EXP2,
-                                  get_sigma("one"), grid, 64)
-    assert not blowups
+    u, _ = _evolve_batch(zero_field(64), xi, EXP2, get_sigma("one"), grid, 64)
     u = u[:, 0]
     n = len(u)
     var = float(np.var(u, ddof=1))
@@ -442,8 +446,8 @@ def test_scheme_variance_approaches_time_integral():
 def test_second_moment_stability_and_self_convergence():
     def m2(grid_, reps):
         xi = _NoiseRows(grid_, 77, range(reps))[:, :]
-        u, _, _ = _evolve_batch(zero_field(grid_.m_space), xi, EXP2,
-                                get_sigma("shifted_sine"), grid_, grid_.k_time)
+        u, _ = _evolve_batch(zero_field(grid_.m_space), xi, EXP2,
+                             get_sigma("shifted_sine"), grid_, grid_.k_time)
         u = u[:, 0]
         return float(np.mean(u ** 2)), float(np.std(u ** 2, ddof=1) / math.sqrt(reps))
 
@@ -527,7 +531,6 @@ def test_constant_sigma_probe_values_match_the_stepper(stepped_chunks,
     assert stepped_chunks == []
     ref = probe_values(stepped(cfg))
     assert len(stepped_chunks) == 5
-    assert summed.blowups == ref.blowups == []
     assert np.all(np.abs(summed.values - ref.values) <= 1e-12 * ref.sd())
     assert (np.ptp(ref.values) > 0) == (sigma_name != "zero"
                                         and case != "t0")
@@ -550,15 +553,13 @@ def test_the_flow_rows_hold_the_additive_variance(alpha, drift, m, k, k_p,
     cfg = RunConfig(grid=grid, exponent=exp_, sigma=get_sigma("one"),
                     u0=field_from_function(np.sin, m), replicas=2,
                     probe=(k_p * grid.dt, i_p * grid.dx))
-    flow, rows, certified = solver.linearize(cfg)
-    assert certified and rows.shape == (1, k_p, m)
+    flow, rows = solver.linearize(cfg)
+    assert rows.shape == (1, k_p, m)
     assert flow.shape == (1, k_p + 1, m)
     cut = GridSpec(m, k_p, k_p * grid.dt)
     want = additive_variance_exact(exp_, cut)
     got = math.fsum((rows ** 2).ravel()) * grid.dt * grid.dx
     assert abs(got - want) <= 1e-13 * want
-    # the certificate bounds a constant sigma's fields only
-    assert not solver.linearize(stepped(cfg))[2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -575,54 +576,91 @@ def test_constant_sigma_probe_values_do_not_depend_on_the_chunk(
         assert np.array_equal(probe_values(cfg, chunk, workers).values, ref)
 
 
-@pytest.mark.parametrize("c, amp, stepped_too", [
+@pytest.mark.parametrize("c, amp, refused", [
     (1.0, 4e11, False),  # the flow of u0 stays below half the threshold
     (1.0, 6e11, True),  # it may not
     (3e12, 1.0, True),  # the noise term alone may cross it
 ])
-def test_a_run_that_could_blow_up_is_stepped(stepped_chunks, c, amp,
-                                             stepped_too):
-    # the certificate bounds every field of every step, so a blow-up is
-    # reported by the stepper, which alone sees one
+def test_a_run_that_could_blow_up_is_refused(stepped_chunks, c, amp,
+                                             refused):
+    # the certificate bounds every field of every step when the config is
+    # built, before any noise is drawn; a certified constant sigma is
+    # summed as a Wiener integral, which matches the stepper
     grid = GridSpec(16, 8, 0.2)
     spec = SigmaSpec("const", lambda u: np.full_like(u, c), np.zeros_like,
-                     kappa=c, lip=0.0)
-    cfg = RunConfig(grid=grid, exponent=EXP2, sigma=spec,
-                    u0=amp * np.sin(grid.x_points()), seed=0, replicas=300)
+                     kappa=c, lip=0.0, sup=c)
+    args = dict(grid=grid, exponent=EXP2, sigma=spec,
+                u0=amp * np.sin(grid.x_points()), seed=0, replicas=300)
+    if refused:
+        with pytest.raises(ValueError, match="^u0_amp: .* bound 5e[+]11"):
+            RunConfig(**args)
+        return
+    cfg = RunConfig(**args)
     values = probe_values(cfg)
-    assert len(stepped_chunks) == (5 if stepped_too else 0)
+    assert stepped_chunks == []
     ref = probe_values(stepped(cfg))
-    assert values.blowups == ref.blowups
     # the stepper rounds at the size of the whole field, up to amp
     assert np.all(np.abs(values.values - ref.values) <= 1e-14 * amp)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 2.0])
+@pytest.mark.parametrize("sigma_name", sorted(SIGMA_REGISTRY))
+def test_the_certificate_bounds_every_sampled_field(sigma_name, alpha):
+    # odd m_space, drift and an interior probe: every field the stepper
+    # reaches on drawn noise, up to the horizon, and every probe value lies
+    # within the certificate's reach, the Fourier l1 norm of u0 plus
+    # sup|sigma| scale XI_MAX sqrt(m) k_time
+    grid = GridSpec(33, 40, 0.5)
+    exp_ = make_power_exponent(1.0, alpha, 0.7)
+    u0 = field_from_function(lambda x: 3.0 * np.cos(2 * x) + np.sin(5 * x), 33)
+    cfg = RunConfig(grid=grid, exponent=exp_, sigma=get_sigma(sigma_name),
+                    u0=u0, seed=9, replicas=64,
+                    probe=(20 * grid.dt, 10 * grid.dx))
+    reach = cfg.certify()
+    flow_bound = dataclasses.replace(cfg, sigma=get_sigma("zero")).certify()
+    assert reach - flow_bound == pytest.approx(
+        cfg.sigma.sup * noise_density_scale(grid) * XI_MAX * math.sqrt(33)
+        * 40, rel=1e-12)
+    _, path = _evolve_batch(u0, _NoiseRows(grid, 9, range(64)), exp_,
+                            cfg.sigma, grid, 40, keep_path=True)
+    assert np.abs(path).max() <= reach
+    values = sample_at_probe(cfg, lambda u_p, path, xi: (u_p,))[0].values
+    assert np.abs(values).max() <= reach
+    # the flow bound is at least the flow's sup over every step, which
+    # linearize sweeps
+    at_horizon = dataclasses.replace(cfg, probe=(grid.horizon, 0.0))
+    flow, _ = solver.linearize(at_horizon)
+    assert flow_bound >= np.abs(flow).max()
+
+
+@pytest.mark.parametrize("amp", [1.0, 4e11])
+def test_the_flow_bound_is_exact_for_a_sine(amp):
+    # the Fourier l1 norm of a sin x is a: the flow's sup, reached at t = 0
+    # on a grid through pi / 2, to the rounding of one rfft
+    grid = GridSpec(64, 64, 0.5)
+    cfg = RunConfig(grid=grid, exponent=make_power_exponent(1.0, 1.5, 0.7),
+                    sigma=get_sigma("zero"), replicas=2,
+                    u0=amp * np.sin(grid.x_points()))
+    flow, _ = solver.linearize(cfg)
+    assert np.abs(flow).max() == amp
+    assert cfg.certify() == pytest.approx(amp, rel=1e-14)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("sigma_name", ["zero", "one"])
 def test_an_infinite_variate_is_the_same_blowup_on_both_paths(
         monkeypatch, stepped_chunks, sigma_name):
-    # the top uniform maps to xi = +inf (test_noise pins it); plant one in
-    # cell (3, 2) of replica 100: its chunk of 60 is stepped and reports it
-    # at step 4, and the other chunks keep their Wiener integrals
-    real = noise._normal_block
-    word = 3 * 16 + 2
-
-    def planted(seed, replicas, first_word, count):
-        out = real(seed, replicas, first_word, count)
-        for row, r in enumerate(replicas):
-            if r == 100 and first_word <= word < first_word + count:
-                out[row, word - first_word] = np.inf
-        return out
-
-    monkeypatch.setattr(noise, "_normal_block", planted)
+    # the top uniform maps to xi = +inf (test_noise pins it); planted in
+    # cell (3, 2) of replica 100, it makes that replica's probe value
+    # non-finite, summed as a Wiener integral or stepped, and both raise
+    # for it; the Wiener integral steps no chunk
+    planted_infinity(monkeypatch, 100, 3 * 16 + 2)
     cfg = wiener_config(sigma_name, "horizon")
-    summed = probe_values(cfg)
-    assert stepped_chunks == [range(60, 120)]
-    ref = probe_values(stepped(cfg))
-    for got in (summed, ref):
-        ((replica, step, mag),) = got.blowups
-        assert (replica, step) == (100, 4) and math.isnan(mag)
-    assert np.all(np.abs(summed.values - ref.values) <= 1e-12 * ref.sd())
+    for run in (cfg, stepped(cfg)):
+        with pytest.raises(BlowUpError) as err:
+            probe_values(run)
+        assert err.value.replica == 100
+    assert stepped_chunks == [range(0, 60), range(60, 120)]
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +801,10 @@ def test_picard_lockstep_matches_nested_sweeps(monkeypatch, workers, m, k,
 def test_picard_differences_keep_their_digits_under_a_huge_u0(sigma_name):
     # with a constant sigma the first difference v_1 - v_0 is the stochastic
     # convolution alone, which does not see u0; differencing whole iterates
-    # cancelled it to 0 once the flow of u0 swamped it
+    # lost its digits once the flow of u0 swamped it.  4e11 is about the
+    # largest amplitude the certificate admits
     cfg = picard_config(16, 8, 0.2, sigma_name, replicas=8)
-    huge = dataclasses.replace(cfg, u0=1e200 * np.sin(cfg.grid.x_points()))
+    huge = dataclasses.replace(cfg, u0=4e11 * np.sin(cfg.grid.x_points()))
     flat = picard_sequence(cfg, n_max=3, beta_param=8.0)
     far = picard_sequence(huge, n_max=3, beta_param=8.0)
     assert far.norms[0] > 0.0
