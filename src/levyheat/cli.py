@@ -12,9 +12,10 @@ compute.
              [--out DIR] [--workers N]
 
 Configuration comes from a flat key=value file; --set overrides single keys
-and --seed the seed key: config file < --set < --seed.  The run id hashes
-the subcommand, the effective configuration and the version alone, so one
-computation has one id however its values were given.
+and --seed the seed key: config file < --set < --seed.  A subcommand takes
+only the keys that can change one of its values (COMMANDS) and refuses any
+other.  The run id hashes the subcommand, those keys and the version alone,
+so one computation has one id however its values were given.
 """
 
 import argparse
@@ -38,7 +39,8 @@ from .kernels import (
 )
 from .noise import RNG_SCHEME, GridSpec
 from .solver import (SMALLBALL_LEVELS, BlowUpError, RunConfig, check_levels,
-                     check_moment_order, get_sigma, picard_sequence)
+                     check_moment_order, check_picard_weight, get_sigma,
+                     picard_sequence)
 from .malliavin import (
     certified_floor,
     check_floor,
@@ -110,8 +112,8 @@ def _parse_value(key, raw):
     except ValueError as err:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from err
     if ctor is float and not math.isfinite(value):
-        # whichever layer reads the key, if any, and before it runs: the
-        # metadata echoes every value, and strict JSON has no NaN or Infinity
+        # on parsing, before the subcommand's keys are checked or any layer
+        # runs: the metadata echoes every value, and strict JSON has no NaN
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return value
 
@@ -134,19 +136,22 @@ def read_config_file(path):
 
 
 def effective_config(args):
-    """Defaults, then the config file, then --set, then --seed."""
-    cfg = {key: default for key, (_, default, _) in SCHEMA.items()}
-    if args.config is not None:
-        cfg.update(read_config_file(args.config))
+    """The subcommand's keys: defaults < config file < --set < --seed."""
+    keys = COMMANDS[args.subcommand][2]
+    given = {} if args.config is None else read_config_file(args.config)
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        cfg[key.strip()] = _parse_value(key.strip(), raw.strip())
-    if args.seed is not None:
+        given[key.strip()] = _parse_value(key.strip(), raw.strip())
+    if unread := [key for key in given if key not in keys]:
+        raise ConfigError(f"{args.subcommand} does not read "
+                          f"{', '.join(unread)}; it reads {', '.join(keys)}")
+    cfg = {key: SCHEMA[key][1] for key in keys} | given
+    if args.seed is not None and "seed" in cfg:  # else it draws no noise
         cfg["seed"] = args.seed
     for key in SENTINELS:
-        if not cfg[key] >= 0:  # NaN is refused too
+        if not cfg.get(key, 0) >= 0:  # NaN is refused too
             raise ConfigError(f"{key} must be >= 0 (0 derives the default), "
                               f"got {cfg[key]!r}")
     return cfg
@@ -155,7 +160,8 @@ def effective_config(args):
 # the one check of each estimator key, which the function that reads the
 # value runs as well; a subcommand runs it before it draws any noise
 ESTIMATOR_CHECKS = {"moment_p": check_moment_order, "floor": check_floor,
-                    "levels": check_levels, "deltas": check_windows}
+                    "levels": check_levels, "deltas": check_windows,
+                    "picard_beta": check_picard_weight}
 # the row each value of a comma-list key names
 ROW_NAMES = {"levels": "smallball_quantile/level={:g}",
              "deltas": "hnorm_tail_mean/delta={:.6e}"}
@@ -171,8 +177,8 @@ def _estimator_args(cfg, *keys, dt=None, n=None):
         try:
             if isinstance(value, str):
                 value = [float(tok) for tok in value.split(",") if tok.strip()]
-            ESTIMATOR_CHECKS[key](value,
-                                  *{"deltas": [dt], "levels": [n]}.get(key, []))
+            ESTIMATOR_CHECKS[key](value, *{"deltas": [dt], "picard_beta": [dt],
+                                           "levels": [n]}.get(key, []))
             if key in ROW_NAMES and len(value) > len(
                     {ROW_NAMES[key].format(v) for v in value}):
                 raise ValueError(f"two values name one row, got {cfg[key]!r}")
@@ -183,17 +189,17 @@ def _estimator_args(cfg, *keys, dt=None, n=None):
 
 
 def _beta(cfg):
-    # the 0 sentinel is resolved here, never written back: cfg feeds run_id
-    beta = cfg["beta"]
-    return beta if beta != 0 else cfg["alpha"]
+    # 0, or no beta key, is alpha; never written back: cfg feeds run_id
+    return cfg.get("beta") or cfg["alpha"]
 
 
 def build_exponent(cfg):
-    # phi is exactly scale |n|^alpha, so the series take its tight
-    # envelope; beta, checked here, feeds only check-exponent and the
-    # scaled_beta rows
+    # phi is exactly scale |n|^alpha, so the series take its tight envelope
+    # and read no drift; beta, checked here, feeds only check-exponent and
+    # the scaled_beta rows
     check_orders(cfg["alpha"], _beta(cfg))
-    return make_power_exponent(cfg["scale"], cfg["alpha"], drift=cfg["drift"])
+    return make_power_exponent(cfg["scale"], cfg["alpha"],
+                               drift=cfg.get("drift", 0.0))
 
 
 def build_run_config(cfg):
@@ -210,10 +216,10 @@ def build_run_config(cfg):
     if cfg["u0"] not in shapes:
         raise ConfigError(f"unknown u0 shape {cfg['u0']!r}")
     u0 = field_from_function(shapes[cfg["u0"]], grid.m_space)
-    t = cfg["probe_t"] if cfg["probe_t"] != 0 else grid.horizon
+    # picard's norm is a sup over every cell: it keeps the default probe
+    probe = (cfg.get("probe_t") or grid.horizon, cfg.get("probe_x", 0.0))
     return RunConfig(grid=grid, exponent=exp_, sigma=sigma, u0=u0,
-                     seed=cfg["seed"], replicas=cfg["replicas"],
-                     probe=(t, cfg["probe_x"]))
+                     seed=cfg["seed"], replicas=cfg["replicas"], probe=probe)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +284,7 @@ def cmd_picard(cfg, args, head):
     run = build_run_config(cfg)
     if cfg["picard_n"] < 2:  # one difference has no ratio to judge
         raise ConfigError("need picard_n >= 2")
-    _estimator_args(cfg, "moment_p")
+    _estimator_args(cfg, "moment_p", "picard_beta", dt=run.grid.dt)
     try:
         report = picard_sequence(run, cfg["picard_n"], cfg["picard_beta"],
                                  p=cfg["moment_p"], workers=args.workers)
@@ -396,15 +402,27 @@ def cmd_check_exponent(cfg, args, head):
     return rows, {"theta": chk.theta, "admissible": chk.admissible}, summary
 
 
+# each subcommand's function, help, and the keys that can change its values
+SAMPLED = ("alpha", "scale", "drift", "m_space", "k_time", "horizon", "sigma",
+           "u0", "u0_amp", "seed", "replicas")
+PROBE = ("probe_t", "probe_x")
 COMMANDS = {
-    "kernel": (cmd_kernel, "kernel norm scaling and envelope diagnostics"),
-    "simulate": (cmd_simulate, "Monte Carlo moments of u at the probe"),
-    "picard": (cmd_picard, "successive Picard difference norms"),
-    "malliavin": (cmd_malliavin, "derivative mass statistics at the probe"),
-    "smallball": (cmd_smallball, "small-ball quantiles of the derivative mass"),
-    "density": (cmd_density, "density estimate and smoothness diagnostics"),
+    "kernel": (cmd_kernel, "kernel norm scaling and envelope diagnostics",
+               ("alpha", "beta", "scale", "t_min", "t_max", "t_points",
+                "picard_beta", "tol")),
+    "simulate": (cmd_simulate, "Monte Carlo moments of u at the probe",
+                 SAMPLED + PROBE),
+    "picard": (cmd_picard, "successive Picard difference norms",
+               SAMPLED + ("picard_n", "picard_beta", "moment_p")),
+    "malliavin": (cmd_malliavin, "derivative mass statistics at the probe",
+                  SAMPLED + PROBE + ("deltas", "moment_p", "floor")),
+    "smallball": (cmd_smallball, "small-ball quantiles of the derivative mass",
+                  SAMPLED + PROBE + ("levels", "moment_p", "floor")),
+    "density": (cmd_density, "density estimate and smoothness diagnostics",
+                SAMPLED + PROBE + ("bandwidth",)),
     "check-exponent": (cmd_check_exponent,
-                       "smoothness admissibility of an (alpha, beta) pair"),
+                       "smoothness admissibility of an (alpha, beta) pair",
+                       ("alpha", "beta")),
 }
 
 
@@ -417,8 +435,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
-    command_lines = "\n".join(f"  {name:<16}{help_}"
-                              for name, (_, help_) in COMMANDS.items())
+    command_lines = "\n".join(f"  {name:<16}{help_}\n{'':<18}keys: "
+                              + ", ".join(keys)
+                              for name, (_, help_, keys) in COMMANDS.items())
     schema_lines = "\n".join(
         f"  {key} ({ctor.__name__}, default {default!r}): {help_}"
         for key, (ctor, default, help_) in SCHEMA.items()
@@ -433,8 +452,11 @@ def build_parser():
             "given through its Fourier multiplier."
         ),
         epilog=(
-            "subcommands:\n" + command_lines + "\n"
+            "subcommands, each with the only config keys it takes:\n"
+            + command_lines + "\n"
             "precedence: config file < --set < --seed.\n"
+            "--seed: kernel and check-exponent draw no noise; they take it and "
+            "ignore it.\n"
             "exit codes: 0 success, 1 config error, 2 numerical failure, "
             "3 I/O error.\n"
             "config file: flat key=value lines, # comments; keys:\n"
@@ -482,7 +504,7 @@ def _write_outputs(args, subcommand, cfg, run_id, rows, extra):
         "subcommand": subcommand,
         "run_id": run_id,
         "config": cfg,
-        "seed": cfg["seed"],
+        "seed": cfg.get("seed", 0),
         "rng_scheme": RNG_SCHEME,
         "version": __version__,
         "outputs": [data_path.name],
@@ -516,7 +538,7 @@ def parse_and_dispatch(argv):
         cfg = effective_config(args)
         run_id = _run_identifier(args.subcommand, cfg)
         command = COMMANDS[args.subcommand][0]
-        head = (run_id, cfg["seed"], cfg["alpha"], _beta(cfg))
+        head = (run_id, cfg.get("seed", 0), cfg["alpha"], _beta(cfg))
         rows, extra, summary = command(cfg, args, head)
         _check_finite(rows)
         data_path, meta_path = _write_outputs(

@@ -185,10 +185,15 @@ class RunConfig:
         flow = float(rfft_weights(m) @ np.abs(_smooth(self.u0 / m, None, m)))
         noise = (self.sigma.sup * noise_density_scale(self.grid)
                  * (XI_MAX + shift) * math.sqrt(m) * self.grid.k_time)
-        if not flow + noise <= BLOWUP_THRESHOLD / 2:
+        bound = BLOWUP_THRESHOLD / 2
+        if not flow + noise <= bound:
+            # name the keys of each term that is at least half the bound
+            keys = [key for term, key in (
+                (flow, "u0_amp"), (noise, "sigma, horizon, k_time, m_space"))
+                if term >= bound / 2]
             raise ValueError(
-                f"u0_amp: flow {flow:.3e} + noise {noise:.3e} could carry a "
-                f"replica past the certified bound {BLOWUP_THRESHOLD / 2:.0e}")
+                f"{', '.join(keys)}: flow {flow:.3e} + noise {noise:.3e} could "
+                f"carry a replica past the certified bound {bound:.0e}")
         return flow + noise
 
     @property
@@ -527,6 +532,19 @@ def check_moment_order(p):
         raise ValueError(f"need p >= 2 and finite, got {p!r}")
 
 
+def check_picard_weight(beta_param, dt):
+    """Refuse a weight other than 0 <= beta_param < inf, and one whose
+    e^(-beta_param t) is not a normal float at the first step t = dt: every
+    difference is 0 at t = 0, so the norm would weigh nothing and read 0."""
+    if not 0 <= beta_param < math.inf:
+        raise ValueError("need beta_param >= 0 and finite")
+    if not math.exp(-beta_param * dt) >= np.finfo(float).tiny:
+        raise ValueError(
+            f"need beta_param dt <= {-math.log(np.finfo(float).tiny):.3f}, "
+            f"got {beta_param * dt:.6g}: e^(-beta_param t) is not a normal "
+            "float at any t > 0")
+
+
 def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     """Successive Picard iterates against frozen noise paths.
 
@@ -536,13 +554,14 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     differences, their Monte Carlo standard errors (delta method at the
     argmax probe), and the contraction ratios.  The weighted norm is
     sup_{t, x} (e^{-beta_param t} E|f(t, x)|^p)^(1/p): p >= 2 and
-    beta_param >= 0, and beta_param = 0 gives the plain sup-L^p norm.
+    beta_param >= 0 (check_picard_weight), and beta_param = 0 gives the
+    plain sup-L^p norm.  A non-finite iterate raises BlowUpError for the
+    first such replica.
     """
     if n_max < 2:  # one difference has no ratio for contracting to judge
         raise ValueError("need n_max >= 2")
     check_moment_order(p)
-    if not 0 <= beta_param < math.inf:
-        raise ValueError("need beta_param >= 0 and finite")
+    check_picard_weight(beta_param, config.grid.dt)
     grid = config.grid
     r_total = config.replicas
     m, k_time = grid.m_space, grid.k_time
@@ -569,6 +588,10 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
                     d = np.abs(conv[1:] - conv[:-1]) ** p
                     mom[:, k + 1] = d.sum(axis=1)
                     mom_sq[:, k + 1] = (d * d).sum(axis=1)
+        # an infinite variate leaves its replica's last iterates non-finite
+        bad = np.flatnonzero(~np.isfinite(conv).all(axis=(0, 2)))
+        if len(bad):
+            raise BlowUpError(lo + int(bad[0]))
         return moments
 
     # a left fold in chunk order, the same for every worker count; map_chunks

@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,20 @@ from levyheat.mcstats import load_rows
 
 from conftest import planted_infinity
 
+ROOT = Path(__file__).resolve().parent.parent
+
 SMALL = ["--set", "m_space=16", "--set", "k_time=8", "--set", "horizon=0.2",
          "--set", "replicas=8"]
+# the estimator settings that give smallball three levels and malliavin two
+# tail windows
+ESTIMATORS = {"smallball": ["--set", "levels=0.1,0.25,0.5"],
+              "malliavin": ["--set", "deltas=0.05,0.1"]}
+
+
+def small(subcommand):
+    """SMALL for a subcommand that samples: kernel and check-exponent read
+    no grid and no replica count, and refuse them."""
+    return SMALL if "replicas" in COMMANDS[subcommand][2] else []
 
 
 def run_cli(args, tmp_path, sub_dir="out"):
@@ -142,13 +155,14 @@ SAMPLING = ["simulate", "density", "malliavin", "smallball"]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("subcommand", SAMPLING)
+@pytest.mark.parametrize("subcommand", SAMPLING + ["picard"])
 def test_derivative_blowups_are_numerical_error(tmp_path, capsys, monkeypatch,
                                                 subcommand):
     # an infinite variate in cell (1, 2) of replica 3 is the one way a
     # certified run can blow up; the run names the replica and writes
-    # nothing, stepped or, for a constant sigma's ensemble, summed as a
-    # Wiener integral (a constant sigma's derivative mass draws no noise)
+    # nothing, stepped, Picard's iterates among them, or, for a constant
+    # sigma's ensemble, summed as a Wiener integral (a constant sigma's
+    # derivative mass draws no noise)
     planted_infinity(monkeypatch, 3, 1 * 16 + 2)
     sigmas = ["shifted_sine"]
     if subcommand in ("simulate", "density"):
@@ -332,11 +346,12 @@ def test_series_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
 # metadata contract
 
 
-def test_metadata_echoes_full_schema(tmp_path):
+def test_metadata_echoes_the_subcommands_keys(tmp_path):
+    # the keys simulate reads, and no other
     code, out = run_cli(["simulate"] + SMALL, tmp_path)
     assert code == 0
     meta = json.loads((out / "simulate.meta.json").read_text())
-    assert set(meta["config"]) == set(SCHEMA)
+    assert list(meta["config"]) == sorted(COMMANDS["simulate"][2])
     assert meta["config"]["m_space"] == 16
     assert meta["config"]["sigma"] == "shifted_sine"
     assert meta["seed"] == 0
@@ -430,7 +445,7 @@ def test_rerun_byte_identical(tmp_path):
                                         "malliavin", "smallball", "density",
                                         "check-exponent"])
 def test_worker_count_never_changes_bytes(tmp_path, subcommand):
-    args = [subcommand] + SMALL + ["--set", "levels=0.1,0.25,0.5"]
+    args = [subcommand] + small(subcommand) + ESTIMATORS.get(subcommand, [])
     code_a, out_a = run_cli(args + ["--workers", "1"], tmp_path, "w1")
     code_b, out_b = run_cli(args + ["--workers", "8"], tmp_path, "w8")
     assert code_a == code_b == 0
@@ -521,8 +536,9 @@ def test_an_infinite_variate_writes_strict_json_metadata(
     ("kernel", "u0_amp=nan"), ("check-exponent", "horizon=inf")])
 def test_an_unread_non_finite_config_value_writes_nothing(
         tmp_path, capsys, subcommand, setting):
-    # no layer reads the value, but the metadata echoes the config and
-    # strict JSON has no NaN or Infinity, so the config is refused first
+    # the subcommand does not take the key, but each value is checked when
+    # it is parsed, before the keys are: the metadata echoes the config,
+    # and strict JSON has no NaN or Infinity
     code, out = run_cli([subcommand, "--set", setting], tmp_path)
     assert code == 1
     key, _, raw = setting.partition("=")
@@ -547,7 +563,7 @@ def test_a_non_finite_config_value_is_refused_before_the_run(
 
 
 # (quantity, t, x, replica_count) of every row each subcommand writes at
-# SMALL with three levels and two deltas
+# small() with ESTIMATORS
 KERNEL_T = (1e-05, 1.778279410038923e-05, 3.1622776601683795e-05,
             5.623413251903491e-05, 0.0001, 0.00017782794100389227,
             0.00031622776601683794, 0.0005623413251903491, 0.001)
@@ -581,9 +597,8 @@ ROW_KEYS = {
 
 @pytest.mark.parametrize("subcommand", list(ROW_KEYS))
 def test_row_keys_pinned(tmp_path, subcommand):
-    code, out = run_cli([subcommand] + SMALL
-                        + ["--set", "levels=0.1,0.25,0.5",
-                           "--set", "deltas=0.05,0.1"], tmp_path)
+    code, out = run_cli([subcommand] + small(subcommand)
+                        + ESTIMATORS.get(subcommand, []), tmp_path)
     assert code == 0
     rows = load_rows(str(out / f"{subcommand.replace('-', '_')}.csv"))
     got = sorted((r["quantity"], r["t"], r["x"], r["replica_count"])
@@ -599,8 +614,8 @@ def test_row_keys_pinned(tmp_path, subcommand):
                                              ("density", "bandwidth")])
 def test_negative_sentinel_is_config_error(tmp_path, capsys, subcommand, key):
     # only exactly 0 derives the default; a negative value is a typo, not "0"
-    code, out = run_cli([subcommand] + SMALL + ["--set", f"{key}=-0.25"],
-                        tmp_path)
+    code, out = run_cli([subcommand] + small(subcommand)
+                        + ["--set", f"{key}=-0.25"], tmp_path)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("levyheat:error:config:") and key in err
@@ -626,8 +641,8 @@ def test_run_id_tracks_config(tmp_path):
 def test_metadata_config_reproduces_the_outputs(tmp_path, subcommand):
     # every key of the metadata's config, passed back as --set, rewrites
     # the data and metadata files byte for byte
-    code, first = run_cli([subcommand] + SMALL + ["--seed", "3"], tmp_path,
-                          "first")
+    code, first = run_cli([subcommand] + small(subcommand) + ["--seed", "3"],
+                          tmp_path, "first")
     assert code == 0
     stem = subcommand.replace("-", "_")
     meta = json.loads((first / f"{stem}.meta.json").read_text())
@@ -637,6 +652,128 @@ def test_metadata_config_reproduces_the_outputs(tmp_path, subcommand):
     assert code == 0
     for name in (f"{stem}.csv", f"{stem}.meta.json"):
         assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the keys each subcommand takes
+
+
+class ReadRecorder(dict):
+    """A config that records each key read; dumping it as JSON reads none."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+# each default, every CI command that runs to the end, and perfbench's four
+# workloads (series, ensemble, hnorm, density) as they pass their settings
+RECORDED = [[name] for name in COMMANDS] + [s.split() for s in (
+    "malliavin --set deltas=0.05,0.1",
+    "density --set sigma=one",
+    "simulate --set sigma=two --set u0=sin",
+    "smallball --set alpha=1.1",
+    "malliavin --set sigma=one --set replicas=65536",
+    "smallball --set sigma=one --set replicas=65536",
+    "kernel --set alpha=1.1",
+    "kernel --set alpha=1.5 --set picard_beta=1e8",
+    "kernel --set t_min=1e-12",
+    "kernel --set alpha=1.2 --set t_min=1e-8",
+    "kernel --set alpha=1.1 --set t_min=1e-8",
+    "kernel --set alpha=1.4 --set t_min=1e-10",
+    "kernel --seed 3",
+    "kernel --seed 5 --set alpha=1.4 --set t_min=1e-8 --set t_points=33",
+    "simulate --seed 5 --workers 2 --set sigma=shifted_sine --set m_space=128 "
+    "--set k_time=128 --set replicas=2048",
+    "malliavin --seed 5 --set sigma=shifted_sine --set replicas=16 "
+    "--set deltas=0.05,0.1",
+    "density --seed 5 --set sigma=one --set m_space=16 --set k_time=16 "
+    "--set replicas=32768",
+)]
+
+
+@pytest.mark.parametrize("args", RECORDED, ids=" ".join)
+def test_each_subcommand_reads_exactly_its_keys(tmp_path, monkeypatch, args):
+    # every key a subcommand takes is read, and it reads no other: a read of
+    # a key it does not take would be a KeyError
+    configs = []
+
+    def recorded(parsed):
+        configs.append(ReadRecorder(effective_config(parsed)))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, "effective_config", recorded)
+    code, _ = run_cli(args, tmp_path)
+    assert code == 0
+    assert configs[0].read == set(configs[0]) == set(COMMANDS[args[0]][2])
+
+
+@pytest.mark.parametrize("setting", ["simulate --set levels=0.1",
+                                     "simulate --set beta=1.5",
+                                     "picard --set probe_x=0",
+                                     "kernel --set drift=0.7",
+                                     "check-exponent --set m_space=16",
+                                     "kernel --set seed=3"])
+def test_a_key_the_subcommand_does_not_read_is_refused(
+        tmp_path, capsys, monkeypatch, setting):
+    # refused before any noise is drawn, from --set or a config file, with
+    # the keys the subcommand reads
+    def refuse(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(noise, "_normal_block", refuse)
+    subcommand, _, key_value = setting.split()
+    key = key_value.partition("=")[0]
+    message = (f"levyheat:error:config: {subcommand} does not read {key}; it "
+               f"reads {', '.join(COMMANDS[subcommand][2])}\n")
+    config_file = tmp_path / "shared.cfg"
+    config_file.write_text(f"# shared\n{key_value}\n")
+    for tag, flags in (("set", ["--set", key_value]),
+                       ("file", ["--config", str(config_file)])):
+        code, out = run_cli([subcommand] + flags, tmp_path, tag)
+        assert code == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["kernel", "check-exponent"])
+def test_a_subcommand_without_noise_takes_and_ignores_the_seed(tmp_path,
+                                                               subcommand):
+    # scripts pass --seed to every subcommand; one that draws no noise
+    # keeps it out of its run id, its config and its rows
+    stem = subcommand.replace("-", "_")
+    _, plain = run_cli([subcommand], tmp_path, "plain")
+    code, out = run_cli([subcommand, "--seed", "3"], tmp_path, "seeded")
+    assert code == 0
+    for name in (f"{stem}.csv", f"{stem}.meta.json"):
+        assert (out / name).read_bytes() == (plain / name).read_bytes()
+    meta = json.loads((out / f"{stem}.meta.json").read_text())
+    assert "seed" not in meta["config"] and meta["seed"] == 0
+    assert {r["seed"] for r in load_rows(str(out / f"{stem}.csv"))} == {0}
+
+
+def test_the_readme_and_help_list_each_subcommands_keys(capsys):
+    # one table, built from COMMANDS for --help and written in the README
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            name, keys = line.strip("| ").split(" | ")
+            table[name.strip("`")] = tuple(k.strip("`")
+                                           for k in keys.split(", "))
+    assert table == {name: keys for name, (_, _, keys) in COMMANDS.items()}
+    assert parse_and_dispatch(["--help"]) == 0
+    words = " ".join(capsys.readouterr().out.split())
+    for name, (_, help_, keys) in COMMANDS.items():
+        assert f" {name} {help_} keys: {', '.join(keys)} " in words
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +801,35 @@ def test_picard_norm_parameters_are_config_errors(tmp_path, capsys, setting):
     assert code == 1
     assert capsys.readouterr().err.startswith("levyheat:error:config:")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_picard_weight_that_weighs_nothing_after_t0_is_refused(
+        tmp_path, capsys, monkeypatch):
+    # at dt = 0.025 the first step's weight e^(-beta dt) is a normal float
+    # up to beta = 708.396 / dt = 28335.9; past it the norm would read 0 at
+    # every step (1e6 wrote zero rows and "contracting": true), so it is
+    # refused before any noise is drawn.  kernel's Laplace beta has no
+    # such limit
+    code, out = run_cli(["picard"] + SMALL + ["--set", "picard_beta=28300"],
+                        tmp_path, "normal")
+    assert code == 0
+    assert rows_by_quantity(out / "picard.csv")["picard_diff/n=0"]["value"] > 0
+
+    def refuse(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(noise, "_normal_block", refuse)
+    for beta in ("28400", "1e6"):
+        code, out = run_cli(["picard"] + SMALL + ["--set", f"picard_beta={beta}"],
+                            tmp_path, beta)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "levyheat:error:config: picard_beta: need beta_param dt <= 708.396, "
+            f"got {float(beta) * 0.025:.6g}: ")
+        assert not out.exists()
+    code, out = run_cli(["kernel", "--set", "picard_beta=1e6"], tmp_path, "k")
+    assert code == 0
 
 
 @pytest.mark.parametrize("subcommand, settings, message", [
@@ -706,7 +872,8 @@ def test_nan_parameters_are_config_errors(tmp_path, capsys, monkeypatch,
     for expected in (first, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out = run_cli([subcommand] + SMALL + sets, tmp_path)
+            code, out = run_cli([subcommand] + small(subcommand) + sets,
+                                tmp_path)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("levyheat:error:config:") and expected in err

@@ -19,7 +19,7 @@ import pytest
 
 import levyheat
 
-from test_cli import SMALL
+from test_cli import small
 
 SRC = Path(levyheat.__file__).parents[1]
 SUBCOMMANDS = ("kernel", "simulate", "picard", "malliavin", "smallball",
@@ -48,7 +48,7 @@ def test_a_run_imports_nothing(tmp_path, subcommand):
         before = set(sys.modules)
         code = levyheat.cli.parse_and_dispatch(json.loads(sys.argv[1]))
         print(json.dumps([code, sorted(set(sys.modules) - before)]))
-        """, json.dumps([subcommand, *SMALL, "--out", str(tmp_path)]))
+        """, json.dumps([subcommand, *small(subcommand), "--out", str(tmp_path)]))
     assert code == 0
     assert added == []
 

@@ -259,8 +259,8 @@ def test_the_blowup_policy_is_written_once():
     # RunConfig, which runs it when it is built, and the gradient oracle,
     # which shifts a variate, runs it again.  No loop over time steps scans
     # the field; a non-finite replica, which only an infinite variate
-    # gives, raises BlowUpError where the drivers read it, and the CLI
-    # turns that into exit 2
+    # gives, raises BlowUpError where the drivers read it (Picard once per
+    # chunk, after its steps), and the CLI turns that into exit 2
     assert functions_reading("BLOWUP_THRESHOLD") == {"solver.RunConfig.certify"}
     assert functions_reading("XI_MAX") == {"solver.RunConfig.certify"}
     assert functions_reading("certify") == {
@@ -276,7 +276,8 @@ def test_the_blowup_policy_is_written_once():
                                                     "malliavin.hnorm_samples"}
     assert functions_reading("BlowUpError") == {
         "solver.sample_at_probe", "solver.solve_path",
-        "malliavin.noise_gradient_oracle", "cli.parse_and_dispatch"}
+        "solver.picard_sequence", "malliavin.noise_gradient_oracle",
+        "cli.parse_and_dispatch"}
 
 
 def refuse_noise(monkeypatch):
@@ -306,6 +307,29 @@ def test_a_run_that_could_blow_up_is_refused_before_any_noise(
         assert err.startswith("levyheat:error:config: u0_amp: flow ")
         assert err.endswith(" past the certified bound 5e+11\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, keys", [
+    ("horizon=1e20", "sigma, horizon, k_time, m_space"),
+    ("u0=sin u0_amp=3e11 horizon=2.2e16", "u0_amp, sigma, horizon, k_time, "
+     "m_space"),
+])
+def test_a_refused_run_names_the_keys_of_the_term_that_crosses(
+        tmp_path, capsys, monkeypatch, settings, keys):
+    # a term at least half the 5e11 bound names its keys: the noise term of
+    # a 1e20 horizon (2.0e13) with a zero u0, or it and the flow of u0 at
+    # about 3e11 each (the test above names u0_amp alone)
+    refuse_noise(monkeypatch)
+    sets = [arg for s in settings.split() for arg in ("--set", s)]
+    code = parse_and_dispatch(["simulate"] + sets + ["--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"levyheat:error:config: {keys}: flow ")
+    flow, noise_term = (float(err.split(word)[1].split()[0])
+                        for word in (" flow ", " noise "))
+    assert (flow >= 2.5e11, noise_term >= 2.5e11) == ("u0_amp" in keys,
+                                                        "sigma" in keys)
+    assert not any(tmp_path.iterdir())
 
 
 def test_the_gradient_oracle_certifies_its_shifted_variates(monkeypatch):

@@ -33,7 +33,7 @@ from levyheat import (
     solve_path,
 )
 from levyheat.kernels import rfft_weights
-from levyheat import solver
+from levyheat import noise, solver
 from levyheat.noise import XI_MAX, _NoiseRows
 from levyheat.solver import _evolve_batch, map_chunks, sample_at_probe
 
@@ -579,20 +579,22 @@ def test_constant_sigma_probe_values_do_not_depend_on_the_chunk(
 @pytest.mark.parametrize("c, amp, refused", [
     (1.0, 4e11, False),  # the flow of u0 stays below half the threshold
     (1.0, 6e11, True),  # it may not
-    (3e12, 1.0, True),  # the noise term alone may cross it
+    (3e12, 1.0, True),  # nor may the noise term
 ])
 def test_a_run_that_could_blow_up_is_refused(stepped_chunks, c, amp,
                                              refused):
     # the certificate bounds every field of every step when the config is
-    # built, before any noise is drawn; a certified constant sigma is
-    # summed as a Wiener integral, which matches the stepper
+    # built, before any noise is drawn, and a refusal names the keys of
+    # the term that crosses; a certified constant sigma is summed as a
+    # Wiener integral, which matches the stepper
     grid = GridSpec(16, 8, 0.2)
     spec = SigmaSpec("const", lambda u: np.full_like(u, c), np.zeros_like,
                      kappa=c, lip=0.0, sup=c)
     args = dict(grid=grid, exponent=EXP2, sigma=spec,
                 u0=amp * np.sin(grid.x_points()), seed=0, replicas=300)
     if refused:
-        with pytest.raises(ValueError, match="^u0_amp: .* bound 5e[+]11"):
+        keys = "u0_amp" if amp > c else "sigma, horizon, k_time, m_space"
+        with pytest.raises(ValueError, match=f"^{keys}: flow .* bound 5e[+]11"):
             RunConfig(**args)
         return
     cfg = RunConfig(**args)
@@ -693,6 +695,33 @@ def test_picard_exact_after_k_time_iterates():
                           n_max=6, beta_param=8.0)
     assert np.all(rep.norms[:4] > 0.0)
     assert rep.norms[4] == 0.0 and rep.norms[5] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_picard_names_the_replica_of_an_infinite_variate(monkeypatch,
+                                                         workers):
+    # replica 130, in the second chunk of 128, steps an infinite variate at
+    # step 6 of 8: its last iterates are not finite, and the run raises
+    # for it, after the steps of its chunk, warning nothing
+    planted_infinity(monkeypatch, 130, 6 * 16 + 2)
+    cfg = picard_config(16, 8, 0.2, "shifted_sine", replicas=200)
+    with pytest.raises(BlowUpError, match="^replica 130 has a non-finite"):
+        picard_sequence(cfg, n_max=2, beta_param=8.0, workers=workers)
+
+
+@pytest.mark.parametrize("beta, refused", [(28300.0, False), (28400.0, True)])
+def test_picard_refuses_a_weight_below_the_normal_floats(monkeypatch, beta,
+                                                         refused):
+    # dt = 0.025: e^(-beta dt) at the first step is a normal float up to
+    # beta = 28335.9; past it every weight after t = 0 is subnormal or 0
+    cfg = picard_config(16, 8, 0.2, "shifted_sine", replicas=16)
+    if refused:
+        monkeypatch.setattr(noise, "_normal_block", None)
+        with pytest.raises(ValueError, match="^need beta_param dt <= 708.396"):
+            picard_sequence(cfg, n_max=2, beta_param=beta)
+        return
+    assert picard_sequence(cfg, n_max=2, beta_param=beta).norms[0] > 0
 
 
 def test_picard_contraction_large_beta():
