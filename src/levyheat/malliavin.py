@@ -14,7 +14,7 @@ Two independent oracles check the sweep: `propagate_derivative` pushes the
 derivative of a single source cell forward through the linearized scheme,
 and `noise_gradient_oracle` takes a central finite difference of two full
 re-solves with one variate shifted, Richardson-tested against the half-step
-quotient.
+quotient.  Like the sweep, both take the RunConfig and stop at its probe.
 """
 
 import math
@@ -28,28 +28,30 @@ from .solver import (BlowUpError, SampleSet, _Scheme, _evolve_batch,
                      linearize, sample_at_probe)
 
 
-def propagate_derivative(path, xi, exp_, sigma, grid, source, until_k=None):
-    """Derivative field of one source cell at time index until_k.
-
-    path is the (k_time+1, m_space) solved trajectory and xi its
-    (k_time, m_space) variates; both must come from the same replica.
-    Sources at or after until_k return the zero field (the solution is
-    adapted: it cannot see future noise).
-    """
+def _check_source(grid, source):
     k_s, i_s = source
     if not (0 <= k_s < grid.k_time) or not (0 <= i_s < grid.m_space):
         raise IndexError(f"source cell {source} outside the grid")
-    until_k = grid.k_time if until_k is None else until_k
-    if not (0 <= until_k <= grid.k_time):
-        raise ValueError(f"until_k={until_k} outside [0, {grid.k_time}]")
-    m = grid.m_space
-    if k_s >= until_k:
-        return np.zeros(m)
-    scheme = _Scheme(exp_, sigma, grid)
-    d = np.zeros(m)
-    d[i_s] = float(sigma.sigma(path[k_s, i_s])) * scheme.point_scale
+    return k_s, i_s
+
+
+def propagate_derivative(config, path, xi, source):
+    """Derivative field of one source cell at the probe step k_p of config.
+
+    path is the run's (k_time+1, m_space) solved trajectory and xi its
+    (k_time, m_space) variates; both must come from the same replica.
+    Sources at or after k_p return the zero field (the solution is adapted:
+    it cannot see future noise).
+    """
+    k_s, i_s = _check_source(config.grid, source)
+    k_p, _ = config.probe_cell
+    d = np.zeros(config.grid.m_space)
+    if k_s >= k_p:
+        return d
+    scheme = _Scheme(config)
+    d[i_s] = float(scheme.sigma.sigma(path[k_s, i_s])) * scheme.point_scale
     scheme.smooth(d)
-    for k in range(k_s + 1, until_k):
+    for k in range(k_s + 1, k_p):
         d *= scheme.tangent(path[k], xi[k])
         scheme.smooth(d)
     return d
@@ -93,8 +95,8 @@ class OracleResult:
     reliable: bool
 
 
-def noise_gradient_oracle(config, replica, source, probe):
-    """Finite-difference derivative of u(probe) in one noise variate.
+def noise_gradient_oracle(config, replica, source):
+    """Finite-difference derivative of u(config.probe) in one noise variate.
 
     Re-solves the full scheme with xi(source) shifted by +-h and +-h/2,
     h = 0.5, and returns (u+ - u-)/(2h), divided by sqrt(dt*dx) to match the
@@ -106,18 +108,15 @@ def noise_gradient_oracle(config, replica, source, probe):
     """
     h, rel_tol = 0.5, 0.05
     grid = config.grid
-    k_s, i_s = source
-    if not (0 <= k_s < grid.k_time) or not (0 <= i_s < grid.m_space):
-        raise IndexError(f"source cell {source} outside the grid")
+    k_s, i_s = _check_source(grid, source)
     config.certify(shift=h)
-    k_p, i_p = grid.index_of(*probe)
+    k_p, i_p = config.probe_cell
     # the steps up to the probe read only the first k_p rows
     variants = np.repeat(_NoiseRows(grid, config.seed, (replica,))[:, :k_p],
                          4, axis=0)
     if k_s < k_p:  # a source at or after the probe leaves u(probe) as it is
         variants[:, k_s, i_s] += (h, -h, 0.5 * h, -0.5 * h)
-    u, _ = _evolve_batch(config.u0, variants, config.exponent, config.sigma,
-                         grid, k_p)
+    u, _ = _evolve_batch(config, variants, k_p)
     u = u[:, i_p]
     if not np.all(np.isfinite(u)):
         raise BlowUpError(replica)
@@ -154,7 +153,6 @@ def hnorm_samples(config, workers=1, deltas=()):
     """
     grid = config.grid
     check_windows(deltas, grid.dt)
-    k_p, i_p = config.probe_cell
     if config.sigma.lip == 0:  # no noise: every replica has the flow's rows
         mass, tails = hnorm_sq(linearize(config)[1], grid, deltas)
         return (SampleSet(np.repeat(mass, config.replicas)),
@@ -162,9 +160,8 @@ def hnorm_samples(config, workers=1, deltas=()):
                  for d, a in tails.items()})
 
     def read(u_p, path, xi):
-        rows = adjoint_gradient(path, xi, config.exponent, config.sigma, grid,
-                                k_p, i_p)
-        mass, tails = hnorm_sq(rows, grid, deltas)
+        mass, tails = hnorm_sq(adjoint_gradient(config, path, xi), grid,
+                               deltas)
         return (mass, *(tails[float(d)] for d in deltas))
 
     mass, *tails = sample_at_probe(config, read, workers, keep_path=True)

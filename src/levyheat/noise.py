@@ -89,10 +89,11 @@ class GridSpec:
     horizon: float
 
     def __post_init__(self):
-        if self.m_space < 4:
-            raise ValueError("need m_space >= 4")
-        if self.k_time < 1:
-            raise ValueError("need k_time >= 1")
+        for key, least in (("m_space", 4), ("k_time", 1)):
+            value = getattr(self, key)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ValueError(f"need an integer {key} >= {least}, got "
+                                 f"{value!r}")
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError("need a finite positive horizon")
 
@@ -173,7 +174,13 @@ class _NoiseRows:
         self.shape = (len(replicas), grid.k_time, grid.m_space)
 
     def __getitem__(self, index):
+        if not (isinstance(index, tuple) and len(index) == 2
+                and all(isinstance(part, slice) for part in index)
+                and index[0] == slice(None)
+                and index[1].indices(self.grid.k_time)[2] == 1):
+            raise IndexError(f"need an index xi[:, k0:k1], got {index!r}")
         k0, k1, _ = index[1].indices(self.grid.k_time)
+        k1 = max(k0, k1)  # xi[:, 5:3] has no rows, as for an array
         m = self.grid.m_space
         block = _normal_block(self.seed, self.replicas, k0 * m, (k1 - k0) * m)
         return block.reshape(len(self.replicas), k1 - k0, m)

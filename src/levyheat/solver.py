@@ -10,7 +10,9 @@ dx*sqrt(2pi) converts it into a density against the unit-mass torus measure
 that the kernel normalization uses.  The noise enters at the left endpoint of
 each step (Ito evaluation), and each increment is smoothed by the semigroup
 for the remaining steps, which is exactly the stochastic convolution with the
-transition kernel.
+transition kernel.  The stepper, the forward pass, the adjoint sweep and the
+drivers take the run's `RunConfig` (phi, sigma, the grid, u0 and the probe
+(t_{k_p}, x_{i_p})), so a path and its derivative share one sigma and probe.
 
 The additive case (sigma constant) makes the solution Gaussian, and
 `additive_variance_exact` gives the scheme's exact variance, the
@@ -203,13 +205,14 @@ class RunConfig:
 
 
 class _Scheme:
-    """The exponential-Euler step of one run: the multiplier S, the noise
-    density scale, sigma and the work buffers of fields of shape
+    """The exponential-Euler step of the run `config`: the multiplier S,
+    the noise density scale, sigma and the work buffers of fields of shape
     (*batch, m_space), written once for every driver."""
 
-    def __init__(self, exp_, sigma, grid, batch=()):
+    def __init__(self, config, batch=()):
+        grid = config.grid
         self.m = grid.m_space
-        self.mult = rfft_multiplier(exp_, grid)
+        self.mult = rfft_multiplier(config.exponent, grid)
         # S is a real circulant, so S^T has the conjugate symbol; S^T != S
         # under drift
         self.mult_t = np.conj(self.mult)
@@ -217,7 +220,7 @@ class _Scheme:
         # a point source as a density against the unit-mass measure: the
         # noise density scale without the cell's sqrt(dt*dx)
         self.point_scale = 1.0 / (grid.dx * math.sqrt(TWO_PI))
-        self.sigma = sigma
+        self.sigma = config.sigma
         self.g = np.empty((*batch, self.m))
         self.spec = np.empty((*batch, self.m // 2 + 1), dtype=complex)
 
@@ -257,8 +260,8 @@ class _Scheme:
             del block  # release the last block before drawing the next
 
 
-def _evolve_batch(u0_values, xi, exp_, sigma, grid, until_k, keep_path=False):
-    """Drive a batch of replicas through steps 0..until_k-1 and stop.
+def _evolve_batch(config, xi, until_k, keep_path=False):
+    """Drive a batch of replicas from u0 through steps 0..until_k-1 and stop.
 
     xi is the batch's noise: anything with shape (B, >= until_k, m_space)
     whose xi[:, k0:k1] is the (B, k1-k0, m_space) array of the variates of
@@ -267,10 +270,10 @@ def _evolve_batch(u0_values, xi, exp_, sigma, grid, until_k, keep_path=False):
     (B, until_k+1, m_space) when keep_path.  An infinite variate makes its
     row non-finite from its step on, warning nothing; the drivers report it.
     """
-    b, m = xi.shape[0], grid.m_space
-    scheme = _Scheme(exp_, sigma, grid, (b,))
+    b, m = xi.shape[0], config.grid.m_space
+    scheme = _Scheme(config, (b,))
     rows = scheme.rows(xi, until_k)
-    u = np.broadcast_to(np.asarray(u0_values, dtype=float), (b, m)).copy()
+    u = np.broadcast_to(config.u0, (b, m)).copy()
     path = np.empty((b, until_k + 1, m)) if keep_path else None
     if keep_path:
         path[:, 0] = u
@@ -369,23 +372,22 @@ class SampleSet:
                 float(order[k]))
 
 
-def adjoint_gradient(path, xi, exp_, sigma, grid, k_p, i_p):
-    """Gradient of u(t_{k_p}, x_{i_p}) in every noise cell before step k_p.
+def adjoint_gradient(config, path, xi):
+    """Gradient of u at config's probe (k_p, i_p) in every earlier noise cell.
 
-    path (B, >= k_p, m_space) and xi (B, >= k_p, m_space) are solved
+    path (B, >= k_p, m_space) and xi (B, >= k_p, m_space) are the run's
     trajectories and their variates, one replica per leading index.  Returns
     rows of shape (B, k_p, m_space): rows[b, k, j] is the derivative in the
     variate of cell (k, j) divided by sqrt(dt*dx).
     """
-    if not (0 <= k_p <= grid.k_time) or not (0 <= i_p < grid.m_space):
-        raise IndexError(f"probe cell {(k_p, i_p)} outside the grid")
-    scheme = _Scheme(exp_, sigma, grid, (len(path),))
-    rows = np.empty((len(path), k_p, grid.m_space))
-    lam = np.zeros((len(path), grid.m_space))
+    k_p, i_p = config.probe_cell
+    scheme = _Scheme(config, (len(path),))
+    rows = np.empty((len(path), k_p, scheme.m))
+    lam = np.zeros((len(path), scheme.m))
     lam[:, i_p] = 1.0
     for k in range(k_p - 1, -1, -1):
         scheme.smooth(lam, transpose=True)  # lam <- mu = S^T lam
-        rows[:, k] = sigma.sigma(path[:, k]) * scheme.point_scale * lam
+        rows[:, k] = scheme.sigma.sigma(path[:, k]) * scheme.point_scale * lam
         lam *= scheme.tangent(path[:, k], xi[:, k])  # lam <- F_k mu
     return rows
 
@@ -398,14 +400,10 @@ def linearize(config):
     the scheme affine, u_p = flow_p + sqrt(dt*dx) sum rows xi, with these
     rows for every replica.
     """
-    grid = config.grid
-    k_p, i_p = config.probe_cell
-    zero = np.zeros((1, k_p, grid.m_space))
-    _, flow = _evolve_batch(config.u0, zero, config.exponent, config.sigma,
-                            grid, k_p, keep_path=True)
-    rows = adjoint_gradient(flow, zero, config.exponent, config.sigma, grid,
-                            k_p, i_p)
-    return flow, rows
+    k_p, _ = config.probe_cell
+    zero = np.zeros((1, k_p, config.grid.m_space))
+    _, flow = _evolve_batch(config, zero, k_p, keep_path=True)
+    return flow, adjoint_gradient(config, flow, zero)
 
 
 def sample_at_probe(config, read, workers=1, keep_path=False):
@@ -436,7 +434,7 @@ def sample_at_probe(config, read, workers=1, keep_path=False):
     chunk = math.ceil(config.replicas / math.ceil(config.replicas / fit))
     wiener = config.sigma.lip == 0 and not keep_path
     if wiener:
-        scheme = _Scheme(config.exponent, config.sigma, grid)
+        scheme = _Scheme(config)
         flow, rows = linearize(config)
         weights = rows * math.sqrt(grid.dt * grid.dx)
 
@@ -452,8 +450,7 @@ def sample_at_probe(config, read, workers=1, keep_path=False):
                 u_p += block.reshape(hi - lo, -1).sum(axis=1)
                 del block  # release it before drawing the next
         else:
-            u, path = _evolve_batch(config.u0, xi, config.exponent,
-                                    config.sigma, grid, k_p, keep_path)
+            u, path = _evolve_batch(config, xi, k_p, keep_path)
             # a copy: a view of the probe column would keep all of u alive
             u_p = u[:, i_p].copy()
         bad = np.flatnonzero(~np.isfinite(u_p))
@@ -469,11 +466,9 @@ def solve_path(config, replica=0):
     """Full (k_time+1, m_space) trajectory of replica `replica`, driven by
     noise stream (config.seed, replica).  A non-finite field raises
     BlowUpError."""
-    grid = config.grid
     u, path = _evolve_batch(
-        config.u0, _NoiseRows(grid, config.seed, (replica,)), config.exponent,
-        config.sigma, grid, grid.k_time, keep_path=True,
-    )
+        config, _NoiseRows(config.grid, config.seed, (replica,)),
+        config.grid.k_time, keep_path=True)
     if not np.all(np.isfinite(u)):
         raise BlowUpError(replica)
     return path[0]
@@ -571,8 +566,8 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
         # conv[0] = 0; iterate n + 1 needs iterate n only at step k, so all
         # of them advance together.  v_{n+1} - v_n = conv[n+1] - conv[n]:
         # the flow cancels exactly, whatever the size of u0
-        flow = _Scheme(config.exponent, config.sigma, grid)
-        scheme = _Scheme(config.exponent, config.sigma, grid, (n_max, hi - lo))
+        flow = _Scheme(config)
+        scheme = _Scheme(config, (n_max, hi - lo))
         rows = scheme.rows(_NoiseRows(grid, config.seed, range(lo, hi)), k_time)
         v0 = config.u0.copy()
         conv = np.zeros((n_max + 1, hi - lo, m))

@@ -3,6 +3,7 @@ package at desk scale, prints a single PASS/FAIL line (run pytest -s to see
 them), and asserts.  Tolerances were fixed from pre-run measurements with
 comfortable margins; none of them are tuned to the observed values."""
 
+import dataclasses
 import json
 import math
 import time
@@ -98,17 +99,16 @@ def test_gradient_oracle_agreement():
     for src in ((2, 3), (5, 0), (9, 11)):
         for probe in ((0.25, 0.0), (0.1875, math.pi),
                       (0.234375, 0.5 * math.pi)):
-            k_p = int(round(probe[0] / grid.dt))
+            probed = dataclasses.replace(cfg, probe=probe)
             i_p = int(round(probe[1] / grid.dx))
-            d = lh.propagate_derivative(path, xi, EXP2, cfg.sigma,
-                                        grid, src, until_k=k_p)
-            orc = lh.noise_gradient_oracle(cfg, 1, src, probe)
+            d = lh.propagate_derivative(probed, path, xi, src)
+            orc = lh.noise_gradient_oracle(probed, 1, src)
             agree = agree and orc.reliable and \
                 abs(d[i_p] - orc.value) <= 1e-2 * abs(orc.value)
 
-    early = lh.propagate_derivative(path, xi, EXP2, cfg.sigma, grid,
-                                    (9, 11), until_k=8)
-    orc = lh.noise_gradient_oracle(cfg, 1, (9, 11), (0.125, 0.0))
+    at_8 = dataclasses.replace(cfg, probe=(0.125, 0.0))  # probe step 8
+    early = lh.propagate_derivative(at_8, path, xi, (9, 11))
+    orc = lh.noise_gradient_oracle(at_8, 1, (9, 11))
     adapted = bool(np.all(early == 0.0)) and orc.value == 0.0
 
     assert verdict(5, "gradient-oracle-agreement", agree and adapted)
@@ -123,8 +123,7 @@ def test_derivative_mass_scaling():
                        u0=zero_field(32), seed=9, replicas=4)
     xi = lh.sample_noise(cfg.grid, cfg.seed, 0)
     path = lh.solve_path(cfg, 0)
-    rows = lh.adjoint_gradient(path[None], xi[None], EXP15, cfg.sigma,
-                               cfg.grid, cfg.grid.k_time, 0)
+    rows = lh.adjoint_gradient(cfg, path[None], xi[None])
     mass, _ = lh.hnorm_sq(rows, cfg.grid)
     anchored = mass[0] == pytest.approx(
         lh.additive_variance_exact(EXP15, cfg.grid), rel=1e-9)

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/.
+"""Every demo script runs to completion against the package in src/,
+under python -W error, so a demo that starts to warn fails.
 
 The demos are the package's worked examples; they call the public API
 directly, so a renamed or removed name breaks them without breaking any
@@ -23,8 +24,9 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -35,6 +37,7 @@ def test_readme_quick_start_runs():
     section = readme.split("## Quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,8 @@ searches for a series cutoff, solver._smooth alone transforms,
 solver._Scheme alone steps, solver.linearize alone linearizes the scheme
 about its flow, solver.sample_at_probe alone runs the sampling loop and
 sizes its chunks, solver.RunConfig.certify alone bounds the fields of every
-driver before any noise is drawn, neither solver
+driver before any noise is drawn, every function of a path takes the
+RunConfig of its run, neither solver
 nor malliavin evaluates a kernel series, solver.SampleSet alone
 estimates a sample quantile, and the public API has no name that only the
 tests use.
@@ -245,6 +246,30 @@ def test_the_linearization_is_written_once():
                                               "malliavin.certified_floor"}
 
 
+# what a RunConfig holds, which no function of a path may take beside it
+RUN_PARTS = {"exp_", "sigma", "grid", "u0_values", "probe", "k_p", "i_p"}
+
+
+def test_every_function_of_a_run_takes_its_config():
+    # a path and its variates belong to one run: each top-level function of
+    # solver and malliavin that takes one takes that run's RunConfig first
+    # and no part of the run beside it, so a derivative is swept under the
+    # sigma of its path and from the config's probe
+    params = {qual: [arg.arg for arg in fn.args.args + fn.args.kwonlyargs]
+              for qual, fn in top_level_functions()
+              if qual.split(".")[0] in ("solver", "malliavin")}
+    of_a_path = {qual: args for qual, args in params.items()
+                 if qual.count(".") == 1 and {"path", "xi"} & set(args)}
+    assert set(of_a_path) == {"solver._evolve_batch",
+                              "solver.adjoint_gradient",
+                              "malliavin.propagate_derivative"}
+    for qual, args in of_a_path.items():
+        assert args[0] == "config" and not RUN_PARTS & set(args), qual
+    assert params["malliavin.noise_gradient_oracle"] == ["config", "replica",
+                                                         "source"]
+    assert params["solver._Scheme.__init__"] == ["self", "config", "batch"]
+
+
 def step_loops(qual):
     """The loops over time steps of a top-level function or method: its for
     loops over range(until_k) or range(k_time)."""
@@ -344,7 +369,7 @@ def test_the_gradient_oracle_certifies_its_shifted_variates(monkeypatch):
                 sigma=get_sigma("shifted_sine"), replicas=2)
     cfg = RunConfig(u0=amp * np.sin(grid.x_points()), **args)
     with pytest.raises(ValueError, match="^u0_amp: .* bound 5e[+]11"):
-        noise_gradient_oracle(cfg, 0, (3, 4), (0.2, 0.0))
+        noise_gradient_oracle(cfg, 0, (3, 4))
     # the oracle takes a RunConfig, and none is built at a refused amplitude
     for amp in map(float, REFUSED_AMPLITUDES):
         with pytest.raises(ValueError, match="^u0_amp: .* bound 5e[+]11"):

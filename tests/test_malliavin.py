@@ -64,8 +64,8 @@ def solved(config, replica=0):
 def mass_of(config, path, xi, i_p, deltas=()):
     """Derivative mass at (horizon, x_{i_p}) of one solved replica."""
     grid = config.grid
-    rows = adjoint_gradient(path[None], xi[None], config.exponent,
-                            config.sigma, grid, grid.k_time, i_p)
+    at_x = dataclasses.replace(config, probe=(grid.horizon, i_p * grid.dx))
+    rows = adjoint_gradient(at_x, path[None], xi[None])
     mass, tails = hnorm_sq(rows, grid, deltas)
     return float(mass[0]), {d: float(v[0]) for d, v in tails.items()}
 
@@ -81,7 +81,7 @@ def test_additive_derivative_is_the_kernel():
     path, xi = solved(cfg)
     grid = cfg.grid
     k_s, i_s = 4, 7
-    d = propagate_derivative(path, xi, EXP2, cfg.sigma, grid, (k_s, i_s))
+    d = propagate_derivative(cfg, path, xi, (k_s, i_s))
     kc = kernel_coefficients(EXP2, (grid.k_time - k_s) * grid.dt, tol=1e-14)
     xs = grid.x_points()
     target = kc.evaluate(xs - xs[i_s]) / math.sqrt(TWO_PI)
@@ -92,13 +92,12 @@ def test_additive_derivative_is_the_kernel():
 def test_adaptedness_is_exact():
     cfg = make_config(16, 8, 0.2, "shifted_sine")
     path, xi = solved(cfg)
-    d = propagate_derivative(path, xi, EXP2, cfg.sigma, cfg.grid, (5, 3),
-                             until_k=4)
+    at_4 = dataclasses.replace(cfg, probe=(0.1, 0.0))  # probe step 4
+    d = propagate_derivative(at_4, path, xi, (5, 3))
     assert np.all(d == 0.0)
-    same = propagate_derivative(path, xi, EXP2, cfg.sigma, cfg.grid, (4, 3),
-                                until_k=4)
+    same = propagate_derivative(at_4, path, xi, (4, 3))
     assert np.all(same == 0.0)
-    orc = noise_gradient_oracle(cfg, 0, (5, 3), (0.1, 0.0))
+    orc = noise_gradient_oracle(at_4, 0, (5, 3))
     assert orc.value == 0.0 and orc.value_half == 0.0
 
 
@@ -106,12 +105,12 @@ def test_source_validation():
     cfg = make_config(16, 8, 0.2, "one")
     path, xi = solved(cfg)
     with pytest.raises(IndexError):
-        propagate_derivative(path, xi, EXP2, cfg.sigma, cfg.grid, (8, 0))
+        propagate_derivative(cfg, path, xi, (8, 0))
     with pytest.raises(IndexError):
-        propagate_derivative(path, xi, EXP2, cfg.sigma, cfg.grid, (0, 16))
+        propagate_derivative(cfg, path, xi, (0, 16))
+    # the derivative stops at the config's probe, which lies within the grid
     with pytest.raises(ValueError):
-        propagate_derivative(path, xi, EXP2, cfg.sigma, cfg.grid, (0, 0),
-                             until_k=9)
+        dataclasses.replace(cfg, probe=(9 * cfg.grid.dt, 0.0))
 
 
 @pytest.mark.parametrize("m, k, drift, probe", [
@@ -127,11 +126,11 @@ def test_adjoint_matches_propagation(m, k, drift, probe):
     cfg = make_config(m, k, 0.2, "shifted_sine", exponent=exp_, u0=np.sin)
     path, xi = solved(cfg, replica=3)
     k_p, i_p = probe
-    rows = adjoint_gradient(path[None], xi[None], exp_, cfg.sigma,
-                            cfg.grid, k_p, i_p)[0]
+    cfg = dataclasses.replace(cfg, probe=(k_p * cfg.grid.dt,
+                                          i_p * cfg.grid.dx))
+    rows = adjoint_gradient(cfg, path[None], xi[None])[0]
     assert rows.shape == (k_p, m)
-    ref = np.array([[propagate_derivative(path, xi, exp_, cfg.sigma,
-                                          cfg.grid, (k_s, j), until_k=k_p)[i_p]
+    ref = np.array([[propagate_derivative(cfg, path, xi, (k_s, j))[i_p]
                      for j in range(m)] for k_s in range(k_p)])
     np.testing.assert_allclose(rows, ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref)))
@@ -142,8 +141,8 @@ def test_additive_linearity_in_sigma():
     cfg2 = make_config(16, 8, 0.2, "two", seed=4)
     path1, xi = solved(cfg1)
     path2, _ = solved(cfg2)
-    a = propagate_derivative(path1, xi, EXP2, cfg1.sigma, cfg1.grid, (2, 5))
-    b = propagate_derivative(path2, xi, EXP2, cfg2.sigma, cfg2.grid, (2, 5))
+    a = propagate_derivative(cfg1, path1, xi, (2, 5))
+    b = propagate_derivative(cfg2, path2, xi, (2, 5))
     assert np.array_equal(b, 2.0 * a)
 
 
@@ -157,25 +156,23 @@ def test_oracle_matches_propagation_nonlinear():
     grid = cfg.grid
     for src in ((2, 3), (5, 0), (9, 11)):
         for probe in ((0.25, 0.0), (0.1875, math.pi)):
-            k_p = int(round(probe[0] / grid.dt))
+            probed = dataclasses.replace(cfg, probe=probe)
             i_p = int(round(probe[1] / grid.dx))
-            d = propagate_derivative(path, xi, EXP2, cfg.sigma, grid, src,
-                                     until_k=k_p)
-            orc = noise_gradient_oracle(cfg, 1, src, probe)
+            d = propagate_derivative(probed, path, xi, src)
+            orc = noise_gradient_oracle(probed, 1, src)
             assert orc.reliable
             assert d[i_p] == pytest.approx(orc.value, rel=1e-2)
 
 
-def whole_noise_oracle(cfg, replica, source, probe, h=0.5, rel_tol=0.05):
+def whole_noise_oracle(cfg, replica, source, h=0.5, rel_tol=0.05):
     """The oracle on four perturbed copies of the replica's whole noise,
     stepped to the probe: the reference for the oracle's first k_p rows."""
     grid = cfg.grid
-    k_p, i_p = grid.index_of(*probe)
+    k_p, i_p = cfg.probe_cell
     variants = np.stack([sample_noise(grid, cfg.seed, replica)] * 4)
     for row, shift in zip(variants, (h, -h, 0.5 * h, -0.5 * h)):
         row[source] += shift
-    u = _evolve_batch(cfg.u0, variants, cfg.exponent, cfg.sigma, grid,
-                      k_p)[0][:, i_p]
+    u = _evolve_batch(cfg, variants, k_p)[0][:, i_p]
     cell = math.sqrt(grid.dt * grid.dx)
     v_h = (u[0] - u[1]) / (2.0 * h * cell)
     v_half = (u[2] - u[3]) / (h * cell)
@@ -193,9 +190,9 @@ def test_oracle_reads_the_rows_up_to_the_probe(source):
     # probe at step 6 of 16: the oracle draws and perturbs rows 0..5 only;
     # a source at or after the probe moves nothing and gives an exact 0
     cfg = make_config(16, 16, 0.25, "shifted_sine", seed=12, u0=np.sin)
-    probe = (6 * cfg.grid.dt, 3 * cfg.grid.dx)
-    orc = noise_gradient_oracle(cfg, 1, source, probe)
-    assert orc == whole_noise_oracle(cfg, 1, source, probe)
+    cfg = dataclasses.replace(cfg, probe=(6 * cfg.grid.dt, 3 * cfg.grid.dx))
+    orc = noise_gradient_oracle(cfg, 1, source)
+    assert orc == whole_noise_oracle(cfg, 1, source)
     if source[0] >= 6:
         assert orc == OracleResult(0.0, 0.0, 0.0, True)
     else:
@@ -204,7 +201,7 @@ def test_oracle_reads_the_rows_up_to_the_probe(source):
 
 def test_oracle_zero_sigma():
     cfg = make_config(16, 8, 0.2, "zero", u0=np.cos)
-    orc = noise_gradient_oracle(cfg, 0, (1, 2), (0.2, 0.0))
+    orc = noise_gradient_oracle(cfg, 0, (1, 2))
     assert orc.value == 0.0
     assert orc.reliable
 
@@ -213,11 +210,11 @@ def test_oracle_additive_is_path_independent():
     # for constant sigma the scheme is affine in the noise, so the central
     # difference is exact and identical across replicas
     cfg = make_config(16, 8, 0.2, "one")
-    a = noise_gradient_oracle(cfg, 0, (3, 4), (0.2, 0.0))
-    b = noise_gradient_oracle(cfg, 5, (3, 4), (0.2, 0.0))
+    a = noise_gradient_oracle(cfg, 0, (3, 4))
+    b = noise_gradient_oracle(cfg, 5, (3, 4))
     assert a.value == pytest.approx(b.value, rel=1e-9)
     path, xi = solved(cfg)
-    d = propagate_derivative(path, xi, EXP2, cfg.sigma, cfg.grid, (3, 4))
+    d = propagate_derivative(cfg, path, xi, (3, 4))
     assert a.value == pytest.approx(d[0], rel=1e-9)
 
 
@@ -225,7 +222,7 @@ def test_oracle_additive_matches_continuum_kernel():
     # on a band-resolved grid the difference quotient reproduces the
     # continuum transition kernel
     cfg = make_config(32, 8, 0.2, "one")
-    orc = noise_gradient_oracle(cfg, 0, (3, 4), (0.2, 0.0))
+    orc = noise_gradient_oracle(cfg, 0, (3, 4))
     kc = kernel_coefficients(EXP2, 5 * cfg.grid.dt, tol=1e-14)
     target = float(kc.evaluate(np.array([0.0 - cfg.grid.dx * 4]))[0])
     assert orc.value == pytest.approx(target / math.sqrt(TWO_PI), rel=1e-6)
@@ -238,7 +235,7 @@ def test_oracle_blowup_is_blowup_error(monkeypatch):
     cfg = make_config(16, 8, 0.2, "shifted_sine", seed=0)
     planted_infinity(monkeypatch, 2, 2 * 16 + 5)
     with pytest.raises(BlowUpError) as orc_err:
-        noise_gradient_oracle(cfg, 2, (3, 4), (0.2, 0.0))
+        noise_gradient_oracle(cfg, 2, (3, 4))
     with pytest.raises(BlowUpError) as path_err:
         solve_path(cfg, replica=2)
     assert orc_err.value.replica == path_err.value.replica == 2
@@ -247,10 +244,11 @@ def test_oracle_blowup_is_blowup_error(monkeypatch):
 
 def test_oracle_probe_validation():
     cfg = make_config(16, 8, 0.2, "one")
+    # the oracle probes the config's probe, which lies on the grid
     with pytest.raises(ValueError):
-        noise_gradient_oracle(cfg, 0, (1, 1), (0.013, 0.0))
+        dataclasses.replace(cfg, probe=(0.013, 0.0))
     with pytest.raises(IndexError):
-        noise_gradient_oracle(cfg, 0, (9, 0), (0.2, 0.0))
+        noise_gradient_oracle(cfg, 0, (9, 0))
 
 
 def _probed(probe):
@@ -264,13 +262,13 @@ def _probed(probe):
     lambda probe: negative_moment_estimate(
         hnorm_samples(_probed(probe))[0].values),
     lambda probe: hnorm_samples(_probed(probe))[0].quantile(0.5),
-    lambda probe: noise_gradient_oracle(_probed(None), 0, (1, 1), probe),
+    lambda probe: noise_gradient_oracle(_probed(probe), 0, (1, 1)),
 ], ids=["hnorm_samples", "negative_moment_estimate", "sample_quantile",
         "noise_gradient_oracle"])
 def test_probe_off_grid_rejected(call, probe):
     # every probe maps to a cell through GridSpec.index_of, once, when the
-    # RunConfig is built (the oracle takes its own probe): no silent
-    # snapping of x, no zero masses before t = 0, no bare IndexError past T
+    # RunConfig is built: no silent snapping of x, no zero masses before
+    # t = 0, no bare IndexError past T
     with pytest.raises(ValueError):
         call(probe)
 
@@ -390,8 +388,7 @@ def test_hnorm_samples_at_an_interior_probe():
     samples, tails = hnorm_samples(cfg, deltas=(0.05,))
     for r in range(3):
         path, xi = solved(cfg, r)
-        rows = adjoint_gradient(path[None], xi[None], cfg.exponent,
-                                cfg.sigma, cfg.grid, 5, 0)
+        rows = adjoint_gradient(cfg, path[None], xi[None])
         mass, tail = hnorm_sq(rows, cfg.grid, (0.05,))
         assert (samples.values[r] == mass[0]
                 and tails[0.05].values[r] == tail[0.05][0])
@@ -425,14 +422,13 @@ def test_constant_sigma_masses_are_each_replicas_own(sigma, case):
     # the flow's rows draw no noise, and each mass and tail has the bits of
     # the replica's own solved path swept back from the probe
     cfg = constant_sigma_config(sigma, case)
-    k_p, i_p = cfg.probe_cell
+    k_p, _ = cfg.probe_cell
     deltas = (0.05, 3 * cfg.grid.dt)
     samples, tails = hnorm_samples(cfg, deltas=deltas)
     assert len(samples) == 3
     for r in range(3):
         path, xi = solved(cfg, r)
-        rows = adjoint_gradient(path[None, :k_p + 1], xi[None, :k_p],
-                                cfg.exponent, cfg.sigma, cfg.grid, k_p, i_p)
+        rows = adjoint_gradient(cfg, path[None, :k_p + 1], xi[None, :k_p])
         mass, tail = hnorm_sq(rows, cfg.grid, deltas)
         assert samples.values[r] == mass[0]
         assert all(tails[d].values[r] == tail[d][0] for d in deltas)

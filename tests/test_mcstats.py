@@ -156,8 +156,7 @@ def test_streamed_ensemble_matches_the_whole_block(monkeypatch, workers):
     values = []
     for lo, hi in ((0, 150), (150, 300)):
         u, _ = _evolve_batch(
-            cfg.u0, _NoiseRows(cfg.grid, cfg.seed, range(lo, hi))[:, :],
-            EXP2, sigma, cfg.grid, 37)
+            cfg, _NoiseRows(cfg.grid, cfg.seed, range(lo, hi))[:, :], 37)
         values.append(u[:, 0])
     assert np.array_equal(ss.values, np.concatenate(values))
 
@@ -203,8 +202,8 @@ def test_blowup_after_the_probe_keeps_the_replica(monkeypatch):
     cfg = interior_probe_config(monkeypatch, get_sigma("shifted_sine"), 20,
                                 m=10, k=37, horizon=0.3)
     grid = cfg.grid
-    ref, path = _evolve_batch(cfg.u0, _NoiseRows(grid, cfg.seed, range(300)),
-                              EXP2, cfg.sigma, grid, 37, keep_path=True)
+    ref, path = _evolve_batch(cfg, _NoiseRows(grid, cfg.seed, range(300)),
+                              37, keep_path=True)
     planted_infinity(monkeypatch, 170, 25 * 10 + 6)
     ss = run_ensemble(cfg)
     assert np.array_equal(ss.values, path[:, 20, 3])

@@ -48,6 +48,13 @@ def test_grid_validation():
         GridSpec(m_space=8, k_time=4, horizon=0.0)
     with pytest.raises(ValueError):
         GridSpec(m_space=8, k_time=4, horizon=math.inf)
+    # a size that is not an integer is refused by its key, not later in a
+    # transform or as an off-grid default probe
+    with pytest.raises(ValueError, match="integer m_space .* got 16.0$"):
+        GridSpec(m_space=16.0, k_time=8, horizon=0.5)
+    with pytest.raises(ValueError, match="integer k_time .* got 8.5$"):
+        GridSpec(m_space=16, k_time=8.5, horizon=0.5)
+    assert GridSpec(np.int64(16), np.int32(8), 0.5).k_time == 8
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +167,18 @@ def test_block_filler_is_thread_safe():
         for row_a, row_b, r in zip(a, b, range(lo, lo + 3)):
             ref = constructed_stream(seed, r, fw, count)
             assert np.array_equal(row_a, ref) and np.array_equal(row_b, ref)
+
+
+def test_noise_rows_take_only_a_unit_step_time_slice():
+    # the rows of a range of replicas are read as xi[:, k0:k1] alone: a
+    # replica index or a strided time slice would be silently dropped
+    xi = _NoiseRows(GridSpec(8, 10, 0.5), 0, range(4))
+    assert xi[:, 2:4].shape == xi[:, 2:4:1].shape == (4, 2, 8)
+    assert xi[:, 5:3].shape == (4, 0, 8)
+    for index in (np.s_[:2, 0:6:2], np.s_[1:3, 2:4], 0, np.s_[:, 0:6:2],
+                  np.s_[:, 3], np.s_[:, ::-1], np.s_[:, :, :]):
+        with pytest.raises(IndexError, match=r"xi\[:, k0:k1\]"):
+            xi[index]
 
 
 def test_negative_replica_in_a_block_raises():

@@ -48,6 +48,11 @@ def zero_field(m):
     return field_from_function(lambda x: 0.0 * x, m)
 
 
+def config_of(grid, sigma, u0):
+    """The run under EXP2 that _evolve_batch steps from u0."""
+    return RunConfig(grid=grid, exponent=EXP2, sigma=sigma, u0=u0)
+
+
 # ---------------------------------------------------------------------------
 # sigma registry
 
@@ -109,7 +114,7 @@ def test_step_matches_direct_convolution_oracle():
     u0 = rng.standard_normal(8)
     xi = sample_noise(grid, seed=8, replica=0)
     sigma = get_sigma("shifted_sine")
-    u, _ = _evolve_batch(u0, xi[None], EXP2, sigma, grid, 1)
+    u, _ = _evolve_batch(config_of(grid, sigma, u0), xi[None], 1)
     out = u[0]
 
     g = sigma.sigma(u0) + 0.0
@@ -284,21 +289,18 @@ def test_streamed_noise_matches_the_whole_block(monkeypatch, m, words):
     assert lazy.shape == whole.shape == (7, 37, m)
     for k0, k1 in ((0, 37), (3, 6), (35, 40)):
         assert np.array_equal(lazy[:, k0:k1], whole[:, k0:k1])
-    u0 = field_from_function(np.sin, m)
-    args = (EXP2, get_sigma("shifted_sine"), grid, 37, True)
-    u_a, path_a = _evolve_batch(u0, lazy, *args)
-    u_b, path_b = _evolve_batch(u0, whole, *args)
-    assert np.array_equal(path_a, path_b)
-    assert np.array_equal(u_a, u_b) and np.array_equal(u_a, path_a[:, 37])
-    assert np.array_equal(path_a[:, 0], np.broadcast_to(u0, (7, m)))
-    # stopping early walks the same path: step 4 ends the second block of
-    # rows at 32 words and the first at 2048
-    u_4, path_4 = _evolve_batch(u0, lazy, EXP2, get_sigma("shifted_sine"),
-                                grid, 4, True)
-    assert np.array_equal(u_4, path_a[:, 4])
-    assert np.array_equal(path_4, path_a[:, :5])
     cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("shifted_sine"),
                     u0=field_from_function(np.sin, m), seed=4, replicas=2)
+    u_a, path_a = _evolve_batch(cfg, lazy, 37, True)
+    u_b, path_b = _evolve_batch(cfg, whole, 37, True)
+    assert np.array_equal(path_a, path_b)
+    assert np.array_equal(u_a, u_b) and np.array_equal(u_a, path_a[:, 37])
+    assert np.array_equal(path_a[:, 0], np.broadcast_to(cfg.u0, (7, m)))
+    # stopping early walks the same path: step 4 ends the second block of
+    # rows at 32 words and the first at 2048
+    u_4, path_4 = _evolve_batch(cfg, lazy, 4, True)
+    assert np.array_equal(u_4, path_a[:, 4])
+    assert np.array_equal(path_4, path_a[:, :5])
     assert np.array_equal(path_a[2], solve_path(cfg, replica=7))
 
 
@@ -321,7 +323,7 @@ def test_the_step_allocates_only_what_sigma_returns():
 
     spec = SigmaSpec("marked", sigma, np.zeros_like, kappa=2.0, lip=0.0,
                      sup=2.0)
-    traced_peak(_evolve_batch, np.zeros(m), xi, EXP2, spec, grid, k)
+    traced_peak(_evolve_batch, config_of(grid, spec, np.zeros(m)), xi, k)
     assert len(marks) == k
     # peak during step j minus what was live when step j began
     extra = [peak - current for (current, _), (_, peak)
@@ -338,9 +340,9 @@ def test_sample_at_probe_joins_the_chunks_and_needs_two(monkeypatch,
     # index raises, whichever chunk ends first
     bad = set()
 
-    def stub(u0, xi, exp_, sigma, grid, until_k, keep_path=False):
+    def stub(config, xi, until_k, keep_path=False):
         u = np.array([np.nan if r in bad else r for r in xi.replicas])
-        return np.repeat(u[:, None], grid.m_space, axis=1), None
+        return np.repeat(u[:, None], config.grid.m_space, axis=1), None
 
     monkeypatch.setattr(solver, "_evolve_batch", stub)
     # chunks of at most 3 replicas of 4 points: [0, 3) and [3, 5)
@@ -395,8 +397,8 @@ def test_streamed_blowups_in_later_blocks(monkeypatch):
     planted_infinity(monkeypatch, 7, 20 * 10 + 4)
 
     def run(xi):
-        return _evolve_batch(np.zeros(10), xi, EXP2,
-                             get_sigma("shifted_sine"), grid, 37, True)
+        return _evolve_batch(config_of(grid, get_sigma("shifted_sine"),
+                                       np.zeros(10)), xi, 37, True)
 
     u_a, path_a = run(_NoiseRows(grid, 3, range(30)))
     u_b, path_b = run(_NoiseRows(grid, 3, range(30))[:, :])
@@ -414,7 +416,8 @@ def test_streamed_blowups_in_later_blocks(monkeypatch):
 def test_additive_variance_and_skewness():
     grid = GridSpec(m_space=64, k_time=64, horizon=0.5)
     xi = _NoiseRows(grid, 21, range(4000))[:, :]
-    u, _ = _evolve_batch(zero_field(64), xi, EXP2, get_sigma("one"), grid, 64)
+    u, _ = _evolve_batch(config_of(grid, get_sigma("one"), zero_field(64)),
+                         xi, 64)
     u = u[:, 0]
     n = len(u)
     var = float(np.var(u, ddof=1))
@@ -446,8 +449,9 @@ def test_scheme_variance_approaches_time_integral():
 def test_second_moment_stability_and_self_convergence():
     def m2(grid_, reps):
         xi = _NoiseRows(grid_, 77, range(reps))[:, :]
-        u, _ = _evolve_batch(zero_field(grid_.m_space), xi, EXP2,
-                             get_sigma("shifted_sine"), grid_, grid_.k_time)
+        cfg = config_of(grid_, get_sigma("shifted_sine"),
+                        zero_field(grid_.m_space))
+        u, _ = _evolve_batch(cfg, xi, grid_.k_time)
         u = u[:, 0]
         return float(np.mean(u ** 2)), float(np.std(u ** 2, ddof=1) / math.sqrt(reps))
 
@@ -510,10 +514,10 @@ def stepped_chunks(monkeypatch):
     seen = []
     real = solver._evolve_batch
 
-    def spy(u0, xi, *args, **kwargs):
+    def spy(config, xi, *args, **kwargs):
         if isinstance(xi, _NoiseRows):
             seen.append(xi.replicas)
-        return real(u0, xi, *args, **kwargs)
+        return real(config, xi, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_evolve_batch", spy)
     return seen
@@ -623,8 +627,8 @@ def test_the_certificate_bounds_every_sampled_field(sigma_name, alpha):
     assert reach - flow_bound == pytest.approx(
         cfg.sigma.sup * noise_density_scale(grid) * XI_MAX * math.sqrt(33)
         * 40, rel=1e-12)
-    _, path = _evolve_batch(u0, _NoiseRows(grid, 9, range(64)), exp_,
-                            cfg.sigma, grid, 40, keep_path=True)
+    _, path = _evolve_batch(cfg, _NoiseRows(grid, 9, range(64)), 40,
+                            keep_path=True)
     assert np.abs(path).max() <= reach
     values = sample_at_probe(cfg, lambda u_p, path, xi: (u_p,))[0].values
     assert np.abs(values).max() <= reach
