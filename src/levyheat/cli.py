@@ -1,8 +1,9 @@
 """Command line entry point.
 
-One executable, one subcommand per experiment.  Every run writes a CSV data
-file of fixed schema plus a metadata record with the complete effective
-configuration, so any output can be reproduced from its metadata alone.
+One executable, one subcommand per experiment.  Every run writes each value
+as a row of a CSV data file of fixed schema, plus a metadata record of the
+run alone (subcommand, run id, effective configuration, RNG scheme,
+version), so any output can be reproduced from its metadata alone.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure, 3 I/O
 error.  The rows each subcommand writes (quantity names and the columns
 they fill) are decided here alone; library results carry only what they
@@ -50,6 +51,7 @@ from .malliavin import (
 )
 from .mcstats import (
     DegenerateSamplesError,
+    _check_bandwidth,
     emit,
     kde,
     make_row,
@@ -161,7 +163,8 @@ def effective_config(args):
 # value runs as well; a subcommand runs it before it draws any noise
 ESTIMATOR_CHECKS = {"moment_p": check_moment_order, "floor": check_floor,
                     "levels": check_levels, "deltas": check_windows,
-                    "picard_beta": check_picard_weight}
+                    "picard_beta": check_picard_weight,
+                    "bandwidth": _check_bandwidth}
 # the row each value of a comma-list key names
 ROW_NAMES = {"levels": "smallball_quantile/level={:g}",
              "deltas": "hnorm_tail_mean/delta={:.6e}"}
@@ -224,7 +227,7 @@ def build_run_config(cfg):
 
 # ---------------------------------------------------------------------------
 # subcommands: each gets the (run_id, seed, alpha, beta) columns its rows
-# share as `head` and returns (rows, extra_metadata, summary line)
+# share as `head` and returns (rows, summary line); every value is a row
 
 
 def cmd_kernel(cfg, args, head):
@@ -261,7 +264,7 @@ def cmd_kernel(cfg, args, head):
                          tail_bound=report.laplace_tail))
     summary = (f"kernel: norm slope {report.slope_norm:.6g} "
                f"(r2 {report.r2_norm:.6g})")
-    return rows, {}, summary
+    return rows, summary
 
 
 def cmd_simulate(cfg, args, head):
@@ -277,7 +280,7 @@ def cmd_simulate(cfg, args, head):
     ]
     summary = (f"simulate: {len(ss)} replicas, mean {ss.mean():.6g} "
                f"+- {ss.stderr():.2g}, var {ss.variance():.6g}")
-    return rows, {}, summary
+    return rows, summary
 
 
 def cmd_picard(cfg, args, head):
@@ -296,9 +299,11 @@ def cmd_picard(cfg, args, head):
             for n, (v, se) in enumerate(zip(report.norms, report.stderrs))]
     rows += [make_row(*head, f"picard_ratio/n={n}", r, **where)
              for n, r in enumerate(report.ratios, start=1)]
+    rows.append(make_row(*head, "picard_contracting", float(report.contracting),
+                         **where))
     summary = (f"picard: ratios {np.array2string(report.ratios, precision=3)} "
                f"contracting={report.contracting}")
-    return rows, {"contracting": report.contracting}, summary
+    return rows, summary
 
 
 def _negative_moment_rows(samples, cfg, head, where):
@@ -336,7 +341,7 @@ def cmd_malliavin(cfg, args, head):
                    f"(reliable={nm.reliable})")
     else:
         summary = f"malliavin: hnorm mean {mean:.6g} +- {se:.2g}"
-    return rows, {}, summary
+    return rows, summary
 
 
 def cmd_smallball(cfg, args, head):
@@ -361,21 +366,22 @@ def cmd_smallball(cfg, args, head):
     summary = (f"smallball: quantiles {min(quantiles)[0]:.6g}.."
                f"{max(quantiles)[0]:.6g} at {len(levels)} levels, certified "
                f"floor {floor:.6g}")
-    return rows, {}, summary
+    return rows, summary
 
 
 def cmd_density(cfg, args, head):
     run = build_run_config(cfg)
+    bandwidth = None  # 0: the Silverman rule, which kde checks once known
+    if cfg["bandwidth"]:
+        bandwidth, = _estimator_args(cfg, "bandwidth")
     ss = run_ensemble(run, workers=args.workers)
     t, x = run.probe
-    bandwidth = cfg["bandwidth"] if cfg["bandwidth"] != 0 else None
     where = dict(t=t, x=x, replica_count=len(ss))
     try:
         est = kde(ss.values, bandwidth=bandwidth)
     except DegenerateSamplesError as err:
         rows = [make_row(*head, "density_point_mass", err.value, **where)]
-        return rows, {"degenerate": True}, \
-            f"density: point mass at {err.value:.6g}, no estimate"
+        return rows, f"density: point mass at {err.value:.6g}, no estimate"
     rep = smoothness_report(est)
     rows = [make_row(*head, quantity, value, **where) for quantity, value in (
         ("density_bandwidth", est.bandwidth),
@@ -388,7 +394,7 @@ def cmd_density(cfg, args, head):
     summary = (f"density: bandwidth {est.bandwidth:.6g}, max |d1| "
                f"{rep.max_d1:.6g}, max |d2| {rep.max_d2:.6g}, "
                f"under_smoothed={rep.under_smoothed}")
-    return rows, {"bandwidth_rule": est.metadata["bandwidth_rule"]}, summary
+    return rows, summary
 
 
 def cmd_check_exponent(cfg, args, head):
@@ -399,7 +405,7 @@ def cmd_check_exponent(cfg, args, head):
     ]
     summary = (f"theta={chk.theta:.12g} "
                f"admissible={'true' if chk.admissible else 'false'}")
-    return rows, {"theta": chk.theta, "admissible": chk.admissible}, summary
+    return rows, summary
 
 
 # each subcommand's function, help, and the keys that can change its values
@@ -496,20 +502,13 @@ def _check_finite(rows):
                     f"non-finite {col} in {row['quantity']!r}: {v!r}")
 
 
-def _write_outputs(args, subcommand, cfg, run_id, rows, extra):
+def _write_outputs(args, subcommand, cfg, run_id, rows):
     out_dir = Path(args.out)
     stem = subcommand.replace("-", "_")
     data_path = out_dir / f"{stem}.csv"
-    meta = {
-        "subcommand": subcommand,
-        "run_id": run_id,
-        "config": cfg,
-        "seed": cfg.get("seed", 0),
-        "rng_scheme": RNG_SCHEME,
-        "version": __version__,
-        "outputs": [data_path.name],
-    }
-    meta.update(extra)
+    # the record of the run, not of its values: those are the rows
+    meta = {"subcommand": subcommand, "run_id": run_id, "config": cfg,
+            "rng_scheme": RNG_SCHEME, "version": __version__}
     # strict JSON: non-finite config values are refused when parsed
     text = json.dumps(meta, sort_keys=True, indent=2, allow_nan=False)
     try:
@@ -539,10 +538,10 @@ def parse_and_dispatch(argv):
         run_id = _run_identifier(args.subcommand, cfg)
         command = COMMANDS[args.subcommand][0]
         head = (run_id, cfg.get("seed", 0), cfg["alpha"], _beta(cfg))
-        rows, extra, summary = command(cfg, args, head)
+        rows, summary = command(cfg, args, head)
         _check_finite(rows)
         data_path, meta_path = _write_outputs(
-            args, args.subcommand, cfg, run_id, rows, extra)
+            args, args.subcommand, cfg, run_id, rows)
         print(summary)
         print(f"wrote {data_path} and {meta_path}")
         return 0

@@ -90,12 +90,27 @@ def silverman_bandwidth(samples):
     return 0.9 * spread * n ** (-0.2)
 
 
+def _check_bandwidth(bandwidth, span=0.0):
+    """Refuse a bandwidth other than 0 < h < inf, and one too large for
+    kde's 512-point grid over samples that span `span`: np.gradient squares
+    the grid's spacing (span + 8 h) / 511, and twice the spacing, the width
+    of its central stencil, squared must be finite."""
+    if not 0 < bandwidth < math.inf:
+        raise ValueError(f"need bandwidth > 0 and finite, got {bandwidth!r}")
+    width = 2.0 * (span + 8.0 * bandwidth) / 511
+    if not width * width < math.inf:
+        raise ValueError(
+            f"bandwidth {bandwidth!r} is too large: np.gradient cannot square "
+            f"twice the {width / 2:.3g} spacing of its 512-point grid")
+
+
 def kde(samples, bandwidth=None):
     """Gaussian kernel density estimate with derivative tables.
 
     The grid is 512 points spanning the samples and 4 bandwidths beyond them
     on each side.  bandwidth defaults to the Silverman rule (recorded in
-    metadata either way) and must otherwise be positive and finite.
+    metadata either way) and must otherwise be positive and finite; one
+    whose grid spacing np.gradient cannot square is refused.
     Zero-variance samples have no density; they raise
     DegenerateSamplesError carrying the point-mass location.
 
@@ -122,9 +137,8 @@ def kde(samples, bandwidth=None):
         bandwidth = silverman_bandwidth(samples)
     else:
         rule = "explicit"
-    if not 0 < bandwidth < math.inf:
-        raise ValueError(f"need bandwidth > 0 and finite, got {bandwidth!r}")
     bandwidth = float(bandwidth)
+    _check_bandwidth(bandwidth, float(samples.max()) - float(samples.min()))
     lo = samples.min() - 4.0 * bandwidth
     hi = samples.max() + 4.0 * bandwidth
     points = np.linspace(lo, hi, 512)

@@ -23,7 +23,8 @@ probe value is exactly a Wiener integral, the flow of u0 plus
 sum_{k,j} w_{k,j} xi_{k,j}, whose weights are `adjoint_gradient`'s rows on
 the flow times sqrt(dt*dx) (Nualart, The Malliavin Calculus and Related
 Topics, 2006, sec. 1.2): `linearize` sweeps the flow once, `sample_at_probe`
-sums per noise block.  `RunConfig.certify` bounds every field first.
+sums per noise block, and `picard_sequence` reads its v_0 off the same flow.
+`RunConfig.certify` bounds every field first.
 
 `adjoint_gradient` differentiates the step exactly.  Normalized by
 sqrt(dt*dx), the derivative of u(t_{k_p}, x_{i_p}) in the variate of cell
@@ -42,7 +43,7 @@ batched over replicas.
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -147,8 +148,9 @@ class RunConfig:
     read-only float copy.  probe is the (t, x) point whose law the run
     samples; it must sit exactly on the grid and defaults to (horizon, 0),
     resolved when the config is built (dataclasses.replace with a new grid
-    keeps the old probe).  Moment estimates need at least 2 replicas.  A
-    config that certify() refuses is refused when it is built.
+    keeps the old probe).  seed and replicas are integers, by GridSpec's
+    rule; moment estimates need at least 2 replicas.  A config that
+    certify() refuses is refused when it is built.
     """
 
     grid: GridSpec
@@ -168,6 +170,10 @@ class RunConfig:
             raise ValueError("u0 values must be finite")
         u0.flags.writeable = False
         object.__setattr__(self, "u0", u0)
+        for key in ("seed", "replicas"):
+            if not isinstance(getattr(self, key), (int, np.integer)):
+                raise ValueError(f"need an integer {key}, got "
+                                 f"{getattr(self, key)!r}")
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas")
         if self.probe is None:
@@ -560,16 +566,16 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
     grid = config.grid
     r_total = config.replicas
     m, k_time = grid.m_space, grid.k_time
+    # the flow of u0 to the horizon, read off the one linearization
+    (flow,), _ = linearize(replace(config, probe=(grid.horizon, 0.0)))
 
     def one_chunk(lo, hi):
-        # iterate n at step k is v0 + conv[n], v0 being the flow of u0 and
-        # conv[0] = 0; iterate n + 1 needs iterate n only at step k, so all
-        # of them advance together.  v_{n+1} - v_n = conv[n+1] - conv[n]:
-        # the flow cancels exactly, whatever the size of u0
-        flow = _Scheme(config)
+        # iterate n at step k is flow[k] + conv[n], conv[0] = 0; iterate
+        # n + 1 needs iterate n only at step k, so all of them advance
+        # together.  v_{n+1} - v_n = conv[n+1] - conv[n]: the flow cancels
+        # exactly, whatever the size of u0
         scheme = _Scheme(config, (n_max, hi - lo))
         rows = scheme.rows(_NoiseRows(grid, config.seed, range(lo, hi)), k_time)
-        v0 = config.u0.copy()
         conv = np.zeros((n_max + 1, hi - lo, m))
         moments = np.zeros((2, n_max, k_time + 1, m))
         mom, mom_sq = moments
@@ -577,8 +583,7 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
         # moment that under- or overflows raises FloatingPointError
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(k_time):
-                scheme.step(conv[1:], next(rows), v0 + conv[:-1])
-                flow.smooth(v0)
+                scheme.step(conv[1:], next(rows), flow[k] + conv[:-1])
                 with np.errstate(under="raise", over="raise"):
                     d = np.abs(conv[1:] - conv[:-1]) ** p
                     mom[:, k + 1] = d.sum(axis=1)

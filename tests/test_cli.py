@@ -354,16 +354,48 @@ def test_metadata_echoes_the_subcommands_keys(tmp_path):
     assert list(meta["config"]) == sorted(COMMANDS["simulate"][2])
     assert meta["config"]["m_space"] == 16
     assert meta["config"]["sigma"] == "shifted_sine"
-    assert meta["seed"] == 0
+    assert meta["config"]["seed"] == 0
     assert "seed_source" not in meta
     assert meta["version"] == __version__
     assert meta["rng_scheme"].startswith("philox4x64/")
-    assert meta["outputs"] == ["simulate.csv"]
+    assert (out / "simulate.csv").is_file()
     assert "format" not in meta
     assert len(meta["run_id"]) == 12
     # nothing machine- or time-dependent may leak in
     assert "workers" not in meta
     assert not any("time" in k or "date" in k for k in meta)
+
+
+# the five keys of every metadata file: the record of the run; its values
+# are rows
+META_KEYS = {"subcommand", "run_id", "config", "rng_scheme", "version"}
+
+
+def test_every_metadata_file_records_the_run_and_no_value(tmp_path):
+    # the 7 subcommands at default and the tail-window and constant-sigma
+    # runs: each metadata file holds the five keys alone, and Picard's
+    # verdict is its row picard_contracting, 1 exactly when every ratio is
+    # below 1 (the last run does not contract)
+    runs = [[s] for s in COMMANDS] + [
+        ["malliavin", "--set", "deltas=0.05,0.1"],
+        ["density", "--set", "sigma=one"],
+        ["simulate", "--set", "sigma=two", "--set", "u0=sin"],
+        ["picard"] + SMALL + ["--set", "picard_beta=0", "--set", "horizon=50",
+                              "--set", "scale=0.001", "--set", "picard_n=3"]]
+    verdicts = []
+    for i, args in enumerate(runs):
+        code, out = run_cli(args, tmp_path, str(i))
+        assert code == 0
+        stem = args[0].replace("-", "_")
+        meta = json.loads((out / f"{stem}.meta.json").read_text())
+        assert set(meta) == META_KEYS, args
+        if args[0] == "picard":
+            got = rows_by_quantity(out / "picard.csv")
+            ratios = [row["value"] for q, row in got.items()
+                      if q.startswith("picard_ratio/n=")]
+            verdicts.append((got["picard_contracting"]["value"],
+                             float(all(r < 1.0 for r in ratios))))
+    assert verdicts == [(1.0, 1.0), (0.0, 0.0)]
 
 
 def test_simulate_rows(tmp_path):
@@ -398,7 +430,9 @@ def test_seed_precedence_chain(tmp_path):
         code, out = run_cli(base + extra, tmp_path, tag)
         assert code == 0
         meta = json.loads((out / "simulate.meta.json").read_text())
-        assert (meta["seed"], meta["config"]["seed"]) == (seed, seed)
+        rows = load_rows(str(out / "simulate.csv"))
+        assert ({r["seed"] for r in rows}, meta["config"]["seed"]) == (
+            {seed}, seed)
 
 
 def test_an_exported_seed_variable_changes_no_byte(tmp_path, monkeypatch):
@@ -581,7 +615,8 @@ ROW_KEYS = {
             "sup_weighted_cumulative")],
     "simulate": [(q, 0.2, 0.0, 8) for q in ("u_blowups", "u_mean", "u_var")],
     "picard": [(f"picard_diff/n={n}", 0.0, 0.0, 8) for n in range(6)]
-    + [(f"picard_ratio/n={n}", 0.0, 0.0, 8) for n in range(1, 6)],
+    + [(f"picard_ratio/n={n}", 0.0, 0.0, 8) for n in range(1, 6)]
+    + [("picard_contracting", 0.0, 0.0, 8)],
     "malliavin": [(q, 0.2, 0.0, 8) for q in (
         "hnorm_mean", "hnorm_sd", "hnorm_tail_mean/delta=1.000000e-01",
         "hnorm_tail_mean/delta=5.000000e-02", *NEGATIVE_MOMENT)],
@@ -755,7 +790,7 @@ def test_a_subcommand_without_noise_takes_and_ignores_the_seed(tmp_path,
     for name in (f"{stem}.csv", f"{stem}.meta.json"):
         assert (out / name).read_bytes() == (plain / name).read_bytes()
     meta = json.loads((out / f"{stem}.meta.json").read_text())
-    assert "seed" not in meta["config"] and meta["seed"] == 0
+    assert "seed" not in meta["config"] and "seed" not in meta
     assert {r["seed"] for r in load_rows(str(out / f"{stem}.csv"))} == {0}
 
 
@@ -788,8 +823,7 @@ def test_picard_subcommand(tmp_path):
     got = rows_by_quantity(out / "picard.csv")
     assert "picard_diff/n=0" in got
     assert "picard_ratio/n=1" in got
-    meta = json.loads((out / "picard.meta.json").read_text())
-    assert "contracting" in meta
+    assert got["picard_contracting"]["value"] in (0.0, 1.0)
 
 
 @pytest.mark.parametrize("setting", ["moment_p=1", "picard_beta=-5",
@@ -911,6 +945,12 @@ def test_nan_parameters_are_config_errors(tmp_path, capsys, monkeypatch,
     ("malliavin", "deltas=0.05,0.05", "deltas: two values name one row"),
     ("malliavin", "deltas=0.1,0.05,0.0500000001",
      "deltas: two values name one row"),
+    # kde's grid spacing (span + 8 h) / 511, which np.gradient squares: at
+    # 6e155 that overflowed, and 1e308 makes the grid itself infinite
+    ("density", "bandwidth=6e155", "bandwidth: bandwidth 6e+155 is too large: "
+     "np.gradient cannot square twice the 9.39e+153 spacing"),
+    ("density", "bandwidth=1e200", "bandwidth: bandwidth 1e+200 is too large"),
+    ("density", "bandwidth=1e308", "bandwidth: bandwidth 1e+308 is too large"),
 ])
 def test_bad_estimator_arguments_are_refused_before_sampling(
         tmp_path, capsys, monkeypatch, subcommand, setting, message):
@@ -925,6 +965,7 @@ def test_bad_estimator_arguments_are_refused_before_sampling(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("levyheat:error:config: ") and message in err
+    assert err.count("\n") == 1
     assert not out.exists()
     with pytest.raises(AssertionError, match="noise drawn"):
         run_cli([subcommand] + SMALL, tmp_path)

@@ -235,15 +235,21 @@ def test_only_the_sampling_loop_reads_a_chunk_budget():
 
 def test_the_linearization_is_written_once():
     # solver.linearize alone steps the flow on zero variates and sweeps it;
-    # the Wiener sampler, the constant-sigma derivative mass and the
-    # certified small-ball floor read its rows and step no flow of their own
+    # the Wiener sampler, the constant-sigma derivative mass, the certified
+    # small-ball floor and Picard's iterates read it and step no flow of
+    # their own: only the step, the adjoint sweep and the derivative's
+    # forward pass apply S
     assert (functions_reading("_evolve_batch")
             & functions_reading("adjoint_gradient")) == {"solver.linearize"}
     assert (functions_reading("zeros")
             & functions_reading("_evolve_batch")) == {"solver.linearize"}
     assert functions_reading("linearize") == {"solver.sample_at_probe",
                                               "malliavin.hnorm_samples",
-                                              "malliavin.certified_floor"}
+                                              "malliavin.certified_floor",
+                                              "solver.picard_sequence"}
+    assert functions_reading("smooth") == {"solver._Scheme.step",
+                                           "solver.adjoint_gradient",
+                                           "malliavin.propagate_derivative"}
 
 
 # what a RunConfig holds, which no function of a path may take beside it

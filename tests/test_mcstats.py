@@ -7,6 +7,7 @@ byte-level.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -332,15 +333,26 @@ def test_kde_degenerate_point_mass():
     assert err.value.count == 50
 
 
+@pytest.mark.filterwarnings("error")
 def test_kde_validation():
     with pytest.raises(ValueError):
         kde(np.array([1.0]))
     with pytest.raises(ValueError):
         kde(np.array([1.0, np.nan, 2.0]))
-    # NaN fails every comparison, so only a negated "0 < h < inf" refuses it
-    for bandwidth in (-1.0, 0.0, math.nan, math.inf):
+    # NaN fails every comparison, so only a negated "0 < h < inf" refuses
+    # it.  np.gradient divides by about twice the squared grid spacing
+    # (span + 8 h) / 511: from h ~ 6e155 on that overflowed, warned and gave
+    # 0 derivatives, and at 1e307 and 1e308 the grid was not finite
+    for bandwidth in (-1.0, 0.0, math.nan, math.inf, 6e155, 1e200, 1e307,
+                      1e308):
         with pytest.raises(ValueError, match="bandwidth"):
             kde(np.array([1.0, 2.0, 3.0]), bandwidth=bandwidth)
+    # 1e155 runs; the samples' span counts toward the spacing too
+    est = kde(np.array([1.0, 2.0, 3.0]), bandwidth=1e155)
+    assert np.all(np.isfinite(est.d1)) and est.integral() > 0.99
+    with pytest.raises(ValueError, match=re.escape("bandwidth 1e+150 is too "
+                                                   "large: np.gradient")):
+        kde(np.array([-1e157, 1e157]), bandwidth=1e150)
 
 
 def test_kde_refuses_a_bin_grid_past_the_cap():

@@ -232,6 +232,19 @@ def test_config_validation():
         with pytest.raises(ValueError):
             RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("one"),
                       u0=zero_field(16), seed=0, replicas=replicas)
+    # a seed or a replica count is an integer, by GridSpec's rule for a
+    # size: seed 1.5 would sample seed 1's noise, and replicas 10.0 would
+    # fail only inside map_chunks.  A negative seed keys stream seed mod 2^64
+    cfg = RunConfig(grid=grid, exponent=EXP2, sigma=get_sigma("one"),
+                    u0=zero_field(16), replicas=2)
+    for key, value in (("seed", 1.5), ("seed", 1.9), ("seed", np.float64(1)),
+                       ("seed", "1"), ("replicas", 10.0),
+                       ("replicas", np.float64(10))):
+        with pytest.raises(ValueError, match=f"need an integer {key}, got "):
+            dataclasses.replace(cfg, **{key: value})
+    for key, value in (("seed", -3), ("seed", np.int64(2 ** 62)),
+                       ("replicas", np.int32(10))):
+        assert getattr(dataclasses.replace(cfg, **{key: value}), key) == value
 
 
 def test_u0_is_a_read_only_copy_of_finite_grid_values():
