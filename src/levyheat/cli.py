@@ -306,6 +306,16 @@ def cmd_picard(cfg, args, head):
     return rows, summary
 
 
+def _check_mass_probe(run):
+    """Refuse a negative moment at a probe in step 0, where every mass is 0
+    (before any noise is drawn)."""
+    if run.probe_cell[0] == 0:
+        raise ConfigError(
+            f"probe_t: the probe time {run.probe[0]:g} lies in step 0, where "
+            "every derivative mass is 0 and has no negative moment; need "
+            f"probe_t of at least one step, dt = {run.grid.dt:g}")
+
+
 def _negative_moment_rows(samples, cfg, head, where):
     """The negative moment of the mass samples, and its rows."""
     nm = negative_moment_estimate(samples, p=cfg["moment_p"], floor=cfg["floor"])
@@ -323,6 +333,7 @@ def cmd_malliavin(cfg, args, head):
     deltas, = _estimator_args(cfg, "deltas", dt=run.grid.dt)
     if run.sigma.kappa > 0:  # the negative moment reads them
         _estimator_args(cfg, "moment_p", "floor")
+        _check_mass_probe(run)
     mass, tails = hnorm_samples(run, workers=args.workers, deltas=deltas)
     t, x = run.probe
     mean, se = mass.mean(), mass.stderr()
@@ -351,6 +362,7 @@ def cmd_smallball(cfg, args, head):
                           "kappa > 0")
     levels, _, _ = _estimator_args(cfg, "levels", "moment_p", "floor",
                                    n=run.replicas)
+    _check_mass_probe(run)
     mass, _ = hnorm_samples(run, workers=args.workers)
     t, x = run.probe
     where = dict(t=t, x=x, replica_count=len(mass))

@@ -9,6 +9,9 @@ sum_{cells} |D|^2 dt dx that `hnorm_sq` forms reproduces
 int_0^t ||q_s||^2 ds in the kernel's unit-mass convention.  There the
 derivative is the rows of `solver.linearize`'s one sweep of the flow, which
 the solver's Wiener sampler reads too, so `hnorm_samples` draws no noise.
+Otherwise `hnorm_samples` keeps only the squared sum of each row of the
+sweep, folded as `hnorm_sq` folds them: a chunk of replicas holds its paths
+and variates, and none of its gradient rows.
 
 Two independent oracles check the sweep: `propagate_derivative` pushes the
 derivative of a single source cell forward through the linearized scheme,
@@ -23,9 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .noise import _NoiseRows
-from .solver import (BlowUpError, SampleSet, _Scheme, _evolve_batch,
-                     adjoint_gradient, check_moment_order, get_sigma,
-                     linearize, sample_at_probe)
+from .solver import (BlowUpError, SampleSet, _adjoint_rows, _Scheme,
+                     _evolve_batch, check_moment_order, get_sigma, linearize,
+                     sample_at_probe)
 
 
 def _check_source(grid, source):
@@ -67,22 +70,28 @@ def check_windows(deltas, dt):
                          f"dt = {dt:.6g}, got {list(deltas)}")
 
 
+def _fold(per_step, grid, deltas):
+    """hnorm_sq's (mass, tails) of the (B, k_p) squared row sums
+    per_step[:, k] = sum_j |D_{k,j}|^2."""
+    weight = grid.dt * grid.dx
+    k_p = per_step.shape[1]
+    tails = {}
+    for delta in deltas:
+        k_lo = max(k_p - int(round(delta / grid.dt)), 0)
+        tails[float(delta)] = per_step[:, k_lo:].sum(axis=1) * weight
+    return per_step.sum(axis=1) * weight, tails
+
+
 def hnorm_sq(rows, grid, deltas=()):
     """Per-replica quadrature sum_{cells} |D u(t, x)|^2 dt dx of gradient rows.
 
     rows is the (B, k_p, m_space) output of adjoint_gradient.  Returns
     (mass, tails): mass has shape (B,), and tails[delta] restricts the sum to
     sources in the window (t - delta, t], rounded to whole steps.
+    hnorm_samples folds the same sums without holding the rows.
     """
     check_windows(deltas, grid.dt)
-    weight = grid.dt * grid.dx
-    per_step = np.sum(rows ** 2, axis=-1)
-    k_p = rows.shape[1]
-    tails = {}
-    for delta in deltas:
-        k_lo = max(k_p - int(round(delta / grid.dt)), 0)
-        tails[float(delta)] = per_step[:, k_lo:].sum(axis=1) * weight
-    return per_step.sum(axis=1) * weight, tails
+    return _fold(np.sum(rows ** 2, axis=-1), grid, deltas)
 
 
 @dataclass(frozen=True)
@@ -149,7 +158,9 @@ def hnorm_samples(config, workers=1, deltas=()):
     Returns (mass, tails): the SampleSet of the mass, and tails mapping each
     window delta to the SampleSet of its windowed mass, one value per
     replica (BlowUpError for a non-finite one, as in run_ensemble).
-    Deterministic in config regardless of worker count.
+    Deterministic in config regardless of worker count, and bit-identical
+    to hnorm_sq of adjoint_gradient on each replica's path.  A probe at
+    t = 0 has mass 0.
     """
     grid = config.grid
     check_windows(deltas, grid.dt)
@@ -159,9 +170,16 @@ def hnorm_samples(config, workers=1, deltas=()):
                 {d: SampleSet(np.repeat(a, config.replicas))
                  for d, a in tails.items()})
 
+    k_p, _ = config.probe_cell
+
     def read(u_p, path, xi):
-        mass, tails = hnorm_sq(adjoint_gradient(config, path, xi), grid,
-                               deltas)
+        # each row is squared in place and summed as the sweep hands it
+        # over: the chunk holds its path and variates, and no row of them
+        per_step = np.empty((len(path), k_p))
+        for k, row in _adjoint_rows(config, path, xi):
+            row *= row
+            per_step[:, k] = row.sum(axis=-1)
+        mass, tails = _fold(per_step, grid, deltas)
         return (mass, *(tails[float(d)] for d in deltas))
 
     mass, *tails = sample_at_probe(config, read, workers, keep_path=True)

@@ -37,7 +37,9 @@ reads the whole gradient: starting from lambda = e_{i_p}, each step back
 forms mu = S^T lambda (the conjugate rfft multiplier, since S^T != S under
 drift), emits the row sigma(u_k) mu / (dx sqrt(2pi)) of the cells at step
 k, and moves on with lambda = F_k mu.  That is O(k_p m log m) per replica,
-batched over replicas.
+batched over replicas.  The sweep is written once, as `_adjoint_rows`,
+which hands each row to its caller: `adjoint_gradient` stacks them, and
+`malliavin.hnorm_samples` folds each into its squared sum and drops it.
 """
 
 import math
@@ -60,8 +62,8 @@ _ROW_BLOCK_WORDS = 2048
 # streamed, times (k_p + 1) m_space of path (a probe at t = 0 still holds
 # u0) when read takes the path.  They differ because a streamed replica's
 # memory is its noise block of _ROW_BLOCK_WORDS words, while a path
-# replica's is its path, its noise and its gradient rows, O(k_p m_space)
-# words apiece
+# replica's is its path and its noise, about 2 (k_p + 1) m_space words: the
+# adjoint sweep hands its rows to the reader one step at a time
 _STREAM_CHUNK_WORDS = 2 ** 14
 _PATH_CHUNK_WORDS = 2 ** 20
 
@@ -378,6 +380,20 @@ class SampleSet:
                 float(order[k]))
 
 
+def _adjoint_rows(config, path, xi):
+    """The reverse sweep from config's probe: yields (k, row) for k = k_p -
+    1, ..., 0, row being adjoint_gradient's rows[:, k] as a fresh array
+    that the sweep keeps no reference to."""
+    k_p, i_p = config.probe_cell
+    scheme = _Scheme(config, (len(path),))
+    lam = np.zeros((len(path), scheme.m))
+    lam[:, i_p] = 1.0
+    for k in range(k_p - 1, -1, -1):
+        scheme.smooth(lam, transpose=True)  # lam <- mu = S^T lam
+        yield k, scheme.sigma.sigma(path[:, k]) * scheme.point_scale * lam
+        lam *= scheme.tangent(path[:, k], xi[:, k])  # lam <- F_k mu
+
+
 def adjoint_gradient(config, path, xi):
     """Gradient of u at config's probe (k_p, i_p) in every earlier noise cell.
 
@@ -386,15 +402,10 @@ def adjoint_gradient(config, path, xi):
     rows of shape (B, k_p, m_space): rows[b, k, j] is the derivative in the
     variate of cell (k, j) divided by sqrt(dt*dx).
     """
-    k_p, i_p = config.probe_cell
-    scheme = _Scheme(config, (len(path),))
-    rows = np.empty((len(path), k_p, scheme.m))
-    lam = np.zeros((len(path), scheme.m))
-    lam[:, i_p] = 1.0
-    for k in range(k_p - 1, -1, -1):
-        scheme.smooth(lam, transpose=True)  # lam <- mu = S^T lam
-        rows[:, k] = scheme.sigma.sigma(path[:, k]) * scheme.point_scale * lam
-        lam *= scheme.tangent(path[:, k], xi[:, k])  # lam <- F_k mu
+    k_p, _ = config.probe_cell
+    rows = np.empty((len(path), k_p, config.grid.m_space))
+    for k, row in _adjoint_rows(config, path, xi):
+        rows[:, k] = row
     return rows
 
 
@@ -418,9 +429,11 @@ def sample_at_probe(config, read, workers=1, keep_path=False):
 
     Replica r draws noise stream (config.seed, r).  A chunk holds as many
     replicas as fit in _STREAM_CHUNK_WORDS words of field, or in
-    _PATH_CHUNK_WORDS of path if keep_path, and at least one; the replicas
-    are spread evenly over as few chunks, so no tail chunk costs a whole
-    pass for a replica or two, and the bounds do not depend on workers.
+    _PATH_CHUNK_WORDS of path if keep_path (the chunk then holds its path
+    and its variates, about twice that, and read should add no array of
+    their size), and at least one; the replicas are spread evenly over as
+    few chunks, so no tail chunk costs a whole pass for a replica or two,
+    and the bounds do not depend on workers.
     read gets the chunk's (B,) values u_p at the probe and, if keep_path,
     its (B, k_p + 1, m_space) path and (B, k_p, m_space) variates (else
     None and its _NoiseRows); it returns a tuple of arrays with one row per

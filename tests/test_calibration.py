@@ -48,18 +48,26 @@ def additive_config(seed):
     return make_config("one", seed)
 
 
+# the tail windows of CI's malliavin run with deltas=0.05,0.1
+DELTAS = (0.05, 0.1)
+
+
 def default_sigma_rows(seed, replicas=256):
     """(value, stderr) of the u_mean and u_var rows of simulate and the
-    hnorm_mean and default negative-moment rows of malliavin, at the
-    default sigma."""
+    hnorm_mean, tail-window and default negative-moment rows of malliavin,
+    at the default sigma.  The CLI writes the tail rows with stderr 0 (the
+    benchmark pins them so); the stderr checked here is their SampleSet's."""
     cfg = make_config("shifted_sine", seed, replicas)
     ss = run_ensemble(cfg)
-    mass, _ = hnorm_samples(cfg)
+    mass, tails = hnorm_samples(cfg, deltas=DELTAS)
     nm = negative_moment_estimate(mass.values, p=2, floor=1e-8)
     return {"u_mean": (ss.mean(), ss.stderr()),
             "u_var": (ss.variance(), ss.variance_stderr()),
             "hnorm_mean": (mass.mean(), mass.stderr()),
-            "negative_moment/p=2/floor=1.000e-08": (nm.estimate, nm.stderr)}
+            "negative_moment/p=2/floor=1.000e-08": (nm.estimate, nm.stderr),
+            **{f"hnorm_tail_mean/delta={d:.6e}": (tails[d].mean(),
+                                                  tails[d].stderr())
+               for d in DELTAS}}
 
 
 def test_simulate_stderrs_are_calibrated():
@@ -71,15 +79,21 @@ def test_simulate_stderrs_are_calibrated():
 
 
 # default_sigma_rows(2026, 2 ** 20), as (value, stderr), made by
-#   cd tests && PYTHONPATH=../src:. python -c "from test_calibration import
+#   cd tests && PYTHONPATH=../src:. python -c "from test_calibration import \
 #   default_sigma_rows as r; print(r(2026, 2 ** 20))"
-# in 57 s on 2 cores (numpy 2.4.6, scipy 1.17.1)
+# in 57 s on 2 cores (numpy 2.4.6, scipy 1.17.1); the tail windows were
+# added later, by the same command, which gave the other four to the last
+# digit in 38 s
 DEFAULT_SIGMA_REFERENCE = {
     "u_mean": (-0.00011105738254085983, 0.00038138880567544316),
     "u_var": (0.15252316078162936, 0.0002319916822024171),
     "hnorm_mean": (0.15597264429568444, 5.504448275497131e-05),
     "negative_moment/p=2/floor=1.000e-08": (7.293845114792344,
                                             0.002629685114759701),
+    "hnorm_tail_mean/delta=5.000000e-02": (0.03932416825609021,
+                                           1.2969156115280028e-05),
+    "hnorm_tail_mean/delta=1.000000e-01": (0.05276995015532732,
+                                           1.7497074437814066e-05),
 }
 
 

@@ -1086,6 +1086,41 @@ def test_smallball_needs_nondegenerate_sigma(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("subcommand, replicas", [("malliavin", 8),
+                                                  ("smallball", 64)])
+def test_a_negative_moment_at_step_0_is_refused_before_sampling(
+        tmp_path, capsys, monkeypatch, subcommand, replicas):
+    # probe_t = 1e-12 snaps to step k_p = 0, where every mass is 0: the
+    # negative moment was floor^(-p/2) with stderr 0, and smallball wrote
+    # quantiles and a certified floor of 0.  Refused, naming probe_t, before
+    # any noise is drawn
+    def refuse(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(noise, "_normal_block", refuse)
+    code, out = run_cli([subcommand, "--set", "probe_t=1e-12", "--set",
+                         f"replicas={replicas}"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("levyheat:error:config: probe_t: the probe time "
+                          "1e-12 lies in step 0, ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_degenerate_mass_at_step_0_writes_no_negative_moment(tmp_path):
+    # at kappa = 0 malliavin writes no negative moment, so a probe in step
+    # 0 runs and writes its zero masses
+    code, out = run_cli(["malliavin", "--set", "probe_t=1e-12", "--set",
+                         "sigma=zero", "--set", "deltas=0.05"], tmp_path)
+    assert code == 0
+    got = rows_by_quantity(out / "malliavin.csv")
+    assert sorted(got) == ["hnorm_mean", "hnorm_sd",
+                           "hnorm_tail_mean/delta=5.000000e-02"]
+    assert all(row["value"] == 0.0 for row in got.values())
+
+
 def test_density_subcommand(tmp_path):
     code, out = run_cli(["density"] + SMALL + ["--set", "replicas=64"],
                         tmp_path)

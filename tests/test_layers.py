@@ -1,14 +1,14 @@
 """Layering: the numerical modules never reach up into the output layer, the
 noise module alone draws random numbers, kernels._smallest_cutoff alone
 searches for a series cutoff, solver._smooth alone transforms,
-solver._Scheme alone steps, solver.linearize alone linearizes the scheme
-about its flow, solver.sample_at_probe alone runs the sampling loop and
-sizes its chunks, solver.RunConfig.certify alone bounds the fields of every
-driver before any noise is drawn, every function of a path takes the
-RunConfig of its run, neither solver
-nor malliavin evaluates a kernel series, solver.SampleSet alone
-estimates a sample quantile, and the public API has no name that only the
-tests use.
+solver._Scheme alone steps, solver._adjoint_rows alone sweeps back from
+the probe, solver.linearize alone linearizes the scheme about its flow,
+solver.sample_at_probe alone runs the sampling loop and sizes its chunks,
+solver.RunConfig.certify alone bounds the fields of every driver before
+any noise is drawn, every function of a path takes the RunConfig of its
+run, neither solver nor malliavin evaluates a kernel series,
+solver.SampleSet alone estimates a sample quantile, and the public API has
+no name that only the tests use.
 
 mcstats (ensembles, density, row serialization) and cli (the row format)
 sit above kernels, noise, solver and malliavin.  An import the
@@ -248,8 +248,40 @@ def test_the_linearization_is_written_once():
                                               "malliavin.certified_floor",
                                               "solver.picard_sequence"}
     assert functions_reading("smooth") == {"solver._Scheme.step",
-                                           "solver.adjoint_gradient",
+                                           "solver._adjoint_rows",
                                            "malliavin.propagate_derivative"}
+
+
+def backward_loops():
+    """(qualified name, loop) of every for loop of the package that counts
+    down: over range(..., ..., -c) or reversed(...)."""
+    for qual, fn in top_level_functions():
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.For)
+                    and isinstance(node.iter, ast.Call)):
+                continue
+            name, args = getattr(node.iter.func, "id", None), node.iter.args
+            if name == "reversed" or (
+                    name == "range" and len(args) == 3
+                    and isinstance(args[2], ast.UnaryOp)
+                    and isinstance(args[2].op, ast.USub)):
+                yield qual, node
+
+
+def test_the_adjoint_sweep_is_written_once():
+    # solver._adjoint_rows alone runs backwards over the steps, from the
+    # probe's k_p down to 0, and hands each gradient row to its caller:
+    # adjoint_gradient stacks the rows, and hnorm_samples folds each into
+    # its squared sum and keeps no row
+    loops = list(backward_loops())
+    assert [(qual, ast.unparse(loop.iter)) for qual, loop in loops] == [
+        ("solver._adjoint_rows", "range(k_p - 1, -1, -1)")]
+    assert functions_reading("_adjoint_rows") == {"solver.adjoint_gradient",
+                                                  "malliavin.hnorm_samples"}
+    assert "adjoint_gradient" not in {
+        getattr(node, "id", getattr(node, "attr", None))
+        for node in ast.walk(dict(top_level_functions())[
+            "malliavin.hnorm_samples"])}
 
 
 # what a RunConfig holds, which no function of a path may take beside it
@@ -267,6 +299,7 @@ def test_every_function_of_a_run_takes_its_config():
     of_a_path = {qual: args for qual, args in params.items()
                  if qual.count(".") == 1 and {"path", "xi"} & set(args)}
     assert set(of_a_path) == {"solver._evolve_batch",
+                              "solver._adjoint_rows",
                               "solver.adjoint_gradient",
                               "malliavin.propagate_derivative"}
     for qual, args in of_a_path.items():

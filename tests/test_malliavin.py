@@ -380,21 +380,34 @@ def test_hnorm_samples_blowups_reported_not_silently_dropped(monkeypatch):
     assert err.value.replica == 1
 
 
-def test_hnorm_samples_at_an_interior_probe():
-    # the chunks stop at step k_p = 5 of 8; each mass is the one of the
-    # replica's whole path swept back from the probe
-    cfg = make_config(16, 8, 0.2, "shifted_sine", replicas=3,
-                      probe=(0.125, 0.0))
-    samples, tails = hnorm_samples(cfg, deltas=(0.05,))
-    for r in range(3):
-        path, xi = solved(cfg, r)
-        rows = adjoint_gradient(cfg, path[None], xi[None])
-        mass, tail = hnorm_sq(rows, cfg.grid, (0.05,))
-        assert (samples.values[r] == mass[0]
-                and tails[0.05].values[r] == tail[0.05][0])
-    # a probe at t = 0 stops before the first step and draws no noise row
-    at_zero = dataclasses.replace(cfg, probe=(0.0, 0.0))
-    assert np.array_equal(hnorm_samples(at_zero)[0].values, np.zeros(3))
+def test_hnorm_samples_at_an_interior_probe(monkeypatch):
+    # the chunks stop at step k_p: 5 of 8 on the 16 x 8 grid, and 20 of 40
+    # at x_10 of a 33 x 40 grid under alpha = 1.4, drift 0.7 and u0 = sin.
+    # Each mass and tail folded off the sweep has the bits of hnorm_sq of
+    # the rows of the replica's whole path swept back from the probe.  A
+    # budget of 2 replicas of (k_p + 1) m_space words gives chunks of 2, 2
+    # and 1 there
+    grid = GridSpec(33, 40, 0.5)
+    drift = RunConfig(grid=grid, exponent=make_power_exponent(1.0, 1.4, 0.7),
+                      sigma=get_sigma("shifted_sine"),
+                      u0=field_from_function(np.sin, 33), seed=5, replicas=5,
+                      probe=(20 * grid.dt, 10 * grid.dx))
+    monkeypatch.setattr(solver, "_PATH_CHUNK_WORDS", 2 * 21 * 33)
+    for cfg in (make_config(16, 8, 0.2, "shifted_sine", replicas=3,
+                            probe=(0.125, 0.0)), drift):
+        deltas = (0.05, 3 * cfg.grid.dt)
+        samples, tails = hnorm_samples(cfg, deltas=deltas)
+        assert len(samples) == cfg.replicas
+        for r in range(cfg.replicas):
+            path, xi = solved(cfg, r)
+            rows = adjoint_gradient(cfg, path[None], xi[None])
+            mass, tail = hnorm_sq(rows, cfg.grid, deltas)
+            assert samples.values[r] == mass[0]
+            assert all(tails[d].values[r] == tail[d][0] for d in deltas)
+        # a probe at t = 0 stops before the first step and draws no noise row
+        at_zero = dataclasses.replace(cfg, probe=(0.0, 0.0))
+        assert np.array_equal(hnorm_samples(at_zero)[0].values,
+                              np.zeros(cfg.replicas))
 
 
 THREE_QUARTERS = SigmaSpec("three_quarters", lambda u: np.full_like(u, 0.75),
@@ -508,6 +521,18 @@ def test_hnorm_memory_is_bounded_at_256():
     cfg = make_config(256, 256, 0.2, "shifted_sine", replicas=64)
     _, peak = traced_peak(hnorm_samples, cfg)
     assert peak <= 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("m, replicas, chunk", [(64, 16, 16), (256, 64, 13)])
+def test_a_path_chunk_holds_its_path_and_variates_alone(m, replicas, chunk):
+    # a chunk of B replicas holds its (B, k_p + 1, m) path and (B, k_p, m)
+    # variates, and the sweep hands each gradient row to the fold, which
+    # keeps its squared sum alone: the peak stays within 1.25 times those
+    # two arrays (about 1.02-1.08 times).  Holding the (B, k_p, m) rows and
+    # their squares took about twice
+    cfg = make_config(m, m, 0.2, "shifted_sine", replicas=replicas)
+    _, peak = traced_peak(hnorm_samples, cfg, deltas=(0.05, 0.1))
+    assert peak <= 1.25 * chunk * (2 * m + 1) * m * 8
 
 
 def test_hnorm_memory_is_linear_in_the_grid():
