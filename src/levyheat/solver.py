@@ -59,12 +59,14 @@ BLOWUP_THRESHOLD = 1e12
 # the stepper draws at least this many words of each noise stream at a time
 _ROW_BLOCK_WORDS = 2048
 # words of one sample_at_probe chunk: replicas times m_space of field when
-# streamed, times (k_p + 1) m_space of path (a probe at t = 0 still holds
-# u0) when read takes the path.  They differ because a streamed replica's
-# memory is its noise block of _ROW_BLOCK_WORDS words, while a path
-# replica's is its path and its noise, about 2 (k_p + 1) m_space words: the
-# adjoint sweep hands its rows to the reader one step at a time
+# stepped (a replica's noise block adds max(1, _ROW_BLOCK_WORDS // m_space)
+# rows, 2^25 / m_space words a chunk below m_space = 2048), times a noise
+# block's rows times m_space when summed as a Wiener integral, and times
+# (k_p + 1) m_space of path (a probe at t = 0 still holds u0) when read
+# takes the path; a path replica holds its path and its noise, twice that:
+# the adjoint sweep hands its rows to the reader one step at a time
 _STREAM_CHUNK_WORDS = 2 ** 14
+_WIENER_CHUNK_WORDS = 2 ** 16
 _PATH_CHUNK_WORDS = 2 ** 20
 
 
@@ -428,12 +430,13 @@ def sample_at_probe(config, read, workers=1, keep_path=False):
     of replicas at the probe step k_p, the chunks joined in replica order.
 
     Replica r draws noise stream (config.seed, r).  A chunk holds as many
-    replicas as fit in _STREAM_CHUNK_WORDS words of field, or in
-    _PATH_CHUNK_WORDS of path if keep_path (the chunk then holds its path
-    and its variates, about twice that, and read should add no array of
-    their size), and at least one; the replicas are spread evenly over as
-    few chunks, so no tail chunk costs a whole pass for a replica or two,
-    and the bounds do not depend on workers.
+    replicas as fit in _STREAM_CHUNK_WORDS words of field if stepped, in
+    _WIENER_CHUNK_WORDS of noise block if summed as a Wiener integral, or
+    in _PATH_CHUNK_WORDS of path if keep_path (the chunk then holds its
+    path and its variates, about twice that, and read should add no array
+    of their size), and at least one; the replicas are spread evenly over
+    as few chunks, so no tail chunk costs a whole pass for a replica or
+    two, and the bounds do not depend on workers.
     read gets the chunk's (B,) values u_p at the probe and, if keep_path,
     its (B, k_p + 1, m_space) path and (B, k_p, m_space) variates (else
     None and its _NoiseRows); it returns a tuple of arrays with one row per
@@ -443,30 +446,37 @@ def sample_at_probe(config, read, workers=1, keep_path=False):
 
     A constant sigma (lip 0), without keep_path, takes each u_p as the
     Wiener integral flow + sum w xi, one elementwise product and row sum
-    per noise block, so its bits do not depend on the chunk.  Every other
-    run is stepped.
+    per noise block, so its bits depend on the block's rows, not on the
+    chunk.  It holds one noise block at a time, and the weights, k_p
+    m_space words, once.  Every other run is stepped.
     """
     grid = config.grid
     k_p, i_p = config.probe_cell
-    fit = max(1, _PATH_CHUNK_WORDS // ((k_p + 1) * grid.m_space) if keep_path
-              else _STREAM_CHUNK_WORDS // grid.m_space)
-    chunk = math.ceil(config.replicas / math.ceil(config.replicas / fit))
     wiener = config.sigma.lip == 0 and not keep_path
     if wiener:
         scheme = _Scheme(config)
-        flow, rows = linearize(config)
-        weights = rows * math.sqrt(grid.dt * grid.dx)
+        flow, weights = linearize(config)
+        flow = flow[0, k_p, i_p]  # drop the path
+        weights *= math.sqrt(grid.dt * grid.dx)
+        # the time rows of one noise block, as the block reader cuts them
+        rows = next(scheme.blocks(weights, k_p), weights).shape[1]
+        fit = max(1, _WIENER_CHUNK_WORDS // (max(1, rows) * grid.m_space))
+    else:
+        fit = max(1, _PATH_CHUNK_WORDS // ((k_p + 1) * grid.m_space)
+                  if keep_path else _STREAM_CHUNK_WORDS // grid.m_space)
+    chunk = math.ceil(config.replicas / math.ceil(config.replicas / fit))
 
     def one_chunk(lo, hi):
         xi = _NoiseRows(grid, config.seed, range(lo, hi))
         if keep_path:  # read needs the variates of the path: draw them once
             xi = xi[:, :k_p]
         if wiener:
-            u_p, path = np.full(hi - lo, flow[0, k_p, i_p]), None
-            for block, w in zip(scheme.blocks(xi, k_p),
-                                scheme.blocks(weights, k_p)):
-                block *= w  # the block is this chunk's own draw
+            u_p, path, k0 = np.full(hi - lo, flow), None, 0
+            # the blocks alone: a zip would hold one while drawing the next
+            for block in scheme.blocks(xi, k_p):
+                block *= weights[:, k0:k0 + rows]  # this chunk's own draw
                 u_p += block.reshape(hi - lo, -1).sum(axis=1)
+                k0 += rows
                 del block  # release it before drawing the next
         else:
             u, path = _evolve_batch(config, xi, k_p, keep_path)

@@ -510,7 +510,7 @@ def test_constant_sigma_bytes_never_change(tmp_path, args):
     (["simulate", "--set", "m_space=128", "--set", "k_time=128",
       "--set", "replicas=2048"], run_ensemble, 16, 128),
     (["density", "--set", "sigma=one", "--set", "m_space=16",
-      "--set", "k_time=16", "--set", "replicas=32768"], run_ensemble, 32, 1024),
+      "--set", "k_time=16", "--set", "replicas=32768"], run_ensemble, 128, 256),
     (["malliavin", "--set", "replicas=16"], hnorm_samples, 1, 16),
     # the defaults: 256 replicas at 64 x 64
     (["simulate"], run_ensemble, 1, 256),

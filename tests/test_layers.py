@@ -223,13 +223,15 @@ def test_the_sampling_loop_is_written_once():
 
 def test_only_the_sampling_loop_reads_a_chunk_budget():
     # how many replicas a sampling chunk holds is decided once, from the
-    # words of field or path it keeps; the samplers name no budget of their
-    # own, and Picard's fixed PICARD_CHUNK is no budget but part of its bits
+    # words of field, noise block or path it keeps; the samplers name no
+    # budget of their own, and Picard's fixed PICARD_CHUNK is no budget but
+    # part of its bits
     budgets = re.compile(r"\b\w*CHUNK_WORDS\b")
     naming = sorted(path.name for path in PACKAGE.glob("*.py")
                     if budgets.search(path.read_text(encoding="utf-8")))
     assert naming == ["solver.py"]
-    for name in ("_STREAM_CHUNK_WORDS", "_PATH_CHUNK_WORDS"):
+    for name in ("_STREAM_CHUNK_WORDS", "_WIENER_CHUNK_WORDS",
+                 "_PATH_CHUNK_WORDS"):
         assert functions_reading(name) == {"solver.sample_at_probe"}
 
 

@@ -244,6 +244,22 @@ def test_ensemble_memory_is_flat_in_replicas_and_steps():
     assert peak(256, 128, 32) <= 1.25 * base
 
 
+def test_constant_sigma_ensemble_memory_is_one_noise_block():
+    # a Wiener chunk holds one noise block of solver._WIENER_CHUNK_WORDS
+    # words, 512 KiB, and the weights, k_time m_space words, at most 128
+    # KiB here, whatever replicas, k_time and m_space, down to m_space = 4.
+    # A second block alive while the next is drawn adds 512 KiB; a chunk
+    # sized by words of field held 16 MiB blocks at 16 x 1024 from 1024
+    # replicas on, and 1 MiB at the 64 here
+    def peak(replicas, m, k):
+        return traced_peak(run_ensemble, additive_config(replicas, m, k))[1]
+
+    bound = 1.5 * 8 * solver._WIENER_CHUNK_WORDS
+    for replicas, m, k in ((64, 64, 32), (1024, 64, 32), (64, 64, 256),
+                           (64, 256, 32), (64, 16, 1024), (64, 4, 1024)):
+        assert peak(replicas, m, k) <= bound, (replicas, m, k)
+
+
 def test_ensemble_validation():
     # a one-replica run has no variance: the config refuses it before any
     # driver runs

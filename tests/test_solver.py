@@ -513,9 +513,14 @@ def stepped(cfg):
 
 def probe_values(cfg, chunk=64, workers=1):
     """The probe values in chunks of at most `chunk` replicas, spread
-    evenly: 300 replicas are 5 chunks of 60."""
+    evenly: 300 replicas are 5 chunks of 60.  A stepped replica counts its
+    field, m_space words, and a Wiener one its noise block, the block's
+    rows times m_space."""
+    m = cfg.grid.m_space
+    rows = min(max(1, solver._ROW_BLOCK_WORDS // m), cfg.probe_cell[0])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_STREAM_CHUNK_WORDS", chunk * cfg.grid.m_space)
+        mp.setattr(solver, "_STREAM_CHUNK_WORDS", chunk * m)
+        mp.setattr(solver, "_WIENER_CHUNK_WORDS", chunk * max(1, rows) * m)
         return sample_at_probe(cfg, lambda u_p, path, xi: (u_p,),
                                workers)[0]
 
@@ -587,10 +592,19 @@ def test_constant_sigma_probe_values_do_not_depend_on_the_chunk(
     # blocks of 2 time rows, 2048 one block of all 5; chunks of 1, 7, 150
     # and all 300 replicas give the same bits
     monkeypatch.setattr(solver, "_ROW_BLOCK_WORDS", words)
+    sizes = []
+    real = solver.map_chunks
+
+    def spy(fn, n_items, chunk, workers=1):
+        sizes.append(chunk)
+        return real(fn, n_items, chunk, workers)
+
+    monkeypatch.setattr(solver, "map_chunks", spy)
     cfg = wiener_config("two", "interior")
     ref = probe_values(cfg, 300, workers).values
     for chunk in (1, 7, 256):
         assert np.array_equal(probe_values(cfg, chunk, workers).values, ref)
+    assert sizes == [300, 1, 7, 150]
 
 
 @pytest.mark.parametrize("c, amp, refused", [
