@@ -152,6 +152,8 @@ def effective_config(args):
     cfg = {key: SCHEMA[key][1] for key in keys} | given
     if args.seed is not None and "seed" in cfg:  # else it draws no noise
         cfg["seed"] = args.seed
+    if args.subcommand == "malliavin" and get_sigma(cfg["sigma"]).kappa == 0:
+        del cfg["moment_p"], cfg["floor"]  # no negative moment reads them
     for key in SENTINELS:
         if not cfg.get(key, 0) >= 0:  # NaN is refused too
             raise ConfigError(f"{key} must be >= 0 (0 derives the default), "

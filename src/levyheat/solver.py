@@ -58,14 +58,15 @@ from .noise import XI_MAX, GridSpec, _NoiseRows
 BLOWUP_THRESHOLD = 1e12
 # the stepper draws at least this many words of each noise stream at a time
 _ROW_BLOCK_WORDS = 2048
-# words of one sample_at_probe chunk: replicas times m_space of field when
-# stepped (a replica's noise block adds max(1, _ROW_BLOCK_WORDS // m_space)
-# rows, 2^25 / m_space words a chunk below m_space = 2048), times a noise
-# block's rows times m_space when summed as a Wiener integral, and times
-# (k_p + 1) m_space of path (a probe at t = 0 still holds u0) when read
-# takes the path; a path replica holds its path and its noise, twice that:
-# the adjoint sweep hands its rows to the reader one step at a time
-_STREAM_CHUNK_WORDS = 2 ** 14
+# words of one sample_at_probe chunk, replicas times: m_space of field and,
+# a second budget, a noise block's rows times m_space when stepped (so a
+# stepped chunk holds one 2 MiB block at most, whatever m_space); a noise
+# block's rows times m_space when summed as a Wiener integral; (k_p + 1)
+# m_space of path (a probe at t = 0 still holds u0) when read takes the
+# path.  A path replica holds its path and its noise, twice that: the
+# adjoint sweep hands its rows to the reader one step at a time
+_STREAM_CHUNK_WORDS = 2 ** 13
+_STREAM_BLOCK_CHUNK_WORDS = 2 ** 18
 _WIENER_CHUNK_WORDS = 2 ** 16
 _PATH_CHUNK_WORDS = 2 ** 20
 
@@ -252,11 +253,15 @@ class _Scheme:
         """F_k = 1 + sigma'(u_k) xi_k scale, the linearized step's factor."""
         return 1.0 + self.sigma.sigma_prime(u) * xi_k * self.scale
 
+    def block_rows(self, until_k):
+        """Time rows of blocks(xi, until_k)'s first, and largest, block."""
+        return max(1, min(_ROW_BLOCK_WORDS // self.m, until_k))
+
     def blocks(self, xi, until_k):
-        """xi[:, k0:k1] for consecutive blocks of max(1, _ROW_BLOCK_WORDS //
-        m_space) time rows that cover steps 0..until_k-1.  A caller that
-        keeps no block holds one at a time."""
-        rb = max(1, _ROW_BLOCK_WORDS // self.m)
+        """xi[:, k0:k1] for consecutive blocks of block_rows(until_k) time
+        rows that cover steps 0..until_k-1.  A caller that keeps no block
+        holds one at a time."""
+        rb = self.block_rows(until_k)
         for k0 in range(0, until_k, rb):
             yield xi[:, k0:min(k0 + rb, until_k)]
 
@@ -430,7 +435,8 @@ def sample_at_probe(config, read, workers=1, keep_path=False):
     of replicas at the probe step k_p, the chunks joined in replica order.
 
     Replica r draws noise stream (config.seed, r).  A chunk holds as many
-    replicas as fit in _STREAM_CHUNK_WORDS words of field if stepped, in
+    replicas as fit in _STREAM_CHUNK_WORDS words of field and in
+    _STREAM_BLOCK_CHUNK_WORDS of noise block (2 MiB) if stepped, in
     _WIENER_CHUNK_WORDS of noise block if summed as a Wiener integral, or
     in _PATH_CHUNK_WORDS of path if keep_path (the chunk then holds its
     path and its variates, about twice that, and read should add no array
@@ -453,17 +459,20 @@ def sample_at_probe(config, read, workers=1, keep_path=False):
     grid = config.grid
     k_p, i_p = config.probe_cell
     wiener = config.sigma.lip == 0 and not keep_path
+    scheme = _Scheme(config)
+    # the time rows of one noise block, as the block reader cuts them
+    rows = scheme.block_rows(k_p)
     if wiener:
-        scheme = _Scheme(config)
         flow, weights = linearize(config)
         flow = flow[0, k_p, i_p]  # drop the path
         weights *= math.sqrt(grid.dt * grid.dx)
-        # the time rows of one noise block, as the block reader cuts them
-        rows = next(scheme.blocks(weights, k_p), weights).shape[1]
-        fit = max(1, _WIENER_CHUNK_WORDS // (max(1, rows) * grid.m_space))
+        fit = _WIENER_CHUNK_WORDS // (rows * grid.m_space)
+    elif keep_path:
+        fit = _PATH_CHUNK_WORDS // ((k_p + 1) * grid.m_space)
     else:
-        fit = max(1, _PATH_CHUNK_WORDS // ((k_p + 1) * grid.m_space)
-                  if keep_path else _STREAM_CHUNK_WORDS // grid.m_space)
+        fit = min(_STREAM_CHUNK_WORDS // grid.m_space,
+                  _STREAM_BLOCK_CHUNK_WORDS // (rows * grid.m_space))
+    fit = max(1, fit)
     chunk = math.ceil(config.replicas / math.ceil(config.replicas / fit))
 
     def one_chunk(lo, hi):

@@ -508,12 +508,12 @@ def test_constant_sigma_bytes_never_change(tmp_path, args):
 @pytest.mark.parametrize("args, sampler, chunks, chunk", [
     # perfbench's ensemble, density and hnorm settings
     (["simulate", "--set", "m_space=128", "--set", "k_time=128",
-      "--set", "replicas=2048"], run_ensemble, 16, 128),
+      "--set", "replicas=2048"], run_ensemble, 32, 64),
     (["density", "--set", "sigma=one", "--set", "m_space=16",
       "--set", "k_time=16", "--set", "replicas=32768"], run_ensemble, 128, 256),
     (["malliavin", "--set", "replicas=16"], hnorm_samples, 1, 16),
     # the defaults: 256 replicas at 64 x 64
-    (["simulate"], run_ensemble, 1, 256),
+    (["simulate"], run_ensemble, 2, 128),
     (["malliavin"], hnorm_samples, 2, 128),
 ], ids=["ensemble", "density", "hnorm", "simulate", "malliavin"])
 def test_the_sampled_runs_keep_their_chunk_bounds(monkeypatch, args, sampler,
@@ -1119,6 +1119,29 @@ def test_a_degenerate_mass_at_step_0_writes_no_negative_moment(tmp_path):
     assert sorted(got) == ["hnorm_mean", "hnorm_sd",
                            "hnorm_tail_mean/delta=5.000000e-02"]
     assert all(row["value"] == 0.0 for row in got.values())
+
+
+def test_malliavin_at_kappa_0_leaves_the_negative_moment_keys_out(
+        tmp_path, monkeypatch):
+    # at kappa = 0 malliavin writes no negative moment, so moment_p and
+    # floor change no value: its config, which it reads whole, leaves them
+    # out, and two runs that differ only in them write the same bytes
+    configs = []
+
+    def recorded(parsed):
+        configs.append(ReadRecorder(effective_config(parsed)))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, "effective_config", recorded)
+    args = ["malliavin"] + SMALL + ["--set", "sigma=zero"]
+    outs = [run_cli(args + extra, tmp_path, tag) for tag, extra in (
+        ("plain", []), ("set", ["--set", "moment_p=3", "--set", "floor=1e-6"]))]
+    assert [code for code, _ in outs] == [0, 0]
+    for name in ("malliavin.csv", "malliavin.meta.json"):
+        assert len({(out / name).read_bytes() for _, out in outs}) == 1
+    keys = set(COMMANDS["malliavin"][2]) - {"moment_p", "floor"}
+    for cfg in configs:
+        assert cfg.read == set(cfg) == keys
 
 
 def test_density_subcommand(tmp_path):

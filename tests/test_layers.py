@@ -191,7 +191,7 @@ NOT_A_STEP = {"_smooth": {"mcstats.kde", "solver.RunConfig.certify"},
 @pytest.mark.parametrize("name, reader", [
     ("_smooth", "solver._Scheme.smooth"),  # the step S and its transpose
     ("sigma_prime", "solver._Scheme.tangent"),  # the tangent factor F_k
-    ("_ROW_BLOCK_WORDS", "solver._Scheme.blocks"),  # the noise block reader
+    ("_ROW_BLOCK_WORDS", "solver._Scheme.block_rows"),  # the noise blocks
     ("noise_density_scale", "solver._Scheme.__init__"),
 ])
 def test_the_step_is_written_once(name, reader):
@@ -199,6 +199,13 @@ def test_the_step_is_written_once(name, reader):
     # solver._Scheme, so each piece of the scheme has one reader that
     # steps; NOT_A_STEP names the readers that step nothing
     assert functions_reading(name) == {reader} | NOT_A_STEP.get(name, set())
+
+
+def test_the_noise_block_rows_are_counted_once():
+    # the block reader and both chunk rules that count a noise block, the
+    # stepped and the Wiener one, read its rows off one method
+    assert functions_reading("block_rows") == {"solver._Scheme.blocks",
+                                               "solver.sample_at_probe"}
 
 
 def test_only_the_forward_pass_and_picard_loop_over_time_steps():
@@ -230,8 +237,8 @@ def test_only_the_sampling_loop_reads_a_chunk_budget():
     naming = sorted(path.name for path in PACKAGE.glob("*.py")
                     if budgets.search(path.read_text(encoding="utf-8")))
     assert naming == ["solver.py"]
-    for name in ("_STREAM_CHUNK_WORDS", "_WIENER_CHUNK_WORDS",
-                 "_PATH_CHUNK_WORDS"):
+    for name in ("_STREAM_CHUNK_WORDS", "_STREAM_BLOCK_CHUNK_WORDS",
+                 "_WIENER_CHUNK_WORDS", "_PATH_CHUNK_WORDS"):
         assert functions_reading(name) == {"solver.sample_at_probe"}
 
 

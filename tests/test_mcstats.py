@@ -260,6 +260,27 @@ def test_constant_sigma_ensemble_memory_is_one_noise_block():
         assert peak(replicas, m, k) <= bound, (replicas, m, k)
 
 
+def test_stepped_ensemble_memory_is_one_noise_block():
+    # a stepped chunk holds one noise block of at most
+    # solver._STREAM_BLOCK_CHUNK_WORDS words, 2 MiB, and its field of at
+    # most solver._STREAM_CHUNK_WORDS words, with the step's temporaries,
+    # whatever replicas, k_time and m_space.  A chunk sized by words of
+    # field alone held blocks of 2^25 / m_space words: 4 MiB at 4 x 512
+    # from 256 replicas on, 8 MiB at 16 x 256 from 512, and 16 MiB at
+    # 16 x 1024 from 1024
+    def peak(replicas, m, k):
+        cfg = dataclasses.replace(additive_config(replicas, m, k),
+                                  sigma=get_sigma("shifted_sine"))
+        return traced_peak(run_ensemble, cfg)[1]
+
+    bound = 1.5 * 8 * (solver._STREAM_BLOCK_CHUNK_WORDS
+                       + solver._STREAM_CHUNK_WORDS)
+    for replicas, m, k in ((64, 4, 512), (256, 4, 512), (64, 4, 1024),
+                           (64, 16, 256), (512, 16, 256), (64, 16, 1024),
+                           (64, 128, 16), (256, 128, 16), (64, 128, 128)):
+        assert peak(replicas, m, k) <= bound, (replicas, m, k)
+
+
 def test_ensemble_validation():
     # a one-replica run has no variance: the config refuses it before any
     # driver runs

@@ -514,13 +514,14 @@ def stepped(cfg):
 def probe_values(cfg, chunk=64, workers=1):
     """The probe values in chunks of at most `chunk` replicas, spread
     evenly: 300 replicas are 5 chunks of 60.  A stepped replica counts its
-    field, m_space words, and a Wiener one its noise block, the block's
-    rows times m_space."""
+    field, m_space words, and its noise block, and a Wiener one its noise
+    block alone, the block's rows times m_space."""
     m = cfg.grid.m_space
-    rows = min(max(1, solver._ROW_BLOCK_WORDS // m), cfg.probe_cell[0])
+    block = solver._Scheme(cfg).block_rows(cfg.probe_cell[0]) * m
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_STREAM_CHUNK_WORDS", chunk * m)
-        mp.setattr(solver, "_WIENER_CHUNK_WORDS", chunk * max(1, rows) * m)
+        mp.setattr(solver, "_STREAM_BLOCK_CHUNK_WORDS", chunk * block)
+        mp.setattr(solver, "_WIENER_CHUNK_WORDS", chunk * block)
         return sample_at_probe(cfg, lambda u_p, path, xi: (u_p,),
                                workers)[0]
 
@@ -605,6 +606,31 @@ def test_constant_sigma_probe_values_do_not_depend_on_the_chunk(
     for chunk in (1, 7, 256):
         assert np.array_equal(probe_values(cfg, chunk, workers).values, ref)
     assert sizes == [300, 1, 7, 150]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("words", [32, 2048])
+def test_stepped_probe_values_do_not_depend_on_the_chunk(monkeypatch,
+                                                         workers, words):
+    # the interior setting above with a sigma that is not constant: each
+    # replica steps on its own noise rows, whatever batch its FFTs share.
+    # 32 words give blocks of 2 time rows, 2048 one block of all 5; chunks
+    # of 1, 7, 64 (four of 64 and one of 44) and all 300 replicas, forced
+    # on map_chunks, give the same bits
+    monkeypatch.setattr(solver, "_ROW_BLOCK_WORDS", words)
+    real = solver.map_chunks
+    cfg = wiener_config("shifted_sine", "interior")
+    results = []
+    for forced in (300, 1, 7, 64):
+        def spy(fn, n_items, chunk, workers=1, forced=forced):
+            return real(fn, n_items, forced, workers)
+
+        monkeypatch.setattr(solver, "map_chunks", spy)
+        results.append(sample_at_probe(cfg, lambda u_p, path, xi: (u_p,),
+                                       workers)[0].values)
+    assert np.ptp(results[0]) > 0
+    for values in results[1:]:
+        assert np.array_equal(values, results[0])
 
 
 @pytest.mark.parametrize("c, amp, refused", [
