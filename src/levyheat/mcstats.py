@@ -14,7 +14,7 @@ of the direct kernel sum at bandwidth h, and B is capped at KDE_MAX_BINS.
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class DensityEstimate:
     bandwidth: float
     d1: np.ndarray
     d2: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    metadata: dict  # {"samples": the sample count}
 
     def integral(self):
         dx = np.diff(self.points)
@@ -108,9 +108,9 @@ def kde(samples, bandwidth=None):
     """Gaussian kernel density estimate with derivative tables.
 
     The grid is 512 points spanning the samples and 4 bandwidths beyond them
-    on each side.  bandwidth defaults to the Silverman rule (recorded in
-    metadata either way) and must otherwise be positive and finite; one
-    whose grid spacing np.gradient cannot square is refused.
+    on each side.  bandwidth defaults to the Silverman rule and must
+    otherwise be positive and finite; one whose grid spacing np.gradient
+    cannot square is refused.
     Zero-variance samples have no density; they raise
     DegenerateSamplesError carrying the point-mass location.
 
@@ -133,10 +133,7 @@ def kde(samples, bandwidth=None):
     if np.all(samples == samples[0]):
         raise DegenerateSamplesError(float(samples[0]), len(samples))
     if bandwidth is None:
-        rule = "silverman"
         bandwidth = silverman_bandwidth(samples)
-    else:
-        rule = "explicit"
     bandwidth = float(bandwidth)
     _check_bandwidth(bandwidth, float(samples.max()) - float(samples.min()))
     lo = samples.min() - 4.0 * bandwidth
@@ -171,7 +168,7 @@ def kde(samples, bandwidth=None):
     return DensityEstimate(
         points=points, density=dens, bandwidth=bandwidth,
         d1=d1, d2=d2,
-        metadata={"bandwidth_rule": rule, "samples": len(samples)},
+        metadata={"samples": len(samples)},
     )
 
 
@@ -179,7 +176,6 @@ def kde(samples, bandwidth=None):
 class SmoothnessReport:
     """Derivative magnitudes of the density over its central 95% mass."""
 
-    bulk: tuple
     max_d1: float
     max_d2: float
     d2_sign_changes: int
@@ -208,7 +204,6 @@ def smoothness_report(estimate):
     signs = np.sign(sig)
     changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
     return SmoothnessReport(
-        bulk=(lo, hi),
         max_d1=float(np.max(np.abs(d1))),
         max_d2=max_d2,
         d2_sign_changes=changes,

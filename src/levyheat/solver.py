@@ -13,6 +13,7 @@ for the remaining steps, which is exactly the stochastic convolution with the
 transition kernel.  The stepper, the forward pass, the adjoint sweep and the
 drivers take the run's `RunConfig` (phi, sigma, the grid, u0 and the probe
 (t_{k_p}, x_{i_p})), so a path and its derivative share one sigma and probe.
+The stepper takes sigma's values from the loop that owns the field.
 
 The additive case (sigma constant) makes the solution Gaussian, and
 `additive_variance_exact` gives the scheme's exact variance, the
@@ -218,7 +219,8 @@ class RunConfig:
 class _Scheme:
     """The exponential-Euler step of the run `config`: the multiplier S,
     the noise density scale, sigma and the work buffers of fields of shape
-    (*batch, m_space), written once for every driver."""
+    (*batch, m_space), written once for every driver; the loop that steps
+    evaluates sigma, once per step, on the field it owns."""
 
     def __init__(self, config, batch=()):
         grid = config.grid
@@ -240,11 +242,10 @@ class _Scheme:
         return _smooth(u, self.mult_t if transpose else self.mult, self.m,
                        u if out is None else out, self.spec)
 
-    def step(self, u, xi_k, w=None):
-        """u <- S(u + sigma(w) xi_k scale) in place, w being u unless given
-        (Picard's iterate n + 1 takes sigma of iterate n)."""
-        g = np.multiply(self.sigma.sigma(u if w is None else w), xi_k,
-                        out=self.g)
+    def step(self, u, xi_k, s):
+        """u <- S(u + s xi_k scale) in place, s being sigma of the field the
+        calling loop owns: sigma(u), or Picard's sigma(iterate n)."""
+        g = np.multiply(s, xi_k, out=self.g)
         g *= self.scale
         g += u
         return self.smooth(g, out=u)
@@ -294,7 +295,7 @@ def _evolve_batch(config, xi, until_k, keep_path=False):
         path[:, 0] = u
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(until_k):
-            scheme.step(u, next(rows))
+            scheme.step(u, next(rows), scheme.sigma.sigma(u))
             if keep_path:
                 path[:, k + 1] = u
     return u, path
@@ -615,7 +616,8 @@ def picard_sequence(config, n_max, beta_param, p=2, workers=1):
         # moment that under- or overflows raises FloatingPointError
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(k_time):
-                scheme.step(conv[1:], next(rows), flow[k] + conv[:-1])
+                scheme.step(conv[1:], next(rows),
+                            scheme.sigma.sigma(flow[k] + conv[:-1]))
                 with np.errstate(under="raise", over="raise"):
                     d = np.abs(conv[1:] - conv[:-1]) ** p
                     mom[:, k + 1] = d.sum(axis=1)

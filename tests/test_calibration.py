@@ -2,12 +2,15 @@
 and the z-scores of its values against an exact value, or against a
 reference with its own stderr, must look standard.
 
-At sigma = 1 and u0 = 0 the solution is the additive Gaussian field, so the
-exact values are closed forms of the scheme: mean 0, the variance
-additive_variance_exact, and the Picard difference v_1 - v_0, which is that
-field itself.  At the default sigma (shifted_sine) the references are the
-same estimators over 2^20 replicas at another seed.  The estimators are the
-ones the CLI rows write (test_cli pins the rows to them).
+The increments of the scheme's mild form are martingale differences, so
+for every sigma the mean of u at the probe is exactly the flow of u0 there
+(solver.linearize), 0 from u0 = 0.  At sigma = 1 and u0 = 0 the solution is
+the additive Gaussian field, so the other exact values are closed forms of
+the scheme too: the variance additive_variance_exact, and the Picard
+difference v_1 - v_0, which is that field itself.  At the default sigma
+(shifted_sine) the other references are the same estimators over 2^20
+replicas at another seed.  The estimators are the ones the CLI rows write
+(test_cli pins the rows to them).
 """
 
 import math
@@ -18,6 +21,7 @@ import pytest
 from levyheat import (GridSpec, RunConfig, additive_variance_exact, get_sigma,
                       hnorm_samples, make_power_exponent,
                       negative_moment_estimate, picard_sequence, run_ensemble)
+from levyheat.solver import linearize
 
 SEEDS = range(32)
 EXP2 = make_power_exponent(1.0, 2.0)
@@ -78,6 +82,27 @@ def test_simulate_stderrs_are_calibrated():
                       additive_variance_exact(EXP2, GRID))
 
 
+def test_the_stepped_mean_is_the_flow():
+    # E u at the probe is the flow value for every sigma, here from a
+    # nonzero u0 under drift at an interior probe, where the stepped
+    # sampler's mean must be calibrated against linearize's flow_p
+    exp_ = make_power_exponent(1.0, 2.0, drift=0.7)
+
+    def config(seed):
+        return RunConfig(grid=GRID, exponent=exp_,
+                         sigma=get_sigma("shifted_sine"),
+                         u0=3.0 * np.sin(GRID.x_points()), seed=seed,
+                         replicas=256, probe=(GRID.horizon, 5 * GRID.dx))
+
+    cfg = config(0)
+    k_p, i_p = cfg.probe_cell
+    flow, _ = linearize(cfg)
+    sets = [run_ensemble(config(seed)) for seed in SEEDS]
+    assert_calibrated([(ss.mean(), ss.stderr()) for ss in sets],
+                      flow[0, k_p, i_p])
+
+
+# u_mean is exact: the flow of u0 = 0.  The other rows are
 # default_sigma_rows(2026, 2 ** 20), as (value, stderr), made by
 #   cd tests && PYTHONPATH=../src:. python -c "from test_calibration import \
 #   default_sigma_rows as r; print(r(2026, 2 ** 20))"
@@ -85,7 +110,7 @@ def test_simulate_stderrs_are_calibrated():
 # added later, by the same command, which gave the other four to the last
 # digit in 38 s
 DEFAULT_SIGMA_REFERENCE = {
-    "u_mean": (-0.00011105738254085983, 0.00038138880567544316),
+    "u_mean": (0.0, 0.0),
     "u_var": (0.15252316078162936, 0.0002319916822024171),
     "hnorm_mean": (0.15597264429568444, 5.504448275497131e-05),
     "negative_moment/p=2/floor=1.000e-08": (7.293845114792344,

@@ -1,7 +1,8 @@
 """Layering: the numerical modules never reach up into the output layer, the
 noise module alone draws random numbers, kernels._smallest_cutoff alone
 searches for a series cutoff, solver._smooth alone transforms,
-solver._Scheme alone steps, solver._adjoint_rows alone sweeps back from
+solver._Scheme alone steps, with the sigma values that the loop owning the
+field evaluates once per step, solver._adjoint_rows alone sweeps back from
 the probe, solver.linearize alone linearizes the scheme about its flow,
 solver.sample_at_probe alone runs the sampling loop and sizes its chunks,
 solver.RunConfig.certify alone bounds the fields of every driver before
@@ -26,9 +27,11 @@ import numpy as np
 import pytest
 
 import levyheat
-from levyheat import (GridSpec, RunConfig, get_sigma, make_power_exponent,
-                      noise, noise_density_scale, noise_gradient_oracle)
+from levyheat import (GridSpec, RunConfig, SigmaSpec, get_sigma,
+                      make_power_exponent, noise, noise_density_scale,
+                      noise_gradient_oracle, picard_sequence)
 from levyheat.cli import parse_and_dispatch
+from levyheat.solver import PICARD_CHUNK
 
 PACKAGE = Path(levyheat.__file__).parent
 DEMOS = PACKAGE.parents[1] / "demos"
@@ -214,6 +217,39 @@ def test_only_the_forward_pass_and_picard_loop_over_time_steps():
     assert functions_reading("step") == ({"solver._evolve_batch",
                                           "solver.picard_sequence"}
                                          | NOT_A_STEP["step"])
+
+
+def test_the_step_takes_sigma_from_its_loop():
+    # the stepper knows no caller: it steps with the sigma values it is
+    # handed, and each forward loop evaluates sigma of the field it owns
+    # (Picard's iterate n + 1 takes sigma of iterate n)
+    assert "solver._Scheme.step" not in functions_reading("sigma")
+    step = dict(top_level_functions())["solver._Scheme.step"]
+    assert [arg.arg for arg in step.args.args] == ["self", "u", "xi_k", "s"]
+    assert not step.args.defaults
+
+
+def test_picard_evaluates_sigma_once_per_step_of_each_chunk():
+    # every iterate of a chunk gets its sigma values from one call per
+    # step, shape (n_max, chunk replicas, m_space); the flow's one-replica
+    # linearization evaluates sigma on (1, m_space) fields only.  The
+    # forward pass's one call per step is
+    # test_solver.test_the_step_allocates_only_what_sigma_returns
+    grid = GridSpec(m_space=8, k_time=6, horizon=0.2)
+    shapes = []
+
+    def sigma(u):
+        shapes.append(np.shape(u))
+        return 2.0 + np.sin(u)
+
+    spec = SigmaSpec("counted", sigma, np.cos, kappa=1.0, lip=1.0, sup=3.0)
+    cfg = RunConfig(grid=grid, exponent=make_power_exponent(1.0, 2.0),
+                    sigma=spec, u0=np.sin(grid.x_points()),
+                    replicas=PICARD_CHUNK + 72)
+    picard_sequence(cfg, 3, 1.0)
+    assert [s for s in shapes if len(s) == 3] == (
+        [(3, PICARD_CHUNK, 8)] * 6 + [(3, 72, 8)] * 6)
+    assert {s for s in shapes if len(s) != 3} == {(1, 8)}
 
 
 def test_the_sampling_loop_is_written_once():

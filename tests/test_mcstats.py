@@ -301,7 +301,7 @@ def test_kde_matches_additive_gaussian_law():
     assert ks < 0.02
     assert est.integral() == pytest.approx(1.0, abs=1e-3)
     assert np.all(est.density >= 0.0)
-    assert est.metadata["bandwidth_rule"] == "silverman"
+    assert est.metadata == {"samples": len(ss)}
 
 
 def test_kde_explicit_bandwidth_and_points():
@@ -309,7 +309,6 @@ def test_kde_explicit_bandwidth_and_points():
     s = rng.standard_normal(200)
     est = kde(s, bandwidth=0.4)
     assert est.bandwidth == 0.4
-    assert est.metadata["bandwidth_rule"] == "explicit"
     assert est.integral() == pytest.approx(1.0, abs=5e-3)
 
 
@@ -430,7 +429,6 @@ def test_smoothness_matches_calculus_oracle():
     assert rep.max_d1 == pytest.approx(oracle, rel=0.10)
     assert rep.d2_sign_changes == 2
     assert not rep.under_smoothed
-    assert rep.bulk[0] < 0.0 < rep.bulk[1]
 
 
 def test_smoothness_flags_under_smoothing():
