@@ -33,7 +33,6 @@ from .kernels import (
     DEFAULT_SERIES_TOL,
     SeriesToleranceError,
     check_exponent_condition,
-    check_orders,
     field_from_function,
     make_power_exponent,
     verify_kernel_bounds,
@@ -51,7 +50,6 @@ from .malliavin import (
 )
 from .mcstats import (
     DegenerateSamplesError,
-    _check_bandwidth,
     emit,
     kde,
     make_row,
@@ -72,8 +70,8 @@ class NumericalError(RuntimeError):
 # exactly 0 on one of the SENTINELS means "derive the default"
 SCHEMA = {
     "alpha": (float, 2.0, "lower power of the exponent envelope"),
-    "beta": (float, 0.0, "upper power for check-exponent and the "
-             "scaled_beta rows; 0 means alpha, negative is refused"),
+    "beta": (float, 0.0, "check-exponent: upper power of the exponent "
+             "envelope; 0 means alpha, negative is refused"),
     "scale": (float, 1.0, "coefficient of re phi(n) = scale |n|^alpha"),
     "drift": (float, 0.0, "imaginary drift: phi(n) += i drift n"),
     "m_space": (int, 64, "spatial grid points"),
@@ -95,14 +93,12 @@ SCHEMA = {
     "levels": (str, ",".join(map(str, SMALLBALL_LEVELS)),
                "small-ball quantile levels in (0, 1), comma separated"),
     "deltas": (str, "", "derivative tail windows, comma separated"),
-    "bandwidth": (float, 0.0,
-                  "density bandwidth; 0 means Silverman rule, negative is refused"),
     "floor": (float, 1e-8, "negative-moment regularization floor"),
     "tol": (float, DEFAULT_SERIES_TOL, "series tolerance: each certified "
             "error, every rounding counted, is at most tol max(1, L), L a "
             "lower bound of the value"),
 }
-SENTINELS = ("beta", "probe_t", "bandwidth")
+SENTINELS = ("beta", "probe_t")
 
 
 def _parse_value(key, raw):
@@ -165,8 +161,7 @@ def effective_config(args):
 # value runs as well; a subcommand runs it before it draws any noise
 ESTIMATOR_CHECKS = {"moment_p": check_moment_order, "floor": check_floor,
                     "levels": check_levels, "deltas": check_windows,
-                    "picard_beta": check_picard_weight,
-                    "bandwidth": _check_bandwidth}
+                    "picard_beta": check_picard_weight}
 # the row each value of a comma-list key names
 ROW_NAMES = {"levels": "smallball_quantile/level={:g}",
              "deltas": "hnorm_tail_mean/delta={:.6e}"}
@@ -200,9 +195,7 @@ def _beta(cfg):
 
 def build_exponent(cfg):
     # phi is exactly scale |n|^alpha, so the series take its tight envelope
-    # and read no drift; beta, checked here, feeds only check-exponent and
-    # the scaled_beta rows
-    check_orders(cfg["alpha"], _beta(cfg))
+    # and read no drift
     return make_power_exponent(cfg["scale"], cfg["alpha"],
                                drift=cfg.get("drift", 0.0))
 
@@ -241,17 +234,15 @@ def cmd_kernel(cfg, args, head):
     t_grid = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     report = verify_kernel_bounds(exp_, t_grid, beta_param=cfg["picard_beta"],
                                   tol=cfg["tol"])
-    # t^(1/alpha) ||q_t||^2 stays bounded above and t^(1/beta) ||q_t||^2
-    # below, where alpha <= beta bracket Re phi
-    scaled = [report.t_grid ** (1.0 / p) * report.norm_sq
-              for p in (cfg["alpha"], _beta(cfg))]
+    # t^(1/alpha) ||q_t||^2 stays bounded above and below: Re phi is
+    # exactly scale |n|^alpha
+    scaled = report.t_grid ** (1.0 / cfg["alpha"]) * report.norm_sq
     rows = []
     for i, t in enumerate(report.t_grid):
         rows += [
             make_row(*head, "kernel_l2_norm_sq", report.norm_sq[i],
                      tail_bound=report.norm_tails[i], t=t),
-            make_row(*head, "kernel_l2_norm_sq_scaled_alpha", scaled[0][i], t=t),
-            make_row(*head, "kernel_l2_norm_sq_scaled_beta", scaled[1][i], t=t),
+            make_row(*head, "kernel_l2_norm_sq_scaled_alpha", scaled[i], t=t),
             make_row(*head, "kernel_l2_time_integral", report.cumulative[i],
                      tail_bound=report.cumulative_tails[i], t=t),
         ]
@@ -385,14 +376,11 @@ def cmd_smallball(cfg, args, head):
 
 def cmd_density(cfg, args, head):
     run = build_run_config(cfg)
-    bandwidth = None  # 0: the Silverman rule, which kde checks once known
-    if cfg["bandwidth"]:
-        bandwidth, = _estimator_args(cfg, "bandwidth")
     ss = run_ensemble(run, workers=args.workers)
     t, x = run.probe
     where = dict(t=t, x=x, replica_count=len(ss))
     try:
-        est = kde(ss.values, bandwidth=bandwidth)
+        est = kde(ss.values)
     except DegenerateSamplesError as err:
         rows = [make_row(*head, "density_point_mass", err.value, **where)]
         return rows, f"density: point mass at {err.value:.6g}, no estimate"
@@ -428,7 +416,7 @@ SAMPLED = ("alpha", "scale", "drift", "m_space", "k_time", "horizon", "sigma",
 PROBE = ("probe_t", "probe_x")
 COMMANDS = {
     "kernel": (cmd_kernel, "kernel norm scaling and envelope diagnostics",
-               ("alpha", "beta", "scale", "t_min", "t_max", "t_points",
+               ("alpha", "scale", "t_min", "t_max", "t_points",
                 "picard_beta", "tol")),
     "simulate": (cmd_simulate, "Monte Carlo moments of u at the probe",
                  SAMPLED + PROBE),
@@ -439,7 +427,7 @@ COMMANDS = {
     "smallball": (cmd_smallball, "small-ball quantiles of the derivative mass",
                   SAMPLED + PROBE + ("levels", "moment_p", "floor")),
     "density": (cmd_density, "density estimate and smoothness diagnostics",
-                SAMPLED + PROBE + ("bandwidth",)),
+                SAMPLED + PROBE),
     "check-exponent": (cmd_check_exponent,
                        "smoothness admissibility of an (alpha, beta) pair",
                        ("alpha", "beta")),

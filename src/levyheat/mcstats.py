@@ -90,7 +90,7 @@ def silverman_bandwidth(samples):
     return 0.9 * spread * n ** (-0.2)
 
 
-def _check_bandwidth(bandwidth, span=0.0):
+def _check_bandwidth(bandwidth, span):
     """Refuse a bandwidth other than 0 < h < inf, and one too large for
     kde's 512-point grid over samples that span `span`: np.gradient squares
     the grid's spacing (span + 8 h) / 511, and twice the spacing, the width

@@ -87,10 +87,12 @@ class SigmaSpec:
     """Noise coefficient sigma with its derivative, bounds kappa <= |sigma|
     <= sup and a Lipschitz constant.
 
-    kappa is 0 for degenerate choices, and the small-ball and
-    negative-moment estimators insist on kappa > 0; RunConfig.certify reads
-    sup.  lip bounds |sigma(a) - sigma(b)| / |a - b|; lip = 0 declares
-    sigma constant, which sample_at_probe samples as a Wiener integral.
+    kappa is 0 for degenerate choices; malliavin.certified_floor reads it
+    (the floor is 0 at kappa = 0), and the CLI refuses smallball and skips
+    malliavin's negative moment at kappa = 0.  RunConfig.certify reads sup.
+    lip bounds |sigma(a) - sigma(b)| / |a - b|; lip = 0 declares sigma
+    constant, which sample_at_probe samples as a Wiener integral and
+    hnorm_samples as the flow's rows, the same for every replica.
     """
 
     name: str

@@ -289,44 +289,22 @@ def test_unattainable_series_tolerance_is_numerical_error(tmp_path, capsys):
     assert not (out / "kernel.csv").exists()
 
 
-def test_kernel_beta_scales_rows_and_leaves_the_series_tight(tmp_path,
-                                                             capsys):
-    # phi is exactly |n|^alpha, so the series keep the tight envelope at
-    # any beta: beta = 1.6 certifies at the default tol, every series row
-    # is the beta = alpha one, and beta scales only its own rows, as alpha
-    # scales its own
-    code, out = run_cli(["kernel", "--set", "alpha=1.5", "--set", "beta=1.6"],
-                        tmp_path, "loose")
-    assert code == 0
-    code, tight = run_cli(["kernel", "--set", "alpha=1.5"], tmp_path, "tight")
+def test_kernel_beta_scales_rows_and_leaves_the_series_tight(tmp_path):
+    # phi is exactly |n|^alpha, so the series take the tight envelope and
+    # the beta column carries alpha; each scaled_alpha row is t^(1/alpha)
+    # times the norm row at its t, bit for bit
+    code, out = run_cli(["kernel", "--set", "alpha=1.5"], tmp_path)
     assert code == 0
     rows = load_rows(str(out / "kernel.csv"))
-    same = load_rows(str(tight / "kernel.csv"))
     norm = {r["t"]: r["value"] for r in rows
             if r["quantity"] == "kernel_l2_norm_sq"}
-    assert len(rows) == len(same)
-    for row, ref in zip(rows, same):
-        assert (row["quantity"], row["t"], row["beta"], ref["beta"]) == \
-            (ref["quantity"], ref["t"], 1.6, 1.5)
-        power = {"kernel_l2_norm_sq_scaled_alpha": 1.5,
-                 "kernel_l2_norm_sq_scaled_beta": 1.6}.get(row["quantity"])
-        if power:
-            assert row["value"] == pytest.approx(
-                row["t"] ** (1.0 / power) * norm[row["t"]], rel=1e-15)
-            assert row["value"] > 0
-        else:
-            assert (row["value"], row["tail_bound"]) == \
-                (ref["value"], ref["tail_bound"])
-    # beta is still checked: above 2 or below alpha is a config error
-    for beta in ("3", "1.4"):
-        code, out = run_cli(["kernel", "--set", "alpha=1.5", "--set",
-                             f"beta={beta}"], tmp_path, f"beta-{beta}")
-        assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "levyheat:error:config: " + ("beta must lie in (1, 2]"
-                                         if beta == "3" else
-                                         "need alpha <= beta"))
-        assert not out.exists()
+    scaled = {r["t"]: r["value"] for r in rows
+              if r["quantity"] == "kernel_l2_norm_sq_scaled_alpha"}
+    assert {r["beta"] for r in rows} == {1.5}
+    t = np.array(sorted(norm))
+    assert sorted(scaled) == list(t) and len(t) == 9
+    want = t ** (1.0 / 1.5) * np.array([norm[s] for s in t])
+    assert [scaled[s] for s in t] == list(want) and min(want) > 0
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
@@ -608,7 +586,7 @@ NEGATIVE_MOMENT = ["negative_moment/p=2/floor=1.000e-08",
 ROW_KEYS = {
     "kernel": [(q, t, 0.0, 0) for q in (
         "kernel_l2_norm_sq", "kernel_l2_norm_sq_scaled_alpha",
-        "kernel_l2_norm_sq_scaled_beta", "kernel_l2_time_integral")
+        "kernel_l2_time_integral")
         for t in KERNEL_T] + [(q, 0.0, 0.0, 0) for q in (
             "kernel_integral_slope", "kernel_integral_slope_r2",
             "kernel_l2_laplace", "kernel_norm_slope", "kernel_norm_slope_r2",
@@ -645,8 +623,7 @@ def test_row_keys_pinned(tmp_path, subcommand):
 
 
 @pytest.mark.parametrize("subcommand, key", [("check-exponent", "beta"),
-                                             ("simulate", "probe_t"),
-                                             ("density", "bandwidth")])
+                                             ("simulate", "probe_t")])
 def test_negative_sentinel_is_config_error(tmp_path, capsys, subcommand, key):
     # only exactly 0 derives the default; a negative value is a typo, not "0"
     code, out = run_cli([subcommand] + small(subcommand)
@@ -755,7 +732,8 @@ def test_each_subcommand_reads_exactly_its_keys(tmp_path, monkeypatch, args):
                                      "picard --set probe_x=0",
                                      "kernel --set drift=0.7",
                                      "check-exponent --set m_space=16",
-                                     "kernel --set seed=3"])
+                                     "kernel --set seed=3",
+                                     "kernel --set beta=1.5"])
 def test_a_key_the_subcommand_does_not_read_is_refused(
         tmp_path, capsys, monkeypatch, setting):
     # refused before any noise is drawn, from --set or a config file, with
@@ -776,6 +754,26 @@ def test_a_key_the_subcommand_does_not_read_is_refused(
         assert code == 1
         assert capsys.readouterr().err == message
         assert not out.exists()
+
+
+def test_density_has_no_bandwidth_key(tmp_path, capsys, monkeypatch):
+    # kde always takes the Silverman rule; a bandwidth is refused as an
+    # unknown key before any noise is drawn
+    def refuse(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(noise, "_normal_block", refuse)
+    code, out = run_cli(["density", "--set", "bandwidth=0.1"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "levyheat:error:config: unknown config key 'bandwidth'\n")
+    assert not out.exists()
+
+
+def test_only_check_exponent_takes_beta():
+    # every other subcommand's phi is exactly scale |n|^alpha
+    assert [name for name, (_, _, keys) in COMMANDS.items()
+            if "beta" in keys] == ["check-exponent"]
 
 
 @pytest.mark.parametrize("subcommand", ["kernel", "check-exponent"])
@@ -882,8 +880,6 @@ def test_a_picard_weight_that_weighs_nothing_after_t0_is_refused(
     ("kernel", "picard_beta=inf", "need beta_param > 0 and finite"),
     ("malliavin", "moment_p=inf", "need p >= 2 and finite"),
     ("malliavin", "floor=inf", "need floor > 0 and finite"),
-    ("density", "bandwidth=nan", "bandwidth must be >= 0"),
-    ("density", "bandwidth=inf", "need bandwidth > 0 and finite, got inf"),
     ("simulate", "drift=inf", "need a finite drift, got inf"),
     ("simulate", "drift=nan", "need a finite drift, got nan"),
     ("simulate", "scale=nan", "need scale c > 0 and finite, got nan"),
@@ -896,7 +892,7 @@ def test_nan_parameters_are_config_errors(tmp_path, capsys, monkeypatch,
     # still refuses the value with its own message (the one listed): a NaN
     # fails every "x < bound" test, so each guard is a negated comparison
     # that NaN cannot pass, and an infinite window, probe point, moment
-    # order, weight, floor, bandwidth, scale or drift is refused the same
+    # order, weight, floor, scale or drift is refused the same
     # way, before any numpy arithmetic can warn about it (pytest would keep
     # such a warning off stderr, so it is recorded here)
     sets = [arg for s in settings.split() for arg in ("--set", s)]
@@ -945,12 +941,6 @@ def test_nan_parameters_are_config_errors(tmp_path, capsys, monkeypatch,
     ("malliavin", "deltas=0.05,0.05", "deltas: two values name one row"),
     ("malliavin", "deltas=0.1,0.05,0.0500000001",
      "deltas: two values name one row"),
-    # kde's grid spacing (span + 8 h) / 511, which np.gradient squares: at
-    # 6e155 that overflowed, and 1e308 makes the grid itself infinite
-    ("density", "bandwidth=6e155", "bandwidth: bandwidth 6e+155 is too large: "
-     "np.gradient cannot square twice the 9.39e+153 spacing"),
-    ("density", "bandwidth=1e200", "bandwidth: bandwidth 1e+200 is too large"),
-    ("density", "bandwidth=1e308", "bandwidth: bandwidth 1e+308 is too large"),
 ])
 def test_bad_estimator_arguments_are_refused_before_sampling(
         tmp_path, capsys, monkeypatch, subcommand, setting, message):
