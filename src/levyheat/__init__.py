@@ -2,7 +2,7 @@
 on the torus, driven by space-time white noise, with the generator of a Levy
 process prescribed through its Fourier multiplier."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .kernels import (
     ExponentCheck,

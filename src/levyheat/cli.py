@@ -7,7 +7,7 @@ version), so any output can be reproduced from its metadata alone.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure, 3 I/O
 error.  The rows each subcommand writes (quantity names and the columns
 they fill) are decided here alone; library results carry only what they
-compute.
+compute, and a row carries no config value, only its run id.
 
     levyheat <subcommand> [--config FILE] [--set KEY=VALUE ...] [--seed N]
              [--out DIR] [--workers N]
@@ -15,8 +15,11 @@ compute.
 Configuration comes from a flat key=value file; --set overrides single keys
 and --seed the seed key: config file < --set < --seed.  A subcommand takes
 only the keys that can change one of its values (COMMANDS) and refuses any
-other.  The run id hashes the subcommand, those keys and the version alone,
-so one computation has one id however its values were given.
+other.  effective_config works out each value once: a sentinel 0 becomes
+the value it stands for, a comma list takes one spelling, and a key that
+changes nothing at the others' values is dropped.  The run id hashes the
+subcommand, those values and the version alone, so one computation has one
+id however its values were given.
 """
 
 import argparse
@@ -66,12 +69,18 @@ class NumericalError(RuntimeError):
     pass
 
 
+def _float_list(raw):
+    """A comma list of floats in its one spelling: reprs, sorted, joined."""
+    values = sorted(float(tok) for tok in raw.split(",") if tok.strip())
+    return ",".join(map(repr, values))
+
+
 # every key the config file and --set accept, with type, default, and help;
-# exactly 0 on one of the SENTINELS means "derive the default"
+# 0 on one of the SENTINELS stands for the value of the key it names
 SCHEMA = {
     "alpha": (float, 2.0, "lower power of the exponent envelope"),
     "beta": (float, 0.0, "check-exponent: upper power of the exponent "
-             "envelope; 0 means alpha, negative is refused"),
+             "envelope; 0 records alpha, negative is refused"),
     "scale": (float, 1.0, "coefficient of re phi(n) = scale |n|^alpha"),
     "drift": (float, 0.0, "imaginary drift: phi(n) += i drift n"),
     "m_space": (int, 64, "spatial grid points"),
@@ -82,7 +91,7 @@ SCHEMA = {
     "u0_amp": (float, 1.0, "initial field amplitude"),
     "seed": (int, 0, "base RNG seed; replica r uses stream (seed, r)"),
     "replicas": (int, 256, "Monte Carlo replicas"),
-    "probe_t": (float, 0.0, "probe time; 0 means horizon, negative is refused"),
+    "probe_t": (float, 0.0, "probe time; 0 records horizon, < 0 is refused"),
     "probe_x": (float, 0.0, "probe point in [0, 2pi)"),
     "t_min": (float, 1e-5, "kernel: smallest time on the scaling grid"),
     "t_max": (float, 1e-3, "kernel: largest time on the scaling grid"),
@@ -90,15 +99,15 @@ SCHEMA = {
     "picard_n": (int, 6, "picard: number of successive differences"),
     "picard_beta": (float, 64.0, "exponential weight of the iteration norm"),
     "moment_p": (float, 2.0, "moment order for picard and negative moments"),
-    "levels": (str, ",".join(map(str, SMALLBALL_LEVELS)),
-               "small-ball quantile levels in (0, 1), comma separated"),
-    "deltas": (str, "", "derivative tail windows, comma separated"),
+    "levels": (_float_list, _float_list(",".join(map(str, SMALLBALL_LEVELS))),
+               "small-ball quantile levels in (0, 1), recorded sorted"),
+    "deltas": (_float_list, "", "derivative tail windows, recorded sorted"),
     "floor": (float, 1e-8, "negative-moment regularization floor"),
     "tol": (float, DEFAULT_SERIES_TOL, "series tolerance: each certified "
             "error, every rounding counted, is at most tol max(1, L), L a "
             "lower bound of the value"),
 }
-SENTINELS = ("beta", "probe_t")
+SENTINELS = {"beta": "alpha", "probe_t": "horizon"}
 
 
 def _parse_value(key, raw):
@@ -150,10 +159,14 @@ def effective_config(args):
         cfg["seed"] = args.seed
     if args.subcommand == "malliavin" and get_sigma(cfg["sigma"]).kappa == 0:
         del cfg["moment_p"], cfg["floor"]  # no negative moment reads them
-    for key in SENTINELS:
+    if cfg.get("u0") == "zero":
+        del cfg["u0_amp"]  # no amplitude scales a zero field
+    for key, default in SENTINELS.items():
         if not cfg.get(key, 0) >= 0:  # NaN is refused too
             raise ConfigError(f"{key} must be >= 0 (0 derives the default), "
                               f"got {cfg[key]!r}")
+        if key in cfg:
+            cfg[key] = cfg[key] or cfg[default]
     return cfg
 
 
@@ -169,14 +182,14 @@ ROW_NAMES = {"levels": "smallball_quantile/level={:g}",
 
 def _estimator_args(cfg, *keys, dt=None, n=None):
     """The values of estimator keys, a comma list as its floats; a value
-    that does not parse, that its check refuses given dt or n, or that
-    names the row of another value is a config error that names the key."""
+    that its check refuses given dt or n, or that names the row of another
+    value, is a config error that names the key."""
     values = []
     for key in keys:
         value = cfg[key]
         try:
-            if isinstance(value, str):
-                value = [float(tok) for tok in value.split(",") if tok.strip()]
+            if isinstance(value, str):  # _float_list's spelling
+                value = [float(tok) for tok in value.split(",") if tok]
             ESTIMATOR_CHECKS[key](value, *{"deltas": [dt], "picard_beta": [dt],
                                            "levels": [n]}.get(key, []))
             if key in ROW_NAMES and len(value) > len(
@@ -186,11 +199,6 @@ def _estimator_args(cfg, *keys, dt=None, n=None):
             raise ConfigError(f"{key}: {err}") from None
         values.append(value)
     return values
-
-
-def _beta(cfg):
-    # 0, or no beta key, is alpha; never written back: cfg feeds run_id
-    return cfg.get("beta") or cfg["alpha"]
 
 
 def build_exponent(cfg):
@@ -205,27 +213,23 @@ def build_run_config(cfg):
                     horizon=cfg["horizon"])
     sigma = get_sigma(cfg["sigma"])
     exp_ = build_exponent(cfg)
-    amp = cfg["u0_amp"]
-    shapes = {
-        "zero": lambda x: np.zeros_like(x),
-        "sin": lambda x: amp * np.sin(x),
-        "cos": lambda x: amp * np.cos(x),
-    }
+    shapes = {"zero": np.zeros_like, "sin": np.sin, "cos": np.cos}
     if cfg["u0"] not in shapes:
         raise ConfigError(f"unknown u0 shape {cfg['u0']!r}")
     u0 = field_from_function(shapes[cfg["u0"]], grid.m_space)
-    # picard's norm is a sup over every cell: it keeps the default probe
-    probe = (cfg.get("probe_t") or grid.horizon, cfg.get("probe_x", 0.0))
+    u0 *= cfg.get("u0_amp", 1.0)  # a zero field's config has no amplitude
+    # picard takes no probe keys (its norm is a sup over every cell)
+    probe = (cfg["probe_t"], cfg["probe_x"]) if "probe_t" in cfg else None
     return RunConfig(grid=grid, exponent=exp_, sigma=sigma, u0=u0,
                      seed=cfg["seed"], replicas=cfg["replicas"], probe=probe)
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each gets the (run_id, seed, alpha, beta) columns its rows
-# share as `head` and returns (rows, summary line); every value is a row
+# subcommands: each gets the run id its rows carry and returns (rows,
+# summary line); every value is a row
 
 
-def cmd_kernel(cfg, args, head):
+def cmd_kernel(cfg, args, run_id):
     exp_ = build_exponent(cfg)
     if not (0 < cfg["t_min"] < cfg["t_max"]):
         raise ConfigError("need 0 < t_min < t_max")
@@ -240,43 +244,43 @@ def cmd_kernel(cfg, args, head):
     rows = []
     for i, t in enumerate(report.t_grid):
         rows += [
-            make_row(*head, "kernel_l2_norm_sq", report.norm_sq[i],
+            make_row(run_id, "kernel_l2_norm_sq", report.norm_sq[i],
                      tail_bound=report.norm_tails[i], t=t),
-            make_row(*head, "kernel_l2_norm_sq_scaled_alpha", scaled[i], t=t),
-            make_row(*head, "kernel_l2_time_integral", report.cumulative[i],
+            make_row(run_id, "kernel_l2_norm_sq_scaled_alpha", scaled[i], t=t),
+            make_row(run_id, "kernel_l2_time_integral", report.cumulative[i],
                      tail_bound=report.cumulative_tails[i], t=t),
         ]
-    rows += [make_row(*head, quantity, value) for quantity, value in (
+    rows += [make_row(run_id, quantity, value) for quantity, value in (
         ("kernel_norm_slope", report.slope_norm),
         ("kernel_norm_slope_r2", report.r2_norm),
         ("kernel_integral_slope", report.slope_cumulative),
         ("kernel_integral_slope_r2", report.r2_cumulative),
         ("sup_weighted_cumulative", report.sup_weighted_cumulative),
     )]
-    rows.append(make_row(*head, "kernel_l2_laplace", report.laplace_mass,
+    rows.append(make_row(run_id, "kernel_l2_laplace", report.laplace_mass,
                          tail_bound=report.laplace_tail))
     summary = (f"kernel: norm slope {report.slope_norm:.6g} "
                f"(r2 {report.r2_norm:.6g})")
     return rows, summary
 
 
-def cmd_simulate(cfg, args, head):
+def cmd_simulate(cfg, args, run_id):
     run = build_run_config(cfg)
     ss = run_ensemble(run, workers=args.workers)
     t, x = run.probe
     where = dict(t=t, x=x, replica_count=len(ss))
     rows = [
-        make_row(*head, "u_mean", ss.mean(), ss.stderr(), **where),
-        make_row(*head, "u_var", ss.variance(), ss.variance_stderr(), **where),
+        make_row(run_id, "u_mean", ss.mean(), ss.stderr(), **where),
+        make_row(run_id, "u_var", ss.variance(), ss.variance_stderr(), **where),
         # 0 by the config's certificate: no replica can blow up
-        make_row(*head, "u_blowups", 0.0, **where),
+        make_row(run_id, "u_blowups", 0.0, **where),
     ]
     summary = (f"simulate: {len(ss)} replicas, mean {ss.mean():.6g} "
                f"+- {ss.stderr():.2g}, var {ss.variance():.6g}")
     return rows, summary
 
 
-def cmd_picard(cfg, args, head):
+def cmd_picard(cfg, args, run_id):
     run = build_run_config(cfg)
     if cfg["picard_n"] < 2:  # one difference has no ratio to judge
         raise ConfigError("need picard_n >= 2")
@@ -288,11 +292,11 @@ def cmd_picard(cfg, args, head):
         raise NumericalError(f"moment_p = {cfg['moment_p']:g}: {err} in a "
                              "moment of a nonzero difference") from None
     where = dict(replica_count=run.replicas)
-    rows = [make_row(*head, f"picard_diff/n={n}", v, se, **where)
+    rows = [make_row(run_id, f"picard_diff/n={n}", v, se, **where)
             for n, (v, se) in enumerate(zip(report.norms, report.stderrs))]
-    rows += [make_row(*head, f"picard_ratio/n={n}", r, **where)
+    rows += [make_row(run_id, f"picard_ratio/n={n}", r, **where)
              for n, r in enumerate(report.ratios, start=1)]
-    rows.append(make_row(*head, "picard_contracting", float(report.contracting),
+    rows.append(make_row(run_id, "picard_contracting", float(report.contracting),
                          **where))
     summary = (f"picard: ratios {np.array2string(report.ratios, precision=3)} "
                f"contracting={report.contracting}")
@@ -309,19 +313,19 @@ def _check_mass_probe(run):
             f"probe_t of at least one step, dt = {run.grid.dt:g}")
 
 
-def _negative_moment_rows(samples, cfg, head, where):
+def _negative_moment_rows(samples, cfg, run_id, where):
     """The negative moment of the mass samples, and its rows."""
     nm = negative_moment_estimate(samples, p=cfg["moment_p"], floor=cfg["floor"])
     rows = [make_row(
-        *head, f"negative_moment/p={cfg['moment_p']:g}/floor={cfg['floor']:.3e}",
+        run_id, f"negative_moment/p={cfg['moment_p']:g}/floor={cfg['floor']:.3e}",
         nm.estimate, nm.stderr, **where)]
-    rows += [make_row(*head, f"negative_moment_floor_sweep/floor={fl:.3e}", est,
+    rows += [make_row(run_id, f"negative_moment_floor_sweep/floor={fl:.3e}", est,
                       **where)
              for fl, est in sorted(nm.sensitivity.items(), reverse=True)]
     return nm, rows
 
 
-def cmd_malliavin(cfg, args, head):
+def cmd_malliavin(cfg, args, run_id):
     run = build_run_config(cfg)
     deltas, = _estimator_args(cfg, "deltas", dt=run.grid.dt)
     if run.sigma.kappa > 0:  # the negative moment reads them
@@ -332,13 +336,13 @@ def cmd_malliavin(cfg, args, head):
     mean, se = mass.mean(), mass.stderr()
     where = dict(t=t, x=x, replica_count=len(mass))
     rows = [
-        make_row(*head, "hnorm_mean", mean, se, **where),
-        make_row(*head, "hnorm_sd", mass.sd(), **where),
+        make_row(run_id, "hnorm_mean", mean, se, **where),
+        make_row(run_id, "hnorm_sd", mass.sd(), **where),
     ]
-    rows += [make_row(*head, ROW_NAMES["deltas"].format(d), tails[d].mean(),
+    rows += [make_row(run_id, ROW_NAMES["deltas"].format(d), tails[d].mean(),
                       **where) for d in deltas]
     if run.sigma.kappa > 0:
-        nm, nm_rows = _negative_moment_rows(mass.values, cfg, head, where)
+        nm, nm_rows = _negative_moment_rows(mass.values, cfg, run_id, where)
         rows += nm_rows
         summary = (f"malliavin: hnorm mean {mean:.6g} +- {se:.2g}, "
                    f"negative moment {nm.estimate:.6g} "
@@ -348,7 +352,7 @@ def cmd_malliavin(cfg, args, head):
     return rows, summary
 
 
-def cmd_smallball(cfg, args, head):
+def cmd_smallball(cfg, args, run_id):
     run = build_run_config(cfg)
     if run.sigma.kappa <= 0:  # the negative moment needs a mass bounded below
         raise ConfigError("small-ball analysis needs sigma bounded below: "
@@ -360,21 +364,21 @@ def cmd_smallball(cfg, args, head):
     t, x = run.probe
     where = dict(t=t, x=x, replica_count=len(mass))
     floor = certified_floor(run)
-    rows = [make_row(*head, "smallball_certified_floor", floor, **where)]
+    rows = [make_row(run_id, "smallball_certified_floor", floor, **where)]
     # no mass lies below the floor; the levels passed at n = replicas
     quantiles = [mass.quantile(q, lower=floor) for q in levels]
     # the stderr column holds the half-width of the 95% interval
-    rows += [make_row(*head, ROW_NAMES["levels"].format(q), value,
+    rows += [make_row(run_id, ROW_NAMES["levels"].format(q), value,
                       0.5 * (hi - lo), **where)
              for q, (value, lo, hi) in zip(levels, quantiles)]
-    rows += _negative_moment_rows(mass.values, cfg, head, where)[1]
+    rows += _negative_moment_rows(mass.values, cfg, run_id, where)[1]
     summary = (f"smallball: quantiles {min(quantiles)[0]:.6g}.."
                f"{max(quantiles)[0]:.6g} at {len(levels)} levels, certified "
                f"floor {floor:.6g}")
     return rows, summary
 
 
-def cmd_density(cfg, args, head):
+def cmd_density(cfg, args, run_id):
     run = build_run_config(cfg)
     ss = run_ensemble(run, workers=args.workers)
     t, x = run.probe
@@ -382,10 +386,10 @@ def cmd_density(cfg, args, head):
     try:
         est = kde(ss.values)
     except DegenerateSamplesError as err:
-        rows = [make_row(*head, "density_point_mass", err.value, **where)]
+        rows = [make_row(run_id, "density_point_mass", err.value, **where)]
         return rows, f"density: point mass at {err.value:.6g}, no estimate"
     rep = smoothness_report(est)
-    rows = [make_row(*head, quantity, value, **where) for quantity, value in (
+    rows = [make_row(run_id, quantity, value, **where) for quantity, value in (
         ("density_bandwidth", est.bandwidth),
         ("density_integral", est.integral()),
         ("density_max_d1", rep.max_d1),
@@ -399,11 +403,11 @@ def cmd_density(cfg, args, head):
     return rows, summary
 
 
-def cmd_check_exponent(cfg, args, head):
-    chk = check_exponent_condition(cfg["alpha"], _beta(cfg))
+def cmd_check_exponent(cfg, args, run_id):
+    chk = check_exponent_condition(cfg["alpha"], cfg["beta"])
     rows = [
-        make_row(*head, "theta", chk.theta),
-        make_row(*head, "admissible", float(chk.admissible)),
+        make_row(run_id, "theta", chk.theta),
+        make_row(run_id, "admissible", float(chk.admissible)),
     ]
     summary = (f"theta={chk.theta:.12g} "
                f"admissible={'true' if chk.admissible else 'false'}")
@@ -446,9 +450,10 @@ def build_parser():
     command_lines = "\n".join(f"  {name:<16}{help_}\n{'':<18}keys: "
                               + ", ".join(keys)
                               for name, (_, help_, keys) in COMMANDS.items())
+    kinds = {_float_list: "comma list of floats"}
     schema_lines = "\n".join(
-        f"  {key} ({ctor.__name__}, default {default!r}): {help_}"
-        for key, (ctor, default, help_) in SCHEMA.items()
+        f"  {key} ({kinds.get(ctor, ctor.__name__)}, default {default!r}): "
+        f"{help_}" for key, (ctor, default, help_) in SCHEMA.items()
     )
     parser = _Parser(
         prog="levyheat",
@@ -504,12 +509,12 @@ def _check_finite(rows):
                     f"non-finite {col} in {row['quantity']!r}: {v!r}")
 
 
-def _write_outputs(args, subcommand, cfg, run_id, rows):
+def _write_outputs(args, cfg, run_id, rows):
     out_dir = Path(args.out)
-    stem = subcommand.replace("-", "_")
+    stem = args.subcommand.replace("-", "_")
     data_path = out_dir / f"{stem}.csv"
     # the record of the run, not of its values: those are the rows
-    meta = {"subcommand": subcommand, "run_id": run_id, "config": cfg,
+    meta = {"subcommand": args.subcommand, "run_id": run_id, "config": cfg,
             "rng_scheme": RNG_SCHEME, "version": __version__}
     # strict JSON: non-finite config values are refused when parsed
     text = json.dumps(meta, sort_keys=True, indent=2, allow_nan=False)
@@ -538,12 +543,9 @@ def parse_and_dispatch(argv):
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = effective_config(args)
         run_id = _run_identifier(args.subcommand, cfg)
-        command = COMMANDS[args.subcommand][0]
-        head = (run_id, cfg.get("seed", 0), cfg["alpha"], _beta(cfg))
-        rows, summary = command(cfg, args, head)
+        rows, summary = COMMANDS[args.subcommand][0](cfg, args, run_id)
         _check_finite(rows)
-        data_path, meta_path = _write_outputs(
-            args, args.subcommand, cfg, run_id, rows)
+        data_path, meta_path = _write_outputs(args, cfg, run_id, rows)
         print(summary)
         print(f"wrote {data_path} and {meta_path}")
         return 0

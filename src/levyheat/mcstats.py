@@ -22,20 +22,18 @@ from .solver import _smooth, sample_at_probe
 
 KDE_MAX_BINS = 2 ** 20  # largest bin grid kde convolves
 
-CSV_SCHEMA = "levyheat csv schema v1"
-CSV_COLUMNS = ("run_id", "seed", "replica_count", "alpha", "beta",
-               "t", "x", "quantity", "value", "stderr", "tail_bound")
+CSV_SCHEMA = "levyheat csv schema v2"
+CSV_COLUMNS = ("run_id", "replica_count", "t", "x", "quantity", "value",
+               "stderr", "tail_bound")
 # the type of each column's cells; every other column holds floats
-_COLUMN_TYPES = {"run_id": str, "seed": int, "replica_count": int,
-                 "quantity": str}
+_COLUMN_TYPES = {"run_id": str, "replica_count": int, "quantity": str}
 
 
-def make_row(run_id, seed, alpha, beta, quantity, value, stderr=0.0,
-             tail_bound=0.0, t=0.0, x=0.0, replica_count=0):
-    """One output row: a dict keyed by CSV_COLUMNS, each cell cast to its
-    column's type."""
-    cells = (run_id, seed, replica_count, alpha, beta, t, x, quantity, value,
-             stderr, tail_bound)
+def make_row(run_id, quantity, value, stderr=0.0, tail_bound=0.0, t=0.0,
+             x=0.0, replica_count=0):
+    """One output row, its run id and values and no config value: a dict
+    keyed by CSV_COLUMNS, each cell cast to its column's type."""
+    cells = (run_id, replica_count, t, x, quantity, value, stderr, tail_bound)
     return {col: _COLUMN_TYPES.get(col, float)(cell)
             for col, cell in zip(CSV_COLUMNS, cells)}
 

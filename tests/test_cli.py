@@ -18,7 +18,7 @@ from levyheat import cli, noise, solver
 from levyheat.cli import (COMMANDS, SCHEMA, build_exponent, build_parser,
                           build_run_config, effective_config,
                           parse_and_dispatch)
-from levyheat.mcstats import load_rows
+from levyheat.mcstats import CSV_COLUMNS, load_rows
 
 from conftest import planted_infinity
 
@@ -132,6 +132,17 @@ def test_help_exits_zero(capsys):
         assert f"\n  {name} " in text
     for key in SCHEMA:
         assert f"\n  {key} (" in text
+
+
+def test_a_list_key_has_one_spelling(capsys):
+    # --help names a list key's type by what it holds, and the levels
+    # default is spelled as a parsed value is: each repr, sorted
+    assert parse_and_dispatch(["--help"]) == 0
+    text = capsys.readouterr().out
+    for key in ("levels", "deltas"):
+        assert f"\n  {key} (comma list of floats, default " in text
+    assert cli._parse_value("levels", SCHEMA["levels"][1]) == SCHEMA["levels"][1]
+    assert cli._parse_value("deltas", " 0.10, .05 ,,") == "0.05,0.1"
 
 
 def test_one_parser_reads_every_subcommand(tmp_path, capsys):
@@ -290,9 +301,9 @@ def test_unattainable_series_tolerance_is_numerical_error(tmp_path, capsys):
 
 
 def test_kernel_beta_scales_rows_and_leaves_the_series_tight(tmp_path):
-    # phi is exactly |n|^alpha, so the series take the tight envelope and
-    # the beta column carries alpha; each scaled_alpha row is t^(1/alpha)
-    # times the norm row at its t, bit for bit
+    # phi is exactly |n|^alpha, so the series take the tight envelope; each
+    # scaled_alpha row is t^(1/alpha) times the norm row at its t, bit for
+    # bit
     code, out = run_cli(["kernel", "--set", "alpha=1.5"], tmp_path)
     assert code == 0
     rows = load_rows(str(out / "kernel.csv"))
@@ -300,7 +311,6 @@ def test_kernel_beta_scales_rows_and_leaves_the_series_tight(tmp_path):
             if r["quantity"] == "kernel_l2_norm_sq"}
     scaled = {r["t"]: r["value"] for r in rows
               if r["quantity"] == "kernel_l2_norm_sq_scaled_alpha"}
-    assert {r["beta"] for r in rows} == {1.5}
     t = np.array(sorted(norm))
     assert sorted(scaled) == list(t) and len(t) == 9
     want = t ** (1.0 / 1.5) * np.array([norm[s] for s in t])
@@ -325,11 +335,13 @@ def test_series_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
 
 
 def test_metadata_echoes_the_subcommands_keys(tmp_path):
-    # the keys simulate reads, and no other
+    # the keys simulate reads, and no other; at u0 = zero it reads no
+    # u0_amp
     code, out = run_cli(["simulate"] + SMALL, tmp_path)
     assert code == 0
     meta = json.loads((out / "simulate.meta.json").read_text())
-    assert list(meta["config"]) == sorted(COMMANDS["simulate"][2])
+    assert list(meta["config"]) == sorted(set(COMMANDS["simulate"][2])
+                                          - {"u0_amp"})
     assert meta["config"]["m_space"] == 16
     assert meta["config"]["sigma"] == "shifted_sine"
     assert meta["config"]["seed"] == 0
@@ -408,9 +420,7 @@ def test_seed_precedence_chain(tmp_path):
         code, out = run_cli(base + extra, tmp_path, tag)
         assert code == 0
         meta = json.loads((out / "simulate.meta.json").read_text())
-        rows = load_rows(str(out / "simulate.csv"))
-        assert ({r["seed"] for r in rows}, meta["config"]["seed"]) == (
-            {seed}, seed)
+        assert meta["config"]["seed"] == seed
 
 
 def test_an_exported_seed_variable_changes_no_byte(tmp_path, monkeypatch):
@@ -666,6 +676,58 @@ def test_metadata_config_reproduces_the_outputs(tmp_path, subcommand):
         assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
+# two ways to give one computation, and the config both record: a list in
+# one spelling, a sentinel 0 as the value it stands for, and no u0_amp at
+# u0 = zero (None: the key is left out)
+ONE_COMPUTATION = {
+    "deltas": (["malliavin", "--set", "deltas=0.05,0.1"],
+               ["malliavin", "--set", "deltas=0.1,0.050"],
+               {"deltas": "0.05,0.1"}),
+    "probe_t": (["simulate"], ["simulate", "--set", "probe_t=0.5"],
+                {"probe_t": 0.5}),
+    "beta": (["check-exponent", "--set", "alpha=1.5"],
+             ["check-exponent", "--set", "alpha=1.5", "--set", "beta=1.5"],
+             {"beta": 1.5}),
+    "u0_amp": (["simulate"], ["simulate", "--set", "u0_amp=7"],
+               {"u0_amp": None}),
+}
+
+
+@pytest.mark.parametrize("first, second, recorded",
+                         list(ONE_COMPUTATION.values()), ids=ONE_COMPUTATION)
+def test_one_computation_writes_one_file_set(tmp_path, first, second,
+                                             recorded):
+    outs = [run_cli(args, tmp_path, tag)
+            for tag, args in (("first", first), ("second", second))]
+    assert [code for code, _ in outs] == [0, 0]
+    stem = first[0].replace("-", "_")
+    for name in (f"{stem}.csv", f"{stem}.meta.json"):
+        assert len({(out / name).read_bytes() for _, out in outs}) == 1
+    config = json.loads((outs[0][1] / f"{stem}.meta.json").read_text())["config"]
+    assert {key: config.get(key) for key in recorded} == recorded
+    # a row holds its run id and values, and no config value
+    header = (outs[0][1] / f"{stem}.csv").read_text().splitlines()[:2]
+    assert header == ["# levyheat csv schema v2", ",".join(CSV_COLUMNS)]
+    assert CSV_COLUMNS == ("run_id", "replica_count", "t", "x", "quantity",
+                           "value", "stderr", "tail_bound")
+
+
+def test_u0_amp_changes_a_sin_field(tmp_path):
+    # the control: at u0 = sin the amplitude is a value, so another one is
+    # another computation, with other rows and another run id
+    args = ["simulate", "--set", "u0=sin"] + SMALL
+    outs = [run_cli(args + extra, tmp_path, tag) for tag, extra in (
+        ("plain", []), ("amp", ["--set", "u0_amp=7"]))]
+    assert [code for code, _ in outs] == [0, 0]
+    means = [rows_by_quantity(out / "simulate.csv")["u_mean"] for _, out in outs]
+    metas = [json.loads((out / "simulate.meta.json").read_text())
+             for _, out in outs]
+    assert means[0]["value"] != means[1]["value"]
+    assert means[0]["run_id"] != means[1]["run_id"]
+    assert [meta["config"]["u0_amp"] for meta in metas] == [1.0, 7.0]
+    assert metas[0]["run_id"] != metas[1]["run_id"]
+
+
 # ---------------------------------------------------------------------------
 # the keys each subcommand takes
 
@@ -724,7 +786,10 @@ def test_each_subcommand_reads_exactly_its_keys(tmp_path, monkeypatch, args):
     monkeypatch.setattr(cli, "effective_config", recorded)
     code, _ = run_cli(args, tmp_path)
     assert code == 0
-    assert configs[0].read == set(configs[0]) == set(COMMANDS[args[0]][2])
+    keys = set(COMMANDS[args[0]][2])
+    if "u0" in keys and "u0=sin" not in args:  # no amplitude at u0 = zero
+        keys.remove("u0_amp")
+    assert configs[0].read == set(configs[0]) == keys
 
 
 @pytest.mark.parametrize("setting", ["simulate --set levels=0.1",
@@ -780,7 +845,8 @@ def test_only_check_exponent_takes_beta():
 def test_a_subcommand_without_noise_takes_and_ignores_the_seed(tmp_path,
                                                                subcommand):
     # scripts pass --seed to every subcommand; one that draws no noise
-    # keeps it out of its run id, its config and its rows
+    # keeps it out of its run id and its config (no row holds a config
+    # value)
     stem = subcommand.replace("-", "_")
     _, plain = run_cli([subcommand], tmp_path, "plain")
     code, out = run_cli([subcommand, "--seed", "3"], tmp_path, "seeded")
@@ -789,7 +855,6 @@ def test_a_subcommand_without_noise_takes_and_ignores_the_seed(tmp_path,
         assert (out / name).read_bytes() == (plain / name).read_bytes()
     meta = json.loads((out / f"{stem}.meta.json").read_text())
     assert "seed" not in meta["config"] and "seed" not in meta
-    assert {r["seed"] for r in load_rows(str(out / f"{stem}.csv"))} == {0}
 
 
 def test_the_readme_and_help_list_each_subcommands_keys(capsys):
@@ -937,7 +1002,7 @@ def test_nan_parameters_are_config_errors(tmp_path, capsys, monkeypatch,
     ("malliavin", "deltas=-1", "deltas: tail windows must be positive and "
      "finite, got [-1.0]"),
     ("malliavin", "deltas=0.05,0.005", "deltas: tail windows must exceed "
-     "half a time step, dt = 0.025, got [0.05, 0.005]"),
+     "half a time step, dt = 0.025, got [0.005, 0.05]"),
     ("malliavin", "deltas=0.05,0.05", "deltas: two values name one row"),
     ("malliavin", "deltas=0.1,0.05,0.0500000001",
      "deltas: two values name one row"),
@@ -1115,7 +1180,8 @@ def test_malliavin_at_kappa_0_leaves_the_negative_moment_keys_out(
         tmp_path, monkeypatch):
     # at kappa = 0 malliavin writes no negative moment, so moment_p and
     # floor change no value: its config, which it reads whole, leaves them
-    # out, and two runs that differ only in them write the same bytes
+    # out (and u0_amp at u0 = zero), and two runs that differ only in them
+    # write the same bytes
     configs = []
 
     def recorded(parsed):
@@ -1129,7 +1195,7 @@ def test_malliavin_at_kappa_0_leaves_the_negative_moment_keys_out(
     assert [code for code, _ in outs] == [0, 0]
     for name in ("malliavin.csv", "malliavin.meta.json"):
         assert len({(out / name).read_bytes() for _, out in outs}) == 1
-    keys = set(COMMANDS["malliavin"][2]) - {"moment_p", "floor"}
+    keys = set(COMMANDS["malliavin"][2]) - {"moment_p", "floor", "u0_amp"}
     for cfg in configs:
         assert cfg.read == set(cfg) == keys
 

@@ -50,8 +50,7 @@ def additive_config(replicas=4000, m=64, k=64, horizon=0.5, seed=21):
 
 
 def sample_row(quantity="q", t=0.0, x=0.0, value=1.0):
-    return make_row("r", 1, 2.0, 2.0, quantity, value, t=t, x=x,
-                    replica_count=10)
+    return make_row("r", quantity, value, t=t, x=x, replica_count=10)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +503,8 @@ def test_emit_csv_layout_and_order(tmp_path):
     emit(rows, str(path))
     text = path.read_text(encoding="utf-8")
     lines = text.split("\n")
-    assert lines[0] == "# levyheat csv schema v1"
-    assert lines[1] == ("run_id,seed,replica_count,alpha,beta,t,x,quantity,"
-                        "value,stderr,tail_bound")
+    assert lines[0] == "# levyheat csv schema v2"
+    assert lines[1] == "run_id,replica_count,t,x,quantity,value,stderr,tail_bound"
     got = load_rows(str(path))
     keys = [(r["quantity"], r["t"], r["x"]) for r in got]
     assert keys == sorted(keys)
@@ -534,15 +532,14 @@ def test_emit_roundtrip_gives_back_the_typed_rows(tmp_path):
 
 
 def test_make_row_types_each_cell():
-    row = make_row(np.str_("r"), np.int64(7), np.float32(1.5), 2, "q",
-                   np.float64(0.25), stderr=1, t=np.float64(0.5),
-                   replica_count=np.int64(10))
+    row = make_row(np.str_("r"), "q", np.float64(0.25), stderr=1,
+                   t=np.float64(0.5), replica_count=np.int64(10))
     assert list(row) == list(CSV_COLUMNS)
     types = {col: type(cell) for col, cell in row.items()}
-    assert types == {col: {"run_id": str, "quantity": str, "seed": int,
+    assert types == {col: {"run_id": str, "quantity": str,
                            "replica_count": int}.get(col, float)
                      for col in CSV_COLUMNS}
-    assert (row["seed"], row["alpha"], row["stderr"]) == (7, 1.5, 1.0)
+    assert (row["replica_count"], row["t"], row["stderr"]) == (10, 0.5, 1.0)
 
 
 def test_emit_empty_rows_header_only(tmp_path):
