@@ -21,6 +21,7 @@ from levyheat.cli import (COMMANDS, SCHEMA, build_exponent, build_parser,
 from levyheat.mcstats import CSV_COLUMNS, load_rows
 
 from conftest import planted_infinity
+from reference_runs import PAIRS, RUNS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -676,35 +677,21 @@ def test_metadata_config_reproduces_the_outputs(tmp_path, subcommand):
         assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
-# two ways to give one computation, and the config both record: a list in
-# one spelling, a sentinel 0 as the value it stands for, and no u0_amp at
-# u0 = zero (None: the key is left out)
-ONE_COMPUTATION = {
-    "deltas": (["malliavin", "--set", "deltas=0.05,0.1"],
-               ["malliavin", "--set", "deltas=0.1,0.050"],
-               {"deltas": "0.05,0.1"}),
-    "probe_t": (["simulate"], ["simulate", "--set", "probe_t=0.5"],
-                {"probe_t": 0.5}),
-    "beta": (["check-exponent", "--set", "alpha=1.5"],
-             ["check-exponent", "--set", "alpha=1.5", "--set", "beta=1.5"],
-             {"beta": 1.5}),
-    "u0_amp": (["simulate"], ["simulate", "--set", "u0_amp=7"],
-               {"u0_amp": None}),
-}
-
-
-@pytest.mark.parametrize("first, second, recorded",
-                         list(ONE_COMPUTATION.values()), ids=ONE_COMPUTATION)
-def test_one_computation_writes_one_file_set(tmp_path, first, second,
-                                             recorded):
-    outs = [run_cli(args, tmp_path, tag)
-            for tag, args in (("first", first), ("second", second))]
+@pytest.mark.parametrize("name", PAIRS)
+def test_one_computation_writes_one_file_set(tmp_path, name):
+    # each pair of the reference runs gives one computation two ways, and
+    # both record it as one config: a list in one spelling, a sentinel 0 as
+    # the value it stands for, and no u0_amp at u0 = zero (None: the key is
+    # left out)
+    pair = PAIRS[name]
+    outs = [run_cli(RUNS[tag].argv, tmp_path, tag)
+            for tag in (pair.same_as, name)]
     assert [code for code, _ in outs] == [0, 0]
-    stem = first[0].replace("-", "_")
-    for name in (f"{stem}.csv", f"{stem}.meta.json"):
-        assert len({(out / name).read_bytes() for _, out in outs}) == 1
+    stem = pair.argv[0].replace("-", "_")
+    for file_name in (f"{stem}.csv", f"{stem}.meta.json"):
+        assert len({(out / file_name).read_bytes() for _, out in outs}) == 1
     config = json.loads((outs[0][1] / f"{stem}.meta.json").read_text())["config"]
-    assert {key: config.get(key) for key in recorded} == recorded
+    assert {key: config.get(key) for key in pair.records} == pair.records
     # a row holds its run id and values, and no config value
     header = (outs[0][1] / f"{stem}.csv").read_text().splitlines()[:2]
     assert header == ["# levyheat csv schema v2", ",".join(CSV_COLUMNS)]
