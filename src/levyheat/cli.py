@@ -167,6 +167,13 @@ def effective_config(args):
                               f"got {cfg[key]!r}")
         if key in cfg:
             cfg[key] = cfg[key] or cfg[default]
+    if "probe_t" in cfg:  # the cell GridSpec.index_of snaps the probe to
+        grid = GridSpec(cfg["m_space"], cfg["k_time"], cfg["horizon"])
+        k, i = grid.index_of(cfg["probe_t"], cfg["probe_x"])
+        cfg["probe_x"] = float(grid.x_points()[i])
+        if k:  # a time in step 0 is kept: 0 stands for the horizon
+            cfg["probe_t"] = float(grid.t_points()[k] if k < grid.k_time
+                                   else grid.horizon)
     return cfg
 
 

@@ -25,7 +25,6 @@ runs the last check in-process at --workers 1.
 
 import csv
 import json
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -52,6 +51,7 @@ class Run:
         return self.command.split()
 
 
+PROBE_GRID = "simulate --set m_space=16 --set k_time=8 --set replicas=8"
 RUNS = {
     # the defaults, one per subcommand
     "kernel": Run("kernel"),
@@ -92,8 +92,7 @@ RUNS = {
     "perfbench-density": Run("density --set sigma=one --set m_space=16 "
                              "--set k_time=16 --set replicas=32768"),
     "check-exponent-alpha-1.5": Run("check-exponent --set alpha=1.5"),
-    "probe-grid": Run("simulate --set m_space=16 --set k_time=8 "
-                      "--set replicas=8"),
+    "probe-grid": Run(PROBE_GRID),
     # pairs: one computation given two ways, recorded as one config
     "deltas": Run("malliavin --set deltas=0.1,0.050", same_as="tails",
                   records={"deltas": "0.05,0.1"}),
@@ -103,6 +102,13 @@ RUNS = {
                 same_as="check-exponent-alpha-1.5", records={"beta": 1.5}),
     "u0_amp": Run("simulate --set u0_amp=7", same_as="simulate",
                   records={"u0_amp": None}),
+    # a probe is recorded as the grid cell it snaps to
+    "probe_x": Run(PROBE_GRID + " --set probe_x=6.283185307179586",
+                   same_as="probe-grid", records={"probe_x": 0.0}),
+    "probe_x_negative": Run(PROBE_GRID + " --set probe_x=-6.283185307179586",
+                            same_as="probe-grid", records={"probe_x": 0.0}),
+    "probe_t_near": Run(PROBE_GRID + " --set probe_t=0.5000000000001",
+                        same_as="probe-grid", records={"probe_t": 0.5}),
 }
 PAIRS = {name: run for name, run in RUNS.items() if run.same_as}
 PINNED = [name for name, run in RUNS.items() if not run.same_as]
