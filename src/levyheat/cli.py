@@ -16,10 +16,10 @@ Configuration comes from a flat key=value file; --set overrides single keys
 and --seed the seed key: config file < --set < --seed.  A subcommand takes
 only the keys that can change one of its values (COMMANDS) and refuses any
 other.  effective_config works out each value once: a sentinel 0 becomes
-the value it stands for, a comma list takes one spelling, and a key that
-changes nothing at the others' values is dropped.  The run id hashes the
-subcommand, those values and the version alone, so one computation has one
-id however its values were given.
+the value it stands for, a comma list takes one spelling, a probe its grid
+cell, and a key that changes nothing at the others' values is dropped.
+The run id hashes the subcommand, those values and the version alone, so
+one computation has one id however its values were given.
 """
 
 import argparse

@@ -88,7 +88,8 @@ RUNS = {
     "perfbench-ensemble": Run("simulate --set sigma=shifted_sine "
                               "--set m_space=128 --set k_time=128 "
                               "--set replicas=2048"),
-    "perfbench-hnorm": Run("malliavin --set replicas=16 --set deltas=0.05,0.1"),
+    "perfbench-hnorm": Run("malliavin --set replicas=16 "
+                           "--set deltas=0.05,0.1"),
     "perfbench-density": Run("density --set sigma=one --set m_space=16 "
                              "--set k_time=16 --set replicas=32768"),
     "check-exponent-alpha-1.5": Run("check-exponent --set alpha=1.5"),
@@ -137,13 +138,11 @@ def write(name, out, workers=1, fresh=False):
                            f"\n{err}")
 
 
-def _refuse(constant):
-    raise ValueError(f"{constant} is not JSON")
-
-
 def strict_json(text):
     """text as JSON, refusing NaN and Infinity."""
-    return json.loads(text, parse_constant=_refuse)
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def compare(got, pinned):
@@ -174,7 +173,7 @@ def _compare_rows(path, text, want):
     if lines[:2] != want_lines[:2]:
         return [f"{path}: header {lines[:2]} != pinned {want_lines[:2]}"]
     if len(lines) != len(want_lines):
-        return [f"{path}: {len(lines) - 2} rows != pinned {len(want_lines) - 2}"]
+        return [f"{path}: {len(lines)} lines != pinned {len(want_lines)}"]
     columns = want_lines[1].split(",")
     problems = []
     for cells, want_cells in zip(csv.reader(lines[2:]),
@@ -234,7 +233,7 @@ def main():
         print(problem, file=sys.stderr)
     print(f"{len(RUNS)} reference runs ({len(PAIRS)} pairs) at "
           f"{' and '.join(passes)}: "
-          + (f"{len(problems)} problems" if problems else "all agree"))
+          + (f"{len(problems)} problem(s)" if problems else "all agree"))
     return 1 if problems else 0
 
 

@@ -21,7 +21,7 @@ from levyheat.cli import (COMMANDS, SCHEMA, build_exponent, build_parser,
 from levyheat.mcstats import CSV_COLUMNS, load_rows
 
 from conftest import planted_infinity
-from reference_runs import PAIRS, RUNS
+from reference_runs import PAIRS, RUNS, strict_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -528,12 +528,6 @@ def test_workers_below_one_are_config_errors(tmp_path, capsys, workers):
     assert capsys.readouterr().err == (
         f"levyheat:error:config: --workers must be >= 1, got {workers}\n")
     assert not out.exists()
-
-
-def strict_json(text):
-    def refuse(constant):
-        raise ValueError(f"{constant} is not JSON")
-    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.mark.parametrize("sigma", ["shifted_sine", "one"])
