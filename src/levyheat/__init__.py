@@ -4,6 +4,15 @@ process prescribed through its Fourier multiplier."""
 
 __version__ = "0.2.0"
 
+# Every BLAS call here is tiny (a 33-point polyfit, vector dots), and the
+# package runs in parallel through its own worker threads.  The pools that
+# numpy's and scipy's OpenBLAS start when they load only spin on the cores a
+# run needs, so OpenBLAS gets one thread unless the caller set
+# OPENBLAS_NUM_THREADS.  It takes effect when levyheat loads before numpy, as
+# the CLI does; the output bytes are the same either way.
+import os as _os
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .kernels import (
     ExponentCheck,
     ExponentRangeError,

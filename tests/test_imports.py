@@ -1,5 +1,5 @@
-"""Startup: importing levyheat loads only what its runs execute, and a run
-imports nothing more.
+"""Startup: importing levyheat loads only what its runs execute and starts
+no thread, and a run imports nothing more.
 
 noise._load_ndtri takes scipy's ndtri from the compiled
 scipy.special._ufuncs without running scipy.special's __init__, whose
@@ -29,10 +29,16 @@ UNUSED = ("scipy.special", "scipy._lib._array_api", "numpy.testing",
           "numpy.f2py")
 
 
-def run_python(code, *args):
+def run_python(code, *args, **env_vars):
     """Run code in a fresh interpreter that imports levyheat from this
-    checkout; returns the JSON value of its last stdout line."""
+    checkout, with env_vars set (or unset, for None); returns the JSON value
+    of its last stdout line."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code), *args],
         capture_output=True, text=True, env=env, timeout=120)
@@ -61,6 +67,20 @@ def test_the_package_leaves_scipy_special_unloaded():
         """)
     assert "scipy.special._ufuncs" in loaded
     assert [name for name in UNUSED if name in loaded] == []
+
+
+def test_openblas_starts_no_thread_pool():
+    # unset, OPENBLAS_NUM_THREADS becomes 1 before numpy loads, so neither
+    # numpy's nor scipy's OpenBLAS starts a pool; a caller's value is kept
+    code = """
+        import json, os
+        import levyheat
+        tasks = "/proc/self/task"
+        print(json.dumps([os.environ["OPENBLAS_NUM_THREADS"],
+                          len(os.listdir(tasks)) if os.path.isdir(tasks) else 1]))
+        """
+    assert run_python(code, OPENBLAS_NUM_THREADS=None) == ["1", 1]
+    assert run_python(code, OPENBLAS_NUM_THREADS="2")[0] == "2"
 
 
 def test_ndtri_of_an_imported_scipy_special():
