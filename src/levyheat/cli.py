@@ -15,9 +15,10 @@ compute, and a row carries no config value, only its run id.
 Configuration comes from a flat key=value file; --set overrides single keys
 and --seed the seed key: config file < --set < --seed.  A subcommand takes
 only the keys that can change one of its values (COMMANDS) and refuses any
-other.  effective_config works out each value once: a sentinel 0 becomes
-the value it stands for, a comma list takes one spelling, a probe its grid
-cell, and a key that changes nothing at the others' values is dropped.
+other.  effective_config works out each value once: an unset beta or
+probe_t takes alpha's value or the horizon, a comma list takes one
+spelling, a probe its grid cell, and a key that changes nothing at the
+others' values is dropped.
 The run id hashes the subcommand, those values and the version alone, so
 one computation has one id however its values were given.
 """
@@ -76,11 +77,11 @@ def _float_list(raw):
 
 
 # every key the config file and --set accept, with type, default, and help;
-# 0 on one of the SENTINELS stands for the value of the key it names
+# a default that names a key is that key's value
 SCHEMA = {
     "alpha": (float, 2.0, "lower power of the exponent envelope"),
-    "beta": (float, 0.0, "check-exponent: upper power of the exponent "
-             "envelope; 0 records alpha, negative is refused"),
+    "beta": (float, "alpha", "check-exponent: upper power of the exponent "
+             "envelope, in [alpha, 2]"),
     "scale": (float, 1.0, "coefficient of re phi(n) = scale |n|^alpha"),
     "drift": (float, 0.0, "imaginary drift: phi(n) += i drift n"),
     "m_space": (int, 64, "spatial grid points"),
@@ -91,7 +92,7 @@ SCHEMA = {
     "u0_amp": (float, 1.0, "initial field amplitude"),
     "seed": (int, 0, "base RNG seed; replica r uses stream (seed, r)"),
     "replicas": (int, 256, "Monte Carlo replicas"),
-    "probe_t": (float, 0.0, "probe time; 0 records horizon, < 0 is refused"),
+    "probe_t": (float, "horizon", "probe time in [0, horizon]"),
     "probe_x": (float, 0.0, "probe point in [0, 2pi)"),
     "t_min": (float, 1e-5, "kernel: smallest time on the scaling grid"),
     "t_max": (float, 1e-3, "kernel: largest time on the scaling grid"),
@@ -107,7 +108,6 @@ SCHEMA = {
             "error, every rounding counted, is at most tol max(1, L), L a "
             "lower bound of the value"),
 }
-SENTINELS = {"beta": "alpha", "probe_t": "horizon"}
 
 
 def _parse_value(key, raw):
@@ -155,25 +155,23 @@ def effective_config(args):
         raise ConfigError(f"{args.subcommand} does not read "
                           f"{', '.join(unread)}; it reads {', '.join(keys)}")
     cfg = {key: SCHEMA[key][1] for key in keys} | given
+    cfg |= {key: cfg[cfg[key]] for key in keys
+            if key not in given and cfg[key] in SCHEMA}
     if args.seed is not None and "seed" in cfg:  # else it draws no noise
         cfg["seed"] = args.seed
     if args.subcommand == "malliavin" and get_sigma(cfg["sigma"]).kappa == 0:
         del cfg["moment_p"], cfg["floor"]  # no negative moment reads them
     if cfg.get("u0") == "zero":
         del cfg["u0_amp"]  # no amplitude scales a zero field
-    for key, default in SENTINELS.items():
-        if not cfg.get(key, 0) >= 0:  # NaN is refused too
-            raise ConfigError(f"{key} must be >= 0 (0 derives the default), "
-                              f"got {cfg[key]!r}")
-        if key in cfg:
-            cfg[key] = cfg[key] or cfg[default]
     if "probe_t" in cfg:  # the cell GridSpec.index_of snaps the probe to
         grid = GridSpec(cfg["m_space"], cfg["k_time"], cfg["horizon"])
-        k, i = grid.index_of(cfg["probe_t"], cfg["probe_x"])
+        try:
+            k, i = grid.index_of(cfg["probe_t"], cfg["probe_x"])
+        except ValueError as err:
+            raise ConfigError(f"probe_t, probe_x: {err}") from None
+        cfg["probe_t"] = float(grid.t_points()[k] if k < grid.k_time
+                               else grid.horizon)
         cfg["probe_x"] = float(grid.x_points()[i])
-        if k:  # a time in step 0 is kept: 0 stands for the horizon
-            cfg["probe_t"] = float(grid.t_points()[k] if k < grid.k_time
-                                   else grid.horizon)
     return cfg
 
 
@@ -459,8 +457,9 @@ def build_parser():
                               for name, (_, help_, keys) in COMMANDS.items())
     kinds = {_float_list: "comma list of floats"}
     schema_lines = "\n".join(
-        f"  {key} ({kinds.get(ctor, ctor.__name__)}, default {default!r}): "
-        f"{help_}" for key, (ctor, default, help_) in SCHEMA.items()
+        f"  {key} ({kinds.get(ctor, ctor.__name__)}, default "
+        f"{default if default in SCHEMA else repr(default)}): {help_}"
+        for key, (ctor, default, help_) in SCHEMA.items()
     )
     parser = _Parser(
         prog="levyheat",

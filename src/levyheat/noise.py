@@ -115,7 +115,7 @@ class GridSpec:
         """Grid cell (k, i) of the point (t, x), with x wrapped onto the torus.
 
         The point must lie on the grid to within 1e-9 of a cell in each
-        coordinate, with 0 <= t <= horizon.
+        coordinate, with 0 <= t <= horizon, and x / dx must resolve 1e-9.
         """
         k = t / self.dt
         i = x / self.dx
@@ -123,6 +123,9 @@ class GridSpec:
             raise ValueError(f"probe time {t} outside [0, {self.horizon}]")
         if not abs(x) < math.inf:
             raise ValueError(f"probe point {x} is not finite")
+        if math.ulp(i) > 1e-9:  # x / dx keeps no fraction to test
+            raise ValueError(f"probe point {x} is too large to place on "
+                             f"the grid of spacing {self.dx:g}")
         if abs(k - round(k)) > 1e-9 or abs(i - round(i)) > 1e-9:
             raise ValueError(f"probe ({t}, {x}) is not a grid point")
         return int(round(k)), int(round(i)) % self.m_space

@@ -94,6 +94,8 @@ RUNS = {
                              "--set k_time=16 --set replicas=32768"),
     "check-exponent-alpha-1.5": Run("check-exponent --set alpha=1.5"),
     "probe-grid": Run(PROBE_GRID),
+    # t = 0: every replica holds u0
+    "probe-grid-t0": Run(PROBE_GRID + " --set probe_t=0"),
     # pairs: one computation given two ways, recorded as one config
     "deltas": Run("malliavin --set deltas=0.1,0.050", same_as="tails",
                   records={"deltas": "0.05,0.1"}),
@@ -110,6 +112,8 @@ RUNS = {
                             same_as="probe-grid", records={"probe_x": 0.0}),
     "probe_t_near": Run(PROBE_GRID + " --set probe_t=0.5000000000001",
                         same_as="probe-grid", records={"probe_t": 0.5}),
+    "probe_t_step0": Run(PROBE_GRID + " --set probe_t=1e-12",
+                         same_as="probe-grid-t0", records={"probe_t": 0.0}),
 }
 PAIRS = {name: run for name, run in RUNS.items() if run.same_as}
 PINNED = [name for name, run in RUNS.items() if not run.same_as]

@@ -627,16 +627,41 @@ def test_row_keys_pinned(tmp_path, subcommand):
         [t for _, t, _, _ in want], rel=1e-12)
 
 
-@pytest.mark.parametrize("subcommand, key", [("check-exponent", "beta"),
-                                             ("simulate", "probe_t")])
-def test_negative_sentinel_is_config_error(tmp_path, capsys, subcommand, key):
-    # only exactly 0 derives the default; a negative value is a typo, not "0"
+@pytest.mark.parametrize("subcommand, key, value", [
+    pytest.param("check-exponent", "beta", "-0.25", id="check-exponent-beta"),
+    pytest.param("check-exponent", "beta", "0", id="check-exponent-beta-0"),
+    pytest.param("simulate", "probe_t", "-0.25", id="simulate-probe_t"),
+    pytest.param("simulate", "probe_t", "0.3", id="simulate-probe_t-off-grid"),
+    pytest.param("simulate", "probe_x", "1e17", id="simulate-probe_x-1e17"),
+    pytest.param("simulate", "probe_x", "1e300", id="simulate-probe_x-1e300"),
+])
+def test_negative_sentinel_is_config_error(tmp_path, capsys, subcommand, key,
+                                           value):
+    # no value stands for another: check_orders refuses a beta outside
+    # (1, 2], 0 included, and GridSpec.index_of a probe off the grid or past
+    # the float resolution of x / dx (1e17 ran, recorded as probe_x 0.0),
+    # each naming its key
     code, out = run_cli([subcommand] + small(subcommand)
-                        + ["--set", f"{key}=-0.25"], tmp_path)
+                        + ["--set", f"{key}={value}"], tmp_path)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("levyheat:error:config:") and key in err
+    assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_probe_t_0_samples_the_initial_field(tmp_path):
+    # probe_t = 0 is t = 0, where every replica holds u0 = cos: mean
+    # cos(0) = 1 and variance 0, not the horizon
+    code, out = run_cli(["simulate"] + SMALL + ["--set", "probe_t=0", "--set",
+                                                "u0=cos"], tmp_path)
+    assert code == 0
+    got = rows_by_quantity(out / "simulate.csv")
+    assert sorted(got) == ["u_blowups", "u_mean", "u_var"]
+    assert all(row["t"] == 0.0 for row in got.values())
+    assert (got["u_mean"]["value"], got["u_var"]["value"]) == (1.0, 0.0)
+    config = json.loads((out / "simulate.meta.json").read_text())["config"]
+    assert config["probe_t"] == 0.0
 
 
 def test_run_id_tracks_config(tmp_path):
@@ -674,9 +699,8 @@ def test_metadata_config_reproduces_the_outputs(tmp_path, subcommand):
 @pytest.mark.parametrize("name", PAIRS)
 def test_one_computation_writes_one_file_set(tmp_path, name):
     # each pair of the reference runs gives one computation two ways, and
-    # both record it as one config: a list in one spelling, a sentinel 0 as
-    # the value it stands for, and no u0_amp at u0 = zero (None: the key is
-    # left out)
+    # both record it as one config: a list in one spelling, a probe as its
+    # grid cell, and no u0_amp at u0 = zero (None: the key is left out)
     pair = PAIRS[name]
     outs = [run_cli(RUNS[tag].argv, tmp_path, tag)
             for tag in (pair.same_as, name)]
@@ -1127,10 +1151,10 @@ def test_smallball_needs_nondegenerate_sigma(tmp_path, capsys, monkeypatch):
                                                   ("smallball", 64)])
 def test_a_negative_moment_at_step_0_is_refused_before_sampling(
         tmp_path, capsys, monkeypatch, subcommand, replicas):
-    # probe_t = 1e-12 snaps to step k_p = 0, where every mass is 0: the
-    # negative moment was floor^(-p/2) with stderr 0, and smallball wrote
-    # quantiles and a certified floor of 0.  Refused, naming probe_t, before
-    # any noise is drawn
+    # probe_t = 1e-12 snaps to step k_p = 0, t = 0, where every mass is 0:
+    # the negative moment was floor^(-p/2) with stderr 0, and smallball
+    # wrote quantiles and a certified floor of 0.  Refused, naming probe_t
+    # and the time it is recorded as, before any noise is drawn
     def refuse(*args):
         raise AssertionError("noise drawn")
 
@@ -1140,7 +1164,7 @@ def test_a_negative_moment_at_step_0_is_refused_before_sampling(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("levyheat:error:config: probe_t: the probe time "
-                          "1e-12 lies in step 0, ")
+                          "0 lies in step 0, ")
     assert err.count("\n") == 1
     assert not out.exists()
 

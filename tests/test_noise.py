@@ -57,6 +57,17 @@ def test_grid_validation():
     assert GridSpec(np.int64(16), np.int32(8), 0.5).k_time == 8
 
 
+def test_index_of_refuses_a_point_past_float_resolution():
+    # from 2^23 cells on, ulp(x / dx) > 1e-9: x / dx holds no fraction to
+    # test, and any float there would pass as a grid point
+    g = GridSpec(m_space=64, k_time=8, horizon=0.5)
+    assert g.index_of(0.5, g.dx * 2.0 ** 22) == (8, 0)
+    for x in (g.dx * 2.0 ** 23, -g.dx * 2.0 ** 23, 1e17, 1e300):
+        with pytest.raises(ValueError, match="too large to place on the grid"):
+            g.index_of(0.5, x)
+    assert g.index_of(0.0, 0.0) == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # determinism and addressing
 
